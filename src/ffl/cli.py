@@ -177,7 +177,9 @@ def make_evaluator(system, scan: dict, seed: int, budget: int, map_section=None)
     if method == "pushforward":
         if map_section is None:
             raise ValidationError("pushforward method needs a map section")
-        F = push.SmoothMapF.parse(map_section["expr"])
+        check_keys(map_section, {"expr", "fibre_var"}, "map")
+        F = push.SmoothMapF.parse(map_section["expr"],
+                                  fibre_var=map_section.get("fibre_var"))
         norms = push.map_norms(F)
         return lambda xi: push.pushforward_fourier(F, system, xi, tol=tol,
                                                    budget=budget, norms=norms)
@@ -188,39 +190,25 @@ def make_evaluator(system, scan: dict, seed: int, budget: int, map_section=None)
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_fourier_scan(cfg, out, seed, threads, budget):
+def cmd_fourier_scan(cfg, out, seed, threads, budget, method=None):
+    """Write the scan CSV of a uniform frequency grid; pushforward-scan fixes
+    ``method``, and its scan section takes no evaluator keys."""
     section = cfg.get("scan", {})
-    check_keys(section, {"xi_min", "xi_max", "points", "tol", "method",
-                         "draws", "factors"}, "scan")
+    keys = {"xi_min", "xi_max", "points", "tol"}
+    if method is None:
+        check_keys(section, keys | {"method", "draws", "factors"}, "scan")
+        tool, name = "fourier-scan", "scan.csv"
+    else:
+        check_keys(section, keys, "scan")
+        section = dict(section, method=method)
+        tool, name = f"{method}-scan", f"{method}.csv"
     system = build_system(cfg.get("system", {}))
-    lo, hi = float(section["xi_min"]), float(section["xi_max"])
-    n = int(section["points"])
-    xis = np.linspace(lo, hi, n)
-    evaluator = make_evaluator(system, section, seed, budget)
-    values = parallel_map(evaluator, xis, threads)
-    h = config_hash(cfg)
-    write_csv(out / "scan.csv", "fourier-scan", h, seed,
-              "xi,re,im,abs,err,err_kind", fourier_rows(values))
-    return 0
-
-
-def cmd_pushforward_scan(cfg, out, seed, threads, budget):
-    section = cfg.get("scan", {})
-    check_keys(section, {"xi_min", "xi_max", "points", "tol"}, "scan")
-    map_section = cfg.get("map", {})
-    check_keys(map_section, {"expr", "fibre_var"}, "map")
-    system = build_system(cfg.get("system", {}))
-    F = push.SmoothMapF.parse(map_section["expr"], fibre_var=map_section.get("fibre_var"))
-    norms = push.map_norms(F)
-    tol = float(section.get("tol", 1e-6))
     xis = np.linspace(float(section["xi_min"]), float(section["xi_max"]),
                       int(section["points"]))
-    values = parallel_map(
-        lambda xi: push.pushforward_fourier(F, system, float(xi), tol=tol,
-                                            budget=budget, norms=norms),
-        xis, threads)
-    h = config_hash(cfg)
-    write_csv(out / "pushforward.csv", "pushforward-scan", h, seed,
+    evaluator = make_evaluator(system, section, seed, budget,
+                               map_section=cfg.get("map"))
+    values = parallel_map(evaluator, xis, threads)
+    write_csv(out / name, tool, config_hash(cfg), seed,
               "xi,re,im,abs,err,err_kind", fourier_rows(values))
     return 0
 
@@ -581,7 +569,8 @@ def main(argv=None) -> int:
         if cmd == "fourier-scan":
             return cmd_fourier_scan(cfg, out, seed, threads, budget)
         if cmd == "pushforward-scan":
-            return cmd_pushforward_scan(cfg, out, seed, threads, budget)
+            return cmd_fourier_scan(cfg, out, seed, threads, budget,
+                                    method="pushforward")
         if cmd == "disintegrate":
             return cmd_disintegrate(cfg, out, seed, threads, budget,
                                     args.action or "classes")

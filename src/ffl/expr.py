@@ -418,15 +418,17 @@ def _parse_tokens(tokens: list, pos: int):
             if not tok.isidentifier():
                 raise ExprError(f"bad token {tok!r}") from None
             return Var(tok), pos
+    if pos + 1 >= len(tokens):
+        raise ExprError("missing operator after '('")
     op = tokens[pos + 1]
     if op not in _OPS:
         raise ExprError(f"unknown operator {op!r}")
     args, pos = [], pos + 2
-    while tokens[pos] != ")":
+    while pos < len(tokens) and tokens[pos] != ")":
         node, pos = _parse_tokens(tokens, pos)
         args.append(node)
-        if pos >= len(tokens):
-            raise ExprError("missing ')'")
+    if pos >= len(tokens):
+        raise ExprError("missing ')'")
     pos += 1
     if op == "add":
         return add(*args), pos

@@ -9,7 +9,10 @@ across workers.
 from __future__ import annotations
 
 import math
+import threading
+from collections import deque, namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import product as iproduct
 from typing import Mapping, Sequence
 
@@ -230,7 +233,6 @@ class CIFS:
         worst = max(self.maps[a].contraction_bound for a in self.alphabet)
         if worst >= 1.0:
             raise ValidationError(f"uniform contraction fails: sup bound {worst}")
-        self._caches = {}
 
     # -- helpers ------------------------------------------------------------
 
@@ -250,12 +252,11 @@ class CIFS:
     def weight_vector(self) -> np.ndarray:
         return np.array([self.weights[a] for a in self.alphabet])
 
-    def cache(self, key, build):
-        try:
-            return self._caches[key]
-        except KeyError:
-            self._caches[key] = value = build()
-            return value
+    @cached_property
+    def cylinders(self) -> "_CylinderEngine":
+        """The stopping-cylinder engine of an affine system."""
+        return _CylinderEngine(self.alphabet, [[self.maps[a] for a in self.alphabet]],
+                               self.weight_vector())
 
 
 def make_word(cifs: CIFS, symbols: Sequence) -> Word:
@@ -398,7 +399,6 @@ class FibreProductCIFS:
         if worst >= 1.0:
             raise ValidationError(f"uniform contraction fails: sup bound {worst}")
         self._validate_pair()
-        self._caches = {}
 
     def _validate_pair(self):
         p = self.pair
@@ -445,21 +445,20 @@ class FibreProductCIFS:
         The last coordinate evolves autonomously under the product system,
         so its marginal law is the stationary measure of this 1-D system.
         """
-        def build():
-            maps = {s: self.fibre_map(s) for s in self.alphabet}
-            weights = {s: self.weights[s] for s in self.alphabet}
-            return CIFS(self.alphabet, maps, weights, dim=1, tail_mass=self.tail_mass)
-        return self.cache("fibre_cifs", build)
+        maps = {s: self.fibre_map(s) for s in self.alphabet}
+        weights = {s: self.weights[s] for s in self.alphabet}
+        return CIFS(self.alphabet, maps, weights, dim=1, tail_mass=self.tail_mass)
 
     def lyapunov(self) -> float:
         return lyapunov(self)
 
-    def cache(self, key, build):
-        try:
-            return self._caches[key]
-        except KeyError:
-            self._caches[key] = value = build()
-            return value
+    @cached_property
+    def cylinders(self) -> "_CylinderEngine":
+        """The stopping-cylinder engine on (base, fibre) coordinates."""
+        return _CylinderEngine(self.alphabet,
+                               [[self.base_map(s) for s in self.alphabet],
+                                [self.fibre_map(s) for s in self.alphabet]],
+                               [self.weights[s] for s in self.alphabet])
 
 
 def _fold_affine(maps: Sequence[AffineMap]) -> AffineMap:
@@ -567,6 +566,140 @@ def fibre_product_from_1d(cifs: CIFS, n_max: int = 8,
     weights = {(0, a): cifs.weights[a] for a in cifs.alphabet}
     return build_fibre_product(base, fibres, weights, dim=1,
                                n_max=n_max, alphabet_budget=alphabet_budget)
+
+
+# ---------------------------------------------------------------------------
+# stopping cylinders of affine systems
+# ---------------------------------------------------------------------------
+
+PIECE_CYLINDERS = 1 << 20  # a subtree that may hold more cylinders is split
+CACHE_CYLINDERS = 1 << 21  # cylinders of the sweeps one engine keeps
+
+# One piece of a walk. Row c of ``anchors`` and ``ratios`` is coordinate c
+# of the cylinders' images of 0 and composed ratios; ``bounds`` are their
+# stopping bounds; ``words`` spells them when the walk is asked to.
+Cylinders = namedtuple("Cylinders", "anchors ratios weights bounds words")
+
+
+def _bound(lips, rho):
+    return sum(c * np.abs(r) for c, r in zip(lips, rho))
+
+
+def _spend(nodes: int, budget: int) -> int:
+    if nodes > budget:
+        raise BudgetExhausted(f"stopping budget {budget} exhausted")
+    return nodes
+
+
+class _CylinderEngine:
+    """Stopping-cylinder walks of an affine system in m coordinates.
+
+    A word stops once its bound sum_c lips[c] * |composed ratio_c| drops to
+    theta; the empty word is always expanded. A subtree that may hold more
+    than PIECE_CYLINDERS cylinders is split into its children, the others
+    are swept level by level. Sweeps depend on their prefix only through
+    its composed ratios; they are cached under those, for the theta interval
+    [largest stopped bound, smallest expanded bound) on which they cannot
+    change. Threads may share an engine.
+    """
+
+    def __init__(self, alphabet, maps, weights):
+        if not all(isinstance(f, AffineMap) for row in maps for f in row):
+            raise ValidationError("stopping cylinders need affine maps")
+        self.alphabet = tuple(alphabet)
+        self.ratios = np.array([[f.ratio for f in row] for row in maps])  # (m, n)
+        self.translates = np.array([[f.translate for f in row] for row in maps])
+        weights = np.asarray(weights, dtype=float)
+        self.weights = weights / weights.sum()
+        # Below a prefix of bound b a word's bound is at most b * prod R_k,
+        # R_k = max_c |ratio_ck| raised to at least 1e-3 (raising keeps this
+        # true). With sum_k R_k^s = 1 these products' s-th powers sum to at
+        # most 1 over prefix-free words, and a cylinder's product exceeds
+        # theta / b * min R, as its parent was expanded: fewer than
+        # (b / (theta * min R))^s cylinders lie below.
+        R = np.maximum(np.abs(self.ratios).max(axis=0), 1e-3)
+        lo, hi = 0.0, math.log(len(R)) / -math.log(R.max())
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if (R ** mid).sum() > 1.0 else (lo, mid)
+        self._r_min, self._dim = float(R.min()), hi
+        self._sweeps = {}      # key -> [(lo, hi, nodes, Cylinders)], oldest first
+        self._order = deque()  # keys of the cached sweeps, oldest first
+        self._held = 0
+        self._lock = threading.Lock()
+
+    def walk(self, theta: float, lips: Sequence[float], budget: int,
+             words: bool = False):
+        """Yield the stopping cylinders at ``theta`` in pieces of at most
+        PIECE_CYLINDERS. Raises BudgetExhausted once the stopping tree
+        (every word generated, stopped or expanded) has over ``budget`` nodes.
+        """
+        if not theta > 0:
+            raise ValidationError("stopping threshold must be positive")
+        lips, m = tuple(lips), len(lips)
+        nodes, stack = 0, [((), np.ones((m, 1)), np.zeros((m, 1)), np.ones(1))]
+        while stack:
+            word, rho, t, w = stack.pop()
+            root = float(_bound(lips, rho)[0])
+            if word and root <= theta:  # a stopped child of a split prefix
+                yield Cylinders(t, rho, w, np.array([root]), [word] if words else None)
+            elif root <= theta or (self._dim * math.log(root / (theta * self._r_min))
+                                   <= math.log(PIECE_CYLINDERS)):
+                more, rel = self._sweep(lips, rho, theta, words)
+                nodes = _spend(nodes + more, budget)
+                yield rel if not word else Cylinders(  # the empty prefix is the identity
+                    t + rel.anchors, rel.ratios, w * rel.weights, rel.bounds,
+                    [word + v for v in rel.words] if words else None)
+            else:  # split: push the children, to pop in symbol order
+                nodes = _spend(nodes + len(self.alphabet), budget)
+                for k in reversed(range(len(self.alphabet))):
+                    stack.append((word + (self.alphabet[k],), rho * self.ratios[:, k:k + 1],
+                                  t + rho * self.translates[:, k:k + 1], w * self.weights[k]))
+
+    def _sweep(self, lips, rho, theta, words):
+        """(nodes, Cylinders) below a prefix of composed ratios ``rho``, with
+        anchors as offsets from its anchor and weights relative to its own."""
+        key = (lips, tuple(rho[:, 0].tolist()), words)
+        with self._lock:
+            for lo, hi, nodes, rel in self._sweeps.get(key, ()):
+                if lo <= theta < hi:
+                    return nodes, rel
+        m, t, w = len(lips), np.zeros_like(rho), np.ones(1)
+        names, spelled = [()], []  # words of the expanded and stopped nodes
+        parts, nodes, lo, hi = [], 0, 0.0, math.inf
+        while w.size:
+            # children follow their parent: each level stays in lexicographic
+            # order, and sorted anchors make character sums faster
+            t = (t[:, :, None] + rho[:, :, None] * self.translates[:, None, :]).reshape(m, -1)
+            rho = (rho[:, :, None] * self.ratios[:, None, :]).reshape(m, -1)
+            w = (w[:, None] * self.weights[None, :]).ravel()
+            bound = _bound(lips, rho)
+            nodes += w.size
+            done = bound <= theta
+            if words:
+                names = [v + (a,) for v in names for a in self.alphabet]
+            if done.any():
+                stop = slice(None) if done.all() else done  # a view when all stop
+                parts.append((t[:, stop], rho[:, stop], w[stop], bound[stop]))
+                lo = max(lo, float(bound[stop].max()))
+                if words:
+                    spelled += [v for v, stopped in zip(names, done) if stopped]
+                    names = [v for v, stopped in zip(names, done) if not stopped]
+                rho, t, w, bound = (a[..., ~done] for a in (rho, t, w, bound))
+            if w.size:
+                hi = min(hi, float(bound.min()))
+        rel = Cylinders(*(np.concatenate(p, axis=-1) for p in zip(*parts)),
+                        spelled if words else None)
+        with self._lock:
+            self._sweeps.setdefault(key, []).append((lo, hi, nodes, rel))
+            self._order.append(key)
+            self._held += rel.weights.size
+            while self._held > CACHE_CYLINDERS:
+                old = self._order.popleft()
+                self._held -= self._sweeps[old].pop(0)[3].weights.size
+                if not self._sweeps[old]:
+                    del self._sweeps[old]
+        return nodes, rel
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,11 @@ def character(y):
 class FourierValue:
     """A Fourier transform estimate with an attached error bound.
 
-    ``kind`` is "rigorous" when the bound is deterministic, "statistical"
-    when it is a multiple of the Monte Carlo standard error (stored in
-    ``stderr`` together with the z-multiple in ``confidence_z``).
+    ``kind`` is "rigorous" when the bound is deterministic, "estimate"
+    when it rests on uncertified inputs (pushforwards with grid-estimated
+    derivative norms), "statistical" when it is a multiple of the Monte
+    Carlo standard error (stored in ``stderr`` together with the
+    z-multiple in ``confidence_z``).
     """
 
     frequency: float
@@ -278,35 +280,13 @@ def cylinder_decomposition(cifs: CIFS, threshold: float,
                            budget: int = DEFAULT_BUDGET) -> CylinderDecomposition:
     """Enumerate the prefix-free words whose composed ratio first drops to
     ``threshold`` or below, with anchor = image of 0 and diameter bound."""
-    if not cifs.is_affine:
-        raise ValidationError("cylinder decomposition needs an affine system")
-    ratios = cifs.ratios()
-    translates = np.array([cifs.maps[a].translate for a in cifs.alphabet])
-    wvec = cifs.weight_vector()
-    wvec = wvec / wvec.sum()
-
-    words, weights, anchors, diams = [], [], [], []
-    active = [((), 1.0, 0.0, 1.0)]
-    visits = 0
-    while active:
-        nxt = []
-        for word, rho, t, w in active:
-            for k in range(len(ratios)):
-                visits += 1
-                if visits > budget:
-                    raise BudgetExhausted(f"cylinder budget {budget} exhausted")
-                nr, nt, nw = rho * ratios[k], t + rho * translates[k], w * wvec[k]
-                entry = (word + (cifs.alphabet[k],), nr, nt, nw)
-                if abs(nr) <= threshold:
-                    words.append(entry[0])
-                    weights.append(nw)
-                    anchors.append(nt)
-                    diams.append(abs(nr))
-                else:
-                    nxt.append(entry)
-        active = nxt
-    return CylinderDecomposition(words, np.array(weights), np.array(anchors),
-                                 np.array(diams), getattr(cifs, "tail_mass", 0.0))
+    pieces = list(cifs.cylinders.walk(threshold, (1.0,), budget, words=True))
+    return CylinderDecomposition(
+        [w for p in pieces for w in p.words],
+        np.concatenate([p.weights for p in pieces]),
+        np.concatenate([p.anchors[0] for p in pieces]),
+        np.concatenate([p.bounds for p in pieces]),
+        getattr(cifs, "tail_mass", 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Fourier transforms of nonlinear images of stationary measures.
 
-Includes derivative-norm estimation on grids, stopping-word machinery,
-polynomial level-set covers, the good/bad frequency-sum split, certified
-prefix decompositions via interval arithmetic, and conjugation of affine
-systems by smooth coordinate changes.
+The transform of F(mu) is a sum over stopping cylinders of weight times
+the character at F(anchor), with the cylinders (and stopping words) of
+affine systems from ``system.cylinders``; smooth systems have their own
+walk. Also here: derivative norms on grids, polynomial level-set covers,
+the good/bad frequency-sum split, certified prefix decompositions by
+interval arithmetic, and conjugation by smooth coordinate changes.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from .ifs import (CIFS, FibreProductCIFS, AffineMap, SmoothMap, Word,
-                  BudgetExhausted, ValidationError, make_word)
+                  BudgetExhausted, ValidationError)
 from .measure import FourierValue, character, TWO_PI, DEFAULT_BUDGET
 from .rng import stream_rng
 
@@ -154,135 +156,6 @@ def map_norms(F: SmoothMapF, resolution: int = 1 << 8,
     return MapNorms(sup1, sup2, min2, rigor, sign_definite)
 
 
-# ---------------------------------------------------------------------------
-# stopping-cylinder enumeration
-# ---------------------------------------------------------------------------
-
-def _affine_data(cifs: CIFS):
-    ratios = cifs.ratios()
-    translates = np.array([cifs.maps[a].translate for a in cifs.alphabet])
-    weights = cifs.weight_vector()
-    return ratios, translates, weights / weights.sum()
-
-
-def _is_homogeneous(ratios) -> bool:
-    return np.max(np.abs(np.abs(ratios) - np.abs(ratios[0]))) < 1e-15
-
-
-_SUFFIX_DEPTH = 20  # homogeneous anchor tables are cached up to this depth
-
-
-def _anchors_uniform_depth(cifs: CIFS, depth: int):
-    """All composition anchors (images of 0) at a fixed depth, with the
-    uniform-depth weights. Cached on the system."""
-    def build():
-        ratios, translates, weights = _affine_data(cifs)
-        anchors = np.array([0.0])
-        wts = np.array([1.0])
-        for _ in range(depth):
-            anchors = (np.multiply.outer(ratios, anchors)
-                       + translates[:, None]).ravel()
-            wts = np.multiply.outer(weights, wts).ravel()
-        return anchors, wts
-    return cifs.cache(("anchors", depth), build)
-
-
-def _accumulate_stopping(cifs: CIFS, threshold: float, budget: int, consume):
-    """Drive ``consume(anchors, bound, weights)`` over the stopping set in
-    bounded-memory chunks; returns the worst emitted contraction bound.
-
-    Homogeneous systems stop at one uniform depth; a cached suffix anchor
-    table is translated under every prefix chunk, so the stopping set is
-    never materialised at once. Heterogeneous systems sweep level by level
-    and emit words as their composed ratio falls to the threshold.
-    """
-    ratios, translates, weights = _affine_data(cifs)
-    if _is_homogeneous(ratios):
-        r = abs(ratios[0])
-        depth = max(1, math.ceil(math.log(threshold) / math.log(r)))
-        if len(ratios) ** depth > budget:
-            reachable = int(math.log(budget) / math.log(len(ratios)))
-            raise BudgetExhausted(
-                f"homogeneous stopping set of size {len(ratios)}^{depth} "
-                f"exceeds the budget {budget}",
-                achieved=r ** max(reachable, 1))
-        s_depth = min(depth, _SUFFIX_DEPTH)
-        suffix, suffix_w = _anchors_uniform_depth(cifs, s_depth)
-        rho_total = ratios[0] ** depth
-        if depth == s_depth:
-            consume(suffix, np.full(len(suffix), rho_total), suffix_w)
-            return r ** depth
-        # prefix words of the remaining length, one suffix-sized chunk each
-        pre_t = np.array([0.0]); pre_rho = np.array([1.0]); pre_w = np.array([1.0])
-        for _ in range(depth - s_depth):
-            pre_t = (pre_t[None] + pre_rho[None] * translates[:, None]).ravel()
-            pre_rho = (pre_rho[None] * ratios[:, None]).ravel()
-            pre_w = (pre_w[None] * weights[:, None]).ravel()
-        bound = np.full(len(suffix), rho_total)
-        for i in range(len(pre_t)):
-            consume(pre_t[i] + pre_rho[i] * suffix, bound, pre_w[i] * suffix_w)
-        return r ** depth
-
-    worst = 0.0
-    rho = np.array([1.0]); t = np.array([0.0]); w = np.array([1.0])
-    visits = 0
-    while len(rho):
-        new_rho = (rho[None, :] * ratios[:, None]).ravel()
-        new_t = (t[None, :] + rho[None, :] * translates[:, None]).ravel()
-        new_w = (w[None, :] * weights[:, None]).ravel()
-        visits += len(new_rho)
-        if visits > budget:
-            raise BudgetExhausted(f"stopping budget {budget} exhausted",
-                                  achieved=float(np.abs(rho).max()))
-        done = np.abs(new_rho) <= threshold
-        if done.any():
-            consume(new_t[done], new_rho[done], new_w[done])
-            worst = max(worst, float(np.abs(new_rho[done]).max()))
-        rho, t, w = new_rho[~done], new_t[~done], new_w[~done]
-    return worst
-
-
-def _stopping_arrays_product(fp: FibreProductCIFS, threshold: float, budget: int,
-                             lip_base: float, lip_fibre: float):
-    """Stopping cylinders of an all-affine fibre product.
-
-    A cylinder stops once its anchored character error weight
-    lip_base*|base ratio| + lip_fibre*|fibre ratio| drops to the threshold,
-    so coordinates the function ignores never force extra depth.
-    """
-    symbols = fp.alphabet
-    rb = np.array([fp.base_map(s).ratio for s in symbols])
-    tb = np.array([fp.base_map(s).translate for s in symbols])
-    rf = np.array([fp.fibre_map(s).ratio for s in symbols])
-    tf = np.array([fp.fibre_map(s).translate for s in symbols])
-    wv = np.array([fp.weights[s] for s in symbols])
-    wv = wv / wv.sum()
-
-    out = []
-    rb_c = np.array([1.0]); tb_c = np.array([0.0])
-    rf_c = np.array([1.0]); tf_c = np.array([0.0]); w = np.array([1.0])
-    visits = 0
-    while len(w):
-        nrb = (rb_c[None] * rb[:, None]).ravel()
-        ntb = (tb_c[None] + rb_c[None] * tb[:, None]).ravel()
-        nrf = (rf_c[None] * rf[:, None]).ravel()
-        ntf = (tf_c[None] + rf_c[None] * tf[:, None]).ravel()
-        nw = (w[None] * wv[:, None]).ravel()
-        visits += len(nw)
-        if visits > budget:
-            raise BudgetExhausted(f"stopping budget {budget} exhausted")
-        bound = lip_base * np.abs(nrb) + lip_fibre * np.abs(nrf)
-        done = bound <= threshold
-        out.append((ntb[done], ntf[done], bound[done], nw[done]))
-        keep = ~done
-        rb_c, tb_c, rf_c, tf_c, w = nrb[keep], ntb[keep], nrf[keep], ntf[keep], nw[keep]
-    bx = np.concatenate([o[0] for o in out])
-    fy = np.concatenate([o[1] for o in out])
-    bd = np.concatenate([o[2] for o in out])
-    ws = np.concatenate([o[3] for o in out])
-    return bx, fy, bd, ws
-
-
 def pushforward_fourier(F: SmoothMapF, system, xi: float, tol: float = 1e-6,
                         budget: int = DEFAULT_BUDGET,
                         norms: MapNorms | None = None) -> FourierValue:
@@ -292,6 +165,9 @@ def pushforward_fourier(F: SmoothMapF, system, xi: float, tol: float = 1e-6,
     F(anchor); replacing the cylinder integral costs at most
     2*pi*|xi| * Lip(F) * diameter per unit mass, so stopping at composed
     ratio tol / (2*pi*|xi|*max(1, Lip)) keeps the total error below tol.
+    On a fibre product (affine base, F of two variables) a cylinder stops
+    once Lip_x(F)*|base ratio| + Lip_y(F)*|fibre ratio| <= tol / (2*pi*|xi|).
+    The label is "rigorous" only for certified derivative norms.
     """
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
@@ -300,39 +176,34 @@ def pushforward_fourier(F: SmoothMapF, system, xi: float, tol: float = 1e-6,
     if norms is None:
         norms = map_norms(F, resolution=1 << 8)
     lip = norms.sup_first
-    threshold = tol / (TWO_PI * abs(xi) * max(1.0, lip))
-
-    if isinstance(system, FibreProductCIFS):
-        base_affine = all(isinstance(m, AffineMap) for m in system.base_maps.values())
-        if not base_affine or len(F.domain) != 2:
-            raise ValidationError("fibre-product pushforward needs an affine "
-                                  "base and a two-variable function")
-        xvar, yvar = list(F.domain)
-        env = F.grid(1 << 6)
-        lip_base = float(np.abs(np.asarray(F.expr.diff(xvar).eval(env),
+    kind = "rigorous" if norms.rigor == "certified" else "estimate"
+    fibre = isinstance(system, FibreProductCIFS)
+    names = list(F.domain)
+    if fibre:
+        if len(names) != 2:
+            raise ValidationError("fibre-product pushforward needs a "
+                                  "two-variable function")
+        lip_base = float(np.abs(np.asarray(F.expr.diff(names[0]).eval(F.grid(1 << 6)),
                                            dtype=float)).max())
-        thr = tol / (TWO_PI * abs(xi))
-        bx, fy, bound, w = _stopping_arrays_product(system, thr, budget,
-                                                    lip_base, lip)
-        vals = np.asarray(F.expr.eval({xvar: bx, yvar: fy}), dtype=float)
-        value = complex(np.sum(w * character(xi * vals)))
-        err = TWO_PI * abs(xi) * float(np.sum(w * bound))
-        return FourierValue(float(xi), value,
-                            min(err, tol) + TWO_PI * abs(xi) * system.tail_mass)
+        lips, theta = (lip_base, lip), tol / (TWO_PI * abs(xi))
+    elif system.is_affine:
+        lips, theta = (1.0,), tol / (TWO_PI * abs(xi) * max(1.0, lip))
+    else:
+        fv = _pushforward_smooth(F, system, xi, tol, budget, lip)
+        fv.kind = kind
+        return fv
 
-    if not system.is_affine:
-        return _pushforward_smooth(F, system, xi, tol, budget, lip)
-    var = list(F.domain)[0]
-    acc = np.zeros((), dtype=complex)
-
-    def consume(anchors, bound, w):
-        vals = np.asarray(F.expr.eval({var: anchors}), dtype=float)
-        np.add(acc, np.sum(w * character(xi * vals)), out=acc)
-
-    worst = _accumulate_stopping(system, threshold, budget, consume)
-    err = TWO_PI * abs(xi) * lip * worst
-    return FourierValue(float(xi), complex(acc),
-                        min(max(err, 0.0), tol) + TWO_PI * abs(xi) * system.tail_mass)
+    value, worst, spread = 0.0 + 0.0j, 0.0, 0.0
+    for piece in system.cylinders.walk(theta, lips, budget):
+        vals = np.asarray(F.expr.eval(dict(zip(names, piece.anchors))), dtype=float)
+        value += complex(np.sum(piece.weights * character(xi * vals)))
+        if fibre:
+            spread += float(np.sum(piece.weights * piece.bounds))
+        else:
+            worst = max(worst, float(piece.bounds.max()))
+    err = TWO_PI * abs(xi) * (spread if fibre else lip * worst)
+    return FourierValue(float(xi), value,
+                        min(err, tol) + TWO_PI * abs(xi) * system.tail_mass, kind)
 
 
 def _pushforward_smooth(F: SmoothMapF, system: CIFS, xi, tol, budget, lip):
@@ -387,24 +258,10 @@ def stopping_words(cifs: CIFS, xi: float, delta: float,
         raise ValidationError("need |xi| > 1")
     if not 0.0 < delta < 1.0:
         raise ValidationError("delta must lie in (0, 1)")
-    if not cifs.is_affine:
-        raise ValidationError("stopping words need an affine system")
-    threshold = abs(xi) ** (-delta)
-    ratios, translates, weights = _affine_data(cifs)
     words = []
-    stack = [((), 1.0, 0.0, 1.0)]
-    visits = 0
-    while stack:
-        word, rho, t, w = stack.pop()
-        for k, s in enumerate(cifs.alphabet):
-            visits += 1
-            if visits > budget:
-                raise BudgetExhausted(f"stopping budget {budget} exhausted")
-            nr, nt, nw = rho * ratios[k], t + rho * translates[k], w * weights[k]
-            if abs(nr) <= threshold:
-                words.append(Word(word + (s,), nr, nt, nw))
-            else:
-                stack.append((word + (s,), nr, nt, nw))
+    for piece in cifs.cylinders.walk(abs(xi) ** (-delta), (1.0,), budget, words=True):
+        words.extend(map(Word, piece.words, piece.ratios[0].tolist(),
+                         piece.anchors[0].tolist(), piece.weights.tolist()))
     words.sort(key=lambda w: w.symbols)
     return StoppingSet(float(xi), float(delta), words)
 

@@ -143,11 +143,41 @@ def test_pushforward_scan(tmp_path):
         "map": {"expr": "(pow x 2)"},
         "scan": {"xi_min": 1.0, "xi_max": 32.0, "points": 8, "tol": 1e-5},
     })
-    out = tmp_path / "out"
-    assert main(["pushforward-scan", "--config", cfg, "--out", str(out)]) == 0
+    out, threaded = tmp_path / "out", tmp_path / "threaded"
+    assert main(["pushforward-scan", "--config", cfg, "--out", str(out),
+                 "--threads", "1"]) == 0
+    assert main(["pushforward-scan", "--config", cfg, "--out", str(threaded),
+                 "--threads", "2"]) == 0
+    text = (out / "pushforward.csv").read_bytes()
+    assert text == (threaded / "pushforward.csv").read_bytes()
+    assert text.startswith(b"# ffl pushforward-scan\n")
     rows = read_rows(out / "pushforward.csv")
     assert len(rows) == 8
     assert all(float(r[3]) <= 1.0 + float(r[4]) for r in rows)
+    assert {r[5] for r in rows} == {"estimate"}  # grid-estimated derivative norms
+
+
+def test_unknown_map_key_rejected(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "system": {"kind": "named", "name": "cantor"},
+        "map": {"expr": "(pow x 2)", "bogus": 1},
+        "decay": {"band_min": 3, "band_max": 6, "method": "pushforward", "tol": 1e-3},
+    })
+    assert main(["decay", "bands", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["kind"] == "validation"
+    assert "bogus" in err["error"]["message"]
+
+
+def test_unbalanced_expression_is_validation_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "system": {"kind": "smooth1d", "maps": [{"expr": "("}], "weights": [1.0]},
+        "scan": {"xi_min": 1, "xi_max": 2, "points": 4},
+    })
+    assert main(["fourier-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"]["kind"] == "validation"
 
 
 def test_disintegrate_subcommands(tmp_path):

@@ -116,6 +116,14 @@ def test_square_pushforward_on_cantor_against_quadrature_of_selfsim(cantor):
     assert abs(fv.value - mc) <= fv.error_bound + 4 / math.sqrt(len(pts))
 
 
+def test_pushforward_label_follows_norm_rigor(cantor):
+    F = SmoothMapF.parse("(pow x 2)")
+    assert pushforward_fourier(F, cantor, 7.0, tol=1e-4).kind == "estimate"
+    certified = map_norms(F, deriv_lipschitz=2.0)
+    assert pushforward_fourier(F, cantor, 7.0, tol=1e-4,
+                               norms=certified).kind == "rigorous"
+
+
 def test_pushforward_zero_frequency(cantor):
     fv = pushforward_fourier(SmoothMapF.parse("(pow x 2)"), cantor, 0.0)
     assert fv.value == 1.0 + 0.0j

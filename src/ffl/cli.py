@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -112,14 +112,6 @@ def build_system(section: dict):
     raise ValidationError(f"unknown system kind {kind!r}")
 
 
-def parallel_map(fn, items, threads: int):
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # output writers
 # ---------------------------------------------------------------------------
@@ -167,13 +159,9 @@ def make_evaluator(system, scan: dict, seed: int, budget: int, map_section=None)
     if method == "montecarlo":
         draws = int(scan.get("draws", 100_000))
         sampler = meas.make_sampler(system)
-        counter = {"n": 0}
-
-        def mc(xi):
-            counter["n"] += 1
-            return meas.fourier_montecarlo(sampler, [xi], draws,
-                                           spawn_seed(seed, counter["n"]))[0]
-        return mc
+        calls = itertools.count(1)
+        return lambda xi: meas.fourier_montecarlo(sampler, [xi], draws,
+                                                  spawn_seed(seed, next(calls)))[0]
     if method == "pushforward":
         if map_section is None:
             raise ValidationError("pushforward method needs a map section")
@@ -190,7 +178,7 @@ def make_evaluator(system, scan: dict, seed: int, budget: int, map_section=None)
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_fourier_scan(cfg, out, seed, threads, budget, method=None):
+def cmd_fourier_scan(cfg, out, seed, budget, method=None):
     """Write the scan CSV of a uniform frequency grid; pushforward-scan fixes
     ``method``, and its scan section takes no evaluator keys."""
     section = cfg.get("scan", {})
@@ -207,7 +195,7 @@ def cmd_fourier_scan(cfg, out, seed, threads, budget, method=None):
                       int(section["points"]))
     evaluator = make_evaluator(system, section, seed, budget,
                                map_section=cfg.get("map"))
-    values = parallel_map(evaluator, xis, threads)
+    values = [evaluator(xi) for xi in xis]
     write_csv(out / name, tool, config_hash(cfg), seed,
               "xi,re,im,abs,err,err_kind", fourier_rows(values))
     return 0
@@ -220,7 +208,7 @@ def _fibre_product_of(cfg):
     return system
 
 
-def cmd_disintegrate(cfg, out, seed, threads, budget, action):
+def cmd_disintegrate(cfg, out, seed, budget, action):
     section = cfg.get("disintegrate", {})
     check_keys(section, {"block_length", "xis", "n_sequences", "alpha",
                          "prefix_length", "horizon_min", "horizon_max", "xi",
@@ -308,7 +296,7 @@ def cmd_disintegrate(cfg, out, seed, threads, budget, action):
     raise ValidationError(f"unknown disintegrate action {action!r}")
 
 
-def cmd_equidist(cfg, out, seed, threads, budget, action):
+def cmd_equidist(cfg, out, seed, budget, action):
     section = cfg.get("equidist", {})
     check_keys(section, {"base", "gamma", "rate", "horizon", "seeds",
                          "harmonics", "epsilon", "terms"}, "equidist")
@@ -325,14 +313,12 @@ def cmd_equidist(cfg, out, seed, threads, budget, action):
     h = config_hash(cfg)
 
     if action == "count":
-        def one(i):
+        rows, devs = [], []
+        for i in range(n_seeds):
             gp = eq.grid_point_for(spec, seed=spawn_seed(seed, i))
             res = eq.count_hits(gp, spec, epsilon=epsilon)
-            return i, gp, res
-        rows, devs = [], []
-        for i, gp, res in parallel_map(one, range(n_seeds), threads):
-            x_repr = g17(gp.numerator / (1 << gp.bits) if gp.bits <= 1020
-                         else float(gp.fraction))
+            # int true division is correctly rounded at any size
+            x_repr = g17(gp.numerator / (1 << gp.bits))
             rows.append(",".join([str(i), x_repr, str(res.horizon), str(res.count),
                                   g17(res.two_sigma), g17(res.deviation_half)]))
             devs.append(res.deviation_half)
@@ -346,12 +332,10 @@ def cmd_equidist(cfg, out, seed, threads, budget, action):
 
     if action == "weyl":
         harmonics = int(section.get("harmonics", 5))
-
-        def one(i):
-            gp = eq.grid_point_for(spec, seed=spawn_seed(seed, i))
-            return i, eq.weyl_sums(gp, spec, harmonics)
         rows = []
-        for i, sums in parallel_map(one, range(n_seeds), threads):
+        for i in range(n_seeds):
+            gp = eq.grid_point_for(spec, seed=spawn_seed(seed, i))
+            sums = eq.weyl_sums(gp, spec, harmonics)
             rows.append(",".join([str(i)] + [g17(s) for s in sums]))
         write_csv(out / "weyl.csv", "equidist weyl", h, seed,
                   "seed," + ",".join(f"h{j}" for j in range(1, harmonics + 1)), rows)
@@ -359,13 +343,11 @@ def cmd_equidist(cfg, out, seed, threads, budget, action):
 
     if action == "digits":
         base = int(section.get("base", 2))
-
-        def one(i):
+        rows = []
+        for i in range(n_seeds):
             gp = eq.random_grid_point(horizon * max(1, int(math.log2(base)) + 1) + 128,
                                       seed=spawn_seed(seed, i))
-            return i, eq.digit_freq(gp, base, horizon, keep_digits=False)
-        rows = []
-        for i, d in parallel_map(one, range(n_seeds), threads):
+            d = eq.digit_freq(gp, base, horizon, keep_digits=False)
             rows.append(",".join([str(i)] + [str(int(c)) for c in d.histogram]
                                  + [g17(d.chi_square)]))
         write_csv(out / "digits.csv", "equidist digits", h, seed,
@@ -375,7 +357,7 @@ def cmd_equidist(cfg, out, seed, threads, budget, action):
     raise ValidationError(f"unknown equidist action {action!r}")
 
 
-def cmd_decay(cfg, out, seed, threads, budget, action):
+def cmd_decay(cfg, out, seed, budget, action):
     section = cfg.get("decay", {})
     check_keys(section, {"band_base", "band_min", "band_max", "samples_per_band",
                          "method", "tol", "draws", "factors", "exponent", "limit",
@@ -436,7 +418,7 @@ def cmd_decay(cfg, out, seed, threads, budget, action):
     raise ValidationError(f"unknown decay action {action!r}")
 
 
-def cmd_conjugate(cfg, out, seed, threads, budget):
+def cmd_conjugate(cfg, out, seed, budget):
     section = cfg.get("map", {})
     check_keys(section, {"expr", "inverse", "fibre_var", "draws", "ks_tol"}, "map")
     system = build_system(cfg.get("system", {}))
@@ -458,7 +440,7 @@ def cmd_conjugate(cfg, out, seed, threads, budget):
     return 0
 
 
-def cmd_report(cfg, out, seed, threads, budget):
+def cmd_report(cfg, out, seed, budget):
     h = config_hash(cfg)
     made = 0
     for csv_path in sorted(out.glob("*.csv")):
@@ -486,7 +468,7 @@ def cmd_report(cfg, out, seed, threads, budget):
     return 0
 
 
-def cmd_verify(cfg, out, seed, threads, budget):
+def cmd_verify(cfg, out, seed, budget):
     """Re-evaluate a deterministic 1% of scan rows against their error bars."""
     section = cfg.get("scan", {})
     system = build_system(cfg.get("system", {}))
@@ -540,7 +522,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", default=None, help="JSON config path")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument("--threads", type=int, default=None, help="worker pool size")
     parser.add_argument("--budget", type=int, default=None,
                         help="enumeration budget per evaluation")
     args = parser.parse_args(argv)
@@ -560,32 +541,26 @@ def main(argv=None) -> int:
                 else _env_default("SEED", int, None))
         if seed is None:
             seed = int(cfg.get("seed", 0))
-        threads = (args.threads if args.threads is not None
-                   else _env_default("THREADS", int, os.cpu_count() or 1))
         budget = (args.budget if args.budget is not None
                   else _env_default("BUDGET", int, meas.DEFAULT_BUDGET))
 
         cmd = args.command
         if cmd == "fourier-scan":
-            return cmd_fourier_scan(cfg, out, seed, threads, budget)
+            return cmd_fourier_scan(cfg, out, seed, budget)
         if cmd == "pushforward-scan":
-            return cmd_fourier_scan(cfg, out, seed, threads, budget,
-                                    method="pushforward")
+            return cmd_fourier_scan(cfg, out, seed, budget, method="pushforward")
         if cmd == "disintegrate":
-            return cmd_disintegrate(cfg, out, seed, threads, budget,
-                                    args.action or "classes")
+            return cmd_disintegrate(cfg, out, seed, budget, args.action or "classes")
         if cmd == "equidist":
-            return cmd_equidist(cfg, out, seed, threads, budget,
-                                args.action or "count")
+            return cmd_equidist(cfg, out, seed, budget, args.action or "count")
         if cmd == "decay":
-            return cmd_decay(cfg, out, seed, threads, budget,
-                             args.action or "bands")
+            return cmd_decay(cfg, out, seed, budget, args.action or "bands")
         if cmd == "conjugate":
-            return cmd_conjugate(cfg, out, seed, threads, budget)
+            return cmd_conjugate(cfg, out, seed, budget)
         if cmd == "report":
-            return cmd_report(cfg, out, seed, threads, budget)
+            return cmd_report(cfg, out, seed, budget)
         if cmd == "verify":
-            return cmd_verify(cfg, out, seed, threads, budget)
+            return cmd_verify(cfg, out, seed, budget)
         raise ValidationError(f"unknown command {cmd!r}")
     except BudgetExhausted as err:
         print(json.dumps({"error": {"kind": "budget", "message": str(err)}}),

@@ -178,15 +178,14 @@ def sample_rational_points(maps, weights, count: int, depth: int,
 # exact orbits
 # ---------------------------------------------------------------------------
 
-def _coerce_fraction(x):
+def _residue(x) -> tuple:
+    """(p, q) with frac(x) = p/q; a GridPoint's q is its 2^bits, no gcd taken."""
     if isinstance(x, GridPoint):
-        return x.fraction
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, int):
-        return Fraction(x, 1)
+        q = 1 << x.bits
+        return x.numerator % q, q
+    if isinstance(x, (Fraction, float, int)):
+        frac = Fraction(x)
+        return frac.numerator % frac.denominator, frac.denominator
     raise ValidationError(f"unsupported point type {type(x).__name__}")
 
 
@@ -208,8 +207,7 @@ def _window_orbit_base2(num: int, bits: int, horizon: int):
 def _orbit_floats(x, spec: EquidistSpec):
     """frac(q_n x) for n = 1..horizon as floats accurate to ~2^-60, with an
     exact-value callback for tie resolution."""
-    frac = _coerce_fraction(x)
-    p, q = frac.numerator % frac.denominator, frac.denominator
+    p, q = _residue(x)
     N = spec.horizon
 
     if spec.kind == "geometric":
@@ -332,8 +330,7 @@ def digit_freq(x, base: int, count: int, keep_digits: bool = True,
         raise ValidationError("base must be >= 2")
     if count > budget:
         raise ValidationError(f"digit budget is {budget}")
-    frac = _coerce_fraction(x)
-    p, q = frac.numerator % frac.denominator, frac.denominator
+    p, q = _residue(x)
     digits = np.empty(count, dtype=np.int64)
     for i in range(count):
         p *= base

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ifs import CIFS, FibreProductCIFS, BudgetExhausted, ValidationError
+from .ifs import CIFS, AffineMap, FibreProductCIFS, BudgetExhausted, ValidationError
 from .rng import stream_rng, spawn_seed
 
 TWO_PI = 2.0 * math.pi
@@ -70,14 +70,18 @@ class SamplePoints:
     seed: int
 
 
-def _depth_for(system, tol: float, depth_cap: int = 100_000):
+def _depth_for(system, tol: float, depth: int | None = None, depth_cap: int = 100_000):
+    """Word length whose composed image diameter is below ``tol`` (unless
+    ``depth`` fixes it), with the diameter that length achieves."""
     worst = (max(system.product_map(s).contraction_bound for s in system.alphabet)
              if isinstance(system, FibreProductCIFS) else system.max_contraction)
     diam = getattr(system, "diam_constant", 1.0)
-    if tol <= 0:
-        raise ValidationError("tolerance must be positive")
-    depth = max(1, math.ceil(math.log(tol / diam) / math.log(worst))) if diam > tol else 1
-    return min(depth, depth_cap), diam * worst ** min(depth, depth_cap)
+    if depth is None:
+        if tol <= 0:
+            raise ValidationError("tolerance must be positive")
+        depth = max(1, math.ceil(math.log(tol / diam) / math.log(worst))) if diam > tol else 1
+        depth = min(depth, depth_cap)
+    return depth, diam * worst ** depth
 
 
 def sample_points(system, count: int, tol: float = 1e-9, depth: int | None = None,
@@ -90,54 +94,34 @@ def sample_points(system, count: int, tol: float = 1e-9, depth: int | None = Non
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
-    if depth is None:
-        depth, achieved = _depth_for(system, tol)
-    else:
-        worst = (max(system.product_map(s).contraction_bound for s in system.alphabet)
-                 if isinstance(system, FibreProductCIFS) else system.max_contraction)
-        achieved = getattr(system, "diam_constant", 1.0) * worst ** depth
-    rng = stream_rng(seed, 0x5A17, stream)
-
-    if isinstance(system, FibreProductCIFS):
-        symbols = system.alphabet
-        probs = np.array([system.weights[s] for s in symbols])
-        probs = probs / probs.sum()
-        idx = rng.choice(len(symbols), size=(count, depth), p=probs)
-        x = np.zeros(count)
-        y = np.zeros(count)
-        base_aff = all(hasattr(system.base_maps[j], "ratio") for j in system.base_maps)
-        for level in range(depth - 1, -1, -1):
-            sel = idx[:, level]
-            for k, s in enumerate(symbols):
-                mask = sel == k
-                if not mask.any():
-                    continue
-                bm, fm = system.base_map(s), system.fibre_map(s)
-                x[mask] = bm(x[mask]) if not base_aff else bm.ratio * x[mask] + bm.translate
-                y[mask] = fm.ratio * y[mask] + fm.translate
-        pts = np.column_stack([x, y])
-        return SamplePoints(pts, depth, achieved, seed)
-
+    depth, achieved = _depth_for(system, tol, depth)
     symbols = system.alphabet
-    probs = system.weight_vector()
+    probs = np.array([system.weights[s] for s in symbols])
     probs = probs / probs.sum()
+    rng = stream_rng(seed, 0x5A17, stream)
     idx = rng.choice(len(symbols), size=(count, depth), p=probs)
-    if system.is_affine:
-        ratios = system.ratios()
-        translates = np.array([system.maps[a].translate for a in symbols])
-        x = np.zeros(count)
-        for level in range(depth - 1, -1, -1):
-            sel = idx[:, level]
-            x = ratios[sel] * x + translates[sel]
+    if isinstance(system, FibreProductCIFS):
+        coordinates = ([system.base_map(s) for s in symbols],
+                       [system.fibre_map(s) for s in symbols])
     else:
+        coordinates = ([system.maps[s] for s in symbols],)
+    columns = []
+    for maps in coordinates:
         x = np.zeros(count)
-        for level in range(depth - 1, -1, -1):
-            sel = idx[:, level]
-            for k, a in enumerate(symbols):
-                mask = sel == k
-                if mask.any():
-                    x[mask] = system.maps[a](x[mask])
-    return SamplePoints(x, depth, achieved, seed)
+        if all(isinstance(m, AffineMap) for m in maps):
+            ratios = np.array([m.ratio for m in maps])
+            translates = np.array([m.translate for m in maps])
+            for sel in idx.T[::-1]:
+                x = ratios[sel] * x + translates[sel]
+        else:
+            for sel in idx.T[::-1]:
+                for k, m in enumerate(maps):
+                    mask = sel == k
+                    if mask.any():
+                        x[mask] = m(x[mask])
+        columns.append(x)
+    pts = np.column_stack(columns) if len(columns) > 1 else columns[0]
+    return SamplePoints(pts, depth, achieved, seed)
 
 
 def make_sampler(system, accuracy: float = 1e-9):

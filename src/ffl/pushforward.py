@@ -461,27 +461,14 @@ class PrefixDecomposition:
 
 def _cylinder_box(system, word):
     """Interval (or product-box) image of the full domain under the word."""
-    if isinstance(system, FibreProductCIFS):
-        bx, fy = (0.0, 1.0), (0.0, 1.0)
-        for s in reversed(word):
-            bm, fm = system.base_map(s), system.fibre_map(s)
-            if isinstance(bm, AffineMap):
-                a, b = bm(bx[0]), bm(bx[1])
-            else:
-                a, b = bm.image(*bx)
-            bx = (min(a, b), max(a, b))
-            a, b = fm(fy[0]), fm(fy[1])
-            fy = (min(a, b), max(a, b))
-        return bx, fy
-    iv = (0.0, 1.0)
+    fibred = isinstance(system, FibreProductCIFS)
+    box = ((0.0, 1.0),) * (2 if fibred else 1)
     for s in reversed(word):
-        m = system.maps[s]
-        if isinstance(m, AffineMap):
-            a, b = m(iv[0]), m(iv[1])
-        else:
-            a, b = m.image(*iv)
-        iv = (min(a, b), max(a, b))
-    return (iv,)
+        maps = (system.base_map(s), system.fibre_map(s)) if fibred else (system.maps[s],)
+        images = [m.image(*iv) for m, iv in zip(maps, box)]
+        # a clipped SmoothMap.image can come out unordered
+        box = tuple((min(a, b), max(a, b)) for a, b in images)
+    return box
 
 
 def prefix_decomposition(F: SmoothMapF, system, depth_cap: int = 12,
@@ -495,17 +482,12 @@ def prefix_decomposition(F: SmoothMapF, system, depth_cap: int = 12,
     """
     names = list(F.domain)
     if isinstance(system, FibreProductCIFS):
-        symbols = system.alphabet
-        weight = lambda s: system.weights[s]
         if len(names) != 2:
             raise ValidationError("fibre-product decomposition needs a "
                                   "two-variable function")
-    else:
-        symbols = system.alphabet
-        weight = lambda s: system.weights[s]
-        if len(names) != 1:
-            raise ValidationError("line-system decomposition needs a "
-                                  "one-variable function")
+    elif len(names) != 1:
+        raise ValidationError("line-system decomposition needs a "
+                              "one-variable function")
 
     def certifies(box_parts) -> bool:
         box = {v: iv for v, iv in zip(names, box_parts)}
@@ -528,8 +510,8 @@ def prefix_decomposition(F: SmoothMapF, system, depth_cap: int = 12,
             uncovered += mass
             n_uncovered += 1
         else:
-            for s in symbols:
-                queue.append((word + (s,), mass * weight(s)))
+            for s in system.alphabet:
+                queue.append((word + (s,), mass * system.weights[s]))
     certified.sort()
     return PrefixDecomposition(certified, covered, uncovered, n_uncovered, depth_cap)
 

@@ -143,13 +143,9 @@ def test_pushforward_scan(tmp_path):
         "map": {"expr": "(pow x 2)"},
         "scan": {"xi_min": 1.0, "xi_max": 32.0, "points": 8, "tol": 1e-5},
     })
-    out, threaded = tmp_path / "out", tmp_path / "threaded"
-    assert main(["pushforward-scan", "--config", cfg, "--out", str(out),
-                 "--threads", "1"]) == 0
-    assert main(["pushforward-scan", "--config", cfg, "--out", str(threaded),
-                 "--threads", "2"]) == 0
+    out = tmp_path / "out"
+    assert main(["pushforward-scan", "--config", cfg, "--out", str(out)]) == 0
     text = (out / "pushforward.csv").read_bytes()
-    assert text == (threaded / "pushforward.csv").read_bytes()
     assert text.startswith(b"# ffl pushforward-scan\n")
     rows = read_rows(out / "pushforward.csv")
     assert len(rows) == 8
@@ -281,14 +277,21 @@ def test_fibre_product_config(tmp_path):
     assert sum(c["size"] for c in classes["classes"]) == 9
 
 
-def test_threaded_scan_matches_serial(tmp_path):
-    cfg = dyadic_scan_config(tmp_path)
-    serial, threaded = tmp_path / "s", tmp_path / "t"
-    assert main(["fourier-scan", "--config", cfg, "--out", str(serial),
-                 "--threads", "1"]) == 0
-    assert main(["fourier-scan", "--config", cfg, "--out", str(threaded),
-                 "--threads", "4"]) == 0
-    assert (serial / "scan.csv").read_bytes() == (threaded / "scan.csv").read_bytes()
+def test_montecarlo_scan_reruns_and_verifies(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "system": {"kind": "named", "name": "cantor"},
+        "scan": {"xi_min": 1.0, "xi_max": 40.0, "points": 200,
+                 "method": "montecarlo", "draws": 2000},
+        "seed": 7,
+    })
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert main(["fourier-scan", "--config", cfg, "--out", str(a)]) == 0
+    assert main(["fourier-scan", "--config", cfg, "--out", str(b)]) == 0
+    assert (a / "scan.csv").read_bytes() == (b / "scan.csv").read_bytes()
+    rows = read_rows(a / "scan.csv")
+    assert len(rows) == 200 and {r[5] for r in rows} == {"statistical"}
+    assert main(["verify", "--config", cfg, "--out", str(a)]) == 0
+    assert json.loads((a / "verify.json").read_text())["result"]["checked"] >= 2
 
 
 def test_decay_bands_with_pushforward_method(tmp_path):

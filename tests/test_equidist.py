@@ -140,7 +140,9 @@ def test_fast_and_slow_paths_agree():
     spec = EquidistSpec.geometric(2, 0.3, rate, 800)
     gp = grid_point_for(spec, seed=4)
     fast = count_hits(gp, spec)
-    slow = count_hits(gp.fraction, spec)  # plain Fraction skips the bit path
+    # the same orbit as explicit terms runs the modular loop, not the bit windows
+    terms = EquidistSpec.explicit([2 ** n for n in range(1, 801)], 0.3, rate)
+    slow = count_hits(gp, terms)
     assert fast.count == slow.count
 
 

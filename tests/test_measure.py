@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import lebesgue_transform
-from ffl.ifs import CIFS, AffineMap, BudgetExhausted, ValidationError
+from ffl.ifs import (CIFS, AffineMap, BudgetExhausted, SmoothMap, ValidationError,
+                     build_fibre_product)
+from ffl.rng import stream_rng
 from ffl.measure import (fourier_exact, fourier_product_homogeneous,
                          fourier_montecarlo, make_sampler, sample_points,
                          frostman_profile, cylinder_decomposition)
@@ -39,6 +41,27 @@ def test_sampling_deterministic(cantor):
 def test_depth_cap_reports_achieved(dirac):
     res = sample_points(dirac, 10, tol=1e-300, depth=40, seed=0)
     assert res.accuracy == pytest.approx(0.5 ** 40)
+
+
+def test_smooth_base_fibre_product_samples_follow_the_coding_map():
+    fp = build_fibre_product(
+        {"L": SmoothMap.from_expr("(mul 0.4 (add x (mul 0.3 (pow x 2))))"),
+         "R": AffineMap(0.5, 0.5)},
+        {"L": {"a": AffineMap(1 / 3, 0.0), "b": AffineMap(1 / 3, 2 / 3)},
+         "R": {"c": AffineMap(1 / 3, 1 / 3)}},
+        {("L", "a"): 0.25, ("L", "b"): 0.25, ("R", "c"): 0.5})
+    res = sample_points(fp, 200, depth=6, seed=3, stream=2)
+    assert res.points.shape == (200, 2) and res.depth == 6
+    # the same words, drawn from the sampler's stream, applied map by map
+    probs = np.array([fp.weights[s] for s in fp.alphabet])
+    words = stream_rng(3, 0x5A17, 2).choice(len(fp.alphabet), size=(200, 6),
+                                            p=probs / probs.sum())
+    for point, word in zip(res.points, words):
+        expect = (0.0, 0.0)
+        for k in word[::-1]:
+            expect = fp.product_map(fp.alphabet[k])(expect)
+        np.testing.assert_allclose(point, np.array(expect, dtype=float),
+                                   rtol=1e-14, atol=1e-15)
 
 
 # -- rigorous evaluator -------------------------------------------------------

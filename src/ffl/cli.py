@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import math
 import os
@@ -34,6 +33,7 @@ from .ifs import (CIFS, AffineMap, SmoothMap, BudgetExhausted, ValidationError,
 from .rng import spawn_seed
 
 ENV_PREFIX = "FFL_"
+VERIFY_STREAM = 0x7E21F  # the stream family of verify's Monte Carlo draws
 
 
 # ---------------------------------------------------------------------------
@@ -159,9 +159,11 @@ def make_evaluator(system, scan: dict, seed: int, budget: int, map_section=None)
     if method == "montecarlo":
         draws = int(scan.get("draws", 100_000))
         sampler = meas.make_sampler(system)
-        calls = itertools.count(1)
-        return lambda xi: meas.fourier_montecarlo(sampler, [xi], draws,
-                                                  spawn_seed(seed, next(calls)))[0]
+        # one stream per frequency, keyed by its float bits, so a row's
+        # draw does not depend on which rows were evaluated before it
+        return lambda xi: meas.fourier_montecarlo(
+            sampler, [xi], draws,
+            spawn_seed(seed, int(np.float64(xi).view(np.uint64))))[0]
     if method == "pushforward":
         if map_section is None:
             raise ValidationError("pushforward method needs a map section")
@@ -215,8 +217,18 @@ def cmd_disintegrate(cfg, out, seed, budget, action):
                          "trunc_tol"}, "disintegrate")
     fp = _fibre_product_of(cfg)
     k = int(section.get("block_length", 4))
-    table = dis.build_classes(fp, k, budget=min(budget, dis.CLASS_BUDGET))
     h = config_hash(cfg)
+    if action == "consistency":  # builds its own class table, reads no alpha
+        xis = [float(x) for x in section.get("xis", [1.0, 2.0, 5.0])]
+        n_seq = int(section.get("n_sequences", 1000))
+        rep = dis.disintegration_consistency(
+            fp, k, xis, n_seq, seed=seed,
+            trunc_tol=float(section.get("trunc_tol", 1e-6)))
+        write_json(out / "consistency.json", "disintegrate consistency", h, seed,
+                   rep.to_jsonable())
+        return 0
+
+    table = dis.build_classes(fp, k, budget=min(budget, dis.CLASS_BUDGET))
 
     if action == "classes":
         payload = {
@@ -247,16 +259,6 @@ def cmd_disintegrate(cfg, out, seed, budget, action):
             "base_point": om.base_point,
         }
         write_json(out / "omega.json", "disintegrate sample", h, seed, payload)
-        return 0
-
-    if action == "consistency":
-        xis = [float(x) for x in section.get("xis", [1.0, 2.0, 5.0])]
-        n_seq = int(section.get("n_sequences", 1000))
-        rep = dis.disintegration_consistency(
-            fp, k, xis, n_seq, seed=seed,
-            trunc_tol=float(section.get("trunc_tol", 1e-6)))
-        write_json(out / "consistency.json", "disintegrate consistency", h, seed,
-                   rep.to_jsonable())
         return 0
 
     if action == "membership":
@@ -469,11 +471,15 @@ def cmd_report(cfg, out, seed, budget):
 
 
 def cmd_verify(cfg, out, seed, budget):
-    """Re-evaluate a deterministic 1% of scan rows against their error bars."""
+    """Re-evaluate a deterministic 1% of scan rows against their error bars.
+
+    Monte Carlo rows are re-drawn from a stream family of their own, so the
+    check compares two independent estimates.
+    """
     section = cfg.get("scan", {})
     system = build_system(cfg.get("system", {}))
-    evaluator = make_evaluator(system, section, seed, budget,
-                               map_section=cfg.get("map"))
+    evaluator = make_evaluator(system, section, spawn_seed(seed, VERIFY_STREAM),
+                               budget, map_section=cfg.get("map"))
     path = out / "scan.csv"
     if not path.exists():
         raise ValidationError(f"{path} does not exist; run fourier-scan first")

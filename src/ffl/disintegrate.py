@@ -12,6 +12,10 @@ convolution Fourier products, checks the large-deviation membership
 conditions used to control typical sequences, and computes the
 near-integer (carry-propagation) diagnostics behind sparse-frequency
 decay counting.
+
+Block words compose with ``ifs.fold``, as every other word does. A sampled
+sequence holds one table of its scaled atoms with the factor offsets, so a
+convolution transform is one character evaluation and one segmented sum.
 """
 
 from __future__ import annotations
@@ -19,14 +23,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as iproduct
 
 import numpy as np
 
-from .ifs import (CIFS, FibreProductCIFS, BudgetExhausted, ValidationError,
-                  fibre_product_from_1d)
+from .ifs import (AffineMap, FibreProductCIFS, BudgetExhausted, ValidationError,
+                  fibre_product_from_1d, fold)
 from .measure import FourierValue, character, fourier_exact, TWO_PI
-from .rng import stream_rng, spawn_seed
+from .rng import stream_rng
 
 CLASS_BUDGET = 1_000_000
 
@@ -50,7 +55,6 @@ class EquivClass:
     ratio: float
     base_word: tuple
     translates: np.ndarray
-    member_weight: float
     weight: float
     special_count: int
     pair_delta: float | None
@@ -95,14 +99,6 @@ class ClassTable:
         return self.system.lyapunov()
 
 
-def _fibre_compose(maps):
-    ratio, translate = 1.0, 0.0
-    for m in maps:
-        translate += ratio * m.translate
-        ratio *= m.ratio
-    return ratio, translate
-
-
 def build_classes(fp: FibreProductCIFS, block_length: int,
                   budget: int = CLASS_BUDGET) -> ClassTable:
     """Partition all words of the given block length into classes.
@@ -123,10 +119,9 @@ def build_classes(fp: FibreProductCIFS, block_length: int,
     groups: dict = {}
     for word in iproduct(alphabet, repeat=block_length):
         key = tuple(marker if s in (s_a, s_b) else s for s in word)
-        ratio, translate = _fibre_compose([fp.fibre_map(s) for s in word])
+        m = fold(fp.fibre_map(s) for s in word)
         weight = math.prod(fp.weights[s] for s in word)
-        entry = groups.setdefault(key, [])
-        entry.append((word, ratio, translate, weight))
+        groups.setdefault(key, []).append((word, m.ratio, m.translate, weight))
 
     classes = []
     for key, members in groups.items():  # insertion order is deterministic
@@ -143,16 +138,14 @@ def build_classes(fp: FibreProductCIFS, block_length: int,
         if n_special:
             slot = next(i for i, k in enumerate(key) if k is marker)
             other = tuple(s_b if i == slot else s for i, s in enumerate(rep))
-            _, t_rep = _fibre_compose([fp.fibre_map(s) for s in rep])
-            _, t_other = _fibre_compose([fp.fibre_map(s) for s in other])
-            pair_delta = abs(t_rep - t_other)
+            pair_delta = abs(fold(fp.fibre_map(s) for s in rep).translate
+                             - fold(fp.fibre_map(s) for s in other).translate)
         classes.append(EquivClass(
             representative=rep,
             size=len(members),
             ratio=float(ratios[0]),
             base_word=tuple(s[0] for s in rep),
             translates=translates,
-            member_weight=float(weights[0]),
             weight=float(weights[0]) * len(members),
             special_count=n_special,
             pair_delta=pair_delta,
@@ -178,8 +171,9 @@ class ConvolutionFactor:
 class OmegaSample:
     """A finite prefix of an i.i.d. class sequence with derived data.
 
-    ``cum_ratios[m]`` is the signed product of the first m+1 class ratios;
-    ``base_point`` is the prefix approximation of the base coordinate.
+    ``cum_ratios[m]`` is the signed product of the first m+1 class ratios.
+    Factor m's atoms are ``atoms[offsets[m]:offsets[m + 1]]``: its class
+    translates scaled by the product of the m ratios before it.
     """
 
     table: ClassTable
@@ -191,38 +185,31 @@ class OmegaSample:
         ratios = self.table.ratios[self.indices]
         self.cum_ratios = np.cumprod(ratios)
         self.log_abs_ratios = np.log(np.abs(ratios))
-        self.base_point = self._fold_base()
-        self._atoms_cache = None
+        self.offsets = np.concatenate(([0], np.cumsum(self.table.sizes[self.indices])))
 
     def __len__(self):
         return len(self.indices)
 
-    def _fold_base(self):
-        ratio, translate = 1.0, 0.0
-        for idx in self.indices:
-            for j in self.table.classes[idx].base_word:
-                m = self.table.system.base_maps[j]
-                if not hasattr(m, "ratio"):
-                    return None  # smooth base: prefix point not folded here
-                translate += ratio * m.translate
-                ratio *= m.ratio
-        return translate
+    @cached_property
+    def atoms(self) -> np.ndarray:
+        scales = np.concatenate(([1.0], self.cum_ratios[:-1]))
+        return (np.concatenate([self.table.classes[i].translates for i in self.indices])
+                * np.repeat(scales, np.diff(self.offsets)))
+
+    @cached_property
+    def base_point(self):
+        """The prefix approximation of the base coordinate (the image of 0
+        under the composed base maps); None for a smooth base."""
+        maps = [self.table.system.base_maps[j]
+                for i in self.indices for j in self.table.classes[i].base_word]
+        if not all(isinstance(m, AffineMap) for m in maps):
+            return None
+        return fold(maps).translate
 
     def factor(self, m: int) -> ConvolutionFactor:
         """The m-th convolution factor (0-based)."""
-        cls = self.table.classes[self.indices[m]]
-        scale = self.cum_ratios[m - 1] if m > 0 else 1.0
-        return ConvolutionFactor(cls.translates * scale, 1.0 / cls.size)
-
-    def _flat_atoms(self):
-        if self._atoms_cache is None:
-            parts, offsets = [], [0]
-            for m in range(len(self.indices)):
-                f = self.factor(m)
-                parts.append(f.atoms)
-                offsets.append(offsets[-1] + len(f.atoms))
-            self._atoms_cache = (np.concatenate(parts), np.array(offsets))
-        return self._atoms_cache
+        lo, hi = self.offsets[m], self.offsets[m + 1]
+        return ConvolutionFactor(self.atoms[lo:hi], 1.0 / (hi - lo))
 
 
 def sample_omega(table: ClassTable, length: int, seed: int = 0,
@@ -250,27 +237,19 @@ def mu_omega_fourier(omega: OmegaSample, xi: float, factors: int | None = None,
         return FourierValue(0.0, 1.0 + 0.0j, 0.0)
     limit = min(len(omega), factor_cap)
     r_max = float(np.abs(omega.table.ratios).max())
-
-    def tail(m):
-        return TWO_PI * abs(xi) * abs(omega.cum_ratios[m - 1]) / (1.0 - r_max)
-
+    # tails[m - 1] bounds the cost of stopping after m factors
+    tails = TWO_PI * abs(xi) * np.abs(omega.cum_ratios) / (1.0 - r_max)
     if factors is None:
-        if tol is None:
-            factors = limit
-        else:
-            factors = 1
-            while factors < limit and tail(factors) > tol:
-                factors += 1
+        factors = limit
+        if tol is not None:
+            small = np.flatnonzero(tails[:limit - 1] <= tol)
+            factors = int(small[0]) + 1 if small.size else limit
     if factors > len(omega):
         raise ValidationError("prefix shorter than the requested factor count")
 
-    flat, offsets = omega._flat_atoms()
-    z = character(xi * flat[: offsets[factors]])
-    value = 1.0 + 0.0j
-    for m in range(factors):
-        seg = z[offsets[m]:offsets[m + 1]]
-        value *= seg.mean()
-    return FourierValue(float(xi), complex(value), tail(factors))
+    z = character(xi * omega.atoms[: omega.offsets[factors]])
+    means = np.add.reduceat(z, omega.offsets[:factors]) / np.diff(omega.offsets[:factors + 1])
+    return FourierValue(float(xi), complex(np.prod(means)), float(tails[factors - 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -72,11 +72,6 @@ class AffineMap:
         a, b = self(lo), self(hi)
         return (a, b) if a <= b else (b, a)
 
-    def after(self, other: "AffineMap") -> "AffineMap":
-        """Composition self(other(x))."""
-        return AffineMap(self.ratio * other.ratio,
-                         self.translate + self.ratio * other.translate)
-
     def to_expr(self, var: str = "x") -> ex.Expr:
         return ex.add(ex.mul(self.ratio, ex.Var(var)), self.translate)
 
@@ -259,49 +254,46 @@ class CIFS:
                                self.weight_vector())
 
 
-def make_word(cifs: CIFS, symbols: Sequence) -> Word:
-    """Validate symbols against the alphabet and fold the derived data."""
-    ratio, weight = 1.0, 1.0
-    translate: float | None = 0.0
-    for idx, s in enumerate(symbols):
-        if s not in cifs.maps:
-            raise ValidationError(f"unknown symbol {s!r} at index {idx}")
-        m = cifs.maps[s]
-        weight *= cifs.weights[s]
-        if isinstance(m, AffineMap) and translate is not None:
+def fold(maps: Sequence[Map1D]) -> Map1D:
+    """Left-to-right composition maps[0] o maps[1] o ... of 1-D maps.
+
+    Affine words fold in closed form; the empty word is the identity,
+    returned as an affine map with ratio 1 (``is_contraction`` is False). A
+    word with a smooth map composes by substitution, on the innermost map's
+    domain, and declares the product of the members' contraction bounds.
+    """
+    maps = tuple(maps)
+    if all(isinstance(m, AffineMap) for m in maps):
+        ratio, translate = 1.0, 0.0
+        for m in maps:
             translate += ratio * m.translate
             ratio *= m.ratio
-        else:
-            if translate is not None:  # switch to bound mode
-                translate = None
-                ratio = abs(ratio)
-            ratio *= m.contraction_bound
-    if len(symbols) == 0:
-        weight = 1.0
-    return Word(tuple(symbols), ratio, translate, weight)
+        return AffineMap(ratio, translate)
+    var = next(m.var for m in maps if isinstance(m, SmoothMap))
+    tree: ex.Expr = ex.Var(var)
+    for m in reversed(maps):
+        tree = (ex.add(ex.mul(m.ratio, tree), m.translate) if isinstance(m, AffineMap)
+                else m.expr.subst({m.var: tree}))
+    domain = maps[-1].domain if isinstance(maps[-1], SmoothMap) else (0.0, 1.0)
+    bound = math.prod(m.contraction_bound for m in maps)
+    return SmoothMap(tree, var, domain, min(bound, 1.0 - 1e-15), "declared")
 
 
 def compose(cifs: CIFS, symbols: Sequence) -> Map1D:
-    """Left-to-right composition of the maps named by ``symbols``.
+    """The composition ``fold`` of the maps named by ``symbols``."""
+    for idx, s in enumerate(symbols):
+        if s not in cifs.maps:
+            raise ValidationError(f"unknown symbol {s!r} at index {idx}")
+    return fold(cifs.maps[s] for s in symbols)
 
-    The empty word yields the identity, returned as an affine map with
-    ratio 1 (``is_contraction`` is False).
-    """
-    word = make_word(cifs, symbols)
-    if word.translate is not None:
-        return AffineMap(word.ratio, word.translate)
-    # mixed/smooth: build the composed expression right-to-left
-    var = next(cifs.maps[s].var for s in symbols if isinstance(cifs.maps[s], SmoothMap))
-    inner = cifs.maps[tuple(symbols)[-1]]
-    domain = inner.domain if isinstance(inner, SmoothMap) else (0.0, 1.0)
-    tree: ex.Expr = ex.Var(var)
-    for s in reversed(tuple(symbols)):
-        m = cifs.maps[s]
-        if isinstance(m, AffineMap):
-            tree = ex.add(ex.mul(m.ratio, tree), m.translate)
-        else:
-            tree = m.expr.subst({m.var: tree})
-    return SmoothMap(tree, var, domain, min(word.ratio, 1.0 - 1e-15), "declared")
+
+def make_word(cifs: CIFS, symbols: Sequence) -> Word:
+    """Validate symbols against the alphabet and fold the derived data."""
+    m = compose(cifs, symbols)
+    affine = isinstance(m, AffineMap)
+    return Word(tuple(symbols), m.ratio if affine else m.contraction_bound,
+                m.translate if affine else None,
+                math.prod((cifs.weights[s] for s in symbols), start=1.0))
 
 
 @dataclass
@@ -461,28 +453,6 @@ class FibreProductCIFS:
                                [self.weights[s] for s in self.alphabet])
 
 
-def _fold_affine(maps: Sequence[AffineMap]) -> AffineMap:
-    out = AffineMap(1.0, 0.0)
-    for m in maps:
-        out = out.after(m)
-    return out
-
-
-def _fold_base(maps: Sequence[Map1D]):
-    if all(isinstance(m, AffineMap) for m in maps):
-        return _fold_affine(maps)
-    # smooth bases compose by expression substitution
-    var = next(m.var for m in maps if isinstance(m, SmoothMap))
-    tree: ex.Expr = ex.Var(var)
-    bound = 1.0
-    for m in reversed(tuple(maps)):
-        outer = m.to_expr(var) if isinstance(m, AffineMap) else m.expr
-        v = var if isinstance(m, AffineMap) else m.var
-        tree = outer.subst({v: tree})
-        bound *= m.contraction_bound
-    return SmoothMap(tree, var, (0.0, 1.0), min(bound, 1 - 1e-15), "declared")
-
-
 def _search_pair(fibre_maps, weights, fold):
     """Look for two fibre maps in one family with matching ratio and weight
     and disjoint unit-interval images; prefer the widest translate gap."""
@@ -540,10 +510,9 @@ def build_fibre_product(base_maps: Mapping, fibre_maps: Mapping, weights: Mappin
             for word in iproduct(symbols, repeat=n):
                 base_word = tuple(s[0] for s in word)
                 if base_word not in b_maps:
-                    b_maps[base_word] = _fold_base([base_maps[j] for j in base_word])
+                    b_maps[base_word] = fold(base_maps[j] for j in base_word)
                     f_maps[base_word] = {}
-                f_maps[base_word][word] = _fold_affine(
-                    [fibre_maps[s[0]][s[1]] for s in word])
+                f_maps[base_word][word] = fold(fibre_maps[j][l] for j, l in word)
                 w[(base_word, word)] = math.prod(weights[s] for s in word)
         pair = _search_pair(f_maps, w, n)
         if pair is not None:

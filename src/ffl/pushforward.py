@@ -105,6 +105,10 @@ def identity_map(var: str = "x") -> SmoothMapF:
 class MapNorms:
     """Extrema of the first and second fibre partials over the box.
 
+    ``sup_base`` is the sup of |dF/dx| for the first domain variable x,
+    which a fibre-product pushforward binds to the base coordinate (0 for a
+    function of one variable).
+
     ``rigor`` is "grid-estimate" unless a derivative-Lipschitz constant was
     supplied, in which case grid extrema are widened by L*h/2 and the
     result is "certified". ``sign_definite`` records whether the second
@@ -117,6 +121,7 @@ class MapNorms:
     min_second: float
     rigor: str
     sign_definite: bool
+    sup_base: float
 
     @property
     def hypothesis_ok(self) -> bool:
@@ -126,7 +131,7 @@ class MapNorms:
 def map_norms(F: SmoothMapF, resolution: int = 1 << 8,
               deriv_lipschitz: float | None = None,
               require_curvature: bool = False) -> MapNorms:
-    """Grid extrema of |dF/dy| and |d2F/dy2| over the domain box."""
+    """Grid extrema of |dF/dy|, |d2F/dy2| and |dF/dx| over the domain box."""
     if resolution < (1 << 8):
         raise ValidationError("grid resolution must be at least 2^8 per axis")
     if (resolution + 1) ** len(F.domain) > (1 << 24):
@@ -137,12 +142,18 @@ def map_norms(F: SmoothMapF, resolution: int = 1 << 8,
     d2 = np.abs(d2v)
     sign_definite = bool((d2v > 0).all() or (d2v < 0).all())
     sup1, sup2, min2 = float(d1.max()), float(d2.max()), float(d2.min())
+    names = list(F.domain)
+    based = len(names) > 1
+    sup0 = (float(np.abs(np.asarray(F.expr.diff(names[0]).eval(env), dtype=float)).max())
+            if based else 0.0)
     rigor = "grid-estimate"
     if deriv_lipschitz is not None:
         spans = [hi - lo for lo, hi in F.domain.values()]
         h = max(spans) / resolution
         pad = deriv_lipschitz * h / 2.0
         sup1, sup2 = sup1 + pad, sup2 + pad
+        if based:
+            sup0 += pad
         min2 = max(min2 - pad, 0.0)
         if min2 == 0.0:
             sign_definite = False
@@ -153,7 +164,7 @@ def map_norms(F: SmoothMapF, resolution: int = 1 << 8,
         raise ValidationError(
             "second fibre partial changes sign or vanishes on the box; "
             "the nonvanishing-curvature hypothesis fails")
-    return MapNorms(sup1, sup2, min2, rigor, sign_definite)
+    return MapNorms(sup1, sup2, min2, rigor, sign_definite, sup0)
 
 
 def pushforward_fourier(F: SmoothMapF, system, xi: float, tol: float = 1e-6,
@@ -183,9 +194,7 @@ def pushforward_fourier(F: SmoothMapF, system, xi: float, tol: float = 1e-6,
         if len(names) != 2:
             raise ValidationError("fibre-product pushforward needs a "
                                   "two-variable function")
-        lip_base = float(np.abs(np.asarray(F.expr.diff(names[0]).eval(F.grid(1 << 6)),
-                                           dtype=float)).max())
-        lips, theta = (lip_base, lip), tol / (TWO_PI * abs(xi))
+        lips, theta = (norms.sup_base, lip), tol / (TWO_PI * abs(xi))
     elif system.is_affine:
         lips, theta = (1.0,), tol / (TWO_PI * abs(xi) * max(1.0, lip))
     else:

@@ -1,11 +1,15 @@
 import json
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from ffl.cli import main
+from ffl import cli
+from ffl import disintegrate as dis
+from ffl.cli import main, make_evaluator
+from ffl.ifs import cantor_system
 
 
 def write_config(path, payload):
@@ -292,6 +296,58 @@ def test_montecarlo_scan_reruns_and_verifies(tmp_path):
     assert len(rows) == 200 and {r[5] for r in rows} == {"statistical"}
     assert main(["verify", "--config", cfg, "--out", str(a)]) == 0
     assert json.loads((a / "verify.json").read_text())["result"]["checked"] >= 2
+
+
+def test_montecarlo_rows_do_not_depend_on_order():
+    section = {"method": "montecarlo", "draws": 500}
+    xis = [1.0, 2.5, 7.0, 40.0]
+    forward = make_evaluator(cantor_system(), section, 7, 10 ** 6)
+    backward = make_evaluator(cantor_system(), section, 7, 10 ** 6)
+    ahead = [forward(xi).value for xi in xis]
+    behind = [backward(xi).value for xi in reversed(xis)][::-1]
+    assert ahead == behind
+
+
+def test_verify_redraws_montecarlo_rows(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "system": {"kind": "named", "name": "cantor"},
+        "scan": {"xi_min": 1.0, "xi_max": 12.0, "points": 12,
+                 "method": "montecarlo", "draws": 2000},
+        "seed": 7,
+    })
+    out = tmp_path / "out"
+    assert main(["fourier-scan", "--config", cfg, "--out", str(out)]) == 0
+    scanned = {float(r[0]): complex(float(r[1]), float(r[2]))
+               for r in read_rows(out / "scan.csv")}
+    fresh = {}
+    real = cli.make_evaluator
+
+    def spy(*args, **kwargs):
+        evaluate = real(*args, **kwargs)
+
+        def recorded(xi):
+            fv = evaluate(xi)
+            fresh[xi] = fv.value
+            return fv
+        return recorded
+
+    monkeypatch.setattr(cli, "make_evaluator", spy)
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 0
+    assert fresh and all(scanned[xi] != value for xi, value in fresh.items())
+
+
+def test_consistency_builds_classes_once(tmp_path, monkeypatch):
+    build = mock.Mock(wraps=dis.build_classes)
+    calibrate = mock.Mock(wraps=dis.calibrate_alpha)
+    monkeypatch.setattr(dis, "build_classes", build)
+    monkeypatch.setattr(dis, "calibrate_alpha", calibrate)
+    cfg = write_config(tmp_path / "cfg.json", {
+        "system": {"kind": "named", "name": "cantor"},
+        "disintegrate": {"block_length": 2, "xis": [1.0], "n_sequences": 20},
+    })
+    assert main(["disintegrate", "consistency", "--config", cfg,
+                 "--out", str(tmp_path / "out")]) == 0
+    assert build.call_count == 1 and calibrate.call_count == 0
 
 
 def test_decay_bands_with_pushforward_method(tmp_path):

@@ -3,6 +3,7 @@ from itertools import product as iproduct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffl.ifs import (CIFS, AffineMap, BudgetExhausted, ValidationError,
                      build_fibre_product, fibre_product_from_1d)
@@ -175,6 +176,41 @@ def test_mu_omega_prefix_too_short():
     om = sample_omega(table, 3, seed=1)
     with pytest.raises(ValidationError):
         mu_omega_fourier(om, 1.0, factors=10)
+
+
+THREE_SYMBOL_TABLES = {k: build_classes(three_symbol_fp(), k) for k in (1, 2, 3)}
+
+
+@settings(max_examples=200, deadline=None)
+@given(k=st.sampled_from([1, 2, 3]), length=st.integers(1, 30),
+       seed=st.integers(0, 2 ** 16), xi=st.floats(0.05, 300.0),
+       mode=st.sampled_from(["factors", "tol", "neither"]), data=st.data())
+def test_mu_omega_matches_direct_product(k, length, seed, xi, mode, data):
+    table = THREE_SYMBOL_TABLES[k]
+    om = sample_omega(table, length, seed=seed)
+    classes = [table.classes[i] for i in om.indices]
+    r_max = max(abs(c.ratio) for c in table.classes)
+
+    def tail(m):
+        return 2 * math.pi * xi * abs(math.prod(c.ratio for c in classes[:m])) / (1 - r_max)
+
+    if mode == "factors":
+        count = data.draw(st.integers(1, length))
+        fv = mu_omega_fourier(om, xi, factors=count)
+    elif mode == "tol":
+        tol = data.draw(st.floats(1e-12, 10.0))
+        fv = mu_omega_fourier(om, xi, tol=tol)
+        # the smallest count whose tail is at most tol, else the whole prefix
+        count = next((m for m in range(1, length) if tail(m) <= tol), length)
+    else:
+        fv = mu_omega_fourier(om, xi)
+        count = length
+    direct, scale = 1.0 + 0.0j, 1.0
+    for c in classes[:count]:
+        direct *= np.mean(np.exp(-2j * math.pi * (xi * (c.translates * scale))))
+        scale *= c.ratio
+    assert abs(fv.value - direct) <= 1e-13
+    assert fv.error_bound == pytest.approx(tail(count), rel=1e-12)
 
 
 # -- consistency ------------------------------------------------------------------

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffl.ifs import (CIFS, AffineMap, SmoothMap, ValidationError, SeparationError,
-                     compose, make_word, tail_check, lyapunov,
+                     compose, fold, make_word, tail_check, lyapunov,
                      build_fibre_product, fibre_product_from_1d,
                      cantor_system, dyadic_uniform_system)
 
@@ -63,6 +64,29 @@ def test_compose_smooth_matches_fold():
         for s in (0, 1, 0)[::-1]:
             folded = sys.maps[s](folded)
         assert abs(m(x) - folded) <= 1e-9
+
+
+FOLD_MAPS = [AffineMap(0.5, 0.25), AffineMap(-1 / 3, 0.9), AffineMap(0.2, 0.0),
+             SmoothMap.from_expr("(add (mul 0.2 (pow x 2)) (mul 0.5 x))"),
+             SmoothMap.from_expr("(mul 0.3 (add x (mul 0.2 (pow x 2))))")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(0, len(FOLD_MAPS) - 1), max_size=6))
+def test_fold_matches_nested_evaluation(word):
+    maps = [FOLD_MAPS[i] for i in word]
+    m = fold(maps)
+    affine = all(isinstance(f, AffineMap) for f in maps)
+    assert isinstance(m, AffineMap) == affine
+    if not word:
+        assert (m.ratio, m.translate) == (1.0, 0.0) and not m.is_contraction
+    if not affine:
+        assert m.contraction_bound == math.prod(f.contraction_bound for f in maps)
+    for x in (0.0, 0.37, 1.0):
+        nested = x
+        for f in reversed(maps):
+            nested = f(nested)
+        assert abs(m(x) - nested) <= 1e-12
 
 
 def test_word_ratio_multiplies_exactly_for_dyadic():

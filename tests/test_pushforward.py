@@ -58,6 +58,16 @@ def test_norms_certification_widens():
     assert cert.min_second <= raw.min_second
 
 
+def test_certified_base_slope_covers_the_true_sup():
+    # dF/dx = 1 - (x - 1/3)^2 peaks at 1 between grid points; its
+    # Lipschitz constant on the box is 4/3, every other partial's is 0
+    F = SmoothMapF.parse("(add y x (mul -0.3333333333333333 "
+                         "(pow (add x -0.3333333333333333) 3)))")
+    assert map_norms(F).sup_base < 1.0
+    assert map_norms(F, deriv_lipschitz=4 / 3).sup_base >= 1.0
+    assert map_norms(SmoothMapF.parse("(pow x 2)"), deriv_lipschitz=2.0).sup_base == 0.0
+
+
 def test_smooth_map_f_derivative_check_catches_mismatch():
     F = SmoothMapF.parse("(pow x 4)")
     # sabotage the symbolic derivative, the finite-difference check must fire

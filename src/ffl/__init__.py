@@ -9,7 +9,7 @@ from .ifs import (AffineMap, SmoothMap, ProductMap, CIFS, FibreProductCIFS,
                   dyadic_uniform_system, ValidationError, SeparationError,
                   BudgetExhausted)
 from .measure import (FourierValue, SamplePoints, sample_points, make_sampler,
-                      fourier_exact, fourier_product_homogeneous,
+                      fourier_exact, fourier_exact_batch, fourier_product_homogeneous,
                       fourier_montecarlo, frostman_profile, cylinder_decomposition)
 from .disintegrate import (EquivClass, ClassTable, OmegaSample, ConvolutionFactor,
                            build_classes, sample_omega, mu_omega_fourier,

@@ -1,6 +1,8 @@
 """Decay-exponent fits, sparse-frequency covers, and non-decay probes.
 
-An evaluator is any callable frequency -> FourierValue. Band maxima use a
+An evaluator is a callable xis -> list with one entry per frequency: a
+FourierValue, or the BudgetExhausted of a frequency over its budget. Every
+consumer makes one call per batch of frequencies. Band maxima use a
 nested low-discrepancy frequency set (radical-inverse points plus seeded
 jitter inside each point's dyadic cell), so enlarging the sample count
 only ever adds frequencies; the left band edge is always included exactly.
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ifs import BudgetExhausted, ValidationError
-from .measure import FourierValue
+from .measure import FourierValue, require_values
 from .rng import stream_rng
 
 
@@ -60,23 +62,22 @@ def band_maxima(evaluator, band_indices, samples_per_band: int = 64,
                 seed: int = 0, band_base: float = 2.0) -> list:
     """Per band [base^j, 2*base^j): the largest |value| over the sample set.
 
-    Evaluator budget failures are excluded from the maximum and counted.
+    Each band is one evaluator call; budget failures are excluded from the
+    maximum and counted.
     """
     if samples_per_band < 64:
         raise ValidationError("need at least 64 samples per band")
     out = []
     for j in band_indices:
         lower = band_base ** j
-        freqs = _band_frequencies(lower, lower, samples_per_band, seed, int(j))
+        freqs = _band_frequencies(lower, lower, samples_per_band, seed, int(j)).tolist()
         peak, arg, err, excluded = -1.0, math.nan, 0.0, 0
-        for xi in freqs:
-            try:
-                fv = evaluator(float(xi))
-            except BudgetExhausted:
+        for xi, fv in zip(freqs, evaluator(freqs)):
+            if isinstance(fv, BudgetExhausted):
                 excluded += 1
                 continue
             if abs(fv.value) > peak:
-                peak, arg = abs(fv.value), float(xi)
+                peak, arg = abs(fv.value), xi
             err = max(err, fv.error_bound)
         out.append(BandMax(int(j), lower, 2.0 * lower, peak, arg,
                            samples_per_band - excluded, err, excluded))
@@ -155,8 +156,8 @@ def sparse_cover(evaluator, limit: float, threshold_exponent: float,
         raise ValidationError("limit must be at least 4")
     threshold = limit ** (-threshold_exponent)
     marked = set()
-    for xi in np.arange(0.0, limit + grid_step / 2, grid_step):
-        fv = evaluator(float(xi))
+    xis = np.arange(0.0, limit + grid_step / 2, grid_step).tolist()
+    for xi, fv in zip(xis, require_values(evaluator(xis))):
         if abs(fv.value) + fv.error_bound >= threshold:
             marked.add(math.floor(xi))
             marked.add(math.floor(-xi))
@@ -181,4 +182,4 @@ def rajchman_probe(evaluator, family, count: int | None = None) -> list:
         freqs = [float(f) for f in family]
         if count is not None:
             freqs = freqs[:count]
-    return [evaluator(f) for f in freqs]
+    return require_values(evaluator(freqs))

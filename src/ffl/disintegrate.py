@@ -30,7 +30,7 @@ import numpy as np
 
 from .ifs import (AffineMap, FibreProductCIFS, BudgetExhausted, ValidationError,
                   fibre_product_from_1d, fold)
-from .measure import FourierValue, character, fourier_exact, TWO_PI
+from .measure import FourierValue, character, fourier_exact_batch, require_values, TWO_PI
 from .rng import stream_rng
 
 CLASS_BUDGET = 1_000_000
@@ -315,17 +315,20 @@ def disintegration_consistency(system, block_length: int, xis, n_sequences: int,
     omegas = [sample_omega(table, length, seed=seed, stream=i)
               for i in range(n_sequences)]
 
+    targets = require_values(fourier_exact_batch(marginal, xis, tol=trunc_tol))
     entries = []
-    for k, xi in enumerate(xis):
+    for xi, target in zip(xis, targets):
         vals = np.empty(n_sequences, dtype=complex)
         rig = 0.0
         for i, om in enumerate(omegas):
             fv = mu_omega_fourier(om, xi, tol=trunc_tol)
             vals[i] = fv.value
             rig = max(rig, fv.error_bound)
-        target = fourier_exact(marginal, xi, tol=trunc_tol)
         mean = complex(vals.mean())
-        stderr = math.sqrt((vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / n_sequences)
+        # identical sequences (a one-class table) have no spread; their
+        # computed variance would be rounding noise
+        stderr = (0.0 if np.all(vals == vals[0]) else
+                  math.sqrt((vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / n_sequences))
         rigorous = rig + target.error_bound
         gap = abs(mean - target.value)
         z = gap / stderr if stderr > 0 else math.inf if gap > rigorous else 0.0

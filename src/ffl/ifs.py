@@ -244,6 +244,15 @@ class CIFS:
             raise ValidationError("ratios are defined for affine systems only")
         return np.array([self.maps[a].ratio for a in self.alphabet])
 
+    @property
+    def radius(self) -> float:
+        """R = max(1, max |translate| / (1 - |ratio|)) of an affine system:
+        every map sends [-R, R] into itself, so the attractor lies in it."""
+        if not self.is_affine:
+            raise ValidationError("the radius is defined for affine systems only")
+        return max(1.0, max(abs(m.translate) / (1.0 - abs(m.ratio))
+                            for m in (self.maps[a] for a in self.alphabet)))
+
     def weight_vector(self) -> np.ndarray:
         return np.array([self.weights[a] for a in self.alphabet])
 

@@ -3,14 +3,19 @@
 Three independent evaluators are provided for the transform of a stationary
 measure on the line:
 
-  * ``fourier_exact``      - cylinder expansion over a stopping set, with a
-                             rigorous error bound (affine systems);
+  * ``fourier_exact_batch`` - cylinder expansion over a stopping set, with a
+                             rigorous error bound (affine systems), for a
+                             whole batch of frequencies in one sweep;
+                             ``fourier_exact`` is its one-frequency call;
   * ``fourier_product_homogeneous`` - truncated infinite product (equal
                              contraction ratios only), rigorous bound;
   * ``fourier_montecarlo`` - empirical character sums, statistical bound.
 
 Values are reported as FourierValue records; every evaluator guarantees
-|value| <= 1 + error_bound.
+|value| <= 1 + error_bound. Consumers see an evaluator as a callable
+xis -> list with one entry per frequency: a FourierValue, or the
+BudgetExhausted of a frequency over its budget (``require_values`` raises
+the first of those).
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .rng import stream_rng, spawn_seed
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_BUDGET = 50_000_000
+BATCH_CELLS = 1 << 16  # cells (nodes x frequencies) an exact sweep holds at a time
 
 
 def character(y):
@@ -76,6 +82,8 @@ def _depth_for(system, tol: float, depth: int | None = None, depth_cap: int = 10
     worst = (max(system.product_map(s).contraction_bound for s in system.alphabet)
              if isinstance(system, FibreProductCIFS) else system.max_contraction)
     diam = getattr(system, "diam_constant", 1.0)
+    if isinstance(system, CIFS) and system.is_affine:
+        diam *= system.radius  # the coding map starts at 0, inside [-R, R]
     if depth is None:
         if tol <= 0:
             raise ValidationError("tolerance must be positive")
@@ -142,56 +150,120 @@ def _tail_effect(system, xi: float) -> float:
     return TWO_PI * abs(xi) * getattr(system, "tail_mass", 0.0)
 
 
-def fourier_exact(cifs: CIFS, xi: float, tol: float = 1e-9,
-                  budget: int = DEFAULT_BUDGET) -> FourierValue:
-    """Evaluate the transform of an affine 1-D stationary measure at ``xi``
-    with rigorous error at most ``tol`` (plus any recorded tail effect).
+def _ratio_bands(ratios, theta: float, budget: int) -> list:
+    """Distinct composed ratios above ``theta`` reachable from the root 1.0,
+    in bands of decreasing |rho|, each sorted largest |rho| first.
 
-    The measure is expanded over the prefix-free set of words whose
-    composed ratio first drops below tol / (2*pi*|xi|); each cylinder
-    integral is replaced by the character at the cylinder anchor (the image
-    of 0), which costs at most 2*pi*|xi|*|ratio| per unit of mass. Distinct
-    prefixes with equal composed ratio share one subproblem, so the
-    enumeration is memoised on the composed ratio.
+    With r the largest |ratio|, band b + 1 holds the ratios in (U r, U],
+    U = r^b: their parents all lie in earlier bands, and their children in
+    later ones. The listing stops once it holds over ``budget`` non-root
+    ratios.
+    """
+    r = float(np.abs(ratios).max())
+    bands, pending, top, count = [np.ones(1)], np.empty(0), 1.0, 0
+    while count <= budget:
+        kids = (bands[-1][:, None] * ratios).ravel()
+        pending = np.sort(np.concatenate([pending, kids[np.abs(kids) > theta]]))
+        if not pending.size:
+            break
+        pending = pending[np.append(True, pending[1:] != pending[:-1])]  # np.unique loads numpy.ma
+        top *= r
+        inside = np.abs(pending) > top * r
+        band, pending = pending[inside], pending[~inside]
+        bands.append(band[np.lexsort((band, -np.abs(band)))])
+        count += band.size
+    return bands
+
+
+def fourier_exact_batch(cifs: CIFS, xis, tol: float = 1e-9,
+                        budget: int = DEFAULT_BUDGET) -> list:
+    """Evaluate the transform of an affine 1-D stationary measure at every
+    frequency of ``xis``, each with rigorous error at most ``tol`` (plus any
+    recorded tail effect). Returns one entry per frequency, in input order:
+    a FourierValue, or a BudgetExhausted for a frequency over budget.
+
+    At frequency xi the measure is expanded over the prefix-free set of
+    words whose composed ratio first drops below tol / (2*pi*R*|xi|), R the
+    system's ``radius``; each cylinder integral is replaced by the character
+    at the cylinder anchor (the image of 0), which costs at most
+    2*pi*|xi|*R*|ratio| per unit of mass. Prefixes with equal composed ratio
+    share one subproblem, so the expansion is a DAG on the distinct ratios.
+    It is listed once for the whole batch, down to the smallest threshold,
+    and swept bottom-up with every node a vector over the frequencies; a
+    child counts as 1 for each frequency whose threshold it does not exceed.
+    A frequency is over budget when more than ``budget`` distinct non-root
+    ratios lie above its threshold.
     """
     if not cifs.is_affine or cifs.dim != 1:
         raise ValidationError("fourier_exact needs an affine 1-D system")
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
-    if xi == 0:
-        return FourierValue(0.0, 1.0 + 0.0j, 0.0)
-
-    theta = tol / (TWO_PI * abs(xi))
+    xis = np.atleast_1d(np.asarray(xis, dtype=float))
+    if not np.isfinite(xis).all():
+        raise ValidationError("frequencies must be finite")
+    scale = TWO_PI * cifs.radius
+    live = np.flatnonzero(xis != 0)
+    thetas = tol / (scale * np.abs(xis[live]))
     ratios = cifs.ratios()
+    bands = _ratio_bands(ratios, float(thetas.min()), budget) if live.size else [np.ones(1)]
+    nodes = np.concatenate(bands)[:budget + 2]
+    cut = abs(nodes[-1]) if nodes.size > budget + 1 else 0.0
+
+    out = [FourierValue(0.0, 1.0 + 0.0j, 0.0) for _ in xis]
+    for i in live[thetas < cut]:
+        out[i] = BudgetExhausted(
+            f"stopping-set budget {budget} exhausted at frequency {xis[i]}",
+            achieved=scale * abs(xis[i]) * cut)
+    order = np.argsort(-thetas)
+    order = order[thetas[order] >= cut]
+    live, thetas = live[order], thetas[order]
+
     translates = np.array([cifs.maps[a].translate for a in cifs.alphabet])
     weights = cifs.weight_vector()
     weights = weights / weights.sum()
+    # row i of ``child``: where node i's children sit (len(nodes) if unlisted)
+    kids = nodes[:, None] * ratios
+    by_value = np.argsort(nodes)
+    at = np.minimum(np.searchsorted(nodes[by_value], kids), nodes.size - 1)
+    child = np.where(nodes[by_value[at]] == kids, by_value[at], nodes.size)
+    sizes = np.array([b.size for b in bands])
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
 
-    memo: dict = {}
-    visits = 0
-    stack = [1.0]
-    while stack:
-        rho = stack[-1]
-        if rho in memo:
-            stack.pop()
-            continue
-        children = rho * ratios
-        pending = [c for c in children if abs(c) > theta and c not in memo]
-        if pending:
-            visits += len(pending)
-            if visits > budget:
-                raise BudgetExhausted(
-                    f"stopping-set budget {budget} exhausted at frequency {xi}",
-                    achieved=TWO_PI * abs(xi) * abs(rho))
-            stack.extend(pending)
-            continue
-        phase = character(xi * rho * translates)
-        sub = np.array([1.0 + 0j if abs(c) <= theta else memo[c] for c in children])
-        memo[rho] = complex(np.sum(weights * phase * sub))
-        stack.pop()
+    chunk = max(1, BATCH_CELLS // nodes.size)
+    for lo in range(0, live.size, chunk):
+        ids, theta = live[lo:lo + chunk], thetas[lo:lo + chunk]
+        xi = xis[ids]
+        # the nodes above this chunk's smallest threshold; the root always
+        n = max(1, int(np.sum(np.abs(nodes) > theta[-1])))
+        block = max(1, BATCH_CELLS // (ids.size * len(ratios)))
+        vals = np.ones((n + 1, ids.size), dtype=complex)  # row n: a stopped child
+        for s, e in zip(starts[::-1], ends[::-1]):  # a band's children come later
+            for hi in range(min(e, n), s, -block):
+                rows = slice(max(s, hi - block), hi)
+                sub = vals[np.minimum(child[rows], n)].transpose(0, 2, 1)
+                sub = np.where(np.abs(kids[rows, None, :]) > theta[:, None], sub, 1.0)
+                phase = character((nodes[rows, None] * xi)[:, :, None] * translates)
+                vals[rows] = np.sum(weights * phase * sub, axis=-1)
+        for k, x, v in zip(ids, xi, vals[0]):
+            out[k] = FourierValue(float(x), complex(v), tol + _tail_effect(cifs, x))
+    return out
 
-    value = memo[1.0]
-    return FourierValue(float(xi), value, tol + _tail_effect(cifs, xi))
+
+def require_values(entries) -> list:
+    """The entries of a batch evaluation as FourierValues; raises the first
+    BudgetExhausted among them, in input order."""
+    for entry in entries:
+        if isinstance(entry, BudgetExhausted):
+            raise entry
+    return list(entries)
+
+
+def fourier_exact(cifs: CIFS, xi: float, tol: float = 1e-9,
+                  budget: int = DEFAULT_BUDGET) -> FourierValue:
+    """``fourier_exact_batch`` at the one frequency ``xi``; raises
+    BudgetExhausted when it is over budget."""
+    return require_values(fourier_exact_batch(cifs, [xi], tol, budget))[0]
 
 
 def fourier_product_homogeneous(cifs: CIFS, xi: float, factors: int = 64) -> FourierValue:
@@ -216,7 +288,7 @@ def fourier_product_homogeneous(cifs: CIFS, xi: float, factors: int = 64) -> Fou
     scales = r ** np.arange(factors)
     phases = character(np.outer(scales, translates) * xi)
     value = complex(np.prod(phases @ weights))
-    err = TWO_PI * abs(xi) * abs(r) ** factors / (1.0 - abs(r))
+    err = TWO_PI * cifs.radius * abs(xi) * abs(r) ** factors / (1.0 - abs(r))
     return FourierValue(float(xi), value, err + _tail_effect(cifs, xi))
 
 

@@ -194,6 +194,9 @@ def pushforward_fourier(F: SmoothMapF, system, xi: float, tol: float = 1e-6,
         if len(names) != 2:
             raise ValidationError("fibre-product pushforward needs a "
                                   "two-variable function")
+        if F.fibre_var != names[1]:  # anchors bind the fibre to names[1]
+            raise ValidationError(f"fibre variable {F.fibre_var!r} must be the "
+                                  f"second domain variable {names[1]!r}")
         lips, theta = (norms.sup_base, lip), tol / (TWO_PI * abs(xi))
     elif system.is_affine:
         lips, theta = (1.0,), tol / (TWO_PI * abs(xi) * max(1.0, lip))

@@ -13,7 +13,7 @@ import pytest
 from conftest import lebesgue_transform
 from ffl.ifs import (CIFS, AffineMap, build_fibre_product, cantor_system,
                      dyadic_uniform_system, fibre_product_from_1d)
-from ffl.measure import fourier_exact, sample_points
+from ffl.measure import fourier_exact, fourier_exact_batch, sample_points
 from ffl.disintegrate import (build_classes, sample_omega, mu_omega_fourier,
                               disintegration_consistency, LargeDeviationParams,
                               check_omega_membership, ek_diagnostics,
@@ -61,13 +61,14 @@ def test_c02_non_rajchman_probe():
 def test_c03_pushforward_decay_direction():
     t0 = time.time()
     cantor = cantor_system()
-    plain = band_maxima(lambda xi: fourier_exact(cantor, xi, tol=1e-6),
+    plain = band_maxima(lambda xis: fourier_exact_batch(cantor, xis, tol=1e-6),
                         range(4, 13), 64, seed=0, band_base=3.0)
     plain_fit = fit_eta(plain)
     F = SmoothMapF.parse("(pow x 2)")
     norms = map_norms(F)
     pushed = band_maxima(
-        lambda xi: pushforward_fourier(F, cantor, xi, tol=1e-3, norms=norms),
+        lambda xis: [pushforward_fourier(F, cantor, xi, tol=1e-3, norms=norms)
+                     for xi in xis],
         range(4, 13), 64, seed=0, band_base=3.0)
     pushed_fit = fit_eta(pushed)
     ok = (pushed_fit.exponent > 0
@@ -195,7 +196,7 @@ def test_c08_sparse_cover_growth():
     counts, limits = [], []
     for j in range(4, 9):
         T = 3.0 ** j
-        cov = sparse_cover(lambda xi: fourier_exact(cantor, xi, tol=1e-4),
+        cov = sparse_cover(lambda xis: fourier_exact_batch(cantor, xis, tol=1e-4),
                            T, 0.1, 0.25)
         counts.append(cov.count)
         limits.append(T)

@@ -281,6 +281,27 @@ def test_fibre_product_config(tmp_path):
     assert sum(c["size"] for c in classes["classes"]) == 9
 
 
+def test_fibre_var_must_be_the_second_variable(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "system": {"kind": "fibre_product",
+                   "base": [{"id": "L", "ratio": 0.5, "translate": 0.0},
+                            {"id": "R", "ratio": 0.5, "translate": 0.5}],
+                   "fibres": [
+                       {"base": "L", "id": "a", "ratio": 1 / 3, "translate": 0.0,
+                        "weight": 1 / 3},
+                       {"base": "L", "id": "b", "ratio": 1 / 3, "translate": 2 / 3,
+                        "weight": 1 / 3},
+                       {"base": "R", "id": "c", "ratio": 1 / 3, "translate": 1 / 3,
+                        "weight": 1 / 3}]},
+        "map": {"expr": "(add (mul 0.5 x) (pow y 2))", "fibre_var": "x"},
+        "scan": {"xi_min": 4.0, "xi_max": 4.0, "points": 1, "tol": 1e-2},
+    })
+    code = main(["pushforward-scan", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"]["kind"] == "validation" and "fibre variable" in err["error"]["message"]
+
+
 def test_montecarlo_scan_reruns_and_verifies(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {
         "system": {"kind": "named", "name": "cantor"},
@@ -303,8 +324,8 @@ def test_montecarlo_rows_do_not_depend_on_order():
     xis = [1.0, 2.5, 7.0, 40.0]
     forward = make_evaluator(cantor_system(), section, 7, 10 ** 6)
     backward = make_evaluator(cantor_system(), section, 7, 10 ** 6)
-    ahead = [forward(xi).value for xi in xis]
-    behind = [backward(xi).value for xi in reversed(xis)][::-1]
+    ahead = [forward([xi])[0].value for xi in xis]
+    behind = [backward([xi])[0].value for xi in reversed(xis)][::-1]
     assert ahead == behind
 
 
@@ -325,10 +346,10 @@ def test_verify_redraws_montecarlo_rows(tmp_path, monkeypatch):
     def spy(*args, **kwargs):
         evaluate = real(*args, **kwargs)
 
-        def recorded(xi):
-            fv = evaluate(xi)
-            fresh[xi] = fv.value
-            return fv
+        def recorded(xis):
+            entries = evaluate(xis)
+            fresh.update((xi, fv.value) for xi, fv in zip(xis, entries))
+            return entries
         return recorded
 
     monkeypatch.setattr(cli, "make_evaluator", spy)

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from ffl.ifs import CIFS, AffineMap, BudgetExhausted, ValidationError
-from ffl.measure import FourierValue, fourier_exact
+from ffl.measure import FourierValue, fourier_exact, fourier_exact_batch
 from ffl.decay import (band_maxima, fit_eta, sparse_cover, rajchman_probe,
                        BandMax, _band_frequencies)
 
 
 def exact_eval(system, tol=1e-6):
-    return lambda xi: fourier_exact(system, xi, tol=tol)
+    return lambda xis: fourier_exact_batch(system, xis, tol=tol)
 
 
 # -- band maxima -------------------------------------------------------------
@@ -53,11 +53,13 @@ def test_band_maxima_doubling_is_superset(cantor):
 def test_band_maxima_excludes_budget_failures(cantor):
     calls = {"n": 0}
 
-    def flaky(xi):
-        calls["n"] += 1
-        if calls["n"] % 3 == 0:
-            raise BudgetExhausted("synthetic")
-        return fourier_exact(cantor, xi, tol=1e-4)
+    def flaky(xis):
+        entries = []
+        for xi in xis:
+            calls["n"] += 1
+            entries.append(BudgetExhausted("synthetic") if calls["n"] % 3 == 0
+                           else fourier_exact(cantor, xi, tol=1e-4))
+        return entries
     bands = band_maxima(flaky, [4, 5], 66, seed=1)
     assert all(b.excluded == 22 for b in bands)
     assert all(b.samples == 44 for b in bands)
@@ -146,12 +148,12 @@ def test_sparse_cover_validation(cantor):
 
 def test_sparse_cover_conservative_marking():
     # a value just under the threshold still marks once its error crosses
-    def ev(xi):
-        return FourierValue(xi, 0.5 + 0.0j, 0.2)
+    def ev(xis):
+        return [FourierValue(xi, 0.5 + 0.0j, 0.2) for xi in xis]
     cov = sparse_cover(ev, 8.0, 0.5)  # threshold ~ 0.354 < 0.5: marks anyway
     assert cov.count == 17
-    def ev2(xi):
-        return FourierValue(xi, 0.3 + 0.0j, 0.1)
+    def ev2(xis):
+        return [FourierValue(xi, 0.3 + 0.0j, 0.1) for xi in xis]
     cov2 = sparse_cover(ev2, 8.0, 0.5)  # 0.4 >= 0.354: error pushes it over
     assert cov2.count == 17
 

@@ -227,6 +227,14 @@ def test_consistency_two_ratio(two_ratio):
     assert rep.all_passed
 
 
+def test_consistency_one_class_table_has_no_noise(cantor):
+    # every sampled sequence is the same one, so there is no spread to
+    # divide the gap by
+    rep = disintegration_consistency(cantor, 3, [1.0, 2.0, 5.0, 17.0], 200, seed=11)
+    assert all(e.stderr == 0.0 and e.z_score == 0.0 for e in rep.entries)
+    assert rep.all_passed
+
+
 def test_consistency_jsonable(two_ratio):
     rep = disintegration_consistency(two_ratio, 1, [1.0], 300, seed=10)
     doc = rep.to_jsonable()

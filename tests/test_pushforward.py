@@ -154,6 +154,18 @@ def test_pushforward_fibre_product():
     assert abs(fv.value - mc) <= fv.error_bound + 4 / math.sqrt(len(pts))
 
 
+def test_fibre_product_rejects_a_first_variable_fibre():
+    # anchors bind the fibre coordinate to the second domain variable
+    fp = build_fibre_product(
+        {"L": AffineMap(0.5, 0.0), "R": AffineMap(0.5, 0.5)},
+        {"L": {0: AffineMap(1 / 3, 0.0), 1: AffineMap(1 / 3, 2 / 3)},
+         "R": {0: AffineMap(1 / 3, 1 / 3)}},
+        {("L", 0): 1 / 3, ("L", 1): 1 / 3, ("R", 0): 1 / 3})
+    F = SmoothMapF.parse("(add (mul 0.5 x) (pow y 2))", fibre_var="x")
+    with pytest.raises(ValidationError):
+        pushforward_fourier(F, fp, 4.0, tol=1e-2)
+
+
 # -- stopping words -----------------------------------------------------------
 
 def test_stopping_words_homogeneous_exact_depth(dyadic):
@@ -378,7 +390,8 @@ def test_curved_pushforward_band_maxima_eventually_decrease(cantor):
     from ffl.decay import band_maxima
     F = SmoothMapF.parse("(add (pow x 2) x)")
     norms = map_norms(F)
-    ev = lambda xi: pushforward_fourier(F, cantor, xi, tol=1e-4, norms=norms)
+    ev = lambda xis: [pushforward_fourier(F, cantor, xi, tol=1e-4, norms=norms)
+                      for xi in xis]
     bands = band_maxima(ev, range(3, 11), 64, seed=1, band_base=2.0)
     early = max(b.peak for b in bands[:2])
     late = max(b.peak for b in bands[-2:])

@@ -180,12 +180,19 @@ def make_evaluator(system, scan: dict, seed: int, budget: int, map_section=None)
         raise ValidationError(f"unknown method {method!r}")
 
     def evaluate(xis):
-        entries = []
+        # A stopping threshold shrinks as |xi| grows, so every frequency at
+        # least as large as one over budget is over budget too: it gets that
+        # BudgetExhausted without a walk of its own.
+        entries, cut, over = [], math.inf, None
         for xi in xis:
+            if abs(xi) >= cut:
+                entries.append(over)
+                continue
             try:
                 entries.append(one(xi))
             except BudgetExhausted as err:
                 entries.append(err)
+                cut, over = abs(xi), err
         return entries
     return evaluate
 

@@ -130,6 +130,9 @@ def fit_eta(bands) -> DecayFit:
 # sparse-frequency covering
 # ---------------------------------------------------------------------------
 
+SPARSE_SLICE = 1 << 14  # grid frequencies per evaluator call
+
+
 @dataclass
 class SparseCover:
     limit: float
@@ -148,7 +151,8 @@ def sparse_cover(evaluator, limit: float, threshold_exponent: float,
     The transform of a real measure has even modulus, so only nonnegative
     grid frequencies are evaluated; marks are mirrored. Marking uses
     |value| + error so a rigorous error can only overcount, never hide a
-    crossing.
+    crossing. The grid goes to the evaluator in calls of ``SPARSE_SLICE``
+    frequencies, so memory grows with the marks, not with the grid.
     """
     if grid_step > 0.25:
         raise ValidationError("grid step must be at most 1/4")
@@ -156,11 +160,13 @@ def sparse_cover(evaluator, limit: float, threshold_exponent: float,
         raise ValidationError("limit must be at least 4")
     threshold = limit ** (-threshold_exponent)
     marked = set()
-    xis = np.arange(0.0, limit + grid_step / 2, grid_step).tolist()
-    for xi, fv in zip(xis, require_values(evaluator(xis))):
-        if abs(fv.value) + fv.error_bound >= threshold:
-            marked.add(math.floor(xi))
-            marked.add(math.floor(-xi))
+    points = math.ceil((limit + grid_step / 2) / grid_step)  # the grid is i * grid_step
+    for lo in range(0, points, SPARSE_SLICE):
+        xis = (np.arange(lo, min(points, lo + SPARSE_SLICE)) * grid_step).tolist()
+        for xi, fv in zip(xis, require_values(evaluator(xis))):
+            if abs(fv.value) + fv.error_bound >= threshold:
+                marked.add(math.floor(xi))
+                marked.add(math.floor(-xi))
     marks = np.array(sorted(marked), dtype=int)
     return SparseCover(float(limit), float(threshold_exponent), threshold,
                        len(marks), float(grid_step), marks)

@@ -329,6 +329,55 @@ def test_montecarlo_rows_do_not_depend_on_order():
     assert ahead == behind
 
 
+def test_exact_scan_and_verify_are_one_batch_call_each(tmp_path, monkeypatch):
+    batches = []
+    real = cli.meas.fourier_exact_batch
+
+    def counted(cifs, xis, **kwargs):
+        batches.append(len(xis))
+        return real(cifs, xis, **kwargs)
+
+    monkeypatch.setattr(cli.meas, "fourier_exact_batch", counted)
+    cfg = dyadic_scan_config(tmp_path)
+    out = str(tmp_path / "out")
+    assert main(["fourier-scan", "--config", cfg, "--out", out]) == 0
+    assert main(["verify", "--config", cfg, "--out", out]) == 0
+    assert batches == [16, 1]  # verify re-checks row 0 of a short scan
+
+
+def test_no_walk_past_the_first_exhausted_frequency(tmp_path, monkeypatch, capsys):
+    walked = []
+    real = cli.push.pushforward_fourier
+
+    def counted(F, system, xi, **kwargs):
+        walked.append(xi)
+        return real(F, system, xi, **kwargs)
+
+    monkeypatch.setattr(cli.push, "pushforward_fourier", counted)
+    cfg = write_config(tmp_path / "cfg.json", {
+        "system": {"kind": "named", "name": "cantor"},
+        "map": {"expr": "(pow x 2)"},
+        "scan": {"xi_min": 1.0, "xi_max": 256.0, "points": 9, "tol": 0.1},
+    })
+    code = main(["pushforward-scan", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--budget", "300"])
+    assert code == 3
+    assert json.loads(capsys.readouterr().err.strip())["error"]["kind"] == "budget"
+    assert walked == [1.0, 32.875]  # the second is over budget; 7 rows skipped
+
+    section = {"method": "pushforward", "tol": 0.1}
+    evaluate = make_evaluator(cantor_system(), section, 0, 300,
+                              map_section={"expr": "(pow x 2)"})
+    xis = [64.0, 2.0, -16.0, 256.0, 31.0, 33.0, 8.0, -40.0]
+    walked.clear()
+    entries = evaluate(xis)
+    assert walked == [64.0, 2.0, -16.0, 31.0, 8.0]
+    alone = [evaluate([xi])[0] for xi in xis]
+    assert [type(e) for e in entries] == [type(e) for e in alone]
+    assert [e.value for e in entries if not isinstance(e, cli.BudgetExhausted)] == \
+        [e.value for e in alone if not isinstance(e, cli.BudgetExhausted)]
+
+
 def test_verify_redraws_montecarlo_rows(tmp_path, monkeypatch):
     cfg = write_config(tmp_path / "cfg.json", {
         "system": {"kind": "named", "name": "cantor"},

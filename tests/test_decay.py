@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ffl import decay
 from ffl.ifs import CIFS, AffineMap, BudgetExhausted, ValidationError
 from ffl.measure import FourierValue, fourier_exact, fourier_exact_batch
 from ffl.decay import (band_maxima, fit_eta, sparse_cover, rajchman_probe,
@@ -137,6 +138,21 @@ def test_sparse_cover_monotone(cantor):
     assert c2.count >= c1.count  # lower threshold marks more
     c3 = sparse_cover(ev, 243.0, 0.1)
     assert c3.count >= c1.count  # larger window marks more
+
+
+def test_sparse_cover_feeds_the_grid_in_slices(cantor, monkeypatch):
+    whole = sparse_cover(exact_eval(cantor, tol=1e-4), 81.0, 0.1, 0.125)
+    seen = []
+
+    def recorded(xis):
+        seen.append(list(xis))
+        return fourier_exact_batch(cantor, xis, tol=1e-4)
+
+    monkeypatch.setattr(decay, "SPARSE_SLICE", 100)
+    sliced = sparse_cover(recorded, 81.0, 0.1, 0.125)
+    assert [len(xis) for xis in seen] == [100] * 6 + [49]
+    assert sum(seen, []) == np.arange(0.0, 81.0 + 0.0625, 0.125).tolist()
+    assert list(sliced.marked) == list(whole.marked) and sliced.count == whole.count
 
 
 def test_sparse_cover_validation(cantor):

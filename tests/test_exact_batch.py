@@ -71,13 +71,16 @@ ratio = st.floats(0.15, 0.6).flatmap(lambda r: st.sampled_from([r, -r]))
 
 @st.composite
 def line_systems(draw):
-    """Affine systems with ratios of both signs, translates of both signs
-    inside [-(1 - |r|), 1 - |r|] (so [-1, 1] is invariant) and, sometimes,
-    a recorded tail mass."""
-    n = draw(st.integers(1, 3))
+    """Affine systems of 1 to 12 maps with ratios of both signs, translates
+    of both signs inside [-(1 - |r|), 1 - |r|] (so [-1, 1] is invariant)
+    and, sometimes, a recorded tail mass. Systems of more than 3 maps draw
+    their ratios from two, so that the DAG stays small while a node sums
+    up to 12 terms."""
+    n = draw(st.integers(1, 12))
+    pool = [draw(ratio) for _ in range(n if n <= 3 else 2)]
     maps = {}
     for k in range(n):
-        r = draw(ratio)
+        r = pool[k] if n <= 3 else draw(st.sampled_from(pool)) * draw(st.sampled_from([1, -1]))
         maps[k] = AffineMap(r, draw(st.floats(-1.0, 1.0)) * (1.0 - abs(r)))
     raw = [draw(st.floats(0.1, 1.0)) for _ in range(n)]
     tail = draw(st.sampled_from([0.0, 0.05]))

@@ -23,7 +23,6 @@ import numpy as np
 from . import decay as decay_mod
 from . import disintegrate as dis
 from . import equidist as eq
-from . import expr as ex
 from . import measure as meas
 from . import pushforward as push
 from . import svg as svg_mod
@@ -34,6 +33,8 @@ from .rng import spawn_seed
 
 ENV_PREFIX = "FFL_"
 VERIFY_STREAM = 0x7E21F  # the stream family of verify's Monte Carlo draws
+SCAN_KEYS = {"xi_min", "xi_max", "points", "tol"}
+EVALUATOR_KEYS = {"method", "draws", "factors"}
 
 
 # ---------------------------------------------------------------------------
@@ -46,6 +47,8 @@ def config_hash(cfg: dict) -> str:
 
 
 def check_keys(section: dict, allowed: set, where: str):
+    if not isinstance(section, dict):
+        raise ValidationError(f"{where} must be an object")
     unknown = set(section) - allowed
     if unknown:
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
@@ -83,12 +86,9 @@ def build_system(section: dict):
     if kind == "smooth1d":
         maps = {}
         for i, entry in enumerate(section.get("maps", [])):
-            check_keys(entry, {"expr", "var", "deriv_lipschitz", "declared_bound"},
-                       f"system.maps[{i}]")
-            maps[i] = SmoothMap.from_expr(
-                entry["expr"], entry.get("var", "x"),
-                deriv_lipschitz=float(entry.get("deriv_lipschitz", 0.0)),
-                declared_bound=entry.get("declared_bound"))
+            check_keys(entry, {"expr", "var", "declared_bound"}, f"system.maps[{i}]")
+            maps[i] = SmoothMap.from_expr(entry["expr"], entry.get("var", "x"),
+                                          declared_bound=entry.get("declared_bound"))
         wlist = section.get("weights")
         if wlist is None or len(wlist) != len(maps):
             raise ValidationError("weights must match the map list")
@@ -150,23 +150,20 @@ def fourier_rows(values) -> list:
 
 def make_evaluator(system, scan: dict, seed: int, budget: int, map_section=None):
     """The scan section's evaluator: a callable xis -> list with one
-    FourierValue, or BudgetExhausted, per frequency. The exact method runs
-    one batch sweep; the others evaluate the frequencies one by one."""
+    FourierValue, or BudgetExhausted, per frequency. The exact and Monte
+    Carlo methods take the whole batch; the others evaluate the
+    frequencies one by one."""
     method = scan.get("method", "exact")
     tol = float(scan.get("tol", 1e-6))
     if method == "exact":
         return lambda xis: meas.fourier_exact_batch(system, xis, tol=tol, budget=budget)
+    if method == "montecarlo":
+        draws = int(scan.get("draws", 100_000))
+        sampler = meas.make_sampler(system)
+        return lambda xis: meas.fourier_montecarlo(sampler, xis, draws, seed)
     if method == "product":
         factors = int(scan.get("factors", 64))
         one = lambda xi: meas.fourier_product_homogeneous(system, xi, factors)
-    elif method == "montecarlo":
-        draws = int(scan.get("draws", 100_000))
-        sampler = meas.make_sampler(system)
-        # one stream per frequency, keyed by its float bits, so a row's
-        # draw does not depend on which rows were evaluated before it
-        one = lambda xi: meas.fourier_montecarlo(
-            sampler, [xi], draws,
-            spawn_seed(seed, int(np.float64(xi).view(np.uint64))))[0]
     elif method == "pushforward":
         if map_section is None:
             raise ValidationError("pushforward method needs a map section")
@@ -185,6 +182,8 @@ def make_evaluator(system, scan: dict, seed: int, budget: int, map_section=None)
         # BudgetExhausted without a walk of its own.
         entries, cut, over = [], math.inf, None
         for xi in xis:
+            if not math.isfinite(xi):
+                raise ValidationError("frequencies must be finite")
             if abs(xi) >= cut:
                 entries.append(over)
                 continue
@@ -205,12 +204,11 @@ def cmd_fourier_scan(cfg, out, seed, budget, method=None):
     """Write the scan CSV of a uniform frequency grid; pushforward-scan fixes
     ``method``, and its scan section takes no evaluator keys."""
     section = cfg.get("scan", {})
-    keys = {"xi_min", "xi_max", "points", "tol"}
     if method is None:
-        check_keys(section, keys | {"method", "draws", "factors"}, "scan")
+        check_keys(section, SCAN_KEYS | EVALUATOR_KEYS, "scan")
         tool, name = "fourier-scan", "scan.csv"
     else:
-        check_keys(section, keys, "scan")
+        check_keys(section, SCAN_KEYS, "scan")
         section = dict(section, method=method)
         tool, name = f"{method}-scan", f"{method}.csv"
     system = build_system(cfg.get("system", {}))
@@ -224,19 +222,12 @@ def cmd_fourier_scan(cfg, out, seed, budget, method=None):
     return 0
 
 
-def _fibre_product_of(cfg):
-    system = build_system(cfg.get("system", {}))
-    if isinstance(system, CIFS):
-        return fibre_product_from_1d(system)
-    return system
-
-
 def cmd_disintegrate(cfg, out, seed, budget, action):
     section = cfg.get("disintegrate", {})
     check_keys(section, {"block_length", "xis", "n_sequences", "alpha",
                          "prefix_length", "horizon_min", "horizon_max", "xi",
                          "trunc_tol"}, "disintegrate")
-    fp = _fibre_product_of(cfg)
+    fp = fibre_product_from_1d(build_system(cfg.get("system", {})))
     k = int(section.get("block_length", 4))
     h = config_hash(cfg)
     if action == "consistency":  # builds its own class table, reads no alpha
@@ -498,6 +489,7 @@ def cmd_verify(cfg, out, seed, budget):
     check compares two independent estimates.
     """
     section = cfg.get("scan", {})
+    check_keys(section, SCAN_KEYS | EVALUATOR_KEYS, "scan")
     system = build_system(cfg.get("system", {}))
     evaluator = make_evaluator(system, section, spawn_seed(seed, VERIFY_STREAM),
                                budget, map_section=cfg.get("map"))
@@ -590,8 +582,9 @@ def main(argv=None) -> int:
         print(json.dumps({"error": {"kind": "budget", "message": str(err)}}),
               file=sys.stderr)
         return 3
-    except (ValidationError, ex.ExprError, KeyError, json.JSONDecodeError,
-            FileNotFoundError) as err:
+    except (ValueError, TypeError, KeyError, OverflowError, FileNotFoundError) as err:
+        # a config value of the wrong type or range fails its cast or its
+        # validator with one of these; ValidationError is a ValueError
         print(json.dumps({"error": {"kind": "validation",
                                     "message": f"{type(err).__name__}: {err}"}}),
               file=sys.stderr)

@@ -154,8 +154,8 @@ def sparse_cover(evaluator, limit: float, threshold_exponent: float,
     crossing. The grid goes to the evaluator in calls of ``SPARSE_SLICE``
     frequencies, so memory grows with the marks, not with the grid.
     """
-    if grid_step > 0.25:
-        raise ValidationError("grid step must be at most 1/4")
+    if not 0.0 < grid_step <= 0.25:
+        raise ValidationError("grid step must lie in (0, 1/4]")
     if limit < 4:
         raise ValidationError("limit must be at least 4")
     threshold = limit ** (-threshold_exponent)

@@ -29,7 +29,7 @@ from itertools import product as iproduct
 import numpy as np
 
 from .ifs import (AffineMap, FibreProductCIFS, BudgetExhausted, ValidationError,
-                  fibre_product_from_1d, fold)
+                  fibre_product_from_1d, fold, lyapunov)
 from .measure import FourierValue, character, fourier_exact_batch, require_values, TWO_PI
 from .rng import stream_rng
 
@@ -96,7 +96,7 @@ class ClassTable:
 
     def lyapunov(self) -> float:
         """Per-letter Lyapunov exponent of the underlying fibre system."""
-        return self.system.lyapunov()
+        return lyapunov(self.system)
 
 
 def build_classes(fp: FibreProductCIFS, block_length: int,
@@ -301,7 +301,9 @@ def disintegration_consistency(system, block_length: int, xis, n_sequences: int,
     ``z_pass`` standard errors plus all rigorous truncation errors. A
     failed comparison is reported, not raised.
     """
-    fp = system if isinstance(system, FibreProductCIFS) else fibre_product_from_1d(system)
+    if n_sequences < 1 or not trunc_tol > 0:
+        raise ValidationError("need at least one sequence and a positive trunc_tol")
+    fp = fibre_product_from_1d(system)
     table = build_classes(fp, block_length)
     marginal = fp.fibre_cifs()
 

@@ -206,7 +206,7 @@ def _window_orbit_base2(num: int, bits: int, horizon: int):
 
 def _orbit_floats(x, spec: EquidistSpec):
     """frac(q_n x) for n = 1..horizon as floats accurate to ~2^-60, with an
-    exact-value callback for tie resolution."""
+    exact-value callback that resolves ties."""
     p, q = _residue(x)
     N = spec.horizon
 

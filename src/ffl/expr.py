@@ -6,7 +6,8 @@ purely structural operation. Trees support
 
   * numeric evaluation (scalars or numpy arrays),
   * exact symbolic differentiation,
-  * natural interval extension over a box,
+  * natural interval extension over a box, rounded outward, and certified
+    enclosures by adaptive bisection of the box,
   * polynomial coefficient extraction when the tree is polynomial,
   * parsing from prefix notation, e.g. ``(add (pow x 2) (mul 0.5 x))``.
 
@@ -16,6 +17,8 @@ roots); they evaluate only where the base is nonnegative.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Union
@@ -23,6 +26,9 @@ from typing import Mapping, Union
 import numpy as np
 
 Number = Union[int, float]
+
+ENCLOSE_BOXES = 1 << 10  # the most sub-boxes one enclosure bisects its box into
+ENCLOSE_SLACK = 1e-12    # the overshoot, relative to the sampled values, a sub-box keeps
 
 
 class ExprError(ValueError):
@@ -57,6 +63,10 @@ class Expr:
 @dataclass(frozen=True)
 class Const(Expr):
     value: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ExprError(f"constant {self.value!r} is not finite")
 
     def eval(self, env):
         return self.value
@@ -121,10 +131,10 @@ class Sum(Expr):
         return add(*(t.diff(var) for t in self.terms))
 
     def interval(self, box):
-        lo = hi = 0.0
-        for t in self.terms:
+        lo, hi = self.terms[0].interval(box)
+        for t in self.terms[1:]:
             a, b = t.interval(box)
-            lo, hi = lo + a, hi + b
+            lo, hi = _out(lo + a, -math.inf), _out(hi + b, math.inf)
         return (lo, hi)
 
     def variables(self):
@@ -155,11 +165,12 @@ class Prod(Expr):
         return add(*terms)
 
     def interval(self, box):
-        lo, hi = 1.0, 1.0
-        for f in self.factors:
+        lo, hi = self.factors[0].interval(box)
+        for f in self.factors[1:]:
             a, b = f.interval(box)
-            cands = (lo * a, lo * b, hi * a, hi * b)
-            lo, hi = min(cands), max(cands)
+            # 0 times an unbounded end is 0: the values it bounds are finite
+            cands = [_kept(x * y, x, y) if x and y else 0.0 for x in (lo, hi) for y in (a, b)]
+            lo, hi = _out(min(cands), -math.inf), _out(max(cands), math.inf)
         return (lo, hi)
 
     def variables(self):
@@ -194,17 +205,16 @@ class Pow(Expr):
         lo, hi = self.base.interval(box)
         e = self.exponent
         if float(e).is_integer() and e >= 0:
-            n = int(e)
-            if n == 0:
+            if e == 0:
                 return (1.0, 1.0)
-            if n % 2 == 1 or lo >= 0:
-                return (lo ** n, hi ** n)
-            if hi <= 0:
-                return (hi ** n, lo ** n)
-            return (0.0, max(lo ** n, hi ** n))
+            if e % 2 == 0 and lo < 0:  # an even power is one of |x|
+                lo, hi = (-hi, -lo) if hi <= 0 else (0.0, max(-lo, hi))
+            return (_power(lo, e, -math.inf), _power(hi, e, math.inf))
         if lo < 0:
             raise ExprError(f"pow with exponent {e} needs a nonnegative base interval")
-        return tuple(sorted((lo ** e, hi ** e)))
+        if e < 0:
+            lo, hi = hi, lo
+        return (_power(lo, e, -math.inf), _power(hi, e, math.inf))
 
     def variables(self):
         return self.base.variables()
@@ -234,10 +244,10 @@ class Quot(Expr):
     def interval(self, box):
         nlo, nhi = self.num.interval(box)
         dlo, dhi = self.den.interval(box)
-        if dlo <= 0.0 <= dhi:
+        if dlo <= 0.0 <= dhi or not all(map(math.isfinite, (nlo, nhi, dlo, dhi))):
             return (-math.inf, math.inf)
-        cands = (nlo / dlo, nlo / dhi, nhi / dlo, nhi / dhi)
-        return (min(cands), max(cands))
+        cands = [_kept(x / y, x, y) for x in (nlo, nhi) for y in (dlo, dhi)]
+        return (_out(min(cands), -math.inf), _out(max(cands), math.inf))
 
     def variables(self):
         return self.num.variables() | self.den.variables()
@@ -247,6 +257,85 @@ class Quot(Expr):
 
     def to_prefix(self):
         return f"(div {self.num.to_prefix()} {self.den.to_prefix()})"
+
+
+# ---------------------------------------------------------------------------
+# outward rounding (Moore, Interval Analysis, 1966) and certified enclosures
+# ---------------------------------------------------------------------------
+# An IEEE operation rounds to nearest, so the exact result lies within one
+# float of it: each interval end steps one float outward. An exact 0 needs
+# no step, and ``_kept`` keeps an underflow off 0.
+
+def _out(x: float, toward: float) -> float:
+    """x one float toward ``toward`` (-inf or inf); 0 stays, and an
+    undefined (NaN) end becomes ``toward``."""
+    if x != x:
+        return toward
+    return math.nextafter(x, toward) if x else x
+
+
+def _kept(r: float, x: float, y: float) -> float:
+    """r = x*y or x/y; an underflow of nonzero x, y to 0 becomes the least
+    float of the exact result's sign."""
+    return r if r or not (x and y) else math.copysign(math.ulp(0.0), x) * math.copysign(1.0, y)
+
+
+def _power(x: float, e: float, toward: float) -> float:
+    """x ** e two floats toward ``toward``: C libraries keep pow's error
+    below one ulp without rounding it correctly, and two steps cover one
+    ulp also at a binade edge."""
+    try:
+        r = x ** e
+    except OverflowError:  # one step in from inf is the largest float
+        r = math.copysign(math.inf, x) if e % 2 == 1 else math.inf
+    except ZeroDivisionError:  # 0 to a negative power; the base is >= 0 there
+        return math.inf
+    if x and not r:  # an underflow, kept off 0 as in _kept
+        r = math.copysign(math.ulp(0.0), x if e % 2 == 1 else 1.0)
+    return _out(_out(r, toward), toward)
+
+
+def enclose(expr: Expr, box: Mapping[str, tuple]) -> tuple:
+    """A certified enclosure (lo, hi) of ``expr`` over ``box``: the hull of
+    its natural interval extensions over an adaptive bisection of the box.
+
+    The values at the corners and centre of every sub-box bound the range
+    from inside. While a sub-box's extension overshoots them by more than
+    ENCLOSE_SLACK of their magnitude, the sub-box that overshot most is
+    halved on its widest side, up to ENCLOSE_BOXES sub-boxes.
+    """
+    names, seen = list(box), [math.inf, -math.inf]  # the range of the samples
+
+    def overshoot(ext):
+        if seen[0] > seen[1]:  # no finite value sampled yet
+            return math.inf
+        slack = ENCLOSE_SLACK * max(abs(seen[0]), abs(seen[1]))
+        return max(seen[0] - ext[0], ext[1] - seen[1]) - slack
+
+    def visit(sub):
+        points = np.array([*itertools.product(*sub), [(a + b) / 2 for a, b in sub]])
+        try:
+            with np.errstate(all="ignore"):
+                vals = np.asarray(expr.eval(dict(zip(names, points.T))), dtype=float)
+            vals = vals[np.isfinite(vals)].tolist()
+            seen[:] = min([seen[0], *vals]), max([seen[1], *vals])
+        except ArithmeticError:  # a constant subtree, such as 1/0, outside numpy
+            pass
+        ext = expr.interval(dict(zip(names, sub)))
+        return (-overshoot(ext), sub, ext)
+
+    heap, kept = [visit(tuple((float(a), float(b)) for a, b in box.values()))], []
+    while heap and len(heap) + len(kept) < ENCLOSE_BOXES:
+        _, sub, ext = heapq.heappop(heap)
+        k = max(range(len(sub)), key=lambda i: sub[i][1] - sub[i][0])
+        (a, b), mid = sub[k], 0.5 * (sub[k][0] + sub[k][1])
+        if overshoot(ext) <= 0 or not a < mid < b:
+            kept.append(ext)
+            continue
+        for half in ((a, mid), (mid, b)):
+            heapq.heappush(heap, visit(sub[:k] + (half,) + sub[k + 1:]))
+    ends = kept + [ext for _, _, ext in heap]
+    return (min(e[0] for e in ends), max(e[1] for e in ends))
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +404,10 @@ def pow_(base, exponent) -> Expr:
     if e == 1:
         return base
     if isinstance(base, Const):
-        return Const(base.value ** e if not e.is_integer() else base.value ** int(e))
+        try:
+            return Const(math.pow(base.value, e))
+        except (OverflowError, ValueError):
+            raise ExprError(f"{base.value!r} ** {e!r} has no finite real value") from None
     return Pow(base, e)
 
 
@@ -413,11 +505,12 @@ def _parse_tokens(tokens: list, pos: int):
     if tok != "(":
         pos += 1
         try:
-            return Const(float(tok)), pos
+            value = float(tok)
         except ValueError:
             if not tok.isidentifier():
                 raise ExprError(f"bad token {tok!r}") from None
             return Var(tok), pos
+        return Const(value), pos
     if pos + 1 >= len(tokens):
         raise ExprError("missing operator after '('")
     op = tokens[pos + 1]
@@ -459,6 +552,8 @@ def _parse_tokens(tokens: list, pos: int):
 
 def parse(text: str) -> Expr:
     """Parse a prefix-notation expression string."""
+    if not isinstance(text, str):
+        raise ExprError(f"an expression must be a string, not {type(text).__name__}")
     tokens = _tokenize(text)
     if not tokens:
         raise ExprError("empty expression")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import threading
 from collections import deque, namedtuple
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
 from typing import Mapping, Sequence
@@ -22,7 +22,6 @@ from . import expr as ex
 
 WEIGHT_TOL = 1e-12
 RATIO_MATCH_TOL = 1e-12
-GRID_RESOLUTION = 1 << 12  # grid used to certify smooth contractions
 
 
 class ValidationError(ValueError):
@@ -52,6 +51,11 @@ class AffineMap:
     ratio: float
     translate: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.ratio) and math.isfinite(self.translate)):
+            raise ValidationError(f"affine map {self.ratio!r} x + {self.translate!r} "
+                                  "is not finite")
+
     def __call__(self, x):
         return self.ratio * x + self.translate
 
@@ -80,9 +84,9 @@ class AffineMap:
 class SmoothMap:
     """A C2 self-map of an interval given by an expression tree.
 
-    ``contraction_bound`` is either certified from a derivative grid bound
-    plus a declared derivative-Lipschitz slack (bound_kind="grid"), or
-    supplied by the caller for maps known to contract only in a conjugated
+    ``contraction_bound`` is either certified by an interval enclosure of
+    the derivative over the domain (bound_kind="certified"), or supplied by
+    the caller, e.g. for maps known to contract only in a conjugated
     coordinate (bound_kind="declared").
     """
 
@@ -90,11 +94,7 @@ class SmoothMap:
     var: str
     domain: tuple = (0.0, 1.0)
     contraction_bound: float = 1.0
-    bound_kind: str = "grid"
-    derivative: ex.Expr = field(init=False, repr=False, compare=False, default=None)
-
-    def __post_init__(self):
-        object.__setattr__(self, "derivative", self.expr.diff(self.var))
+    bound_kind: str = "declared"
 
     def __call__(self, x):
         return self.expr.eval({self.var: x})
@@ -112,16 +112,15 @@ class SmoothMap:
 
     @classmethod
     def from_expr(cls, expression: ex.Expr | str, var: str = "x",
-                  domain: tuple = (0.0, 1.0), deriv_lipschitz: float = 0.0,
-                  declared_bound: float | None = None,
-                  grid: int = GRID_RESOLUTION) -> "SmoothMap":
+                  domain: tuple = (0.0, 1.0),
+                  declared_bound: float | None = None) -> "SmoothMap":
         """Build and validate a smooth contraction.
 
-        Without ``declared_bound`` the map must provably contract: the grid
-        bound on |f'| plus the declared derivative-Lipschitz slack must stay
-        below 1, and grid evaluations must land inside the domain.
+        Without ``declared_bound`` the map must provably contract: the
+        enclosure of |f'| over the domain must stay below 1, and the
+        enclosure of f must lie in the domain (up to 1e-9 at its edges).
         """
-        e = ex.parse(expression) if isinstance(expression, str) else expression
+        e = expression if isinstance(expression, ex.Expr) else ex.parse(expression)
         free = e.variables()
         if free - {var}:
             raise ValidationError(f"map uses variables {sorted(free)} besides {var!r}")
@@ -130,17 +129,14 @@ class SmoothMap:
                 raise ValidationError("declared contraction bound must lie in (0,1)")
             return cls(e, var, domain, float(declared_bound), "declared")
         lo, hi = domain
-        xs = np.linspace(lo, hi, grid + 1)
-        vals = np.asarray(e.eval({var: xs}), dtype=float)
-        pad = 1e-9
-        if vals.min() < lo - pad or vals.max() > hi + pad:
+        a, b = ex.enclose(e, {var: domain})
+        if a < lo - 1e-9 or b > hi + 1e-9:
             raise ValidationError("map does not send its domain box into itself")
-        h = (hi - lo) / grid
-        dbound = float(np.abs(np.asarray(e.diff(var).eval({var: xs}), dtype=float)).max())
-        dbound += deriv_lipschitz * h / 2.0
-        if dbound >= 1.0:
+        a, b = ex.enclose(e.diff(var), {var: domain})
+        dbound = max(-a, b)
+        if not dbound < 1.0:
             raise ValidationError(f"certified Lipschitz bound {dbound:.6f} is not < 1")
-        return cls(e, var, domain, dbound, "grid")
+        return cls(e, var, domain, dbound, "certified")
 
 
 Map1D = AffineMap | SmoothMap
@@ -193,8 +189,35 @@ class Word:
 # one-dimensional systems
 # ---------------------------------------------------------------------------
 
+class _System:
+    """What both system classes derive from ``coordinates``, their maps as
+    one list per coordinate, in alphabet order."""
+
+    def _check_contraction(self):
+        bounds = [m.contraction_bound for column in self.coordinates for m in column]
+        if not all(0.0 < b < 1.0 for b in bounds):
+            raise ValidationError(f"uniform contraction fails: map bounds span "
+                                  f"{min(bounds)}..{max(bounds)}, not inside (0, 1)")
+
+    @property
+    def radius(self) -> float:
+        """R = max(1, max |translate| / (1 - |ratio|)) of an affine system:
+        every map sends [-R, R] into itself, in every coordinate, so the
+        attractor lies in [-R, R]^m."""
+        maps = [m for column in self.coordinates for m in column]
+        if not all(isinstance(m, AffineMap) for m in maps):
+            raise ValidationError("the radius is defined for affine systems only")
+        return max(1.0, max(abs(m.translate) / (1.0 - abs(m.ratio)) for m in maps))
+
+    @cached_property
+    def cylinders(self) -> "_CylinderEngine":
+        """The stopping-cylinder engine of an affine system."""
+        return _CylinderEngine(self.alphabet, self.coordinates,
+                               [self.weights[s] for s in self.alphabet])
+
+
 @dataclass
-class CIFS:
+class CIFS(_System):
     """A finite (possibly truncated-countable) system of 1-D contractions.
 
     ``tail_mass`` records the weight of omitted symbols for truncations of
@@ -206,7 +229,6 @@ class CIFS:
     alphabet: tuple
     maps: dict
     weights: dict
-    dim: int = 1
     tail_mass: float = 0.0
     diam_constant: float = 1.0
 
@@ -222,12 +244,10 @@ class CIFS:
             if not (w > 0.0):
                 raise ValidationError(f"weight of {a!r} must be positive, got {w}")
         total = math.fsum(self.weights[a] for a in self.alphabet)
-        if abs(total - (1.0 - self.tail_mass)) > WEIGHT_TOL:
+        if not abs(total - (1.0 - self.tail_mass)) <= WEIGHT_TOL:
             raise ValidationError(
                 f"weights sum to {total!r}, expected {1.0 - self.tail_mass!r}")
-        worst = max(self.maps[a].contraction_bound for a in self.alphabet)
-        if worst >= 1.0:
-            raise ValidationError(f"uniform contraction fails: sup bound {worst}")
+        self._check_contraction()
 
     # -- helpers ------------------------------------------------------------
 
@@ -235,32 +255,17 @@ class CIFS:
     def is_affine(self) -> bool:
         return all(isinstance(self.maps[a], AffineMap) for a in self.alphabet)
 
-    @property
-    def max_contraction(self) -> float:
-        return max(self.maps[a].contraction_bound for a in self.alphabet)
-
     def ratios(self) -> np.ndarray:
         if not self.is_affine:
             raise ValidationError("ratios are defined for affine systems only")
         return np.array([self.maps[a].ratio for a in self.alphabet])
 
-    @property
-    def radius(self) -> float:
-        """R = max(1, max |translate| / (1 - |ratio|)) of an affine system:
-        every map sends [-R, R] into itself, so the attractor lies in it."""
-        if not self.is_affine:
-            raise ValidationError("the radius is defined for affine systems only")
-        return max(1.0, max(abs(m.translate) / (1.0 - abs(m.ratio))
-                            for m in (self.maps[a] for a in self.alphabet)))
-
     def weight_vector(self) -> np.ndarray:
         return np.array([self.weights[a] for a in self.alphabet])
 
-    @cached_property
-    def cylinders(self) -> "_CylinderEngine":
-        """The stopping-cylinder engine of an affine system."""
-        return _CylinderEngine(self.alphabet, [[self.maps[a] for a in self.alphabet]],
-                               self.weight_vector())
+    @property
+    def coordinates(self) -> tuple:
+        return ([self.maps[a] for a in self.alphabet],)
 
 
 def fold(maps: Sequence[Map1D]) -> Map1D:
@@ -313,38 +318,30 @@ class TailCheck:
 
 
 def tail_check(system, tau: float, declared_tail: float = 0.0) -> TailCheck:
-    """Sum of weight * bound^(-tau) over the (possibly truncated) alphabet.
+    """Sum of weight * bound^(-tau) over the (possibly truncated) alphabet,
+    with the bounds of the last coordinate's maps.
 
     For truncated countable systems ``declared_tail`` is an upper bound on
     the omitted part of the sum, added to the returned value.
     """
     if not tau > 0.0:
         raise ValidationError(f"tau must be positive, got {tau}")
-    if isinstance(system, FibreProductCIFS):
-        pairs = [(system.weights[s], abs(system.fibre_map(s).ratio))
-                 for s in system.alphabet]
-    else:
-        pairs = [(system.weights[a], system.maps[a].contraction_bound)
-                 for a in system.alphabet]
+    pairs = [(system.weights[s], m.contraction_bound)
+             for s, m in zip(system.alphabet, system.coordinates[-1])]
     value = math.fsum(w * b ** (-tau) for w, b in pairs) + declared_tail
     exact = declared_tail == 0.0 and getattr(system, "tail_mass", 0.0) == 0.0
     return TailCheck(value, math.isfinite(value), exact)
 
 
 def lyapunov(system) -> float:
-    """Weight-averaged log inverse contraction ratio.
-
-    Uses fibre ratios for fibre products and all map ratios for 1-D affine
-    systems. Smooth maps carry no single ratio and are rejected.
+    """Weight-averaged log inverse contraction ratio of the last coordinate:
+    the fibre of a fibre product, the line of a 1-D system. Smooth maps
+    carry no single ratio and are rejected.
     """
-    if isinstance(system, FibreProductCIFS):
-        pairs = [(system.weights[s], abs(system.fibre_map(s).ratio))
-                 for s in system.alphabet]
-    else:
-        if not system.is_affine:
-            raise ValidationError("Lyapunov exponent needs affine ratios")
-        pairs = [(system.weights[a], abs(system.maps[a].ratio))
-                 for a in system.alphabet]
+    if not all(isinstance(m, AffineMap) for m in system.coordinates[-1]):
+        raise ValidationError("Lyapunov exponent needs affine ratios")
+    pairs = [(system.weights[s], abs(m.ratio))
+             for s, m in zip(system.alphabet, system.coordinates[-1])]
     total = math.fsum(w for w, _ in pairs)
     return math.fsum(w * math.log(1.0 / r) for w, r in pairs) / total
 
@@ -368,7 +365,7 @@ class SeparatedPair:
 
 
 @dataclass
-class FibreProductCIFS:
+class FibreProductCIFS(_System):
     """Base contractions paired with affine fibre families on the last axis.
 
     Symbols are pairs (base_id, fibre_id); the product map acts on
@@ -379,7 +376,6 @@ class FibreProductCIFS:
     fibre_maps: dict   # base_id -> {fibre_id: AffineMap}
     weights: dict      # (base_id, fibre_id) -> weight
     pair: SeparatedPair
-    dim: int = 1
     fold: int = 1
     tail_mass: float = 0.0
 
@@ -394,11 +390,9 @@ class FibreProductCIFS:
                 alphabet.append((j, l))
         self.alphabet = tuple(alphabet)
         total = math.fsum(self.weights[s] for s in self.alphabet)
-        if abs(total - (1.0 - self.tail_mass)) > WEIGHT_TOL:
+        if not abs(total - (1.0 - self.tail_mass)) <= WEIGHT_TOL:
             raise ValidationError(f"weights sum to {total!r}")
-        worst = max(self.product_map(s).contraction_bound for s in self.alphabet)
-        if worst >= 1.0:
-            raise ValidationError(f"uniform contraction fails: sup bound {worst}")
+        self._check_contraction()
         self._validate_pair()
 
     def _validate_pair(self):
@@ -446,20 +440,13 @@ class FibreProductCIFS:
         The last coordinate evolves autonomously under the product system,
         so its marginal law is the stationary measure of this 1-D system.
         """
-        maps = {s: self.fibre_map(s) for s in self.alphabet}
-        weights = {s: self.weights[s] for s in self.alphabet}
-        return CIFS(self.alphabet, maps, weights, dim=1, tail_mass=self.tail_mass)
+        return CIFS(self.alphabet, dict(zip(self.alphabet, self.coordinates[-1])),
+                    dict(self.weights), tail_mass=self.tail_mass)
 
-    def lyapunov(self) -> float:
-        return lyapunov(self)
-
-    @cached_property
-    def cylinders(self) -> "_CylinderEngine":
-        """The stopping-cylinder engine on (base, fibre) coordinates."""
-        return _CylinderEngine(self.alphabet,
-                               [[self.base_map(s) for s in self.alphabet],
-                                [self.fibre_map(s) for s in self.alphabet]],
-                               [self.weights[s] for s in self.alphabet])
+    @property
+    def coordinates(self) -> tuple:
+        return ([self.base_map(s) for s in self.alphabet],
+                [self.fibre_map(s) for s in self.alphabet])
 
 
 def _search_pair(fibre_maps, weights, fold):
@@ -485,7 +472,7 @@ def _search_pair(fibre_maps, weights, fold):
 
 
 def build_fibre_product(base_maps: Mapping, fibre_maps: Mapping, weights: Mapping,
-                        dim: int = 1, n_max: int = 8,
+                        n_max: int = 8,
                         alphabet_budget: int = 100_000) -> FibreProductCIFS:
     """Assemble and validate a fibre product system.
 
@@ -525,24 +512,27 @@ def build_fibre_product(base_maps: Mapping, fibre_maps: Mapping, weights: Mappin
                 w[(base_word, word)] = math.prod(weights[s] for s in word)
         pair = _search_pair(f_maps, w, n)
         if pair is not None:
-            return FibreProductCIFS(b_maps, f_maps, w, pair, dim=dim, fold=n)
+            return FibreProductCIFS(b_maps, f_maps, w, pair, fold=n)
     raise SeparationError(
         f"no separated pair of fibre maps up to {n_max}-fold composition")
 
 
-def fibre_product_from_1d(cifs: CIFS, n_max: int = 8,
+def fibre_product_from_1d(cifs, n_max: int = 8,
                           alphabet_budget: int = 100_000) -> FibreProductCIFS:
-    """Wrap a 1-D affine system as a fibre product over a dummy base x/2.
+    """Wrap a 1-D affine system as a fibre product over a dummy base x/2;
+    a fibre product is returned unchanged.
 
     The product's stationary measure is (Dirac at 0) x (the 1-D measure),
     so all fibre-side machinery applies unchanged to plain line systems.
     """
+    if isinstance(cifs, FibreProductCIFS):
+        return cifs
     if not cifs.is_affine:
         raise ValidationError("only affine 1-D systems can be wrapped")
     base = {0: AffineMap(0.5, 0.0)}
     fibres = {0: {a: cifs.maps[a] for a in cifs.alphabet}}
     weights = {(0, a): cifs.weights[a] for a in cifs.alphabet}
-    return build_fibre_product(base, fibres, weights, dim=1,
+    return build_fibre_product(base, fibres, weights,
                                n_max=n_max, alphabet_budget=alphabet_budget)
 
 

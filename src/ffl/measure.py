@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ifs import CIFS, AffineMap, FibreProductCIFS, BudgetExhausted, ValidationError
+from .ifs import CIFS, AffineMap, BudgetExhausted, ValidationError
 from .rng import stream_rng, spawn_seed
 
 TWO_PI = 2.0 * math.pi
@@ -42,9 +42,9 @@ def character(y):
 class FourierValue:
     """A Fourier transform estimate with an attached error bound.
 
-    ``kind`` is "rigorous" when the bound is deterministic, "estimate"
-    when it rests on uncertified inputs (pushforwards with grid-estimated
-    derivative norms), "statistical" when it is a multiple of the Monte
+    ``kind`` is "rigorous" when the bound is deterministic and certified,
+    "estimate" when it is not known to hold (pushforwards on smooth
+    systems), "statistical" when it is a multiple of the Monte
     Carlo standard error (stored in ``stderr`` together with the
     z-multiple in ``confidence_z``).
     """
@@ -79,11 +79,11 @@ class SamplePoints:
 def _depth_for(system, tol: float, depth: int | None = None, depth_cap: int = 100_000):
     """Word length whose composed image diameter is below ``tol`` (unless
     ``depth`` fixes it), with the diameter that length achieves."""
-    worst = (max(system.product_map(s).contraction_bound for s in system.alphabet)
-             if isinstance(system, FibreProductCIFS) else system.max_contraction)
+    maps = [m for column in system.coordinates for m in column]
+    worst = max(m.contraction_bound for m in maps)
     diam = getattr(system, "diam_constant", 1.0)
-    if isinstance(system, CIFS) and system.is_affine:
-        diam *= system.radius  # the coding map starts at 0, inside [-R, R]
+    if all(isinstance(m, AffineMap) for m in maps):
+        diam *= system.radius  # the coding map starts at 0, inside [-R, R]^m
     if depth is None:
         if tol <= 0:
             raise ValidationError("tolerance must be positive")
@@ -108,13 +108,8 @@ def sample_points(system, count: int, tol: float = 1e-9, depth: int | None = Non
     probs = probs / probs.sum()
     rng = stream_rng(seed, 0x5A17, stream)
     idx = rng.choice(len(symbols), size=(count, depth), p=probs)
-    if isinstance(system, FibreProductCIFS):
-        coordinates = ([system.base_map(s) for s in symbols],
-                       [system.fibre_map(s) for s in symbols])
-    else:
-        coordinates = ([system.maps[s] for s in symbols],)
     columns = []
-    for maps in coordinates:
+    for maps in system.coordinates:
         x = np.zeros(count)
         if all(isinstance(m, AffineMap) for m in maps):
             ratios = np.array([m.ratio for m in maps])
@@ -194,7 +189,7 @@ def fourier_exact_batch(cifs: CIFS, xis, tol: float = 1e-9,
     A frequency is over budget when more than ``budget`` distinct non-root
     ratios lie above its threshold.
     """
-    if not cifs.is_affine or cifs.dim != 1:
+    if not cifs.is_affine:
         raise ValidationError("fourier_exact needs an affine 1-D system")
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
@@ -294,14 +289,19 @@ def fourier_product_homogeneous(cifs: CIFS, xi: float, factors: int = 64) -> Fou
 
 def fourier_montecarlo(sampler, xis, draws: int, seed: int = 0) -> list:
     """Empirical character sums over ``draws`` samples, one independent
-    stream per frequency. Error bounds are 4 standard errors plus the
-    sampler's deterministic accuracy bias."""
+    stream per frequency, keyed by its float bits: a frequency's value does
+    not depend on the others in the batch. Error bounds are 4 standard
+    errors plus the sampler's deterministic accuracy bias."""
     if draws < 100:
         raise ValidationError("need at least 100 draws")
+    xis = np.atleast_1d(np.asarray(xis, dtype=float))
+    if not np.isfinite(xis).all():
+        raise ValidationError("frequencies must be finite")
     bias_acc = getattr(sampler, "accuracy", 0.0)
     out = []
-    for i, xi in enumerate(np.atleast_1d(np.asarray(xis, dtype=float))):
-        pts = np.asarray(sampler(draws, spawn_seed(seed, 0xF0, i)))
+    for xi in xis:
+        key = spawn_seed(seed, int(xi.view(np.uint64)))
+        pts = np.asarray(sampler(draws, spawn_seed(key, 0xF0, 0)))
         if pts.ndim > 1:
             pts = pts[:, -1]
         z = character(xi * pts)

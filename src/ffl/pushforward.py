@@ -3,7 +3,10 @@
 The transform of F(mu) is a sum over stopping cylinders of weight times
 the character at F(anchor), with the cylinders (and stopping words) of
 affine systems from ``system.cylinders``; smooth systems have their own
-walk. Also here: derivative norms on grids, polynomial level-set covers,
+walk. Values on affine line systems and fibre products are "rigorous":
+their error bounds rest on derivative norms certified by interval
+enclosure over F's box, which the system must map into itself. Values on
+smooth systems are "estimate"s. Also here: polynomial level-set covers,
 the good/bad frequency-sum split, certified prefix decompositions by
 interval arithmetic, and conjugation by smooth coordinate changes.
 """
@@ -83,15 +86,6 @@ class SmoothMapF:
                 raise ValidationError("symbolic second partial disagrees with "
                                       "finite differences")
 
-    def grid(self, resolution: int):
-        axes = [np.linspace(lo, hi, resolution + 1) for lo, hi in self.domain.values()]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return {v: m.ravel() for v, m in zip(self.domain, mesh)}
-
-    def lipschitz_fibre(self, resolution: int = 1 << 10) -> float:
-        env = self.grid(min(resolution, 1 << 12 if len(self.domain) == 1 else 1 << 6))
-        return float(np.abs(np.asarray(self.first.eval(env), dtype=float)).max())
-
 
 def identity_map(var: str = "x") -> SmoothMapF:
     return SmoothMapF(ex.Var(var), {var: (0.0, 1.0)}, var)
@@ -103,23 +97,19 @@ def identity_map(var: str = "x") -> SmoothMapF:
 
 @dataclass
 class MapNorms:
-    """Extrema of the first and second fibre partials over the box.
+    """Certified extrema of the first and second fibre partials over the
+    box, from their enclosures.
 
     ``sup_base`` is the sup of |dF/dx| for the first domain variable x,
     which a fibre-product pushforward binds to the base coordinate (0 for a
-    function of one variable).
-
-    ``rigor`` is "grid-estimate" unless a derivative-Lipschitz constant was
-    supplied, in which case grid extrema are widened by L*h/2 and the
-    result is "certified". ``sign_definite`` records whether the second
-    partial kept one strict sign on the grid; when it does not, the
-    continuum minimum is 0 and the nonvanishing-curvature hypothesis fails.
+    function of one variable). ``sign_definite`` records whether the
+    enclosure of the second partial excludes 0; when it does not,
+    ``min_second`` is 0 and the nonvanishing-curvature hypothesis fails.
     """
 
     sup_first: float
     sup_second: float
     min_second: float
-    rigor: str
     sign_definite: bool
     sup_base: float
 
@@ -128,43 +118,34 @@ class MapNorms:
         return self.sign_definite and self.min_second > 0.0
 
 
-def map_norms(F: SmoothMapF, resolution: int = 1 << 8,
-              deriv_lipschitz: float | None = None,
-              require_curvature: bool = False) -> MapNorms:
-    """Grid extrema of |dF/dy|, |d2F/dy2| and |dF/dx| over the domain box."""
-    if resolution < (1 << 8):
-        raise ValidationError("grid resolution must be at least 2^8 per axis")
-    if (resolution + 1) ** len(F.domain) > (1 << 24):
-        raise ValidationError("grid exceeds the 2^24 point cap")
-    env = F.grid(resolution)
-    d1 = np.abs(np.asarray(F.first.eval(env), dtype=float))
-    d2v = np.asarray(F.second.eval(env), dtype=float)
-    d2 = np.abs(d2v)
-    sign_definite = bool((d2v > 0).all() or (d2v < 0).all())
-    sup1, sup2, min2 = float(d1.max()), float(d2.max()), float(d2.min())
+def _sup_abs(e: ex.Expr, box) -> float:
+    lo, hi = ex.enclose(e, box)
+    return max(-lo, hi)
+
+
+def map_norms(F: SmoothMapF) -> MapNorms:
+    """Enclosures of |dF/dy|, |d2F/dy2| and |dF/dx| over the domain box."""
+    lo, hi = ex.enclose(F.second, F.domain)
+    sign_definite = lo > 0.0 or hi < 0.0
     names = list(F.domain)
-    based = len(names) > 1
-    sup0 = (float(np.abs(np.asarray(F.expr.diff(names[0]).eval(env), dtype=float)).max())
-            if based else 0.0)
-    rigor = "grid-estimate"
-    if deriv_lipschitz is not None:
-        spans = [hi - lo for lo, hi in F.domain.values()]
-        h = max(spans) / resolution
-        pad = deriv_lipschitz * h / 2.0
-        sup1, sup2 = sup1 + pad, sup2 + pad
-        if based:
-            sup0 += pad
-        min2 = max(min2 - pad, 0.0)
-        if min2 == 0.0:
-            sign_definite = False
-        rigor = "certified"
-    if not sign_definite:
-        min2 = 0.0
-    if require_curvature and not (sign_definite and min2 > 0.0):
-        raise ValidationError(
-            "second fibre partial changes sign or vanishes on the box; "
-            "the nonvanishing-curvature hypothesis fails")
-    return MapNorms(sup1, sup2, min2, rigor, sign_definite, sup0)
+    return MapNorms(_sup_abs(F.first, F.domain), max(-lo, hi),
+                    max(lo, -hi) if sign_definite else 0.0, sign_definite,
+                    _sup_abs(F.expr.diff(names[0]), F.domain) if len(names) > 1 else 0.0)
+
+
+def _check_box(F: SmoothMapF, system):
+    """F's norms hold on its box, and a cylinder's anchor error assumes
+    |y| <= 1: per coordinate the box must lie in [-1, 1], hold the anchor
+    0, and be sent into itself by every map."""
+    if len(F.domain) != len(system.coordinates):
+        raise ValidationError("the function needs one variable per coordinate")
+    for (v, (lo, hi)), maps in zip(F.domain.items(), system.coordinates):
+        if not -1.0 <= lo <= 0.0 <= hi <= 1.0:
+            raise ValidationError(f"the box of {v!r} must lie in [-1, 1] and hold 0")
+        for m in maps:
+            a, b = m.image(lo, hi)
+            if min(a, b) < lo - 1e-9 or max(a, b) > hi + 1e-9:
+                raise ValidationError(f"a map sends the box of {v!r} outside itself")
 
 
 def pushforward_fourier(F: SmoothMapF, system, xi: float, tol: float = 1e-6,
@@ -178,31 +159,30 @@ def pushforward_fourier(F: SmoothMapF, system, xi: float, tol: float = 1e-6,
     ratio tol / (2*pi*|xi|*max(1, Lip)) keeps the total error below tol.
     On a fibre product (affine base, F of two variables) a cylinder stops
     once Lip_x(F)*|base ratio| + Lip_y(F)*|fibre ratio| <= tol / (2*pi*|xi|).
-    The label is "rigorous" only for certified derivative norms.
+    The label is "rigorous", as the norms are certified, except on smooth
+    systems: their walk misses its bound when the maps' contraction bounds
+    differ, so those values are "estimate"s.
     """
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
+    names = list(F.domain)
+    if F.fibre_var != names[-1]:  # anchors bind the fibre to the last variable
+        raise ValidationError(f"fibre variable {F.fibre_var!r} must be the "
+                              f"last domain variable {names[-1]!r}")
+    _check_box(F, system)
     if xi == 0:
         return FourierValue(0.0, 1.0 + 0.0j, 0.0)
     if norms is None:
-        norms = map_norms(F, resolution=1 << 8)
+        norms = map_norms(F)
     lip = norms.sup_first
-    kind = "rigorous" if norms.rigor == "certified" else "estimate"
     fibre = isinstance(system, FibreProductCIFS)
-    names = list(F.domain)
     if fibre:
-        if len(names) != 2:
-            raise ValidationError("fibre-product pushforward needs a "
-                                  "two-variable function")
-        if F.fibre_var != names[1]:  # anchors bind the fibre to names[1]
-            raise ValidationError(f"fibre variable {F.fibre_var!r} must be the "
-                                  f"second domain variable {names[1]!r}")
         lips, theta = (norms.sup_base, lip), tol / (TWO_PI * abs(xi))
     elif system.is_affine:
         lips, theta = (1.0,), tol / (TWO_PI * abs(xi) * max(1.0, lip))
     else:
         fv = _pushforward_smooth(F, system, xi, tol, budget, lip)
-        fv.kind = kind
+        fv.kind = "estimate"
         return fv
 
     value, worst, spread = 0.0 + 0.0j, 0.0, 0.0
@@ -215,7 +195,7 @@ def pushforward_fourier(F: SmoothMapF, system, xi: float, tol: float = 1e-6,
             worst = max(worst, float(piece.bounds.max()))
     err = TWO_PI * abs(xi) * (spread if fibre else lip * worst)
     return FourierValue(float(xi), value,
-                        min(err, tol) + TWO_PI * abs(xi) * system.tail_mass, kind)
+                        min(err, tol) + TWO_PI * abs(xi) * system.tail_mass)
 
 
 def _pushforward_smooth(F: SmoothMapF, system: CIFS, xi, tol, budget, lip):
@@ -471,13 +451,11 @@ class PrefixDecomposition:
     depth_cap: int
 
 
-def _cylinder_box(system, word):
-    """Interval (or product-box) image of the full domain under the word."""
-    fibred = isinstance(system, FibreProductCIFS)
-    box = ((0.0, 1.0),) * (2 if fibred else 1)
+def _cylinder_box(by_symbol, word, box):
+    """Image of ``box``, one interval per coordinate, under the word;
+    ``by_symbol`` maps a symbol to its maps, one per coordinate."""
     for s in reversed(word):
-        maps = (system.base_map(s), system.fibre_map(s)) if fibred else (system.maps[s],)
-        images = [m.image(*iv) for m, iv in zip(maps, box)]
+        images = [m.image(*iv) for m, iv in zip(by_symbol[s], box)]
         # a clipped SmoothMap.image can come out unordered
         box = tuple((min(a, b), max(a, b)) for a, b in images)
     return box
@@ -493,13 +471,10 @@ def prefix_decomposition(F: SmoothMapF, system, depth_cap: int = 12,
     only expanded when its own box fails to certify).
     """
     names = list(F.domain)
-    if isinstance(system, FibreProductCIFS):
-        if len(names) != 2:
-            raise ValidationError("fibre-product decomposition needs a "
-                                  "two-variable function")
-    elif len(names) != 1:
-        raise ValidationError("line-system decomposition needs a "
-                              "one-variable function")
+    if len(names) != len(system.coordinates):
+        raise ValidationError("the function needs one variable per coordinate")
+    by_symbol = dict(zip(system.alphabet, zip(*system.coordinates)))
+    unit = ((0.0, 1.0),) * len(names)
 
     def certifies(box_parts) -> bool:
         box = {v: iv for v, iv in zip(names, box_parts)}
@@ -515,7 +490,7 @@ def prefix_decomposition(F: SmoothMapF, system, depth_cap: int = 12,
         visits += 1
         if visits > budget:
             raise BudgetExhausted(f"prefix budget {budget} exhausted")
-        if certifies(_cylinder_box(system, word)):
+        if certifies(_cylinder_box(by_symbol, word, unit)):
             certified.append(word)
             covered += mass
         elif len(word) >= depth_cap:
@@ -564,7 +539,7 @@ def conjugate_ifs(psi: CIFS, forward: SmoothMapF, inverse: ex.Expr | str,
     if not psi.is_affine:
         raise ValidationError("conjugation starts from an affine system")
     var = forward.fibre_var
-    inv = ex.parse(inverse) if isinstance(inverse, str) else inverse
+    inv = inverse if isinstance(inverse, ex.Expr) else ex.parse(inverse)
     inv_vars = inv.variables()
     if len(inv_vars) > 1:
         raise ValidationError("inverse expression must use one variable")
@@ -584,8 +559,8 @@ def conjugate_ifs(psi: CIFS, forward: SmoothMapF, inverse: ex.Expr | str,
     if isinstance(forward.expr, ex.Var):
         return ConjugacyResult(psi, None if not verify else 0.0)
 
-    lip = forward.lipschitz_fibre()
-    maps, star = {}, {}
+    lip = _sup_abs(forward.first, forward.domain)
+    maps = {}
     for a in psi.alphabet:
         m = psi.maps[a]
         mid = ex.add(ex.mul(m.ratio, inv.subst({inv_var: ex.Var(var)})), m.translate)
@@ -598,9 +573,8 @@ def conjugate_ifs(psi: CIFS, forward: SmoothMapF, inverse: ex.Expr | str,
                 continue
         except ex.ExprError:
             pass
-        maps[a] = SmoothMap(comp, var, (0.0, 1.0),
-                            contraction_bound=abs(m.ratio), bound_kind="declared")
-    conjugated = CIFS(psi.alphabet, maps, dict(psi.weights), dim=1,
+        maps[a] = SmoothMap(comp, var, (0.0, 1.0), contraction_bound=abs(m.ratio))
+    conjugated = CIFS(psi.alphabet, maps, dict(psi.weights),
                       tail_mass=psi.tail_mass, diam_constant=max(lip, 1.0))
 
     ks = None

@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ffl import cli
 from ffl import disintegrate as dis
@@ -154,7 +157,7 @@ def test_pushforward_scan(tmp_path):
     rows = read_rows(out / "pushforward.csv")
     assert len(rows) == 8
     assert all(float(r[3]) <= 1.0 + float(r[4]) for r in rows)
-    assert {r[5] for r in rows} == {"estimate"}  # grid-estimated derivative norms
+    assert {r[5] for r in rows} == {"rigorous"}  # certified derivative norms
 
 
 def test_unknown_map_key_rejected(tmp_path, capsys):
@@ -433,3 +436,121 @@ def test_decay_bands_with_pushforward_method(tmp_path):
     doc = json.loads((out / "decay_bands.json").read_text())["result"]
     peaks = [b["peak"] for b in doc["bands"]]
     assert len(peaks) == 4 and all(0 < p <= 1.01 for p in peaks)
+
+
+def test_malformed_values_exit_2(tmp_path, capsys):
+    cantor = {"kind": "named", "name": "cantor"}
+    scan = {"xi_min": 1.0, "xi_max": 2.0, "points": 2}
+    cases = [
+        (["fourier-scan"], {"system": cantor, "scan": dict(scan, tol="abc")}),
+        (["fourier-scan"], {"system": cantor, "scan": dict(scan, points=None)}),
+        (["fourier-scan"], {"system": cantor, "scan": [1, 2]}),
+        (["fourier-scan"], {"system": cantor,
+                            "scan": dict(scan, xi_max=math.inf, method="product")}),
+        (["verify"], {"system": cantor, "scan": "abc"}),
+        (["decay", "sparse"], {"system": cantor, "decay": {"grid_step": 0, "limit": 9.0}}),
+        (["disintegrate", "consistency"], {"system": cantor,
+                                           "disintegrate": {"n_sequences": 0}}),
+        (["disintegrate", "consistency"], {"system": cantor,
+                                           "disintegrate": {"trunc_tol": 0}}),
+        (["equidist", "count"], {"equidist": {"horizon": math.inf}}),
+        (["pushforward-scan"], {"system": cantor, "map": {"expr": "(pow 2 1e308)"},
+                                "scan": scan}),
+        (["fourier-scan"], {"system": {"kind": "smooth1d", "weights": [1.0], "maps": [
+            {"expr": "(mul 0.5 x)", "deriv_lipschitz": 1.0}]}, "scan": scan}),
+        (["equidist", "count"], {"equidist": {"rate": None}}),
+        (["fourier-scan"], {"system": {"kind": "affine1d", "weights": [0.5, 0.5], "maps": [
+            {"ratio": math.nan, "translate": 1.0}, {"ratio": 0.1, "translate": 0.0}]},
+            "scan": scan}),
+        (["disintegrate", "sample"], {"system": {"kind": "affine1d", "weights": [0.5, 0.5],
+                                                 "maps": [{"ratio": 0.0, "translate": 0.0},
+                                                          {"ratio": 0.0, "translate": 1.0}]}}),
+    ]
+    for argv, config in cases:
+        cfg = write_config(tmp_path / "cfg.json", config)
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2, config
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"]["kind"] == "validation"
+
+
+# -- random configs ------------------------------------------------------------
+
+junk = st.sampled_from(["abc", None, [], {}, True, -1, 0, math.inf, math.nan])
+
+
+def either(good):
+    return good | junk
+
+
+def section(**keys):
+    return either(st.fixed_dictionaries({}, optional={k: either(v) for k, v in keys.items()}))
+
+
+small = st.integers(1, 4)
+frequency = st.floats(-8.0, 40.0)
+tolerance = st.sampled_from([0.3, 1e-2, 1e-3, 1e-6])
+expression = st.sampled_from(["(pow x 2)", "(pow x 3)", "(mul 0.3 x)", "(add 0.6 (mul 0.3 x))",
+                              "(add (mul 0.5 x) (pow y 2))", "(pow x 0.5)", "(div 1 x)",
+                              "(add x 4)", "(pow z 2)", "(", "x"])
+affine = st.lists(st.fixed_dictionaries({"ratio": either(st.floats(-0.9, 0.9)),
+                                         "translate": either(st.floats(-2.0, 2.0))}),
+                  min_size=1, max_size=3)
+systems = either(
+    st.fixed_dictionaries({"kind": st.just("named"),
+                           "name": st.sampled_from(["cantor", "dyadic-uniform", "nope"])})
+    | affine.map(lambda maps: {"kind": "affine1d", "maps": maps,
+                               "weights": [1 / len(maps)] * len(maps)})
+    | st.lists(st.fixed_dictionaries({"expr": expression}), min_size=1, max_size=2).map(
+        lambda maps: {"kind": "smooth1d", "maps": maps, "weights": [1 / len(maps)] * len(maps)})
+    | st.fixed_dictionaries({
+        "kind": st.just("fibre_product"),
+        "base": st.just([{"id": "L", "ratio": 0.5, "translate": 0.0},
+                         {"id": "R", "ratio": 0.5, "translate": 0.5}]),
+        "fibres": st.lists(st.fixed_dictionaries({
+            "base": st.sampled_from(["L", "R"]), "id": st.sampled_from(["a", "b", "c"]),
+            "ratio": either(st.sampled_from([1 / 3, 0.5])),
+            "translate": either(st.sampled_from([0.0, 1 / 3, 2 / 3])),
+            "weight": either(st.sampled_from([1 / 3, 0.5]))}), min_size=1, max_size=3)}))
+methods = st.sampled_from(["exact", "product", "montecarlo", "pushforward", "bogus"])
+configs = st.fixed_dictionaries({"system": systems}, optional={
+    "scan": section(xi_min=frequency, xi_max=frequency, points=st.integers(0, 5),
+                    tol=tolerance, method=methods, draws=st.integers(100, 300),
+                    factors=st.integers(1, 16)),
+    "map": section(expr=expression, fibre_var=st.sampled_from(["x", "y"]),
+                   inverse=expression, draws=st.integers(100, 500), ks_tol=st.just(0.5)),
+    "decay": section(band_base=st.sampled_from([2.0, 3.0]), band_min=small, band_max=small,
+                     samples_per_band=st.sampled_from([64]), method=methods, tol=tolerance,
+                     draws=st.integers(100, 200), exponent=st.floats(0.0, 0.5),
+                     limit=st.sampled_from([4.0, 9.0]), grid_step=st.sampled_from([0.25]),
+                     family_base=st.sampled_from([2.0, 3.0]), count=small,
+                     family=st.lists(frequency, max_size=3)),
+    "disintegrate": section(block_length=st.integers(1, 2), xis=st.lists(frequency, max_size=2),
+                            n_sequences=st.integers(1, 8), alpha=st.floats(0.0, 1.0),
+                            prefix_length=st.integers(1, 16), horizon_min=small,
+                            horizon_max=small, xi=frequency, trunc_tol=tolerance),
+    "equidist": section(base=st.sampled_from([2, 3, 10]), gamma=st.floats(0.0, 1.0),
+                        rate=st.sampled_from(["(div 1 (mul 2 n))", "(mul 0.1 (pow n 0))", "(pow n"]),
+                        horizon=st.integers(1, 64), seeds=st.integers(1, 2),
+                        harmonics=small, epsilon=st.floats(0.0, 2.0),
+                        terms=st.lists(st.integers(1, 9), max_size=3)),
+    "seed": either(st.integers(0, 9)),
+})
+commands = st.sampled_from([["fourier-scan"], ["pushforward-scan"], ["decay", "bands"],
+                            ["decay", "fit"], ["decay", "sparse"], ["decay", "probe"],
+                            ["disintegrate", "classes"], ["disintegrate", "sample"],
+                            ["disintegrate", "membership"], ["disintegrate", "ek"],
+                            ["disintegrate", "consistency"], ["equidist", "count"],
+                            ["equidist", "weyl"], ["equidist", "digits"], ["conjugate"],
+                            ["verify"], ["report"]])
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+@given(commands, configs)
+def test_random_configs_exit_with_a_code(command, config):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        code = main(command + ["--config", str(path), "--out", str(Path(tmp) / "o"),
+                               "--budget", "3000"])
+    assert code in (0, 2, 3)

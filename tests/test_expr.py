@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ffl import expr as ex
 
@@ -57,7 +59,88 @@ def test_interval_extension_contains_range():
 
 def test_interval_even_power_through_zero():
     lo, hi = ex.parse("(pow x 2)").interval({"x": (-2.0, 1.0)})
-    assert lo == 0.0 and hi == 4.0
+    assert lo == 0.0 and 4.0 <= hi <= 4.0 + 4 * math.ulp(4.0)
+
+
+def test_interval_rounds_outward():
+    # 0.1 + 0.2 rounds up to 0.30000000000000004, above the exact sum
+    lo, hi = ex.parse("(add x y)").interval({"x": (0.1, 0.1), "y": (0.2, 0.2)})
+    exact = Fraction(0.1) + Fraction(0.2)
+    assert lo <= exact <= hi and hi - lo <= 4 * math.ulp(0.3)
+
+
+def exact_value(e, env):
+    """The exact rational value of a tree without fractional powers."""
+    if isinstance(e, ex.Const):
+        return Fraction(e.value)
+    if isinstance(e, ex.Var):
+        return Fraction(env[e.name])
+    if isinstance(e, ex.Sum):
+        return sum((exact_value(t, env) for t in e.terms), Fraction(0))
+    if isinstance(e, ex.Prod):
+        return math.prod((exact_value(f, env) for f in e.factors), start=Fraction(1))
+    if isinstance(e, ex.Pow):
+        return exact_value(e.base, env) ** int(e.exponent)
+    return exact_value(e.num, env) / exact_value(e.den, env)
+
+
+trees = st.recursive(
+    st.sampled_from([ex.Var("x"), ex.Var("y")])
+    | st.floats(-4, 4, allow_subnormal=False).map(ex.Const),
+    lambda kids: (st.tuples(kids, kids).map(ex.Sum)
+                  | st.tuples(kids, kids).map(ex.Prod)
+                  | st.tuples(kids, st.integers(0, 4)).map(lambda t: ex.Pow(t[0], float(t[1])))
+                  | st.tuples(kids, kids).map(lambda t: ex.Quot(*t))),
+    max_leaves=8)
+sides = st.tuples(st.floats(-3, 3), st.floats(-3, 3)).map(sorted)
+
+
+@settings(max_examples=60, deadline=None)
+@given(trees, sides, sides, st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1)),
+                                     min_size=1, max_size=4))
+def test_enclosure_holds_every_sampled_value(e, bx, by, fractions):
+    box = {"x": tuple(bx), "y": tuple(by)}
+    lo, hi = ex.enclose(e, box)
+    corners = [(a, b) for a in bx for b in by]
+    inside = [(bx[0] + s * (bx[1] - bx[0]), by[0] + t * (by[1] - by[0]))
+              for s, t in fractions]
+    for x, y in corners + inside:
+        x, y = min(max(x, bx[0]), bx[1]), min(max(y, by[0]), by[1])
+        try:
+            value = exact_value(e, {"x": x, "y": y})
+        except ZeroDivisionError:
+            continue
+        assert lo <= value <= hi
+        plo, phi = e.interval({"x": (x, x), "y": (y, y)})
+        assert plo <= value <= phi
+
+
+def test_enclosure_tightens_by_bisection():
+    # x (1 - x) repeats x: its natural extension on [0, 1] is [0, 1]
+    e = ex.parse("(mul x (add 1 (neg x)))")
+    assert e.interval({"x": (0.0, 1.0)})[1] >= 1.0
+    lo, hi = ex.enclose(e, {"x": (0.0, 1.0)})
+    assert -1e-12 <= lo <= 0.0 and 0.25 <= hi <= 0.2501
+
+
+atoms = st.sampled_from(["x", "y", "0", "1", "-2", "0.5", "3", "1e308", "1e-320",
+                         "nan", "inf", "1x", "foo", ")"])
+prefix = st.recursive(
+    atoms, lambda kids: st.tuples(
+        st.sampled_from(["add", "sub", "mul", "div", "neg", "pow", "compose", "frob"]),
+        st.lists(kids, max_size=3),
+    ).map(lambda t: "(" + " ".join((t[0], *t[1])) + ")"), max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix | st.lists(atoms | st.just("("), max_size=12).map(" ".join) | st.none()
+       | st.text(max_size=24))
+def test_parse_returns_a_tree_or_raises_expr_error(text):
+    try:
+        tree = ex.parse(text)
+    except ex.ExprError:
+        return
+    assert isinstance(tree, ex.Expr)
 
 
 def test_interval_quotient_with_zero_denominator():

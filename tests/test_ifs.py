@@ -116,11 +116,20 @@ def test_cifs_rejects_expansion():
 
 def test_smooth_map_certification():
     m = SmoothMap.from_expr("(add (mul 0.2 (pow x 2)) (mul 0.5 x))")
-    assert m.contraction_bound < 1.0 and m.bound_kind == "grid"
+    # the enclosure of f' = 0.4 x + 0.5 covers its sup 0.9
+    assert 0.9 <= m.contraction_bound <= 0.9 + 1e-12 and m.bound_kind == "certified"
     with pytest.raises(ValidationError):
         SmoothMap.from_expr("(mul 1.5 x)")  # expands
     with pytest.raises(ValidationError):
         SmoothMap.from_expr("(add x 0.5)")  # leaves the box
+
+
+def test_smooth_map_rejects_a_slope_no_grid_sees():
+    # f' = 1 - (x - 1/3)^2 reaches 1 at x = 1/3, between grid points; f
+    # sends [0, 1] into [0.012, 0.902]
+    with pytest.raises(ValidationError, match="not < 1"):
+        SmoothMap.from_expr("(add x (mul -0.3333333333333333 "
+                            "(pow (add x -0.3333333333333333) 3)))")
 
 
 def test_tail_mass_accounting():

@@ -149,6 +149,13 @@ def test_montecarlo_matches_exact(cantor):
     assert abs(fv.value - target) <= 4 / math.sqrt(m)
 
 
+def test_montecarlo_value_does_not_depend_on_the_batch(cantor):
+    sampler = make_sampler(cantor)
+    alone = fourier_montecarlo(sampler, [5.0], 1000, seed=3)[0]
+    behind = fourier_montecarlo(sampler, [2.0, 5.0], 1000, seed=3)[1]
+    assert alone.value == behind.value
+
+
 def test_montecarlo_rejects_tiny_runs(cantor):
     with pytest.raises(ValidationError):
         fourier_montecarlo(make_sampler(cantor), [1.0], 10, seed=0)

@@ -150,9 +150,9 @@ def fourier_rows(values) -> list:
 
 def make_evaluator(system, scan: dict, seed: int, budget: int, map_section=None):
     """The scan section's evaluator: a callable xis -> list with one
-    FourierValue, or BudgetExhausted, per frequency. The exact and Monte
-    Carlo methods take the whole batch; the others evaluate the
-    frequencies one by one."""
+    FourierValue, or BudgetExhausted, per frequency. The product method
+    evaluates the frequencies one by one; the others take the whole
+    batch."""
     method = scan.get("method", "exact")
     tol = float(scan.get("tol", 1e-6))
     if method == "exact":
@@ -163,37 +163,18 @@ def make_evaluator(system, scan: dict, seed: int, budget: int, map_section=None)
         return lambda xis: meas.fourier_montecarlo(sampler, xis, draws, seed)
     if method == "product":
         factors = int(scan.get("factors", 64))
-        one = lambda xi: meas.fourier_product_homogeneous(system, xi, factors)
-    elif method == "pushforward":
+        return lambda xis: [meas.fourier_product_homogeneous(system, xi, factors)
+                            for xi in xis]
+    if method == "pushforward":
         if map_section is None:
             raise ValidationError("pushforward method needs a map section")
         check_keys(map_section, {"expr", "fibre_var"}, "map")
         F = push.SmoothMapF.parse(map_section["expr"],
                                   fibre_var=map_section.get("fibre_var"))
         norms = push.map_norms(F)
-        one = lambda xi: push.pushforward_fourier(F, system, xi, tol=tol,
-                                                  budget=budget, norms=norms)
-    else:
-        raise ValidationError(f"unknown method {method!r}")
-
-    def evaluate(xis):
-        # A stopping threshold shrinks as |xi| grows, so every frequency at
-        # least as large as one over budget is over budget too: it gets that
-        # BudgetExhausted without a walk of its own.
-        entries, cut, over = [], math.inf, None
-        for xi in xis:
-            if not math.isfinite(xi):
-                raise ValidationError("frequencies must be finite")
-            if abs(xi) >= cut:
-                entries.append(over)
-                continue
-            try:
-                entries.append(one(xi))
-            except BudgetExhausted as err:
-                entries.append(err)
-                cut, over = abs(xi), err
-        return entries
-    return evaluate
+        return lambda xis: push.pushforward_fourier(F, system, xis, tol=tol,
+                                                    budget=budget, norms=norms)
+    raise ValidationError(f"unknown method {method!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,8 @@ def band_maxima(evaluator, band_indices, samples_per_band: int = 64,
     """
     if samples_per_band < 64:
         raise ValidationError("need at least 64 samples per band")
+    if not band_base > 1:  # a base <= 1 repeats or shrinks the band [1, 2]
+        raise ValidationError("band base must exceed 1")
     out = []
     for j in band_indices:
         lower = band_base ** j
@@ -183,6 +185,8 @@ def rajchman_probe(evaluator, family, count: int | None = None) -> list:
         if count is None:
             raise ValidationError("geometric family needs a count")
         base = float(family[1])
+        if not base > 1:
+            raise ValidationError("geometric family base must exceed 1")
         freqs = [base ** n for n in range(count)]
     else:
         freqs = [float(f) for f in family]

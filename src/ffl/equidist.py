@@ -271,6 +271,10 @@ class CountResult:
 
 def count_hits(x, spec: EquidistSpec, epsilon: float = 1.0) -> CountResult:
     """Count n <= horizon with dist(q_n x - gamma, Z) <= psi(n), exactly."""
+    if not epsilon > 0:
+        raise ValidationError("epsilon must be positive")
+    if spec.horizon < 1:
+        raise ValidationError("horizon must be >= 1")
     psi = spec.rate.values(spec.horizon)
     ys, exact = _orbit_floats(x, spec)
     gamma = spec.gamma

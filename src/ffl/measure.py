@@ -5,8 +5,9 @@ measure on the line:
 
   * ``fourier_exact_batch`` - cylinder expansion over a stopping set, with a
                              rigorous error bound (affine systems), for a
-                             whole batch of frequencies in one sweep;
-                             ``fourier_exact`` is its one-frequency call;
+                             whole batch of frequencies in one sweep of the
+                             array kernel ``exact_sweep``; ``fourier_exact``
+                             is its one-frequency call;
   * ``fourier_product_homogeneous`` - truncated infinite product (equal
                              contraction ratios only), rigorous bound;
   * ``fourier_montecarlo`` - empirical character sums, statistical bound.
@@ -170,15 +171,15 @@ def _ratio_bands(ratios, theta: float, budget: int) -> list:
     return bands
 
 
-def fourier_exact_batch(cifs: CIFS, xis, tol: float = 1e-9,
-                        budget: int = DEFAULT_BUDGET) -> list:
-    """Evaluate the transform of an affine 1-D stationary measure at every
-    frequency of ``xis``, each with rigorous error at most ``tol`` (plus any
-    recorded tail effect). Returns one entry per frequency, in input order:
-    a FourierValue, or a BudgetExhausted for a frequency over budget.
+def exact_sweep(cifs: CIFS, xis, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
+    """The array kernel of ``fourier_exact_batch``: the transform at every
+    frequency of ``xis`` as a complex ndarray, each within ``tol`` (plus any
+    recorded tail effect), and the budget cut. A frequency xi != 0 is over
+    budget when its stopping threshold tol / (2*pi*R*|xi|) lies below the
+    cut; its entry is NaN.
 
     At frequency xi the measure is expanded over the prefix-free set of
-    words whose composed ratio first drops below tol / (2*pi*R*|xi|), R the
+    words whose composed ratio first drops below that threshold, R the
     system's ``radius``; each cylinder integral is replaced by the character
     at the cylinder anchor (the image of 0), which costs at most
     2*pi*|xi|*R*|ratio| per unit of mass. Prefixes with equal composed ratio
@@ -187,7 +188,8 @@ def fourier_exact_batch(cifs: CIFS, xis, tol: float = 1e-9,
     and swept bottom-up with every node a vector over the frequencies; a
     child counts as 1 for each frequency whose threshold it does not exceed.
     A frequency is over budget when more than ``budget`` distinct non-root
-    ratios lie above its threshold.
+    ratios lie above its threshold. Each value is the same, bit for bit,
+    whatever else is in the batch.
     """
     if not cifs.is_affine:
         raise ValidationError("fourier_exact needs an affine 1-D system")
@@ -198,17 +200,15 @@ def fourier_exact_batch(cifs: CIFS, xis, tol: float = 1e-9,
         raise ValidationError("frequencies must be finite")
     scale = TWO_PI * cifs.radius
     live = np.flatnonzero(xis != 0)
-    thetas = tol / (scale * np.abs(xis[live]))
+    with np.errstate(over="ignore"):  # a subnormal frequency stops at the root
+        thetas = tol / (scale * np.abs(xis[live]))
     ratios = cifs.ratios()
     bands = _ratio_bands(ratios, float(thetas.min()), budget) if live.size else [np.ones(1)]
     nodes = np.concatenate(bands)[:budget + 2]
     cut = abs(nodes[-1]) if nodes.size > budget + 1 else 0.0
 
-    out = [FourierValue(0.0, 1.0 + 0.0j, 0.0) for _ in xis]
-    for i in live[thetas < cut]:
-        out[i] = BudgetExhausted(
-            f"stopping-set budget {budget} exhausted at frequency {xis[i]}",
-            achieved=scale * abs(xis[i]) * cut)
+    out = np.ones(xis.size, dtype=complex)
+    out[live[thetas < cut]] = np.nan
     order = np.argsort(-thetas)
     order = order[thetas[order] >= cut]
     live, thetas = live[order], thetas[order]
@@ -240,8 +240,31 @@ def fourier_exact_batch(cifs: CIFS, xis, tol: float = 1e-9,
                 sub = np.where(np.abs(kids[rows, None, :]) > theta[:, None], sub, 1.0)
                 phase = character((nodes[rows, None] * xi)[:, :, None] * translates)
                 vals[rows] = np.sum(weights * phase * sub, axis=-1)
-        for k, x, v in zip(ids, xi, vals[0]):
-            out[k] = FourierValue(float(x), complex(v), tol + _tail_effect(cifs, x))
+        out[ids] = vals[0]
+    return out, cut
+
+
+def fourier_exact_batch(cifs: CIFS, xis, tol: float = 1e-9,
+                        budget: int = DEFAULT_BUDGET) -> list:
+    """Evaluate the transform of an affine 1-D stationary measure at every
+    frequency of ``xis``, each with rigorous error at most ``tol`` (plus any
+    recorded tail effect), by ``exact_sweep``. Returns one entry per
+    frequency, in input order: a FourierValue, or a BudgetExhausted for a
+    frequency over budget.
+    """
+    values, cut = exact_sweep(cifs, xis, tol, budget)
+    xis = np.atleast_1d(np.asarray(xis, dtype=float))
+    scale = TWO_PI * cifs.radius
+    out = []
+    for x, v in zip(xis.tolist(), values.tolist()):
+        if x == 0:
+            out.append(FourierValue(0.0, 1.0 + 0.0j, 0.0))
+        elif v != v:  # NaN: over budget
+            out.append(BudgetExhausted(
+                f"stopping-set budget {budget} exhausted at frequency {x}",
+                achieved=scale * abs(x) * cut))
+        else:
+            out.append(FourierValue(x, v, tol + _tail_effect(cifs, x)))
     return out
 
 
@@ -275,6 +298,8 @@ def fourier_product_homogeneous(cifs: CIFS, xi: float, factors: int = 64) -> Fou
         raise ValidationError("product evaluator needs equal contraction ratios")
     if factors < 1:
         raise ValidationError("factors must be >= 1")
+    if not math.isfinite(xi):
+        raise ValidationError("frequencies must be finite")
     if xi == 0:
         return FourierValue(0.0, 1.0 + 0.0j, 0.0)
     translates = np.array([cifs.maps[a].translate for a in cifs.alphabet])

@@ -1,14 +1,19 @@
 """Fourier transforms of nonlinear images of stationary measures.
 
-The transform of F(mu) is a sum over stopping cylinders of weight times
-the character at F(anchor), with the cylinders (and stopping words) of
-affine systems from ``system.cylinders``; smooth systems have their own
-walk. Values on affine line systems and fibre products are "rigorous":
-their error bounds rest on derivative norms certified by interval
-enclosure over F's box, which the system must map into itself. Values on
-smooth systems are "estimate"s. Also here: polynomial level-set covers,
-the good/bad frequency-sum split, certified prefix decompositions by
-interval arithmetic, and conjugation by smooth coordinate changes.
+The transform of F(mu) is a sum over stopping cylinders, with the
+cylinders (and stopping words) of affine systems from ``system.cylinders``.
+On an affine line system F is almost affine on a small cylinder, so each
+cylinder contributes weight * e(xi F(a)) * mu^(xi F'(a) rho), a its anchor
+and rho its ratio, at a cost of at most pi |xi| sup|F''| R^2 rho^2 per unit
+of mass; a batch of frequencies takes one exact sweep for the transforms
+of mu. Fibre products replace each cylinder by the character at F(anchor);
+smooth systems have their own first-order walk. Values on affine line
+systems and fibre products are "rigorous": their error bounds rest on
+derivative norms certified by interval enclosure over F's box, which the
+system must map into itself. Values on smooth systems are "estimate"s.
+Also here: polynomial level-set covers, the good/bad frequency-sum split,
+certified prefix decompositions by interval arithmetic, and conjugation by
+smooth coordinate changes.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import numpy as np
 from . import expr as ex
 from .ifs import (CIFS, FibreProductCIFS, AffineMap, SmoothMap, Word,
                   BudgetExhausted, ValidationError)
-from .measure import FourierValue, character, TWO_PI, DEFAULT_BUDGET
+from .measure import (FourierValue, character, exact_sweep, require_values,
+                      TWO_PI, DEFAULT_BUDGET)
 from .rng import stream_rng
 
 
@@ -148,20 +154,33 @@ def _check_box(F: SmoothMapF, system):
                 raise ValidationError(f"a map sends the box of {v!r} outside itself")
 
 
-def pushforward_fourier(F: SmoothMapF, system, xi: float, tol: float = 1e-6,
+def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
                         budget: int = DEFAULT_BUDGET,
-                        norms: MapNorms | None = None) -> FourierValue:
-    """Transform of the image measure F(mu) at ``xi`` by cylinder expansion.
+                        norms: MapNorms | None = None) -> list:
+    """Transform of the image measure F(mu) at every frequency of ``xis``.
 
-    Each stopping cylinder contributes its weight times the character at
-    F(anchor); replacing the cylinder integral costs at most
-    2*pi*|xi| * Lip(F) * diameter per unit mass, so stopping at composed
-    ratio tol / (2*pi*|xi|*max(1, Lip)) keeps the total error below tol.
-    On a fibre product (affine base, F of two variables) a cylinder stops
-    once Lip_x(F)*|base ratio| + Lip_y(F)*|fibre ratio| <= tol / (2*pi*|xi|).
-    The label is "rigorous", as the norms are certified, except on smooth
-    systems: their walk misses its bound when the maps' contraction bounds
-    differ, so those values are "estimate"s.
+    Returns one entry per frequency, in input order: a FourierValue, or the
+    BudgetExhausted of a frequency over its budget. Stopping sets grow with
+    |xi|, so every frequency at least as large as one over budget is over
+    budget too, without a walk of its own.
+
+    On an affine line system the cylinder of a word w carries
+    weight * (f_w)_* mu with f_w(y) = rho_w * y + a_w. On it F is almost
+    affine: F(f_w(y)) = F(a_w) + F'(a_w) rho_w y + F''(c) (rho_w y)^2 / 2,
+    with y and c in F's box, so y^2 <= R^2 with R = max(|lo|, |hi|). The
+    cylinder contributes weight * e(xi F(a_w)) * mu^(xi F'(a_w) rho_w) at a
+    cost of at most c2 |xi| rho_w^2 per unit of mass, c2 = pi sup|F''| R^2.
+    Words stop once |rho_w| <= sqrt(tol / (2 c2 |xi|)), so that cost sums
+    to at most tol / 2; the transforms of mu at the cylinders of the whole
+    batch come from one ``exact_sweep`` at tol / 2.
+
+    On a fibre product (affine base, F of two variables) each cylinder
+    contributes its weight times the character at F(anchor), and stops once
+    Lip_x(F)*|base ratio| + Lip_y(F)*|fibre ratio| <= tol / (2*pi*|xi|). The
+    label is "rigorous", as the norms are certified, except on smooth
+    systems, which take a first-order walk of their own: it misses its
+    bound when the maps' contraction bounds differ, so those values are
+    "estimate"s.
     """
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
@@ -170,32 +189,95 @@ def pushforward_fourier(F: SmoothMapF, system, xi: float, tol: float = 1e-6,
         raise ValidationError(f"fibre variable {F.fibre_var!r} must be the "
                               f"last domain variable {names[-1]!r}")
     _check_box(F, system)
-    if xi == 0:
-        return FourierValue(0.0, 1.0 + 0.0j, 0.0)
+    xis = np.atleast_1d(np.asarray(xis, dtype=float))
+    if not np.isfinite(xis).all():
+        raise ValidationError("frequencies must be finite")
     if norms is None:
         norms = map_norms(F)
-    lip = norms.sup_first
-    fibre = isinstance(system, FibreProductCIFS)
-    if fibre:
-        lips, theta = (norms.sup_base, lip), tol / (TWO_PI * abs(xi))
-    elif system.is_affine:
-        lips, theta = (1.0,), tol / (TWO_PI * abs(xi) * max(1.0, lip))
+    line = not isinstance(system, FibreProductCIFS) and system.is_affine
+    if line:
+        (lo, hi), = F.domain.values()
+        c2 = math.pi * norms.sup_second * max(abs(lo), abs(hi)) ** 2
+        one = _line_cylinders(F, system, c2, tol / 2, budget)
+    elif isinstance(system, FibreProductCIFS):
+        one = lambda xi: _pushforward_fibre(F, system, xi, tol, budget, norms)
     else:
-        fv = _pushforward_smooth(F, system, xi, tol, budget, lip)
-        fv.kind = "estimate"
-        return fv
+        one = lambda xi: _pushforward_smooth(F, system, xi, tol, budget, norms.sup_first)
+    order = np.argsort(np.abs(xis), kind="stable")
+    out, over = [None] * xis.size, None
+    for i in order:
+        if xis[i] == 0:
+            out[i] = FourierValue(0.0, 1.0 + 0.0j, 0.0)
+            continue
+        try:
+            out[i] = over or one(float(xis[i]))
+        except BudgetExhausted as err:
+            out[i] = over = err
+    if line:
+        _line_values(system, xis, out, order, c2, tol / 2, budget)
+    return out
 
-    value, worst, spread = 0.0 + 0.0j, 0.0, 0.0
-    for piece in system.cylinders.walk(theta, lips, budget):
+
+def _line_cylinders(F: SmoothMapF, system: CIFS, c2, half, budget):
+    """xi -> the stopping cylinders of the second-order rule at xi, as
+    arrays of weights, ratios, F and F' at the anchors."""
+    seen = {}  # a cached sweep recurs across frequencies
+
+    def at(e, a):
+        return np.broadcast_to(np.asarray(e.eval({F.fibre_var: a}), dtype=float), a.shape)
+
+    def one(xi):
+        scale = c2 * abs(xi)  # an affine F (c2 = 0) stops every word at length 1
+        theta = min(1.0, math.sqrt(half / scale)) if scale > 0 else 1.0
+        parts = []
+        for p in system.cylinders.walk(theta, (1.0,), budget):
+            if id(p.anchors) not in seen:
+                seen[id(p.anchors)] = (p.weights, p.ratios[0], at(F.expr, p.anchors[0]),
+                                       at(F.first, p.anchors[0]), p)
+            parts.append(seen[id(p.anchors)][:4])
+        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+    return one
+
+
+def _line_values(system: CIFS, xis, out, order, c2, half, budget):
+    """Replace the cylinders in ``out`` by values, with one ``exact_sweep``
+    at ``half`` over the distinct transform arguments of the batch."""
+    walked = [i for i in order if isinstance(out[i], tuple)]
+    if not walked:
+        return
+    args = np.concatenate([xis[i] * out[i][3] * out[i][1] for i in walked])
+    by_value = np.argsort(args)
+    fresh = np.append(True, args[by_value[1:]] != args[by_value[:-1]])
+    where = np.empty(args.size, dtype=int)  # np.unique loads numpy.ma
+    where[by_value] = np.cumsum(fresh) - 1
+    mu, _ = exact_sweep(system, args[by_value[fresh]], half, budget)
+    start, over = 0, None
+    for i in walked:
+        xi, (w, rho, f, _) = float(xis[i]), out[i]
+        m = mu[where[start:start + w.size]]
+        start += w.size
+        if over is None and np.isnan(m).any():  # a cylinder's transform is over budget
+            over = BudgetExhausted(f"stopping-set budget {budget} exhausted at "
+                                   f"frequency {xi}")
+        if over is not None:
+            out[i] = over
+            continue
+        value = complex(np.sum(w * character(xi * f) * m))
+        err = c2 * abs(xi) * float(np.sum(w * rho * rho)) + half
+        out[i] = FourierValue(xi, value, err + TWO_PI * abs(xi) * system.tail_mass)
+
+
+def _pushforward_fibre(F: SmoothMapF, system, xi, tol, budget, norms):
+    """First-order cylinder sum at one frequency on a fibre product."""
+    names = list(F.domain)
+    value, spread = 0.0 + 0.0j, 0.0
+    for piece in system.cylinders.walk(tol / (TWO_PI * abs(xi)),
+                                       (norms.sup_base, norms.sup_first), budget):
         vals = np.asarray(F.expr.eval(dict(zip(names, piece.anchors))), dtype=float)
         value += complex(np.sum(piece.weights * character(xi * vals)))
-        if fibre:
-            spread += float(np.sum(piece.weights * piece.bounds))
-        else:
-            worst = max(worst, float(piece.bounds.max()))
-    err = TWO_PI * abs(xi) * (spread if fibre else lip * worst)
-    return FourierValue(float(xi), value,
-                        min(err, tol) + TWO_PI * abs(xi) * system.tail_mass)
+        spread += float(np.sum(piece.weights * piece.bounds))
+    err = TWO_PI * abs(xi) * spread
+    return FourierValue(xi, value, min(err, tol) + TWO_PI * abs(xi) * system.tail_mass)
 
 
 def _pushforward_smooth(F: SmoothMapF, system: CIFS, xi, tol, budget, lip):
@@ -225,7 +307,7 @@ def _pushforward_smooth(F: SmoothMapF, system: CIFS, xi, tol, budget, lip):
             else:
                 stack.append((word + (s,), nb, na))
     err = TWO_PI * abs(xi) * lip * diam0 * threshold
-    return FourierValue(float(xi), total, min(err, tol))
+    return FourierValue(float(xi), total, min(err, tol), kind="estimate")
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +508,7 @@ def split_fourier(F: SmoothMapF, cifs: CIFS, xi: float, delta: float = 0.2,
             bad_mass += w.weight
         else:
             good += contrib
-    reference = pushforward_fourier(F, cifs, xi, tol=tol, budget=budget)
+    reference = require_values(pushforward_fourier(F, cifs, [xi], tol=tol, budget=budget))[0]
     total = good + bad
     word_err = TWO_PI * abs(xi) * map_norms(F).sup_first * abs(xi) ** (-delta)
     gap = abs(total - reference.value)

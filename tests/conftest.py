@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ffl.ifs import CIFS, AffineMap, cantor_system, dyadic_uniform_system
 
@@ -32,3 +33,20 @@ def lebesgue_transform(xi):
     if xi == 0:
         return 1.0 + 0.0j
     return (1.0 - np.exp(-2j * np.pi * xi)) / (2j * np.pi * xi)
+
+
+@st.composite
+def unit_systems(draw, max_ratio=0.6):
+    """Random 2-3-map affine systems that send [0, 1] into itself, with
+    random weights; half of them share one ratio."""
+    n = draw(st.integers(2, 3))
+    ratios = [draw(st.floats(0.1, max_ratio)) * draw(st.sampled_from([-1.0, 1.0]))
+              for _ in range(n)]
+    if draw(st.booleans()):
+        ratios = [ratios[0]] * n
+    maps = {}
+    for k, r in enumerate(ratios):
+        lo, hi = (0.0, 1.0 - r) if r > 0 else (-r, 1.0)
+        maps[k] = AffineMap(r, draw(st.floats(lo, hi)))
+    raw = [draw(st.floats(0.1, 1.0)) for _ in range(n)]
+    return CIFS(tuple(range(n)), maps, {k: w / sum(raw) for k, w in enumerate(raw)})

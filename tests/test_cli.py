@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ffl import cli
 from ffl import disintegrate as dis
+from ffl import ifs
 from ffl.cli import main, make_evaluator
 from ffl.ifs import cantor_system
 
@@ -350,35 +351,64 @@ def test_exact_scan_and_verify_are_one_batch_call_each(tmp_path, monkeypatch):
 
 def test_no_walk_past_the_first_exhausted_frequency(tmp_path, monkeypatch, capsys):
     walked = []
-    real = cli.push.pushforward_fourier
+    real = ifs._CylinderEngine.walk
 
-    def counted(F, system, xi, **kwargs):
-        walked.append(xi)
-        return real(F, system, xi, **kwargs)
+    def counted(engine, theta, *args, **kwargs):
+        walked.append(theta)
+        return real(engine, theta, *args, **kwargs)
 
-    monkeypatch.setattr(cli.push, "pushforward_fourier", counted)
+    monkeypatch.setattr(ifs._CylinderEngine, "walk", counted)
     cfg = write_config(tmp_path / "cfg.json", {
         "system": {"kind": "named", "name": "cantor"},
         "map": {"expr": "(pow x 2)"},
         "scan": {"xi_min": 1.0, "xi_max": 256.0, "points": 9, "tol": 0.1},
     })
     code = main(["pushforward-scan", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--budget", "300"])
+                 "--budget", "20"])
     assert code == 3
     assert json.loads(capsys.readouterr().err.strip())["error"]["kind"] == "budget"
-    assert walked == [1.0, 32.875]  # the second is over budget; 7 rows skipped
+    assert len(walked) == 2  # xi = 1 and 32.875, which is over budget; 7 rows skipped
 
     section = {"method": "pushforward", "tol": 0.1}
-    evaluate = make_evaluator(cantor_system(), section, 0, 300,
+    evaluate = make_evaluator(cantor_system(), section, 0, 20,
                               map_section={"expr": "(pow x 2)"})
-    xis = [64.0, 2.0, -16.0, 256.0, 31.0, 33.0, 8.0, -40.0]
+    xis = [64.0, 2.0, -16.0, 256.0, 31.0, 33.0, 1.0, -40.0]
     walked.clear()
     entries = evaluate(xis)
-    assert walked == [64.0, 2.0, -16.0, 31.0, 8.0]
+    assert len(walked) == 3  # by |xi|: 1, 2, then -16 is over budget
+    assert [isinstance(e, cli.BudgetExhausted) for e in entries] == \
+        [True, False, True, True, True, True, False, True]
     alone = [evaluate([xi])[0] for xi in xis]
     assert [type(e) for e in entries] == [type(e) for e in alone]
     assert [e.value for e in entries if not isinstance(e, cli.BudgetExhausted)] == \
         [e.value for e in alone if not isinstance(e, cli.BudgetExhausted)]
+
+
+def test_decay_fit_makes_one_pushforward_and_one_kernel_call_per_band(tmp_path,
+                                                                       monkeypatch):
+    batches, sweeps = [], []
+    pushforward, sweep = cli.push.pushforward_fourier, cli.push.exact_sweep
+
+    def counted_pushforward(F, system, xis, **kwargs):
+        batches.append(len(xis))
+        return pushforward(F, system, xis, **kwargs)
+
+    def counted_sweep(system, args, *rest):
+        sweeps.append(len(args))
+        return sweep(system, args, *rest)
+
+    monkeypatch.setattr(cli.push, "pushforward_fourier", counted_pushforward)
+    monkeypatch.setattr(cli.push, "exact_sweep", counted_sweep)
+    cfg = write_config(tmp_path / "cfg.json", {
+        "system": {"kind": "named", "name": "cantor"},
+        "map": {"expr": "(pow x 2)"},
+        "decay": {"band_base": 3.0, "band_min": 3, "band_max": 6,
+                  "samples_per_band": 64, "method": "pushforward", "tol": 1e-3},
+        "seed": 1,
+    })
+    assert main(["decay", "fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert batches == [64] * 4
+    assert len(sweeps) == 4 and all(n >= 64 for n in sweeps)
 
 
 def test_verify_redraws_montecarlo_rows(tmp_path, monkeypatch):
@@ -471,6 +501,36 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         assert main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2, config
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["kind"] == "validation"
+
+
+def test_band_base_at_most_one_exits_2(tmp_path, capsys):
+    # base 1 made every band [1, 2], so a fit ran over copies of one band
+    for base in (1.0, 0.5):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "system": {"kind": "named", "name": "cantor"},
+            "decay": {"band_base": base, "band_min": 1, "band_max": 3, "tol": 1e-3}})
+        assert main(["decay", "bands", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "band base" in json.loads(capsys.readouterr().err.strip())["error"]["message"]
+
+
+def test_probe_family_base_at_most_one_exits_2(tmp_path, capsys):
+    # base 0 evaluated xi = 1, 0, 0
+    for base in (0.0, 1.0):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "system": {"kind": "named", "name": "cantor"},
+            "decay": {"family_base": base, "count": 3, "tol": 1e-3}})
+        assert main(["decay", "probe", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "family base" in json.loads(capsys.readouterr().err.strip())["error"]["message"]
+
+
+def test_equidist_count_needs_positive_epsilon_and_horizon(tmp_path, capsys):
+    # epsilon -1 read pass_fraction_unit_band 1.0; horizon 0 counted nothing
+    for bad, word in (({"epsilon": -1.0}, "epsilon"), ({"epsilon": 0.0}, "epsilon"),
+                      ({"horizon": 0}, "horizon")):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "equidist": dict({"base": 2, "horizon": 10, "seeds": 1}, **bad)})
+        assert main(["equidist", "count", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert word in json.loads(capsys.readouterr().err.strip())["error"]["message"]
 
 
 # -- random configs ------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The batched exact evaluator against a per-frequency depth-first oracle."""
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -166,3 +167,12 @@ def test_exact_bound_holds_for_a_far_attractor():
 def test_sampler_accuracy_covers_a_far_attractor():
     res = sample_points(far_system(), 10, tol=1e-6, seed=1)
     assert 2000.0 * 0.5 ** res.depth <= res.accuracy <= 1e-6
+
+
+def test_subnormal_frequency_stops_at_the_root_without_a_warning():
+    # tol / (2 pi R |xi|) overflows to inf for a subnormal xi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tiny, one = fourier_exact_batch(two_ratio(), [5e-324, 1.0], tol=1e-6)
+    assert abs(tiny.value - 1.0) <= tiny.error_bound
+    assert one.value == fourier_exact(two_ratio(), 1.0, tol=1e-6).value

@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import lebesgue_transform
+from conftest import lebesgue_transform, unit_systems
 from ffl.ifs import (CIFS, AffineMap, BudgetExhausted, SmoothMap, ValidationError,
                      build_fibre_product)
 from ffl.rng import stream_rng
-from ffl.measure import (fourier_exact, fourier_product_homogeneous,
+from ffl.measure import (fourier_exact, fourier_exact_batch, fourier_product_homogeneous,
                          fourier_montecarlo, make_sampler, sample_points,
                          frostman_profile, cylinder_decomposition)
 
@@ -162,6 +163,21 @@ def test_montecarlo_rejects_tiny_runs(cantor):
 
 
 # -- cross-method and structural invariants -----------------------------------
+
+@settings(max_examples=25, deadline=None)
+@given(unit_systems(),
+       st.lists(st.floats(0.5, 40.0) | st.floats(-40.0, -0.5), min_size=1, max_size=3),
+       st.integers(0, 99))
+def test_evaluators_agree_on_generated_systems(system, xis, seed):
+    exact = fourier_exact_batch(system, xis, tol=1e-6)
+    sampled = fourier_montecarlo(make_sampler(system), xis, 2000, seed=seed)
+    equal = len(set(system.ratios().tolist())) == 1
+    for xi, e, mc in zip(xis, exact, sampled):
+        assert abs(e.value - mc.value) <= e.error_bound + mc.error_bound + 4 * mc.stderr
+        if equal:
+            p = fourier_product_homogeneous(system, xi)
+            assert abs(e.value - p.value) <= e.error_bound + p.error_bound
+
 
 def test_cross_method_agreement(cantor):
     rng = np.random.default_rng(7)

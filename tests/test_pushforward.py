@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+
+from conftest import unit_systems
 
 from ffl.ifs import (CIFS, AffineMap, SmoothMap, ValidationError,
                      build_fibre_product, cantor_system)
@@ -80,7 +83,7 @@ def test_smooth_map_f_derivative_check_catches_mismatch():
 def test_identity_pushforward_matches_plain(cantor):
     F = identity_map("x")
     for xi in (2.0, 9.5):
-        a = pushforward_fourier(F, cantor, xi, tol=1e-7)
+        a = pushforward_fourier(F, cantor, [xi], tol=1e-7)[0]
         b = fourier_exact(cantor, xi, tol=1e-7)
         assert abs(a.value - b.value) <= a.error_bound + b.error_bound
 
@@ -89,7 +92,7 @@ def test_translation_map_pushforward(cantor):
     c = 0.21
     F = SmoothMapF.parse(f"(add x {c})")
     for xi in (1.5, 7.0):
-        a = pushforward_fourier(F, cantor, xi, tol=1e-7)
+        a = pushforward_fourier(F, cantor, [xi], tol=1e-7)[0]
         b = fourier_exact(cantor, xi, tol=1e-7)
         target = np.exp(-2j * np.pi * xi * c) * b.value
         assert abs(a.value - target) <= a.error_bound + b.error_bound
@@ -101,7 +104,7 @@ def test_affine_covariance(cantor):
         a, b = rng.uniform(0.2, 1.0), rng.uniform(-0.3, 0.3)
         xi = rng.uniform(0.5, 30.0)
         F = SmoothMapF.parse(f"(add (mul {a} x) {b})")
-        lhs = pushforward_fourier(F, cantor, xi, tol=1e-7)
+        lhs = pushforward_fourier(F, cantor, [xi], tol=1e-7)[0]
         rhs = fourier_exact(cantor, a * xi, tol=1e-7)
         target = np.exp(-2j * np.pi * xi * b) * rhs.value
         assert abs(lhs.value - target) <= lhs.error_bound + rhs.error_bound
@@ -110,16 +113,49 @@ def test_affine_covariance(cantor):
 def test_square_pushforward_against_quadrature(dyadic):
     F = SmoothMapF.parse("(pow x 2)")
     xi = 10.0
-    fv = pushforward_fourier(F, dyadic, xi, tol=1e-6, budget=300_000_000)
+    fv = pushforward_fourier(F, dyadic, [xi], tol=1e-6, budget=300_000_000)[0]
     oracle = quadrature_transform(lambda x: x * x, xi, 2.0)
     assert abs(fv.value - oracle) <= 1e-6
+
+
+def first_order_word_sum(system, coeffs, xi, words=1 << 17):
+    """Sum of weight * e(xi F(anchor)) over every word of one length, with
+    the first-order bound 2 pi |xi| Lip(F) sum weight * |ratio| (the
+    attractor lies in [0, 1], so |y| <= 1 on it)."""
+    ratios = system.ratios()
+    translates = np.array([system.maps[a].translate for a in system.alphabet])
+    weights = system.weight_vector()
+    a, rho, w = np.zeros(1), np.ones(1), np.ones(1)
+    for _ in range(int(math.log(words) / math.log(len(ratios)))):
+        a = (a[:, None] + rho[:, None] * translates).ravel()
+        rho = (rho[:, None] * ratios).ravel()
+        w = (w[:, None] * weights).ravel()
+    value = complex(np.sum(w * np.exp(-2j * np.pi * xi * np.polyval(coeffs[::-1], a))))
+    lip = sum(k * abs(c) for k, c in enumerate(coeffs))
+    return value, 2 * math.pi * abs(xi) * lip * float(np.sum(w * np.abs(rho)))
+
+
+@settings(max_examples=12, deadline=None)
+@given(unit_systems(max_ratio=0.4),
+       st.lists(st.integers(-8, 8).map(lambda k: k / 8), max_size=3),
+       st.integers(-8, 8).filter(bool).map(lambda k: k / 8),
+       st.floats(0.5, 12.0) | st.floats(-12.0, -0.5), st.sampled_from([1e-2, 1e-3, 1e-4]))
+def test_second_order_rule_against_a_first_order_word_sum(system, lower, top, xi, tol):
+    coeffs = lower + [top]  # a polynomial of degree len(lower) <= 3
+    F = SmoothMapF.parse("(add 0 " + " ".join(
+        f"(mul {c!r} (pow x {k}))" for k, c in enumerate(coeffs)) + ")")
+    fv, = pushforward_fourier(F, system, [xi], tol=tol)
+    value, err = first_order_word_sum(system, np.array(coeffs), xi)
+    assert abs(fv.value - value) <= fv.error_bound + err + 1e-12
+    assert fv.error_bound <= tol * (1 + 1e-12)  # rounding of the stopping ratio
+    assert fv.kind == "rigorous"
 
 
 def test_square_pushforward_on_cantor_against_quadrature_of_selfsim(cantor):
     # cross-check at moderate frequency against direct sampling quadrature
     F = SmoothMapF.parse("(pow x 2)")
     xi = 4.0
-    fv = pushforward_fourier(F, cantor, xi, tol=1e-6)
+    fv = pushforward_fourier(F, cantor, [xi], tol=1e-6)[0]
     pts = sample_points(cantor, 2_000_000, seed=17).points
     mc = np.exp(-2j * np.pi * xi * pts ** 2).mean()
     assert abs(fv.value - mc) <= fv.error_bound + 4 / math.sqrt(len(pts))
@@ -127,15 +163,15 @@ def test_square_pushforward_on_cantor_against_quadrature_of_selfsim(cantor):
 
 def test_pushforward_label_follows_norm_rigor(cantor):
     F = SmoothMapF.parse("(pow x 2)")
-    assert pushforward_fourier(F, cantor, 7.0, tol=1e-4).kind == "rigorous"
+    assert pushforward_fourier(F, cantor, [7.0], tol=1e-4)[0].kind == "rigorous"
     smooth = CIFS((0, 1), {0: SmoothMap.from_expr("(mul 0.3 x)"),
                            1: SmoothMap.from_expr("(add 0.6 (mul 0.3 x))")},
                   {0: 0.5, 1: 0.5})
-    assert pushforward_fourier(F, smooth, 7.0, tol=1e-4).kind == "estimate"
+    assert pushforward_fourier(F, smooth, [7.0], tol=1e-4)[0].kind == "estimate"
 
 
 def test_pushforward_zero_frequency(cantor):
-    fv = pushforward_fourier(SmoothMapF.parse("(pow x 2)"), cantor, 0.0)
+    fv = pushforward_fourier(SmoothMapF.parse("(pow x 2)"), cantor, [0.0])[0]
     assert fv.value == 1.0 + 0.0j
 
 
@@ -145,14 +181,14 @@ def test_pushforward_rejects_a_system_that_leaves_the_box():
     # estimate, 5.6 times its bound 0.0295
     far = CIFS((0, 1), {0: AffineMap(0.5, 0.0), 1: AffineMap(0.5, 4.0)}, {0: 0.5, 1: 0.5})
     with pytest.raises(ValidationError, match="outside itself"):
-        pushforward_fourier(SmoothMapF.parse("(pow x 3)"), far, 0.05, tol=3e-2)
+        pushforward_fourier(SmoothMapF.parse("(pow x 3)"), far, [0.05], tol=3e-2)
     # a box beyond [-1, 1], and one without the anchor 0
     wide = SmoothMapF.parse("(pow x 3)", {"x": (0.0, 8.0)})
     with pytest.raises(ValidationError, match=r"\[-1, 1\]"):
-        pushforward_fourier(wide, far, 0.05, tol=3e-2)
+        pushforward_fourier(wide, far, [0.05], tol=3e-2)
     off = SmoothMapF.parse("(pow x 3)", {"x": (0.5, 1.0)})
     with pytest.raises(ValidationError, match="hold 0"):
-        pushforward_fourier(off, cantor_system(), 0.05, tol=3e-2)
+        pushforward_fourier(off, cantor_system(), [0.05], tol=3e-2)
 
 
 def test_pushforward_fibre_product():
@@ -162,7 +198,7 @@ def test_pushforward_fibre_product():
          "R": {0: AffineMap(1 / 3, 1 / 3)}},
         {("L", 0): 1 / 3, ("L", 1): 1 / 3, ("R", 0): 1 / 3})
     F = SmoothMapF.parse("(pow y 3)", {"x": (0, 1), "y": (0, 1)}, "y")
-    fv = pushforward_fourier(F, fp, 5.0, tol=1e-4)
+    fv = pushforward_fourier(F, fp, [5.0], tol=1e-4)[0]
     assert abs(fv.value) <= 1.0 + fv.error_bound
     # cross-check against direct planar sampling
     pts = sample_points(fp, 1_000_000, seed=9).points
@@ -179,7 +215,7 @@ def test_fibre_product_rejects_a_first_variable_fibre():
         {("L", 0): 1 / 3, ("L", 1): 1 / 3, ("R", 0): 1 / 3})
     F = SmoothMapF.parse("(add (mul 0.5 x) (pow y 2))", fibre_var="x")
     with pytest.raises(ValidationError):
-        pushforward_fourier(F, fp, 4.0, tol=1e-2)
+        pushforward_fourier(F, fp, [4.0], tol=1e-2)
 
 
 # -- stopping words -----------------------------------------------------------
@@ -406,8 +442,7 @@ def test_curved_pushforward_band_maxima_eventually_decrease(cantor):
     from ffl.decay import band_maxima
     F = SmoothMapF.parse("(add (pow x 2) x)")
     norms = map_norms(F)
-    ev = lambda xis: [pushforward_fourier(F, cantor, xi, tol=1e-4, norms=norms)
-                      for xi in xis]
+    ev = lambda xis: pushforward_fourier(F, cantor, xis, tol=1e-4, norms=norms)
     bands = band_maxima(ev, range(3, 11), 64, seed=1, band_base=2.0)
     early = max(b.peak for b in bands[:2])
     late = max(b.peak for b in bands[-2:])
@@ -420,7 +455,7 @@ def test_conjugacy_fourier_route():
     psi = quarter_system()
     F = SmoothMapF.parse("(pow x 2)")
     res = conjugate_ifs(psi, F, "(pow x 0.5)", verify=False)
-    fv = pushforward_fourier(F, psi, 3.0, tol=1e-6)
+    fv = pushforward_fourier(F, psi, [3.0], tol=1e-6)[0]
     pts = sample_points(res.system, 500_000, tol=1e-9, seed=29).points
     mc = np.exp(-2j * np.pi * 3.0 * pts).mean()
     assert abs(fv.value - mc) <= fv.error_bound + 4 / math.sqrt(len(pts))

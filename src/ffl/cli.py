@@ -72,27 +72,21 @@ def build_system(section: dict):
         if name not in builders:
             raise ValidationError(f"unknown named system {name!r}")
         return builders[name]()
-    if kind == "affine1d":
-        maps, weights = {}, {}
-        for i, entry in enumerate(section.get("maps", [])):
-            check_keys(entry, {"ratio", "translate"}, f"system.maps[{i}]")
-            maps[i] = AffineMap(float(entry["ratio"]), float(entry["translate"]))
-        wlist = section.get("weights")
-        if wlist is None or len(wlist) != len(maps):
-            raise ValidationError("weights must match the map list")
-        weights = {i: float(w) for i, w in enumerate(wlist)}
-        return CIFS(tuple(maps), maps, weights,
-                    tail_mass=float(section.get("tail_mass", 0.0)))
-    if kind == "smooth1d":
+    if kind in ("affine1d", "smooth1d"):
         maps = {}
         for i, entry in enumerate(section.get("maps", [])):
-            check_keys(entry, {"expr", "var", "declared_bound"}, f"system.maps[{i}]")
-            maps[i] = SmoothMap.from_expr(entry["expr"], entry.get("var", "x"),
-                                          declared_bound=entry.get("declared_bound"))
+            if kind == "affine1d":
+                check_keys(entry, {"ratio", "translate"}, f"system.maps[{i}]")
+                maps[i] = AffineMap(float(entry["ratio"]), float(entry["translate"]))
+            else:
+                check_keys(entry, {"expr", "var", "declared_bound"}, f"system.maps[{i}]")
+                maps[i] = SmoothMap.from_expr(entry["expr"], entry.get("var", "x"),
+                                              declared_bound=entry.get("declared_bound"))
         wlist = section.get("weights")
         if wlist is None or len(wlist) != len(maps):
             raise ValidationError("weights must match the map list")
-        return CIFS(tuple(maps), maps, {i: float(w) for i, w in enumerate(wlist)})
+        return CIFS(tuple(maps), maps, {i: float(w) for i, w in enumerate(wlist)},
+                    tail_mass=float(section.get("tail_mass", 0.0)))
     if kind == "fibre_product":
         base = {}
         for i, entry in enumerate(section.get("base", [])):
@@ -193,8 +187,10 @@ def cmd_fourier_scan(cfg, out, seed, budget, method=None):
         section = dict(section, method=method)
         tool, name = f"{method}-scan", f"{method}.csv"
     system = build_system(cfg.get("system", {}))
-    xis = np.linspace(float(section["xi_min"]), float(section["xi_max"]),
-                      int(section["points"]))
+    lo, hi, points = float(section["xi_min"]), float(section["xi_max"]), int(section["points"])
+    if not (math.isfinite(hi - lo) and points >= 1):
+        raise ValidationError("a scan needs a finite frequency range and points >= 1")
+    xis = np.linspace(lo, hi, points)
     evaluator = make_evaluator(system, section, seed, budget,
                                map_section=cfg.get("map"))
     values = meas.require_values(evaluator(xis))

@@ -2,8 +2,9 @@
 
 Countable alphabets are represented by a finite truncation whose omitted
 mass is recorded in ``tail_mass`` and propagated into downstream error
-bounds. All objects are immutable after construction and safe to share
-across workers.
+bounds. Stopping cylinders of affine and smooth maps alike come from one
+engine, ``system.cylinders``. All objects are immutable after
+construction and safe to share across workers.
 """
 
 from __future__ import annotations
@@ -99,10 +100,6 @@ class SmoothMap:
     def __call__(self, x):
         return self.expr.eval({self.var: x})
 
-    @property
-    def is_contraction(self) -> bool:
-        return self.contraction_bound < 1.0
-
     def image(self, lo: float | None = None, hi: float | None = None) -> tuple:
         """Interval-extension image, clipped to the domain."""
         if lo is None:
@@ -168,8 +165,7 @@ class Word:
 
     ``ratio`` multiplies member ratios left to right; ``translate`` is the
     composed offset (affine words only, else None); ``weight`` multiplies
-    member weights. The empty word composes to the identity, which is
-    flagged by ``is_contraction`` being False.
+    member weights.
     """
 
     symbols: tuple
@@ -179,10 +175,6 @@ class Word:
 
     def __len__(self):
         return len(self.symbols)
-
-    @property
-    def is_contraction(self) -> bool:
-        return abs(self.ratio) < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +203,7 @@ class _System:
 
     @cached_property
     def cylinders(self) -> "_CylinderEngine":
-        """The stopping-cylinder engine of an affine system."""
+        """The system's stopping-cylinder engine, for affine and smooth maps."""
         return _CylinderEngine(self.alphabet, self.coordinates,
                                [self.weights[s] for s in self.alphabet])
 
@@ -537,16 +529,40 @@ def fibre_product_from_1d(cifs, n_max: int = 8,
 
 
 # ---------------------------------------------------------------------------
-# stopping cylinders of affine systems
+# stopping cylinders
 # ---------------------------------------------------------------------------
 
 PIECE_CYLINDERS = 1 << 20  # a subtree that may hold more cylinders is split
 CACHE_CYLINDERS = 1 << 21  # cylinders of the sweeps one engine keeps
 
 # One piece of a walk. Row c of ``anchors`` and ``ratios`` is coordinate c
-# of the cylinders' images of 0 and composed ratios; ``bounds`` are their
+# of the cylinders' images of 0 and composed ratios (products of contraction
+# bounds where the coordinate holds a smooth map); ``bounds`` are their
 # stopping bounds; ``words`` spells them when the walk is asked to.
 Cylinders = namedtuple("Cylinders", "anchors ratios weights bounds words")
+
+
+def apply_words(maps: Sequence[Map1D], codes: np.ndarray, x=None) -> np.ndarray:
+    """f_w(x) for every word w, a column of ``codes`` that indexes ``maps``
+    outermost first, with x = 0 unless given (and never written into).
+
+    The maps apply innermost first, one vectorised call per map and level;
+    the index len(maps) pads words of different lengths and acts as the
+    identity.
+    """
+    x = np.zeros(codes.shape[1]) if x is None else np.array(x, dtype=float)
+    if all(isinstance(m, AffineMap) for m in maps):
+        ratios = np.array([m.ratio for m in maps] + [1.0])
+        translates = np.array([m.translate for m in maps] + [0.0])
+        for sel in codes[::-1]:
+            x = ratios[sel] * x + translates[sel]
+        return x
+    for sel in codes[::-1]:
+        for k, m in enumerate(maps):
+            mask = sel == k
+            if mask.any():
+                x[mask] = m(x[mask])
+    return x
 
 
 def _bound(lips, rho):
@@ -560,23 +576,27 @@ def _spend(nodes: int, budget: int) -> int:
 
 
 class _CylinderEngine:
-    """Stopping-cylinder walks of an affine system in m coordinates.
+    """Stopping-cylinder walks of a system of maps in m coordinates.
 
     A word stops once its bound sum_c lips[c] * |composed ratio_c| drops to
-    theta; the empty word is always expanded. A subtree that may hold more
-    than PIECE_CYLINDERS cylinders is split into its children, the others
-    are swept level by level. Sweeps depend on their prefix only through
-    its composed ratios; they are cached under those, for the theta interval
+    theta, a smooth map's contraction bound standing in for |ratio|; the
+    empty word is always expanded. A subtree that may hold more than
+    PIECE_CYLINDERS cylinders is split into its children, the others are
+    swept level by level. Sweeps depend on their prefix only through its
+    composed ratios; they are cached under those, for the theta interval
     [largest stopped bound, smallest expanded bound) on which they cannot
-    change. Threads may share an engine.
+    change. Anchors of affine coordinates compose in closed form; those of
+    a coordinate that holds a smooth map come from ``apply_words`` on the
+    stopped words. Threads may share an engine.
     """
 
     def __init__(self, alphabet, maps, weights):
-        if not all(isinstance(f, AffineMap) for row in maps for f in row):
-            raise ValidationError("stopping cylinders need affine maps")
         self.alphabet = tuple(alphabet)
-        self.ratios = np.array([[f.ratio for f in row] for row in maps])  # (m, n)
-        self.translates = np.array([[f.translate for f in row] for row in maps])
+        self.smooth = {c: row for c, row in enumerate(maps)  # coordinates with a smooth map
+                       if not all(isinstance(f, AffineMap) for f in row)}
+        self.ratios = np.array([[getattr(f, "ratio", f.contraction_bound) for f in row]
+                                for row in maps])  # (m, n)
+        self.translates = np.array([[getattr(f, "translate", 0.0) for f in row] for row in maps])
         weights = np.asarray(weights, dtype=float)
         self.weights = weights / weights.sum()
         # Below a prefix of bound b a word's bound is at most b * prod R_k,
@@ -607,57 +627,82 @@ class _CylinderEngine:
         lips, m = tuple(lips), len(lips)
         nodes, stack = 0, [((), np.ones((m, 1)), np.zeros((m, 1)), np.ones(1))]
         while stack:
-            word, rho, t, w = stack.pop()
+            word, rho, t, w = stack.pop()  # word: symbol indices
             root = float(_bound(lips, rho)[0])
             if word and root <= theta:  # a stopped child of a split prefix
-                yield Cylinders(t, rho, w, np.array([root]), [word] if words else None)
+                yield self._below(word, t, w, Cylinders(
+                    np.zeros((m, 1)), rho, np.ones(1), np.array([root]), [()]), words)
             elif root <= theta or (self._dim * math.log(root / (theta * self._r_min))
                                    <= math.log(PIECE_CYLINDERS)):
                 more, rel = self._sweep(lips, rho, theta, words)
                 nodes = _spend(nodes + more, budget)
-                yield rel if not word else Cylinders(  # the empty prefix is the identity
-                    t + rel.anchors, rel.ratios, w * rel.weights, rel.bounds,
-                    [word + v for v in rel.words] if words else None)
+                yield self._below(word, t, w, rel, words) if word else rel  # () is the identity
             else:  # split: push the children, to pop in symbol order
                 nodes = _spend(nodes + len(self.alphabet), budget)
                 for k in reversed(range(len(self.alphabet))):
-                    stack.append((word + (self.alphabet[k],), rho * self.ratios[:, k:k + 1],
+                    stack.append((word + (k,), rho * self.ratios[:, k:k + 1],
                                   t + rho * self.translates[:, k:k + 1], w * self.weights[k]))
+
+    def _below(self, word, t, w, rel, words):
+        """``rel`` moved below the prefix ``word`` of anchors ``t`` and weight ``w``."""
+        anchors = t + rel.anchors
+        codes = np.broadcast_to(np.array(word)[:, None], (len(word), rel.weights.size))
+        for c, maps in self.smooth.items():
+            anchors[c] = apply_words(maps, codes, rel.anchors[c])
+        prefix = tuple(self.alphabet[k] for k in word)
+        return Cylinders(anchors, rel.ratios, w * rel.weights, rel.bounds,
+                         [prefix + v for v in rel.words] if words else None)
 
     def _sweep(self, lips, rho, theta, words):
         """(nodes, Cylinders) below a prefix of composed ratios ``rho``, with
-        anchors as offsets from its anchor and weights relative to its own."""
+        anchors as images of 0 under the suffix words (offset by the
+        prefix's composed ratios in affine coordinates) and weights relative
+        to the prefix's own."""
         key = (lips, tuple(rho[:, 0].tolist()), words)
         with self._lock:
             for lo, hi, nodes, rel in self._sweeps.get(key, ()):
                 if lo <= theta < hi:
                     return nodes, rel
+        n = len(self.alphabet)
         m, t, w = len(lips), np.zeros_like(rho), np.ones(1)
-        names, spelled = [()], []  # words of the expanded and stopped nodes
-        parts, nodes, lo, hi = [], 0, 0.0, math.inf
+        # symbol indices of the expanded nodes' words, one row per level
+        codes = (np.zeros((0, 1), dtype=np.min_scalar_type(n))
+                 if words or self.smooth else None)
+        parts, stopped, nodes, lo, hi = [], [], 0, 0.0, math.inf
         while w.size:
             # children follow their parent: each level stays in lexicographic
             # order, and sorted anchors make character sums faster
             t = (t[:, :, None] + rho[:, :, None] * self.translates[:, None, :]).reshape(m, -1)
             rho = (rho[:, :, None] * self.ratios[:, None, :]).reshape(m, -1)
             w = (w[:, None] * self.weights[None, :]).ravel()
+            if codes is not None:
+                codes = np.vstack([codes.repeat(n, axis=1),
+                                   np.tile(np.arange(n, dtype=codes.dtype), w.size // n)])
             bound = _bound(lips, rho)
             nodes += w.size
             done = bound <= theta
-            if words:
-                names = [v + (a,) for v in names for a in self.alphabet]
             if done.any():
                 stop = slice(None) if done.all() else done  # a view when all stop
                 parts.append((t[:, stop], rho[:, stop], w[stop], bound[stop]))
                 lo = max(lo, float(bound[stop].max()))
-                if words:
-                    spelled += [v for v, stopped in zip(names, done) if stopped]
-                    names = [v for v, stopped in zip(names, done) if not stopped]
+                if codes is not None:
+                    stopped.append(codes[:, stop])
+                    codes = codes[:, ~done]
                 rho, t, w, bound = (a[..., ~done] for a in (rho, t, w, bound))
             if w.size:
                 hi = min(hi, float(bound.min()))
-        rel = Cylinders(*(np.concatenate(p, axis=-1) for p in zip(*parts)),
-                        spelled if words else None)
+        anchors, ratios, weights, bounds = (np.concatenate(p, axis=-1) for p in zip(*parts))
+        spelled = None
+        if codes is not None:
+            depth = len(stopped[-1])  # the deepest level stops last
+            padded = np.hstack([np.pad(c, ((0, depth - len(c)), (0, 0)), constant_values=n)
+                                for c in stopped])
+            for c, maps in self.smooth.items():
+                anchors[c] = apply_words(maps, padded)
+            if words:
+                spelled = [tuple(self.alphabet[k] for k in col if k < n)
+                           for col in padded.T.tolist()]
+        rel = Cylinders(anchors, ratios, weights, bounds, spelled)
         with self._lock:
             self._sweeps.setdefault(key, []).append((lo, hi, nodes, rel))
             self._order.append(key)

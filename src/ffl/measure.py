@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ifs import CIFS, AffineMap, BudgetExhausted, ValidationError
+from .ifs import CIFS, AffineMap, BudgetExhausted, ValidationError, apply_words
 from .rng import stream_rng, spawn_seed
 
 TWO_PI = 2.0 * math.pi
@@ -44,9 +44,9 @@ class FourierValue:
     """A Fourier transform estimate with an attached error bound.
 
     ``kind`` is "rigorous" when the bound is deterministic and certified,
-    "estimate" when it is not known to hold (pushforwards on smooth
-    systems), "statistical" when it is a multiple of the Monte
-    Carlo standard error (stored in ``stderr`` together with the
+    "estimate" when it is not known to hold (pushforwards on systems with
+    declared contraction bounds), "statistical" when it is a multiple of
+    the Monte Carlo standard error (stored in ``stderr`` together with the
     z-multiple in ``confidence_z``).
     """
 
@@ -56,10 +56,6 @@ class FourierValue:
     kind: str = "rigorous"
     stderr: float | None = None
     confidence_z: float | None = None
-
-    @property
-    def magnitude(self) -> float:
-        return abs(self.value)
 
 
 # ---------------------------------------------------------------------------
@@ -109,21 +105,7 @@ def sample_points(system, count: int, tol: float = 1e-9, depth: int | None = Non
     probs = probs / probs.sum()
     rng = stream_rng(seed, 0x5A17, stream)
     idx = rng.choice(len(symbols), size=(count, depth), p=probs)
-    columns = []
-    for maps in system.coordinates:
-        x = np.zeros(count)
-        if all(isinstance(m, AffineMap) for m in maps):
-            ratios = np.array([m.ratio for m in maps])
-            translates = np.array([m.translate for m in maps])
-            for sel in idx.T[::-1]:
-                x = ratios[sel] * x + translates[sel]
-        else:
-            for sel in idx.T[::-1]:
-                for k, m in enumerate(maps):
-                    mask = sel == k
-                    if mask.any():
-                        x[mask] = m(x[mask])
-        columns.append(x)
+    columns = [apply_words(maps, idx.T) for maps in system.coordinates]
     pts = np.column_stack(columns) if len(columns) > 1 else columns[0]
     return SamplePoints(pts, depth, achieved, seed)
 
@@ -366,7 +348,7 @@ def cylinder_decomposition(cifs: CIFS, threshold: float,
         [w for p in pieces for w in p.words],
         np.concatenate([p.weights for p in pieces]),
         np.concatenate([p.anchors[0] for p in pieces]),
-        np.concatenate([p.bounds for p in pieces]),
+        np.concatenate([p.bounds for p in pieces]) * getattr(cifs, "diam_constant", 1.0),
         getattr(cifs, "tail_mass", 0.0))
 
 

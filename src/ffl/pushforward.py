@@ -1,16 +1,16 @@
 """Fourier transforms of nonlinear images of stationary measures.
 
-The transform of F(mu) is a sum over stopping cylinders, with the
-cylinders (and stopping words) of affine systems from ``system.cylinders``.
-On an affine line system F is almost affine on a small cylinder, so each
-cylinder contributes weight * e(xi F(a)) * mu^(xi F'(a) rho), a its anchor
-and rho its ratio, at a cost of at most pi |xi| sup|F''| R^2 rho^2 per unit
-of mass; a batch of frequencies takes one exact sweep for the transforms
-of mu. Fibre products replace each cylinder by the character at F(anchor);
-smooth systems have their own first-order walk. Values on affine line
-systems and fibre products are "rigorous": their error bounds rest on
+The transform of F(mu) is a sum over stopping cylinders, with every
+cylinder (and stopping word) from ``system.cylinders``. On an affine line
+system F is almost affine on a small cylinder, so each cylinder
+contributes weight * e(xi F(a)) * mu^(xi F'(a) rho), a its anchor and rho
+its ratio, at a cost of at most pi |xi| sup|F''| R^2 rho^2 per unit of
+mass; a batch of frequencies takes one exact sweep for the transforms of
+mu. Every other system (fibre products, systems with smooth maps) replaces
+each cylinder by the character at F(anchor). Error bounds rest on
 derivative norms certified by interval enclosure over F's box, which the
-system must map into itself. Values on smooth systems are "estimate"s.
+system must map into itself, and on the maps' contraction bounds: values
+are "rigorous" unless some map's bound is declared, then "estimate"s.
 Also here: polynomial level-set covers, the good/bad frequency-sum split,
 certified prefix decompositions by interval arithmetic, and conjugation by
 smooth coordinate changes.
@@ -174,13 +174,13 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     to at most tol / 2; the transforms of mu at the cylinders of the whole
     batch come from one ``exact_sweep`` at tol / 2.
 
-    On a fibre product (affine base, F of two variables) each cylinder
-    contributes its weight times the character at F(anchor), and stops once
-    Lip_x(F)*|base ratio| + Lip_y(F)*|fibre ratio| <= tol / (2*pi*|xi|). The
-    label is "rigorous", as the norms are certified, except on smooth
-    systems, which take a first-order walk of their own: it misses its
-    bound when the maps' contraction bounds differ, so those values are
-    "estimate"s.
+    On every other system (fibre products, systems with smooth maps) each
+    cylinder contributes its weight times the character at F(anchor), and
+    stops once Lip_x(F)*|base ratio| + Lip_y(F)*|fibre ratio| (Lip(F)*|ratio|
+    on the line), times any ``diam_constant``, is <= tol / (2*pi*|xi|); a
+    smooth map's contraction bound stands in for its ratio. The label is
+    "rigorous", as the norms are certified, unless a map's contraction bound
+    is declared: then it is "estimate".
     """
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
@@ -199,10 +199,12 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
         (lo, hi), = F.domain.values()
         c2 = math.pi * norms.sup_second * max(abs(lo), abs(hi)) ** 2
         one = _line_cylinders(F, system, c2, tol / 2, budget)
-    elif isinstance(system, FibreProductCIFS):
-        one = lambda xi: _pushforward_fibre(F, system, xi, tol, budget, norms)
-    else:
-        one = lambda xi: _pushforward_smooth(F, system, xi, tol, budget, norms.sup_first)
+    else:  # Lip_x(F) counts only where F has a base variable
+        diam = getattr(system, "diam_constant", 1.0)
+        lips = tuple(c * diam for c in (norms.sup_base, norms.sup_first)[-len(names):])
+        kind = "estimate" if any(isinstance(m, SmoothMap) and m.bound_kind == "declared"
+                                 for column in system.coordinates for m in column) else "rigorous"
+        one = lambda xi: _first_order(F, system, xi, tol, budget, lips, kind)
     order = np.argsort(np.abs(xis), kind="stable")
     out, over = [None] * xis.size, None
     for i in order:
@@ -267,47 +269,17 @@ def _line_values(system: CIFS, xis, out, order, c2, half, budget):
         out[i] = FourierValue(xi, value, err + TWO_PI * abs(xi) * system.tail_mass)
 
 
-def _pushforward_fibre(F: SmoothMapF, system, xi, tol, budget, norms):
-    """First-order cylinder sum at one frequency on a fibre product."""
+def _first_order(F: SmoothMapF, system, xi, tol, budget, lips, kind):
+    """First-order cylinder sum at one frequency."""
     names = list(F.domain)
     value, spread = 0.0 + 0.0j, 0.0
-    for piece in system.cylinders.walk(tol / (TWO_PI * abs(xi)),
-                                       (norms.sup_base, norms.sup_first), budget):
+    for piece in system.cylinders.walk(tol / (TWO_PI * abs(xi)), lips, budget):
         vals = np.asarray(F.expr.eval(dict(zip(names, piece.anchors))), dtype=float)
         value += complex(np.sum(piece.weights * character(xi * vals)))
         spread += float(np.sum(piece.weights * piece.bounds))
     err = TWO_PI * abs(xi) * spread
-    return FourierValue(xi, value, min(err, tol) + TWO_PI * abs(xi) * system.tail_mass)
-
-
-def _pushforward_smooth(F: SmoothMapF, system: CIFS, xi, tol, budget, lip):
-    """Depth-first cylinder walk for systems containing smooth maps; the
-    per-prefix diameter bound is diam_constant times the composed
-    contraction bound."""
-    var = list(F.domain)[0]
-    diam0 = system.diam_constant
-    threshold = tol / (TWO_PI * abs(xi) * max(1.0, lip) * max(diam0, 1.0))
-    symbols = system.alphabet
-    visits = 0
-    total = 0.0 + 0.0j
-
-    stack = [((), 1.0, 0.0)]  # word, bound, anchor (image of 0)
-    while stack:
-        word, bound, anchor = stack.pop()
-        for s in symbols:
-            visits += 1
-            if visits > budget:
-                raise BudgetExhausted(f"stopping budget {budget} exhausted")
-            m = system.maps[s]
-            nb = bound * m.contraction_bound
-            na = float(m(anchor))
-            if nb <= threshold:
-                w = math.prod(system.weights[t] for t in word + (s,))
-                total += w * complex(character(xi * F.expr.eval({var: na})))
-            else:
-                stack.append((word + (s,), nb, na))
-    err = TWO_PI * abs(xi) * lip * diam0 * threshold
-    return FourierValue(float(xi), total, min(err, tol), kind="estimate")
+    return FourierValue(xi, value, min(err, tol) + TWO_PI * abs(xi) * system.tail_mass,
+                        kind=kind)
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +299,9 @@ class StoppingSet:
 def stopping_words(cifs: CIFS, xi: float, delta: float,
                    budget: int = DEFAULT_BUDGET) -> StoppingSet:
     """The prefix-free words whose composed ratio first drops to
-    |xi|^(-delta) or below."""
+    |xi|^(-delta) or below, on an affine system."""
+    if not cifs.is_affine:
+        raise ValidationError("stopping words need an affine system")
     if not abs(xi) > 1:
         raise ValidationError("need |xi| > 1")
     if not 0.0 < delta < 1.0:

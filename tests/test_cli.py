@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -501,6 +502,22 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         assert main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2, config
         err = json.loads(capsys.readouterr().err.strip())
         assert err["error"]["kind"] == "validation"
+
+
+def test_scan_grid_is_checked_before_it_is_built(tmp_path, capsys):
+    # xi_max inf made numpy warn before the evaluator's own check; points 0
+    # wrote an empty scan and exited 0
+    scan = {"xi_min": 1.0, "xi_max": 2.0, "points": 2}
+    for bad in ({"xi_max": math.inf}, {"xi_min": -math.inf}, {"xi_min": -1e308, "xi_max": 1e308},
+                {"points": 0}, {"points": -3}):
+        cfg = write_config(tmp_path / "cfg.json", {"system": {"kind": "named", "name": "cantor"},
+                                                   "scan": dict(scan, **bad)})
+        out = tmp_path / "o"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fourier-scan", "--config", cfg, "--out", str(out)]) == 2, bad
+        assert "points >= 1" in json.loads(capsys.readouterr().err.strip())["error"]["message"]
+        assert not (out / "scan.csv").exists()
 
 
 def test_band_base_at_most_one_exits_2(tmp_path, capsys):

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffl import ifs
-from ffl.ifs import (CIFS, AffineMap, BudgetExhausted, build_fibre_product,
-                     cantor_system)
+from ffl.ifs import (CIFS, AffineMap, BudgetExhausted, SmoothMap, build_fibre_product,
+                     cantor_system, compose)
 from ffl.measure import cylinder_decomposition
 from ffl.pushforward import SmoothMapF, map_norms, pushforward_fourier
 
@@ -111,6 +111,31 @@ def test_fibre_walk_matches_brute_force(system, theta, lip_base, lip_fibre, spli
         engine = system.cylinders
         for _ in range(2):
             assert_same(walked(engine, theta, lips), brute_force(engine, theta, lips)[0])
+
+
+@st.composite
+def smooth_systems(draw):
+    """1-3 maps t + r (x + x^2 / 5) of [0, 1], some of them affine."""
+    maps = {}
+    for k in range(draw(st.integers(1, 3))):
+        r, t = draw(st.floats(0.15, 0.5)), draw(st.floats(0.0, 0.4))
+        maps[k] = (AffineMap(r, t) if draw(st.booleans()) else
+                   SmoothMap.from_expr(f"(add {t!r} (mul {r!r} (add x (mul 0.2 (pow x 2)))))"))
+    raw = [draw(st.floats(0.1, 1.0)) for _ in maps]
+    return CIFS(tuple(maps), maps, {k: x / math.fsum(raw) for k, x in enumerate(raw)})
+
+
+@settings(max_examples=20, deadline=None)
+@given(smooth_systems(), st.floats(0.04, 0.3), SPLIT)
+def test_smooth_walk_anchors_every_word_innermost_first(system, theta, split):
+    # stopping words and weights follow the products of contraction bounds;
+    # the anchor of w is f_w(0), not the maps applied in word order
+    with mock.patch.multiple(ifs, PIECE_CYLINDERS=split[0], CACHE_CYLINDERS=split[1]):
+        engine = system.cylinders
+        expected = {word: ([float(compose(system, word)(0.0))], weight)
+                    for word, (_, weight) in brute_force(engine, theta, (1.0,))[0].items()}
+        for _ in range(2):  # the second walk reuses cached sweeps
+            assert_same(walked(engine, theta, (1.0,)), expected)
 
 
 def two_ratio():

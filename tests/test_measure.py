@@ -221,6 +221,19 @@ def test_cylinder_decomposition_invariants(two_ratio):
         assert abs(parent) > 0.1
 
 
+def test_cylinder_decomposition_scales_declared_bounds_into_diameters():
+    # {x/4, x/4 + 3/4} conjugated by x^2 contracts by 1/4 in the square-root
+    # coordinate only; diam_constant = Lip(x^2) = 2 turns bounds into diameters
+    from ffl.ifs import compose
+    from ffl.pushforward import SmoothMapF, conjugate_ifs
+    psi = CIFS((0, 1), {0: AffineMap(0.25, 0.0), 1: AffineMap(0.25, 0.75)}, {0: 0.5, 1: 0.5})
+    system = conjugate_ifs(psi, SmoothMapF.parse("(pow x 2)"), "(pow x 0.5)", verify=False).system
+    dec = cylinder_decomposition(system, 1e-3)
+    spans = [abs(compose(system, w)(1.0) - compose(system, w)(0.0)) for w in dec.words]
+    assert np.all(np.array(spans) <= dec.diameters * (1 + 1e-12))
+    assert max(s / d for s, d in zip(spans, dec.diameters)) > 0.5  # the word 11...1 needs the 2
+
+
 # -- Frostman profiles ---------------------------------------------------------
 
 def test_frostman_dyadic(dyadic):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import quad
 
 from conftest import unit_systems
@@ -167,7 +167,81 @@ def test_pushforward_label_follows_norm_rigor(cantor):
     smooth = CIFS((0, 1), {0: SmoothMap.from_expr("(mul 0.3 x)"),
                            1: SmoothMap.from_expr("(add 0.6 (mul 0.3 x))")},
                   {0: 0.5, 1: 0.5})
-    assert pushforward_fourier(F, smooth, [7.0], tol=1e-4)[0].kind == "estimate"
+    assert pushforward_fourier(F, smooth, [7.0], tol=1e-4)[0].kind == "rigorous"
+    declared = CIFS((0, 1), {0: SmoothMap.from_expr("(mul 0.3 x)", declared_bound=0.3),
+                             1: SmoothMap.from_expr("(add 0.6 (mul 0.3 x))")},
+                    {0: 0.5, 1: 0.5})
+    assert pushforward_fourier(F, declared, [7.0], tol=1e-4)[0].kind == "estimate"
+
+
+def centre_word_sum(maps, weights, F, lip, xi, depth=16):
+    """Sum of weight * e(xi F(centre)) over the cylinder intervals f_w([0, 1])
+    of every word of one length, for increasing maps of [0, 1], with the
+    first-order bound 2 pi |xi| Lip(F) sum weight * diameter / 2."""
+    lo, hi, w = np.zeros(1), np.ones(1), np.ones(1)
+    for _ in range(depth):
+        lo = np.concatenate([f(lo) for f in maps])
+        hi = np.concatenate([f(hi) for f in maps])
+        w = np.concatenate([p * w for p in weights])
+    value = complex(np.sum(w * np.exp(-2j * np.pi * xi * F(0.5 * (lo + hi)))))
+    return value, math.pi * abs(xi) * lip * float(np.sum(w * (hi - lo)))
+
+
+@st.composite
+def smooth_pairs(draw):
+    """Two increasing maps t + k (x + c x^2) of [0, 1] with certified
+    contraction bounds at least 0.05 apart, and random weights."""
+    maps = {}
+    for i in range(2):
+        c = draw(st.floats(0.0, 1.0))
+        r = draw(st.floats(0.15, 0.45))  # the slope at x = 1
+        k = r / (1 + 2 * c)
+        t = draw(st.floats(0.0, 1.0 - k * (1 + c)))
+        maps[i] = SmoothMap.from_expr(f"(add {t!r} (mul {k!r} (add x (mul {c!r} (pow x 2)))))")
+    assume(abs(maps[0].contraction_bound - maps[1].contraction_bound) >= 0.05)
+    p = draw(st.floats(0.2, 0.8))
+    return CIFS((0, 1), maps, {0: p, 1: 1.0 - p})
+
+
+@settings(max_examples=25, deadline=None)
+@given(smooth_pairs(), st.floats(0.5, 12.0) | st.floats(-12.0, -0.5),
+       st.sampled_from([1e-2, 1e-3]))
+def test_smooth_system_values_hold_their_bounds(system, xi, tol):
+    F = SmoothMapF.parse("(add (pow x 2) (mul -0.5 x))")
+    fv, = pushforward_fourier(F, system, [xi], tol=tol)
+    value, err = centre_word_sum([system.maps[0], system.maps[1]],
+                                 [system.weights[0], system.weights[1]],
+                                 lambda x: x ** 2 - 0.5 * x, 1.5, xi)
+    assert abs(fv.value - value) <= fv.error_bound + err + 1e-12
+    assert fv.error_bound <= tol and fv.kind == "rigorous"
+
+
+def test_smooth_system_with_a_tail_mass():
+    # the walk renormalises the kept weights and adds the tail's effect;
+    # a sum over raw weights held mass 0.9^depth and reported 1e-4 here
+    F = SmoothMapF.parse("(pow x 2)")
+    maps = {0: SmoothMap.from_expr("(mul 0.3 x)"),
+            1: SmoothMap.from_expr("(add 0.6 (mul 0.3 x))")}
+    tail = CIFS((0, 1), maps, {0: 0.45, 1: 0.45}, tail_mass=0.1)
+    fv, = pushforward_fourier(F, tail, [7.0], tol=1e-4)
+    assert fv.error_bound >= 2 * math.pi * 7.0 * 0.1
+    kept, = pushforward_fourier(F, CIFS((0, 1), maps, {0: 0.5, 1: 0.5}), [7.0], tol=1e-4)
+    assert fv.value == kept.value
+
+
+def test_pushforward_on_a_smooth_base_fibre_product():
+    fp = build_fibre_product(
+        {"L": SmoothMap.from_expr("(mul 0.3 (add x (mul 0.2 (pow x 2))))"),
+         "R": AffineMap(0.3, 0.6)},
+        {"L": {0: AffineMap(1 / 3, 0.0), 1: AffineMap(1 / 3, 2 / 3)},
+         "R": {0: AffineMap(1 / 3, 1 / 3)}},
+        {("L", 0): 1 / 3, ("L", 1): 1 / 3, ("R", 0): 1 / 3})
+    F = SmoothMapF.parse("(add (mul 0.5 x) (pow y 2))", {"x": (0, 1), "y": (0, 1)}, "y")
+    fv, = pushforward_fourier(F, fp, [5.0], tol=1e-2)
+    assert fv.kind == "rigorous"
+    pts = sample_points(fp, 200_000, seed=13).points
+    mc = np.exp(-2j * np.pi * 5.0 * (0.5 * pts[:, 0] + pts[:, 1] ** 2)).mean()
+    assert abs(fv.value - mc) <= fv.error_bound + 4 / math.sqrt(len(pts))
 
 
 def test_pushforward_zero_frequency(cantor):
@@ -263,6 +337,17 @@ def test_stopping_words_preconditions(two_ratio):
         stopping_words(two_ratio, 0.5, 0.3)
     with pytest.raises(ValidationError):
         stopping_words(two_ratio, 10.0, 1.5)
+
+
+def test_stopping_words_reject_smooth_maps():
+    # a smooth word has no closed-form translate to record
+    smooth = CIFS((0, 1), {0: SmoothMap.from_expr("(mul 0.3 x)"),
+                           1: SmoothMap.from_expr("(add 0.6 (mul 0.3 x))")},
+                  {0: 0.5, 1: 0.5})
+    with pytest.raises(ValidationError, match="affine"):
+        stopping_words(smooth, 10.0, 0.5)
+    with pytest.raises(ValidationError, match="affine"):
+        split_fourier(SmoothMapF.parse("(pow x 2)"), smooth, 10.0)
 
 
 # -- polynomial level sets -------------------------------------------------------

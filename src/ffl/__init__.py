@@ -13,9 +13,9 @@ from .measure import (FourierValue, SamplePoints, sample_points, make_sampler,
                       fourier_montecarlo, frostman_profile, cylinder_decomposition)
 from .disintegrate import (EquivClass, ClassTable, OmegaSample, ConvolutionFactor,
                            build_classes, sample_omega, mu_omega_fourier,
-                           disintegration_consistency, LargeDeviationParams,
-                           check_omega_membership, ek_diagnostics,
-                           circle_sum_bound, calibrate_alpha)
+                           mu_omega_fourier_batch, disintegration_consistency,
+                           LargeDeviationParams, check_omega_membership,
+                           ek_diagnostics, circle_sum_bound, calibrate_alpha)
 from .pushforward import (SmoothMapF, MapNorms, map_norms, pushforward_fourier,
                           stopping_words, StoppingSet, zero_cover, ZeroCover,
                           split_fourier, prefix_decomposition, conjugate_ifs,

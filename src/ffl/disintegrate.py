@@ -14,8 +14,13 @@ near-integer (carry-propagation) diagnostics behind sparse-frequency
 decay counting.
 
 Block words compose with ``ifs.fold``, as every other word does. A sampled
-sequence holds one table of its scaled atoms with the factor offsets, so a
-convolution transform is one character evaluation and one segmented sum.
+sequence holds one table of its scaled atoms with the factor offsets.
+``mu_omega_fourier_batch`` evaluates the convolution transforms of many
+sequences at many frequencies in one sweep per frequency: one character
+evaluation over the concatenated atom tables and one segmented sum over
+every factor of every sequence. The consistency check makes one batch call
+for its whole grid; ``mu_omega_fourier`` is the batch's one-sequence,
+one-frequency call.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import numpy as np
 
 from .ifs import (AffineMap, FibreProductCIFS, BudgetExhausted, ValidationError,
                   fibre_product_from_1d, fold, lyapunov)
+from . import measure
 from .measure import FourierValue, character, fourier_exact_batch, require_values, TWO_PI
 from .rng import stream_rng
 
@@ -223,33 +229,90 @@ def sample_omega(table: ClassTable, length: int, seed: int = 0,
     return OmegaSample(table, idx, seed, stream)
 
 
+def mu_omega_fourier_batch(omegas, xis, factors: int | None = None,
+                           tol: float | None = None, factor_cap: int = 10_000):
+    """Evaluate the convolution transform of every sequence of ``omegas`` at
+    every frequency of ``xis``, each as a finite product of factor sums.
+
+    Stopping after m factors costs at most
+    2*pi*|xi| * |prod of the first m ratios| / (1 - max |class ratio|).
+    A sequence takes ``factors`` factors when that is given; otherwise its
+    prefix length, capped at ``factor_cap``, or with ``tol`` the first count
+    whose tail bound is at most ``tol``. Returns ``(values, bounds)``,
+    complex and float arrays of shape (len(xis), len(omegas)); xi = 0 gives
+    1 within 0.
+
+    The sequences go in chunks of at most ``measure.BATCH_CELLS`` atoms times
+    frequencies (one sequence at least). Per frequency a chunk takes one
+    character evaluation over its concatenated atom tables and one segmented
+    sum over all its factors; factors past a sequence's count are set to 1
+    before the product of each row. Each value is the same, bit for bit,
+    whatever else is in the batch.
+    """
+    if factors is not None and factors < 1:
+        raise ValidationError("factor count must be >= 1")
+    if factor_cap < 1:
+        raise ValidationError("factor cap must be >= 1")
+    xis = np.atleast_1d(np.asarray(xis, dtype=float))
+    if not np.isfinite(xis).all():
+        raise ValidationError("frequencies must be finite")
+    omegas = list(omegas)
+    lengths = np.array([len(om) for om in omegas], dtype=int)
+    if factors is not None and np.any(lengths < factors):
+        raise ValidationError("prefix shorter than the requested factor count")
+    values = np.ones((xis.size, len(omegas)), dtype=complex)
+    bounds = np.zeros((xis.size, len(omegas)))
+    live = np.flatnonzero(xis != 0)
+    if not live.size:
+        return values, bounds
+
+    edges = np.concatenate(([0], np.cumsum([om.offsets[-1] for om in omegas])))
+    per = max(1, measure.BATCH_CELLS // live.size)
+    lo = 0
+    while lo < len(omegas):
+        hi = max(lo + 1, int(np.searchsorted(edges, edges[lo] + per, side="right")) - 1)
+        chunk, length = omegas[lo:hi], lengths[lo:hi]
+        n, width = len(chunk), int(length.max())
+        atoms = np.concatenate([om.atoms for om in chunk])
+        sizes = np.concatenate([np.diff(om.offsets) for om in chunk])
+        starts = np.cumsum(sizes) - sizes
+        # factor j of sequence row[j] sits at column col[j] of the row
+        row = np.repeat(np.arange(n), length)
+        col = np.arange(row.size) - np.repeat(np.cumsum(length) - length, length)
+        mags = np.zeros((n, width))
+        mags[row, col] = np.abs(np.concatenate([om.cum_ratios for om in chunk]))
+        denom = 1.0 - np.array([np.abs(om.table.ratios).max() for om in chunk])
+        limit = np.minimum(length, factor_cap)
+        for f in live:
+            xi = xis[f]
+            # tails[i, m - 1] bounds the cost of stopping sequence i after m factors
+            tails = TWO_PI * abs(xi) * mags / denom[:, None]
+            if factors is not None:
+                count = np.full(n, factors)
+            elif tol is not None:
+                hit = (tails <= tol) & (np.arange(width) < limit[:, None] - 1)
+                count = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, limit)
+            else:
+                count = limit
+            means = np.add.reduceat(character(xi * atoms), starts) / sizes
+            means[col >= count[row]] = 1.0
+            grid = np.ones((n, width), dtype=complex)
+            grid[row, col] = means
+            values[f, lo:hi] = grid.prod(axis=1)
+            bounds[f, lo:hi] = tails[np.arange(n), count - 1]
+        lo = hi
+    return values, bounds
+
+
 def mu_omega_fourier(omega: OmegaSample, xi: float, factors: int | None = None,
                      tol: float | None = None, factor_cap: int = 10_000) -> FourierValue:
-    """Evaluate the convolution transform as a finite product of factor sums.
-
-    The tail beyond ``factors`` terms costs at most
-    2*pi*|xi| * |prod of used ratios| / (1 - max |class ratio|). When ``tol``
-    is given the factor count is raised (up to the prefix length and the
-    cap) until the bound is below it; otherwise the achieved bound is
-    reported as is.
+    """``mu_omega_fourier_batch`` for the one sequence ``omega`` at the one
+    frequency ``xi``: the convolution transform as a product of factor sums,
+    with the bound of its truncation tail. ``factors``, ``tol`` and
+    ``factor_cap`` fix the factor count as in the batch.
     """
-    if xi == 0:
-        return FourierValue(0.0, 1.0 + 0.0j, 0.0)
-    limit = min(len(omega), factor_cap)
-    r_max = float(np.abs(omega.table.ratios).max())
-    # tails[m - 1] bounds the cost of stopping after m factors
-    tails = TWO_PI * abs(xi) * np.abs(omega.cum_ratios) / (1.0 - r_max)
-    if factors is None:
-        factors = limit
-        if tol is not None:
-            small = np.flatnonzero(tails[:limit - 1] <= tol)
-            factors = int(small[0]) + 1 if small.size else limit
-    if factors > len(omega):
-        raise ValidationError("prefix shorter than the requested factor count")
-
-    z = character(xi * omega.atoms[: omega.offsets[factors]])
-    means = np.add.reduceat(z, omega.offsets[:factors]) / np.diff(omega.offsets[:factors + 1])
-    return FourierValue(float(xi), complex(np.prod(means)), float(tails[factors - 1]))
+    values, bounds = mu_omega_fourier_batch([omega], [xi], factors, tol, factor_cap)
+    return FourierValue(float(xi), complex(values[0, 0]), float(bounds[0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +362,10 @@ def disintegration_consistency(system, block_length: int, xis, n_sequences: int,
     For each frequency the mean of the convolution transform over sampled
     class sequences must match the stationary-measure transform within
     ``z_pass`` standard errors plus all rigorous truncation errors. A
-    failed comparison is reported, not raised.
+    failed comparison is reported, not raised. The transforms of all
+    sequences at all frequencies come from one ``mu_omega_fourier_batch``
+    call (one sweep per frequency), the direct ones from one
+    ``fourier_exact_batch`` call.
     """
     if n_sequences < 1 or not trunc_tol > 0:
         raise ValidationError("need at least one sequence and a positive trunc_tol")
@@ -318,14 +384,10 @@ def disintegration_consistency(system, block_length: int, xis, n_sequences: int,
               for i in range(n_sequences)]
 
     targets = require_values(fourier_exact_batch(marginal, xis, tol=trunc_tol))
+    values, bounds = mu_omega_fourier_batch(omegas, xis, tol=trunc_tol)
     entries = []
-    for xi, target in zip(xis, targets):
-        vals = np.empty(n_sequences, dtype=complex)
-        rig = 0.0
-        for i, om in enumerate(omegas):
-            fv = mu_omega_fourier(om, xi, tol=trunc_tol)
-            vals[i] = fv.value
-            rig = max(rig, fv.error_bound)
+    for xi, target, vals, tails in zip(xis, targets, values, bounds):
+        rig = float(tails.max())
         mean = complex(vals.mean())
         # identical sequences (a one-class table) have no spread; their
         # computed variance would be rounding noise
@@ -562,9 +624,7 @@ def ek_diagnostics(omega: OmegaSample, xi: float, params: LargeDeviationParams,
                              params.near_integer_tol, empty.astype(int))
 
     deltas = table.pair_deltas[omega.indices[levels - 1]]
-    prefix = np.empty(len(levels))
-    for j, i in enumerate(levels):
-        prefix[j] = omega.cum_ratios[i - 2] if i >= 2 else 1.0
+    prefix = np.where(levels >= 2, omega.cum_ratios[levels - 2], 1.0)
     products = xi * deltas * prefix
     p, eps = _round_half_even_keep_halfopen(products)
     bad = levels[np.abs(eps) <= params.near_integer_tol]

@@ -266,7 +266,10 @@ def fold(maps: Sequence[Map1D]) -> Map1D:
     Affine words fold in closed form; the empty word is the identity,
     returned as an affine map with ratio 1 (``is_contraction`` is False). A
     word with a smooth map composes by substitution, on the innermost map's
-    domain, and declares the product of the members' contraction bounds.
+    domain. Its bound is the product of the members' contraction bounds,
+    each step rounded up; it is certified when every smooth member's bound
+    is (an affine ratio is exact) and the product stays below 1 - 1e-15,
+    else declared and clipped there.
     """
     maps = tuple(maps)
     if all(isinstance(m, AffineMap) for m in maps):
@@ -281,8 +284,13 @@ def fold(maps: Sequence[Map1D]) -> Map1D:
         tree = (ex.add(ex.mul(m.ratio, tree), m.translate) if isinstance(m, AffineMap)
                 else m.expr.subst({m.var: tree}))
     domain = maps[-1].domain if isinstance(maps[-1], SmoothMap) else (0.0, 1.0)
-    bound = math.prod(m.contraction_bound for m in maps)
-    return SmoothMap(tree, var, domain, min(bound, 1.0 - 1e-15), "declared")
+    bound = maps[0].contraction_bound
+    for m in maps[1:]:  # rounded up, so a certified product stays certified
+        bound = math.nextafter(bound * m.contraction_bound, math.inf)
+    certified = bound <= 1.0 - 1e-15 and all(
+        isinstance(m, AffineMap) or m.bound_kind == "certified" for m in maps)
+    return SmoothMap(tree, var, domain, min(bound, 1.0 - 1e-15),
+                     "certified" if certified else "declared")
 
 
 def compose(cifs: CIFS, symbols: Sequence) -> Map1D:

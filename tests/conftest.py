@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ffl.ifs import CIFS, AffineMap, cantor_system, dyadic_uniform_system
+from ffl.ifs import (CIFS, AffineMap, build_fibre_product, cantor_system,
+                     dyadic_uniform_system)
 
 
 @pytest.fixture
@@ -26,6 +27,18 @@ def two_ratio():
     # {x/2, x/3 + 2/3}, the standard heterogeneous test system
     return CIFS((0, 1), {0: AffineMap(0.5, 0.0), 1: AffineMap(1 / 3, 2 / 3)},
                 {0: 0.5, 1: 0.5})
+
+
+def five_symbol_fp():
+    """Criterion c05's planar system: five symbols over two base maps, whose
+    classes differ in size."""
+    return build_fibre_product(
+        {"j": AffineMap(0.5, 0.0), "i": AffineMap(0.4, 0.5)},
+        {"j": {"s1": AffineMap(1 / 3, 0.0), "s2": AffineMap(1 / 3, 2 / 3),
+               "u": AffineMap(0.25, 0.3)},
+         "i": {"v": AffineMap(0.3, 0.1), "w": AffineMap(0.2, 0.6)}},
+        {("j", "s1"): 0.2, ("j", "s2"): 0.2, ("j", "u"): 0.2,
+         ("i", "v"): 0.2, ("i", "w"): 0.2})
 
 
 def lebesgue_transform(xi):

@@ -10,8 +10,8 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
-from conftest import lebesgue_transform
-from ffl.ifs import (CIFS, AffineMap, build_fibre_product, cantor_system,
+from conftest import five_symbol_fp, lebesgue_transform
+from ffl.ifs import (CIFS, AffineMap, cantor_system,
                      dyadic_uniform_system, fibre_product_from_1d)
 from ffl.measure import fourier_exact, fourier_exact_batch, sample_points
 from ffl.disintegrate import (build_classes, sample_omega, mu_omega_fourier,
@@ -87,16 +87,6 @@ def test_c04_disintegration_consistency():
     worst_z = max(e.z_score for e in rep.entries)
     report("criterion-04 disintegration consistency", rep.all_passed,
            f"10 frequencies, worst z {worst_z:.2f}", t0, 120)
-
-
-def five_symbol_fp():
-    return build_fibre_product(
-        {"j": AffineMap(0.5, 0.0), "i": AffineMap(0.4, 0.5)},
-        {"j": {"s1": AffineMap(1 / 3, 0.0), "s2": AffineMap(1 / 3, 2 / 3),
-               "u": AffineMap(0.25, 0.3)},
-         "i": {"v": AffineMap(0.3, 0.1), "w": AffineMap(0.2, 0.6)}},
-        {("j", "s1"): 0.2, ("j", "s2"): 0.2, ("j", "u"): 0.2,
-         ("i", "v"): 0.2, ("i", "w"): 0.2})
 
 
 def test_c05_class_combinatorics_brute_force():

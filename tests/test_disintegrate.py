@@ -1,16 +1,19 @@
 import math
 from itertools import product as iproduct
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import five_symbol_fp, unit_systems
+from ffl import disintegrate, measure
 from ffl.ifs import (CIFS, AffineMap, BudgetExhausted, ValidationError,
                      build_fibre_product, fibre_product_from_1d)
 from ffl.disintegrate import (build_classes, sample_omega, mu_omega_fourier,
-                              disintegration_consistency, LargeDeviationParams,
-                              check_omega_membership, ek_diagnostics,
-                              circle_sum_bound, calibrate_alpha)
+                              mu_omega_fourier_batch, disintegration_consistency,
+                              LargeDeviationParams, check_omega_membership,
+                              ek_diagnostics, circle_sum_bound, calibrate_alpha)
 from ffl.measure import fourier_exact
 
 
@@ -211,6 +214,73 @@ def test_mu_omega_matches_direct_product(k, length, seed, xi, mode, data):
         scale *= c.ratio
     assert abs(fv.value - direct) <= 1e-13
     assert fv.error_bound == pytest.approx(tail(count), rel=1e-12)
+
+
+def test_mu_omega_rejects_factor_counts_below_one_and_bad_frequencies(cantor):
+    # zero factors would give 1 + 0j labelled rigorous within the whole
+    # prefix's tail (6.1e-9 here), where the transform is about 0.37
+    table = build_classes(fibre_product_from_1d(cantor), 2)
+    om = sample_omega(table, 10, seed=1)
+    assert abs(mu_omega_fourier(om, 3.0).value) > 0.3
+    for bad in ({"factors": 0}, {"factors": -3}, {"factor_cap": 0}):
+        with pytest.raises(ValidationError):
+            mu_omega_fourier(om, 3.0, **bad)
+        with pytest.raises(ValidationError):
+            mu_omega_fourier_batch([om, om], [1.0, 3.0], **bad)
+    for xi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError):
+            mu_omega_fourier(om, xi)
+        with pytest.raises(ValidationError):
+            mu_omega_fourier_batch([om], [1.0, xi])
+
+
+FIVE_SYMBOL_TABLES = {k: build_classes(five_symbol_fp(), k) for k in (1, 2)}
+
+
+@st.composite
+def class_tables(draw):
+    """A class table of a random 2-3-map affine system (block length 1 or
+    2) or of c05's five-symbol fibre product, whose classes differ in size."""
+    if draw(st.booleans()):
+        return FIVE_SYMBOL_TABLES[draw(st.sampled_from([1, 2]))]
+    try:
+        fp = fibre_product_from_1d(draw(unit_systems()), n_max=4)
+    except (ValidationError, BudgetExhausted):  # no separated pair
+        assume(False)
+    return build_classes(fp, 2 if len(fp.alphabet) ** 2 <= 400 else 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=class_tables(), lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 16),
+       xis=st.lists(st.one_of(st.just(0.0), st.floats(-300.0, 300.0)), min_size=1, max_size=4),
+       mode=st.sampled_from(["factors", "tol", "neither"]),
+       cells=st.sampled_from([measure.BATCH_CELLS, 1, 40]), data=st.data())
+def test_batch_matches_the_one_sequence_call(table, lengths, seed, xis, mode, cells, data):
+    omegas = [sample_omega(table, n, seed=seed, stream=i) for i, n in enumerate(lengths)]
+    kw = {"factor_cap": data.draw(st.integers(1, 14))}
+    if mode == "factors":
+        kw = {"factors": data.draw(st.integers(1, min(lengths)))}
+    elif mode == "tol":
+        kw["tol"] = data.draw(st.floats(1e-12, 10.0))
+    # a small cell budget splits the sequences into several chunks
+    with mock.patch.object(measure, "BATCH_CELLS", cells):
+        values, bounds = mu_omega_fourier_batch(omegas, xis, **kw)
+    assert values.shape == bounds.shape == (len(xis), len(omegas))
+    for f, xi in enumerate(xis):
+        for i, om in enumerate(omegas):
+            fv = mu_omega_fourier(om, xi, **kw)
+            assert (values[f, i].real, values[f, i].imag) == (fv.value.real, fv.value.imag)
+            assert bounds[f, i] == fv.error_bound
+
+
+def test_consistency_makes_one_batch_call(two_ratio):
+    with mock.patch.object(disintegrate, "mu_omega_fourier_batch",
+                           wraps=mu_omega_fourier_batch) as batch, \
+            mock.patch.object(disintegrate, "mu_omega_fourier",
+                              side_effect=AssertionError("per-sequence call")):
+        rep = disintegration_consistency(two_ratio, 2, [1.0, 2.0, 5.0], 50, seed=9)
+    assert batch.call_count == 1 and len(rep.entries) == 3
 
 
 # -- consistency ------------------------------------------------------------------

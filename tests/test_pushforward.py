@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from conftest import unit_systems
 
 from ffl.ifs import (CIFS, AffineMap, SmoothMap, ValidationError,
-                     build_fibre_product, cantor_system)
+                     build_fibre_product, cantor_system, fold)
 from ffl.measure import fourier_exact, sample_points
 from ffl.pushforward import (SmoothMapF, identity_map, map_norms,
                              pushforward_fourier, stopping_words, zero_cover,
@@ -242,6 +242,34 @@ def test_pushforward_on_a_smooth_base_fibre_product():
     pts = sample_points(fp, 200_000, seed=13).points
     mc = np.exp(-2j * np.pi * 5.0 * (0.5 * pts[:, 0] + pts[:, 1] ** 2)).mean()
     assert abs(fv.value - mc) <= fv.error_bound + 4 / math.sqrt(len(pts))
+
+
+def test_folded_smooth_words_keep_certified_bounds():
+    # the n-fold composition of a certified smooth base map is certified
+    # too, so the fibre product's pushforward values stay rigorous
+    curved = SmoothMap.from_expr("(mul 0.3 (add x (mul 0.2 (pow x 2))))")
+    fp = build_fibre_product(
+        {"L": curved, "R": AffineMap(0.3, 0.6)},
+        {"L": {0: AffineMap(1 / 3, 0.0), 1: AffineMap(0.25, 2 / 3)},
+         "R": {0: AffineMap(0.25, 1 / 3)}},
+        {("L", 0): 1 / 3, ("L", 1): 1 / 3, ("R", 0): 1 / 3})
+    assert fp.fold == 2
+    smooth = [m for m in fp.base_maps.values() if isinstance(m, SmoothMap)]
+    assert smooth and all(m.bound_kind == "certified" for m in smooth)
+    for m in smooth:  # the rounded-up product dominates the derivative
+        lo, hi = ex.enclose(m.expr.diff(m.var), {m.var: m.domain})
+        assert max(-lo, hi) <= m.contraction_bound < 1.0
+    F = SmoothMapF.parse("(add (mul 0.5 x) (pow y 2))", {"x": (0, 1), "y": (0, 1)}, "y")
+    fv, = pushforward_fourier(F, fp, [3.0], tol=1e-2)
+    assert fv.kind == "rigorous"
+    # a declared member keeps the whole word declared
+    loose = SmoothMap.from_expr("(mul 0.3 x)", declared_bound=0.5)
+    assert fold([loose, curved]).bound_kind == "declared"
+    assert fold([curved, AffineMap(0.3, 0.6), curved]).bound_kind == "certified"
+    # so does a product clipped below 1
+    near = SmoothMap(curved.expr, "x", (0.0, 1.0), 1.0 - 1e-16, "certified")
+    clipped = fold([near, near])
+    assert clipped.bound_kind == "declared" and clipped.contraction_bound == 1.0 - 1e-15
 
 
 def test_pushforward_zero_frequency(cantor):

@@ -4,10 +4,9 @@ convolution disintegrations, nonlinear pushforwards, and quantitative
 equidistribution experiments."""
 
 from .ifs import (AffineMap, SmoothMap, ProductMap, CIFS, FibreProductCIFS,
-                  SeparatedPair, Word, compose, make_word, tail_check, lyapunov,
-                  build_fibre_product, fibre_product_from_1d, cantor_system,
-                  dyadic_uniform_system, ValidationError, SeparationError,
-                  BudgetExhausted)
+                  SeparatedPair, compose, tail_check, lyapunov, build_fibre_product,
+                  fibre_product_from_1d, cantor_system, dyadic_uniform_system,
+                  ValidationError, SeparationError, BudgetExhausted)
 from .measure import (FourierValue, SamplePoints, sample_points, make_sampler,
                       fourier_exact, fourier_exact_batch, fourier_product_homogeneous,
                       fourier_montecarlo, frostman_profile, cylinder_decomposition)
@@ -16,9 +15,8 @@ from .disintegrate import (EquivClass, ClassTable, OmegaSample, ConvolutionFacto
                            mu_omega_fourier_batch, disintegration_consistency,
                            LargeDeviationParams, check_omega_membership,
                            ek_diagnostics, circle_sum_bound, calibrate_alpha)
-from .pushforward import (SmoothMapF, MapNorms, map_norms, pushforward_fourier,
-                          stopping_words, StoppingSet, zero_cover, ZeroCover,
-                          split_fourier, prefix_decomposition, conjugate_ifs,
+from .pushforward import (SmoothMapF, MapNorms, map_norms, pushforward_fourier, zero_cover,
+                          ZeroCover, split_fourier, prefix_decomposition, conjugate_ifs,
                           ks_distance, identity_map)
 from .equidist import (RateFn, EquidistSpec, GridPoint, random_grid_point,
                        grid_point_for, sigma, count_hits, weyl_sums, digit_freq,

@@ -515,8 +515,7 @@ def check_omega_membership(omega: OmegaSample, params: LargeDeviationParams,
     return MembershipReport(
         horizons=n,
         large_classes=big[n - 1] >= need,
-        ratio_product=cum_log[n - 1] >
-        -2.0 * params.lyapunov * params.block_length * n,
+        ratio_product=cum_log[n - 1] > params.log_product_floor(n),
         ratio_floor=above_floor[n - 1] >= need,
         small_ratio_product=cum_small_log[n - 1] >= 2.0 * n * expect_small,
     )

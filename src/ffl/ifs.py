@@ -156,28 +156,6 @@ class ProductMap:
 
 
 # ---------------------------------------------------------------------------
-# words
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Word:
-    """A finite composition word with its derived closed-form data.
-
-    ``ratio`` multiplies member ratios left to right; ``translate`` is the
-    composed offset (affine words only, else None); ``weight`` multiplies
-    member weights.
-    """
-
-    symbols: tuple
-    ratio: float
-    translate: float | None
-    weight: float
-
-    def __len__(self):
-        return len(self.symbols)
-
-
-# ---------------------------------------------------------------------------
 # one-dimensional systems
 # ---------------------------------------------------------------------------
 
@@ -192,14 +170,18 @@ class _System:
                                   f"{min(bounds)}..{max(bounds)}, not inside (0, 1)")
 
     @property
+    def is_affine(self) -> bool:
+        return all(isinstance(m, AffineMap) for column in self.coordinates for m in column)
+
+    @property
     def radius(self) -> float:
         """R = max(1, max |translate| / (1 - |ratio|)) of an affine system:
         every map sends [-R, R] into itself, in every coordinate, so the
         attractor lies in [-R, R]^m."""
-        maps = [m for column in self.coordinates for m in column]
-        if not all(isinstance(m, AffineMap) for m in maps):
+        if not self.is_affine:
             raise ValidationError("the radius is defined for affine systems only")
-        return max(1.0, max(abs(m.translate) / (1.0 - abs(m.ratio)) for m in maps))
+        return max(1.0, max(abs(m.translate) / (1.0 - abs(m.ratio))
+                            for column in self.coordinates for m in column))
 
     @cached_property
     def cylinders(self) -> "_CylinderEngine":
@@ -242,10 +224,6 @@ class CIFS(_System):
         self._check_contraction()
 
     # -- helpers ------------------------------------------------------------
-
-    @property
-    def is_affine(self) -> bool:
-        return all(isinstance(self.maps[a], AffineMap) for a in self.alphabet)
 
     def ratios(self) -> np.ndarray:
         if not self.is_affine:
@@ -299,15 +277,6 @@ def compose(cifs: CIFS, symbols: Sequence) -> Map1D:
         if s not in cifs.maps:
             raise ValidationError(f"unknown symbol {s!r} at index {idx}")
     return fold(cifs.maps[s] for s in symbols)
-
-
-def make_word(cifs: CIFS, symbols: Sequence) -> Word:
-    """Validate symbols against the alphabet and fold the derived data."""
-    m = compose(cifs, symbols)
-    affine = isinstance(m, AffineMap)
-    return Word(tuple(symbols), m.ratio if affine else m.contraction_bound,
-                m.translate if affine else None,
-                math.prod((cifs.weights[s] for s in symbols), start=1.0))
 
 
 @dataclass
@@ -633,6 +602,8 @@ class _CylinderEngine:
         if not theta > 0:
             raise ValidationError("stopping threshold must be positive")
         lips, m = tuple(lips), len(lips)
+        if m != len(self.ratios):
+            raise ValidationError(f"{m} Lipschitz factors for {len(self.ratios)} coordinates")
         nodes, stack = 0, [((), np.ones((m, 1)), np.zeros((m, 1)), np.ones(1))]
         while stack:
             word, rho, t, w = stack.pop()  # word: symbol indices

@@ -173,7 +173,7 @@ def exact_sweep(cifs: CIFS, xis, tol: float = 1e-9, budget: int = DEFAULT_BUDGET
     ratios lie above its threshold. Each value is the same, bit for bit,
     whatever else is in the batch.
     """
-    if not cifs.is_affine:
+    if len(cifs.coordinates) != 1 or not cifs.is_affine:
         raise ValidationError("fourier_exact needs an affine 1-D system")
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
@@ -272,8 +272,8 @@ def fourier_product_homogeneous(cifs: CIFS, xi: float, factors: int = 64) -> Fou
     The transform factorises over convolution scales; truncating after
     ``factors`` terms costs at most 2*pi*|xi|*|r|^factors / (1-|r|).
     """
-    if not cifs.is_affine:
-        raise ValidationError("product evaluator needs an affine system")
+    if len(cifs.coordinates) != 1 or not cifs.is_affine:
+        raise ValidationError("product evaluator needs an affine 1-D system")
     ratios = cifs.ratios()
     r = ratios[0]
     if np.max(np.abs(ratios - r)) > 1e-12:
@@ -322,17 +322,20 @@ def fourier_montecarlo(sampler, xis, draws: int, seed: int = 0) -> list:
 
 
 # ---------------------------------------------------------------------------
-# cylinder decomposition (stopping covers of the measure)
+# stopping sets: cylinder decompositions of the measure
 # ---------------------------------------------------------------------------
 
 @dataclass
 class CylinderDecomposition:
-    """Prefix-free stopping cylinders with anchors and diameter bounds."""
+    """Prefix-free stopping words, in the engine's order, with arrays of
+    their weights, anchors (images of 0), diameter bounds and signed
+    composed ratios."""
 
     words: list
     weights: np.ndarray
     anchors: np.ndarray
     diameters: np.ndarray
+    ratios: np.ndarray
     tail_mass: float = 0.0
 
     def mass(self) -> float:
@@ -341,14 +344,20 @@ class CylinderDecomposition:
 
 def cylinder_decomposition(cifs: CIFS, threshold: float,
                            budget: int = DEFAULT_BUDGET) -> CylinderDecomposition:
-    """Enumerate the prefix-free words whose composed ratio first drops to
-    ``threshold`` or below, with anchor = image of 0 and diameter bound."""
+    """The stopping set at ``threshold`` of a 1-D system: the prefix-free
+    words whose composed ratio first drops to ``threshold`` or below. A
+    smooth map's contraction bound stands in for its ratio, so ``ratios``
+    holds products of bounds there; ``diameters`` scales |ratio| by any
+    ``diam_constant``."""
+    if len(cifs.coordinates) != 1:
+        raise ValidationError("a cylinder decomposition needs a 1-D system")
     pieces = list(cifs.cylinders.walk(threshold, (1.0,), budget, words=True))
     return CylinderDecomposition(
         [w for p in pieces for w in p.words],
         np.concatenate([p.weights for p in pieces]),
         np.concatenate([p.anchors[0] for p in pieces]),
         np.concatenate([p.bounds for p in pieces]) * getattr(cifs, "diam_constant", 1.0),
+        np.concatenate([p.ratios[0] for p in pieces]),
         getattr(cifs, "tail_mass", 0.0))
 
 

@@ -1,19 +1,19 @@
 """Fourier transforms of nonlinear images of stationary measures.
 
 The transform of F(mu) is a sum over stopping cylinders, with every
-cylinder (and stopping word) from ``system.cylinders``. On an affine line
-system F is almost affine on a small cylinder, so each cylinder
-contributes weight * e(xi F(a)) * mu^(xi F'(a) rho), a its anchor and rho
-its ratio, at a cost of at most pi |xi| sup|F''| R^2 rho^2 per unit of
-mass; a batch of frequencies takes one exact sweep for the transforms of
-mu. Every other system (fibre products, systems with smooth maps) replaces
-each cylinder by the character at F(anchor). Error bounds rest on
-derivative norms certified by interval enclosure over F's box, which the
-system must map into itself, and on the maps' contraction bounds: values
-are "rigorous" unless some map's bound is declared, then "estimate"s.
-Also here: polynomial level-set covers, the good/bad frequency-sum split,
-certified prefix decompositions by interval arithmetic, and conjugation by
-smooth coordinate changes.
+cylinder from ``system.cylinders``. On an affine line system F is almost
+affine on a small cylinder, so each cylinder contributes
+weight * e(xi F(a)) * mu^(xi F'(a) rho), a its anchor and rho its ratio,
+at a cost of at most pi |xi| sup|F''| R^2 rho^2 per unit of mass; a batch
+of frequencies takes one exact sweep for the transforms of mu. Every other
+system (fibre products, systems with smooth maps) replaces each cylinder
+by the character at F(anchor). Error bounds rest on derivative norms
+certified by interval enclosure over F's box, which the system must map
+into itself, and on the maps' contraction bounds: values are "rigorous"
+unless some map's bound is declared, then "estimate"s. Also here:
+polynomial level-set covers, the good/bad split of the sum over a
+``measure.cylinder_decomposition``, certified prefix decompositions by
+interval arithmetic, and conjugation by smooth coordinate changes.
 """
 
 from __future__ import annotations
@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .ifs import (CIFS, FibreProductCIFS, AffineMap, SmoothMap, Word,
-                  BudgetExhausted, ValidationError)
-from .measure import (FourierValue, character, exact_sweep, require_values,
-                      TWO_PI, DEFAULT_BUDGET)
+from .ifs import CIFS, AffineMap, SmoothMap, BudgetExhausted, ValidationError
+from .measure import (FourierValue, character, cylinder_decomposition, exact_sweep,
+                      require_values, TWO_PI, DEFAULT_BUDGET)
 from .rng import stream_rng
 
 
@@ -194,7 +193,7 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
         raise ValidationError("frequencies must be finite")
     if norms is None:
         norms = map_norms(F)
-    line = not isinstance(system, FibreProductCIFS) and system.is_affine
+    line = len(system.coordinates) == 1 and system.is_affine
     if line:
         (lo, hi), = F.domain.values()
         c2 = math.pi * norms.sup_second * max(abs(lo), abs(hi)) ** 2
@@ -280,38 +279,6 @@ def _first_order(F: SmoothMapF, system, xi, tol, budget, lips, kind):
     err = TWO_PI * abs(xi) * spread
     return FourierValue(xi, value, min(err, tol) + TWO_PI * abs(xi) * system.tail_mass,
                         kind=kind)
-
-
-# ---------------------------------------------------------------------------
-# stopping words at a frequency-power threshold
-# ---------------------------------------------------------------------------
-
-@dataclass
-class StoppingSet:
-    frequency: float
-    exponent: float
-    words: list  # Word records
-
-    def total_weight(self) -> float:
-        return math.fsum(w.weight for w in self.words)
-
-
-def stopping_words(cifs: CIFS, xi: float, delta: float,
-                   budget: int = DEFAULT_BUDGET) -> StoppingSet:
-    """The prefix-free words whose composed ratio first drops to
-    |xi|^(-delta) or below, on an affine system."""
-    if not cifs.is_affine:
-        raise ValidationError("stopping words need an affine system")
-    if not abs(xi) > 1:
-        raise ValidationError("need |xi| > 1")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError("delta must lie in (0, 1)")
-    words = []
-    for piece in cifs.cylinders.walk(abs(xi) ** (-delta), (1.0,), budget, words=True):
-        words.extend(map(Word, piece.words, piece.ratios[0].tolist(),
-                         piece.anchors[0].tolist(), piece.weights.tolist()))
-    words.sort(key=lambda w: w.symbols)
-    return StoppingSet(float(xi), float(delta), words)
 
 
 # ---------------------------------------------------------------------------
@@ -452,41 +419,46 @@ class SplitFourier:
 def split_fourier(F: SmoothMapF, cifs: CIFS, xi: float, delta: float = 0.2,
                   delta_prime: float | None = None, tol: float = 1e-6,
                   budget: int = DEFAULT_BUDGET) -> SplitFourier:
-    """Split the stopping-word sum by proximity to derivative zeros.
+    """Split the sum over the stopping set at |xi|^(-delta) of an affine
+    1-D system by proximity to derivative zeros.
 
-    A word is bad when its cylinder image meets a neighbourhood of radius
-    C * |xi|^(-delta') around a zero of F' or F''. The two partial sums
-    reconstruct the cylinder estimate of the pushforward transform.
+    Each word w contributes weight * e(xi F(a_w)), a_w its anchor. It is
+    bad when its cylinder image [a_w, a_w + rho_w] (either way round) meets
+    a neighbourhood of radius C * |xi|^(-delta') around a zero of F' or
+    F''. The two partial sums reconstruct the cylinder estimate of the
+    pushforward transform.
     """
+    if not cifs.is_affine:
+        raise ValidationError("the split needs an affine system")
+    if not abs(xi) > 1:
+        raise ValidationError("need |xi| > 1")
+    if not 0.0 < delta < 1.0:
+        raise ValidationError("delta must lie in (0, 1)")
     if delta_prime is None:
         delta_prime = delta
-    var = F.fibre_var
-    zs = []
+    zeros, radii = [], []
     for deriv in (F.first, F.second):
-        coeffs = ex.poly_coeffs(deriv, var)
+        coeffs = ex.poly_coeffs(deriv, F.fibre_var)
         if coeffs.any():
             cover = zero_cover(coeffs, [2.0 ** -6])
-            if len(cover.zeros):
-                zs.append((cover.zeros, cover.constant))
-    radius_by = [(z, c * abs(xi) ** (-delta_prime)) for z, c in zs]
+            zeros.extend(cover.zeros)
+            radii.extend([cover.constant * abs(xi) ** (-delta_prime)] * len(cover.zeros))
+    z, r = np.array(zeros)[:, None], np.array(radii)[:, None]
 
-    words = stopping_words(cifs, xi, delta, budget).words
-    good = bad = 0.0 + 0.0j
-    bad_mass = 0.0
-    for w in words:
-        lo, hi = sorted((w.translate, w.translate + w.ratio))
-        is_bad = any(np.any((z + r >= lo) & (z - r <= hi)) for z, r in radius_by)
-        contrib = w.weight * complex(character(xi * F.expr.eval({var: w.translate})))
-        if is_bad:
-            bad += contrib
-            bad_mass += w.weight
-        else:
-            good += contrib
-    reference = require_values(pushforward_fourier(F, cifs, [xi], tol=tol, budget=budget))[0]
-    total = good + bad
-    word_err = TWO_PI * abs(xi) * map_norms(F).sup_first * abs(xi) ** (-delta)
+    dec = cylinder_decomposition(cifs, abs(xi) ** (-delta), budget)
+    ends = dec.anchors + dec.ratios
+    bad = ((z + r >= np.minimum(dec.anchors, ends))
+           & (z - r <= np.maximum(dec.anchors, ends))).any(axis=0)
+    contrib = dec.weights * character(xi * F.expr.eval({F.fibre_var: dec.anchors}))
+    good, bad_sum = complex(contrib[~bad].sum()), complex(contrib[bad].sum())
+    bad_mass = float(dec.weights[bad].sum())
+    norms = map_norms(F)
+    reference = require_values(pushforward_fourier(F, cifs, [xi], tol=tol, budget=budget,
+                                                   norms=norms))[0]
+    total = good + bad_sum
+    word_err = TWO_PI * abs(xi) * norms.sup_first * abs(xi) ** (-delta)
     gap = abs(total - reference.value)
-    return SplitFourier(good, bad, bad_mass, total, reference, gap,
+    return SplitFourier(good, bad_sum, bad_mass, total, reference, gap,
                         gap <= word_err + reference.error_bound)
 
 
@@ -592,8 +564,8 @@ def conjugate_ifs(psi: CIFS, forward: SmoothMapF, inverse: ex.Expr | str,
     """
     from .measure import sample_points  # local import to avoid a cycle
 
-    if not psi.is_affine:
-        raise ValidationError("conjugation starts from an affine system")
+    if len(psi.coordinates) != 1 or not psi.is_affine:
+        raise ValidationError("conjugation starts from an affine 1-D system")
     var = forward.fibre_var
     inv = inverse if isinstance(inverse, ex.Expr) else ex.parse(inverse)
     inv_vars = inv.variables()

@@ -13,13 +13,14 @@ import pytest
 from conftest import five_symbol_fp, lebesgue_transform
 from ffl.ifs import (CIFS, AffineMap, cantor_system,
                      dyadic_uniform_system, fibre_product_from_1d)
-from ffl.measure import fourier_exact, fourier_exact_batch, sample_points
+from ffl.measure import (fourier_exact, fourier_exact_batch, sample_points,
+                         cylinder_decomposition)
 from ffl.disintegrate import (build_classes, sample_omega, mu_omega_fourier,
                               disintegration_consistency, LargeDeviationParams,
                               check_omega_membership, ek_diagnostics,
                               circle_sum_bound, calibrate_alpha)
 from ffl.pushforward import (SmoothMapF, map_norms, pushforward_fourier,
-                             stopping_words, conjugate_ifs, ks_distance)
+                             conjugate_ifs, ks_distance)
 from ffl.equidist import RateFn, EquidistSpec, grid_point_for, count_hits, sigma
 from ffl.decay import band_maxima, fit_eta, sparse_cover
 from ffl.rng import stream_rng, spawn_seed
@@ -245,14 +246,14 @@ def test_c10_invariant_bundle():
     notes.append("chain rule")
 
     # stopping-set structure
-    ws = stopping_words(cantor, 100.0, 0.4)
-    symbols = {w.symbols for w in ws.words}
     thr = 100.0 ** -0.4
-    for w in ws.words:
-        ok &= abs(w.ratio) <= thr
-        parent = w.ratio / cantor.maps[w.symbols[-1]].ratio
+    dec = cylinder_decomposition(cantor, thr)
+    symbols = set(dec.words)
+    for w, ratio in zip(dec.words, dec.ratios):
+        ok &= abs(ratio) <= thr
+        parent = ratio / cantor.maps[w[-1]].ratio
         ok &= abs(parent) > thr
-        ok &= all(w.symbols[:cut] not in symbols for cut in range(1, len(w.symbols)))
+        ok &= all(w[:cut] not in symbols for cut in range(1, len(w)))
     notes.append("stopping-set prefix freeness")
 
     # near-integer reconstruction at 1e-9

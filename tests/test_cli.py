@@ -38,6 +38,15 @@ def read_rows(path):
     return [l.split(",") for l in lines[1:]]
 
 
+# a valid fibre product: base {x/2, x/2 + 1/2}, three fibre maps of ratio 1/3
+FIBRE3 = {"kind": "fibre_product",
+          "base": [{"id": "L", "ratio": 0.5, "translate": 0.0},
+                   {"id": "R", "ratio": 0.5, "translate": 0.5}],
+          "fibres": [{"base": "L", "id": "a", "ratio": 1 / 3, "translate": 0.0, "weight": 1 / 3},
+                     {"base": "L", "id": "b", "ratio": 1 / 3, "translate": 2 / 3, "weight": 1 / 3},
+                     {"base": "R", "id": "c", "ratio": 1 / 3, "translate": 1 / 3, "weight": 1 / 3}]}
+
+
 def test_scan_integer_frequencies_vanish(tmp_path):
     cfg = dyadic_scan_config(tmp_path)
     out = tmp_path / "out"
@@ -267,16 +276,7 @@ def test_conjugate_subcommand(tmp_path):
 
 def test_fibre_product_config(tmp_path):
     cfg = write_config(tmp_path / "cfg.json", {
-        "system": {"kind": "fibre_product",
-                   "base": [{"id": "L", "ratio": 0.5, "translate": 0.0},
-                            {"id": "R", "ratio": 0.5, "translate": 0.5}],
-                   "fibres": [
-                       {"base": "L", "id": "a", "ratio": 1 / 3, "translate": 0.0,
-                        "weight": 1 / 3},
-                       {"base": "L", "id": "b", "ratio": 1 / 3, "translate": 2 / 3,
-                        "weight": 1 / 3},
-                       {"base": "R", "id": "c", "ratio": 1 / 3, "translate": 1 / 3,
-                        "weight": 1 / 3}]},
+        "system": FIBRE3,
         "disintegrate": {"block_length": 2, "alpha": 0.2},
     })
     out = tmp_path / "out"
@@ -288,16 +288,7 @@ def test_fibre_product_config(tmp_path):
 
 def test_fibre_var_must_be_the_second_variable(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", {
-        "system": {"kind": "fibre_product",
-                   "base": [{"id": "L", "ratio": 0.5, "translate": 0.0},
-                            {"id": "R", "ratio": 0.5, "translate": 0.5}],
-                   "fibres": [
-                       {"base": "L", "id": "a", "ratio": 1 / 3, "translate": 0.0,
-                        "weight": 1 / 3},
-                       {"base": "L", "id": "b", "ratio": 1 / 3, "translate": 2 / 3,
-                        "weight": 1 / 3},
-                       {"base": "R", "id": "c", "ratio": 1 / 3, "translate": 1 / 3,
-                        "weight": 1 / 3}]},
+        "system": FIBRE3,
         "map": {"expr": "(add (mul 0.5 x) (pow y 2))", "fibre_var": "x"},
         "scan": {"xi_min": 4.0, "xi_max": 4.0, "points": 1, "tol": 1e-2},
     })
@@ -496,12 +487,18 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         (["disintegrate", "sample"], {"system": {"kind": "affine1d", "weights": [0.5, 0.5],
                                                  "maps": [{"ratio": 0.0, "translate": 0.0},
                                                           {"ratio": 0.0, "translate": 1.0}]}}),
+        # the exact and product evaluators and conjugation are 1-D only
+        (["fourier-scan"], {"system": FIBRE3, "scan": dict(scan, method="exact")}),
+        (["fourier-scan"], {"system": FIBRE3, "scan": dict(scan, method="product")}),
+        (["decay", "sparse"], {"system": FIBRE3, "decay": {"method": "exact", "limit": 9.0}}),
+        (["conjugate"], {"system": FIBRE3, "map": {"expr": "(pow x 2)",
+                                                   "inverse": "(pow x 0.5)"}}),
     ]
     for argv, config in cases:
         cfg = write_config(tmp_path / "cfg.json", config)
         assert main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2, config
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["error"]["kind"] == "validation"
+        err, = capsys.readouterr().err.strip().splitlines()  # one JSON line
+        assert json.loads(err)["error"]["kind"] == "validation"
 
 
 def test_scan_grid_is_checked_before_it_is_built(tmp_path, capsys):
@@ -587,7 +584,8 @@ systems = either(
             "base": st.sampled_from(["L", "R"]), "id": st.sampled_from(["a", "b", "c"]),
             "ratio": either(st.sampled_from([1 / 3, 0.5])),
             "translate": either(st.sampled_from([0.0, 1 / 3, 2 / 3])),
-            "weight": either(st.sampled_from([1 / 3, 0.5]))}), min_size=1, max_size=3)}))
+            "weight": either(st.sampled_from([1 / 3, 0.5]))}), min_size=1, max_size=3)})
+    | st.just(FIBRE3))
 methods = st.sampled_from(["exact", "product", "montecarlo", "pushforward", "bogus"])
 configs = st.fixed_dictionaries({"system": systems}, optional={
     "scan": section(xi_min=frequency, xi_max=frequency, points=st.integers(0, 5),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffl.ifs import (CIFS, AffineMap, SmoothMap, ValidationError, SeparationError,
-                     compose, fold, make_word, tail_check, lyapunov,
+                     compose, fold, tail_check, lyapunov,
                      build_fibre_product, fibre_product_from_1d,
                      cantor_system, dyadic_uniform_system)
 
@@ -95,11 +95,11 @@ def test_fold_matches_nested_evaluation(word):
 def test_word_ratio_multiplies_exactly_for_dyadic():
     # dyadic ratios make float products exact, so concatenation is exact
     sys = dyadic_uniform_system()
-    w1 = make_word(sys, (0, 1, 1))
-    w2 = make_word(sys, (1, 0))
-    w12 = make_word(sys, (0, 1, 1, 1, 0))
+    w1 = compose(sys, (0, 1, 1))
+    w2 = compose(sys, (1, 0))
+    w12 = compose(sys, (0, 1, 1, 1, 0))
     assert w12.ratio == w1.ratio * w2.ratio
-    assert w12.weight == w1.weight * w2.weight
+    assert w12.translate == w1.translate + w1.ratio * w2.translate
 
 
 # -- validation -------------------------------------------------------------

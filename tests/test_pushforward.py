@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,10 +9,10 @@ from scipy.integrate import quad
 from conftest import unit_systems
 
 from ffl.ifs import (CIFS, AffineMap, SmoothMap, ValidationError,
-                     build_fibre_product, cantor_system, fold)
-from ffl.measure import fourier_exact, sample_points
+                     build_fibre_product, cantor_system, compose, fold)
+from ffl.measure import cylinder_decomposition, fourier_exact, sample_points
 from ffl.pushforward import (SmoothMapF, identity_map, map_norms,
-                             pushforward_fourier, stopping_words, zero_cover,
+                             pushforward_fourier, zero_cover,
                              split_fourier, prefix_decomposition, conjugate_ifs,
                              ks_distance)
 from ffl import expr as ex
@@ -320,62 +321,66 @@ def test_fibre_product_rejects_a_first_variable_fibre():
         pushforward_fourier(F, fp, [4.0], tol=1e-2)
 
 
-# -- stopping words -----------------------------------------------------------
+# -- stopping sets -------------------------------------------------------------
 
-def test_stopping_words_homogeneous_exact_depth(dyadic):
-    ws = stopping_words(dyadic, 64.0, 0.5)
-    assert all(len(w.symbols) == 3 for w in ws.words)
-    assert len(ws.words) == 8
+def test_stopping_set_homogeneous_exact_depth(dyadic):
+    dec = cylinder_decomposition(dyadic, 64.0 ** -0.5)
+    assert all(len(w) == 3 for w in dec.words)
+    assert len(dec.words) == 8
+    assert (dec.ratios == 0.125).all()
 
 
-def test_stopping_words_two_ratio_cases():
+def test_stopping_set_two_ratio_cases():
     sys = CIFS(("a", "b"), {"a": AffineMap(0.5, 0.0), "b": AffineMap(1 / 3, 0.5)},
                {"a": 0.5, "b": 0.5})
-    ws = stopping_words(sys, 64.0, 0.5)
-    symbols = {w.symbols for w in ws.words}
+    dec = cylinder_decomposition(sys, 64.0 ** -0.5)
+    symbols = set(dec.words)
     assert ("a", "a", "a") in symbols
     assert ("a", "b") not in symbols
     assert ("a", "b", "b") in symbols
 
 
-def test_stopping_words_invariants(two_ratio):
-    ws = stopping_words(two_ratio, 37.0, 0.4)
+def test_stopping_set_invariants(two_ratio):
     threshold = 37.0 ** -0.4
-    assert ws.total_weight() == pytest.approx(1.0, abs=1e-9)
-    for w in ws.words:
-        assert abs(w.ratio) <= threshold
+    dec = cylinder_decomposition(two_ratio, threshold)
+    assert dec.mass() == pytest.approx(1.0, abs=1e-9)
+    for w, ratio in zip(dec.words, dec.ratios):
+        assert abs(ratio) <= threshold
         parent = 1.0
-        for s in w.symbols[:-1]:
+        for s in w[:-1]:
             parent *= two_ratio.maps[s].ratio
         assert abs(parent) > threshold
-    symbols = {w.symbols for w in ws.words}
+    symbols = set(dec.words)
     for w in symbols:  # prefix-freeness
         for cut in range(1, len(w)):
             assert w[:cut] not in symbols
 
 
-def test_stopping_words_boundary_small_delta(two_ratio):
+def test_stopping_set_boundary_small_delta(two_ratio):
     # threshold above every single-letter ratio: single letters exactly
-    ws = stopping_words(two_ratio, 1.2, 0.05)
-    assert sorted(w.symbols for w in ws.words) == [(0,), (1,)]
+    dec = cylinder_decomposition(two_ratio, 1.2 ** -0.05)
+    assert sorted(dec.words) == [(0,), (1,)]
 
 
-def test_stopping_words_preconditions(two_ratio):
+def test_split_preconditions(two_ratio):
+    F = SmoothMapF.parse("(pow x 2)")
     with pytest.raises(ValidationError):
-        stopping_words(two_ratio, 0.5, 0.3)
+        split_fourier(F, two_ratio, 0.5, 0.3)
     with pytest.raises(ValidationError):
-        stopping_words(two_ratio, 10.0, 1.5)
+        split_fourier(F, two_ratio, 10.0, 1.5)
 
 
-def test_stopping_words_reject_smooth_maps():
-    # a smooth word has no closed-form translate to record
+def test_split_rejects_smooth_maps():
+    # a smooth word has no closed-form translate to split on
     smooth = CIFS((0, 1), {0: SmoothMap.from_expr("(mul 0.3 x)"),
                            1: SmoothMap.from_expr("(add 0.6 (mul 0.3 x))")},
                   {0: 0.5, 1: 0.5})
     with pytest.raises(ValidationError, match="affine"):
-        stopping_words(smooth, 10.0, 0.5)
-    with pytest.raises(ValidationError, match="affine"):
         split_fourier(SmoothMapF.parse("(pow x 2)"), smooth, 10.0)
+    # the stopping set itself is defined, with products of contraction bounds
+    dec = cylinder_decomposition(smooth, 0.1)
+    assert all(len(w) == 2 for w in dec.words)
+    assert dec.ratios == pytest.approx(0.09, rel=1e-12)
 
 
 # -- polynomial level sets -------------------------------------------------------
@@ -437,6 +442,50 @@ def test_split_reconstruction_random_frequencies(cantor):
     for xi in 10.0 ** rng.uniform(1, 4, size=10):
         sp = split_fourier(F, cantor, float(xi), delta=0.25, tol=1e-6)
         assert sp.consistent
+
+
+# coefficients of polynomials of degree <= 3, half of them with F' = c (x - a)(x - b)
+# for a, b in [0, 1], so F' has two zeros there and F'' one
+polynomials = (st.lists(st.integers(-8, 8).map(lambda k: k / 4), min_size=1, max_size=4)
+               | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from([-2.0, 3.0]))
+               .map(lambda t: [0.0, t[2] * t[0] * t[1], -t[2] * (t[0] + t[1]) / 2, t[2] / 3]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(unit_systems(max_ratio=0.4), polynomials,
+       st.sampled_from([20.0, 81.0, -30.0]), st.sampled_from([0.2, 0.3]))
+def test_split_matches_a_per_word_loop(system, coeffs, xi, delta):
+    # negative and shared ratios come from unit_systems
+    F = SmoothMapF.parse("(add 0 " + " ".join(
+        f"(mul {c!r} (pow x {k}))" for k, c in enumerate(coeffs)) + ")")
+    norms = []  # the split's map_norms calls, reused below: enclosures dominate the cost
+
+    def spy(f):
+        norms.append(map_norms(f))
+        return norms[-1]
+    with mock.patch("ffl.pushforward.map_norms", spy):
+        sp = split_fourier(F, system, xi, delta=delta, tol=1e-2)
+    assert len(norms) == 1
+    covers = [zero_cover(ex.poly_coeffs(d, "x"), [2.0 ** -6]) for d in (F.first, F.second)
+              if ex.poly_coeffs(d, "x").any()]
+    good = bad = 0j
+    bad_mass = 0.0
+    for w in cylinder_decomposition(system, abs(xi) ** -delta).words:
+        m = compose(system, w)
+        lo, hi = m.image(0.0, 1.0)
+        weight = math.prod(system.weights[s] for s in w)
+        near = any(abs(z - min(max(z, lo), hi)) <= c.constant * abs(xi) ** -delta
+                   for c in covers for z in c.zeros)
+        contrib = weight * np.exp(-2j * np.pi * xi * F.expr.eval({"x": m.translate}))
+        if near:
+            bad, bad_mass = bad + contrib, bad_mass + weight
+        else:
+            good += contrib
+    assert abs(sp.good_sum - good) <= 1e-12 and abs(sp.bad_sum - bad) <= 1e-12
+    assert abs(sp.bad_mass - bad_mass) <= 1e-12
+    gap = abs(good + bad - sp.reference.value)
+    word_err = 2 * np.pi * abs(xi) * norms[0].sup_first * abs(xi) ** -delta
+    assert sp.consistent == (gap <= word_err + sp.reference.error_bound)
 
 
 # -- certified prefix decomposition -----------------------------------------------

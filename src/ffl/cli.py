@@ -294,12 +294,14 @@ def cmd_equidist(cfg, out, seed, budget, action):
     rate = eq.RateFn.parse(section.get("rate", "(mul 0.1 (pow n 0))"))
     gamma = float(section.get("gamma", 0.0))
     horizon = int(section.get("horizon", 1000))
+    base = section.get("base", 2)  # uncast: int() would run base 2.5 as base 2
     if "terms" in section:
         spec = eq.EquidistSpec.explicit(section["terms"], gamma, rate, horizon)
     else:
-        spec = eq.EquidistSpec.geometric(int(section.get("base", 2)), gamma,
-                                         rate, horizon)
+        spec = eq.EquidistSpec.geometric(base, gamma, rate, horizon)
     n_seeds = int(section.get("seeds", 1))
+    if n_seeds < 1:
+        raise ValidationError("seeds must be >= 1")
     epsilon = float(section.get("epsilon", 1.0))
     h = config_hash(cfg)
 
@@ -333,16 +335,15 @@ def cmd_equidist(cfg, out, seed, budget, action):
         return 0
 
     if action == "digits":
-        base = int(section.get("base", 2))
         rows = []
         for i in range(n_seeds):
-            gp = eq.random_grid_point(horizon * max(1, int(math.log2(base)) + 1) + 128,
+            gp = eq.random_grid_point(horizon * int(base).bit_length() + 128,
                                       seed=spawn_seed(seed, i))
             d = eq.digit_freq(gp, base, horizon, keep_digits=False)
             rows.append(",".join([str(i)] + [str(int(c)) for c in d.histogram]
                                  + [g17(d.chi_square)]))
         write_csv(out / "digits.csv", "equidist digits", h, seed,
-                  "seed," + ",".join(f"d{j}" for j in range(base)) + ",chi_square",
+                  "seed," + ",".join(f"d{j}" for j in range(d.base)) + ",chi_square",
                   rows)
         return 0
     raise ValidationError(f"unknown equidist action {action!r}")

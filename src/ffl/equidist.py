@@ -1,11 +1,18 @@
 """Equidistribution experiments: hit counting, Weyl sums, digit statistics.
 
-Orbits n -> q_n * x mod 1 are computed exactly. A rational x = p/q evolves
-by modular arithmetic (b * r mod q); points sampled as binary fractions of
-K bits use a sliding bit-window fast path for base 2. Comparisons against
-the target window are done in floating point with an exact-rational
-fallback inside a small tie band, so counts are exact for the represented
-point.
+Orbits n -> q_n x mod 1 are computed exactly. Geometric orbits q_n = b^n
+and digit statistics share one exact digit engine: for x = p/q it forms
+D = floor(p b^M / q) in one big-integer step (a shift when q is a power of
+two, as for every GridPoint) and converts D to base-b digits, by unpacking
+bytes in base 2 and by splitting on the powers (b^L)^(2^k) down to int64
+leaves in any other base. frac(b^n x) is read from the K = ceil(64 /
+log2 b) + 2 digits after position n, formed as exact integers and
+converted to float once per chunk; each value is within 2^-51 of the exact
+one. Distances to the target therefore land within TIE_BAND = 2^-50 of
+the exact distances, so every hit decision outside the band is exact, and
+inside the band an exact-rational fallback decides: counts are exact for
+the represented point. Explicit-term sequences reduce q_n p mod q term by
+term.
 
 Sampled points carry their bit budget: an orbit of length N under base b
 consumes about N*log2(b) bits of the sample, so requests beyond
@@ -74,6 +81,12 @@ def sigma(rate: RateFn, horizon: int) -> float:
 # frequency sequences
 # ---------------------------------------------------------------------------
 
+def _check_base(base) -> int:
+    if isinstance(base, bool) or int(base) != base or not 2 <= base < 1 << 63:
+        raise ValidationError("base must be an integer in [2, 2^63)")
+    return int(base)
+
+
 @dataclass
 class EquidistSpec:
     """A frequency sequence, a target point and a rate, up to a horizon."""
@@ -87,13 +100,15 @@ class EquidistSpec:
     lacunary_ratio: float | None = None
     min_gap: int | None = None
 
+    def __post_init__(self):
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValidationError("target must lie in [0, 1]")
+        if self.horizon < 1:
+            raise ValidationError("horizon must be >= 1")
+
     @classmethod
     def geometric(cls, base: int, gamma: float, rate: RateFn, horizon: int) -> "EquidistSpec":
-        if base < 2 or int(base) != base:
-            raise ValidationError("geometric base must be an integer >= 2")
-        if not 0.0 <= gamma <= 1.0:
-            raise ValidationError("target must lie in [0, 1]")
-        return cls("geometric", gamma, rate, int(horizon), base=int(base))
+        return cls("geometric", gamma, rate, int(horizon), base=_check_base(base))
 
     @classmethod
     def explicit(cls, terms, gamma: float, rate: RateFn,
@@ -175,7 +190,7 @@ def sample_rational_points(maps, weights, count: int, depth: int,
 
 
 # ---------------------------------------------------------------------------
-# exact orbits
+# exact orbits: one digit engine
 # ---------------------------------------------------------------------------
 
 def _residue(x) -> tuple:
@@ -189,23 +204,90 @@ def _residue(x) -> tuple:
     raise ValidationError(f"unsupported point type {type(x).__name__}")
 
 
-def _window_orbit_base2(num: int, bits: int, horizon: int):
-    """64-bit leading windows of frac(2^n x) for n = 1..horizon.
+def _leaf_length(b: int) -> int:
+    """The most base-b digits whose value stays below 2^63 (one int64)."""
+    L = 1
+    while b ** (L + 1) < 1 << 63:
+        L += 1
+    return L
 
-    The fraction's bits are unpacked left-aligned into a byte buffer, so the
-    window starting at offset n holds bits n+1..n+64, the leading bits of
-    frac(2^n x)."""
-    nbytes = (bits + 64 + 7) // 8
-    aligned = num << (nbytes * 8 - bits)
-    arr = np.frombuffer(aligned.to_bytes(nbytes, "big"), dtype=np.uint8)
-    bitarr = np.unpackbits(arr)
-    win = np.lib.stride_tricks.sliding_window_view(bitarr, 64)[1:horizon + 1]
-    powers = (2.0 ** np.arange(63, -1, -1)) / 2.0 ** 64
-    return win.astype(np.float64) @ powers
+
+def _window_length(b: int) -> int:
+    """K = ceil(64 / log2 b) + 2 in exact integers: the least k with
+    b^k >= 2^64, plus two digits, so that b^-K <= 2^-66."""
+    k = 0
+    while b ** k < 1 << 64:
+        k += 1
+    return k + 2
+
+
+def _digits(p: int, q: int, b: int, m: int) -> np.ndarray:
+    """The first m base-b digits of p/q in [0, 1), exactly, as int64.
+
+    D = floor(p b^m / q) is formed in one big-integer step (a shift when q
+    is a power of two). Base 2 unpacks D's bytes; any other base splits D
+    on the powers (b^L)^(2^k), halving at each level, down to leaves below
+    b^L < 2^63 that numpy expands into L digits each."""
+    scaled = p << m if b == 2 else p * b ** m
+    shift = q.bit_length() - 1
+    D = scaled >> shift if q == 1 << shift else scaled // q
+    if b == 2:
+        raw = np.frombuffer(D.to_bytes((m + 7) // 8, "big"), dtype=np.uint8)
+        return np.unpackbits(raw)[-m:].astype(np.int64)
+    L = _leaf_length(b)
+    levels = (-(-m // L) - 1).bit_length()   # 2^levels leaves cover m digits
+    powers = [b ** L]
+    while len(powers) < levels:
+        powers.append(powers[-1] ** 2)
+    parts = [D]
+    for P in reversed(powers[:levels]):
+        parts = [half for part in parts for half in divmod(part, P)]
+    place = b ** np.arange(L - 1, -1, -1, dtype=np.int64)
+    return ((np.array(parts, dtype=np.int64)[:, None] // place) % b).ravel()[-m:]
+
+
+def _sliding(digits: np.ndarray, b: int, length: int, count: int) -> np.ndarray:
+    """digits[i:i+length] read as base-b integers for i < count, b^length < 2^63.
+
+    Doubling Horner: blocks of 1, 2, 4, ... digits are built by joining two
+    halves, and the window appends the blocks that the bits of ``length``
+    select; every value is exact in int64."""
+    out = np.zeros(count, dtype=np.int64)
+    block, size, done = digits, 1, 0
+    while True:
+        if length & size:
+            out = out * b ** size + block[done:done + count]
+            done += size
+        if 2 * size > length:
+            return out
+        block = block[:-size] * b ** size + block[size:]
+        size *= 2
+
+
+def _orbit_windows(p: int, q: int, b: int, N: int) -> np.ndarray:
+    """frac(b^n p/q) for n = 1..N, each within 2^-51 of the exact value.
+
+    frac(b^n x) is 0.d_{n+1} d_{n+2} ... in base b. Its first K digits are
+    read as exact integers in chunks of at most L digits, and y is the sum
+    of chunk / b^end, smallest chunk first. Truncation costs less than
+    b^-K <= 2^-66. With u = 2^-53, the leading chunk's int-to-float
+    conversion, rounded power and division cost at most 3u on a value
+    below 1, the sum of the later chunks (below b^-L <= 2^-31) well under
+    u/16, and the last addition u/2: under 4u = 2^-51 in all. The hit
+    test's distance adds two roundings of u/2, so it stays within 5u <
+    TIE_BAND = 8u of the exact distance, and every decision outside the
+    band is exact."""
+    K, L = _window_length(b), _leaf_length(b)
+    digits = _digits(p, q, b, N + K)[1:]
+    ys = np.zeros(N)
+    for start in reversed(range(0, K, L)):
+        end = min(start + L, K)
+        ys += _sliding(digits[start:], b, end - start, N) / float(b ** end)
+    return ys
 
 
 def _orbit_floats(x, spec: EquidistSpec):
-    """frac(q_n x) for n = 1..horizon as floats accurate to ~2^-60, with an
+    """frac(q_n x) for n = 1..horizon as floats within 2^-51, with an
     exact-value callback that resolves ties."""
     p, q = _residue(x)
     N = spec.horizon
@@ -218,23 +300,10 @@ def _orbit_floats(x, spec: EquidistSpec):
                 raise ValidationError(
                     f"horizon {N} exceeds the precision budget of this point; "
                     f"max admissible horizon is {cap}")
-        if b == 2 and q & (q - 1) == 0 and q.bit_length() - 1 >= N + 64:
-            bits = q.bit_length() - 1
-            ys = _window_orbit_base2(p, bits, N)
 
-            def exact(n):  # n is 1-based
-                return Fraction((p << n) % q, q)
-            return ys, exact
-        ys = np.empty(N)
-        r = p
-        shift = 1 << 64
-        for n in range(N):
-            r = (b * r) % q
-            ys[n] = ((r << 64) // q) / shift
-
-        def exact(n):
+        def exact(n):  # n is 1-based
             return Fraction(pow(b, n, q) * p % q, q)
-        return ys, exact
+        return _orbit_windows(p, q, b, N), exact
 
     terms = spec.terms[:N]
     ys = np.empty(N)
@@ -273,8 +342,6 @@ def count_hits(x, spec: EquidistSpec, epsilon: float = 1.0) -> CountResult:
     """Count n <= horizon with dist(q_n x - gamma, Z) <= psi(n), exactly."""
     if not epsilon > 0:
         raise ValidationError("epsilon must be positive")
-    if spec.horizon < 1:
-        raise ValidationError("horizon must be >= 1")
     psi = spec.rate.values(spec.horizon)
     ys, exact = _orbit_floats(x, spec)
     gamma = spec.gamma
@@ -289,7 +356,7 @@ def count_hits(x, spec: EquidistSpec, epsilon: float = 1.0) -> CountResult:
         delta = min(delta, 1 - delta)
         hits[n] = delta <= Fraction(float(psi[n]))
     count = int(hits.sum())
-    s = sigma(spec.rate, spec.horizon)
+    s = math.fsum(psi.tolist())  # sigma(spec.rate, spec.horizon), psi already built
     logterm = math.log(s + 2.0)
     denom_half = math.sqrt(s) * logterm ** (2.0 + epsilon) if s > 0 else math.inf
     denom_23 = s ** (2.0 / 3.0) * logterm ** (2.0 + epsilon) if s > 0 else math.inf
@@ -327,19 +394,14 @@ def digit_freq(x, base: int, count: int, keep_digits: bool = True,
     """First ``count`` digits of x in the given base, exactly.
 
     The input is treated as an exact rational (floats are dyadic
-    rationals); digits are produced by exact integer arithmetic. The
+    rationals); the digits come from the exact digit engine. The
     chi-square statistic compares the histogram against the uniform law.
     """
-    if base < 2:
-        raise ValidationError("base must be >= 2")
-    if count > budget:
-        raise ValidationError(f"digit budget is {budget}")
+    base = _check_base(base)
+    if not 1 <= count <= budget:
+        raise ValidationError(f"digit count must lie in [1, {budget}]")
     p, q = _residue(x)
-    digits = np.empty(count, dtype=np.int64)
-    for i in range(count):
-        p *= base
-        digits[i] = p // q
-        p %= q
+    digits = _digits(p, q, base, int(count))
     hist = np.bincount(digits, minlength=base).astype(np.int64)
     expected = count / base
     chi2 = float(((hist - expected) ** 2 / expected).sum())

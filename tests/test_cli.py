@@ -547,6 +547,27 @@ def test_equidist_count_needs_positive_epsilon_and_horizon(tmp_path, capsys):
         assert word in json.loads(capsys.readouterr().err.strip())["error"]["message"]
 
 
+def test_malformed_equidist_configs_exit_2(tmp_path, capsys):
+    # each of these exited 0 (base 2.5 ran base 2; horizon 0 wrote nan rows;
+    # seeds 0 wrote header-only CSVs) or leaked numpy's message (horizon -5)
+    cases = [(["count"], {"base": 2.5}, "base"), (["digits"], {"base": 2.5}, "base"),
+             (["weyl"], {"base": 2.5}, "base"),
+             (["digits"], {"horizon": 0}, "horizon"), (["weyl"], {"horizon": 0}, "horizon"),
+             (["digits"], {"horizon": -5}, "horizon"), (["weyl"], {"horizon": -5}, "horizon"),
+             (["count"], {"seeds": 0}, "seeds"), (["weyl"], {"seeds": -1}, "seeds"),
+             (["digits"], {"seeds": 0}, "seeds")]
+    for action, bad, word in cases:
+        out = tmp_path / "o"
+        cfg = write_config(tmp_path / "cfg.json", {
+            "equidist": dict({"base": 3, "horizon": 10, "seeds": 1}, **bad)})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["equidist"] + action + ["--config", cfg, "--out", str(out)]) == 2, bad
+        err, = capsys.readouterr().err.strip().splitlines()  # one JSON line
+        assert word in json.loads(err)["error"]["message"], (action, bad)
+        assert not any(out.iterdir()), (action, bad)
+
+
 # -- random configs ------------------------------------------------------------
 
 junk = st.sampled_from(["abc", None, [], {}, True, -1, 0, math.inf, math.nan])

@@ -3,11 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ffl import equidist as eq
 from ffl.ifs import ValidationError
 from ffl.equidist import (RateFn, EquidistSpec, GridPoint, random_grid_point,
                           grid_point_for, sigma, count_hits, weyl_sums,
-                          digit_freq, sample_rational_points)
+                          digit_freq, sample_rational_points, TIE_BAND)
 from ffl.rng import spawn_seed
 
 
@@ -38,6 +40,15 @@ def test_geometric_spec_validation():
         EquidistSpec.geometric(1, 0.0, RateFn.constant(0.1), 10)
     with pytest.raises(ValidationError):
         EquidistSpec.geometric(2, 1.5, RateFn.constant(0.1), 10)
+
+
+def test_specs_reject_targets_outside_the_unit_interval():
+    # an explicit spec took gamma 5 and then counted every step as a hit
+    for gamma in (5.0, -2.0, math.nan):
+        with pytest.raises(ValidationError, match="target"):
+            EquidistSpec.explicit([1, 2, 3, 5, 8], gamma, RateFn.constant(0.01))
+        with pytest.raises(ValidationError, match="target"):
+            EquidistSpec.geometric(2, gamma, RateFn.constant(0.01), 10)
 
 
 def test_explicit_spec_records_gaps():
@@ -135,15 +146,53 @@ def test_precision_budget_rejection():
         count_hits(gp, spec)
 
 
-def test_fast_and_slow_paths_agree():
+@pytest.mark.parametrize("base", [2, 3, 10])
+def test_fast_and_slow_paths_agree(base):
     rate = RateFn.parse("(div 1 (mul 2 n))")
-    spec = EquidistSpec.geometric(2, 0.3, rate, 800)
+    spec = EquidistSpec.geometric(base, 0.3, rate, 800)
     gp = grid_point_for(spec, seed=4)
     fast = count_hits(gp, spec)
-    # the same orbit as explicit terms runs the modular loop, not the bit windows
-    terms = EquidistSpec.explicit([2 ** n for n in range(1, 801)], 0.3, rate)
+    # the same orbit as explicit terms runs the modular loop, not the digit engine
+    terms = EquidistSpec.explicit([base ** n for n in range(1, 801)], 0.3, rate)
     slow = count_hits(gp, terms)
     assert fast.count == slow.count
+
+
+@pytest.mark.parametrize("base", [2, 3, 10])
+def test_every_window_is_within_2_to_minus_51_of_the_exact_orbit(base):
+    N = 300
+    spec = EquidistSpec.geometric(base, 0.0, RateFn.constant(0.1), N)
+    points = [grid_point_for(spec, seed=s) for s in (1, 2)] + [
+        Fraction(12345, 99991), Fraction(1, 7), Fraction(2 ** 70 + 1, 3 ** 45)]
+    for x in points:
+        y0 = x.fraction if isinstance(x, GridPoint) else x
+        ys, _ = eq._orbit_floats(x, spec)
+        for n in range(1, N + 1):
+            exact = base ** n * y0 % 1
+            assert abs(Fraction(float(ys[n - 1])) - exact) <= Fraction(1, 2 ** 51), (x, n)
+
+
+def test_tie_is_decided_by_the_exact_fallback(monkeypatch):
+    # frac(3^n / 12) alternates 1/4 and 3/4, so the distance to 0 equals the
+    # rate 1/4 at every step and every step is a hit
+    N = 40
+    spec = EquidistSpec.geometric(3, 0.0, RateFn.constant(0.25), N)
+    assert count_hits(Fraction(1, 12), spec).count == N
+    engine, calls = eq._orbit_floats, []
+
+    def nudged(x, s):
+        # move every window 2^-51 away from the target, inside TIE_BAND:
+        # the floats alone now miss, so only the fallback can count the hits
+        ys, exact = engine(x, s)
+
+        def spy(n):
+            calls.append(n)
+            return exact(n)
+        return ys + np.where(ys < 0.5, 2.0 ** -51, -2.0 ** -51), spy
+    monkeypatch.setattr(eq, "_orbit_floats", nudged)
+    assert 2.0 ** -51 < TIE_BAND
+    assert count_hits(Fraction(1, 12), spec).count == N
+    assert calls == list(range(1, N + 1))
 
 
 def test_count_result_normalisations():
@@ -210,6 +259,43 @@ def test_digits_uniform_chi_square_reasonable():
 def test_digits_budget():
     with pytest.raises(ValidationError):
         digit_freq(Fraction(1, 3), 3, 2_000_000)
+
+
+def test_digits_reject_bad_count_and_base():
+    # count 0 gave chi_square nan, count -1 leaked numpy's message
+    for count in (0, -1):
+        with pytest.raises(ValidationError, match="count"):
+            digit_freq(Fraction(1, 3), 3, count)
+    for base in (2.5, 1, True, 2 ** 63):
+        with pytest.raises(ValidationError, match="base"):
+            digit_freq(Fraction(1, 3), base, 10)
+
+
+def digits_by_steps(x, base, count):
+    """The reference: one exact multiply, divide and remainder per digit."""
+    y = x.fraction if isinstance(x, GridPoint) else x
+    p, q = y.numerator % y.denominator, y.denominator
+    out = []
+    for _ in range(count):
+        p *= base
+        out.append(p // q)
+        p %= q
+    return out
+
+
+points = st.one_of(
+    st.integers(1, 4000).flatmap(
+        lambda bits: st.builds(GridPoint, st.integers(0, 2 ** bits - 1), st.just(bits))),
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 40)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(points, st.integers(2, 16), st.integers(1, 3000))
+def test_digit_freq_matches_a_per_step_loop(x, base, count):
+    want = digits_by_steps(x, base, count)
+    d = digit_freq(x, base, count)
+    assert d.digits.tolist() == want
+    np.testing.assert_array_equal(d.histogram, np.bincount(want, minlength=base))
 
 
 # -- composition with nonlinear images --------------------------------------------------

@@ -335,9 +335,13 @@ def cmd_equidist(cfg, out, seed, budget, action):
         return 0
 
     if action == "digits":
+        # the histogram and the CSV hold one column per possible digit
+        base = spec.base or eq.EquidistSpec.geometric(base, gamma, rate, horizon).base
+        if base > horizon:
+            raise ValidationError(f"base {base} exceeds horizon {horizon}, the digit count")
         rows = []
         for i in range(n_seeds):
-            gp = eq.random_grid_point(horizon * int(base).bit_length() + 128,
+            gp = eq.random_grid_point(horizon * base.bit_length() + 128,
                                       seed=spawn_seed(seed, i))
             d = eq.digit_freq(gp, base, horizon, keep_digits=False)
             rows.append(",".join([str(i)] + [str(int(c)) for c in d.histogram]

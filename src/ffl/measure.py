@@ -7,7 +7,10 @@ measure on the line:
                              rigorous error bound (affine systems), for a
                              whole batch of frequencies in one sweep of the
                              array kernel ``exact_sweep``; ``fourier_exact``
-                             is its one-frequency call;
+                             is its one-frequency call. The kernel itself
+                             takes affine systems of any number of
+                             coordinates (fibre products), with one row
+                             of frequencies per evaluation;
   * ``fourier_product_homogeneous`` - truncated infinite product (equal
                              contraction ratios only), rigorous bound;
   * ``fourier_montecarlo`` - empirical character sums, statistical bound.
@@ -128,100 +131,181 @@ def _tail_effect(system, xi: float) -> float:
     return TWO_PI * abs(xi) * getattr(system, "tail_mass", 0.0)
 
 
-def _ratio_bands(ratios, theta: float, budget: int) -> list:
-    """Distinct composed ratios above ``theta`` reachable from the root 1.0,
-    in bands of decreasing |rho|, each sorted largest |rho| first.
+def _reach(u, size):
+    """sum_c u_c size_c, summed in coordinate order over the leading axis:
+    how far a cylinder of composed ratios of sizes |rho_c| reaches at
+    frequency weights ``u``. With one coordinate u is 1, and the reach is
+    the size."""
+    if len(size) == 1:
+        return size[0]
+    reach = u[0] * size[0]
+    for c in range(1, len(size)):
+        reach = reach + u[c] * size[c]
+    return reach
 
-    With r the largest |ratio|, band b + 1 holds the ratios in (U r, U],
-    U = r^b: their parents all lie in earlier bands, and their children in
-    later ones. The listing stops once it holds over ``budget`` non-root
-    ratios.
+
+def _largest(size):
+    """max_c size_c over the leading axis, coordinate by coordinate."""
+    big = size[0]
+    for c in range(1, len(size)):
+        big = np.maximum(big, size[c])
+    return big
+
+
+def _steps(a):
+    """Which columns of ``a`` differ from the one before; the first does."""
+    step = a[0, 1:] != a[0, :-1]
+    for c in range(1, len(a)):
+        step |= a[c, 1:] != a[c, :-1]
+    return np.concatenate(([True], step))  # np.unique loads numpy.ma
+
+
+def _row_order(a):
+    """The order that sorts the columns of ``a`` by their first entry, then
+    the next, and which columns in that order differ from the one before."""
+    order = np.argsort(a[0]) if len(a) == 1 else np.lexsort(a[::-1])
+    return order, _steps(a.take(order, axis=1))
+
+
+def _distinct(a):
+    """The distinct columns of ``a``, sorted by their first entry, then the
+    next."""
+    # a sort is several times faster than an argsort, a lexsort slower still
+    if len(a) == 1:
+        a = a.copy()
+        a.sort()
+    else:
+        a = a.take(np.lexsort(a[::-1]), axis=1)
+    return a.compress(_steps(a), axis=1)
+
+
+def _ratio_bands(ratios, u, theta: float, budget: int) -> list:
+    """Distinct composed ratio tuples that reach past ``theta`` under the
+    weights ``u``, reachable from the root (1, ..., 1), in bands of
+    decreasing max_c |rho_c|, each sorted by that, largest first. Tuples
+    are columns, with one row per coordinate, as in ``ratios``, which holds
+    one column per symbol.
+
+    With r the largest |ratio| of any coordinate, band b + 1 holds the
+    tuples whose largest |rho_c| lies in (U r, U], U = r^b: their parents
+    all lie in earlier bands, and their children in later ones. The listing
+    stops once it holds over ``budget`` non-root tuples.
     """
+    m, ratios = len(ratios), _distinct(ratios)  # symbols of equal ratios have equal kids
     r = float(np.abs(ratios).max())
-    bands, pending, top, count = [np.ones(1)], np.empty(0), 1.0, 0
+    bands, pending, top, count = [np.ones((m, 1))], np.empty((m, 0)), 1.0, 0
     while count <= budget:
-        kids = (bands[-1][:, None] * ratios).ravel()
-        pending = np.sort(np.concatenate([pending, kids[np.abs(kids) > theta]]))
+        kids = (bands[-1][:, :, None] * ratios[:, None, :]).reshape(m, -1)
+        kids = kids.compress(_reach(u, np.abs(kids)) > theta, axis=1)
+        pending = np.concatenate([pending, kids], axis=1)
         if not pending.size:
             break
-        pending = pending[np.append(True, pending[1:] != pending[:-1])]  # np.unique loads numpy.ma
+        size = _largest(np.abs(pending))
         top *= r
-        inside = np.abs(pending) > top * r
-        band, pending = pending[inside], pending[~inside]
-        bands.append(band[np.lexsort((band, -np.abs(band)))])
-        count += band.size
+        inside = size > top * r
+        band, pending = pending.compress(inside, axis=1), pending.compress(~inside, axis=1)
+        if band.shape[1] > 1:  # a chain, as of one distinct ratio, needs neither step
+            band = _distinct(band)
+            band = band.take((-_largest(np.abs(band))).argsort(), axis=1)
+        bands.append(band)
+        count += band.shape[1]
     return bands
 
 
-def exact_sweep(cifs: CIFS, xis, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
-    """The array kernel of ``fourier_exact_batch``: the transform at every
-    frequency of ``xis`` as a complex ndarray, each within ``tol`` (plus any
-    recorded tail effect), and the budget cut. A frequency xi != 0 is over
-    budget when its stopping threshold tol / (2*pi*R*|xi|) lies below the
-    cut; its entry is NaN.
+def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
+    """The exact kernel: the transform of the stationary measure of an
+    affine system of m coordinates at every row (eta_1, ..., eta_m) of
+    ``etas`` (a plain vector of frequencies when m = 1), as a complex
+    ndarray, each within ``tol`` (plus any recorded tail effect), and the
+    budget cut. A row over budget gets NaN.
 
-    At frequency xi the measure is expanded over the prefix-free set of
-    words whose composed ratio first drops below that threshold, R the
-    system's ``radius``; each cylinder integral is replaced by the character
-    at the cylinder anchor (the image of 0), which costs at most
-    2*pi*|xi|*R*|ratio| per unit of mass. Prefixes with equal composed ratio
-    share one subproblem, so the expansion is a DAG on the distinct ratios.
-    It is listed once for the whole batch, down to the smallest threshold,
-    and swept bottom-up with every node a vector over the frequencies; a
-    child counts as 1 for each frequency whose threshold it does not exceed.
-    A frequency is over budget when more than ``budget`` distinct non-root
-    ratios lie above its threshold. Each value is the same, bit for bit,
-    whatever else is in the batch.
+    A row is expanded over the prefix-free set of words w that first stop,
+    2*pi*R*sum_c |eta_c| |rho_wc| <= tol with R the system's ``radius`` and
+    rho_wc the composed ratio of w in coordinate c: each cylinder integral
+    is replaced by the character at the cylinder anchor (the image of 0),
+    which costs at most that much per unit of mass. With theta =
+    tol / (2*pi*R*max_c |eta_c|) and weights u_c = |eta_c| / max_c |eta_c|
+    a word stops once sum_c u_c |rho_wc| <= theta, on the line once
+    |rho_w| <= theta. Prefixes with equal ratio tuples share one subproblem,
+    so the expansion is a DAG on the distinct tuples, reached by the
+    product maps. It is listed once for the whole batch, by
+    ``_ratio_bands``, and swept bottom-up with every node a vector over
+    the rows; a child counts as 1 for each row at which it stops.
+
+    The first ``budget`` + 1 non-root tuples are kept; the largest |rho_c|
+    of the last of them is the cut. A row is over budget when a tuple past
+    them may reach past its theta, sum_c u_c * cut > theta: on the line,
+    when more than ``budget`` distinct non-root ratios lie above theta.
+    Each value is the same, bit for bit, whatever else is in the batch.
     """
-    if len(cifs.coordinates) != 1 or not cifs.is_affine:
-        raise ValidationError("fourier_exact needs an affine 1-D system")
+    if not system.is_affine:
+        raise ValidationError("an exact sweep needs an affine system")
     if tol <= 0:
         raise ValidationError("tolerance must be positive")
-    xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    if not np.isfinite(xis).all():
+    m = len(system.coordinates)
+    etas = np.atleast_1d(np.asarray(etas, dtype=float))
+    if m == 1 and etas.ndim == 1:
+        etas = etas[:, None]
+    if etas.ndim != 2 or etas.shape[1] != m:
+        raise ValidationError(f"frequencies must be rows of {m} coordinates")
+    if not np.isfinite(etas).all():
         raise ValidationError("frequencies must be finite")
-    scale = TWO_PI * cifs.radius
-    live = np.flatnonzero(xis != 0)
+    etas = etas.T  # one row per coordinate, like every array below
+    scale = TWO_PI * system.radius
+    top = np.abs(etas).max(axis=0)
+    live = np.flatnonzero(top != 0)
     with np.errstate(over="ignore"):  # a subnormal frequency stops at the root
-        thetas = tol / (scale * np.abs(xis[live]))
-    ratios = cifs.ratios()
-    bands = _ratio_bands(ratios, float(thetas.min()), budget) if live.size else [np.ones(1)]
-    nodes = np.concatenate(bands)[:budget + 2]
-    cut = abs(nodes[-1]) if nodes.size > budget + 1 else 0.0
-
-    out = np.ones(xis.size, dtype=complex)
-    out[live[thetas < cut]] = np.nan
-    order = np.argsort(-thetas)
-    order = order[thetas[order] >= cut]
-    live, thetas = live[order], thetas[order]
-
-    translates = np.array([cifs.maps[a].translate for a in cifs.alphabet])
-    weights = cifs.weight_vector()
+        thetas = tol / (scale * top[live])
+    u = np.abs(etas[:, live]) / top[live]  # the largest weighs 1 exactly
+    ratios = np.array([[f.ratio for f in column] for column in system.coordinates])
+    translates = np.array([[f.translate for f in column] for column in system.coordinates])
+    weights = np.array([system.weights[s] for s in system.alphabet])
     weights = weights / weights.sum()
-    # row i of ``child``: where node i's children sit (len(nodes) if unlisted)
-    kids = nodes[:, None] * ratios
-    by_value = np.argsort(nodes)
-    at = np.minimum(np.searchsorted(nodes[by_value], kids), nodes.size - 1)
-    child = np.where(nodes[by_value[at]] == kids, by_value[at], nodes.size)
-    sizes = np.array([b.size for b in bands])
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
+    bands = (_ratio_bands(ratios, u.max(axis=1), float(thetas.min()), budget)
+             if live.size else [np.ones((m, 1))])
+    nodes = np.concatenate(bands, axis=1)[:, :budget + 2]
+    N = nodes.shape[1]
+    cut = float(np.abs(nodes[:, -1]).max()) if N > budget + 1 else 0.0
 
-    chunk = max(1, BATCH_CELLS // nodes.size)
+    out = np.ones(etas.shape[1], dtype=complex)
+    over = thetas < _reach(u, np.full((m, 1), cut))
+    out[live[over]] = np.nan
+    order = np.argsort(-thetas)
+    order = order[~over[order]]
+    live, thetas, u = live[order], thetas[order], u[:, order]
+
+    # row i of ``child``: where node i's children sit (N if unlisted)
+    kids = nodes[:, :, None] * ratios[:, None, :]
+    sizes, node_sizes = np.abs(kids), np.abs(nodes)[:, :, None]
+    order, fresh = _row_order(np.concatenate([nodes, kids.reshape(m, -1)], axis=1))
+    group = np.empty(order.size, dtype=int)
+    group[order] = np.cumsum(fresh) - 1
+    node_of = np.full(group.max() + 1, N)
+    node_of[group[:N]] = np.arange(N)
+    child = node_of[group[N:]].reshape(N, len(weights))
+    counts = [b.shape[1] for b in bands]
+    ends = np.cumsum(counts)
+    starts = ends - counts
+
+    chunk = max(1, BATCH_CELLS // N)
     for lo in range(0, live.size, chunk):
         ids, theta = live[lo:lo + chunk], thetas[lo:lo + chunk]
-        xi = xis[ids]
-        # the nodes above this chunk's smallest threshold; the root always
-        n = max(1, int(np.sum(np.abs(nodes) > theta[-1])))
-        block = max(1, BATCH_CELLS // (ids.size * len(ratios)))
+        eta, weigh = etas[:, ids], u[:, lo:lo + chunk]
+        # past the last node some row of this chunk expands; the root always
+        n = 1 + int(np.flatnonzero((_reach(weigh[:, None], node_sizes) > theta)
+                                   .any(axis=1)).max(initial=0))
+        block = max(1, BATCH_CELLS // (ids.size * len(weights)))
         vals = np.ones((n + 1, ids.size), dtype=complex)  # row n: a stopped child
         for s, e in zip(starts[::-1], ends[::-1]):  # a band's children come later
             for hi in range(min(e, n), s, -block):
                 rows = slice(max(s, hi - block), hi)
                 sub = vals[np.minimum(child[rows], n)].transpose(0, 2, 1)
-                sub = np.where(np.abs(kids[rows, None, :]) > theta[:, None], sub, 1.0)
-                phase = character((nodes[rows, None] * xi)[:, :, None] * translates)
-                vals[rows] = np.sum(weights * phase * sub, axis=-1)
+                reach = _reach(weigh[:, None, :, None], sizes[:, rows, None])
+                sub = np.where(reach > theta[:, None], sub, 1.0)
+                arg = (nodes[0, rows, None] * eta[0])[:, :, None] * translates[0]
+                for c in range(1, m):
+                    arg = arg + (nodes[c, rows, None] * eta[c])[:, :, None] * translates[c]
+                vals[rows] = np.sum(weights * character(arg) * sub, axis=-1)
         out[ids] = vals[0]
     return out, cut
 
@@ -234,6 +318,8 @@ def fourier_exact_batch(cifs: CIFS, xis, tol: float = 1e-9,
     frequency, in input order: a FourierValue, or a BudgetExhausted for a
     frequency over budget.
     """
+    if len(cifs.coordinates) != 1 or not cifs.is_affine:
+        raise ValidationError("fourier_exact needs an affine 1-D system")
     values, cut = exact_sweep(cifs, xis, tol, budget)
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     scale = TWO_PI * cifs.radius

@@ -1,16 +1,18 @@
 """Fourier transforms of nonlinear images of stationary measures.
 
 The transform of F(mu) is a sum over stopping cylinders, with every
-cylinder from ``system.cylinders``. On an affine line system F is almost
-affine on a small cylinder, so each cylinder contributes
-weight * e(xi F(a)) * mu^(xi F'(a) rho), a its anchor and rho its ratio,
-at a cost of at most pi |xi| sup|F''| R^2 rho^2 per unit of mass; a batch
-of frequencies takes one exact sweep for the transforms of mu. Every other
-system (fibre products, systems with smooth maps) replaces each cylinder
-by the character at F(anchor). Error bounds rest on derivative norms
-certified by interval enclosure over F's box, which the system must map
-into itself, and on the maps' contraction bounds: values are "rigorous"
-unless some map's bound is declared, then "estimate"s. Also here:
+cylinder from ``system.cylinders``. Every affine system, on the line or a
+fibre product, takes the second-order rule: F is almost affine on a small
+cylinder, so each cylinder contributes
+weight * e(xi F(a)) * mu^(xi grad F(a) * rho), a its anchor and rho its
+ratios (one per coordinate), at a cost that only F's curvature pays, at
+most pi |xi| sum_cd sup|F_cd| R_c R_d |rho_c rho_d| per unit of mass; a
+batch of frequencies takes one exact sweep for the transforms of mu.
+Systems with smooth maps take the first-order rule: each cylinder is
+replaced by the character at F(anchor). Error bounds rest on derivative
+norms certified by interval enclosure over F's box, which the system must
+map into itself, and on the maps' contraction bounds: values are
+"rigorous" unless some map's bound is declared, then "estimate"s. Also here:
 polynomial level-set covers, the good/bad split of the sum over a
 ``measure.cylinder_decomposition``, certified prefix decompositions by
 interval arithmetic, and conjugation by smooth coordinate changes.
@@ -26,7 +28,7 @@ import numpy as np
 from . import expr as ex
 from .ifs import CIFS, AffineMap, SmoothMap, BudgetExhausted, ValidationError
 from .measure import (FourierValue, character, cylinder_decomposition, exact_sweep,
-                      require_values, TWO_PI, DEFAULT_BUDGET)
+                      require_values, _row_order, TWO_PI, DEFAULT_BUDGET)
 from .rng import stream_rng
 
 
@@ -106,17 +108,21 @@ class MapNorms:
     box, from their enclosures.
 
     ``sup_base`` is the sup of |dF/dx| for the first domain variable x,
-    which a fibre-product pushforward binds to the base coordinate (0 for a
-    function of one variable). ``sign_definite`` records whether the
-    enclosure of the second partial excludes 0; when it does not,
-    ``min_second`` is 0 and the nonvanishing-curvature hypothesis fails.
+    which a fibre-product pushforward binds to the base coordinate;
+    ``sup_base_second`` and ``sup_cross`` are the sups of |d2F/dx2| and
+    |d2F/dxdy|. All three are 0 for a function of one variable.
+    ``sign_definite`` records whether the enclosure of the second fibre
+    partial excludes 0; when it does not, ``min_second`` is 0 and the
+    nonvanishing-curvature hypothesis fails.
     """
 
     sup_first: float
     sup_second: float
     min_second: float
     sign_definite: bool
-    sup_base: float
+    sup_base: float = 0.0
+    sup_base_second: float = 0.0
+    sup_cross: float = 0.0
 
     @property
     def hypothesis_ok(self) -> bool:
@@ -129,13 +135,18 @@ def _sup_abs(e: ex.Expr, box) -> float:
 
 
 def map_norms(F: SmoothMapF) -> MapNorms:
-    """Enclosures of |dF/dy|, |d2F/dy2| and |dF/dx| over the domain box."""
+    """Enclosures of |dF/dy|, |d2F/dy2| and, for a function of two
+    variables, of |dF/dx|, |d2F/dx2| and |d2F/dxdy| over the domain box."""
     lo, hi = ex.enclose(F.second, F.domain)
     sign_definite = lo > 0.0 or hi < 0.0
-    names = list(F.domain)
-    return MapNorms(_sup_abs(F.first, F.domain), max(-lo, hi),
-                    max(lo, -hi) if sign_definite else 0.0, sign_definite,
-                    _sup_abs(F.expr.diff(names[0]), F.domain) if len(names) > 1 else 0.0)
+    fibre = (_sup_abs(F.first, F.domain), max(-lo, hi),
+             max(lo, -hi) if sign_definite else 0.0, sign_definite)
+    if len(F.domain) == 1:
+        return MapNorms(*fibre)
+    x = list(F.domain)[0]
+    dx = F.expr.diff(x)
+    return MapNorms(*fibre, *(_sup_abs(e, F.domain)
+                              for e in (dx, dx.diff(x), F.first.diff(x))))
 
 
 def _check_box(F: SmoothMapF, system):
@@ -163,21 +174,29 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     |xi|, so every frequency at least as large as one over budget is over
     budget too, without a walk of its own.
 
-    On an affine line system the cylinder of a word w carries
-    weight * (f_w)_* mu with f_w(y) = rho_w * y + a_w. On it F is almost
-    affine: F(f_w(y)) = F(a_w) + F'(a_w) rho_w y + F''(c) (rho_w y)^2 / 2,
-    with y and c in F's box, so y^2 <= R^2 with R = max(|lo|, |hi|). The
-    cylinder contributes weight * e(xi F(a_w)) * mu^(xi F'(a_w) rho_w) at a
-    cost of at most c2 |xi| rho_w^2 per unit of mass, c2 = pi sup|F''| R^2.
-    Words stop once |rho_w| <= sqrt(tol / (2 c2 |xi|)), so that cost sums
-    to at most tol / 2; the transforms of mu at the cylinders of the whole
-    batch come from one ``exact_sweep`` at tol / 2.
+    Every affine system (a line system or a fibre product, m = 1 or 2
+    coordinates) takes the second-order rule. The cylinder of a word w
+    carries weight * (f_w)_* mu with f_w(y) = a_w + rho_w * y, coordinate by
+    coordinate. On it F is almost affine:
+    F(f_w(y)) = F(a_w) + sum_c F_c(a_w) rho_wc y_c + Q / 2, with Q the
+    second differential of F at some c in F's box applied to (rho_wc y_c),
+    and |y_c| <= R_c = max(|lo_c|, |hi_c|). The cylinder contributes
+    weight * e(xi F(a_w)) * mu^(xi F_1(a_w) rho_w1, ..., xi F_m(a_w) rho_wm)
+    at a cost of at most
+    pi |xi| (sum_c H_cc R_c^2 rho_wc^2 + 2 sum_{c<d} H_cd R_c R_d |rho_wc rho_wd|)
+    per unit of mass, H_cd = sup|F_cd| from ``map_norms``. With
+    k_c = sum_d H_cd that is at most pi |xi| (sum_c sqrt(k_c) R_c |rho_wc|)^2,
+    so a walk with factors lips_c proportional to sqrt(k_c) R_c stops every
+    word within tol / 2 (on the line: |rho_w| <= sqrt(tol / (2 c2 |xi|)),
+    c2 = pi sup|F''| R^2). The transforms of mu at the cylinders of the
+    whole batch come from one ``exact_sweep`` at tol / 2, over their
+    distinct arguments.
 
-    On every other system (fibre products, systems with smooth maps) each
-    cylinder contributes its weight times the character at F(anchor), and
-    stops once Lip_x(F)*|base ratio| + Lip_y(F)*|fibre ratio| (Lip(F)*|ratio|
-    on the line), times any ``diam_constant``, is <= tol / (2*pi*|xi|); a
-    smooth map's contraction bound stands in for its ratio. The label is
+    Systems with a smooth map take the first-order rule: each cylinder
+    contributes its weight times the character at F(anchor), and stops once
+    Lip_x(F)*|base ratio| + Lip_y(F)*|fibre ratio| (Lip(F)*|ratio| on the
+    line), times any ``diam_constant``, is <= tol / (2*pi*|xi|); a smooth
+    map's contraction bound stands in for its ratio. The label is
     "rigorous", as the norms are certified, unless a map's contraction bound
     is declared: then it is "estimate".
     """
@@ -193,11 +212,10 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
         raise ValidationError("frequencies must be finite")
     if norms is None:
         norms = map_norms(F)
-    line = len(system.coordinates) == 1 and system.is_affine
-    if line:
-        (lo, hi), = F.domain.values()
-        c2 = math.pi * norms.sup_second * max(abs(lo), abs(hi)) ** 2
-        one = _line_cylinders(F, system, c2, tol / 2, budget)
+    affine = system.is_affine
+    if affine:
+        curvature, c2, lips = _curvature(F, norms)
+        one = _affine_cylinders(F, system, c2, lips, tol / 2, budget)
     else:  # Lip_x(F) counts only where F has a base variable
         diam = getattr(system, "diam_constant", 1.0)
         lips = tuple(c * diam for c in (norms.sup_base, norms.sup_first)[-len(names):])
@@ -214,44 +232,70 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
             out[i] = over or one(float(xis[i]))
         except BudgetExhausted as err:
             out[i] = over = err
-    if line:
-        _line_values(system, xis, out, order, c2, tol / 2, budget)
+    if affine:
+        _affine_values(system, xis, out, order, curvature, tol / 2, budget)
     return out
 
 
-def _line_cylinders(F: SmoothMapF, system: CIFS, c2, half, budget):
+def _curvature(F: SmoothMapF, norms: MapNorms):
+    """The second-order rule's constants: terms (c, d, C) such that a
+    cylinder of ratios rho costs at most |xi| sum C |rho_c rho_d| per unit
+    of mass, and the walk's scale c2 and factors ``lips``.
+
+    With H the sups of |second partials| and R_c = max(|lo_c|, |hi_c|) over
+    F's box, C is pi H_cc R_c^2 on the diagonal and 2 pi H_cd R_c R_d off
+    it. With k_c = pi (sum_d H_cd) R_c^2 that cost is at most
+    |xi| (sum_c sqrt(k_c) |rho_c|)^2; c2 is the largest k_c and
+    lips_c = sqrt(k_c / c2), so on the line lips = (1.0,).
+    """
+    R = [max(abs(lo), abs(hi)) for lo, hi in F.domain.values()]
+    H = ([[norms.sup_second]] if len(R) == 1 else
+         [[norms.sup_base_second, norms.sup_cross], [norms.sup_cross, norms.sup_second]])
+    terms = [(c, d, math.pi * H[c][c] * R[c] ** 2 if c == d else
+              2.0 * math.pi * H[c][d] * R[c] * R[d])
+             for c in range(len(R)) for d in range(c, len(R))]
+    k = [math.pi * sum(row) * r ** 2 for row, r in zip(H, R)]
+    c2 = max(k)
+    return terms, c2, tuple(math.sqrt(kc / c2) if 0 < c2 < math.inf else 1.0 for kc in k)
+
+
+def _affine_cylinders(F: SmoothMapF, system, c2, lips, half, budget):
     """xi -> the stopping cylinders of the second-order rule at xi, as
-    arrays of weights, ratios, F and F' at the anchors."""
+    arrays of weights, ratios, F at the anchors and its gradient there,
+    one row per coordinate for the ratios and the gradient."""
+    names = list(F.domain)
+    grads = [F.expr.diff(v) for v in names[:-1]] + [F.first]
     seen = {}  # a cached sweep recurs across frequencies
 
-    def at(e, a):
-        return np.broadcast_to(np.asarray(e.eval({F.fibre_var: a}), dtype=float), a.shape)
+    def at(e, anchors):
+        return np.broadcast_to(np.asarray(e.eval(dict(zip(names, anchors))), dtype=float),
+                               anchors[0].shape)
 
     def one(xi):
-        scale = c2 * abs(xi)  # an affine F (c2 = 0) stops every word at length 1
+        scale = c2 * abs(xi)  # an affine F (c2 = 0) stops every word at length 1 on the line
         theta = min(1.0, math.sqrt(half / scale)) if scale > 0 else 1.0
         parts = []
-        for p in system.cylinders.walk(theta, (1.0,), budget):
+        for p in system.cylinders.walk(theta, lips, budget):
             if id(p.anchors) not in seen:
-                seen[id(p.anchors)] = (p.weights, p.ratios[0], at(F.expr, p.anchors[0]),
-                                       at(F.first, p.anchors[0]), p)
+                seen[id(p.anchors)] = (p.weights, p.ratios, at(F.expr, p.anchors),
+                                       np.array([at(g, p.anchors) for g in grads]), p)
             parts.append(seen[id(p.anchors)][:4])
-        return parts[0] if len(parts) == 1 else tuple(map(np.concatenate, zip(*parts)))
+        return parts[0] if len(parts) == 1 else tuple(
+            np.concatenate(a, axis=-1) for a in zip(*parts))
     return one
 
 
-def _line_values(system: CIFS, xis, out, order, c2, half, budget):
+def _affine_values(system, xis, out, order, curvature, half, budget):
     """Replace the cylinders in ``out`` by values, with one ``exact_sweep``
     at ``half`` over the distinct transform arguments of the batch."""
     walked = [i for i in order if isinstance(out[i], tuple)]
     if not walked:
         return
-    args = np.concatenate([xis[i] * out[i][3] * out[i][1] for i in walked])
-    by_value = np.argsort(args)
-    fresh = np.append(True, args[by_value[1:]] != args[by_value[:-1]])
-    where = np.empty(args.size, dtype=int)  # np.unique loads numpy.ma
-    where[by_value] = np.cumsum(fresh) - 1
-    mu, _ = exact_sweep(system, args[by_value[fresh]], half, budget)
+    args = np.concatenate([xis[i] * out[i][3] * out[i][1] for i in walked], axis=1)
+    order, fresh = _row_order(args)
+    where = np.empty(order.size, dtype=int)
+    where[order] = np.cumsum(fresh) - 1
+    mu, _ = exact_sweep(system, args[:, order[fresh]].T, half, budget)
     start, over = 0, None
     for i in walked:
         xi, (w, rho, f, _) = float(xis[i]), out[i]
@@ -264,7 +308,9 @@ def _line_values(system: CIFS, xis, out, order, c2, half, budget):
             out[i] = over
             continue
         value = complex(np.sum(w * character(xi * f) * m))
-        err = c2 * abs(xi) * float(np.sum(w * rho * rho)) + half
+        size = np.abs(rho)
+        err = sum(C * abs(xi) * float(np.sum(w * size[c] * size[d]))
+                  for c, d, C in curvature) + half
         out[i] = FourierValue(xi, value, err + TWO_PI * abs(xi) * system.tail_mass)
 
 

@@ -63,3 +63,21 @@ def unit_systems(draw, max_ratio=0.6):
         maps[k] = AffineMap(r, draw(st.floats(lo, hi)))
     raw = [draw(st.floats(0.1, 1.0)) for _ in range(n)]
     return CIFS(tuple(range(n)), maps, {k: w / sum(raw) for k, w in enumerate(raw)})
+
+
+# ratios of both signs; with them, and thresholds of 0.02 or more, brute-force
+# stopping trees stay below ~2e4 nodes
+ratio = st.floats(0.15, 0.6).flatmap(lambda r: st.sampled_from([r, -r]))
+
+
+@st.composite
+def fibre_systems(draw):
+    """Fibre products over two base maps: family "a" holds a separated
+    pair of fibre maps, family "b" one more map."""
+    r = draw(st.floats(0.15, 0.45))
+    base = {"a": AffineMap(draw(ratio), 0.1), "b": AffineMap(draw(ratio), 0.5)}
+    fibres = {"a": {0: AffineMap(r, 0.0), 1: AffineMap(r, 1.0 - r)},
+              "b": {2: AffineMap(draw(ratio), draw(st.floats(0.0, 0.5)))}}
+    p = draw(st.floats(0.1, 0.45))
+    weights = {("a", 0): p, ("a", 1): p, ("b", 2): 1.0 - 2.0 * p}
+    return build_fibre_product(base, fibres, weights)

@@ -555,7 +555,10 @@ def test_malformed_equidist_configs_exit_2(tmp_path, capsys):
              (["digits"], {"horizon": 0}, "horizon"), (["weyl"], {"horizon": 0}, "horizon"),
              (["digits"], {"horizon": -5}, "horizon"), (["weyl"], {"horizon": -5}, "horizon"),
              (["count"], {"seeds": 0}, "seeds"), (["weyl"], {"seeds": -1}, "seeds"),
-             (["digits"], {"seeds": 0}, "seeds")]
+             (["digits"], {"seeds": 0}, "seeds"),
+             # a digit histogram one column per possible digit wide: this
+             # wrote a 9.9 MB CSV for ten digits
+             (["digits"], {"base": 1000000, "horizon": 10}, "base")]
     for action, bad, word in cases:
         out = tmp_path / "o"
         cfg = write_config(tmp_path / "cfg.json", {

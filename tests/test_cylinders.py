@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fibre_systems, ratio
 from ffl import ifs
-from ffl.ifs import (CIFS, AffineMap, BudgetExhausted, SmoothMap, build_fibre_product,
-                     cantor_system, compose)
+from ffl.ifs import CIFS, AffineMap, BudgetExhausted, SmoothMap, cantor_system, compose
 from ffl.measure import cylinder_decomposition
 from ffl.pushforward import SmoothMapF, map_norms, pushforward_fourier
 
@@ -62,10 +62,6 @@ def assert_same(got, expected):
     assert math.fsum(w for _, w in got.values()) == pytest.approx(1.0, abs=1e-12)
 
 
-# ratios and thresholds keep the brute-force trees below ~2e4 nodes
-ratio = st.floats(0.15, 0.6).flatmap(lambda r: st.sampled_from([r, -r]))
-
-
 @st.composite
 def line_systems(draw):
     n = draw(st.integers(1, 3))
@@ -77,17 +73,6 @@ def line_systems(draw):
     weights = {k: (1.0 - tail) * x / math.fsum(raw) for k, x in enumerate(raw)}
     weights[n - 1] = (1.0 - tail) - math.fsum(weights[k] for k in range(n - 1))
     return CIFS(tuple(range(n)), maps, weights, tail_mass=tail)
-
-
-@st.composite
-def fibre_systems(draw):
-    r = draw(st.floats(0.15, 0.45))
-    base = {"a": AffineMap(draw(ratio), 0.1), "b": AffineMap(draw(ratio), 0.5)}
-    fibres = {"a": {0: AffineMap(r, 0.0), 1: AffineMap(r, 1.0 - r)},
-              "b": {2: AffineMap(draw(ratio), draw(st.floats(0.0, 0.5)))}}
-    p = draw(st.floats(0.1, 0.45))
-    weights = {("a", 0): p, ("a", 1): p, ("b", 2): 1.0 - 2.0 * p}
-    return build_fibre_product(base, fibres, weights)
 
 
 SPLIT = st.sampled_from([(8, 16), (ifs.PIECE_CYLINDERS, ifs.CACHE_CYLINDERS)])

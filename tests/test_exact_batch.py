@@ -6,13 +6,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from conftest import fibre_systems, unit_systems
 from ffl import measure
 from ffl.decay import _band_frequencies, band_maxima
-from ffl.ifs import CIFS, AffineMap, BudgetExhausted
-from ffl.measure import (TWO_PI, character, fourier_exact, fourier_exact_batch,
-                         fourier_product_homogeneous, sample_points)
+from ffl.ifs import (CIFS, AffineMap, BudgetExhausted, ValidationError,
+                     fibre_product_from_1d)
+from ffl.measure import (TWO_PI, character, exact_sweep, fourier_exact,
+                         fourier_exact_batch, fourier_product_homogeneous, sample_points)
 
 
 def dfs_oracle(cifs, xi, tol=1e-9, budget=50_000_000):
@@ -176,3 +178,73 @@ def test_subnormal_frequency_stops_at_the_root_without_a_warning():
         tiny, one = fourier_exact_batch(two_ratio(), [5e-324, 1.0], tol=1e-6)
     assert abs(tiny.value - 1.0) <= tiny.error_bound
     assert one.value == fourier_exact(two_ratio(), 1.0, tol=1e-6).value
+
+
+# -- affine systems of several coordinates -----------------------------------
+
+def stopping_word_sum(system, eta, tol):
+    """The transform at the row ``eta`` of a two-coordinate affine system,
+    expanded word by word with no shared subproblems: the sum of weight
+    times the character at the anchor over the words that first stop,
+    u_x |rho_x| + u_y |rho_y| <= theta, the sweep's rule written out."""
+    r = np.array([[f.ratio for f in column] for column in system.coordinates])
+    t = np.array([[f.translate for f in column] for column in system.coordinates])
+    w = np.array([system.weights[s] for s in system.alphabet])
+    w = w / w.sum()
+    top = float(np.abs(eta).max())
+    theta, u = tol / (TWO_PI * system.radius * top), np.abs(eta) / top
+    rho, anchor, p, total = np.ones((2, 1)), np.zeros((2, 1)), np.ones(1), 0j
+    while p.size:  # the root is always expanded
+        anchor = (anchor[:, :, None] + rho[:, :, None] * t[:, None, :]).reshape(2, -1)
+        rho = (rho[:, :, None] * r[:, None, :]).reshape(2, -1)
+        p = (p[:, None] * w).ravel()
+        stop = u[0] * np.abs(rho[0]) + u[1] * np.abs(rho[1]) <= theta
+        total += np.sum(p[stop] * character(eta @ anchor[:, stop]))
+        rho, anchor, p = rho[:, ~stop], anchor[:, ~stop], p[~stop]
+    return total
+
+
+@st.composite
+def negative_products(draw):
+    """``fibre_product_from_1d`` of a unit system with a negative ratio, and
+    that system: the product's measure is (Dirac at 0) x its measure."""
+    line = draw(unit_systems(max_ratio=0.45))
+    assume(any(line.maps[a].ratio < 0 for a in line.alphabet))
+    try:
+        return fibre_product_from_1d(line, n_max=3), line
+    except ValidationError:  # no separated pair within three folds
+        assume(False)
+
+
+# derandomized: the Monte Carlo check holds each example to 4 sigma
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(systems=fibre_systems().map(lambda fp: (fp, None)) | negative_products(),
+       etas=st.lists(st.tuples(st.floats(-2.5, 2.5), st.floats(-2.5, 2.5)),
+                     min_size=1, max_size=4),
+       tol=st.sampled_from([0.1, 0.05]))
+def test_fibre_sweep_against_a_word_sum_and_monte_carlo(systems, etas, tol):
+    system, line = systems
+    values, cut = exact_sweep(system, etas, tol)
+    assert cut == 0.0
+    pts = sample_points(system, 20_000, seed=5).points
+    for eta, value in zip(np.array(etas), values):
+        assert value == exact_sweep(system, [eta], tol)[0][0]  # whatever the batch
+        if not eta.any():
+            assert value == 1.0
+            continue
+        assert abs(value - stopping_word_sum(system, eta, tol)) <= 1e-9
+        z = character(pts @ eta)
+        stderr = math.sqrt((z.real.var(ddof=1) + z.imag.var(ddof=1)) / z.size)
+        assert abs(value - z.mean()) <= tol + 4 * stderr + 1e-6
+        if line is not None:  # the base is a Dirac at 0
+            fv = fourier_exact(line, eta[1], tol=tol)
+            assert abs(value - fv.value) <= tol + fv.error_bound
+
+
+def test_sweep_checks_the_shape_of_its_rows():
+    fp = fibre_product_from_1d(two_ratio())
+    for bad in ([1.0, 2.0], [[1.0, 2.0, 3.0]]):
+        with pytest.raises(ValidationError, match="rows of 2"):
+            exact_sweep(fp, bad, 1e-3)
+    with pytest.raises(ValidationError, match="1-D"):
+        fourier_exact_batch(fp, [1.0], 1e-3)

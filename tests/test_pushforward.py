@@ -71,6 +71,23 @@ def test_certified_base_slope_covers_the_true_sup():
     assert map_norms(SmoothMapF.parse("(pow x 2)")).sup_base == 0.0
 
 
+def test_base_and_cross_curvature_cover_sampled_partials():
+    # F = x y + y^2 + x^2 y - x^2 / 2: F_xx = 2y - 1, F_xy = 1 + 2x and F_yy = 2
+    F = SmoothMapF.parse("(add (mul x y) (pow y 2) (mul (pow x 2) y) (mul -0.5 (pow x 2)))")
+    n = map_norms(F)
+    grid = np.linspace(0.0, 1.0, 101)
+    x, y = np.meshgrid(grid, grid)
+    assert n.sup_base_second >= np.abs(2 * y - 1).max() == 1.0
+    assert n.sup_cross >= np.abs(1 + 2 * x).max() == 3.0
+    assert n.sup_base_second <= 1.0 + 1e-9 and n.sup_cross <= 3.0 + 1e-9
+    assert n.sup_second >= 2.0 and n.sup_base >= np.abs(y + 2 * x * y - x).max()
+    # a function of one variable pays for two enclosures only
+    with mock.patch("ffl.pushforward.ex.enclose", wraps=ex.enclose) as spy:
+        one = map_norms(SmoothMapF.parse("(pow x 2)"))
+    assert spy.call_count == 2
+    assert one.sup_base == one.sup_base_second == one.sup_cross == 0.0
+
+
 def test_smooth_map_f_derivative_check_catches_mismatch():
     F = SmoothMapF.parse("(pow x 4)")
     # sabotage the symbolic derivative, the finite-difference check must fire
@@ -307,6 +324,61 @@ def test_pushforward_fibre_product():
     pts = sample_points(fp, 1_000_000, seed=9).points
     mc = np.exp(-2j * np.pi * 5.0 * pts[:, 1] ** 3).mean()
     assert abs(fv.value - mc) <= fv.error_bound + 4 / math.sqrt(len(pts))
+
+
+@st.composite
+def unit_fibre_products(draw):
+    """Affine fibre products over two base maps that send [0, 1]^2 into
+    itself, with ratios of both signs: family "a" holds the separated pair
+    {r y, r y + 1 - r}, family "b" one more map."""
+    def unit_map():
+        r = draw(st.floats(0.15, 0.45)) * draw(st.sampled_from([-1.0, 1.0]))
+        return AffineMap(r, draw(st.floats(*((0.0, 1.0 - r) if r > 0 else (-r, 1.0)))))
+
+    r = draw(st.floats(0.15, 0.45))
+    p = draw(st.floats(0.1, 0.45))
+    return build_fibre_product(
+        {"a": unit_map(), "b": unit_map()},
+        {"a": {0: AffineMap(r, 0.0), 1: AffineMap(r, 1.0 - r)}, "b": {2: unit_map()}},
+        {("a", 0): p, ("a", 1): p, ("b", 2): 1.0 - 2.0 * p})
+
+
+def first_order_fibre_sum(system, F, lips, xi, depth=11):
+    """Sum of weight * e(xi F(anchor)) over every word of one length of a
+    fibre product of [0, 1]^2, with the first-order bound
+    2 pi |xi| sum weight * (Lip_x |rho_x| + Lip_y |rho_y|)."""
+    r = np.array([[f.ratio for f in column] for column in system.coordinates])
+    t = np.array([[f.translate for f in column] for column in system.coordinates])
+    w = np.array([system.weights[s] for s in system.alphabet])
+    a, rho, p = np.zeros((2, 1)), np.ones((2, 1)), np.ones(1)
+    for _ in range(depth):
+        a = (a[:, :, None] + rho[:, :, None] * t[:, None, :]).reshape(2, -1)
+        rho = (rho[:, :, None] * r[:, None, :]).reshape(2, -1)
+        p = (p[:, None] * w).ravel()
+    value = complex(np.sum(p * np.exp(-2j * np.pi * xi * F(*a))))
+    return value, 2 * math.pi * abs(xi) * float(np.sum(p * (lips @ np.abs(rho))))
+
+
+quarter = st.integers(-4, 4).map(lambda k: k / 4)
+curvature = st.integers(1, 4).flatmap(lambda k: st.sampled_from([k / 4, -k / 4]))
+
+
+@settings(max_examples=15, deadline=None)
+@given(unit_fibre_products(), st.tuples(curvature, curvature, curvature), st.tuples(quarter, quarter),
+       st.floats(0.5, 8.0) | st.floats(-8.0, -0.5), st.sampled_from([1e-2, 1e-3]))
+def test_fibre_second_order_rule_against_a_first_order_word_sum(system, curved, linear,
+                                                                xi, tol):
+    (a, b, c), (d, e) = curved, linear  # F = a x^2 + b x y + c y^2 + d x + e y
+    F = SmoothMapF.parse(f"(add (mul {a!r} (pow x 2)) (mul {b!r} (mul x y)) "
+                         f"(mul {c!r} (pow y 2)) (mul {d!r} x) (mul {e!r} y))",
+                         {"x": (0.0, 1.0), "y": (0.0, 1.0)}, "y")
+    fv, = pushforward_fourier(F, system, [xi], tol=tol)
+    lips = np.array([2 * abs(a) + abs(b) + abs(d), abs(b) + 2 * abs(c) + abs(e)])
+    value, err = first_order_fibre_sum(
+        system, lambda x, y: a * x * x + b * x * y + c * y * y + d * x + e * y, lips, xi)
+    assert abs(fv.value - value) <= fv.error_bound + err + 1e-12
+    assert fv.error_bound <= tol * (1 + 1e-12)  # rounding of the stopping rule
+    assert fv.kind == "rigorous"
 
 
 def test_fibre_product_rejects_a_first_variable_fibre():

@@ -561,8 +561,10 @@ def main(argv=None) -> int:
             return cmd_verify(cfg, out, seed, budget)
         raise ValidationError(f"unknown command {cmd!r}")
     except BudgetExhausted as err:
-        print(json.dumps({"error": {"kind": "budget", "message": str(err)}}),
-              file=sys.stderr)
+        error = {"kind": "budget", "message": str(err)}
+        if err.achieved is not None:
+            error["achieved"] = err.achieved
+        print(json.dumps({"error": error}), file=sys.stderr)
         return 3
     except (ValueError, TypeError, KeyError, OverflowError, FileNotFoundError) as err:
         # a config value of the wrong type or range fails its cast or its

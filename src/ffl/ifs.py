@@ -3,8 +3,10 @@
 Countable alphabets are represented by a finite truncation whose omitted
 mass is recorded in ``tail_mass`` and propagated into downstream error
 bounds. Stopping cylinders of affine and smooth maps alike come from one
-engine, ``system.cylinders``. All objects are immutable after
-construction and safe to share across workers.
+engine, ``system.cylinders``; the joint moments of an affine system's
+stationary measure, with bounds on their float rounding, come from
+``system.moments``. All objects are immutable after construction and safe
+to share across workers.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from . import expr as ex
 
 WEIGHT_TOL = 1e-12
 RATIO_MATCH_TOL = 1e-12
+EPS = 2.0 ** -53    # the unit roundoff of float64
 
 
 class ValidationError(ValueError):
@@ -188,6 +191,18 @@ class _System:
         """The system's stopping-cylinder engine, for affine and smooth maps."""
         return _CylinderEngine(self.alphabet, self.coordinates,
                                [self.weights[s] for s in self.alphabet])
+
+    def moments(self, degree: int) -> "Moments":
+        """The joint moments of total degree below ``degree`` of an affine
+        system's stationary measure, scaled into [-1, 1]^m by the radius,
+        with their rounding bounds (see ``affine_moments``). They are built
+        on first use and kept; a higher degree rebuilds them."""
+        held = self.__dict__.get("_moments")
+        if held is None or len(held.errors) < degree:
+            held = self.__dict__["_moments"] = affine_moments(
+                self.coordinates, [self.weights[s] for s in self.alphabet], self.radius,
+                degree)
+        return held
 
 
 @dataclass
@@ -503,6 +518,95 @@ def fibre_product_from_1d(cifs, n_max: int = 8,
     weights = {(0, a): cifs.weights[a] for a in cifs.alphabet}
     return build_fibre_product(base, fibres, weights,
                                n_max=n_max, alphabet_budget=alphabet_budget)
+
+
+# ---------------------------------------------------------------------------
+# moments of affine systems
+# ---------------------------------------------------------------------------
+
+Moments = namedtuple("Moments", "values errors")
+
+
+def _gamma(count):
+    """gamma_n = n eps / (1 - n eps): the relative error of n roundings."""
+    return count * EPS / (1.0 - count * EPS)
+
+
+def _contract(B, T):
+    """S[..., alpha] = sum_beta prod_c B[c, ..., alpha_c, beta_c] T[..., beta]:
+    tables T moved through the maps of B, one axis at a time; the leading
+    axes of B[c] and T broadcast."""
+    m, D = len(B), B.shape[-1]
+    for c in range(m):
+        lead = T.shape[:T.ndim - m]
+        T = B[c][..., None, :, :] @ T.reshape(lead + (D ** c, D, -1))
+        T = T.reshape(T.shape[:-3] + (D,) * m)
+    return T
+
+
+def affine_moments(coordinates, weights, radius: float, degree: int) -> Moments:
+    """The joint moments M_alpha = E[y^alpha], y = x / ``radius``, of the
+    stationary measure of affine maps in m coordinates, for total degree
+    |alpha| < ``degree``: ``values`` has one axis of length ``degree`` per
+    coordinate (0 at larger total degree), and ``errors[k]`` bounds how far
+    the float values of total degree at most k lie from the exact ones.
+
+    In y a map reads y_c -> r_c y_c + tau_c, tau_c = t_c / R, so with p the
+    normalised weights
+    M_alpha (1 - sum_a p_a r_a^alpha) = sum_a p_a sum_{beta < alpha}
+    prod_c C(alpha_c, beta_c) r_ac^beta_c tau_ac^(alpha_c - beta_c) M_beta,
+    solved degree by degree in float64. Every map sends [-1, 1]^m into
+    itself, so |r_ac| + |tau_ac| <= 1: the absolute coefficients on the
+    right sum to at most 1 - sum_a p_a |r_a^alpha|, no more than the factor
+    on the left, and an error in earlier moments is never amplified. The
+    bound of degree k is a running error analysis: that propagated error,
+    plus gamma_L (L = 3k + 2m + 2n for n maps; gamma_L = L eps / (1 - L eps))
+    times the sum of the absolute terms on the right, for their products
+    (powers by repeated products, the rounded tau and weights) and sums,
+    plus the rounding of the factor on the left, all divided by that
+    factor, plus one rounding of the quotient.
+    """
+    m, D = len(coordinates), degree
+    p = np.asarray(weights, dtype=float)
+    p = p / p.sum()
+    n = p.size
+    r = np.array([[f.ratio for f in column] for column in coordinates])  # (m, n)
+    tau = np.array([[f.translate for f in column] for column in coordinates]) / radius
+    # x^0, ..., x^(D - 1) along a new last axis, by repeated products
+    rp, tp = (np.cumprod(np.concatenate([np.ones(x.shape + (1,)),
+                                         np.repeat(x[..., None], D - 1, axis=-1)], axis=-1),
+                         axis=-1) for x in (r, tau))
+    binom = np.zeros((D, D))  # Pascal's triangle, exact in float
+    binom[:, 0] = 1.0
+    for i in range(1, D):
+        binom[i, 1:] = binom[i - 1, 1:] + binom[i - 1, :-1]
+    j = np.arange(D)
+    B = binom * rp[:, :, None, :] * tp[:, :, np.maximum(j[:, None] - j, 0)]  # (m, n, D, D)
+    grid = np.indices((D,) * m)
+    deg = grid.sum(axis=0)
+    r_alpha = np.prod([rp[c][:, grid[c]] for c in range(m)], axis=0)  # (n, D, ..., D)
+    den = 1.0 - np.tensordot(p, r_alpha, 1)
+    den_err = (_gamma(deg + m + 2 * n + 1) * np.tensordot(p, np.abs(r_alpha), 1)
+               + EPS * np.abs(den))
+
+    # one contraction per degree: signed coefficients on the moments, absolute
+    # ones on their absolute values and on the indicator of lower degrees
+    B3 = np.stack([B, np.abs(B), np.abs(B)], axis=1)  # (m, 3, n, D, D)
+    M, errors = np.zeros((D,) * m), np.zeros(D)
+    M[(0,) * m] = 1.0
+    for k in range(1, D):
+        view = (slice(k + 1),) * m
+        low, at = M[view], deg[view] == k
+        tables = np.stack([low, np.abs(low), (deg[view] < k) * 1.0])[:, None]
+        sums = p @ _contract(B3[..., :k + 1, :k + 1], tables).reshape(3, n, -1)
+        signed, spread, carried = sums.reshape((3,) + low.shape)[(slice(None), at)]
+        value = signed / den[view][at]
+        err = ((_gamma(3 * k + 2 * m + 2 * n) * spread + carried * errors[k - 1]
+                + den_err[view][at]) / den[view][at] + EPS * np.abs(value))
+        low[at] = value
+        # 1 + 2^-40 leaves room for the rounding of the bound's own arithmetic
+        errors[k] = max(errors[k - 1], float(err.max()) * (1.0 + 2.0 ** -40))
+    return Moments(M, errors)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,13 @@ measure on the line:
                              is its one-frequency call. The kernel itself
                              takes affine systems of any number of
                              coordinates (fibre products), with one row
-                             of frequencies per evaluation;
+                             of frequencies per evaluation. Its words stop
+                             at reach 2*pi*R*sum_c |eta_c rho_c| <= Z = 1.5,
+                             whatever tol, and each stopped word takes the
+                             degree-K series of the measure's moments
+                             (``system.moments``), K set by tol: the series
+                             remainder Z^K / K! plus a written rounding bound
+                             stays within tol (``series_order``);
   * ``fourier_product_homogeneous`` - truncated infinite product (equal
                              contraction ratios only), rigorous bound;
   * ``fourier_montecarlo`` - empirical character sums, statistical bound.
@@ -29,12 +35,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ifs import CIFS, AffineMap, BudgetExhausted, ValidationError, apply_words
+from .ifs import EPS, CIFS, AffineMap, BudgetExhausted, ValidationError, apply_words
 from .rng import stream_rng, spawn_seed
 
 TWO_PI = 2.0 * math.pi
 DEFAULT_BUDGET = 50_000_000
 BATCH_CELLS = 1 << 16  # cells (nodes x frequencies) an exact sweep holds at a time
+SERIES_REACH = 1.5    # Z: an exact sweep's words stop at reach 2 pi R sum |eta rho| <= Z
+SERIES_DEGREES = 24   # the highest moment-series degree an exact sweep tries
 
 
 def character(y):
@@ -212,6 +220,108 @@ def _ratio_bands(ratios, u, theta: float, budget: int) -> list:
     return bands
 
 
+def series_order(system, tol: float):
+    """The degree K and the reach Z of the moment-series leaves of an exact
+    sweep at ``tol``: a word's child stops once its reach
+    s = 2*pi*R*sum_c |eta_c rho_c| is at most Z, and the transform there is
+    the degree-K series of the moments (see ``exact_sweep``), within
+    ``_leaf_error(system, K, s)`` <= tol of it. K is the smallest degree up
+    to SERIES_DEGREES whose error at Z = SERIES_REACH is within tol; when
+    none is (tol near the rounding floor) it is the fallback K = 1, Z = tol,
+    where a stopped child counts as 1. K depends on tol and the system
+    alone."""
+    return _leaves(system, tol)[:2]
+
+
+def _leaves(system, tol: float):
+    """``series_order(system, tol)`` and the series coefficients, kept on
+    the system per tol."""
+    held = system.__dict__.setdefault("_leaves", {})
+    if tol not in held:
+        z = SERIES_REACH * (1.0 + 2.0 ** -40)  # room for the rounding of the stopping test
+        degree, reach = next(((k, SERIES_REACH) for k in range(2, SERIES_DEGREES + 1)
+                              if _leaf_error(system, k, z, moments=False) <= tol
+                              and _leaf_error(system, k, z) <= tol), (1, tol))
+        held[tol] = degree, reach, _series_coefficients(system, degree)
+    return held[tol]
+
+
+def series_remainder(degree: int, reach):
+    """reach^K / K!, the remainder of the degree-K series at reach s (an
+    array of reaches gives an array); s itself for K = 1."""
+    if degree == 1:
+        return reach
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(degree * np.log(reach) - math.lgamma(degree + 1))
+
+
+def _leaf_error(system, degree: int, reach, moments: bool = True):
+    """How far the degree-K moment series, evaluated in float, can lie
+    from the transform at a row of reach s = 2*pi*R*sum_c |v_c|. Since
+    |e^(iy) - sum_{k<K} (iy)^k / k!| <= |y|^K / K! and |2*pi*v.x| <= s on
+    the attractor, the series remainder is at most s^K / K!. The float
+    error is at most e^s (delta + 2 (6 s + 3 m + 2) u) over m coordinates,
+    u = EPS the unit roundoff: with a_alpha = (2 pi R)^|alpha| |v^alpha| /
+    alpha!, which sum to e^s, the moments' rounding bound delta costs
+    delta sum a_alpha, and the coefficients' 4 |alpha| + m + 1 roundings and
+    the nested Horner scheme's 2 |alpha| + 2 m roundings cost at most
+    sum a_alpha (6 |alpha| + 3 m + 1) u, to first order; the factor 2 covers
+    the rest. K = 1 counts the child as 1, which is exact: its error is s.
+    ``moments=False`` leaves out delta."""
+    if degree == 1:
+        return reach
+    m = len(system.coordinates)
+    delta = system.moments(degree).errors[degree - 1] if moments else 0.0
+    with np.errstate(over="ignore"):
+        return (series_remainder(degree, reach)
+                + np.exp(reach) * (delta + (6.0 * reach + 3 * m + 2) * 2.0 * EPS))
+
+
+def _series_coefficients(system, degree: int):
+    """The real and imaginary parts of c_alpha = (-2*pi*i*R)^|alpha| M_alpha
+    / alpha! for |alpha| < K, one axis per coordinate (0 elsewhere), with
+    M the moments of x / R."""
+    m = len(system.coordinates)
+    values = system.moments(degree).values[(slice(degree),) * m]
+    # (2 pi R)^j / j! by repeated products
+    h = np.cumprod(np.concatenate([[1.0], TWO_PI * system.radius / np.arange(1, degree)]))
+    grid = np.indices(values.shape)
+    a = values
+    for c in range(m):
+        a = a * h[grid[c]]
+    deg = grid.sum(axis=0)
+    a[deg >= degree] = 0.0
+    return (a * np.array([1.0, 0.0, -1.0, 0.0])[deg % 4],   # (-i)^k: 1, -i, -1, i
+            a * np.array([0.0, -1.0, 0.0, 1.0])[deg % 4])
+
+
+def _horner(re, im, v):
+    """The real and imaginary parts of sum_alpha (re + i im)_alpha v^alpha
+    by Horner's scheme in the first coordinate over ones in the others."""
+    top = len(re)
+    if len(v) == 1:
+        def part(k):
+            return re[k], im[k]
+    else:
+        def part(k):
+            return _horner(re[k][(slice(top - k),) * (re.ndim - 1)],
+                           im[k][(slice(top - k),) * (re.ndim - 1)], v[1:])
+    a, b = part(top - 1)
+    for k in range(top - 2, -1, -1):
+        c, d = part(k)
+        # on the line every other coefficient of each part is 0: no add
+        a = a * v[0] + c if np.ndim(c) or c else a * v[0]
+        b = b * v[0] + d if np.ndim(d) or d else b * v[0]
+    return a, b
+
+
+def _series(coefficients, v):
+    """The moment series at every column of ``v``, one row per coordinate."""
+    out = np.empty(v.shape[1:], dtype=complex)
+    out.real, out.imag = _horner(*coefficients, v)
+    return out
+
+
 def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
     """The exact kernel: the transform of the stationary measure of an
     affine system of m coordinates at every row (eta_1, ..., eta_m) of
@@ -220,17 +330,24 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
     budget cut. A row over budget gets NaN.
 
     A row is expanded over the prefix-free set of words w that first stop,
-    2*pi*R*sum_c |eta_c| |rho_wc| <= tol with R the system's ``radius`` and
-    rho_wc the composed ratio of w in coordinate c: each cylinder integral
-    is replaced by the character at the cylinder anchor (the image of 0),
-    which costs at most that much per unit of mass. With theta =
-    tol / (2*pi*R*max_c |eta_c|) and weights u_c = |eta_c| / max_c |eta_c|
+    2*pi*R*sum_c |eta_c| |rho_wc| <= Z with R the system's ``radius``,
+    rho_wc the composed ratio of w in coordinate c and (K, Z) =
+    ``series_order(system, tol)``: a stopped word's transform, at the row
+    v = (eta_c rho_wc)_c, is the degree-K series of the moments M_alpha of
+    x / R (``system.moments``), sum_{|alpha| < K} (-2*pi*i*R)^|alpha| M_alpha
+    v^alpha / alpha!, evaluated by nested Horner, within
+    ``_leaf_error(system, K, Z)`` <= tol of it: the series remainder Z^K / K!
+    plus the float rounding of the moments, the coefficients and Horner's
+    scheme. The empty word stops too when the row itself reaches at most
+    Z. K = 1, Z = tol, when no degree meets tol, counts a stopped word as 1,
+    the character at its anchor: the first-order rule. With theta =
+    Z / (2*pi*R*max_c |eta_c|) and weights u_c = |eta_c| / max_c |eta_c|
     a word stops once sum_c u_c |rho_wc| <= theta, on the line once
     |rho_w| <= theta. Prefixes with equal ratio tuples share one subproblem,
     so the expansion is a DAG on the distinct tuples, reached by the
     product maps. It is listed once for the whole batch, by
-    ``_ratio_bands``, and swept bottom-up with every node a vector over
-    the rows; a child counts as 1 for each row at which it stops.
+    ``_ratio_bands``, and swept bottom-up with every node a vector over the
+    rows; a node takes its series at each row at which it stops.
 
     The first ``budget`` + 1 non-root tuples are kept; the largest |rho_c|
     of the last of them is the cut. A row is over budget when a tuple past
@@ -251,11 +368,12 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
     if not np.isfinite(etas).all():
         raise ValidationError("frequencies must be finite")
     etas = etas.T  # one row per coordinate, like every array below
+    degree, reach, coefficients = _leaves(system, tol)
     scale = TWO_PI * system.radius
     top = np.abs(etas).max(axis=0)
     live = np.flatnonzero(top != 0)
     with np.errstate(over="ignore"):  # a subnormal frequency stops at the root
-        thetas = tol / (scale * top[live])
+        thetas = reach / (scale * top[live])
     u = np.abs(etas[:, live]) / top[live]  # the largest weighs 1 exactly
     ratios = np.array([[f.ratio for f in column] for column in system.coordinates])
     translates = np.array([[f.translate for f in column] for column in system.coordinates])
@@ -270,19 +388,25 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
     out = np.ones(etas.shape[1], dtype=complex)
     over = thetas < _reach(u, np.full((m, 1), cut))
     out[live[over]] = np.nan
+    rooted = _reach(u, np.ones((m, 1))) <= thetas  # the empty word stops
+    out[live[rooted]] = _series(coefficients, etas[:, live[rooted]])
     order = np.argsort(-thetas)
-    order = order[~over[order]]
+    order = order[~(over | rooted)[order]]
     live, thetas, u = live[order], thetas[order], u[:, order]
 
-    # row i of ``child``: where node i's children sit (N if unlisted)
-    kids = nodes[:, :, None] * ratios[:, None, :]
-    sizes, node_sizes = np.abs(kids), np.abs(nodes)[:, :, None]
-    order, fresh = _row_order(np.concatenate([nodes, kids.reshape(m, -1)], axis=1))
+    # row i of ``child``: where node i's children sit among the listed nodes
+    # and, past them, the tuples that no row expands (``tuples``)
+    kids = (nodes[:, :, None] * ratios[:, None, :]).reshape(m, -1)
+    order, fresh = _row_order(np.concatenate([nodes, kids], axis=1))
     group = np.empty(order.size, dtype=int)
     group[order] = np.cumsum(fresh) - 1
-    node_of = np.full(group.max() + 1, N)
+    node_of = np.full(group.max() + 1, -1)
     node_of[group[:N]] = np.arange(N)
+    unlisted = node_of < 0
+    node_of[unlisted] = N + np.arange(np.count_nonzero(unlisted))
+    tuples = np.concatenate([nodes, kids.take(order[fresh][unlisted] - N, axis=1)], axis=1)
     child = node_of[group[N:]].reshape(N, len(weights))
+    node_sizes = np.abs(nodes)[:, :, None]
     counts = [b.shape[1] for b in bands]
     ends = np.cumsum(counts)
     starts = ends - counts
@@ -291,21 +415,30 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
     for lo in range(0, live.size, chunk):
         ids, theta = live[lo:lo + chunk], thetas[lo:lo + chunk]
         eta, weigh = etas[:, ids], u[:, lo:lo + chunk]
-        # past the last node some row of this chunk expands; the root always
-        n = 1 + int(np.flatnonzero((_reach(weigh[:, None], node_sizes) > theta)
-                                   .any(axis=1)).max(initial=0))
+        expand = _reach(weigh[:, None], node_sizes) > theta
+        # nodes past the last one that some row of this chunk expands stop
+        # at every row: only the children of the first n need a value
+        n = 1 + int(np.flatnonzero(expand.any(axis=1)).max())
+        leaves = np.unique(child[:n])
+        leaves = leaves[leaves >= n]
+        slot = np.searchsorted(leaves, child[:n]) + n
+        slot = np.where(child[:n] < n, child[:n], slot)
+        vals = np.empty((n + leaves.size, ids.size), dtype=complex)
+        vals[n:] = _series(coefficients, tuples[:, leaves, None] * eta[:, None, :])
         block = max(1, BATCH_CELLS // (ids.size * len(weights)))
-        vals = np.ones((n + 1, ids.size), dtype=complex)  # row n: a stopped child
         for s, e in zip(starts[::-1], ends[::-1]):  # a band's children come later
             for hi in range(min(e, n), s, -block):
                 rows = slice(max(s, hi - block), hi)
-                sub = vals[np.minimum(child[rows], n)].transpose(0, 2, 1)
-                reach = _reach(weigh[:, None, :, None], sizes[:, rows, None])
-                sub = np.where(reach > theta[:, None], sub, 1.0)
+                sub = vals[slot[rows]].transpose(0, 2, 1)
                 arg = (nodes[0, rows, None] * eta[0])[:, :, None] * translates[0]
                 for c in range(1, m):
                     arg = arg + (nodes[c, rows, None] * eta[c])[:, :, None] * translates[c]
-                vals[rows] = np.sum(weights * character(arg) * sub, axis=-1)
+                here = np.sum(weights * character(arg) * sub, axis=-1)
+                stop = np.nonzero(~expand[rows])
+                if stop[0].size:
+                    here[stop] = _series(coefficients,
+                                         nodes[:, rows][:, stop[0]] * eta[:, stop[1]])
+                vals[rows] = here
         out[ids] = vals[0]
     return out, cut
 
@@ -314,15 +447,21 @@ def fourier_exact_batch(cifs: CIFS, xis, tol: float = 1e-9,
                         budget: int = DEFAULT_BUDGET) -> list:
     """Evaluate the transform of an affine 1-D stationary measure at every
     frequency of ``xis``, each with rigorous error at most ``tol`` (plus any
-    recorded tail effect), by ``exact_sweep``. Returns one entry per
-    frequency, in input order: a FourierValue, or a BudgetExhausted for a
-    frequency over budget.
+    recorded tail effect), by ``exact_sweep``: its words stop at reach
+    2*pi*R*|xi rho_w| <= Z and take the degree-K series of the moments,
+    whose remainder Z^K / K! plus the rounding bound of the moments, the
+    coefficients and Horner's scheme is within tol (``series_order``).
+    Returns one entry per frequency, in input order: a FourierValue, or a
+    BudgetExhausted for a frequency over budget, whose ``achieved`` is the
+    series remainder at the cut, ``series_remainder`` at the reach
+    2*pi*R*|xi|*cut (that reach itself for the first-order fallback K = 1).
     """
     if len(cifs.coordinates) != 1 or not cifs.is_affine:
         raise ValidationError("fourier_exact needs an affine 1-D system")
     values, cut = exact_sweep(cifs, xis, tol, budget)
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     scale = TWO_PI * cifs.radius
+    degree = series_order(cifs, tol)[0]
     out = []
     for x, v in zip(xis.tolist(), values.tolist()):
         if x == 0:
@@ -330,7 +469,7 @@ def fourier_exact_batch(cifs: CIFS, xis, tol: float = 1e-9,
         elif v != v:  # NaN: over budget
             out.append(BudgetExhausted(
                 f"stopping-set budget {budget} exhausted at frequency {x}",
-                achieved=scale * abs(x) * cut))
+                achieved=float(series_remainder(degree, scale * abs(x) * cut))))
         else:
             out.append(FourierValue(x, v, tol + _tail_effect(cifs, x)))
     return out

@@ -28,7 +28,8 @@ import numpy as np
 from . import expr as ex
 from .ifs import CIFS, AffineMap, SmoothMap, BudgetExhausted, ValidationError
 from .measure import (FourierValue, character, cylinder_decomposition, exact_sweep,
-                      require_values, _row_order, TWO_PI, DEFAULT_BUDGET)
+                      require_values, series_order, series_remainder, TWO_PI,
+                      DEFAULT_BUDGET)
 from .rng import stream_rng
 
 
@@ -189,8 +190,14 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     so a walk with factors lips_c proportional to sqrt(k_c) R_c stops every
     word within tol / 2 (on the line: |rho_w| <= sqrt(tol / (2 c2 |xi|)),
     c2 = pi sup|F''| R^2). The transforms of mu at the cylinders of the
-    whole batch come from one ``exact_sweep`` at tol / 2, over their
-    distinct arguments.
+    whole batch come from one ``exact_sweep`` at tol / 2 over all their
+    arguments. Those arguments are small (|xi F'(a_w) rho_w| is about
+    sqrt(tol |xi|) on the line), so most stop at the sweep's root: their
+    transform is the degree-K series of the moments of mu, whose remainder
+    Z^K / K! at the sweep's reach Z plus its written rounding bound is
+    within tol / 2 (``measure.series_order``). A frequency with a cylinder
+    over budget reports as ``achieved`` its bound with the series remainder
+    at the cut in place of tol / 2 for that cylinder.
 
     Systems with a smooth map take the first-order rule: each cylinder
     contributes its weight times the character at F(anchor), and stops once
@@ -287,31 +294,31 @@ def _affine_cylinders(F: SmoothMapF, system, c2, lips, half, budget):
 
 def _affine_values(system, xis, out, order, curvature, half, budget):
     """Replace the cylinders in ``out`` by values, with one ``exact_sweep``
-    at ``half`` over the distinct transform arguments of the batch."""
+    at ``half`` over the transform arguments of the whole batch."""
     walked = [i for i in order if isinstance(out[i], tuple)]
     if not walked:
         return
     args = np.concatenate([xis[i] * out[i][3] * out[i][1] for i in walked], axis=1)
-    order, fresh = _row_order(args)
-    where = np.empty(order.size, dtype=int)
-    where[order] = np.cumsum(fresh) - 1
-    mu, _ = exact_sweep(system, args[:, order[fresh]].T, half, budget)
+    mu, cut = exact_sweep(system, args.T, half, budget)
     start, over = 0, None
     for i in walked:
-        xi, (w, rho, f, _) = float(xis[i]), out[i]
-        m = mu[where[start:start + w.size]]
+        xi, (w, rho, f, grad) = float(xis[i]), out[i]
+        m = mu[start:start + w.size]
         start += w.size
+        size = np.abs(rho)
+        err = sum(C * abs(xi) * float(np.sum(w * size[c] * size[d])) for c, d, C in curvature)
+        tail = TWO_PI * abs(xi) * system.tail_mass
         if over is None and np.isnan(m).any():  # a cylinder's transform is over budget
-            over = BudgetExhausted(f"stopping-set budget {budget} exhausted at "
-                                   f"frequency {xi}")
+            reach = TWO_PI * system.radius * np.abs(xi * grad * rho).sum(axis=0) * cut
+            leaf = series_remainder(series_order(system, half)[0], reach)
+            over = BudgetExhausted(
+                f"stopping-set budget {budget} exhausted at frequency {xi}",
+                achieved=err + float(np.sum(w * np.where(np.isnan(m), leaf, half))) + tail)
         if over is not None:
             out[i] = over
             continue
         value = complex(np.sum(w * character(xi * f) * m))
-        size = np.abs(rho)
-        err = sum(C * abs(xi) * float(np.sum(w * size[c] * size[d]))
-                  for c, d, C in curvature) + half
-        out[i] = FourierValue(xi, value, err + TWO_PI * abs(xi) * system.tail_mass)
+        out[i] = FourierValue(xi, value, err + half + tail)
 
 
 def _first_order(F: SmoothMapF, system, xi, tol, budget, lips, kind):

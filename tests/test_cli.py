@@ -107,6 +107,31 @@ def test_budget_exhaustion_exit_code(tmp_path, capsys):
     assert err["error"]["kind"] == "budget"
 
 
+def test_budget_diagnostics_report_achieved(tmp_path, capsys):
+    two = {"kind": "affine1d", "maps": [{"ratio": 0.5, "translate": 0.0},
+                                        {"ratio": 1 / 3, "translate": 2 / 3}],
+           "weights": [0.5, 0.5]}
+    scan = {"xi_min": 100.0, "xi_max": 100.0, "points": 1, "tol": 1e-6}
+    exact = write_config(tmp_path / "exact.json",
+                         {"system": two, "scan": dict(scan, method="exact")})
+    # one map: the pushforward walk stops at one cylinder, and its mu^ sweep
+    # is what runs over the budget
+    dirac = {"kind": "affine1d", "maps": [{"ratio": 0.5, "translate": 0.0}], "weights": [1.0]}
+    push = write_config(tmp_path / "push.json",
+                        {"system": dirac, "map": {"expr": "x"}, "scan": scan})
+    for command, cfg in (["fourier-scan", exact], ["pushforward-scan", push]):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--budget", "1"]) == 3
+        err = json.loads(capsys.readouterr().err.strip())["error"]
+        assert err["kind"] == "budget"
+        assert err["achieved"] > scan["tol"]
+    system = cli.build_system(two)
+    (entry,) = cli.meas.fourier_exact_batch(system, [100.0], tol=1e-6, budget=1)
+    _, cut = cli.meas.exact_sweep(system, [100.0], 1e-6, 1)
+    degree = cli.meas.series_order(system, 1e-6)[0]
+    assert entry.achieved == cli.meas.series_remainder(degree, 2 * math.pi * 100.0 * cut)
+
+
 def test_missing_config_is_validation_error(tmp_path, capsys):
     assert main(["fourier-scan", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 2

@@ -3,7 +3,7 @@ product boxes - Fourier transforms with guaranteed error bounds, random
 convolution disintegrations, nonlinear pushforwards, and quantitative
 equidistribution experiments."""
 
-from .ifs import (AffineMap, SmoothMap, ProductMap, CIFS, FibreProductCIFS,
+from .ifs import (AffineMap, SmoothMap, CIFS, FibreProductCIFS,
                   SeparatedPair, compose, tail_check, lyapunov, build_fibre_product,
                   fibre_product_from_1d, cantor_system, dyadic_uniform_system,
                   ValidationError, SeparationError, BudgetExhausted)
@@ -15,8 +15,8 @@ from .disintegrate import (EquivClass, ClassTable, OmegaSample, ConvolutionFacto
                            mu_omega_fourier_batch, disintegration_consistency,
                            LargeDeviationParams, check_omega_membership,
                            ek_diagnostics, circle_sum_bound, calibrate_alpha)
-from .pushforward import (SmoothMapF, MapNorms, map_norms, pushforward_fourier, zero_cover,
-                          ZeroCover, split_fourier, prefix_decomposition, conjugate_ifs,
+from .pushforward import (SmoothMapF, MapNorms, map_norms, pushforward_fourier,
+                          split_fourier, prefix_decomposition, conjugate_ifs,
                           ks_distance, identity_map)
 from .equidist import (RateFn, EquidistSpec, GridPoint, random_grid_point,
                        grid_point_for, sigma, count_hits, weyl_sums, digit_freq,

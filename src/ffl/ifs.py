@@ -142,22 +142,6 @@ class SmoothMap:
 Map1D = AffineMap | SmoothMap
 
 
-@dataclass(frozen=True)
-class ProductMap:
-    """A map of a product box: base on the first block, affine on the fibre."""
-
-    base: Map1D
-    fibre: AffineMap
-
-    def __call__(self, point):
-        x, y = point
-        return (self.base(x), self.fibre(y))
-
-    @property
-    def contraction_bound(self) -> float:
-        return max(self.base.contraction_bound, self.fibre.contraction_bound)
-
-
 # ---------------------------------------------------------------------------
 # one-dimensional systems
 # ---------------------------------------------------------------------------
@@ -401,9 +385,6 @@ class FibreProductCIFS(_System):
 
     def fibre_map(self, symbol) -> AffineMap:
         return self.fibre_maps[symbol[0]][symbol[1]]
-
-    def product_map(self, symbol) -> ProductMap:
-        return ProductMap(self.base_map(symbol), self.fibre_map(symbol))
 
     @property
     def special_symbols(self) -> tuple:

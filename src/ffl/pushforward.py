@@ -13,9 +13,16 @@ replaced by the character at F(anchor). Error bounds rest on derivative
 norms certified by interval enclosure over F's box, which the system must
 map into itself, and on the maps' contraction bounds: values are
 "rigorous" unless some map's bound is declared, then "estimate"s. Also here:
-polynomial level-set covers, the good/bad split of the sum over a
-``measure.cylinder_decomposition``, certified prefix decompositions by
-interval arithmetic, and conjugation by smooth coordinate changes.
+the good/bad split of the sum over a ``measure.cylinder_decomposition``,
+certified prefix decompositions by interval arithmetic, and conjugation by
+smooth coordinate changes.
+
+The split is the proof's sublevel-set split at scale |xi|^(-delta): with
+r = |xi|^(-delta'), F's box [lo, hi] is bisected into sub-boxes at most
+w = |xi|^(-delta) (hi - lo) wide, and those where the interval extension
+of F' or F'' meets (-r, r) are kept. A word is bad when its box
+a_w + rho_w [lo, hi] meets a kept sub-box, so every good word has
+|F'| >= r and |F''| >= r on its whole box, certified, for any expression F.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from .ifs import CIFS, AffineMap, SmoothMap, BudgetExhausted, ValidationError
 from .measure import (FourierValue, character, cylinder_decomposition, exact_sweep,
                       require_values, series_order, series_remainder, TWO_PI,
                       DEFAULT_BUDGET)
-from .rng import stream_rng
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +62,6 @@ class SmoothMapF:
             raise ValidationError(f"expression uses unknown variables {sorted(extra)}")
         self.first = self.expr.diff(self.fibre_var)
         self.second = self.first.diff(self.fibre_var)
-        self._check_derivatives()
 
     @classmethod
     def parse(cls, text: str, domain=None, fibre_var: str | None = None) -> "SmoothMapF":
@@ -69,30 +74,6 @@ class SmoothMapF:
 
     def __call__(self, **env):
         return self.expr.eval(env)
-
-    def _check_derivatives(self, points: int = 20, step: float = 1e-5,
-                           rel_tol: float = 1e-5, seed: int = 0):
-        """Check symbolic partials against central finite differences."""
-        rng = stream_rng(seed, 0xD1FF)
-        lohi = list(self.domain.items())
-        for _ in range(points):
-            env = {v: lo + (hi - lo) * (0.1 + 0.8 * rng.random())
-                   for v, (lo, hi) in lohi}
-            up = dict(env); up[self.fibre_var] += step
-            dn = dict(env); dn[self.fibre_var] -= step
-            fd = (self.expr.eval(up) - self.expr.eval(dn)) / (2 * step)
-            sym = self.first.eval(env)
-            scale = max(abs(sym), abs(fd), 1.0)
-            if abs(fd - sym) > 2e2 * rel_tol * scale * max(1.0, step / 1e-5):
-                raise ValidationError(
-                    f"symbolic first partial disagrees with finite differences "
-                    f"at {env}: {sym} vs {fd}")
-            fd2 = (self.first.eval(up) - self.first.eval(dn)) / (2 * step)
-            sym2 = self.second.eval(env)
-            scale2 = max(abs(sym2), abs(fd2), 1.0)
-            if abs(fd2 - sym2) > 2e2 * rel_tol * scale2:
-                raise ValidationError("symbolic second partial disagrees with "
-                                      "finite differences")
 
 
 def identity_map(var: str = "x") -> SmoothMapF:
@@ -335,126 +316,6 @@ def _first_order(F: SmoothMapF, system, xi, tol, budget, lips, kind):
 
 
 # ---------------------------------------------------------------------------
-# polynomial level-set covers
-# ---------------------------------------------------------------------------
-
-@dataclass
-class ZeroCover:
-    """Roots with multiplicities and a constant C such that small level
-    sets {|F| < r} sit inside balls of radius C * r^(1/k) around the roots."""
-
-    zeros: np.ndarray
-    multiplicities: np.ndarray
-    constant: float
-    order: int
-    r_max: float
-    checked: dict  # r -> bool grid verification
-
-
-def _poly_derivs(coeffs: np.ndarray, count: int):
-    out = [np.asarray(coeffs, dtype=float)]
-    for _ in range(count):
-        c = out[-1]
-        out.append(c[1:] * np.arange(1, len(c)))
-    return out
-
-
-def zero_cover(coeffs, r_list=None, grid: int = 1 << 12) -> ZeroCover:
-    """Cover the sublevel sets of a real polynomial on [0, 1].
-
-    Roots come from companion-matrix eigenvalues, clustered, polished by
-    bisection where a sign change brackets them; multiplicity at a root is
-    the first derivative order that stays away from zero. The constant
-    doubles the local-coefficient estimate for slack, and every requested
-    radius is verified against a dense grid.
-    """
-    if isinstance(coeffs, SmoothMapF):
-        coeffs = ex.poly_coeffs(coeffs.expr, coeffs.fibre_var)
-    if isinstance(coeffs, ex.Expr):
-        free = coeffs.variables()
-        coeffs = ex.poly_coeffs(coeffs, next(iter(free)) if free else "x")
-    coeffs = np.asarray(coeffs, dtype=float)
-    if not len(coeffs) or not coeffs.any():
-        raise ValidationError("polynomial must not be identically zero")
-    if r_list is None:
-        r_list = 2.0 ** -np.arange(2, 16)
-    r_list = np.asarray(r_list, dtype=float)
-
-    xs = np.linspace(0.0, 1.0, grid + 1)
-    vals = np.polyval(coeffs[::-1], xs)
-    scale = max(float(np.abs(coeffs).max()), 1e-300)
-
-    degree = len(coeffs) - 1
-    if degree == 0:
-        roots = np.array([])
-    else:
-        rts = np.roots(coeffs[::-1])
-        real = rts[np.abs(rts.imag) < 1e-7 * max(1.0, np.abs(rts).max())].real
-        real = real[(real > -1e-9) & (real < 1 + 1e-9)]
-        roots = np.clip(np.sort(real), 0.0, 1.0)
-
-    # cluster near-coincident eigenvalues into single roots
-    clusters = []
-    for r in roots:
-        if clusters and abs(r - clusters[-1][-1]) < 1e-6:
-            clusters[-1].append(r)
-        else:
-            clusters.append([r])
-    zeros, mults, local = [], [], []
-    derivs = _poly_derivs(coeffs, degree)
-    for cl in clusters:
-        x0 = float(np.mean(cl))
-        # polish with bisection when a sign change brackets the root
-        lo, hi = max(0.0, x0 - 1e-3), min(1.0, x0 + 1e-3)
-        flo, fhi = np.polyval(coeffs[::-1], lo), np.polyval(coeffs[::-1], hi)
-        if flo * fhi < 0:
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                fm = np.polyval(coeffs[::-1], mid)
-                if flo * fm <= 0:
-                    hi, fhi = mid, fm
-                else:
-                    lo, flo = mid, fm
-            x0 = 0.5 * (lo + hi)
-        k = None
-        for m in range(1, degree + 1):
-            d = np.polyval(derivs[m][::-1], x0) / math.factorial(m) if len(derivs[m]) else 0.0
-            if abs(d) > 1e-7 * scale:
-                k = m
-                break
-        if k is None:
-            continue  # spurious eigenvalue, no actual vanishing order
-        if abs(np.polyval(coeffs[::-1], x0)) > 1e-6 * scale:
-            continue  # not a zero on [0,1]
-        zeros.append(x0)
-        mults.append(k)
-        local.append(abs(np.polyval(derivs[k][::-1], x0)) / math.factorial(k))
-
-    zeros = np.asarray(zeros)
-    mults = np.asarray(mults, dtype=int)
-    if len(zeros) == 0:
-        level_floor = float(np.abs(vals).min())
-        return ZeroCover(zeros, mults, 0.0, 0, level_floor * (1 - 1e-9),
-                         {float(r): True for r in r_list})
-    order = int(mults.max())
-    constant = 2.0 * max((1.0 / c) ** (1.0 / k) for c, k in zip(local, mults))
-
-    checked = {}
-    r_max = 0.0
-    for r in sorted(r_list, key=float):
-        inside = np.abs(vals) < r
-        if inside.any():
-            dist = np.min(np.abs(xs[inside][:, None] - zeros[None, :]), axis=1)
-            ok = bool((dist <= constant * r ** (1.0 / order)).all())
-        else:
-            ok = True
-        checked[float(r)] = ok
-        if ok and r > r_max and all(checked[s] for s in checked if s <= r):
-            r_max = float(r)
-    return ZeroCover(zeros, mults, constant, order, r_max, checked)
-
-
-# ---------------------------------------------------------------------------
 # good/bad split of the frequency sum
 # ---------------------------------------------------------------------------
 
@@ -469,17 +330,44 @@ class SplitFourier:
     consistent: bool
 
 
+def _sublevel_boxes(F: SmoothMapF, r: float, width: float) -> np.ndarray:
+    """Sub-boxes (rows lo, hi) of F's box, in order and disjoint but for
+    their ends, that hold every point where |F'| < r or |F''| < r.
+
+    F's box is bisected; a sub-box is dropped once the natural interval
+    extensions of F' and F'' both miss (-r, r), and kept once it is at most
+    ``width`` wide or ENCLOSE_BOXES sub-boxes are open.
+    """
+    (var, box), = F.domain.items()
+    kept, todo = [], [box]
+    while todo:  # depth first, left half first, so ``kept`` comes in order
+        a, b = todo.pop()
+        if all(lo >= r or hi <= -r for lo, hi in
+               (d.interval({var: (a, b)}) for d in (F.first, F.second))):
+            continue
+        mid = 0.5 * (a + b)
+        if b - a <= width or len(kept) + len(todo) + 1 >= ex.ENCLOSE_BOXES or not a < mid < b:
+            kept.append((a, b))
+        else:
+            todo += [(mid, b), (a, mid)]
+    return np.array(kept, dtype=float).reshape(-1, 2)
+
+
 def split_fourier(F: SmoothMapF, cifs: CIFS, xi: float, delta: float = 0.2,
                   delta_prime: float | None = None, tol: float = 1e-6,
                   budget: int = DEFAULT_BUDGET) -> SplitFourier:
     """Split the sum over the stopping set at |xi|^(-delta) of an affine
-    1-D system by proximity to derivative zeros.
+    1-D system into words where F' or F'' may be small and the rest.
 
-    Each word w contributes weight * e(xi F(a_w)), a_w its anchor. It is
-    bad when its cylinder image [a_w, a_w + rho_w] (either way round) meets
-    a neighbourhood of radius C * |xi|^(-delta') around a zero of F' or
-    F''. The two partial sums reconstruct the cylinder estimate of the
-    pushforward transform.
+    Each word w contributes weight * e(xi F(a_w)), a_w its anchor. With
+    r = |xi|^(-delta') and F's box [lo, hi], the box is bisected into
+    sub-boxes at most w = |xi|^(-delta) (hi - lo) wide (fewer, wider ones
+    past ENCLOSE_BOXES), and those whose natural interval extension of F'
+    or F'' meets (-r, r) are kept. A word is bad when its box
+    f_w([lo, hi]) = a_w + rho_w [lo, hi] meets a kept sub-box, so every
+    good word has |F'| >= r and |F''| >= r on its whole box, for any
+    expression F. The two partial sums reconstruct the cylinder estimate
+    of the pushforward transform.
     """
     if not cifs.is_affine:
         raise ValidationError("the split needs an affine system")
@@ -489,19 +377,18 @@ def split_fourier(F: SmoothMapF, cifs: CIFS, xi: float, delta: float = 0.2,
         raise ValidationError("delta must lie in (0, 1)")
     if delta_prime is None:
         delta_prime = delta
-    zeros, radii = [], []
-    for deriv in (F.first, F.second):
-        coeffs = ex.poly_coeffs(deriv, F.fibre_var)
-        if coeffs.any():
-            cover = zero_cover(coeffs, [2.0 ** -6])
-            zeros.extend(cover.zeros)
-            radii.extend([cover.constant * abs(xi) ** (-delta_prime)] * len(cover.zeros))
-    z, r = np.array(zeros)[:, None], np.array(radii)[:, None]
+    if not 0.0 < delta_prime < 1.0:
+        raise ValidationError("delta_prime must lie in (0, 1)")
+    _check_box(F, cifs)
+    (lo, hi), = F.domain.values()
+    cover = _sublevel_boxes(F, abs(xi) ** -delta_prime, abs(xi) ** -delta * (hi - lo))
 
     dec = cylinder_decomposition(cifs, abs(xi) ** (-delta), budget)
-    ends = dec.anchors + dec.ratios
-    bad = ((z + r >= np.minimum(dec.anchors, ends))
-           & (z - r <= np.maximum(dec.anchors, ends))).any(axis=0)
+    ends = dec.anchors + dec.ratios * np.array([[lo], [hi]])
+    # a word's box meets a kept sub-box iff the first one not ending left of it
+    # starts at or before the box's right end
+    first = np.searchsorted(cover[:, 1], ends.min(axis=0))
+    bad = np.append(cover[:, 0], np.inf)[first] <= ends.max(axis=0)
     contrib = dec.weights * character(xi * F.expr.eval({F.fibre_var: dec.anchors}))
     good, bad_sum = complex(contrib[~bad].sum()), complex(contrib[bad].sum())
     bad_mass = float(dec.weights[bad].sum())
@@ -544,18 +431,19 @@ def _cylinder_box(by_symbol, word, box):
 
 def prefix_decomposition(F: SmoothMapF, system, depth_cap: int = 12,
                          budget: int = 200_000) -> PrefixDecomposition:
-    """Find minimal prefixes whose cylinder box certifies nonvanishing
-    second fibre partial by natural interval extension.
+    """Find minimal prefixes whose cylinder box, the word's image of F's
+    box, certifies nonvanishing second fibre partial by natural interval
+    extension. F's box must pass the pushforward's checks, so that it holds
+    the attractor.
 
     Words deeper than the cap contribute to the uncovered mass. The
     certified words form a prefix-free family by construction (a word is
     only expanded when its own box fails to certify).
     """
+    _check_box(F, system)
     names = list(F.domain)
-    if len(names) != len(system.coordinates):
-        raise ValidationError("the function needs one variable per coordinate")
     by_symbol = dict(zip(system.alphabet, zip(*system.coordinates)))
-    unit = ((0.0, 1.0),) * len(names)
+    start = tuple(F.domain.values())
 
     def certifies(box_parts) -> bool:
         box = {v: iv for v, iv in zip(names, box_parts)}
@@ -571,7 +459,7 @@ def prefix_decomposition(F: SmoothMapF, system, depth_cap: int = 12,
         visits += 1
         if visits > budget:
             raise BudgetExhausted(f"prefix budget {budget} exhausted")
-        if certifies(_cylinder_box(by_symbol, word, unit)):
+        if certifies(_cylinder_box(by_symbol, word, start)):
             certified.append(word)
             covered += mass
         elif len(word) >= depth_cap:

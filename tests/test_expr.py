@@ -84,14 +84,19 @@ def exact_value(e, env):
     return exact_value(e.num, env) / exact_value(e.den, env)
 
 
-trees = st.recursive(
-    st.sampled_from([ex.Var("x"), ex.Var("y")])
-    | st.floats(-4, 4, allow_subnormal=False).map(ex.Const),
-    lambda kids: (st.tuples(kids, kids).map(ex.Sum)
-                  | st.tuples(kids, kids).map(ex.Prod)
-                  | st.tuples(kids, st.integers(0, 4)).map(lambda t: ex.Pow(t[0], float(t[1])))
-                  | st.tuples(kids, kids).map(lambda t: ex.Quot(*t))),
-    max_leaves=8)
+def tree_strategy(constants):
+    return st.recursive(
+        st.sampled_from([ex.Var("x"), ex.Var("y")]) | constants.map(ex.Const),
+        lambda kids: (st.tuples(kids, kids).map(ex.Sum)
+                      | st.tuples(kids, kids).map(ex.Prod)
+                      | st.tuples(kids, st.integers(0, 4)).map(lambda t: ex.Pow(t[0], float(t[1])))
+                      | st.tuples(kids, kids).map(lambda t: ex.Quot(*t))),
+        max_leaves=8)
+
+
+trees = tree_strategy(st.floats(-4, 4, allow_subnormal=False))
+# with integer constants the constant folding of ``diff`` stays exact
+integer_trees = tree_strategy(st.integers(-4, 4).map(float))
 sides = st.tuples(st.floats(-3, 3), st.floats(-3, 3)).map(sorted)
 
 
@@ -113,6 +118,31 @@ def test_enclosure_holds_every_sampled_value(e, bx, by, fractions):
         assert lo <= value <= hi
         plo, phi = e.interval({"x": (x, x), "y": (y, y)})
         assert plo <= value <= phi
+
+
+@settings(max_examples=100, deadline=None)
+@given(integer_trees, st.sampled_from(["x", "y"]), st.floats(-3, 3), st.floats(-3, 3))
+def test_diff_matches_central_differences(e, var, x, y):
+    # in exact arithmetic the central difference at step h is within
+    # h^2 / 6 sup|f'''| over [p - h, p + h] of f'(p), for the first partial
+    # f = e and the second, f = de/dvar
+    h = Fraction(1, 1 << 20)
+    point = {"x": Fraction(x), "y": Fraction(y)}
+    box = {"x": (x, x), "y": (y, y)}
+    box[var] = (math.nextafter(float(point[var] - h), -math.inf),
+                math.nextafter(float(point[var] + h), math.inf))
+    for f in (e, e.diff(var)):
+        slope = f.diff(var)
+        lo, hi = slope.diff(var).diff(var).interval(box)
+        if not math.isfinite(lo) or not math.isfinite(hi):
+            continue  # a pole within h, or an overflow
+        try:
+            up = exact_value(f, {**point, var: point[var] + h})
+            down = exact_value(f, {**point, var: point[var] - h})
+            exact = exact_value(slope, point)
+        except ZeroDivisionError:
+            continue
+        assert abs((up - down) / (2 * h) - exact) <= h * h / 6 * Fraction(max(-lo, hi))
 
 
 def test_enclosure_tightens_by_bisection():

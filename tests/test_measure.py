@@ -60,7 +60,8 @@ def test_smooth_base_fibre_product_samples_follow_the_coding_map():
     for point, word in zip(res.points, words):
         expect = (0.0, 0.0)
         for k in word[::-1]:
-            expect = fp.product_map(fp.alphabet[k])(expect)
+            s = fp.alphabet[k]
+            expect = (fp.base_map(s)(expect[0]), fp.fibre_map(s)(expect[1]))
         np.testing.assert_allclose(point, np.array(expect, dtype=float),
                                    rtol=1e-14, atol=1e-15)
 

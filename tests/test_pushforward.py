@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from conftest import unit_systems
@@ -11,10 +11,9 @@ from conftest import unit_systems
 from ffl.ifs import (CIFS, AffineMap, SmoothMap, ValidationError,
                      build_fibre_product, cantor_system, compose, fold)
 from ffl.measure import cylinder_decomposition, fourier_exact, sample_points
-from ffl.pushforward import (SmoothMapF, identity_map, map_norms,
-                             pushforward_fourier, zero_cover,
+from ffl.pushforward import (SmoothMapF, identity_map, map_norms, pushforward_fourier,
                              split_fourier, prefix_decomposition, conjugate_ifs,
-                             ks_distance)
+                             ks_distance, _sublevel_boxes)
 from ffl import expr as ex
 
 
@@ -86,14 +85,6 @@ def test_base_and_cross_curvature_cover_sampled_partials():
         one = map_norms(SmoothMapF.parse("(pow x 2)"))
     assert spy.call_count == 2
     assert one.sup_base == one.sup_base_second == one.sup_cross == 0.0
-
-
-def test_smooth_map_f_derivative_check_catches_mismatch():
-    F = SmoothMapF.parse("(pow x 4)")
-    # sabotage the symbolic derivative, the finite-difference check must fire
-    F.first = ex.parse("(mul 3 (pow x 2))")
-    with pytest.raises(ValidationError):
-        F._check_derivatives()
 
 
 # -- pushforward transforms ---------------------------------------------------
@@ -440,6 +431,9 @@ def test_split_preconditions(two_ratio):
         split_fourier(F, two_ratio, 0.5, 0.3)
     with pytest.raises(ValidationError):
         split_fourier(F, two_ratio, 10.0, 1.5)
+    for bad in (math.nan, 0.0, 1.0, -0.2, math.inf):  # NaN once made every word good
+        with pytest.raises(ValidationError, match="delta_prime"):
+            split_fourier(F, two_ratio, 10.0, 0.3, delta_prime=bad)
 
 
 def test_split_rejects_smooth_maps():
@@ -453,36 +447,6 @@ def test_split_rejects_smooth_maps():
     dec = cylinder_decomposition(smooth, 0.1)
     assert all(len(w) == 2 for w in dec.words)
     assert dec.ratios == pytest.approx(0.09, rel=1e-12)
-
-
-# -- polynomial level sets -------------------------------------------------------
-
-def test_zero_cover_square():
-    zc = zero_cover(np.array([0.0, 0.0, 1.0]), [2.0 ** -k for k in range(2, 10)])
-    assert zc.zeros == pytest.approx([0.0], abs=1e-9)
-    assert list(zc.multiplicities) == [2]
-    assert zc.constant == pytest.approx(2.0)
-    assert all(zc.checked.values())
-
-
-def test_zero_cover_simple_roots():
-    zc = zero_cover(np.array([0.0, 1.0, -1.0]))  # x(1-x)
-    assert zc.zeros == pytest.approx([0.0, 1.0], abs=1e-9)
-    assert list(zc.multiplicities) == [1, 1]
-
-
-def test_zero_cover_no_zeros():
-    zc = zero_cover(np.array([1.0, 0.0, 1.0]))  # 1 + x^2
-    assert len(zc.zeros) == 0
-    assert zc.r_max == pytest.approx(1.0, rel=1e-6)
-    assert all(zc.checked.values())
-
-
-def test_zero_cover_rejects_non_polynomial():
-    with pytest.raises((ValidationError, ex.ExprError)):
-        zero_cover(SmoothMapF.parse("(pow x 0.5)"))
-    with pytest.raises(ValidationError):
-        zero_cover(np.array([0.0]))
 
 
 # -- frequency-sum split ----------------------------------------------------------
@@ -499,13 +463,59 @@ def test_split_cubic_bad_mass_matches_sampled_mass(cantor):
     F = SmoothMapF.parse("(pow x 3)")
     xi = 3.0 ** 6
     sp = split_fourier(F, cantor, xi, delta=0.2)
-    # the bad words sit inside an interval around 0 of the cover radius;
-    # their mass is at most the sampled measure of a slightly larger one
-    cover = zero_cover(ex.poly_coeffs(F.first, "x"), [0.25])
-    radius = cover.constant * xi ** -0.2 + xi ** -0.2
+    # |F'| = 3x^2 < r or |F''| = 6x < r only on [0, sqrt(r / 3)); a kept
+    # sub-box reaches at most w = r past it, and a bad word's box at most its
+    # diameter r further, so the bad mass is at most the sampled measure of
+    # [0, sqrt(r / 3) + 2r]
+    r = xi ** -0.2
+    radius = math.sqrt(r / 3) + 2 * r
     pts = sample_points(cantor, 200_000, seed=31).points
     sampled = np.mean(pts <= radius) + 4 / math.sqrt(len(pts))
-    assert sp.bad_mass <= sampled + 1e-9
+    assert 0.0 < sp.bad_mass <= sampled + 1e-9
+
+
+def split_by_words(F, system, xi, delta):
+    """The split one word at a time: (box, weight, term) of the good words and
+    of the bad ones, a word being bad when its box meets a kept sub-box."""
+    (lo, hi), = F.domain.values()
+    kept = _sublevel_boxes(F, abs(xi) ** -delta, abs(xi) ** -delta * (hi - lo))
+    dec = cylinder_decomposition(system, abs(xi) ** -delta)
+    good, bad = [], []
+    for a, rho, weight in zip(dec.anchors.tolist(), dec.ratios.tolist(), dec.weights.tolist()):
+        box = sorted((a + rho * lo, a + rho * hi))
+        term = weight * np.exp(-2j * np.pi * xi * F.expr.eval({F.fibre_var: a}))
+        near = any(c <= box[1] and box[0] <= d for c, d in kept)
+        (bad if near else good).append((box, weight, term))
+    return good, bad
+
+
+def test_split_sees_zeros_off_the_unit_interval():
+    # F' and F'' vanish at -1/2, inside the attractor's piece [-5/9, -1/3]
+    # of {x/3 - 2/3, x/3 + 2/3} on [-1, 1]; a cover of [0, 1] misses it
+    F = SmoothMapF.parse("(pow (add x 0.5) 3)", {"x": (-1.0, 1.0)})
+    system = CIFS((0, 1), {0: AffineMap(1 / 3, -2 / 3), 1: AffineMap(1 / 3, 2 / 3)},
+                  {0: 0.5, 1: 0.5})
+    for xi in (81.0, 1e4):
+        sp = split_fourier(F, system, xi, delta=0.3)
+        good, bad = split_by_words(F, system, xi, 0.3)
+        assert not any(lo <= -0.5 <= hi for (lo, hi), _, _ in good)
+        assert any(lo <= -0.5 <= hi for (lo, hi), _, _ in bad)
+        assert sp.bad_mass == pytest.approx(sum(w for _, w, _ in bad), abs=1e-12)
+        assert sp.consistent
+        if xi == 81.0:  # the words of [-1, -7/9] and [-5/9, -1/3]
+            assert sp.bad_mass == pytest.approx(0.5, abs=1e-12)
+
+
+def test_split_takes_a_non_polynomial_function(cantor):
+    # F = 1 / (x + 1): |F'| = 1 / (x + 1)^2 and F'' = 2 / (x + 1)^3 fall to
+    # 1/4 at x = 1, so r above 1/4 finds bad words there and only there
+    F = SmoothMapF.parse("(div 1 (add x 1))")
+    with pytest.raises(ex.ExprError):
+        ex.poly_coeffs(F.expr, "x")
+    sp = split_fourier(F, cantor, 81.0, delta=0.3)  # r = 81^-0.3 = 0.27
+    assert 0.0 < sp.bad_mass < 1.0 and sp.consistent
+    far = split_fourier(F, cantor, 1e4, delta=0.3)  # r = 0.063
+    assert far.bad_mass == 0.0 and far.consistent
 
 
 def test_split_reconstruction_random_frequencies(cantor):
@@ -526,38 +536,25 @@ polynomials = (st.lists(st.integers(-8, 8).map(lambda k: k / 4), min_size=1, max
 @settings(max_examples=20, deadline=None)
 @given(unit_systems(max_ratio=0.4), polynomials,
        st.sampled_from([20.0, 81.0, -30.0]), st.sampled_from([0.2, 0.3]))
+# the box [0.245, 0.505] of the reversing map strictly holds the only kept
+# sub-box, [1/4, 1/2] around the zero 0.375 of F'
+@example(CIFS((0, 1), {0: AffineMap(-0.26, 0.505), 1: AffineMap(0.26, 0.7)},
+              {0: 0.5, 1: 0.5}), [1.125, -6.0, 8.0], 89.0, 0.3)
 def test_split_matches_a_per_word_loop(system, coeffs, xi, delta):
     # negative and shared ratios come from unit_systems
     F = SmoothMapF.parse("(add 0 " + " ".join(
         f"(mul {c!r} (pow x {k}))" for k, c in enumerate(coeffs)) + ")")
-    norms = []  # the split's map_norms calls, reused below: enclosures dominate the cost
-
-    def spy(f):
-        norms.append(map_norms(f))
-        return norms[-1]
-    with mock.patch("ffl.pushforward.map_norms", spy):
-        sp = split_fourier(F, system, xi, delta=delta, tol=1e-2)
-    assert len(norms) == 1
-    covers = [zero_cover(ex.poly_coeffs(d, "x"), [2.0 ** -6]) for d in (F.first, F.second)
-              if ex.poly_coeffs(d, "x").any()]
-    good = bad = 0j
-    bad_mass = 0.0
-    for w in cylinder_decomposition(system, abs(xi) ** -delta).words:
-        m = compose(system, w)
-        lo, hi = m.image(0.0, 1.0)
-        weight = math.prod(system.weights[s] for s in w)
-        near = any(abs(z - min(max(z, lo), hi)) <= c.constant * abs(xi) ** -delta
-                   for c in covers for z in c.zeros)
-        contrib = weight * np.exp(-2j * np.pi * xi * F.expr.eval({"x": m.translate}))
-        if near:
-            bad, bad_mass = bad + contrib, bad_mass + weight
-        else:
-            good += contrib
-    assert abs(sp.good_sum - good) <= 1e-12 and abs(sp.bad_sum - bad) <= 1e-12
-    assert abs(sp.bad_mass - bad_mass) <= 1e-12
-    gap = abs(good + bad - sp.reference.value)
-    word_err = 2 * np.pi * abs(xi) * norms[0].sup_first * abs(xi) ** -delta
-    assert sp.consistent == (gap <= word_err + sp.reference.error_bound)
+    sp = split_fourier(F, system, xi, delta=delta, tol=1e-2)
+    good, bad = split_by_words(F, system, xi, delta)
+    r = abs(xi) ** -delta
+    for (lo, hi), _, _ in good:
+        grid = np.linspace(lo, hi, 201)
+        for d in (F.first, F.second):
+            assert (np.abs(np.broadcast_to(d.eval({"x": grid}), grid.shape)) >= r - 1e-12).all()
+    assert abs(sp.good_sum - sum(t for _, _, t in good)) <= 1e-12
+    assert abs(sp.bad_sum - sum(t for _, _, t in bad)) <= 1e-12
+    assert abs(sp.bad_mass - sum(w for _, w, _ in bad)) <= 1e-12
+    assert abs(sp.total - sum(t for _, _, t in good + bad)) <= 1e-12
 
 
 # -- certified prefix decomposition -----------------------------------------------
@@ -580,6 +577,22 @@ def test_prefix_decomposition_cubic_geometric_tail(cantor):
         for w in ws:
             for cut in range(len(w)):
                 assert w[:cut] not in ws
+
+
+def test_prefix_decomposition_starts_from_the_function_box():
+    # the uniform law on [-1, 1]: cylinder 1 is [0, 1], where F'' = 6 (x - 1/4)
+    # changes sign; its image of [0, 1] alone, [1/2, 1], would certify it
+    F = SmoothMapF.parse("(pow (add x -0.25) 3)", {"x": (-1.0, 1.0)})
+    system = CIFS((0, 1), {0: AffineMap(0.5, -0.5), 1: AffineMap(0.5, 0.5)},
+                  {0: 0.5, 1: 0.5})
+    pd = prefix_decomposition(F, system, depth_cap=6)
+    assert (1,) not in pd.words and (0,) in pd.words
+    for w in pd.words:
+        lo, hi = sorted(compose(system, w).image(-1.0, 1.0))
+        assert not lo <= 0.25 <= hi
+    assert pd.covered_mass + pd.uncovered_mass == pytest.approx(1.0)
+    with pytest.raises(ValidationError):  # the box must hold the attractor
+        prefix_decomposition(SmoothMapF.parse("(pow x 3)", {"x": (-0.5, 0.5)}), system)
 
 
 def test_prefix_decomposition_carpet_sampled_mass():

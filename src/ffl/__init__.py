@@ -16,8 +16,7 @@ from .disintegrate import (EquivClass, ClassTable, OmegaSample, ConvolutionFacto
                            LargeDeviationParams, check_omega_membership,
                            ek_diagnostics, circle_sum_bound, calibrate_alpha)
 from .pushforward import (SmoothMapF, MapNorms, map_norms, pushforward_fourier,
-                          split_fourier, prefix_decomposition, conjugate_ifs,
-                          ks_distance, identity_map)
+                          split_fourier, conjugate_ifs, ks_distance)
 from .equidist import (RateFn, EquidistSpec, GridPoint, random_grid_point,
                        grid_point_for, sigma, count_hits, weyl_sums, digit_freq,
                        sample_rational_points)

@@ -566,9 +566,11 @@ def main(argv=None) -> int:
             error["achieved"] = err.achieved
         print(json.dumps({"error": error}), file=sys.stderr)
         return 3
-    except (ValueError, TypeError, KeyError, OverflowError, FileNotFoundError) as err:
+    except (ValueError, TypeError, KeyError, OverflowError, FileNotFoundError,
+            RecursionError) as err:
         # a config value of the wrong type or range fails its cast or its
-        # validator with one of these; ValidationError is a ValueError
+        # validator with one of these; ValidationError is a ValueError, and
+        # an expression nested too deeply to parse or walk is a RecursionError
         print(json.dumps({"error": {"kind": "validation",
                                     "message": f"{type(err).__name__}: {err}"}}),
               file=sys.stderr)

@@ -428,7 +428,7 @@ class LargeDeviationParams:
     pair_gap: float
 
     def __post_init__(self):
-        if self.block_length < 1 or self.alpha <= 0 or self.start_index < 1:
+        if self.block_length < 1 or not self.alpha > 0 or self.start_index < 1:
             raise ValidationError("need block_length >= 1, alpha > 0, start_index >= 1")
 
     @classmethod

@@ -150,6 +150,15 @@ class _System:
     """What both system classes derive from ``coordinates``, their maps as
     one list per coordinate, in alphabet order."""
 
+    def _check_weights(self):
+        """The weights sum to 1 - tail_mass, the omitted mass, in [0, 1)."""
+        if not 0.0 <= self.tail_mass < 1.0:
+            raise ValidationError(f"tail_mass must lie in [0, 1), got {self.tail_mass!r}")
+        total = math.fsum(self.weights[s] for s in self.alphabet)
+        if not abs(total - (1.0 - self.tail_mass)) <= WEIGHT_TOL:
+            raise ValidationError(
+                f"weights sum to {total!r}, expected {1.0 - self.tail_mass!r}")
+
     def _check_contraction(self):
         bounds = [m.contraction_bound for column in self.coordinates for m in column]
         if not all(0.0 < b < 1.0 for b in bounds):
@@ -216,10 +225,7 @@ class CIFS(_System):
             w = self.weights[a]
             if not (w > 0.0):
                 raise ValidationError(f"weight of {a!r} must be positive, got {w}")
-        total = math.fsum(self.weights[a] for a in self.alphabet)
-        if not abs(total - (1.0 - self.tail_mass)) <= WEIGHT_TOL:
-            raise ValidationError(
-                f"weights sum to {total!r}, expected {1.0 - self.tail_mass!r}")
+        self._check_weights()
         self._check_contraction()
 
     # -- helpers ------------------------------------------------------------
@@ -357,9 +363,7 @@ class FibreProductCIFS(_System):
                     raise ValidationError(f"missing weight for {(j, l)!r}")
                 alphabet.append((j, l))
         self.alphabet = tuple(alphabet)
-        total = math.fsum(self.weights[s] for s in self.alphabet)
-        if not abs(total - (1.0 - self.tail_mass)) <= WEIGHT_TOL:
-            raise ValidationError(f"weights sum to {total!r}")
+        self._check_weights()
         self._check_contraction()
         self._validate_pair()
 

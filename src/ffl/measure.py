@@ -326,8 +326,11 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
     """The exact kernel: the transform of the stationary measure of an
     affine system of m coordinates at every row (eta_1, ..., eta_m) of
     ``etas`` (a plain vector of frequencies when m = 1), as a complex
-    ndarray, each within ``tol`` (plus any recorded tail effect), and the
-    budget cut. A row over budget gets NaN.
+    ndarray, each within ``tol`` (plus any recorded tail effect), and what
+    it achieves instead where it is over budget. A row over budget gets NaN
+    and, as ``achieved``, the series remainder at the reach
+    2*pi*R*sum_c |eta_c|*cut of the cut (that reach itself when K = 1);
+    every other row achieves 0.
 
     A row is expanded over the prefix-free set of words w that first stop,
     2*pi*R*sum_c |eta_c| |rho_wc| <= Z with R the system's ``radius``,
@@ -357,7 +360,7 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
     """
     if not system.is_affine:
         raise ValidationError("an exact sweep needs an affine system")
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError("tolerance must be positive")
     m = len(system.coordinates)
     etas = np.atleast_1d(np.asarray(etas, dtype=float))
@@ -386,8 +389,11 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
     cut = float(np.abs(nodes[:, -1]).max()) if N > budget + 1 else 0.0
 
     out = np.ones(etas.shape[1], dtype=complex)
+    achieved = np.zeros(etas.shape[1])
     over = thetas < _reach(u, np.full((m, 1), cut))
     out[live[over]] = np.nan
+    achieved[live[over]] = series_remainder(
+        degree, scale * np.abs(etas[:, live[over]]).sum(axis=0) * cut)
     rooted = _reach(u, np.ones((m, 1))) <= thetas  # the empty word stops
     out[live[rooted]] = _series(coefficients, etas[:, live[rooted]])
     order = np.argsort(-thetas)
@@ -440,7 +446,7 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
                                          nodes[:, rows][:, stop[0]] * eta[:, stop[1]])
                 vals[rows] = here
         out[ids] = vals[0]
-    return out, cut
+    return out, achieved
 
 
 def fourier_exact_batch(cifs: CIFS, xis, tol: float = 1e-9,
@@ -453,23 +459,20 @@ def fourier_exact_batch(cifs: CIFS, xis, tol: float = 1e-9,
     coefficients and Horner's scheme is within tol (``series_order``).
     Returns one entry per frequency, in input order: a FourierValue, or a
     BudgetExhausted for a frequency over budget, whose ``achieved`` is the
-    series remainder at the cut, ``series_remainder`` at the reach
-    2*pi*R*|xi|*cut (that reach itself for the first-order fallback K = 1).
+    sweep's: the series remainder at the reach 2*pi*R*|xi|*cut of the cut
+    (that reach itself for the first-order fallback K = 1).
     """
     if len(cifs.coordinates) != 1 or not cifs.is_affine:
         raise ValidationError("fourier_exact needs an affine 1-D system")
-    values, cut = exact_sweep(cifs, xis, tol, budget)
+    values, achieved = exact_sweep(cifs, xis, tol, budget)
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    scale = TWO_PI * cifs.radius
-    degree = series_order(cifs, tol)[0]
     out = []
-    for x, v in zip(xis.tolist(), values.tolist()):
+    for x, v, a in zip(xis.tolist(), values.tolist(), achieved.tolist()):
         if x == 0:
             out.append(FourierValue(0.0, 1.0 + 0.0j, 0.0))
         elif v != v:  # NaN: over budget
             out.append(BudgetExhausted(
-                f"stopping-set budget {budget} exhausted at frequency {x}",
-                achieved=float(series_remainder(degree, scale * abs(x) * cut))))
+                f"stopping-set budget {budget} exhausted at frequency {x}", achieved=a))
         else:
             out.append(FourierValue(x, v, tol + _tail_effect(cifs, x)))
     return out
@@ -501,7 +504,7 @@ def fourier_product_homogeneous(cifs: CIFS, xi: float, factors: int = 64) -> Fou
         raise ValidationError("product evaluator needs an affine 1-D system")
     ratios = cifs.ratios()
     r = ratios[0]
-    if np.max(np.abs(ratios - r)) > 1e-12:
+    if np.any(ratios != r):  # the product uses r for every map
         raise ValidationError("product evaluator needs equal contraction ratios")
     if factors < 1:
         raise ValidationError("factors must be >= 1")

@@ -14,8 +14,7 @@ norms certified by interval enclosure over F's box, which the system must
 map into itself, and on the maps' contraction bounds: values are
 "rigorous" unless some map's bound is declared, then "estimate"s. Also here:
 the good/bad split of the sum over a ``measure.cylinder_decomposition``,
-certified prefix decompositions by interval arithmetic, and conjugation by
-smooth coordinate changes.
+and conjugation by smooth coordinate changes.
 
 The split is the proof's sublevel-set split at scale |xi|^(-delta): with
 r = |xi|^(-delta'), F's box [lo, hi] is bisected into sub-boxes at most
@@ -35,8 +34,7 @@ import numpy as np
 from . import expr as ex
 from .ifs import CIFS, AffineMap, SmoothMap, BudgetExhausted, ValidationError
 from .measure import (FourierValue, character, cylinder_decomposition, exact_sweep,
-                      require_values, series_order, series_remainder, TWO_PI,
-                      DEFAULT_BUDGET)
+                      require_values, sample_points, TWO_PI, DEFAULT_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -74,10 +72,6 @@ class SmoothMapF:
 
     def __call__(self, **env):
         return self.expr.eval(env)
-
-
-def identity_map(var: str = "x") -> SmoothMapF:
-    return SmoothMapF(ex.Var(var), {var: (0.0, 1.0)}, var)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +171,9 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     transform is the degree-K series of the moments of mu, whose remainder
     Z^K / K! at the sweep's reach Z plus its written rounding bound is
     within tol / 2 (``measure.series_order``). A frequency with a cylinder
-    over budget reports as ``achieved`` its bound with the series remainder
-    at the cut in place of tol / 2 for that cylinder.
+    over budget reports as ``achieved`` its bound with the sweep's
+    ``achieved`` (the series remainder at the cut) in place of tol / 2 for
+    that cylinder.
 
     Systems with a smooth map take the first-order rule: each cylinder
     contributes its weight times the character at F(anchor), and stops once
@@ -188,7 +183,7 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     "rigorous", as the norms are certified, unless a map's contraction bound
     is declared: then it is "estimate".
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValidationError("tolerance must be positive")
     names = list(F.domain)
     if F.fibre_var != names[-1]:  # anchors bind the fibre to the last variable
@@ -280,18 +275,16 @@ def _affine_values(system, xis, out, order, curvature, half, budget):
     if not walked:
         return
     args = np.concatenate([xis[i] * out[i][3] * out[i][1] for i in walked], axis=1)
-    mu, cut = exact_sweep(system, args.T, half, budget)
+    mu, achieved = exact_sweep(system, args.T, half, budget)
     start, over = 0, None
     for i in walked:
-        xi, (w, rho, f, grad) = float(xis[i]), out[i]
-        m = mu[start:start + w.size]
+        xi, (w, rho, f) = float(xis[i]), out[i][:3]
+        m, leaf = mu[start:start + w.size], achieved[start:start + w.size]
         start += w.size
         size = np.abs(rho)
         err = sum(C * abs(xi) * float(np.sum(w * size[c] * size[d])) for c, d, C in curvature)
         tail = TWO_PI * abs(xi) * system.tail_mass
         if over is None and np.isnan(m).any():  # a cylinder's transform is over budget
-            reach = TWO_PI * system.radius * np.abs(xi * grad * rho).sum(axis=0) * cut
-            leaf = series_remainder(series_order(system, half)[0], reach)
             over = BudgetExhausted(
                 f"stopping-set budget {budget} exhausted at frequency {xi}",
                 achieved=err + float(np.sum(w * np.where(np.isnan(m), leaf, half))) + tail)
@@ -403,76 +396,6 @@ def split_fourier(F: SmoothMapF, cifs: CIFS, xi: float, delta: float = 0.2,
 
 
 # ---------------------------------------------------------------------------
-# certified prefix decomposition
-# ---------------------------------------------------------------------------
-
-@dataclass
-class PrefixDecomposition:
-    """An antichain of words whose cylinder boxes certify one strict sign
-    of the second fibre partial, plus the mass left uncertified at the
-    depth cap."""
-
-    words: list
-    covered_mass: float
-    uncovered_mass: float
-    uncovered_words: int
-    depth_cap: int
-
-
-def _cylinder_box(by_symbol, word, box):
-    """Image of ``box``, one interval per coordinate, under the word;
-    ``by_symbol`` maps a symbol to its maps, one per coordinate."""
-    for s in reversed(word):
-        images = [m.image(*iv) for m, iv in zip(by_symbol[s], box)]
-        # a clipped SmoothMap.image can come out unordered
-        box = tuple((min(a, b), max(a, b)) for a, b in images)
-    return box
-
-
-def prefix_decomposition(F: SmoothMapF, system, depth_cap: int = 12,
-                         budget: int = 200_000) -> PrefixDecomposition:
-    """Find minimal prefixes whose cylinder box, the word's image of F's
-    box, certifies nonvanishing second fibre partial by natural interval
-    extension. F's box must pass the pushforward's checks, so that it holds
-    the attractor.
-
-    Words deeper than the cap contribute to the uncovered mass. The
-    certified words form a prefix-free family by construction (a word is
-    only expanded when its own box fails to certify).
-    """
-    _check_box(F, system)
-    names = list(F.domain)
-    by_symbol = dict(zip(system.alphabet, zip(*system.coordinates)))
-    start = tuple(F.domain.values())
-
-    def certifies(box_parts) -> bool:
-        box = {v: iv for v, iv in zip(names, box_parts)}
-        lo, hi = F.second.interval(box)
-        return lo > 0.0 or hi < 0.0
-
-    certified, covered = [], 0.0
-    uncovered, n_uncovered = 0.0, 0
-    queue = [((), 1.0)]
-    visits = 0
-    while queue:
-        word, mass = queue.pop()
-        visits += 1
-        if visits > budget:
-            raise BudgetExhausted(f"prefix budget {budget} exhausted")
-        if certifies(_cylinder_box(by_symbol, word, start)):
-            certified.append(word)
-            covered += mass
-        elif len(word) >= depth_cap:
-            uncovered += mass
-            n_uncovered += 1
-        else:
-            for s in system.alphabet:
-                queue.append((word + (s,), mass * system.weights[s]))
-    certified.sort()
-    return PrefixDecomposition(certified, covered, uncovered, n_uncovered, depth_cap)
-
-
-# ---------------------------------------------------------------------------
 # conjugation by a smooth coordinate change
 # ---------------------------------------------------------------------------
 
@@ -503,8 +426,6 @@ def conjugate_ifs(psi: CIFS, forward: SmoothMapF, inverse: ex.Expr | str,
     pushed through ``forward`` are compared against samples of the
     conjugated system with a two-sample KS test.
     """
-    from .measure import sample_points  # local import to avoid a cycle
-
     if len(psi.coordinates) != 1 or not psi.is_affine:
         raise ValidationError("conjugation starts from an affine 1-D system")
     var = forward.fibre_var

@@ -127,9 +127,8 @@ def test_budget_diagnostics_report_achieved(tmp_path, capsys):
         assert err["achieved"] > scan["tol"]
     system = cli.build_system(two)
     (entry,) = cli.meas.fourier_exact_batch(system, [100.0], tol=1e-6, budget=1)
-    _, cut = cli.meas.exact_sweep(system, [100.0], 1e-6, 1)
-    degree = cli.meas.series_order(system, 1e-6)[0]
-    assert entry.achieved == cli.meas.series_remainder(degree, 2 * math.pi * 100.0 * cut)
+    values, achieved = cli.meas.exact_sweep(system, [100.0], 1e-6, 1)
+    assert np.isnan(values[0]) and entry.achieved == achieved[0] > 1e-6
 
 
 def test_missing_config_is_validation_error(tmp_path, capsys):
@@ -485,6 +484,11 @@ def test_decay_bands_with_pushforward_method(tmp_path):
     assert len(peaks) == 4 and all(0 < p <= 1.01 for p in peaks)
 
 
+def nested(var, depth=3000):
+    """``(add (add ... var 1) 1)``, ``depth`` levels deep."""
+    return "(add " * depth + var + " 1)" * depth
+
+
 def test_malformed_values_exit_2(tmp_path, capsys):
     cantor = {"kind": "named", "name": "cantor"}
     scan = {"xi_min": 1.0, "xi_max": 2.0, "points": 2}
@@ -518,12 +522,35 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         (["decay", "sparse"], {"system": FIBRE3, "decay": {"method": "exact", "limit": 9.0}}),
         (["conjugate"], {"system": FIBRE3, "map": {"expr": "(pow x 2)",
                                                    "inverse": "(pow x 0.5)"}}),
+        # a negative tail mass gave negative "rigorous" bounds
+        (["fourier-scan"], {"system": {"kind": "affine1d", "weights": [0.6, 0.6],
+                                       "tail_mass": -0.2, "maps": [
+            {"ratio": 0.3, "translate": 0.0}, {"ratio": 0.3, "translate": 0.7}]},
+            "scan": dict(scan, method="exact")}, "tail_mass"),
+        # the product evaluator used the first ratio for both
+        (["fourier-scan"], {"system": {"kind": "affine1d", "weights": [0.5, 0.5], "maps": [
+            {"ratio": 0.3, "translate": 0.0}, {"ratio": 0.3 + 9e-13, "translate": 0.7}]},
+            "scan": dict(scan, xi_min=1e8, xi_max=1e8, points=1, method="product")},
+         "equal contraction ratios"),
+        # expressions nested past the recursion limit
+        (["pushforward-scan"], {"system": cantor, "map": {"expr": nested("x")}, "scan": scan},
+         "RecursionError"),
+        (["equidist", "count"], {"equidist": {"rate": nested("n")}}, "RecursionError"),
+        # NaN passed "tol <= 0" and "alpha <= 0"
+        (["fourier-scan"], {"system": cantor, "scan": dict(scan, tol=math.nan, method="exact")},
+         "tolerance"),
+        (["pushforward-scan"], {"system": cantor, "map": {"expr": "(pow x 2)"},
+                                "scan": dict(scan, tol=math.nan)}, "tolerance"),
+        (["disintegrate", "membership"], {"system": FIBRE3, "disintegrate": {
+            "block_length": 2, "alpha": math.nan, "prefix_length": 16}}, "alpha"),
     ]
-    for argv, config in cases:
+    for argv, config, *word in cases:  # a case may name a word its message holds
         cfg = write_config(tmp_path / "cfg.json", config)
         assert main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2, config
         err, = capsys.readouterr().err.strip().splitlines()  # one JSON line
-        assert json.loads(err)["error"]["kind"] == "validation"
+        error = json.loads(err)["error"]
+        assert error["kind"] == "validation"
+        assert all(w in error["message"] for w in word), (word, err)
 
 
 def test_scan_grid_is_checked_before_it_is_built(tmp_path, capsys):

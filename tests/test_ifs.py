@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -141,6 +142,18 @@ def test_tail_mass_accounting():
     chk = tail_check(sys, 1.0, declared_tail=0.4)
     assert chk.value == pytest.approx(0.9 * 2 + 0.4)
     assert not chk.exact
+
+
+def test_tail_mass_outside_the_unit_interval_is_rejected():
+    # tail_mass -0.2 with weights 0.6, 0.6 gave fourier_exact a negative
+    # "rigorous" error bound
+    maps = {0: AffineMap(0.3, 0.0), 1: AffineMap(0.3, 0.7)}
+    fp = fibre_product_from_1d(ab_system())
+    for tail in (-0.2, 1.0, math.nan):
+        with pytest.raises(ValidationError, match="tail_mass"):
+            CIFS((0, 1), maps, {0: 0.6, 1: 0.6}, tail_mass=tail)
+        with pytest.raises(ValidationError, match="tail_mass"):
+            dataclasses.replace(fp, tail_mass=tail)
 
 
 # -- tail sums and Lyapunov exponent ----------------------------------------

@@ -9,11 +9,10 @@ from scipy.integrate import quad
 from conftest import unit_systems
 
 from ffl.ifs import (CIFS, AffineMap, SmoothMap, ValidationError,
-                     build_fibre_product, cantor_system, compose, fold)
+                     build_fibre_product, cantor_system, fold)
 from ffl.measure import cylinder_decomposition, fourier_exact, sample_points
-from ffl.pushforward import (SmoothMapF, identity_map, map_norms, pushforward_fourier,
-                             split_fourier, prefix_decomposition, conjugate_ifs,
-                             ks_distance, _sublevel_boxes)
+from ffl.pushforward import (SmoothMapF, map_norms, pushforward_fourier, split_fourier,
+                             conjugate_ifs, ks_distance, _sublevel_boxes)
 from ffl import expr as ex
 
 
@@ -90,7 +89,7 @@ def test_base_and_cross_curvature_cover_sampled_partials():
 # -- pushforward transforms ---------------------------------------------------
 
 def test_identity_pushforward_matches_plain(cantor):
-    F = identity_map("x")
+    F = SmoothMapF.parse("x")
     for xi in (2.0, 9.5):
         a = pushforward_fourier(F, cantor, [xi], tol=1e-7)[0]
         b = fourier_exact(cantor, xi, tol=1e-7)
@@ -557,65 +556,6 @@ def test_split_matches_a_per_word_loop(system, coeffs, xi, delta):
     assert abs(sp.total - sum(t for _, _, t in good + bad)) <= 1e-12
 
 
-# -- certified prefix decomposition -----------------------------------------------
-
-def test_prefix_decomposition_global_curvature(cantor):
-    F = SmoothMapF.parse("(add (pow x 2) x)")
-    pd = prefix_decomposition(F, cantor, depth_cap=6)
-    assert pd.words == [()]
-    assert pd.covered_mass == pytest.approx(1.0)
-
-
-def test_prefix_decomposition_cubic_geometric_tail(cantor):
-    F = SmoothMapF.parse("(pow x 3)")
-    for cap in (4, 7, 10):
-        pd = prefix_decomposition(F, cantor, depth_cap=cap)
-        assert pd.uncovered_mass == pytest.approx(0.5 ** cap)
-        assert pd.covered_mass == pytest.approx(1 - 0.5 ** cap)
-        # certified words form an antichain
-        ws = set(pd.words)
-        for w in ws:
-            for cut in range(len(w)):
-                assert w[:cut] not in ws
-
-
-def test_prefix_decomposition_starts_from_the_function_box():
-    # the uniform law on [-1, 1]: cylinder 1 is [0, 1], where F'' = 6 (x - 1/4)
-    # changes sign; its image of [0, 1] alone, [1/2, 1], would certify it
-    F = SmoothMapF.parse("(pow (add x -0.25) 3)", {"x": (-1.0, 1.0)})
-    system = CIFS((0, 1), {0: AffineMap(0.5, -0.5), 1: AffineMap(0.5, 0.5)},
-                  {0: 0.5, 1: 0.5})
-    pd = prefix_decomposition(F, system, depth_cap=6)
-    assert (1,) not in pd.words and (0,) in pd.words
-    for w in pd.words:
-        lo, hi = sorted(compose(system, w).image(-1.0, 1.0))
-        assert not lo <= 0.25 <= hi
-    assert pd.covered_mass + pd.uncovered_mass == pytest.approx(1.0)
-    with pytest.raises(ValidationError):  # the box must hold the attractor
-        prefix_decomposition(SmoothMapF.parse("(pow x 3)", {"x": (-0.5, 0.5)}), system)
-
-
-def test_prefix_decomposition_carpet_sampled_mass():
-    fp = build_fibre_product(
-        {"L": AffineMap(0.5, 0.0), "R": AffineMap(0.5, 0.5)},
-        {"L": {0: AffineMap(1 / 3, 0.0), 1: AffineMap(1 / 3, 2 / 3)},
-         "R": {0: AffineMap(1 / 3, 1 / 3)}},
-        {("L", 0): 1 / 3, ("L", 1): 1 / 3, ("R", 0): 1 / 3})
-    F = SmoothMapF.parse("(pow y 3)", {"x": (0, 1), "y": (0, 1)}, "y")
-    pd = prefix_decomposition(F, fp, depth_cap=8)
-    assert pd.covered_mass == pytest.approx(1 - 3.0 ** -8, abs=1e-12)
-    # certified cylinders capture the sampled points at the same rate
-    pts = sample_points(fp, 20_000, seed=13).points
-    hits = 0
-    starts = {}
-    for w in pd.words:
-        starts.setdefault(len(w), set()).add(w)
-    sys_alphabet = fp.alphabet
-    # a point lands in a certified cylinder iff its fibre coordinate is not
-    # in the deepest all-left shadow; bound via mass instead of re-coding
-    assert pd.uncovered_mass <= 3.0 ** -8 + 1e-12
-
-
 def test_chain_rule_identity(cantor):
     F = SmoothMapF.parse("(add (pow x 3) (mul 0.25 x))")
     rng = np.random.default_rng(11)
@@ -642,7 +582,7 @@ def quarter_system():
 
 def test_conjugate_identity_returns_same_system():
     psi = quarter_system()
-    res = conjugate_ifs(psi, identity_map("x"), "x", verify=False)
+    res = conjugate_ifs(psi, SmoothMapF.parse("x"), "x", verify=False)
     assert res.system is psi
 
 

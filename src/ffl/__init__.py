@@ -11,7 +11,7 @@ from .measure import (FourierValue, SamplePoints, sample_points, make_sampler,
                       fourier_exact, fourier_exact_batch, fourier_product_homogeneous,
                       fourier_montecarlo, frostman_profile, cylinder_decomposition)
 from .disintegrate import (EquivClass, ClassTable, OmegaSample, ConvolutionFactor,
-                           build_classes, sample_omega, mu_omega_fourier,
+                           build_classes, sample_omega, sample_omegas, mu_omega_fourier,
                            mu_omega_fourier_batch, disintegration_consistency,
                            LargeDeviationParams, check_omega_membership,
                            ek_diagnostics, circle_sum_bound, calibrate_alpha)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .ifs import BudgetExhausted, ValidationError
 from .measure import FourierValue, require_values
-from .rng import stream_rng
+from .rng import uniforms
 
 
 # ---------------------------------------------------------------------------
@@ -36,25 +36,22 @@ class BandMax:
     excluded: int = 0
 
 
-def _radical_inverse(i: int) -> float:
-    out, denom = 0.0, 1.0
-    while i:
-        denom *= 2.0
-        out += (i & 1) / denom
-        i >>= 1
-    return out
-
-
 def _band_frequencies(lower: float, width: float, count: int,
                       seed: int, band_id: int) -> np.ndarray:
     """Nested stratified points in [lower, lower+width); index 0 is the
-    band edge itself, later indices never move as count grows."""
-    xs = np.empty(count)
-    xs[0] = 0.0
-    for i in range(1, count):
-        cell = 2.0 ** -(i.bit_length())
-        jitter = stream_rng(seed, 0xBA4D, band_id, i).random()
-        xs[i] = _radical_inverse(i) + jitter * cell
+    band edge itself, later indices never move as count grows.
+
+    Point i >= 1 is the base-2 radical inverse of i plus a jitter inside its
+    dyadic cell of width 2^-bit_length(i); the jitter is the first uniform
+    of the stream (seed, 0xBA4D, band_id, i).
+    """
+    i = np.arange(1, count)
+    bits = np.frexp(i)[1]  # bit lengths, exact below 2^53
+    radical = np.zeros(i.size)
+    for k in range(int(bits.max(initial=0))):  # sums of distinct powers of 2: exact
+        radical += ((i >> k) & 1) * 2.0 ** -(k + 1)
+    jitter = uniforms(seed, (0xBA4D, band_id), range(1, count), 1)[:, 0]
+    xs = np.concatenate(([0.0], radical + jitter * np.ldexp(1.0, -bits)))
     return lower + xs * width
 
 

@@ -13,12 +13,13 @@ conditions used to control typical sequences, and computes the
 near-integer (carry-propagation) diagnostics behind sparse-frequency
 decay counting.
 
-Block words compose with ``ifs.fold``, as every other word does. A sampled
-sequence holds one table of its scaled atoms with the factor offsets.
-``mu_omega_fourier_batch`` evaluates the convolution transforms of many
-sequences at many frequencies in one sweep per frequency: one character
-evaluation over the concatenated atom tables and one segmented sum over
-every factor of every sequence. The consistency check makes one batch call
+Block words compose with ``ifs.fold``, as every other word does.
+``sample_omegas`` draws the class sequences of many streams from one
+``rng.uniforms`` call. ``mu_omega_fourier_batch`` evaluates the convolution
+transforms of many sequences of one class table at many frequencies in one
+sweep per frequency: one character evaluation over the atoms gathered from
+the table's translates and one segmented sum over every factor of every
+sequence. The consistency check makes one batch call
 for its whole grid; ``mu_omega_fourier`` is the batch's one-sequence,
 one-frequency call.
 """
@@ -37,7 +38,7 @@ from .ifs import (AffineMap, FibreProductCIFS, BudgetExhausted, ValidationError,
                   fibre_product_from_1d, fold, lyapunov)
 from . import measure
 from .measure import FourierValue, character, fourier_exact_batch, require_values, TWO_PI
-from .rng import stream_rng
+from .rng import stream_rng, uniforms
 
 CLASS_BUDGET = 1_000_000
 
@@ -88,6 +89,7 @@ class ClassTable:
         self.weights = np.array([c.weight for c in self.classes])
         self.pair_deltas = np.array([c.pair_delta if c.pair_delta is not None
                                      else np.nan for c in self.classes])
+        self.members = np.concatenate([c.translates for c in self.classes])
 
     def __len__(self):
         return len(self.classes)
@@ -103,6 +105,15 @@ class ClassTable:
     def lyapunov(self) -> float:
         """Per-letter Lyapunov exponent of the underlying fibre system."""
         return lyapunov(self.system)
+
+    def translates_of(self, cls: np.ndarray) -> np.ndarray:
+        """The member translates of the classes ``cls``, concatenated in
+        order: one gather from ``members``."""
+        sizes = self.sizes[cls]
+        ends = np.cumsum(sizes)
+        firsts = np.cumsum(self.sizes) - self.sizes
+        return self.members[np.arange(ends[-1] if ends.size else 0)
+                            + np.repeat(firsts[cls] - ends + sizes, sizes)]
 
 
 def build_classes(fp: FibreProductCIFS, block_length: int,
@@ -179,7 +190,8 @@ class OmegaSample:
 
     ``cum_ratios[m]`` is the signed product of the first m+1 class ratios.
     Factor m's atoms are ``atoms[offsets[m]:offsets[m + 1]]``: its class
-    translates scaled by the product of the m ratios before it.
+    translates scaled by the product of the m ratios before it. Each is
+    derived on first use.
     """
 
     table: ClassTable
@@ -187,20 +199,25 @@ class OmegaSample:
     seed: int
     stream: int
 
-    def __post_init__(self):
-        ratios = self.table.ratios[self.indices]
-        self.cum_ratios = np.cumprod(ratios)
-        self.log_abs_ratios = np.log(np.abs(ratios))
-        self.offsets = np.concatenate(([0], np.cumsum(self.table.sizes[self.indices])))
-
     def __len__(self):
         return len(self.indices)
 
     @cached_property
+    def cum_ratios(self) -> np.ndarray:
+        return np.cumprod(self.table.ratios[self.indices])
+
+    @cached_property
+    def log_abs_ratios(self) -> np.ndarray:
+        return np.log(np.abs(self.table.ratios[self.indices]))
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return np.concatenate(([0], np.cumsum(self.table.sizes[self.indices])))
+
+    @cached_property
     def atoms(self) -> np.ndarray:
         scales = np.concatenate(([1.0], self.cum_ratios[:-1]))
-        return (np.concatenate([self.table.classes[i].translates for i in self.indices])
-                * np.repeat(scales, np.diff(self.offsets)))
+        return self.table.translates_of(self.indices) * np.repeat(scales, np.diff(self.offsets))
 
     @cached_property
     def base_point(self):
@@ -218,15 +235,29 @@ class OmegaSample:
         return ConvolutionFactor(self.atoms[lo:hi], 1.0 / (hi - lo))
 
 
-def sample_omega(table: ClassTable, length: int, seed: int = 0,
-                 stream: int = 0) -> OmegaSample:
-    """Draw an i.i.d. class sequence of the given length."""
+def sample_omegas(table: ClassTable, length: int, seed: int, streams) -> list:
+    """Draw one i.i.d. class sequence of the given length per stream id.
+
+    The sequence of stream s is keyed by (seed, 0xD15, s) alone: it equals
+    ``stream_rng(seed, 0xD15, s).choice(len(table), size=length, p=probs)``
+    with probs the normalised class weights. The uniforms of all streams
+    come from one ``uniforms`` call and the classes from one search in the
+    weights' cumulative sum, as ``Generator.choice`` does it.
+    """
     if length < 1:
         raise ValidationError("prefix length must be >= 1")
-    rng = stream_rng(seed, 0xD15, stream)
-    probs = table.weights / table.weights.sum()
-    idx = rng.choice(len(table.classes), size=length, p=probs)
-    return OmegaSample(table, idx, seed, stream)
+    streams = list(streams)
+    cdf = np.cumsum(table.weights / table.weights.sum())
+    cdf /= cdf[-1]
+    rows = np.searchsorted(cdf, uniforms(seed, (0xD15,), streams, length), side="right")
+    return [OmegaSample(table, idx, seed, s) for idx, s in zip(rows, streams)]
+
+
+def sample_omega(table: ClassTable, length: int, seed: int = 0,
+                 stream: int = 0) -> OmegaSample:
+    """Draw an i.i.d. class sequence of the given length: the one-stream
+    ``sample_omegas``."""
+    return sample_omegas(table, length, seed, (stream,))[0]
 
 
 def mu_omega_fourier_batch(omegas, xis, factors: int | None = None,
@@ -242,9 +273,11 @@ def mu_omega_fourier_batch(omegas, xis, factors: int | None = None,
     complex and float arrays of shape (len(xis), len(omegas)); xi = 0 gives
     1 within 0.
 
-    The sequences go in chunks of at most ``measure.BATCH_CELLS`` atoms times
-    frequencies (one sequence at least). Per frequency a chunk takes one
-    character evaluation over its concatenated atom tables and one segmented
+    The sequences, all of one class table, go in chunks of at most
+    ``measure.BATCH_CELLS`` atoms times frequencies (one sequence at least).
+    A chunk stacks its class indices as rows; its ratio products, scales
+    and atoms come from that matrix and the table's arrays. Per frequency a
+    chunk takes one character evaluation over its atoms and one segmented
     sum over all its factors; factors past a sequence's count are set to 1
     before the product of each row. Each value is the same, bit for bit,
     whatever else is in the batch.
@@ -257,36 +290,46 @@ def mu_omega_fourier_batch(omegas, xis, factors: int | None = None,
     if not np.isfinite(xis).all():
         raise ValidationError("frequencies must be finite")
     omegas = list(omegas)
+    if any(om.table is not omegas[0].table for om in omegas):
+        raise ValidationError("a batch takes sequences of one class table")
     lengths = np.array([len(om) for om in omegas], dtype=int)
     if factors is not None and np.any(lengths < factors):
         raise ValidationError("prefix shorter than the requested factor count")
     values = np.ones((xis.size, len(omegas)), dtype=complex)
     bounds = np.zeros((xis.size, len(omegas)))
     live = np.flatnonzero(xis != 0)
-    if not live.size:
+    if not live.size or not omegas:
         return values, bounds
 
-    edges = np.concatenate(([0], np.cumsum([om.offsets[-1] for om in omegas])))
+    table = omegas[0].table
+    cls = np.concatenate([om.indices for om in omegas])
+    first = np.concatenate(([0], np.cumsum(lengths)))  # first factor of each sequence
+    edges = np.concatenate(([0], np.cumsum(table.sizes[cls])))[first]
+    denom = 1.0 - np.abs(table.ratios).max()
     per = max(1, measure.BATCH_CELLS // live.size)
     lo = 0
     while lo < len(omegas):
         hi = max(lo + 1, int(np.searchsorted(edges, edges[lo] + per, side="right")) - 1)
-        chunk, length = omegas[lo:hi], lengths[lo:hi]
-        n, width = len(chunk), int(length.max())
-        atoms = np.concatenate([om.atoms for om in chunk])
-        sizes = np.concatenate([np.diff(om.offsets) for om in chunk])
-        starts = np.cumsum(sizes) - sizes
+        length, part = lengths[lo:hi], cls[first[lo]:first[hi]]
+        n, width, size = hi - lo, int(length.max()), table.sizes[part]
+        starts = np.cumsum(size) - size
         # factor j of sequence row[j] sits at column col[j] of the row
         row = np.repeat(np.arange(n), length)
         col = np.arange(row.size) - np.repeat(np.cumsum(length) - length, length)
-        mags = np.zeros((n, width))
-        mags[row, col] = np.abs(np.concatenate([om.cum_ratios for om in chunk]))
-        denom = 1.0 - np.array([np.abs(om.table.ratios).max() for om in chunk])
+        # ratios padded with 1.0: each row's running product is formed in the
+        # order of the sequence's own cum_ratios, so it is the same bit for bit
+        ratios = np.ones((n, width))
+        ratios[row, col] = table.ratios[part]
+        cum = np.cumprod(ratios, axis=1)
+        mags = np.abs(cum)
+        scales = np.concatenate((np.ones((n, 1)), cum[:, :-1]), axis=1)[row, col]
+        atoms = table.translates_of(part) * np.repeat(scales, size)
         limit = np.minimum(length, factor_cap)
         for f in live:
             xi = xis[f]
-            # tails[i, m - 1] bounds the cost of stopping sequence i after m factors
-            tails = TWO_PI * abs(xi) * mags / denom[:, None]
+            # tails[i, m - 1] bounds the cost of stopping sequence i after m
+            # factors; columns past a sequence's length are never read
+            tails = TWO_PI * abs(xi) * mags / denom
             if factors is not None:
                 count = np.full(n, factors)
             elif tol is not None:
@@ -294,7 +337,7 @@ def mu_omega_fourier_batch(omegas, xis, factors: int | None = None,
                 count = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, limit)
             else:
                 count = limit
-            means = np.add.reduceat(character(xi * atoms), starts) / sizes
+            means = np.add.reduceat(character(xi * atoms), starts) / size
             means[col >= count[row]] = 1.0
             grid = np.ones((n, width), dtype=complex)
             grid[row, col] = means
@@ -362,26 +405,30 @@ def disintegration_consistency(system, block_length: int, xis, n_sequences: int,
     For each frequency the mean of the convolution transform over sampled
     class sequences must match the stationary-measure transform within
     ``z_pass`` standard errors plus all rigorous truncation errors. A
-    failed comparison is reported, not raised. The transforms of all
-    sequences at all frequencies come from one ``mu_omega_fourier_batch``
-    call (one sweep per frequency), the direct ones from one
-    ``fourier_exact_batch`` call.
+    failed comparison is reported, not raised. The sequences come from one
+    ``sample_omegas`` call, their transforms at all frequencies from one
+    ``mu_omega_fourier_batch`` call (one sweep per frequency), the direct
+    ones from one ``fourier_exact_batch`` call. It needs two sequences at
+    least and one or more finite frequencies.
     """
-    if n_sequences < 1 or not trunc_tol > 0:
-        raise ValidationError("need at least one sequence and a positive trunc_tol")
+    if n_sequences < 2:  # one sequence has no standard error
+        raise ValidationError("need at least two sequences")
+    if not trunc_tol > 0:
+        raise ValidationError("need a positive trunc_tol")
+    xis = np.atleast_1d(np.asarray(xis, dtype=float))
+    if not xis.size or not np.isfinite(xis).all():
+        raise ValidationError("need at least one frequency, all finite")
     fp = fibre_product_from_1d(system)
     table = build_classes(fp, block_length)
     marginal = fp.fibre_cifs()
 
-    xis = np.atleast_1d(np.asarray(xis, dtype=float))
     xi_max = float(np.abs(xis).max())
     r_max = float(np.abs(table.ratios).max())
     # prefix long enough that the truncation tail is below trunc_tol at xi_max
     need = TWO_PI * max(xi_max, 1.0) / ((1.0 - r_max) * trunc_tol)
     length = min(10_000, max(4, math.ceil(math.log(need) / math.log(1.0 / r_max)) + 2))
 
-    omegas = [sample_omega(table, length, seed=seed, stream=i)
-              for i in range(n_sequences)]
+    omegas = sample_omegas(table, length, seed, range(n_sequences))
 
     targets = require_values(fourier_exact_batch(marginal, xis, tol=trunc_tol))
     values, bounds = mu_omega_fourier_batch(omegas, xis, tol=trunc_tol)

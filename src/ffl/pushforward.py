@@ -213,8 +213,9 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
             continue
         try:
             out[i] = over or one(float(xis[i]))
-        except BudgetExhausted as err:
-            out[i] = over = err
+        except BudgetExhausted:  # the cylinder walk: no cylinder was summed
+            out[i] = over = BudgetExhausted(
+                f"stopping-set budget {budget} exhausted at frequency {float(xis[i])}")
     if affine:
         _affine_values(system, xis, out, order, curvature, tol / 2, budget)
     return out

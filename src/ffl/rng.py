@@ -3,6 +3,14 @@
 All randomness in the package flows through counter-based Philox generators
 keyed by (seed, stream ids). Two calls with the same key yield the same
 stream regardless of call order, so parallel scans stay reproducible.
+
+``stream_rng`` hands out one numpy Generator per key. ``uniforms`` draws
+the leading uniforms of many keys in one array call: numpy's Philox is
+Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC 2011), draw j of a key is
+word j mod 4 of the block at counter (j // 4 + 1, 0, 0, 0), and
+``Generator.random()`` maps a word w to (w >> 11) * 2^-53. So row r of
+``uniforms(seed, stream, ids, count)`` equals
+``stream_rng(seed, *stream, ids[r]).random(count)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +19,17 @@ import hashlib
 
 import numpy as np
 
+_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_WEYL = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_LOW, _SHIFT = np.uint64(0xFFFFFFFF), np.uint64(32)
+
+
+def _key(seed: int, stream, size: int = 16) -> bytes:
+    """The blake2b digest of a (seed, *stream) address: by default the
+    128-bit Philox key."""
+    tag = repr((int(seed), *map(int, stream))).encode()
+    return hashlib.blake2b(tag, digest_size=size).digest()
+
 
 def stream_rng(seed: int, *stream: int) -> np.random.Generator:
     """Return a Generator for the given (seed, *stream) address.
@@ -18,14 +37,44 @@ def stream_rng(seed: int, *stream: int) -> np.random.Generator:
     The key is a 128-bit digest of the address, fed to Philox. Distinct
     addresses give statistically independent streams.
     """
-    tag = repr((int(seed),) + tuple(int(s) for s in stream)).encode()
-    digest = hashlib.blake2b(tag, digest_size=16).digest()
-    key = np.frombuffer(digest, dtype=np.uint64)
+    key = np.frombuffer(_key(seed, stream), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _mulhilo(m: np.uint64, x: np.ndarray):
+    """(high, low) 64-bit words of m * x, the high word from 32-bit halves."""
+    m1, m0 = m >> _SHIFT, m & _LOW
+    x1, x0 = x >> _SHIFT, x & _LOW
+    t = m0 * x0
+    u = m1 * x0 + (t >> _SHIFT)
+    v = m0 * x1 + (u & _LOW)
+    return m1 * x1 + (u >> _SHIFT) + (v >> _SHIFT), m * x
+
+
+def uniforms(seed: int, stream, ids, count: int) -> np.ndarray:
+    """The first ``count`` uniforms on [0, 1) of the stream of every id.
+
+    Row r is ``stream_rng(seed, *stream, ids[r]).random(count)``, bit for
+    bit, with the Philox blocks of all rows computed as arrays.
+    """
+    stream = tuple(stream)
+    keys = np.frombuffer(b"".join(_key(seed, stream + (i,)) for i in ids),
+                         dtype=np.uint64).reshape(-1, 1, 2)
+    blocks = -(-count // 4)
+    shape = (keys.shape[0], blocks)
+    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
+    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
+    k0, k1 = keys[..., 0], keys[..., 1]
+    for r in range(10):  # uint64 arrays wrap silently, as Philox needs
+        if r:
+            k0, k1 = k0 + _WEYL[0], k1 + _WEYL[1]
+        hi0, lo0 = _mulhilo(_M[0], c0)
+        hi1, lo1 = _mulhilo(_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(shape[0], 4 * blocks)[:, :count]
+    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
 def spawn_seed(seed: int, *stream: int) -> int:
     """Derive a 63-bit sub-seed from a master seed and stream ids."""
-    tag = repr((int(seed),) + tuple(int(s) for s in stream)).encode()
-    digest = hashlib.blake2b(tag, digest_size=8).digest()
-    return int.from_bytes(digest, "little") >> 1
+    return int.from_bytes(_key(seed, stream, 8), "little") >> 1

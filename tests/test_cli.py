@@ -125,6 +125,16 @@ def test_budget_diagnostics_report_achieved(tmp_path, capsys):
         err = json.loads(capsys.readouterr().err.strip())["error"]
         assert err["kind"] == "budget"
         assert err["achieved"] > scan["tol"]
+    # the pushforward's cylinder walk itself over budget: no cylinder was
+    # summed, so there is no achieved tolerance, but the frequency is named
+    walk = write_config(tmp_path / "walk.json",
+                        {"system": {"kind": "named", "name": "cantor"}, "map": {"expr": "(pow x 2)"},
+                         "scan": dict(scan, xi_min=300.0, xi_max=300.0, tol=1e-4)})
+    assert main(["pushforward-scan", "--config", walk, "--out", str(tmp_path / "o"),
+                 "--budget", "5"]) == 3
+    err = json.loads(capsys.readouterr().err.strip())["error"]
+    assert err == {"kind": "budget",
+                   "message": "stopping-set budget 5 exhausted at frequency 300.0"}
     system = cli.build_system(two)
     (entry,) = cli.meas.fourier_exact_batch(system, [100.0], tol=1e-6, budget=1)
     values, achieved = cli.meas.exact_sweep(system, [100.0], 1e-6, 1)
@@ -504,6 +514,14 @@ def test_malformed_values_exit_2(tmp_path, capsys):
                                            "disintegrate": {"n_sequences": 0}}),
         (["disintegrate", "consistency"], {"system": cantor,
                                            "disintegrate": {"trunc_tol": 0}}),
+        # one sequence wrote "z": Infinity and passed false; no frequencies or
+        # a NaN frequency failed with numpy's message
+        (["disintegrate", "consistency"], {"system": cantor,
+                                           "disintegrate": {"n_sequences": 1}}, "two sequences"),
+        (["disintegrate", "consistency"], {"system": cantor, "disintegrate": {"xis": []}},
+         "frequency"),
+        (["disintegrate", "consistency"], {"system": cantor,
+                                           "disintegrate": {"xis": [math.nan]}}, "finite"),
         (["equidist", "count"], {"equidist": {"horizon": math.inf}}),
         (["pushforward-scan"], {"system": cantor, "map": {"expr": "(pow 2 1e308)"},
                                 "scan": scan}),

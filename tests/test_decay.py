@@ -6,6 +6,7 @@ import pytest
 from ffl import decay
 from ffl.ifs import CIFS, AffineMap, BudgetExhausted, ValidationError
 from ffl.measure import FourierValue, fourier_exact, fourier_exact_batch
+from ffl.rng import stream_rng
 from ffl.decay import (band_maxima, fit_eta, sparse_cover, rajchman_probe,
                        BandMax, _band_frequencies)
 
@@ -41,6 +42,12 @@ def test_band_maxima_includes_band_edge():
     freqs = _band_frequencies(81.0, 81.0, 64, seed=3, band_id=4)
     assert freqs[0] == 81.0
     assert np.all((freqs >= 81.0) & (freqs < 162.0))
+    # the per-sample reference, bit for bit: the radical inverse of i plus the
+    # first uniform of stream (seed, 0xBA4D, band_id, i) times i's dyadic cell
+    for i in range(1, 64):
+        radical = sum(((i >> k) & 1) / 2.0 ** (k + 1) for k in range(i.bit_length()))
+        jitter = stream_rng(3, 0xBA4D, 4, i).random()
+        assert freqs[i] == 81.0 + (radical + jitter * 2.0 ** -i.bit_length()) * 81.0
 
 
 def test_band_maxima_doubling_is_superset(cantor):

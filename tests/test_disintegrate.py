@@ -10,11 +10,12 @@ from conftest import five_symbol_fp, unit_systems
 from ffl import disintegrate, measure
 from ffl.ifs import (CIFS, AffineMap, BudgetExhausted, ValidationError,
                      build_fibre_product, fibre_product_from_1d)
-from ffl.disintegrate import (build_classes, sample_omega, mu_omega_fourier,
+from ffl.disintegrate import (build_classes, sample_omega, sample_omegas, mu_omega_fourier,
                               mu_omega_fourier_batch, disintegration_consistency,
                               LargeDeviationParams, check_omega_membership,
                               ek_diagnostics, circle_sum_bound, calibrate_alpha)
 from ffl.measure import fourier_exact
+from ffl.rng import stream_rng
 
 
 def three_symbol_fp():
@@ -274,11 +275,32 @@ def test_batch_matches_the_one_sequence_call(table, lengths, seed, xis, mode, ce
             assert bounds[f, i] == fv.error_bound
 
 
+@settings(max_examples=60, deadline=None)
+@given(table=class_tables(), length=st.integers(1, 40), seed=st.integers(0, 2 ** 32),
+       streams=st.lists(st.integers(0, 2 ** 40), min_size=1, max_size=5))
+def test_sample_omegas_rows_are_generator_choices(table, length, seed, streams):
+    probs = table.weights / table.weights.sum()
+    for om, s in zip(sample_omegas(table, length, seed, streams), streams, strict=True):
+        expected = stream_rng(seed, 0xD15, s).choice(len(table), size=length, p=probs)
+        assert om.stream == s and om.indices.dtype == expected.dtype
+        np.testing.assert_array_equal(om.indices, expected)
+
+
+def test_batch_rejects_sequences_of_two_tables(cantor, two_ratio):
+    a = sample_omega(build_classes(fibre_product_from_1d(cantor), 2), 5, seed=1)
+    b = sample_omega(build_classes(fibre_product_from_1d(two_ratio), 2), 5, seed=1)
+    for xis in ([1.0], [0.0]):
+        with pytest.raises(ValidationError, match="one class table"):
+            mu_omega_fourier_batch([a, b], xis)
+
+
 def test_consistency_makes_one_batch_call(two_ratio):
     with mock.patch.object(disintegrate, "mu_omega_fourier_batch",
                            wraps=mu_omega_fourier_batch) as batch, \
             mock.patch.object(disintegrate, "mu_omega_fourier",
-                              side_effect=AssertionError("per-sequence call")):
+                              side_effect=AssertionError("per-sequence call")), \
+            mock.patch.object(disintegrate, "stream_rng",
+                              side_effect=AssertionError("per-sequence generator")):
         rep = disintegration_consistency(two_ratio, 2, [1.0, 2.0, 5.0], 50, seed=9)
     assert batch.call_count == 1 and len(rep.entries) == 3
 

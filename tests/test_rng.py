@@ -1,0 +1,16 @@
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from ffl.rng import stream_rng, uniforms
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 63), stream=st.lists(st.integers(0, 2 ** 32), max_size=3),
+       ids=st.lists(st.integers(0, 2 ** 40), max_size=6),
+       count=st.one_of(st.integers(1, 70), st.sampled_from([1, 2, 3, 5, 6, 7, 9, 63, 69])))
+def test_uniforms_match_numpy_philox(seed, stream, ids, count):
+    rows = uniforms(seed, stream, ids, count)
+    assert rows.shape == (len(ids), count)
+    for row, i in zip(rows, ids):
+        expected = stream_rng(seed, *stream, i).random(count)
+        assert row.tobytes() == expected.tobytes()

@@ -224,10 +224,10 @@ def cmd_disintegrate(cfg, out, seed, budget, action):
             "block_length": k,
             "fold": fp.fold,
             "classes": [
-                {"representative": repr(c.representative), "size": c.size,
-                 "ratio": c.ratio, "translates": [float(t) for t in c.translates],
-                 "weight": c.weight}
-                for c in table.classes
+                {"representative": repr(tuple(fp.alphabet[j] for j in table.representatives[i])),
+                 "size": int(table.sizes[i]), "ratio": float(table.ratios[i]),
+                 "translates": table.translates(i).tolist(), "weight": float(table.weights[i])}
+                for i in range(len(table))
             ],
         }
         write_json(out / "classes.json", "disintegrate classes", h, seed, payload)

@@ -60,8 +60,11 @@ def band_maxima(evaluator, band_indices, samples_per_band: int = 64,
     """Per band [base^j, 2*base^j): the largest |value| over the sample set.
 
     Each band is one evaluator call; budget failures are excluded from the
-    maximum and counted.
+    maximum and counted. The band range must not be empty.
     """
+    band_indices = list(band_indices)
+    if not band_indices:
+        raise ValidationError("need at least one band: band_min must not exceed band_max")
     if samples_per_band < 64:
         raise ValidationError("need at least 64 samples per band")
     if not band_base > 1:  # a base <= 1 repeats or shrinks the band [1, 2]
@@ -155,8 +158,10 @@ def sparse_cover(evaluator, limit: float, threshold_exponent: float,
     """
     if not 0.0 < grid_step <= 0.25:
         raise ValidationError("grid step must lie in (0, 1/4]")
-    if limit < 4:
-        raise ValidationError("limit must be at least 4")
+    if not 4 <= limit < math.inf:
+        raise ValidationError("limit must be finite and at least 4")
+    if not math.isfinite(threshold_exponent):
+        raise ValidationError("the threshold exponent must be finite")
     threshold = limit ** (-threshold_exponent)
     marked = set()
     points = math.ceil((limit + grid_step / 2) / grid_step)  # the grid is i * grid_step

@@ -13,15 +13,17 @@ conditions used to control typical sequences, and computes the
 near-integer (carry-propagation) diagnostics behind sparse-frequency
 decay counting.
 
-Block words compose with ``ifs.fold``, as every other word does.
-``sample_omegas`` draws the class sequences of many streams from one
-``rng.uniforms`` call. ``mu_omega_fourier_batch`` evaluates the convolution
-transforms of many sequences of one class table at many frequencies in one
-sweep per frequency: one character evaluation over the atoms gathered from
-the table's translates and one segmented sum over every factor of every
-sequence. The consistency check makes one batch call
-for its whole grid; ``mu_omega_fourier`` is the batch's one-sequence,
-one-frequency call.
+A class table is one record of arrays. ``build_classes`` takes all block
+words as one index matrix and composes their fibre maps column by column
+in ``ifs.fold``'s order, so no word is folded on its own; classes come from
+one integer key per word. ``sample_omegas`` draws the class sequences of
+many streams from one ``rng.uniforms`` call. ``mu_omega_fourier_batch``
+evaluates the convolution transforms of many sequences of one class table
+at many frequencies in one sweep per frequency: one character evaluation
+over the atoms gathered from the table's translates and one segmented sum
+over every factor of every sequence. It has one truncation rule: each
+sequence stops at the first factor count whose tail bound is within the
+tolerance. The consistency check makes one batch call for its whole grid.
 """
 
 from __future__ import annotations
@@ -30,14 +32,13 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product as iproduct
 
 import numpy as np
 
 from .ifs import (AffineMap, FibreProductCIFS, BudgetExhausted, ValidationError,
                   fibre_product_from_1d, fold, lyapunov)
 from . import measure
-from .measure import FourierValue, character, fourier_exact_batch, require_values, TWO_PI
+from .measure import character, fourier_exact_batch, require_values, TWO_PI
 from .rng import stream_rng, uniforms
 
 CLASS_BUDGET = 1_000_000
@@ -48,51 +49,30 @@ CLASS_BUDGET = 1_000_000
 # ---------------------------------------------------------------------------
 
 @dataclass
-class EquivClass:
-    """One class of block words sharing base word, ratio and weight.
-
-    ``translates`` lists the composed fibre offsets of all members (sorted
-    ascending); distinct members have disjoint fibre images. ``pair_delta``
-    is the offset difference of the canonical member pair differing only in
-    the first pair slot (None when the class has no pair slots).
-    """
-
-    representative: tuple
-    size: int
-    ratio: float
-    base_word: tuple
-    translates: np.ndarray
-    weight: float
-    special_count: int
-    pair_delta: float | None
-
-    @property
-    def min_member_gap(self) -> float:
-        """Smallest gap between consecutive member images of [0,1]."""
-        if self.size < 2:
-            return math.inf
-        t = self.translates
-        return float(np.min(np.diff(t)) - abs(self.ratio))
-
-
-@dataclass
 class ClassTable:
-    """All equivalence classes on words of one block length."""
+    """All equivalence classes on words of one block length, as arrays.
+
+    Class i has ``sizes[i]`` members, the signed composed fibre ratio
+    ``ratios[i]`` and the total weight ``weights[i]``. Its representative
+    ``representatives[i]`` is its word as alphabet indices, with every pair
+    slot set to the first pair symbol. ``members`` holds the composed fibre
+    translates of all members, class after class and ascending within a
+    class; distinct members have disjoint fibre images. ``pair_deltas[i]``
+    is the translate difference of the two members that differ only in the
+    first pair slot (NaN for a class without pair slots).
+    """
 
     system: FibreProductCIFS
     block_length: int
-    classes: list
-
-    def __post_init__(self):
-        self.sizes = np.array([c.size for c in self.classes])
-        self.ratios = np.array([c.ratio for c in self.classes])
-        self.weights = np.array([c.weight for c in self.classes])
-        self.pair_deltas = np.array([c.pair_delta if c.pair_delta is not None
-                                     else np.nan for c in self.classes])
-        self.members = np.concatenate([c.translates for c in self.classes])
+    representatives: np.ndarray
+    sizes: np.ndarray
+    ratios: np.ndarray
+    weights: np.ndarray
+    pair_deltas: np.ndarray
+    members: np.ndarray
 
     def __len__(self):
-        return len(self.classes)
+        return len(self.sizes)
 
     @property
     def pair_weight(self) -> float:
@@ -106,14 +86,21 @@ class ClassTable:
         """Per-letter Lyapunov exponent of the underlying fibre system."""
         return lyapunov(self.system)
 
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """The index in ``members`` of each class's first member."""
+        return np.cumsum(self.sizes) - self.sizes
+
+    def translates(self, i: int) -> np.ndarray:
+        """The member translates of class ``i``: its slice of ``members``."""
+        return self.members[self.starts[i]:self.starts[i] + self.sizes[i]]
+
     def translates_of(self, cls: np.ndarray) -> np.ndarray:
         """The member translates of the classes ``cls``, concatenated in
         order: one gather from ``members``."""
         sizes = self.sizes[cls]
-        ends = np.cumsum(sizes)
-        firsts = np.cumsum(self.sizes) - self.sizes
-        return self.members[np.arange(ends[-1] if ends.size else 0)
-                            + np.repeat(firsts[cls] - ends + sizes, sizes)]
+        shift = self.starts[cls] - np.cumsum(sizes) + sizes
+        return self.members[np.arange(sizes.sum()) + np.repeat(shift, sizes)]
 
 
 def build_classes(fp: FibreProductCIFS, block_length: int,
@@ -121,55 +108,52 @@ def build_classes(fp: FibreProductCIFS, block_length: int,
     """Partition all words of the given block length into classes.
 
     Within the enumeration budget this is a full partition: class weights
-    sum to 1 and sizes follow 2^(number of pair slots).
+    sum to 1 and sizes follow 2^(number of pair slots). The words form one
+    index matrix, a column per word in ``itertools.product`` order; ratios,
+    translates and weights compose letter by letter as ``ifs.fold`` does,
+    so each is the same bit for bit. Classes are numbered in the order of
+    their first word.
     """
     if block_length < 1:
         raise ValidationError("block length must be >= 1")
-    alphabet = fp.alphabet
-    if len(alphabet) ** block_length > budget:
-        raise BudgetExhausted(
-            f"{len(alphabet)}^{block_length} words exceed the class budget "
-            f"{budget}; reduce the block length or truncate the alphabet")
-    s_a, s_b = fp.special_symbols
-    marker = object()
+    n, k = len(fp.alphabet), block_length
+    if n ** k > budget:
+        raise BudgetExhausted(f"{n}^{k} words exceed the class budget {budget}; "
+                              "reduce the block length or truncate the alphabet")
+    R, T = np.array([(m.ratio, m.translate) for m in fp.coordinates[-1]]).T
+    W = np.array([fp.weights[s] for s in fp.alphabet])
+    a, b = (fp.alphabet.index(s) for s in fp.special_symbols)
 
-    groups: dict = {}
-    for word in iproduct(alphabet, repeat=block_length):
-        key = tuple(marker if s in (s_a, s_b) else s for s in word)
-        m = fold(fp.fibre_map(s) for s in word)
-        weight = math.prod(fp.weights[s] for s in word)
-        groups.setdefault(key, []).append((word, m.ratio, m.translate, weight))
+    words = np.indices((n,) * k).reshape(k, -1)  # row c: the c-th letter of each word
+    ratio, translate, weight = np.ones(n ** k), np.zeros(n ** k), np.ones(n ** k)
+    for col in words:
+        translate = translate + ratio * T[col]
+        ratio = ratio * R[col]
+        weight = weight * W[col]
 
-    classes = []
-    for key, members in groups.items():  # insertion order is deterministic
-        n_special = sum(1 for k in key if k is marker)
-        rep = tuple(s_a if k is marker else k for k in key)
-        ratios = np.array([m[1] for m in members])
-        weights = np.array([m[3] for m in members])
-        if np.max(np.abs(ratios - ratios[0])) > 1e-12:
-            raise ValidationError("class members disagree on the composed ratio")
-        if np.max(np.abs(weights - weights[0])) > 1e-12:
-            raise ValidationError("class members disagree on the weight")
-        translates = np.sort(np.array([m[2] for m in members]))
-        pair_delta = None
-        if n_special:
-            slot = next(i for i, k in enumerate(key) if k is marker)
-            other = tuple(s_b if i == slot else s for i, s in enumerate(rep))
-            pair_delta = abs(fold(fp.fibre_map(s) for s in rep).translate
-                             - fold(fp.fibre_map(s) for s in other).translate)
-        classes.append(EquivClass(
-            representative=rep,
-            size=len(members),
-            ratio=float(ratios[0]),
-            base_word=tuple(s[0] for s in rep),
-            translates=translates,
-            weight=float(weights[0]) * len(members),
-            special_count=n_special,
-            pair_delta=pair_delta,
-        ))
-        if len(members) != 2 ** n_special:
-            raise ValidationError("class size does not match 2^(pair slots)")
-    return ClassTable(fp, block_length, classes)
+    # a word's key marks its pair slots with n; one base-(n+1) code per key
+    pair = (words == a) | (words == b)
+    codes = (n + 1) ** np.arange(k - 1, -1, -1) @ np.where(pair, n, words)
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # classes in the order of their first word
+    cls, first = np.argsort(order)[inverse], first[order]
+    sizes = np.bincount(cls)
+    if np.max(np.abs(ratio - ratio[first][cls])) > 1e-12:
+        raise ValidationError("class members disagree on the composed ratio")
+    if np.max(np.abs(weight - weight[first][cls])) > 1e-12:
+        raise ValidationError("class members disagree on the weight")
+    slots = pair[:, first]
+    if np.any(sizes != 2 ** slots.sum(axis=0)):
+        raise ValidationError("class size does not match 2^(pair slots)")
+
+    reps = np.where(slots, a, words[:, first])
+    place = n ** np.arange(k - 1, -1, -1)
+    paired = slots.any(axis=0)
+    rep = place @ reps  # the representative's word, and the member differing
+    other = rep + paired * (b - a) * place[slots.argmax(axis=0)]  # in the first pair slot
+    deltas = np.where(paired, np.abs(translate[rep] - translate[other]), np.nan)
+    return ClassTable(fp, k, reps.T, sizes, ratio[first], weight[first] * sizes, deltas,
+                      translate[np.lexsort((translate, cls))])
 
 
 # ---------------------------------------------------------------------------
@@ -177,21 +161,11 @@ def build_classes(fp: FibreProductCIFS, block_length: int,
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ConvolutionFactor:
-    """One factor of the infinite convolution: uniformly weighted atoms."""
-
-    atoms: np.ndarray
-    weight_each: float
-
-
-@dataclass
 class OmegaSample:
     """A finite prefix of an i.i.d. class sequence with derived data.
 
     ``cum_ratios[m]`` is the signed product of the first m+1 class ratios.
-    Factor m's atoms are ``atoms[offsets[m]:offsets[m + 1]]``: its class
-    translates scaled by the product of the m ratios before it. Each is
-    derived on first use.
+    Each is derived on first use.
     """
 
     table: ClassTable
@@ -211,28 +185,21 @@ class OmegaSample:
         return np.log(np.abs(self.table.ratios[self.indices]))
 
     @cached_property
-    def offsets(self) -> np.ndarray:
-        return np.concatenate(([0], np.cumsum(self.table.sizes[self.indices])))
-
-    @cached_property
-    def atoms(self) -> np.ndarray:
-        scales = np.concatenate(([1.0], self.cum_ratios[:-1]))
-        return self.table.translates_of(self.indices) * np.repeat(scales, np.diff(self.offsets))
-
-    @cached_property
     def base_point(self):
         """The prefix approximation of the base coordinate (the image of 0
         under the composed base maps); None for a smooth base."""
-        maps = [self.table.system.base_maps[j]
-                for i in self.indices for j in self.table.classes[i].base_word]
+        system = self.table.system
+        maps = [system.base_maps[system.alphabet[j][0]]
+                for j in self.table.representatives[self.indices].ravel()]
         if not all(isinstance(m, AffineMap) for m in maps):
             return None
         return fold(maps).translate
 
-    def factor(self, m: int) -> ConvolutionFactor:
-        """The m-th convolution factor (0-based)."""
-        lo, hi = self.offsets[m], self.offsets[m + 1]
-        return ConvolutionFactor(self.atoms[lo:hi], 1.0 / (hi - lo))
+    def factor(self, m: int) -> np.ndarray:
+        """The atoms of the m-th convolution factor (0-based), each of weight
+        1/len: its class translates scaled by the product of the m ratios
+        before it."""
+        return self.table.translates(self.indices[m]) * (self.cum_ratios[m - 1] if m else 1.0)
 
 
 def sample_omegas(table: ClassTable, length: int, seed: int, streams) -> list:
@@ -260,18 +227,16 @@ def sample_omega(table: ClassTable, length: int, seed: int = 0,
     return sample_omegas(table, length, seed, (stream,))[0]
 
 
-def mu_omega_fourier_batch(omegas, xis, factors: int | None = None,
-                           tol: float | None = None, factor_cap: int = 10_000):
+def mu_omega_fourier_batch(omegas, xis, tol: float):
     """Evaluate the convolution transform of every sequence of ``omegas`` at
     every frequency of ``xis``, each as a finite product of factor sums.
 
     Stopping after m factors costs at most
     2*pi*|xi| * |prod of the first m ratios| / (1 - max |class ratio|).
-    A sequence takes ``factors`` factors when that is given; otherwise its
-    prefix length, capped at ``factor_cap``, or with ``tol`` the first count
-    whose tail bound is at most ``tol``. Returns ``(values, bounds)``,
-    complex and float arrays of shape (len(xis), len(omegas)); xi = 0 gives
-    1 within 0.
+    A sequence takes the first count m below its prefix length whose tail
+    bound is at most ``tol``, else its whole prefix. Returns
+    ``(values, bounds)``, complex and float arrays of shape
+    (len(xis), len(omegas)); xi = 0 gives 1 within 0.
 
     The sequences, all of one class table, go in chunks of at most
     ``measure.BATCH_CELLS`` atoms times frequencies (one sequence at least).
@@ -282,10 +247,8 @@ def mu_omega_fourier_batch(omegas, xis, factors: int | None = None,
     before the product of each row. Each value is the same, bit for bit,
     whatever else is in the batch.
     """
-    if factors is not None and factors < 1:
-        raise ValidationError("factor count must be >= 1")
-    if factor_cap < 1:
-        raise ValidationError("factor cap must be >= 1")
+    if not tol > 0:
+        raise ValidationError("need a positive truncation tolerance")
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
     if not np.isfinite(xis).all():
         raise ValidationError("frequencies must be finite")
@@ -293,8 +256,6 @@ def mu_omega_fourier_batch(omegas, xis, factors: int | None = None,
     if any(om.table is not omegas[0].table for om in omegas):
         raise ValidationError("a batch takes sequences of one class table")
     lengths = np.array([len(om) for om in omegas], dtype=int)
-    if factors is not None and np.any(lengths < factors):
-        raise ValidationError("prefix shorter than the requested factor count")
     values = np.ones((xis.size, len(omegas)), dtype=complex)
     bounds = np.zeros((xis.size, len(omegas)))
     live = np.flatnonzero(xis != 0)
@@ -324,19 +285,13 @@ def mu_omega_fourier_batch(omegas, xis, factors: int | None = None,
         mags = np.abs(cum)
         scales = np.concatenate((np.ones((n, 1)), cum[:, :-1]), axis=1)[row, col]
         atoms = table.translates_of(part) * np.repeat(scales, size)
-        limit = np.minimum(length, factor_cap)
         for f in live:
             xi = xis[f]
             # tails[i, m - 1] bounds the cost of stopping sequence i after m
             # factors; columns past a sequence's length are never read
             tails = TWO_PI * abs(xi) * mags / denom
-            if factors is not None:
-                count = np.full(n, factors)
-            elif tol is not None:
-                hit = (tails <= tol) & (np.arange(width) < limit[:, None] - 1)
-                count = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, limit)
-            else:
-                count = limit
+            hit = (tails <= tol) & (np.arange(width) < length[:, None] - 1)
+            count = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, length)
             means = np.add.reduceat(character(xi * atoms), starts) / size
             means[col >= count[row]] = 1.0
             grid = np.ones((n, width), dtype=complex)
@@ -345,17 +300,6 @@ def mu_omega_fourier_batch(omegas, xis, factors: int | None = None,
             bounds[f, lo:hi] = tails[np.arange(n), count - 1]
         lo = hi
     return values, bounds
-
-
-def mu_omega_fourier(omega: OmegaSample, xi: float, factors: int | None = None,
-                     tol: float | None = None, factor_cap: int = 10_000) -> FourierValue:
-    """``mu_omega_fourier_batch`` for the one sequence ``omega`` at the one
-    frequency ``xi``: the convolution transform as a product of factor sums,
-    with the bound of its truncation tail. ``factors``, ``tol`` and
-    ``factor_cap`` fix the factor count as in the batch.
-    """
-    values, bounds = mu_omega_fourier_batch([omega], [xi], factors, tol, factor_cap)
-    return FourierValue(float(xi), complex(values[0, 0]), float(bounds[0, 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -536,22 +480,20 @@ def check_omega_membership(omega: OmegaSample, params: LargeDeviationParams,
 
     All four are computed literally from their definitions (in log space
     where products are involved). The aggregate is the conjunction over the
-    horizon range.
+    horizon range, which must be non-empty and inside [1, prefix length].
     """
     if horizons is None:
         horizons = np.arange(params.start_index, len(omega) + 1)
     horizons = np.asarray(horizons, dtype=int)
-    if horizons.max() > len(omega):
-        raise ValidationError("prefix shorter than the largest horizon")
+    if not horizons.size or horizons.min() < 1 or horizons.max() > len(omega):
+        raise ValidationError(f"need one or more horizons in [1, {len(omega)}], the prefix length")
 
     table = omega.table
-    sizes = table.sizes[omega.indices]
     logr = omega.log_abs_ratios
-    big = np.cumsum(sizes > params.size_threshold)
+    big = np.cumsum(table.sizes[omega.indices] > params.size_threshold)
     above_floor = np.cumsum(logr >= params.log_ratio_floor)
     cum_log = np.cumsum(logr)
-    small_mask = logr < params.log_ratio_floor
-    cum_small_log = np.cumsum(np.where(small_mask, logr, 0.0))
+    cum_small_log = np.cumsum(np.where(logr < params.log_ratio_floor, logr, 0.0))
 
     # class-table expectation of the tiny-ratio log contribution
     sel = np.log(np.abs(table.ratios)) < params.log_ratio_floor
@@ -580,8 +522,7 @@ def calibrate_alpha(table: ClassTable, candidates=(0.2, 0.1, 0.05),
     """
     rng = stream_rng(seed, 0xCA11B)
     probs = table.weights / table.weights.sum()
-    idx = rng.choice(len(table.classes), size=draws, p=probs)
-    sizes = table.sizes[idx]
+    sizes = table.sizes[rng.choice(len(table), size=draws, p=probs)]
     k = table.block_length
     small_frac = float(np.mean(sizes <= 2.0 ** (table.pair_weight * k)))
     report = []
@@ -645,6 +586,8 @@ def ek_diagnostics(omega: OmegaSample, xi: float, params: LargeDeviationParams,
     ``band_limit`` defaults to max(|xi|, 1). ``n_eff`` is the smallest N
     with band_limit * |product of the first N+1 ratios| < 1.
     """
+    if not math.isfinite(xi):
+        raise ValidationError("the frequency must be finite")
     T = float(band_limit if band_limit is not None else max(abs(xi), 1.0))
     if T <= 0:
         raise ValidationError("band limit must be positive")
@@ -657,18 +600,11 @@ def ek_diagnostics(omega: OmegaSample, xi: float, params: LargeDeviationParams,
                                   (2.0 * params.lyapunov * params.block_length)))
 
     table = omega.table
-    idx = omega.indices[:n_eff]
-    sizes = table.sizes[idx]
-    ratios_ok = omega.log_abs_ratios[:n_eff] >= params.log_ratio_floor
-    level_mask = (sizes >= params.size_threshold) & ratios_ok
+    level_mask = ((table.sizes[omega.indices[:n_eff]] >= params.size_threshold)
+                  & (omega.log_abs_ratios[:n_eff] >= params.log_ratio_floor))
     levels = np.nonzero(level_mask)[0] + 1  # 1-based positions
     if len(levels) == 0:
         warnings.warn("no decay levels in the prefix; diagnostics are empty")
-        empty = np.array([])
-        return EKDiagnostics(float(xi), T, n_eff, band_index, empty.astype(int),
-                             empty, empty.astype(np.int64), empty,
-                             params.near_integer_tol, empty.astype(int))
-
     deltas = table.pair_deltas[omega.indices[levels - 1]]
     prefix = np.where(levels >= 2, omega.cum_ratios[levels - 2], 1.0)
     products = xi * deltas * prefix

@@ -15,7 +15,7 @@ from ffl.ifs import (CIFS, AffineMap, cantor_system,
                      dyadic_uniform_system, fibre_product_from_1d)
 from ffl.measure import (fourier_exact, fourier_exact_batch, sample_points,
                          cylinder_decomposition)
-from ffl.disintegrate import (build_classes, sample_omega, mu_omega_fourier,
+from ffl.disintegrate import (build_classes, sample_omega,
                               disintegration_consistency, LargeDeviationParams,
                               check_omega_membership, ek_diagnostics,
                               circle_sum_bound, calibrate_alpha)
@@ -111,14 +111,13 @@ def test_c05_class_combinatorics_brute_force():
                     break
             else:
                 blocks.append([w])
-        sizes_match = (sorted(len(b) for b in blocks)
-                       == sorted(c.size for c in table.classes))
-        complete = sum(c.size for c in table.classes) == 5 ** k
-        formula = all(c.size == 2 ** sum(1 for s in c.representative if s in special)
-                      for c in table.classes)
-        mass = abs(math.fsum(c.weight for c in table.classes) - 1.0) <= 1e-12
-        disjoint = all(np.all(np.diff(c.translates) - abs(c.ratio) > 0)
-                       for c in table.classes if c.size > 1)
+        sizes_match = sorted(len(b) for b in blocks) == sorted(table.sizes)
+        complete = table.sizes.sum() == 5 ** k
+        formula = all(size == 2 ** sum(1 for j in rep if fp.alphabet[j] in special)
+                      for size, rep in zip(table.sizes, table.representatives))
+        mass = abs(math.fsum(table.weights) - 1.0) <= 1e-12
+        disjoint = all(np.all(np.diff(table.translates(i)) - abs(table.ratios[i]) > 0)
+                       for i in range(len(table)) if table.sizes[i] > 1)
         ok &= sizes_match and complete and formula and mass and disjoint
         msgs.append(f"k={k}: {len(table)} classes")
     report("criterion-05 class combinatorics", ok, "; ".join(msgs), t0, 10)
@@ -148,8 +147,8 @@ def test_c06_frostman_bound():
         rng = stream_rng(99, 0xF205, stream)
         x = np.zeros(draws)
         for m in range(length):
-            f = om.factor(m)
-            x += f.atoms[rng.integers(0, len(f.atoms), size=draws)]
+            atoms = om.factor(m)
+            x += atoms[rng.integers(0, len(atoms), size=draws)]
         xs = np.sort(x)
         for r in radii:
             hi = np.searchsorted(xs, grid + r, side="left")

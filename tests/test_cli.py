@@ -561,10 +561,32 @@ def test_malformed_values_exit_2(tmp_path, capsys):
                                 "scan": dict(scan, tol=math.nan)}, "tolerance"),
         (["disintegrate", "membership"], {"system": FIBRE3, "disintegrate": {
             "block_length": 2, "alpha": math.nan, "prefix_length": 16}}, "alpha"),
+        # horizon 0 read its flags from the wrapped index -1 and exited 0; a
+        # reversed range failed with numpy's message
+        *((["disintegrate", "membership"], {"system": cantor, "seed": 3, "disintegrate": {
+            "block_length": 2, "prefix_length": 8, **horizons}}, "horizon")
+          for horizons in ({"horizon_min": 0}, {"horizon_min": -3},
+                           {"horizon_min": 5, "horizon_max": 4})),
+        # a NaN or infinite frequency said the prefix was too short
+        *((["disintegrate", "ek"], {"system": cantor, "disintegrate": {
+            "block_length": 2, "alpha": 0.2, "xi": xi}}, "finite")
+          for xi in (math.nan, math.inf, -math.inf)),
+        # an empty band range wrote "bands": [] before it failed
+        (["decay", "bands"], {"system": cantor, "decay": {
+            "method": "exact", "band_min": 4, "band_max": 3}}, "band"),
+        # a NaN exponent wrote "threshold": NaN and exited 0; a NaN limit
+        # leaked "cannot convert float NaN to integer"
+        (["decay", "sparse"], {"system": cantor, "decay": {
+            "method": "exact", "limit": 9.0, "exponent": math.nan}}, "exponent"),
+        *((["decay", "sparse"], {"system": cantor, "decay": {
+            "method": "exact", "limit": limit}}, "limit")
+          for limit in (math.nan, math.inf)),
     ]
-    for argv, config, *word in cases:  # a case may name a word its message holds
+    for n, (argv, config, *word) in enumerate(cases):  # a case may name a word its message holds
         cfg = write_config(tmp_path / "cfg.json", config)
-        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2, config
+        out = tmp_path / f"o{n}"
+        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2, config
+        assert not any(p.is_file() for p in out.rglob("*")), config
         err, = capsys.readouterr().err.strip().splitlines()  # one JSON line
         error = json.loads(err)["error"]
         assert error["kind"] == "validation"
@@ -695,8 +717,8 @@ configs = st.fixed_dictionaries({"system": systems}, optional={
                      family=st.lists(frequency, max_size=3)),
     "disintegrate": section(block_length=st.integers(1, 2), xis=st.lists(frequency, max_size=2),
                             n_sequences=st.integers(1, 8), alpha=st.floats(0.0, 1.0),
-                            prefix_length=st.integers(1, 16), horizon_min=small,
-                            horizon_max=small, xi=frequency, trunc_tol=tolerance),
+                            prefix_length=st.integers(1, 16), horizon_min=st.integers(-2, 20),
+                            horizon_max=st.integers(-2, 20), xi=frequency, trunc_tol=tolerance),
     "equidist": section(base=st.sampled_from([2, 3, 10]), gamma=st.floats(0.0, 1.0),
                         rate=st.sampled_from(["(div 1 (mul 2 n))", "(mul 0.1 (pow n 0))", "(pow n"]),
                         horizon=st.integers(1, 64), seeds=st.integers(1, 2),
@@ -717,9 +739,11 @@ commands = st.sampled_from([["fourier-scan"], ["pushforward-scan"], ["decay", "b
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 @given(commands, configs)
 def test_random_configs_exit_with_a_code(command, config):
+    # a run that exits 2 leaves nothing behind in its fresh out directory
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "cfg.json"
+        path, out = Path(tmp) / "cfg.json", Path(tmp) / "o"
         path.write_text(json.dumps(config), encoding="utf-8")
-        code = main(command + ["--config", str(path), "--out", str(Path(tmp) / "o"),
-                               "--budget", "3000"])
+        code = main(command + ["--config", str(path), "--out", str(out), "--budget", "3000"])
+        left = sorted(p.name for p in out.rglob("*") if p.is_file())
     assert code in (0, 2, 3)
+    assert code != 2 or not left, (code, left)

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import five_symbol_fp, unit_systems
 from ffl import disintegrate, measure
 from ffl.ifs import (CIFS, AffineMap, BudgetExhausted, ValidationError,
-                     build_fibre_product, fibre_product_from_1d)
-from ffl.disintegrate import (build_classes, sample_omega, sample_omegas, mu_omega_fourier,
+                     build_fibre_product, fibre_product_from_1d, fold)
+from ffl.disintegrate import (build_classes, sample_omega, sample_omegas,
                               mu_omega_fourier_batch, disintegration_consistency,
                               LargeDeviationParams, check_omega_membership,
                               ek_diagnostics, circle_sum_bound, calibrate_alpha)
@@ -29,22 +29,29 @@ def three_symbol_fp():
 
 # -- class tables --------------------------------------------------------------
 
+def pair_slots(table):
+    """Pair slots per class: its representative holds the first pair symbol
+    there and nowhere else."""
+    first = table.system.alphabet.index(table.system.special_symbols[0])
+    return (table.representatives == first).sum(axis=1)
+
+
 def test_classes_block_one():
     table = build_classes(three_symbol_fp(), 1)
-    assert sorted(c.size for c in table.classes) == [1, 2]
+    assert sorted(table.sizes) == [1, 2]
 
 
 def test_classes_block_two():
     table = build_classes(three_symbol_fp(), 2)
-    assert sorted(c.size for c in table.classes) == [1, 2, 2, 4]
-    assert math.fsum(c.weight for c in table.classes) == pytest.approx(1.0, abs=1e-12)
+    assert sorted(table.sizes) == [1, 2, 2, 4]
+    assert math.fsum(table.weights) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_class_without_pair_slots_is_singleton():
     table = build_classes(three_symbol_fp(), 3)
-    for c in table.classes:
-        if c.special_count == 0:
-            assert c.size == 1 and c.pair_delta is None
+    unpaired = pair_slots(table) == 0
+    assert unpaired.any()
+    assert np.all(table.sizes[unpaired] == 1) and np.all(np.isnan(table.pair_deltas[unpaired]))
 
 
 def brute_force_partition(fp, k):
@@ -77,19 +84,46 @@ def test_partition_against_pairwise_oracle(k):
     fp = three_symbol_fp()
     table = build_classes(fp, k)
     blocks = brute_force_partition(fp, k)
-    assert sorted(len(b) for b in blocks) == sorted(c.size for c in table.classes)
+    assert sorted(len(b) for b in blocks) == sorted(table.sizes)
     assert sum(len(b) for b in blocks) == len(fp.alphabet) ** k
     special = set(fp.special_symbols)
-    for c in table.classes:
-        assert c.size == 2 ** sum(1 for s in c.representative if s in special)
+    for size, rep in zip(table.sizes, table.representatives):
+        assert size == 2 ** sum(1 for j in rep if fp.alphabet[j] in special)
 
 
 def test_member_images_disjoint():
     table = build_classes(three_symbol_fp(), 3)
-    for c in table.classes:
-        if c.size > 1:
-            gaps = np.diff(c.translates) - abs(c.ratio)
-            assert np.all(gaps > 1e-12)
+    for i in range(len(table)):
+        gaps = np.diff(table.translates(i)) - abs(table.ratios[i])
+        assert np.all(gaps > 1e-12)
+
+
+def fold_classes(fp, k):
+    """Reference table: each word folded on its own with ``ifs.fold`` and
+    grouped by key in a dict, in word order. Per class: representative (as
+    alphabet indices), size, ratio, weight, sorted member translates and
+    pair delta (NaN without pair slots)."""
+    s_a, s_b = fp.special_symbols
+    marker = object()
+    groups = {}
+    for word in iproduct(fp.alphabet, repeat=k):
+        key = tuple(marker if s in (s_a, s_b) else s for s in word)
+        m = fold(fp.fibre_map(s) for s in word)
+        weight = math.prod(fp.weights[s] for s in word)
+        groups.setdefault(key, []).append((m.ratio, m.translate, weight))
+    out = []
+    for key, members in groups.items():
+        rep = tuple(s_a if s is marker else s for s in key)
+        delta = math.nan
+        if marker in key:
+            slot = key.index(marker)
+            other = rep[:slot] + (s_b,) + rep[slot + 1:]
+            delta = abs(fold(fp.fibre_map(s) for s in rep).translate
+                        - fold(fp.fibre_map(s) for s in other).translate)
+        ratio, _, weight = members[0]
+        out.append(([fp.alphabet.index(s) for s in rep], len(members), ratio,
+                    weight * len(members), sorted(m[1] for m in members), delta))
+    return out
 
 
 def test_class_budget():
@@ -136,22 +170,26 @@ def test_atom_disjointness_within_factor():
     table = build_classes(three_symbol_fp(), 2)
     om = sample_omega(table, 12, seed=6)
     for m in range(len(om)):
-        f = om.factor(m)
-        cls = table.classes[om.indices[m]]
-        if cls.size > 1:
+        atoms, i = om.factor(m), om.indices[m]
+        assert len(atoms) == table.sizes[i]  # each atom weighs 1/size
+        if len(atoms) > 1:
             scale = abs(om.cum_ratios[m - 1]) if m else 1.0
-            expected_gap = cls.min_member_gap * scale
-            assert np.min(np.diff(np.sort(f.atoms))) >= expected_gap - 1e-15
-            assert f.weight_each * cls.size == pytest.approx(1.0)
+            expected_gap = (np.min(np.diff(table.translates(i))) - abs(table.ratios[i])) * scale
+            assert np.min(np.diff(np.sort(atoms))) >= expected_gap - 1e-15
 
 
 # -- convolution transforms ------------------------------------------------------
 
+def mu_omega(om, xi, tol):
+    """The one-sequence, one-frequency batch call: value and tail bound."""
+    values, bounds = mu_omega_fourier_batch([om], [xi], tol)
+    return complex(values[0, 0]), float(bounds[0, 0])
+
+
 def test_mu_omega_at_zero():
     table = build_classes(three_symbol_fp(), 2)
     om = sample_omega(table, 10, seed=1)
-    fv = mu_omega_fourier(om, 0.0)
-    assert fv.value == 1.0 + 0.0j and fv.error_bound == 0.0
+    assert mu_omega(om, 0.0, 1e-8) == (1.0 + 0.0j, 0.0)
 
 
 def test_mu_omega_singleton_classes_unit_modulus():
@@ -159,27 +197,20 @@ def test_mu_omega_singleton_classes_unit_modulus():
     # transform keeps modulus 1
     from ffl.disintegrate import OmegaSample
     table = build_classes(three_symbol_fp(), 2)
-    singleton = next(i for i, c in enumerate(table.classes) if c.size == 1)
+    singleton = int(np.flatnonzero(table.sizes == 1)[0])
     om = OmegaSample(table, np.full(60, singleton), seed=0, stream=0)
     for xi in (0.5, 3.0, 11.0):
-        fv = mu_omega_fourier(om, xi, tol=1e-8)
-        assert abs(abs(fv.value) - 1.0) <= 1e-7
+        value, _ = mu_omega(om, xi, 1e-8)
+        assert abs(abs(value) - 1.0) <= 1e-7
 
 
 def test_mu_omega_cantor_deterministic(cantor):
     table = build_classes(fibre_product_from_1d(cantor), 1)
     om = sample_omega(table, 80, seed=3)
     for xi in (1.0, 4.5):
-        fv = mu_omega_fourier(om, xi, tol=1e-10)
+        value, bound = mu_omega(om, xi, 1e-10)
         target = fourier_exact(cantor, xi, tol=1e-10)
-        assert abs(fv.value - target.value) <= fv.error_bound + target.error_bound
-
-
-def test_mu_omega_prefix_too_short():
-    table = build_classes(three_symbol_fp(), 1)
-    om = sample_omega(table, 3, seed=1)
-    with pytest.raises(ValidationError):
-        mu_omega_fourier(om, 1.0, factors=10)
+        assert abs(value - target.value) <= bound + target.error_bound
 
 
 THREE_SYMBOL_TABLES = {k: build_classes(three_symbol_fp(), k) for k in (1, 2, 3)}
@@ -187,92 +218,96 @@ THREE_SYMBOL_TABLES = {k: build_classes(three_symbol_fp(), k) for k in (1, 2, 3)
 
 @settings(max_examples=200, deadline=None)
 @given(k=st.sampled_from([1, 2, 3]), length=st.integers(1, 30),
-       seed=st.integers(0, 2 ** 16), xi=st.floats(0.05, 300.0),
-       mode=st.sampled_from(["factors", "tol", "neither"]), data=st.data())
-def test_mu_omega_matches_direct_product(k, length, seed, xi, mode, data):
+       seed=st.integers(0, 2 ** 16), xi=st.floats(0.05, 300.0), tol=st.floats(1e-12, 10.0))
+def test_mu_omega_matches_direct_product(k, length, seed, xi, tol):
+    # tol in [1e-12, 10] stops anywhere from the first factor to the whole prefix
     table = THREE_SYMBOL_TABLES[k]
     om = sample_omega(table, length, seed=seed)
-    classes = [table.classes[i] for i in om.indices]
-    r_max = max(abs(c.ratio) for c in table.classes)
+    r_max = np.abs(table.ratios).max()
 
     def tail(m):
-        return 2 * math.pi * xi * abs(math.prod(c.ratio for c in classes[:m])) / (1 - r_max)
+        return 2 * math.pi * xi * abs(math.prod(table.ratios[om.indices[:m]])) / (1 - r_max)
 
-    if mode == "factors":
-        count = data.draw(st.integers(1, length))
-        fv = mu_omega_fourier(om, xi, factors=count)
-    elif mode == "tol":
-        tol = data.draw(st.floats(1e-12, 10.0))
-        fv = mu_omega_fourier(om, xi, tol=tol)
-        # the smallest count whose tail is at most tol, else the whole prefix
-        count = next((m for m in range(1, length) if tail(m) <= tol), length)
-    else:
-        fv = mu_omega_fourier(om, xi)
-        count = length
+    value, bound = mu_omega(om, xi, tol)
+    # the smallest count whose tail is at most tol, else the whole prefix
+    count = next((m for m in range(1, length) if tail(m) <= tol), length)
     direct, scale = 1.0 + 0.0j, 1.0
-    for c in classes[:count]:
-        direct *= np.mean(np.exp(-2j * math.pi * (xi * (c.translates * scale))))
-        scale *= c.ratio
-    assert abs(fv.value - direct) <= 1e-13
-    assert fv.error_bound == pytest.approx(tail(count), rel=1e-12)
+    for i in om.indices[:count]:
+        direct *= np.mean(np.exp(-2j * math.pi * (xi * (table.translates(i) * scale))))
+        scale *= table.ratios[i]
+    assert abs(value - direct) <= 1e-13
+    assert bound == pytest.approx(tail(count), rel=1e-12)
 
 
-def test_mu_omega_rejects_factor_counts_below_one_and_bad_frequencies(cantor):
-    # zero factors would give 1 + 0j labelled rigorous within the whole
-    # prefix's tail (6.1e-9 here), where the transform is about 0.37
+def test_mu_omega_rejects_bad_tolerances_and_frequencies(cantor):
+    # no count has a tail within a zero, negative or NaN tolerance
     table = build_classes(fibre_product_from_1d(cantor), 2)
     om = sample_omega(table, 10, seed=1)
-    assert abs(mu_omega_fourier(om, 3.0).value) > 0.3
-    for bad in ({"factors": 0}, {"factors": -3}, {"factor_cap": 0}):
-        with pytest.raises(ValidationError):
-            mu_omega_fourier(om, 3.0, **bad)
-        with pytest.raises(ValidationError):
-            mu_omega_fourier_batch([om, om], [1.0, 3.0], **bad)
+    for tol in (0.0, -3.0, math.nan):
+        with pytest.raises(ValidationError, match="tolerance"):
+            mu_omega_fourier_batch([om, om], [1.0, 3.0], tol)
     for xi in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValidationError):
-            mu_omega_fourier(om, xi)
-        with pytest.raises(ValidationError):
-            mu_omega_fourier_batch([om], [1.0, xi])
+        with pytest.raises(ValidationError, match="finite"):
+            mu_omega_fourier_batch([om], [1.0, xi], 1e-8)
 
 
-FIVE_SYMBOL_TABLES = {k: build_classes(five_symbol_fp(), k) for k in (1, 2)}
+THREE_SYMBOL_FP, FIVE_SYMBOL_FP = three_symbol_fp(), five_symbol_fp()
 
 
 @st.composite
-def class_tables(draw):
-    """A class table of a random 2-3-map affine system (block length 1 or
-    2) or of c05's five-symbol fibre product, whose classes differ in size."""
-    if draw(st.booleans()):
-        return FIVE_SYMBOL_TABLES[draw(st.sampled_from([1, 2]))]
-    try:
-        fp = fibre_product_from_1d(draw(unit_systems()), n_max=4)
-    except (ValidationError, BudgetExhausted):  # no separated pair
-        assume(False)
-    return build_classes(fp, 2 if len(fp.alphabet) ** 2 <= 400 else 1)
+def class_systems(draw):
+    """A fibre product and a block length of 1-3 with at most 400 words:
+    the three-symbol product, c05's five-symbol one (whose classes differ in
+    size), or that of a random 2-3-map affine system."""
+    fp = draw(st.sampled_from([THREE_SYMBOL_FP, FIVE_SYMBOL_FP, None]))
+    if fp is None:
+        try:
+            fp = fibre_product_from_1d(draw(unit_systems()), n_max=4)
+        except (ValidationError, BudgetExhausted):  # no separated pair
+            assume(False)
+    k = draw(st.integers(1, 3))
+    while k > 1 and len(fp.alphabet) ** k > 400:
+        k -= 1
+    return fp, k
+
+
+def class_tables():
+    return class_systems().map(lambda system: build_classes(*system))
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(system=class_systems())
+def test_classes_match_the_per_word_fold(system):
+    table = build_classes(*system)
+    reps, sizes, ratios, weights, members, deltas = zip(*fold_classes(*system))
+    np.testing.assert_array_equal(table.representatives, reps)  # class order too
+    np.testing.assert_array_equal(table.sizes, sizes)
+    for got, want in ((table.ratios, ratios), (table.weights, weights),
+                      (table.members, np.concatenate(members)), (table.pair_deltas, deltas)):
+        np.testing.assert_array_equal(bits(got), bits(want))
+    np.testing.assert_array_equal(np.isnan(table.pair_deltas), pair_slots(table) == 0)
 
 
 @settings(max_examples=80, deadline=None)
 @given(table=class_tables(), lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
        seed=st.integers(0, 2 ** 16),
        xis=st.lists(st.one_of(st.just(0.0), st.floats(-300.0, 300.0)), min_size=1, max_size=4),
-       mode=st.sampled_from(["factors", "tol", "neither"]),
-       cells=st.sampled_from([measure.BATCH_CELLS, 1, 40]), data=st.data())
-def test_batch_matches_the_one_sequence_call(table, lengths, seed, xis, mode, cells, data):
+       tol=st.floats(1e-12, 10.0), cells=st.sampled_from([measure.BATCH_CELLS, 1, 40]))
+def test_batch_matches_the_one_sequence_call(table, lengths, seed, xis, tol, cells):
     omegas = [sample_omega(table, n, seed=seed, stream=i) for i, n in enumerate(lengths)]
-    kw = {"factor_cap": data.draw(st.integers(1, 14))}
-    if mode == "factors":
-        kw = {"factors": data.draw(st.integers(1, min(lengths)))}
-    elif mode == "tol":
-        kw["tol"] = data.draw(st.floats(1e-12, 10.0))
     # a small cell budget splits the sequences into several chunks
     with mock.patch.object(measure, "BATCH_CELLS", cells):
-        values, bounds = mu_omega_fourier_batch(omegas, xis, **kw)
+        values, bounds = mu_omega_fourier_batch(omegas, xis, tol)
     assert values.shape == bounds.shape == (len(xis), len(omegas))
     for f, xi in enumerate(xis):
         for i, om in enumerate(omegas):
-            fv = mu_omega_fourier(om, xi, **kw)
-            assert (values[f, i].real, values[f, i].imag) == (fv.value.real, fv.value.imag)
-            assert bounds[f, i] == fv.error_bound
+            value, bound = mu_omega(om, xi, tol)
+            assert (values[f, i].real, values[f, i].imag) == (value.real, value.imag)
+            assert bounds[f, i] == bound
 
 
 @settings(max_examples=60, deadline=None)
@@ -291,14 +326,12 @@ def test_batch_rejects_sequences_of_two_tables(cantor, two_ratio):
     b = sample_omega(build_classes(fibre_product_from_1d(two_ratio), 2), 5, seed=1)
     for xis in ([1.0], [0.0]):
         with pytest.raises(ValidationError, match="one class table"):
-            mu_omega_fourier_batch([a, b], xis)
+            mu_omega_fourier_batch([a, b], xis, 1e-8)
 
 
 def test_consistency_makes_one_batch_call(two_ratio):
     with mock.patch.object(disintegrate, "mu_omega_fourier_batch",
                            wraps=mu_omega_fourier_batch) as batch, \
-            mock.patch.object(disintegrate, "mu_omega_fourier",
-                              side_effect=AssertionError("per-sequence call")), \
             mock.patch.object(disintegrate, "stream_rng",
                               side_effect=AssertionError("per-sequence generator")):
         rep = disintegration_consistency(two_ratio, 2, [1.0, 2.0, 5.0], 50, seed=9)
@@ -439,7 +472,7 @@ def test_ek_exact_integrality_for_triadic(cantor):
     table = build_classes(fibre_product_from_1d(cantor), 1)
     params = LargeDeviationParams.for_table(table, alpha=0.2)
     om = sample_omega(table, 60, seed=15)
-    delta = table.classes[0].pair_delta
+    delta = table.pair_deltas[0]
     m = 6
     xi = 3.0 ** m / delta
     d = ek_diagnostics(om, xi, params)

@@ -54,6 +54,14 @@ def check_keys(section: dict, allowed: set, where: str):
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def within_budget(key: str, value, budget: int) -> int:
+    """An int config value that sizes an allocation, checked before it is used."""
+    value = int(value)
+    if value > budget:
+        raise BudgetExhausted(f"{key} = {value} exceeds the budget {budget}")
+    return value
+
+
 def load_config(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
@@ -152,11 +160,11 @@ def make_evaluator(system, scan: dict, seed: int, budget: int, map_section=None)
     if method == "exact":
         return lambda xis: meas.fourier_exact_batch(system, xis, tol=tol, budget=budget)
     if method == "montecarlo":
-        draws = int(scan.get("draws", 100_000))
+        draws = within_budget("draws", scan.get("draws", 100_000), budget)
         sampler = meas.make_sampler(system)
         return lambda xis: meas.fourier_montecarlo(sampler, xis, draws, seed)
     if method == "product":
-        factors = int(scan.get("factors", 64))
+        factors = within_budget("factors", scan.get("factors", 64), budget)
         return lambda xis: [meas.fourier_product_homogeneous(system, xi, factors)
                             for xi in xis]
     if method == "pushforward":
@@ -187,7 +195,8 @@ def cmd_fourier_scan(cfg, out, seed, budget, method=None):
         section = dict(section, method=method)
         tool, name = f"{method}-scan", f"{method}.csv"
     system = build_system(cfg.get("system", {}))
-    lo, hi, points = float(section["xi_min"]), float(section["xi_max"]), int(section["points"])
+    lo, hi = float(section["xi_min"]), float(section["xi_max"])
+    points = within_budget("points", section["points"], budget)
     if not (math.isfinite(hi - lo) and points >= 1):
         raise ValidationError("a scan needs a finite frequency range and points >= 1")
     xis = np.linspace(lo, hi, points)
@@ -207,9 +216,12 @@ def cmd_disintegrate(cfg, out, seed, budget, action):
     fp = fibre_product_from_1d(build_system(cfg.get("system", {})))
     k = int(section.get("block_length", 4))
     h = config_hash(cfg)
+    if action in ("sample", "membership", "ek"):
+        length = within_budget("prefix_length",
+                               section.get("prefix_length", 256 if action == "ek" else 64), budget)
     if action == "consistency":  # builds its own class table, reads no alpha
         xis = [float(x) for x in section.get("xis", [1.0, 2.0, 5.0])]
-        n_seq = int(section.get("n_sequences", 1000))
+        n_seq = within_budget("n_sequences", section.get("n_sequences", 1000), budget)
         rep = dis.disintegration_consistency(
             fp, k, xis, n_seq, seed=seed,
             trunc_tol=float(section.get("trunc_tol", 1e-6)))
@@ -239,7 +251,6 @@ def cmd_disintegrate(cfg, out, seed, budget, action):
     params = dis.LargeDeviationParams.for_table(table, float(alpha))
 
     if action == "sample":
-        length = int(section.get("prefix_length", 64))
         om = dis.sample_omega(table, length, seed=seed)
         payload = {
             "alpha": float(alpha),
@@ -251,7 +262,6 @@ def cmd_disintegrate(cfg, out, seed, budget, action):
         return 0
 
     if action == "membership":
-        length = int(section.get("prefix_length", 64))
         lo = int(section.get("horizon_min", 1))
         hi = int(section.get("horizon_max", length))
         om = dis.sample_omega(table, length, seed=seed)
@@ -268,7 +278,6 @@ def cmd_disintegrate(cfg, out, seed, budget, action):
         return 0
 
     if action == "ek":
-        length = int(section.get("prefix_length", 256))
         xi = float(section.get("xi", 729.0))
         om = dis.sample_omega(table, length, seed=seed)
         d = dis.ek_diagnostics(om, xi, params)
@@ -293,13 +302,13 @@ def cmd_equidist(cfg, out, seed, budget, action):
                          "harmonics", "epsilon", "terms"}, "equidist")
     rate = eq.RateFn.parse(section.get("rate", "(mul 0.1 (pow n 0))"))
     gamma = float(section.get("gamma", 0.0))
-    horizon = int(section.get("horizon", 1000))
+    horizon = within_budget("horizon", section.get("horizon", 1000), budget)
     base = section.get("base", 2)  # uncast: int() would run base 2.5 as base 2
     if "terms" in section:
         spec = eq.EquidistSpec.explicit(section["terms"], gamma, rate, horizon)
     else:
         spec = eq.EquidistSpec.geometric(base, gamma, rate, horizon)
-    n_seeds = int(section.get("seeds", 1))
+    n_seeds = within_budget("seeds", section.get("seeds", 1), budget)
     if n_seeds < 1:
         raise ValidationError("seeds must be >= 1")
     epsilon = float(section.get("epsilon", 1.0))
@@ -324,7 +333,7 @@ def cmd_equidist(cfg, out, seed, budget, action):
         return 0
 
     if action == "weyl":
-        harmonics = int(section.get("harmonics", 5))
+        harmonics = within_budget("harmonics", section.get("harmonics", 5), budget)
         rows = []
         for i in range(n_seeds):
             gp = eq.grid_point_for(spec, seed=spawn_seed(seed, i))
@@ -366,7 +375,7 @@ def cmd_decay(cfg, out, seed, budget, action):
     if action in ("bands", "fit"):
         base = float(section.get("band_base", 2.0))
         jlo, jhi = int(section.get("band_min", 2)), int(section.get("band_max", 8))
-        samples = int(section.get("samples_per_band", 64))
+        samples = within_budget("samples_per_band", section.get("samples_per_band", 64), budget)
         bands = decay_mod.band_maxima(evaluator, range(jlo, jhi + 1), samples,
                                       seed=seed, band_base=base)
         payload = {"bands": [
@@ -380,8 +389,8 @@ def cmd_decay(cfg, out, seed, budget, action):
                             "prefactor": fit.prefactor, "r_squared": fit.r_squared,
                             "bands_used": fit.bands_used})
         write_json(out / f"decay_{action}.json", f"decay {action}", h, seed, payload)
-        xs = [b.lower for b in bands]
-        ys = [max(b.peak, 1e-300) for b in bands]
+        kept = [b for b in bands if b.peak is not None]  # a band with no sample has no point
+        xs, ys = [b.lower for b in kept], [max(b.peak, 1e-300) for b in kept]
         svg = svg_mod.log_log_plot([(xs, ys, "band max")], title="band maxima",
                                    x_label="frequency", y_label="|transform|",
                                    comment=f"config_sha256 {h} seed {seed}")
@@ -392,7 +401,7 @@ def cmd_decay(cfg, out, seed, budget, action):
         limit = float(section.get("limit", 64.0))
         exponent = float(section.get("exponent", 0.1))
         step = float(section.get("grid_step", 0.25))
-        cover = decay_mod.sparse_cover(evaluator, limit, exponent, step)
+        cover = decay_mod.sparse_cover(evaluator, limit, exponent, step, budget)
         payload = {"limit": cover.limit, "exponent": cover.threshold_exponent,
                    "threshold": cover.threshold, "count": cover.count,
                    "grid_step": cover.grid_step,
@@ -420,7 +429,7 @@ def cmd_conjugate(cfg, out, seed, budget):
     system = build_system(cfg.get("system", {}))
     F = push.SmoothMapF.parse(section["expr"])
     res = push.conjugate_ifs(system, F, section["inverse"],
-                             draws=int(section.get("draws", 100_000)),
+                             draws=within_budget("draws", section.get("draws", 100_000), budget),
                              ks_tol=float(section.get("ks_tol", 0.02)), seed=seed)
     h = config_hash(cfg)
     maps_payload = []
@@ -541,6 +550,8 @@ def main(argv=None) -> int:
             seed = int(cfg.get("seed", 0))
         budget = (args.budget if args.budget is not None
                   else _env_default("BUDGET", int, meas.DEFAULT_BUDGET))
+        if budget < 0:
+            raise ValidationError(f"the budget must not be negative, got {budget}")
 
         cmd = args.command
         if cmd == "fourier-scan":

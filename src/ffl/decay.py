@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ifs import BudgetExhausted, ValidationError
-from .measure import FourierValue, require_values
+from .measure import DEFAULT_BUDGET, require_values
 from .rng import uniforms
 
 
@@ -29,8 +29,8 @@ class BandMax:
     index: int
     lower: float
     upper: float
-    peak: float
-    peak_frequency: float
+    peak: float | None  # None when every sample is over budget
+    peak_frequency: float | None
     samples: int
     max_error_bound: float
     excluded: int = 0
@@ -60,7 +60,8 @@ def band_maxima(evaluator, band_indices, samples_per_band: int = 64,
     """Per band [base^j, 2*base^j): the largest |value| over the sample set.
 
     Each band is one evaluator call; budget failures are excluded from the
-    maximum and counted. The band range must not be empty.
+    maximum and counted, and a band with no sample left has no peak. The
+    band range must not be empty.
     """
     band_indices = list(band_indices)
     if not band_indices:
@@ -73,7 +74,7 @@ def band_maxima(evaluator, band_indices, samples_per_band: int = 64,
     for j in band_indices:
         lower = band_base ** j
         freqs = _band_frequencies(lower, lower, samples_per_band, seed, int(j)).tolist()
-        peak, arg, err, excluded = -1.0, math.nan, 0.0, 0
+        peak, arg, err, excluded = -1.0, None, 0.0, 0
         for xi, fv in zip(freqs, evaluator(freqs)):
             if isinstance(fv, BudgetExhausted):
                 excluded += 1
@@ -81,7 +82,7 @@ def band_maxima(evaluator, band_indices, samples_per_band: int = 64,
             if abs(fv.value) > peak:
                 peak, arg = abs(fv.value), xi
             err = max(err, fv.error_bound)
-        out.append(BandMax(int(j), lower, 2.0 * lower, peak, arg,
+        out.append(BandMax(int(j), lower, 2.0 * lower, None if arg is None else peak, arg,
                            samples_per_band - excluded, err, excluded))
     return out
 
@@ -106,9 +107,9 @@ class DecayFit:
 
 
 def fit_eta(bands) -> DecayFit:
-    """Fit peak ~ C * T^(-exponent) over band maxima; zero peaks are
-    excluded (their logs are undefined) and counted."""
-    usable = [b for b in bands if b.peak > 0.0]
+    """Fit peak ~ C * T^(-exponent) over band maxima; zero peaks (their logs
+    are undefined) and bands without a peak are excluded and counted."""
+    usable = [b for b in bands if b.peak]
     excluded = len(bands) - len(usable)
     if len(usable) < 4:
         raise ValidationError("need at least 4 bands with positive maxima")
@@ -146,7 +147,7 @@ class SparseCover:
 
 
 def sparse_cover(evaluator, limit: float, threshold_exponent: float,
-                 grid_step: float = 0.25) -> SparseCover:
+                 grid_step: float = 0.25, budget: int = DEFAULT_BUDGET) -> SparseCover:
     """Count unit intervals in [-limit, limit] holding a grid frequency
     with |value| + error above limit^(-threshold_exponent).
 
@@ -154,7 +155,8 @@ def sparse_cover(evaluator, limit: float, threshold_exponent: float,
     grid frequencies are evaluated; marks are mirrored. Marking uses
     |value| + error so a rigorous error can only overcount, never hide a
     crossing. The grid goes to the evaluator in calls of ``SPARSE_SLICE``
-    frequencies, so memory grows with the marks, not with the grid.
+    frequencies, so memory grows with the marks, not with the grid; a grid
+    of more than ``budget`` points is a budget failure.
     """
     if not 0.0 < grid_step <= 0.25:
         raise ValidationError("grid step must lie in (0, 1/4]")
@@ -162,9 +164,12 @@ def sparse_cover(evaluator, limit: float, threshold_exponent: float,
         raise ValidationError("limit must be finite and at least 4")
     if not math.isfinite(threshold_exponent):
         raise ValidationError("the threshold exponent must be finite")
+    points = math.ceil((limit + grid_step / 2) / grid_step)  # the grid is i * grid_step
+    if points > budget:
+        raise BudgetExhausted(f"the sparse grid of limit {limit} and grid_step {grid_step} "
+                              f"has {points:.6g} points, over the budget {budget}")
     threshold = limit ** (-threshold_exponent)
     marked = set()
-    points = math.ceil((limit + grid_step / 2) / grid_step)  # the grid is i * grid_step
     for lo in range(0, points, SPARSE_SLICE):
         xis = (np.arange(lo, min(points, lo + SPARSE_SLICE)) * grid_step).tolist()
         for xi, fv in zip(xis, require_values(evaluator(xis))):

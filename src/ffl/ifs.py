@@ -3,7 +3,8 @@
 Countable alphabets are represented by a finite truncation whose omitted
 mass is recorded in ``tail_mass`` and propagated into downstream error
 bounds. Stopping cylinders of affine and smooth maps alike come from one
-engine, ``system.cylinders``; the joint moments of an affine system's
+engine, ``system.cylinders``, as one stopping tree per batch of
+thresholds (``tree``); the joint moments of an affine system's
 stationary measure, with bounds on their float rounding, come from
 ``system.moments``. All objects are immutable after construction and safe
 to share across workers.
@@ -12,8 +13,7 @@ to share across workers.
 from __future__ import annotations
 
 import math
-import threading
-from collections import deque, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
@@ -598,16 +598,6 @@ def affine_moments(coordinates, weights, radius: float, degree: int) -> Moments:
 # stopping cylinders
 # ---------------------------------------------------------------------------
 
-PIECE_CYLINDERS = 1 << 20  # a subtree that may hold more cylinders is split
-CACHE_CYLINDERS = 1 << 21  # cylinders of the sweeps one engine keeps
-
-# One piece of a walk. Row c of ``anchors`` and ``ratios`` is coordinate c
-# of the cylinders' images of 0 and composed ratios (products of contraction
-# bounds where the coordinate holds a smooth map); ``bounds`` are their
-# stopping bounds; ``words`` spells them when the walk is asked to.
-Cylinders = namedtuple("Cylinders", "anchors ratios weights bounds words")
-
-
 def apply_words(maps: Sequence[Map1D], codes: np.ndarray, x=None) -> np.ndarray:
     """f_w(x) for every word w, a column of ``codes`` that indexes ``maps``
     outermost first, with x = 0 unless given (and never written into).
@@ -631,29 +621,71 @@ def apply_words(maps: Sequence[Map1D], codes: np.ndarray, x=None) -> np.ndarray:
     return x
 
 
-def _bound(lips, rho):
-    return sum(c * np.abs(r) for c, r in zip(lips, rho))
+@dataclass
+class Tree:
+    """Every node of a batch's stopping trees once (each word but the empty
+    one), level by level and in lexicographic order within a level.
 
+    Row c of ``anchors`` and ``ratios`` is coordinate c of the nodes' images
+    of 0 and composed ratios (products of contraction bounds where the
+    coordinate holds a smooth map). ``bounds`` are the nodes' stopping
+    bounds and ``above`` their parents' (inf below the empty word, which is
+    always expanded); ``parents`` indexes each node's parent (-1 below the
+    empty word) and ``symbols`` its last letter, an index into ``alphabet``.
+    The stopping set at theta is the nodes with bound <= theta < parent bound.
+    """
 
-def _spend(nodes: int, budget: int) -> int:
-    if nodes > budget:
-        raise BudgetExhausted(f"stopping budget {budget} exhausted")
-    return nodes
+    alphabet: tuple
+    anchors: np.ndarray
+    ratios: np.ndarray
+    weights: np.ndarray
+    bounds: np.ndarray
+    above: np.ndarray
+    parents: np.ndarray
+    symbols: np.ndarray
+
+    def select(self, thetas):
+        """(nodes, sets, keys): the indices, in order, of every node that
+        stops at some theta; the distinct stopping sets, as positions in
+        ``nodes``; and per theta the index of its set. Thetas between the
+        same two node bounds share one set."""
+        thetas = np.asarray(thetas, dtype=float)
+        edges = np.unique(np.concatenate([self.bounds, self.above]))
+        _, first, keys = np.unique(np.searchsorted(edges, thetas, side="right"),
+                                   return_index=True, return_inverse=True)
+        sets = [np.flatnonzero((self.bounds <= th) & (th < self.above)) for th in thetas[first]]
+        used = np.zeros(self.weights.size, dtype=bool)
+        for s in sets:
+            used[s] = True
+        at = np.cumsum(used) - 1
+        return np.flatnonzero(used), [at[s] for s in sets], keys.tolist()
+
+    def codes(self, nodes) -> np.ndarray:
+        """The words of ``nodes`` as columns of letter indices, outermost
+        first and the last letters in the last row; shorter words are padded
+        on top with len(alphabet), as ``apply_words`` reads them."""
+        at, rows, pad = np.asarray(nodes), [], len(self.alphabet)
+        while (at >= 0).any():
+            up = at >= 0
+            rows.append(np.where(up, self.symbols[at], pad))
+            at = np.where(up, self.parents[at], -1)
+        return np.array(rows[::-1], dtype=np.intp).reshape(len(rows), at.size)
+
+    def words(self, nodes) -> list:
+        pad = len(self.alphabet)
+        return [tuple(self.alphabet[k] for k in col if k < pad)
+                for col in self.codes(nodes).T.tolist()]
 
 
 class _CylinderEngine:
-    """Stopping-cylinder walks of a system of maps in m coordinates.
+    """Stopping trees of a system of maps in m coordinates.
 
     A word stops once its bound sum_c lips[c] * |composed ratio_c| drops to
-    theta, a smooth map's contraction bound standing in for |ratio|; the
-    empty word is always expanded. A subtree that may hold more than
-    PIECE_CYLINDERS cylinders is split into its children, the others are
-    swept level by level. Sweeps depend on their prefix only through its
-    composed ratios; they are cached under those, for the theta interval
-    [largest stopped bound, smallest expanded bound) on which they cannot
-    change. Anchors of affine coordinates compose in closed form; those of
-    a coordinate that holds a smooth map come from ``apply_words`` on the
-    stopped words. Threads may share an engine.
+    theta, a smooth map's contraction bound standing in for |ratio|, and is
+    expanded otherwise; the empty word is always expanded. The tree at theta
+    is every word generated, stopped or expanded. Anchors of affine
+    coordinates compose in closed form; those of a coordinate that holds a
+    smooth map come from ``apply_words`` on the nodes' words.
     """
 
     def __init__(self, alphabet, maps, weights):
@@ -665,122 +697,53 @@ class _CylinderEngine:
         self.translates = np.array([[getattr(f, "translate", 0.0) for f in row] for row in maps])
         weights = np.asarray(weights, dtype=float)
         self.weights = weights / weights.sum()
-        # Below a prefix of bound b a word's bound is at most b * prod R_k,
-        # R_k = max_c |ratio_ck| raised to at least 1e-3 (raising keeps this
-        # true). With sum_k R_k^s = 1 these products' s-th powers sum to at
-        # most 1 over prefix-free words, and a cylinder's product exceeds
-        # theta / b * min R, as its parent was expanded: fewer than
-        # (b / (theta * min R))^s cylinders lie below.
-        R = np.maximum(np.abs(self.ratios).max(axis=0), 1e-3)
-        lo, hi = 0.0, math.log(len(R)) / -math.log(R.max())
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if (R ** mid).sum() > 1.0 else (lo, mid)
-        self._r_min, self._dim = float(R.min()), hi
-        self._sweeps = {}      # key -> [(lo, hi, nodes, Cylinders)], oldest first
-        self._order = deque()  # keys of the cached sweeps, oldest first
-        self._held = 0
-        self._lock = threading.Lock()
 
-    def walk(self, theta: float, lips: Sequence[float], budget: int,
-             words: bool = False):
-        """Yield the stopping cylinders at ``theta`` in pieces of at most
-        PIECE_CYLINDERS. Raises BudgetExhausted once the stopping tree
-        (every word generated, stopped or expanded) has over ``budget`` nodes.
+    def tree(self, thetas, lips: Sequence[float], budget: int):
+        """(Tree, over): the stopping trees at every theta of ``thetas``, as
+        one Tree, and ``over[i]``, which holds when the tree at thetas[i] has
+        more than ``budget`` nodes.
+
+        Trees grow level by level. A node's bound is at most its parent's, so
+        a level's nodes above theta are those that the tree at theta
+        expands. Each level is counted against every theta before it is
+        built, and only the nodes that the smallest theta still within
+        budget expands get children: every level held is a level of a tree
+        within budget, and with no theta over budget the Tree is the tree at
+        the smallest theta.
         """
-        if not theta > 0:
+        thetas = np.asarray(thetas, dtype=float).ravel()
+        if not (thetas > 0).all():
             raise ValidationError("stopping threshold must be positive")
-        lips, m = tuple(lips), len(lips)
+        lips, m, n = tuple(lips), len(lips), len(self.alphabet)
         if m != len(self.ratios):
             raise ValidationError(f"{m} Lipschitz factors for {len(self.ratios)} coordinates")
-        nodes, stack = 0, [((), np.ones((m, 1)), np.zeros((m, 1)), np.ones(1))]
-        while stack:
-            word, rho, t, w = stack.pop()  # word: symbol indices
-            root = float(_bound(lips, rho)[0])
-            if word and root <= theta:  # a stopped child of a split prefix
-                yield self._below(word, t, w, Cylinders(
-                    np.zeros((m, 1)), rho, np.ones(1), np.array([root]), [()]), words)
-            elif root <= theta or (self._dim * math.log(root / (theta * self._r_min))
-                                   <= math.log(PIECE_CYLINDERS)):
-                more, rel = self._sweep(lips, rho, theta, words)
-                nodes = _spend(nodes + more, budget)
-                yield self._below(word, t, w, rel, words) if word else rel  # () is the identity
-            else:  # split: push the children, to pop in symbol order
-                nodes = _spend(nodes + len(self.alphabet), budget)
-                for k in reversed(range(len(self.alphabet))):
-                    stack.append((word + (k,), rho * self.ratios[:, k:k + 1],
-                                  t + rho * self.translates[:, k:k + 1], w * self.weights[k]))
-
-    def _below(self, word, t, w, rel, words):
-        """``rel`` moved below the prefix ``word`` of anchors ``t`` and weight ``w``."""
-        anchors = t + rel.anchors
-        codes = np.broadcast_to(np.array(word)[:, None], (len(word), rel.weights.size))
-        for c, maps in self.smooth.items():
-            anchors[c] = apply_words(maps, codes, rel.anchors[c])
-        prefix = tuple(self.alphabet[k] for k in word)
-        return Cylinders(anchors, rel.ratios, w * rel.weights, rel.bounds,
-                         [prefix + v for v in rel.words] if words else None)
-
-    def _sweep(self, lips, rho, theta, words):
-        """(nodes, Cylinders) below a prefix of composed ratios ``rho``, with
-        anchors as images of 0 under the suffix words (offset by the
-        prefix's composed ratios in affine coordinates) and weights relative
-        to the prefix's own."""
-        key = (lips, tuple(rho[:, 0].tolist()), words)
-        with self._lock:
-            for lo, hi, nodes, rel in self._sweeps.get(key, ()):
-                if lo <= theta < hi:
-                    return nodes, rel
-        n = len(self.alphabet)
-        m, t, w = len(lips), np.zeros_like(rho), np.ones(1)
-        # symbol indices of the expanded nodes' words, one row per level
-        codes = (np.zeros((0, 1), dtype=np.min_scalar_type(n))
-                 if words or self.smooth else None)
-        parts, stopped, nodes, lo, hi = [], [], 0, 0.0, math.inf
-        while w.size:
+        sizes = np.full(thetas.size, n, dtype=np.int64)  # the empty word's children
+        over = sizes > budget
+        t, rho, w = np.zeros((m, 1)), np.ones((m, 1)), np.ones(1)
+        bound, index, size = np.array([math.inf]), np.array([-1]), 0
+        # a level of no nodes, so that a batch over budget from the start concatenates
+        levels = [tuple(a[..., :0] for a in (t, rho, w, bound, bound, index, index))]
+        while not over.all():
+            grow = ~(bound <= thetas[~over].min())  # a NaN bound never stops
+            if not grow.any():
+                break
             # children follow their parent: each level stays in lexicographic
             # order, and sorted anchors make character sums faster
+            t, rho, w = t[:, grow], rho[:, grow], w[grow]
+            above, parents = bound[grow], index[grow]
             t = (t[:, :, None] + rho[:, :, None] * self.translates[:, None, :]).reshape(m, -1)
             rho = (rho[:, :, None] * self.ratios[:, None, :]).reshape(m, -1)
             w = (w[:, None] * self.weights[None, :]).ravel()
-            if codes is not None:
-                codes = np.vstack([codes.repeat(n, axis=1),
-                                   np.tile(np.arange(n, dtype=codes.dtype), w.size // n)])
-            bound = _bound(lips, rho)
-            nodes += w.size
-            done = bound <= theta
-            if done.any():
-                stop = slice(None) if done.all() else done  # a view when all stop
-                parts.append((t[:, stop], rho[:, stop], w[stop], bound[stop]))
-                lo = max(lo, float(bound[stop].max()))
-                if codes is not None:
-                    stopped.append(codes[:, stop])
-                    codes = codes[:, ~done]
-                rho, t, w, bound = (a[..., ~done] for a in (rho, t, w, bound))
-            if w.size:
-                hi = min(hi, float(bound.min()))
-        anchors, ratios, weights, bounds = (np.concatenate(p, axis=-1) for p in zip(*parts))
-        spelled = None
-        if codes is not None:
-            depth = len(stopped[-1])  # the deepest level stops last
-            padded = np.hstack([np.pad(c, ((0, depth - len(c)), (0, 0)), constant_values=n)
-                                for c in stopped])
-            for c, maps in self.smooth.items():
-                anchors[c] = apply_words(maps, padded)
-            if words:
-                spelled = [tuple(self.alphabet[k] for k in col if k < n)
-                           for col in padded.T.tolist()]
-        rel = Cylinders(anchors, ratios, weights, bounds, spelled)
-        with self._lock:
-            self._sweeps.setdefault(key, []).append((lo, hi, nodes, rel))
-            self._order.append(key)
-            self._held += rel.weights.size
-            while self._held > CACHE_CYLINDERS:
-                old = self._order.popleft()
-                self._held -= self._sweeps[old].pop(0)[3].weights.size
-                if not self._sweeps[old]:
-                    del self._sweeps[old]
-        return nodes, rel
+            bound = sum(c * np.abs(r) for c, r in zip(lips, rho))
+            index, size = size + np.arange(w.size), size + w.size
+            levels.append((t, rho, w, bound, above.repeat(n), parents.repeat(n),
+                           np.tile(np.arange(n), parents.size)))
+            sizes += n * (w.size - np.searchsorted(np.sort(bound), thetas, side="right"))
+            over |= sizes > budget
+        tree = Tree(self.alphabet, *(np.concatenate(f, axis=-1) for f in zip(*levels)))
+        for c, maps in self.smooth.items():
+            tree.anchors[c] = apply_words(maps, tree.codes(np.arange(tree.weights.size)))
+        return tree, over
 
 
 # ---------------------------------------------------------------------------

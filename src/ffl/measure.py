@@ -31,7 +31,7 @@ the first of those).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -555,9 +555,9 @@ def fourier_montecarlo(sampler, xis, draws: int, seed: int = 0) -> list:
 
 @dataclass
 class CylinderDecomposition:
-    """Prefix-free stopping words, in the engine's order, with arrays of
-    their weights, anchors (images of 0), diameter bounds and signed
-    composed ratios."""
+    """Prefix-free stopping words, level by level and in lexicographic
+    order within a level, with arrays of their weights, anchors (images of
+    0), diameter bounds and signed composed ratios."""
 
     words: list
     weights: np.ndarray
@@ -579,14 +579,13 @@ def cylinder_decomposition(cifs: CIFS, threshold: float,
     ``diam_constant``."""
     if len(cifs.coordinates) != 1:
         raise ValidationError("a cylinder decomposition needs a 1-D system")
-    pieces = list(cifs.cylinders.walk(threshold, (1.0,), budget, words=True))
-    return CylinderDecomposition(
-        [w for p in pieces for w in p.words],
-        np.concatenate([p.weights for p in pieces]),
-        np.concatenate([p.anchors[0] for p in pieces]),
-        np.concatenate([p.bounds for p in pieces]) * getattr(cifs, "diam_constant", 1.0),
-        np.concatenate([p.ratios[0] for p in pieces]),
-        getattr(cifs, "tail_mass", 0.0))
+    tree, (over,) = cifs.cylinders.tree([threshold], (1.0,), budget)
+    if over:
+        raise BudgetExhausted(f"stopping budget {budget} exhausted")
+    nodes, _, _ = tree.select([threshold])
+    return CylinderDecomposition(tree.words(nodes), tree.weights[nodes], tree.anchors[0, nodes],
+                                 tree.bounds[nodes] * cifs.diam_constant, tree.ratios[0, nodes],
+                                 cifs.tail_mass)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,17 @@
 """Fourier transforms of nonlinear images of stationary measures.
 
-The transform of F(mu) is a sum over stopping cylinders, with every
-cylinder from ``system.cylinders``. Every affine system, on the line or a
-fibre product, takes the second-order rule: F is almost affine on a small
-cylinder, so each cylinder contributes
-weight * e(xi F(a)) * mu^(xi grad F(a) * rho), a its anchor and rho its
-ratios (one per coordinate), at a cost that only F's curvature pays, at
-most pi |xi| sum_cd sup|F_cd| R_c R_d |rho_c rho_d| per unit of mass; a
-batch of frequencies takes one exact sweep for the transforms of mu.
-Systems with smooth maps take the first-order rule: each cylinder is
-replaced by the character at F(anchor). Error bounds rest on derivative
-norms certified by interval enclosure over F's box, which the system must
-map into itself, and on the maps' contraction bounds: values are
-"rigorous" unless some map's bound is declared, then "estimate"s. Also here:
-the good/bad split of the sum over a ``measure.cylinder_decomposition``,
-and conjugation by smooth coordinate changes.
+The transform of F(mu) is a sum over stopping cylinders, which a batch of
+frequencies reads from one stopping tree, ``system.cylinders.tree``.
+Affine systems, on the line or a fibre product, take the second-order rule
+(a cylinder contributes weight * e(xi F(a)) * mu^(xi grad F(a) * rho), a
+its anchor and rho its ratios), with one exact sweep per batch for the
+transforms of mu; systems with smooth maps take the first-order rule (the
+character at F(anchor)). Error bounds rest on derivative norms certified
+by interval enclosure over F's box, which the system must map into itself,
+and on the maps' contraction bounds: values are "rigorous" unless some
+map's bound is declared, then "estimate"s. Also here: the good/bad split
+of the sum over a ``measure.cylinder_decomposition``, and conjugation by
+smooth coordinate changes.
 
 The split is the proof's sublevel-set split at scale |xi|^(-delta): with
 r = |xi|^(-delta'), F's box [lo, hi] is bisected into sub-boxes at most
@@ -146,9 +143,12 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     """Transform of the image measure F(mu) at every frequency of ``xis``.
 
     Returns one entry per frequency, in input order: a FourierValue, or the
-    BudgetExhausted of a frequency over its budget. Stopping sets grow with
-    |xi|, so every frequency at least as large as one over budget is over
-    budget too, without a walk of its own.
+    BudgetExhausted of a frequency over its budget. The batch's cylinders
+    come from one ``system.cylinders.tree`` at the frequencies' thresholds:
+    F and its gradient are evaluated once, on every node that stops at some
+    threshold, and frequencies whose thresholds lie between the same two
+    node bounds share one stopping set. Stopping sets grow with |xi|, so
+    every frequency at least as large as one over budget is over budget too.
 
     Every affine system (a line system or a fibre product, m = 1 or 2
     coordinates) takes the second-order rule. The cylinder of a word w
@@ -162,7 +162,7 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     pi |xi| (sum_c H_cc R_c^2 rho_wc^2 + 2 sum_{c<d} H_cd R_c R_d |rho_wc rho_wd|)
     per unit of mass, H_cd = sup|F_cd| from ``map_norms``. With
     k_c = sum_d H_cd that is at most pi |xi| (sum_c sqrt(k_c) R_c |rho_wc|)^2,
-    so a walk with factors lips_c proportional to sqrt(k_c) R_c stops every
+    so a tree with factors lips_c proportional to sqrt(k_c) R_c stops every
     word within tol / 2 (on the line: |rho_w| <= sqrt(tol / (2 c2 |xi|)),
     c2 = pi sup|F''| R^2). The transforms of mu at the cylinders of the
     whole batch come from one ``exact_sweep`` at tol / 2 over all their
@@ -195,36 +195,65 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
         raise ValidationError("frequencies must be finite")
     if norms is None:
         norms = map_norms(F)
-    affine = system.is_affine
-    if affine:
+    live = [i for i in np.argsort(np.abs(xis), kind="stable").tolist() if xis[i] != 0]
+    scales = [abs(float(xis[i])) for i in live]
+    if system.is_affine:  # an affine F (c2 = 0) stops every word at length 1 on the line
         curvature, c2, lips = _curvature(F, norms)
-        one = _affine_cylinders(F, system, c2, lips, tol / 2, budget)
+        thetas = [min(1.0, math.sqrt(tol / 2 / (c2 * s))) if c2 * s > 0 else 1.0
+                  for s in scales]
     else:  # Lip_x(F) counts only where F has a base variable
         diam = getattr(system, "diam_constant", 1.0)
         lips = tuple(c * diam for c in (norms.sup_base, norms.sup_first)[-len(names):])
+        thetas = [tol / (TWO_PI * s) for s in scales]
+    tree, over = system.cylinders.tree(thetas, lips, budget)
+    out = [FourierValue(0.0, 1.0 + 0.0j, 0.0) if xi == 0 else None for xi in xis.tolist()]
+    cut = next((k for k, past in enumerate(over) if past), len(live))  # the first over budget
+    exhausted = BudgetExhausted(f"stopping-set budget {budget} exhausted at frequency "
+                                f"{float(xis[live[cut]])}") if cut < len(live) else None
+    for i in live[cut:]:  # its stopping tree, or a smaller one, is over: nothing was summed
+        out[i] = exhausted
+    if not cut:
+        return out
+    nodes, sets, keys = tree.select(thetas[:cut])
+    anchors = dict(zip(names, tree.anchors[:, nodes]))
+    at = lambda e: np.broadcast_to(np.asarray(e.eval(anchors), dtype=float), nodes.shape)
+    w, rho, f = tree.weights[nodes], tree.ratios[:, nodes], at(F.expr)
+    if not system.is_affine:
         kind = "estimate" if any(isinstance(m, SmoothMap) and m.bound_kind == "declared"
                                  for column in system.coordinates for m in column) else "rigorous"
-        one = lambda xi: _first_order(F, system, xi, tol, budget, lips, kind)
-    order = np.argsort(np.abs(xis), kind="stable")
-    out, over = [None] * xis.size, None
-    for i in order:
-        if xis[i] == 0:
-            out[i] = FourierValue(0.0, 1.0 + 0.0j, 0.0)
-            continue
-        try:
-            out[i] = over or one(float(xis[i]))
-        except BudgetExhausted:  # the cylinder walk: no cylinder was summed
-            out[i] = over = BudgetExhausted(
-                f"stopping-set budget {budget} exhausted at frequency {float(xis[i])}")
-    if affine:
-        _affine_values(system, xis, out, order, curvature, tol / 2, budget)
+        sets = [(w[s], f[s], float(np.sum(w[s] * tree.bounds[nodes[s]]))) for s in sets]
+        for i, k in zip(live, keys):
+            xi, (ws, fs, spread) = float(xis[i]), sets[k]
+            out[i] = FourierValue(xi, complex(np.sum(ws * character(xi * fs))),
+                                  min(TWO_PI * abs(xi) * spread, tol)
+                                  + TWO_PI * abs(xi) * system.tail_mass, kind=kind)
+        return out
+    grad = np.array([at(F.expr.diff(v)) for v in names[:-1]] + [at(F.first)])
+    sets = [(w[s], rho[:, s], f[s], grad[:, s]) for s in sets]
+    rows = [(float(xis[i]), i, *sets[k]) for i, k in zip(live, keys)]
+    # one sweep at tol / 2 for the transforms of mu at every cylinder of the batch
+    args = np.concatenate([xi * g * r for xi, _, _, r, _, g in rows], axis=1)
+    mu, achieved = exact_sweep(system, args.T, tol / 2, budget)
+    start, exhausted = 0, None
+    for xi, i, w, rho, f, _ in rows:
+        m, leaf = mu[start:start + w.size], achieved[start:start + w.size]
+        start += w.size
+        size = np.abs(rho)
+        err = sum(C * abs(xi) * float(np.sum(w * size[c] * size[d])) for c, d, C in curvature)
+        tail = TWO_PI * abs(xi) * system.tail_mass
+        if exhausted is None and np.isnan(m).any():  # a cylinder's transform is over budget
+            exhausted = BudgetExhausted(
+                f"stopping-set budget {budget} exhausted at frequency {xi}",
+                achieved=err + float(np.sum(w * np.where(np.isnan(m), leaf, tol / 2))) + tail)
+        out[i] = exhausted or FourierValue(xi, complex(np.sum(w * character(xi * f) * m)),
+                                           err + tol / 2 + tail)
     return out
 
 
 def _curvature(F: SmoothMapF, norms: MapNorms):
     """The second-order rule's constants: terms (c, d, C) such that a
     cylinder of ratios rho costs at most |xi| sum C |rho_c rho_d| per unit
-    of mass, and the walk's scale c2 and factors ``lips``.
+    of mass, and the tree's scale c2 and factors ``lips``.
 
     With H the sups of |second partials| and R_c = max(|lo_c|, |hi_c|) over
     F's box, C is pi H_cc R_c^2 on the diagonal and 2 pi H_cd R_c R_d off
@@ -241,72 +270,6 @@ def _curvature(F: SmoothMapF, norms: MapNorms):
     k = [math.pi * sum(row) * r ** 2 for row, r in zip(H, R)]
     c2 = max(k)
     return terms, c2, tuple(math.sqrt(kc / c2) if 0 < c2 < math.inf else 1.0 for kc in k)
-
-
-def _affine_cylinders(F: SmoothMapF, system, c2, lips, half, budget):
-    """xi -> the stopping cylinders of the second-order rule at xi, as
-    arrays of weights, ratios, F at the anchors and its gradient there,
-    one row per coordinate for the ratios and the gradient."""
-    names = list(F.domain)
-    grads = [F.expr.diff(v) for v in names[:-1]] + [F.first]
-    seen = {}  # a cached sweep recurs across frequencies
-
-    def at(e, anchors):
-        return np.broadcast_to(np.asarray(e.eval(dict(zip(names, anchors))), dtype=float),
-                               anchors[0].shape)
-
-    def one(xi):
-        scale = c2 * abs(xi)  # an affine F (c2 = 0) stops every word at length 1 on the line
-        theta = min(1.0, math.sqrt(half / scale)) if scale > 0 else 1.0
-        parts = []
-        for p in system.cylinders.walk(theta, lips, budget):
-            if id(p.anchors) not in seen:
-                seen[id(p.anchors)] = (p.weights, p.ratios, at(F.expr, p.anchors),
-                                       np.array([at(g, p.anchors) for g in grads]), p)
-            parts.append(seen[id(p.anchors)][:4])
-        return parts[0] if len(parts) == 1 else tuple(
-            np.concatenate(a, axis=-1) for a in zip(*parts))
-    return one
-
-
-def _affine_values(system, xis, out, order, curvature, half, budget):
-    """Replace the cylinders in ``out`` by values, with one ``exact_sweep``
-    at ``half`` over the transform arguments of the whole batch."""
-    walked = [i for i in order if isinstance(out[i], tuple)]
-    if not walked:
-        return
-    args = np.concatenate([xis[i] * out[i][3] * out[i][1] for i in walked], axis=1)
-    mu, achieved = exact_sweep(system, args.T, half, budget)
-    start, over = 0, None
-    for i in walked:
-        xi, (w, rho, f) = float(xis[i]), out[i][:3]
-        m, leaf = mu[start:start + w.size], achieved[start:start + w.size]
-        start += w.size
-        size = np.abs(rho)
-        err = sum(C * abs(xi) * float(np.sum(w * size[c] * size[d])) for c, d, C in curvature)
-        tail = TWO_PI * abs(xi) * system.tail_mass
-        if over is None and np.isnan(m).any():  # a cylinder's transform is over budget
-            over = BudgetExhausted(
-                f"stopping-set budget {budget} exhausted at frequency {xi}",
-                achieved=err + float(np.sum(w * np.where(np.isnan(m), leaf, half))) + tail)
-        if over is not None:
-            out[i] = over
-            continue
-        value = complex(np.sum(w * character(xi * f) * m))
-        out[i] = FourierValue(xi, value, err + half + tail)
-
-
-def _first_order(F: SmoothMapF, system, xi, tol, budget, lips, kind):
-    """First-order cylinder sum at one frequency."""
-    names = list(F.domain)
-    value, spread = 0.0 + 0.0j, 0.0
-    for piece in system.cylinders.walk(tol / (TWO_PI * abs(xi)), lips, budget):
-        vals = np.asarray(F.expr.eval(dict(zip(names, piece.anchors))), dtype=float)
-        value += complex(np.sum(piece.weights * character(xi * vals)))
-        spread += float(np.sum(piece.weights * piece.bounds))
-    err = TWO_PI * abs(xi) * spread
-    return FourierValue(xi, value, min(err, tol) + TWO_PI * abs(xi) * system.tail_mass,
-                        kind=kind)
 
 
 # ---------------------------------------------------------------------------

@@ -22,13 +22,12 @@ def _decades(lo: float, hi: float):
 def log_log_plot(series, title: str = "", x_label: str = "", y_label: str = "",
                  comment: str = "") -> str:
     """Render [(xs, ys, label), ...] on log-log axes; nonpositive values
-    are dropped per point."""
+    are dropped per point, and with none left the axes span [1/2, 2]."""
     pts = []
     for xs, ys, _ in series:
         pts.extend((float(x), float(y)) for x, y in zip(xs, ys)
                    if x > 0 and y > 0)
-    if not pts:
-        raise ValueError("nothing positive to plot")
+    pts = pts or [(1.0, 1.0)]
     xlo = min(p[0] for p in pts); xhi = max(p[0] for p in pts)
     ylo = min(p[1] for p in pts); yhi = max(p[1] for p in pts)
     if xlo == xhi:

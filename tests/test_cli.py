@@ -2,6 +2,7 @@ import json
 import math
 import os
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -376,14 +377,14 @@ def test_exact_scan_and_verify_are_one_batch_call_each(tmp_path, monkeypatch):
 
 
 def test_no_walk_past_the_first_exhausted_frequency(tmp_path, monkeypatch, capsys):
-    walked = []
-    real = ifs._CylinderEngine.walk
+    trees = []
+    real = ifs._CylinderEngine.tree
 
-    def counted(engine, theta, *args, **kwargs):
-        walked.append(theta)
-        return real(engine, theta, *args, **kwargs)
+    def counted(engine, thetas, *args):
+        trees.append(len(thetas))
+        return real(engine, thetas, *args)
 
-    monkeypatch.setattr(ifs._CylinderEngine, "walk", counted)
+    monkeypatch.setattr(ifs._CylinderEngine, "tree", counted)
     cfg = write_config(tmp_path / "cfg.json", {
         "system": {"kind": "named", "name": "cantor"},
         "map": {"expr": "(pow x 2)"},
@@ -393,21 +394,27 @@ def test_no_walk_past_the_first_exhausted_frequency(tmp_path, monkeypatch, capsy
                  "--budget", "20"])
     assert code == 3
     assert json.loads(capsys.readouterr().err.strip())["error"]["kind"] == "budget"
-    assert len(walked) == 2  # xi = 1 and 32.875, which is over budget; 7 rows skipped
+    assert trees == [9]  # one tree for the whole scan
 
-    section = {"method": "pushforward", "tol": 0.1}
-    evaluate = make_evaluator(cantor_system(), section, 0, 20,
-                              map_section={"expr": "(pow x 2)"})
+    # the stopping tree over budget (no achieved), then mu^'s sweep over budget
     xis = [64.0, 2.0, -16.0, 256.0, 31.0, 33.0, 1.0, -40.0]
-    walked.clear()
-    entries = evaluate(xis)
-    assert len(walked) == 3  # by |xi|: 1, 2, then -16 is over budget
-    assert [isinstance(e, cli.BudgetExhausted) for e in entries] == \
-        [True, False, True, True, True, True, False, True]
-    alone = [evaluate([xi])[0] for xi in xis]
-    assert [type(e) for e in entries] == [type(e) for e in alone]
-    assert [e.value for e in entries if not isinstance(e, cli.BudgetExhausted)] == \
-        [e.value for e in alone if not isinstance(e, cli.BudgetExhausted)]
+    for expr, tol, budget, scale in (("(pow x 2)", 0.1, 20, 1.0), ("x", 1e-6, 5, 100.0)):
+        evaluate = make_evaluator(cantor_system(), {"method": "pushforward", "tol": tol}, 0,
+                                  budget, map_section={"expr": expr})
+        batch = [scale * xi for xi in xis]
+        trees.clear()
+        entries = evaluate(batch)
+        assert trees == [len(batch)]
+        alone = [evaluate([xi])[0] for xi in batch]
+        over = [i for i, e in enumerate(entries) if isinstance(e, cli.BudgetExhausted)]
+        first = min(over, key=lambda i: abs(batch[i]))
+        assert over == [i for i, xi in enumerate(batch) if abs(xi) >= abs(batch[first])]
+        assert str(entries[first]) == str(alone[first])
+        assert entries[first].achieved == alone[first].achieved
+        assert all(entries[i] is entries[first] for i in over)  # it stands for every larger |xi|
+        for i in set(range(len(batch))) - set(over):
+            assert (entries[i].value, entries[i].error_bound) == \
+                (alone[i].value, alone[i].error_bound)
 
 
 def test_decay_fit_makes_one_pushforward_and_one_kernel_call_per_band(tmp_path,
@@ -492,6 +499,75 @@ def test_decay_bands_with_pushforward_method(tmp_path):
     doc = json.loads((out / "decay_bands.json").read_text())["result"]
     peaks = [b["peak"] for b in doc["bands"]]
     assert len(peaks) == 4 and all(0 < p <= 1.01 for p in peaks)
+
+
+def test_band_without_a_sample_has_no_peak(tmp_path):
+    # every sample over budget wrote "peak": -1.0, "peak_frequency": NaN; at
+    # budget 100 the 64 samples fit, and every stopping tree (126 nodes or
+    # more) is over
+    cfg = write_config(tmp_path / "cfg.json", {
+        "system": {"kind": "named", "name": "cantor"},
+        "map": {"expr": "(pow x 2)"},
+        "decay": {"band_base": 3.0, "band_min": 3, "band_max": 4,
+                  "samples_per_band": 64, "method": "pushforward", "tol": 1e-3},
+    })
+    out = tmp_path / "out"
+    assert main(["decay", "bands", "--config", cfg, "--out", str(out), "--budget", "100"]) == 0
+
+    def no_constants(name):
+        raise ValueError(f"{name} is not JSON")
+
+    doc = json.loads((out / "decay_bands.json").read_text(), parse_constant=no_constants)
+    for band in doc["result"]["bands"]:
+        assert band["peak"] is None and band["peak_frequency"] is None
+        assert band["samples"] == 0 and band["excluded"] == 64
+    assert "<polyline" not in (out / "decay_bands.svg").read_text()
+
+
+SIZE_KEYS = [  # (command, config, the key the diagnostic names)
+    (["fourier-scan"], {"scan": {"xi_min": 1.0, "xi_max": 2.0, "points": 1e15}}, "points"),
+    (["fourier-scan"], {"scan": {"xi_min": 1.0, "xi_max": 2.0, "points": 2,
+                                 "method": "montecarlo", "draws": 1e15}}, "draws"),
+    (["fourier-scan"], {"scan": {"xi_min": 1.0, "xi_max": 2.0, "points": 2,
+                                 "method": "product", "factors": 1e15}}, "factors"),
+    (["decay", "bands"], {"decay": {"samples_per_band": 1e15}}, "samples_per_band"),
+    (["decay", "sparse"], {"decay": {"limit": 1e300}}, "limit"),
+    (["disintegrate", "consistency"], {"disintegrate": {"n_sequences": 1e15}}, "n_sequences"),
+    *((["disintegrate", action], {"disintegrate": {"prefix_length": 1e15, "alpha": 0.2}},
+      "prefix_length") for action in ("sample", "membership", "ek")),
+    (["equidist", "count"], {"equidist": {"horizon": 1e15}}, "horizon"),
+    (["equidist", "count"], {"equidist": {"seeds": 1e15}}, "seeds"),
+    (["equidist", "weyl"], {"equidist": {"harmonics": 1e15}}, "harmonics"),
+    (["conjugate"], {"map": {"expr": "(pow x 2)", "inverse": "(pow x 0.5)", "draws": 1e15}},
+     "draws"),
+]
+
+
+@pytest.mark.parametrize("argv, config, key", SIZE_KEYS,
+                         ids=["-".join(argv + [key]) for argv, _, key in SIZE_KEYS])
+def test_size_keys_are_checked_against_the_budget(tmp_path, capsys, argv, config, key):
+    # each of these ended in numpy's _ArrayMemoryError with exit 1, or (the
+    # sparse grid and the seed count) ran until killed
+    cfg = write_config(tmp_path / "cfg.json",
+                       dict(config, system={"kind": "named", "name": "cantor"}))
+    out = tmp_path / "o"
+    start = time.perf_counter()
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 3
+    assert time.perf_counter() - start < 2.0
+    err, = capsys.readouterr().err.strip().splitlines()  # one JSON line
+    error = json.loads(err)["error"]
+    assert error["kind"] == "budget" and key in error["message"]
+    assert not any(p.is_file() for p in out.rglob("*"))
+
+
+def test_negative_budget_exits_2(tmp_path, monkeypatch, capsys):
+    cfg = dyadic_scan_config(tmp_path)
+    assert main(["fourier-scan", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--budget", "-1"]) == 2
+    monkeypatch.setenv("FFL_BUDGET", "-5")
+    assert main(["fourier-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    for line in capsys.readouterr().err.strip().splitlines():
+        assert "budget" in json.loads(line)["error"]["message"]
 
 
 def nested(var, depth=3000):
@@ -677,6 +753,14 @@ def section(**keys):
 
 
 small = st.integers(1, 4)
+
+
+def sized(values):
+    """A key that sizes an allocation: ``values``, or over the tests' budget
+    of 3000, up to 1e15."""
+    return values | st.integers(3001, 10 ** 15)
+
+
 frequency = st.floats(-8.0, 40.0)
 tolerance = st.sampled_from([0.3, 1e-2, 1e-3, 1e-6])
 expression = st.sampled_from(["(pow x 2)", "(pow x 3)", "(mul 0.3 x)", "(add 0.6 (mul 0.3 x))",
@@ -704,25 +788,26 @@ systems = either(
     | st.just(FIBRE3))
 methods = st.sampled_from(["exact", "product", "montecarlo", "pushforward", "bogus"])
 configs = st.fixed_dictionaries({"system": systems}, optional={
-    "scan": section(xi_min=frequency, xi_max=frequency, points=st.integers(0, 5),
-                    tol=tolerance, method=methods, draws=st.integers(100, 300),
-                    factors=st.integers(1, 16)),
+    "scan": section(xi_min=frequency, xi_max=frequency, points=sized(st.integers(0, 5)),
+                    tol=tolerance, method=methods, draws=sized(st.integers(100, 300)),
+                    factors=sized(st.integers(1, 16))),
     "map": section(expr=expression, fibre_var=st.sampled_from(["x", "y"]),
-                   inverse=expression, draws=st.integers(100, 500), ks_tol=st.just(0.5)),
+                   inverse=expression, draws=sized(st.integers(100, 500)), ks_tol=st.just(0.5)),
     "decay": section(band_base=st.sampled_from([2.0, 3.0]), band_min=small, band_max=small,
-                     samples_per_band=st.sampled_from([64]), method=methods, tol=tolerance,
-                     draws=st.integers(100, 200), exponent=st.floats(0.0, 0.5),
-                     limit=st.sampled_from([4.0, 9.0]), grid_step=st.sampled_from([0.25]),
+                     samples_per_band=sized(st.just(64)), method=methods, tol=tolerance,
+                     draws=sized(st.integers(100, 200)), exponent=st.floats(0.0, 0.5),
+                     limit=st.sampled_from([4.0, 9.0, 1e300]), grid_step=st.sampled_from([0.25]),
                      family_base=st.sampled_from([2.0, 3.0]), count=small,
                      family=st.lists(frequency, max_size=3)),
     "disintegrate": section(block_length=st.integers(1, 2), xis=st.lists(frequency, max_size=2),
-                            n_sequences=st.integers(1, 8), alpha=st.floats(0.0, 1.0),
-                            prefix_length=st.integers(1, 16), horizon_min=st.integers(-2, 20),
+                            n_sequences=sized(st.integers(1, 8)), alpha=st.floats(0.0, 1.0),
+                            prefix_length=sized(st.integers(1, 16)),
+                            horizon_min=st.integers(-2, 20),
                             horizon_max=st.integers(-2, 20), xi=frequency, trunc_tol=tolerance),
     "equidist": section(base=st.sampled_from([2, 3, 10]), gamma=st.floats(0.0, 1.0),
                         rate=st.sampled_from(["(div 1 (mul 2 n))", "(mul 0.1 (pow n 0))", "(pow n"]),
-                        horizon=st.integers(1, 64), seeds=st.integers(1, 2),
-                        harmonics=small, epsilon=st.floats(0.0, 2.0),
+                        horizon=sized(st.integers(1, 64)), seeds=sized(st.integers(1, 2)),
+                        harmonics=sized(small), epsilon=st.floats(0.0, 2.0),
                         terms=st.lists(st.integers(1, 9), max_size=3)),
     "seed": either(st.integers(0, 9)),
 })

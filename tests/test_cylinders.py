@@ -1,9 +1,8 @@
-"""The stopping-cylinder engine against a brute-force recursive enumerator."""
+"""The stopping-tree engine against a brute-force recursive enumerator."""
 
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,14 +40,32 @@ def brute_force(engine, theta, lips):
     return out, nodes
 
 
-def walked(engine, theta, lips, budget=10 ** 9):
-    got = {}
-    for piece in engine.walk(theta, lips, budget, words=True):
-        assert piece.weights.size <= ifs.PIECE_CYLINDERS
-        for i, word in enumerate(piece.words):
-            assert word not in got
-            got[word] = (list(piece.anchors[:, i]), float(piece.weights[i]))
-    return got
+def selections(engine, thetas, lips, budget):
+    """One tree call: per theta, {word: (anchor, weight)} of its stopping
+    set, or None when the call reports it over budget."""
+    tree, over = engine.tree(thetas, lips, budget)
+    assert len(over) == len(thetas)
+    live = [th for th, past in zip(thetas, over) if not past]
+    nodes, sets, keys = tree.select(live)
+    words = tree.words(nodes)
+    got = iter([{words[j]: (list(tree.anchors[:, nodes[j]]), float(tree.weights[nodes[j]]))
+                 for j in sets[k]} for k in keys])
+    return [None if past else next(got) for past in over], tree
+
+
+def check_batch(engine, thetas, lips, data, expected=None):
+    """The stopping sets of a batch against brute force, at a budget just
+    below, at or just above some theta's tree size, or unlimited."""
+    brute = [brute_force(engine, th, lips) for th in thetas]
+    sizes = [nodes for _, nodes in brute]
+    budget = data.draw(st.sampled_from([n + d for n in sizes for d in (-1, 0, 1)] + [10 ** 9]))
+    got, tree = selections(engine, thetas, lips, budget)
+    for th, (cylinders, nodes), sel in zip(thetas, brute, got):
+        assert (sel is None) == (nodes > budget), (th, nodes, budget)
+        if sel is not None:
+            assert_same(sel, expected(cylinders) if expected else cylinders)
+    if all(nodes <= budget for nodes in sizes):  # the tree at the smallest theta, no more
+        assert tree.weights.size == max(sizes)
 
 
 def assert_same(got, expected):
@@ -75,27 +92,20 @@ def line_systems(draw):
     return CIFS(tuple(range(n)), maps, weights, tail_mass=tail)
 
 
-SPLIT = st.sampled_from([(8, 16), (ifs.PIECE_CYLINDERS, ifs.CACHE_CYLINDERS)])
+thetas = st.lists(st.floats(0.02, 0.3), min_size=1, max_size=4)
 
 
 @settings(max_examples=60, deadline=None)
-@given(line_systems(), st.floats(0.02, 0.3), st.floats(0.02, 0.3), SPLIT)
-def test_line_walk_matches_brute_force(system, theta, theta2, split):
-    with mock.patch.multiple(ifs, PIECE_CYLINDERS=split[0], CACHE_CYLINDERS=split[1]):
-        engine = system.cylinders
-        for th in (theta, theta2, theta):  # the last walk may reuse cached sweeps
-            assert_same(walked(engine, th, (1.0,)), brute_force(engine, th, (1.0,))[0])
+@given(line_systems(), thetas, st.data())
+def test_line_walk_matches_brute_force(system, batch, data):
+    check_batch(system.cylinders, batch, (1.0,), data)
 
 
 @settings(max_examples=40, deadline=None)
-@given(fibre_systems(), st.floats(0.05, 0.5), st.floats(0.0, 2.0),
-       st.floats(0.0, 1.9), SPLIT)
-def test_fibre_walk_matches_brute_force(system, theta, lip_base, lip_fibre, split):
-    lips = (lip_base, lip_fibre + 0.1)
-    with mock.patch.multiple(ifs, PIECE_CYLINDERS=split[0], CACHE_CYLINDERS=split[1]):
-        engine = system.cylinders
-        for _ in range(2):
-            assert_same(walked(engine, theta, lips), brute_force(engine, theta, lips)[0])
+@given(fibre_systems(), st.lists(st.floats(0.05, 0.5), min_size=1, max_size=4),
+       st.floats(0.0, 2.0), st.floats(0.0, 1.9), st.data())
+def test_fibre_walk_matches_brute_force(system, batch, lip_base, lip_fibre, data):
+    check_batch(system.cylinders, batch, (lip_base, lip_fibre + 0.1), data)
 
 
 @st.composite
@@ -111,16 +121,13 @@ def smooth_systems(draw):
 
 
 @settings(max_examples=20, deadline=None)
-@given(smooth_systems(), st.floats(0.04, 0.3), SPLIT)
-def test_smooth_walk_anchors_every_word_innermost_first(system, theta, split):
+@given(smooth_systems(), st.lists(st.floats(0.04, 0.3), min_size=1, max_size=4), st.data())
+def test_smooth_walk_anchors_every_word_innermost_first(system, batch, data):
     # stopping words and weights follow the products of contraction bounds;
     # the anchor of w is f_w(0), not the maps applied in word order
-    with mock.patch.multiple(ifs, PIECE_CYLINDERS=split[0], CACHE_CYLINDERS=split[1]):
-        engine = system.cylinders
-        expected = {word: ([float(compose(system, word)(0.0))], weight)
-                    for word, (_, weight) in brute_force(engine, theta, (1.0,))[0].items()}
-        for _ in range(2):  # the second walk reuses cached sweeps
-            assert_same(walked(engine, theta, (1.0,)), expected)
+    check_batch(system.cylinders, batch, (1.0,), data, expected=lambda cylinders: {
+        word: ([float(compose(system, word)(0.0))], weight)
+        for word, (_, weight) in cylinders.items()})
 
 
 def two_ratio():
@@ -128,39 +135,55 @@ def two_ratio():
                 {0: 0.5, 1: 0.5})
 
 
-@pytest.mark.parametrize("piece", [4096, ifs.PIECE_CYLINDERS])
+@pytest.mark.parametrize("budget", [4096, 1 << 20])
 @pytest.mark.parametrize("make", [cantor_system, two_ratio])
-def test_pushforward_history_independent(make, piece):
-    # the walks of the larger frequencies split into pieces of 4096
+def test_pushforward_history_independent(make, budget):
+    # at budget 4096 the trees of the larger frequencies are over budget
     F = SmoothMapF.parse("(add (pow x 2) x)")
     norms = map_norms(F)
     xis = list(np.geomspace(20.0, 4000.0, 7))
 
     def run(system, order):
         return dict(zip(order, pushforward_fourier(F, system, order, tol=1e-6,
-                                                   norms=norms)))
+                                                   budget=budget, norms=norms)))
 
-    with mock.patch.object(ifs, "PIECE_CYLINDERS", piece):
-        batch = run(make(), xis)
-        reversed_batch = run(make(), xis[::-1])
-        alone = {xi: run(make(), [xi])[xi] for xi in xis}
+    batch = run(make(), xis)
+    reversed_batch = run(make(), xis[::-1])
+    alone = {xi: run(make(), [xi])[xi] for xi in xis}
+    assert any(isinstance(e, BudgetExhausted) for e in batch.values()) == (budget == 4096)
     for xi in xis:
         for other in (reversed_batch, alone):
-            assert other[xi].value == batch[xi].value
-            assert other[xi].error_bound == batch[xi].error_bound
+            if isinstance(batch[xi], BudgetExhausted):
+                assert isinstance(other[xi], BudgetExhausted)
+            else:
+                assert other[xi].value == batch[xi].value
+                assert other[xi].error_bound == batch[xi].error_bound
 
 
-@pytest.mark.parametrize("piece", [8, ifs.PIECE_CYLINDERS])
-def test_budget_fires_exactly_past_the_tree_size(piece):
+@pytest.mark.parametrize("prior_budget", [8, 1 << 20])
+def test_budget_fires_exactly_past_the_tree_size(prior_budget, monkeypatch):
+    # between two checks, the same engine grows a deeper tree that runs over
+    # prior_budget (8) or completes (1 << 20); the budget edge must not move
+    trees, real = [], ifs._CylinderEngine.tree
+    monkeypatch.setattr(ifs._CylinderEngine, "tree",
+                        lambda engine, *args: trees.append(args) or real(engine, *args))
     system = two_ratio()
-    with mock.patch.object(ifs, "PIECE_CYLINDERS", piece):
-        for threshold in (0.01, 0.003):
-            nodes = brute_force(system.cylinders, threshold, (1.0,))[1]
-            for _ in range(2):  # cold, then with every sweep cached
-                with pytest.raises(BudgetExhausted):
-                    cylinder_decomposition(system, threshold, budget=nodes - 1)
-                dec = cylinder_decomposition(system, threshold, budget=nodes)
-                assert dec.mass() == pytest.approx(1.0, abs=1e-12)
+    for threshold in (0.01, 0.003):
+        nodes = brute_force(system.cylinders, threshold, (1.0,))[1]
+        for check in range(2):
+            with pytest.raises(BudgetExhausted):
+                cylinder_decomposition(system, threshold, budget=nodes - 1)
+            dec = cylinder_decomposition(system, threshold, budget=nodes)
+            assert dec.mass() == pytest.approx(1.0, abs=1e-12)
+            if check == 0:
+                try:
+                    deeper = cylinder_decomposition(system, threshold / 10,
+                                                    budget=prior_budget)
+                    assert prior_budget == 1 << 20
+                    assert deeper.mass() == pytest.approx(1.0, abs=1e-12)
+                except BudgetExhausted:
+                    assert prior_budget == 8
+    assert len(trees) == 10  # one tree per decomposition
 
 
 def test_threads_share_an_engine():
@@ -168,21 +191,16 @@ def test_threads_share_an_engine():
     norms = map_norms(F)
     xis = list(np.linspace(5.0, 80.0, 48))
     interval = sys.getswitchinterval()
-    with mock.patch.multiple(ifs, PIECE_CYLINDERS=64, CACHE_CYLINDERS=512):
-        serial = [pushforward_fourier(F, two_ratio(), [xi], tol=1e-2, norms=norms)[0].value
-                  for xi in xis]
-        shared = two_ratio()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                threaded = list(pool.map(
-                    lambda xi: pushforward_fourier(F, shared, [xi], tol=1e-2,
-                                                   norms=norms)[0].value,
-                    xis, timeout=120))
-        finally:
-            sys.setswitchinterval(interval)
+    serial = [pushforward_fourier(F, two_ratio(), [xi], tol=1e-2, norms=norms)[0].value
+              for xi in xis]
+    shared = two_ratio()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            threaded = list(pool.map(
+                lambda xi: pushforward_fourier(F, shared, [xi], tol=1e-2,
+                                               norms=norms)[0].value,
+                xis, timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
     assert threaded == serial
-    engine = shared.cylinders  # cache bookkeeping survived the contention
-    entries = [rel for kept in engine._sweeps.values() for *_, rel in kept]
-    assert len(engine._order) == len(entries)
-    assert engine._held == sum(rel.weights.size for rel in entries) <= 512

@@ -107,8 +107,9 @@ def test_fit_reports_noise():
 def test_fit_excludes_zero_bands():
     bands = synthetic_bands(0.5)
     bands[3].peak = 0.0
+    bands[5].peak = bands[5].peak_frequency = None  # every sample over budget
     fit = fit_eta(bands)
-    assert fit.bands_excluded == 1
+    assert fit.bands_excluded == 2
     assert abs(fit.exponent - 0.5) <= 1e-9
 
 

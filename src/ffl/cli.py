@@ -334,6 +334,8 @@ def cmd_equidist(cfg, out, seed, budget, action):
 
     if action == "weyl":
         harmonics = within_budget("harmonics", section.get("harmonics", 5), budget)
+        # weyl_sums holds one phase per harmonic and step
+        within_budget("harmonics*horizon", harmonics * horizon, budget)
         rows = []
         for i in range(n_seeds):
             gp = eq.grid_point_for(spec, seed=spawn_seed(seed, i))

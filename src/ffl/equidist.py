@@ -3,16 +3,22 @@
 Orbits n -> q_n x mod 1 are computed exactly. Geometric orbits q_n = b^n
 and digit statistics share one exact digit engine: for x = p/q it forms
 D = floor(p b^M / q) in one big-integer step (a shift when q is a power of
-two, as for every GridPoint) and converts D to base-b digits, by unpacking
-bytes in base 2 and by splitting on the powers (b^L)^(2^k) down to int64
-leaves in any other base. frac(b^n x) is read from the K = ceil(64 /
-log2 b) + 2 digits after position n, formed as exact integers and
-converted to float once per chunk; each value is within 2^-51 of the exact
-one. Distances to the target therefore land within TIE_BAND = 2^-50 of
-the exact distances, so every hit decision outside the band is exact, and
-inside the band an exact-rational fallback decides: counts are exact for
-the represented point. Explicit-term sequences reduce q_n p mod q term by
-term.
+two, as for every GridPoint). Digit statistics convert D to base-b digits,
+by unpacking bytes in base 2 and by splitting on the powers (b^L)^(2^k)
+down to int64 leaves in any other base. frac(b^n x) is read from the K =
+ceil(64 / log2 b) + 2 digits after position n, as exact integer chunks
+converted to float once each; in base 2 the chunks come straight from
+D's 64-bit words, shifted into place for all offsets in one broadcast,
+and in other bases from the digits by doubling Horner. Each value is
+within 2^-51 of the exact one. Distances to the target therefore land
+within TIE_BAND = 2^-50 of the exact distances, so every hit decision
+outside the band is exact, and inside the band an exact-rational fallback
+decides: counts are exact for the represented point. Explicit-term
+sequences reduce q_n p mod q term by term.
+
+The rate psi(1..N) and its correctly rounded sum depend on the spec only:
+an EquidistSpec builds both once, on first use, and every point counted
+against it reads them.
 
 Sampled points carry their bit budget: an orbit of length N under base b
 consumes about N*log2(b) bits of the sample, so requests beyond
@@ -25,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -61,14 +68,15 @@ class RateFn:
 
     def values(self, horizon: int) -> np.ndarray:
         n = np.arange(1, horizon + 1, dtype=float)
-        vals = np.asarray(self._fn(n), dtype=float)
+        with np.errstate(all="ignore"):  # NaN and inf fail the range check below
+            vals = np.asarray(self._fn(n), dtype=float)
         if vals.shape != n.shape:
             vals = np.broadcast_to(vals, n.shape).copy()
-        bad = np.nonzero((vals < 0.0) | (vals > 0.5))[0]
+        bad = np.nonzero(~((vals >= 0.0) & (vals <= 0.5)))[0]
         if len(bad):
             k = int(bad[0]) + 1
             raise ValidationError(
-                f"rate value {vals[bad[0]]!r} at n={k} is outside [0, 1/2]")
+                f"rate value {float(vals[bad[0]])!r} at n={k} is outside [0, 1/2]")
         return vals
 
 
@@ -87,9 +95,12 @@ def _check_base(base) -> int:
     return int(base)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EquidistSpec:
-    """A frequency sequence, a target point and a rate, up to a horizon."""
+    """A frequency sequence, a target point and a rate, up to a horizon.
+
+    The rate's values psi(1..horizon) and their sum are built once per
+    spec, on first use, and shared by every point counted against it."""
 
     kind: str                      # "geometric" | "explicit"
     gamma: float
@@ -127,6 +138,17 @@ class EquidistSpec:
         return cls("explicit", gamma, rate, horizon, terms=terms,
                    lacunary_ratio=min(ratios) if ratios else None,
                    min_gap=min(gaps) if gaps else None)
+
+    @cached_property
+    def psi(self) -> np.ndarray:
+        vals = self.rate.values(self.horizon)
+        vals.flags.writeable = False  # shared by every count against this spec
+        return vals
+
+    @cached_property
+    def rate_sum(self) -> float:
+        """sigma(rate, horizon), read from the cached psi."""
+        return math.fsum(self.psi.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -221,16 +243,21 @@ def _window_length(b: int) -> int:
     return k + 2
 
 
+def _scaled(p: int, q: int, b: int, m: int) -> int:
+    """D = floor(p b^m / q) in one big-integer step, a shift when q is a
+    power of two: the first m base-b digits of p/q < 1 as one integer."""
+    scaled = p << m if b == 2 else p * b ** m
+    shift = q.bit_length() - 1
+    return scaled >> shift if q == 1 << shift else scaled // q
+
+
 def _digits(p: int, q: int, b: int, m: int) -> np.ndarray:
     """The first m base-b digits of p/q in [0, 1), exactly, as int64.
 
-    D = floor(p b^m / q) is formed in one big-integer step (a shift when q
-    is a power of two). Base 2 unpacks D's bytes; any other base splits D
-    on the powers (b^L)^(2^k), halving at each level, down to leaves below
-    b^L < 2^63 that numpy expands into L digits each."""
-    scaled = p << m if b == 2 else p * b ** m
-    shift = q.bit_length() - 1
-    D = scaled >> shift if q == 1 << shift else scaled // q
+    Base 2 unpacks D = `_scaled(p, q, b, m)` byte by byte; any other base
+    splits D on the powers (b^L)^(2^k), halving at each level, down to
+    leaves below b^L < 2^63 that numpy expands into L digits each."""
+    D = _scaled(p, q, b, m)
     if b == 2:
         raw = np.frombuffer(D.to_bytes((m + 7) // 8, "big"), dtype=np.uint8)
         return np.unpackbits(raw)[-m:].astype(np.int64)
@@ -276,7 +303,31 @@ def _orbit_windows(p: int, q: int, b: int, N: int) -> np.ndarray:
     u/16, and the last addition u/2: under 4u = 2^-51 in all. The hit
     test's distance adds two roundings of u/2, so it stays within 5u <
     TIE_BAND = 8u of the exact distance, and every decision outside the
-    band is exact."""
+    band is exact.
+
+    Base 2 (K = 66, L = 62) takes its chunks straight from 64-bit words.
+    The big-endian words A of D = floor(p 2^(64(R+1)) / q), with R =
+    ceil((N + 63) / 64), hold the bits of p/q, and one broadcast over the
+    in-word shifts r = 0..63 gives the 64 bits after every offset k = 64i
+    + r < 64R as U[k] = (A[i] << r) | (A[i+1] >> 1 >> (63 - r)), split so
+    that no shift reaches 64. The chunks are U[n] >> 2 (62 bits) and
+    U[n + 62] >> 60 (4 bits), the integers the digit path forms, so every
+    float equals its value bit for bit (one rounding of a 63-bit window
+    would move about 3 in 10^3 of them by an ulp, and the Weyl sums with
+    them). The error is the truncation plus two roundings of u/2, under
+    2^-52."""
+    if b == 2:
+        R = -(-(N + 63) // 64)
+        raw = _scaled(p, q, 2, 64 * (R + 1)).to_bytes(8 * (R + 1), "big")
+        A = np.frombuffer(raw, dtype=">u8").astype(np.uint64)
+        r = np.arange(64, dtype=np.uint64)
+        U = A[:-1, None] << r
+        U |= A[1:, None] >> np.uint64(1) >> (np.uint64(63) - r)
+        U = U.ravel()
+        # both chunks are below 2^62, so int64 views are exact and convert fast
+        ys = (U[1:N + 1] >> np.uint64(2)).view(np.int64) * 2.0 ** -62
+        ys += (U[63:N + 63] >> np.uint64(60)).view(np.int64) * 2.0 ** -66
+        return ys
     K, L = _window_length(b), _leaf_length(b)
     digits = _digits(p, q, b, N + K)[1:]
     ys = np.zeros(N)
@@ -342,7 +393,7 @@ def count_hits(x, spec: EquidistSpec, epsilon: float = 1.0) -> CountResult:
     """Count n <= horizon with dist(q_n x - gamma, Z) <= psi(n), exactly."""
     if not epsilon > 0:
         raise ValidationError("epsilon must be positive")
-    psi = spec.rate.values(spec.horizon)
+    psi = spec.psi
     ys, exact = _orbit_floats(x, spec)
     gamma = spec.gamma
     d = np.abs(ys - gamma)
@@ -356,7 +407,7 @@ def count_hits(x, spec: EquidistSpec, epsilon: float = 1.0) -> CountResult:
         delta = min(delta, 1 - delta)
         hits[n] = delta <= Fraction(float(psi[n]))
     count = int(hits.sum())
-    s = math.fsum(psi.tolist())  # sigma(spec.rate, spec.horizon), psi already built
+    s = spec.rate_sum
     logterm = math.log(s + 2.0)
     denom_half = math.sqrt(s) * logterm ** (2.0 + epsilon) if s > 0 else math.inf
     denom_23 = s ** (2.0 / 3.0) * logterm ** (2.0 + epsilon) if s > 0 else math.inf

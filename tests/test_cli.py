@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ffl import cli
 from ffl import disintegrate as dis
+from ffl import equidist as eq
 from ffl import ifs
 from ffl.cli import main, make_evaluator
 from ffl.ifs import cantor_system
@@ -270,6 +271,29 @@ def test_equidist_subcommands(tmp_path):
     assert 0.0 <= summary["pass_fraction_unit_band"] <= 1.0
     assert main(["equidist", "weyl", "--config", cfg, "--out", str(out)]) == 0
     assert main(["equidist", "digits", "--config", cfg, "--out", str(out)]) == 0
+
+
+def test_equidist_count_builds_the_rate_once_per_spec(tmp_path, monkeypatch):
+    # psi and its sum depend on the spec only, so three seeds share one build
+    values, count_hits = eq.RateFn.values, eq.count_hits
+    calls, specs = [], []
+
+    def spy_values(rate, horizon):
+        calls.append(horizon)
+        return values(rate, horizon)
+
+    def spy_count(x, spec, **kwargs):
+        specs.append(spec)
+        return count_hits(x, spec, **kwargs)
+    monkeypatch.setattr(eq.RateFn, "values", spy_values)
+    monkeypatch.setattr(eq, "count_hits", spy_count)
+    cfg = write_config(tmp_path / "cfg.json", {
+        "equidist": {"base": 2, "rate": "(div 1 (mul 2 n))", "horizon": 3000, "seeds": 3}})
+    assert main(["equidist", "count", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert calls == [3000] and len(read_rows(tmp_path / "o" / "count.csv")) == 3
+    spec = specs[0]
+    assert len(specs) == 3 and all(s is spec for s in specs)
+    assert spec.rate_sum == eq.sigma(spec.rate, spec.horizon)  # bit for bit
 
 
 def test_decay_subcommands(tmp_path):
@@ -538,6 +562,9 @@ SIZE_KEYS = [  # (command, config, the key the diagnostic names)
     (["equidist", "count"], {"equidist": {"horizon": 1e15}}, "horizon"),
     (["equidist", "count"], {"equidist": {"seeds": 1e15}}, "seeds"),
     (["equidist", "weyl"], {"equidist": {"harmonics": 1e15}}, "harmonics"),
+    # each passes the default budget alone; the phase matrix holds 4e14 values
+    (["equidist", "weyl"], {"equidist": {"horizon": 2e7, "harmonics": 2e7}},
+     "harmonics*horizon"),
     (["conjugate"], {"map": {"expr": "(pow x 2)", "inverse": "(pow x 0.5)", "draws": 1e15}},
      "draws"),
 ]
@@ -726,7 +753,10 @@ def test_malformed_equidist_configs_exit_2(tmp_path, capsys):
              (["digits"], {"seeds": 0}, "seeds"),
              # a digit histogram one column per possible digit wide: this
              # wrote a 9.9 MB CSV for ten digits
-             (["digits"], {"base": 1000000, "horizon": 10}, "base")]
+             (["digits"], {"base": 1000000, "horizon": 10}, "base"),
+             # NaN passed the range check and wrote nan rows with exit 0
+             (["count"], {"rate": "(div (sub n n) (sub n n))"}, "rate value nan at n=1"),
+             (["count"], {"rate": "(sub 0.025 (mul 0.05 n))"}, "rate value -0.025 at n=1")]
     for action, bad, word in cases:
         out = tmp_path / "o"
         cfg = write_config(tmp_path / "cfg.json", {

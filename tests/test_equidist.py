@@ -146,30 +146,59 @@ def test_precision_budget_rejection():
         count_hits(gp, spec)
 
 
-@pytest.mark.parametrize("base", [2, 3, 10])
-def test_fast_and_slow_paths_agree(base):
+# base 2 reads its windows from 64-bit words: horizons at the word edges
+WORD_EDGES = (1, 63, 64, 65, 127, 128, 129)
+EDGE_IDS = ["2", "3", "10"] + [f"2-N{N}" for N in WORD_EDGES]
+
+
+def edge_points(base, N):
+    """x = 0, a point whose bits are all one (every window rounds to 1.0),
+    and two non-dyadic rationals."""
+    bits = math.ceil(N * math.log2(base)) + 128
+    return [Fraction(0), GridPoint((1 << bits) - 1, bits), Fraction(1, 7),
+            Fraction(2 ** 70 + 1, 3 ** 45)]
+
+
+@pytest.mark.parametrize("base, N", [(b, 800) for b in (2, 3, 10)]
+                         + [(2, N) for N in WORD_EDGES], ids=EDGE_IDS)
+def test_fast_and_slow_paths_agree(base, N):
     rate = RateFn.parse("(div 1 (mul 2 n))")
-    spec = EquidistSpec.geometric(base, 0.3, rate, 800)
-    gp = grid_point_for(spec, seed=4)
-    fast = count_hits(gp, spec)
+    points = [grid_point_for(EquidistSpec.geometric(base, 0.3, rate, N), seed=4)]
     # the same orbit as explicit terms runs the modular loop, not the digit engine
-    terms = EquidistSpec.explicit([base ** n for n in range(1, 801)], 0.3, rate)
-    slow = count_hits(gp, terms)
-    assert fast.count == slow.count
+    terms = [base ** n for n in range(1, N + 1)]
+    for gamma in (0.3, 0.0):
+        fast = EquidistSpec.geometric(base, gamma, rate, N)
+        slow = EquidistSpec.explicit(terms, gamma, rate)
+        for x in points + edge_points(base, N):
+            assert count_hits(x, fast).count == count_hits(x, slow).count, (x, gamma)
 
 
-@pytest.mark.parametrize("base", [2, 3, 10])
-def test_every_window_is_within_2_to_minus_51_of_the_exact_orbit(base):
-    N = 300
+@pytest.mark.parametrize("base, N", [(b, 300) for b in (2, 3, 10)]
+                         + [(2, N) for N in WORD_EDGES], ids=EDGE_IDS)
+def test_every_window_is_within_2_to_minus_51_of_the_exact_orbit(base, N):
     spec = EquidistSpec.geometric(base, 0.0, RateFn.constant(0.1), N)
-    points = [grid_point_for(spec, seed=s) for s in (1, 2)] + [
-        Fraction(12345, 99991), Fraction(1, 7), Fraction(2 ** 70 + 1, 3 ** 45)]
-    for x in points:
+    points = [grid_point_for(spec, seed=s) for s in (1, 2)] + [Fraction(12345, 99991)]
+    for x in points + edge_points(base, N):
         y0 = x.fraction if isinstance(x, GridPoint) else x
         ys, _ = eq._orbit_floats(x, spec)
+        assert ys.shape == (N,)
         for n in range(1, N + 1):
             exact = base ** n * y0 % 1
             assert abs(Fraction(float(ys[n - 1])) - exact) <= Fraction(1, 2 ** 51), (x, n)
+
+
+@pytest.mark.parametrize("N", WORD_EDGES + (1000,))
+def test_base2_words_give_the_digit_chunk_sum_bit_for_bit(N):
+    # the chunks every other base reads, 62 digits and then 4, summed
+    # smallest first: the word kernel must keep every float, so that Weyl
+    # sums in base 2 do not move
+    spec = EquidistSpec.geometric(2, 0.0, RateFn.constant(0.1), N)
+    for x in edge_points(2, N) + [grid_point_for(spec, seed=s) for s in (1, 2)]:
+        p, q = eq._residue(x)
+        digits = eq._digits(p, q, 2, N + 66)[1:]
+        chunks = (eq._sliding(digits[62:], 2, 4, N) / 2.0 ** 66
+                  + eq._sliding(digits, 2, 62, N) / 2.0 ** 62)
+        assert np.array_equal(eq._orbit_windows(p, q, 2, N), chunks), x
 
 
 def test_tie_is_decided_by_the_exact_fallback(monkeypatch):

@@ -54,9 +54,17 @@ def check_keys(section: dict, allowed: set, where: str):
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
+def integral(key: str, value) -> int:
+    """An integer config value: 1e5 is 100000, but a bool, a string or a
+    fraction such as 3.9 is rejected, never truncated."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def within_budget(key: str, value, budget: int) -> int:
-    """An int config value that sizes an allocation, checked before it is used."""
-    value = int(value)
+    """An integer config value that sizes an allocation, checked before it is used."""
+    value = integral(key, value)
     if value > budget:
         raise BudgetExhausted(f"{key} = {value} exceeds the budget {budget}")
     return value
@@ -110,7 +118,7 @@ def build_system(section: dict):
                                                     float(entry["translate"]))
             weights[(j, l)] = float(entry["weight"])
         return build_fibre_product(base, fibres, weights,
-                                   n_max=int(section.get("n_max", 8)))
+                                   n_max=integral("n_max", section.get("n_max", 8)))
     raise ValidationError(f"unknown system kind {kind!r}")
 
 
@@ -214,7 +222,7 @@ def cmd_disintegrate(cfg, out, seed, budget, action):
                          "prefix_length", "horizon_min", "horizon_max", "xi",
                          "trunc_tol"}, "disintegrate")
     fp = fibre_product_from_1d(build_system(cfg.get("system", {})))
-    k = int(section.get("block_length", 4))
+    k = integral("block_length", section.get("block_length", 4))
     h = config_hash(cfg)
     if action in ("sample", "membership", "ek"):
         length = within_budget("prefix_length",
@@ -262,8 +270,8 @@ def cmd_disintegrate(cfg, out, seed, budget, action):
         return 0
 
     if action == "membership":
-        lo = int(section.get("horizon_min", 1))
-        hi = int(section.get("horizon_max", length))
+        lo = integral("horizon_min", section.get("horizon_min", 1))
+        hi = integral("horizon_max", section.get("horizon_max", length))
         om = dis.sample_omega(table, length, seed=seed)
         rep = dis.check_omega_membership(om, params, np.arange(lo, hi + 1))
         payload = {"alpha": float(alpha), "aggregate": rep.aggregate,
@@ -376,8 +384,11 @@ def cmd_decay(cfg, out, seed, budget, action):
 
     if action in ("bands", "fit"):
         base = float(section.get("band_base", 2.0))
-        jlo, jhi = int(section.get("band_min", 2)), int(section.get("band_max", 8))
+        jlo = integral("band_min", section.get("band_min", 2))
+        jhi = integral("band_max", section.get("band_max", 8))
         samples = within_budget("samples_per_band", section.get("samples_per_band", 64), budget)
+        # band_maxima lists the band indices, and writes one record per band
+        within_budget("band_max-band_min+1", jhi - jlo + 1, budget)
         bands = decay_mod.band_maxima(evaluator, range(jlo, jhi + 1), samples,
                                       seed=seed, band_base=base)
         payload = {"bands": [
@@ -417,7 +428,7 @@ def cmd_decay(cfg, out, seed, budget, action):
             count = None
         else:
             family = ("geometric", float(section.get("family_base", 2.0)))
-            count = int(section.get("count", 11))
+            count = integral("count", section.get("count", 11))
         values = decay_mod.rajchman_probe(evaluator, family, count)
         write_csv(out / "probe.csv", "decay probe", h, seed,
                   "xi,re,im,abs,err,err_kind", fourier_rows(values))
@@ -549,7 +560,7 @@ def main(argv=None) -> int:
         seed = (args.seed if args.seed is not None
                 else _env_default("SEED", int, None))
         if seed is None:
-            seed = int(cfg.get("seed", 0))
+            seed = integral("seed", cfg.get("seed", 0))
         budget = (args.budget if args.budget is not None
                   else _env_default("BUDGET", int, meas.DEFAULT_BUDGET))
         if budget < 0:

@@ -70,6 +70,14 @@ def band_maxima(evaluator, band_indices, samples_per_band: int = 64,
         raise ValidationError("need at least 64 samples per band")
     if not band_base > 1:  # a base <= 1 repeats or shrinks the band [1, 2]
         raise ValidationError("band base must exceed 1")
+    last = max(band_indices)  # checked before the walk evaluates the bands below it
+    try:
+        top = 2.0 * band_base ** last
+    except OverflowError:
+        top = math.inf
+    if not math.isfinite(top):
+        raise ValidationError(f"band {last} is past the float range: "
+                              f"2 * {band_base}^{last} overflows")
     out = []
     for j in band_indices:
         lower = band_base ** j

@@ -46,8 +46,10 @@ SERIES_DEGREES = 24   # the highest moment-series degree an exact sweep tries
 
 
 def character(y):
-    """exp(-2*pi*i*y), the unit character used throughout."""
-    return np.exp(-2j * np.pi * np.asarray(y, dtype=float))
+    """exp(-2*pi*i*y), the unit character used throughout; an array takes
+    its exponential in place, so it holds one complex array, not two."""
+    z = -2j * np.pi * np.asarray(y, dtype=float)
+    return np.exp(z, out=z) if isinstance(z, np.ndarray) else np.exp(z)
 
 
 @dataclass
@@ -143,7 +145,7 @@ def _reach(u, size):
     """sum_c u_c size_c, summed in coordinate order over the leading axis:
     how far a cylinder of composed ratios of sizes |rho_c| reaches at
     frequency weights ``u``. With one coordinate u is 1, and the reach is
-    the size."""
+    the size: u is not read, and may be None."""
     if len(size) == 1:
         return size[0]
     reach = u[0] * size[0]
@@ -307,11 +309,18 @@ def _horner(re, im, v):
             return _horner(re[k][(slice(top - k),) * (re.ndim - 1)],
                            im[k][(slice(top - k),) * (re.ndim - 1)], v[1:])
     a, b = part(top - 1)
+    if top > 1:  # fresh arrays from here on, so each step multiplies and adds in place
+        a, b = a * v[0], b * v[0]
     for k in range(top - 2, -1, -1):
         c, d = part(k)
         # on the line every other coefficient of each part is 0: no add
-        a = a * v[0] + c if np.ndim(c) or c else a * v[0]
-        b = b * v[0] + d if np.ndim(d) or d else b * v[0]
+        if np.ndim(c) or c:
+            a += c
+        if np.ndim(d) or d:
+            b += d
+        if k:
+            a *= v[0]
+            b *= v[0]
     return a, b
 
 
@@ -377,13 +386,14 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
     live = np.flatnonzero(top != 0)
     with np.errstate(over="ignore"):  # a subnormal frequency stops at the root
         thetas = reach / (scale * top[live])
-    u = np.abs(etas[:, live]) / top[live]  # the largest weighs 1 exactly
+    # the largest weighs 1 exactly; on the line, where u is 1, ``_reach`` reads no u
+    u = np.abs(etas[:, live]) / top[live] if m > 1 else None
     ratios = np.array([[f.ratio for f in column] for column in system.coordinates])
     translates = np.array([[f.translate for f in column] for column in system.coordinates])
     weights = np.array([system.weights[s] for s in system.alphabet])
     weights = weights / weights.sum()
-    bands = (_ratio_bands(ratios, u.max(axis=1), float(thetas.min()), budget)
-             if live.size else [np.ones((m, 1))])
+    bands = (_ratio_bands(ratios, u if u is None else u.max(axis=1), float(thetas.min()),
+                          budget) if live.size else [np.ones((m, 1))])
     nodes = np.concatenate(bands, axis=1)[:, :budget + 2]
     N = nodes.shape[1]
     cut = float(np.abs(nodes[:, -1]).max()) if N > budget + 1 else 0.0
@@ -396,9 +406,11 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
         degree, scale * np.abs(etas[:, live[over]]).sum(axis=0) * cut)
     rooted = _reach(u, np.ones((m, 1))) <= thetas  # the empty word stops
     out[live[rooted]] = _series(coefficients, etas[:, live[rooted]])
-    order = np.argsort(-thetas)
-    order = order[~(over | rooted)[order]]
-    live, thetas, u = live[order], thetas[order], u[:, order]
+    order = np.flatnonzero(~(over | rooted))  # the rows that need the DAG
+    order = order[np.argsort(-thetas[order])]
+    live, thetas = live[order], thetas[order]
+    if u is not None:
+        u = u[:, order]
 
     # row i of ``child``: where node i's children sit among the listed nodes
     # and, past them, the tuples that no row expands (``tuples``)
@@ -420,8 +432,8 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
     chunk = max(1, BATCH_CELLS // N)
     for lo in range(0, live.size, chunk):
         ids, theta = live[lo:lo + chunk], thetas[lo:lo + chunk]
-        eta, weigh = etas[:, ids], u[:, lo:lo + chunk]
-        expand = _reach(weigh[:, None], node_sizes) > theta
+        eta, weigh = etas[:, ids], u if u is None else u[:, None, lo:lo + chunk]
+        expand = _reach(weigh, node_sizes) > theta
         # nodes past the last one that some row of this chunk expands stop
         # at every row: only the children of the first n need a value
         n = 1 + int(np.flatnonzero(expand.any(axis=1)).max())

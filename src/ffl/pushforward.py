@@ -6,12 +6,15 @@ Affine systems, on the line or a fibre product, take the second-order rule
 (a cylinder contributes weight * e(xi F(a)) * mu^(xi grad F(a) * rho), a
 its anchor and rho its ratios), with one exact sweep per batch for the
 transforms of mu; systems with smooth maps take the first-order rule (the
-character at F(anchor)). Error bounds rest on derivative norms certified
-by interval enclosure over F's box, which the system must map into itself,
-and on the maps' contraction bounds: values are "rigorous" unless some
-map's bound is declared, then "estimate"s. Also here: the good/bad split
-of the sum over a ``measure.cylinder_decomposition``, and conjugation by
-smooth coordinate changes.
+character at F(anchor)). Both rules sum a batch one stopping set at a
+time: the set's frequencies x its cylinders are one block of terms, and
+each row of the block is summed as that frequency's sum alone would be.
+Error bounds rest on derivative norms certified by interval enclosure over
+F's box, which the system must map into itself, and on the maps'
+contraction bounds: values are "rigorous" unless some map's bound is
+declared, then "estimate"s. Also here: the good/bad split of the sum over
+a ``measure.cylinder_decomposition``, and conjugation by smooth coordinate
+changes.
 
 The split is the proof's sublevel-set split at scale |xi|^(-delta): with
 r = |xi|^(-delta'), F's box [lo, hi] is bisected into sub-boxes at most
@@ -149,6 +152,12 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     threshold, and frequencies whose thresholds lie between the same two
     node bounds share one stopping set. Stopping sets grow with |xi|, so
     every frequency at least as large as one over budget is over budget too.
+    Each stopping set is one block, its k frequencies by its n cylinders:
+    the block's characters, weights and (second-order rule) transforms of
+    mu are multiplied as k x n arrays and summed row by row, and its
+    curvature masses and its spread are summed once for all k. The
+    second-order rule's arguments of mu fill one array, block after block,
+    for the batch's one sweep.
 
     Every affine system (a line system or a fibre product, m = 1 or 2
     coordinates) takes the second-order rule. The cylinder of a word w
@@ -218,36 +227,68 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     anchors = dict(zip(names, tree.anchors[:, nodes]))
     at = lambda e: np.broadcast_to(np.asarray(e.eval(anchors), dtype=float), nodes.shape)
     w, rho, f = tree.weights[nodes], tree.ratios[:, nodes], at(F.expr)
+    members = [[] for _ in sets]  # per stopping set, its frequencies' places in ``live``
+    for j, k in enumerate(keys):
+        members[k].append(j)
+    blocks = [(s, js, xis[[live[j] for j in js]]) for s, js in zip(sets, members)]
     if not system.is_affine:
         kind = "estimate" if any(isinstance(m, SmoothMap) and m.bound_kind == "declared"
                                  for column in system.coordinates for m in column) else "rigorous"
-        sets = [(w[s], f[s], float(np.sum(w[s] * tree.bounds[nodes[s]]))) for s in sets]
-        for i, k in zip(live, keys):
-            xi, (ws, fs, spread) = float(xis[i]), sets[k]
-            out[i] = FourierValue(xi, complex(np.sum(ws * character(xi * fs))),
-                                  min(TWO_PI * abs(xi) * spread, tol)
-                                  + TWO_PI * abs(xi) * system.tail_mass, kind=kind)
+        for s, js, x in blocks:
+            spread = float(np.sum(w[s] * tree.bounds[nodes[s]]))
+            for j, xi, value in zip(js, x.tolist(), _character_sums(x, f[s], w[s]).tolist()):
+                out[live[j]] = FourierValue(xi, value, min(TWO_PI * abs(xi) * spread, tol)
+                                            + TWO_PI * abs(xi) * system.tail_mass, kind=kind)
         return out
     grad = np.array([at(F.expr.diff(v)) for v in names[:-1]] + [at(F.first)])
-    sets = [(w[s], rho[:, s], f[s], grad[:, s]) for s in sets]
-    rows = [(float(xis[i]), i, *sets[k]) for i, k in zip(live, keys)]
-    # one sweep at tol / 2 for the transforms of mu at every cylinder of the batch
-    args = np.concatenate([xi * g * r for xi, _, _, r, _, g in rows], axis=1)
+    # one sweep at tol / 2 for the transforms of mu at every cylinder of the
+    # batch, a stopping set's frequencies x its cylinders in one block of rows
+    m, sizes = len(names), [len(js) * s.size for s, js, _ in blocks]
+    ends = np.cumsum(sizes).tolist()
+    args = np.empty((m, ends[-1]))
+    for (s, js, x), end, size in zip(blocks, ends, sizes):
+        block = args[:, end - size:end].reshape(m, len(js), s.size)
+        np.multiply(x[:, None], grad[:, None, s], out=block)
+        block *= rho[:, None, s]
     mu, achieved = exact_sweep(system, args.T, tol / 2, budget)
-    start, exhausted = 0, None
-    for xi, i, w, rho, f, _ in rows:
-        m, leaf = mu[start:start + w.size], achieved[start:start + w.size]
-        start += w.size
-        size = np.abs(rho)
-        err = sum(C * abs(xi) * float(np.sum(w * size[c] * size[d])) for c, d, C in curvature)
-        tail = TWO_PI * abs(xi) * system.tail_mass
-        if exhausted is None and np.isnan(m).any():  # a cylinder's transform is over budget
-            exhausted = BudgetExhausted(
-                f"stopping-set budget {budget} exhausted at frequency {xi}",
-                achieved=err + float(np.sum(w * np.where(np.isnan(m), leaf, tol / 2))) + tail)
-        out[i] = exhausted or FourierValue(xi, complex(np.sum(w * character(xi * f) * m)),
-                                           err + tol / 2 + tail)
+    size = np.abs(rho)
+    rows, first = [None] * cut, cut  # the first frequency with a cylinder over budget
+    for (s, js, x), end, n in zip(blocks, ends, sizes):
+        values = mu[end - n:end].reshape(len(js), s.size)
+        masses = [float(np.sum(w[s] * size[c, s] * size[d, s])) for c, d, _ in curvature]
+        over = np.isnan(values).any(axis=1)
+        r = int(over.argmax())
+        if over[r] and js[r] < first:  # ``js`` ascends: row r is the set's first over
+            leaf = achieved[end - n:end].reshape(len(js), s.size)[r]
+            first, at_first = js[r], (w[s], values[r], leaf)
+        for j, xi, value in zip(js, x.tolist(), _character_sums(x, f[s], w[s], values).tolist()):
+            rows[j] = (xi, value, sum(C * abs(xi) * mass
+                                      for (_, _, C), mass in zip(curvature, masses)))
+    exhausted = None
+    if first < cut:
+        (xi, _, err), (ws, values, leaf) = rows[first], at_first
+        exhausted = BudgetExhausted(
+            f"stopping-set budget {budget} exhausted at frequency {xi}",
+            achieved=err + float(np.sum(ws * np.where(np.isnan(values), leaf, tol / 2)))
+            + TWO_PI * abs(xi) * system.tail_mass)
+    for j, (xi, value, err) in enumerate(rows):
+        out[live[j]] = exhausted if j >= first else FourierValue(
+            xi, value, err + tol / 2 + TWO_PI * abs(xi) * system.tail_mass)
     return out
+
+
+def _character_sums(xis, f, w, mu=None):
+    """sum_n w_n e(xi f_n) mu_n at every xi of ``xis``, with one row of
+    ``mu`` per xi, or none: the terms of one stopping set, one row per
+    frequency. The characters are the one len(xis) x len(f) complex
+    temporary; the products go into it in place. numpy sums each row
+    pairwise, as it sums a single vector, so a row's sum is its
+    frequency's own, bit for bit."""
+    terms = character(np.multiply.outer(xis, f))
+    terms *= w
+    if mu is not None:
+        terms *= mu
+    return terms.sum(axis=1)
 
 
 def _curvature(F: SmoothMapF, norms: MapNorms):

@@ -587,6 +587,65 @@ def test_size_keys_are_checked_against_the_budget(tmp_path, capsys, argv, config
     assert not any(p.is_file() for p in out.rglob("*"))
 
 
+def test_band_count_is_checked_against_the_budget(tmp_path, capsys):
+    # band_max 2e8 was listed in full and the process killed; at budget
+    # 1000, band_max 1e5 walked about 600 bands before it exited 2
+    def decay(budget, band_max):
+        cfg = write_config(tmp_path / "cfg.json", {
+            "system": {"kind": "named", "name": "cantor"},
+            "decay": {"method": "exact", "tol": 1e-3, "band_base": 2.0,
+                      "band_min": 3, "band_max": band_max}})
+        out = tmp_path / f"o{budget}-{band_max}"
+        return main(["decay", "bands", "--config", cfg, "--out", str(out),
+                     "--budget", str(budget)]), out
+
+    for budget, band_max in ((1000, 10 ** 5), (100, 103)):
+        start = time.perf_counter()
+        code, out = decay(budget, band_max)
+        assert code == 3 and time.perf_counter() - start < 2.0
+        err, = capsys.readouterr().err.strip().splitlines()
+        error = json.loads(err)["error"]
+        assert error["kind"] == "budget"
+        assert error["message"] == (f"band_max-band_min+1 = {band_max - 2} "
+                                    f"exceeds the budget {budget}")
+        assert not any(p.is_file() for p in out.rglob("*"))
+    code, out = decay(100, 102)  # 100 bands of 64 samples, one band at a time
+    assert code == 0 and len(json.loads((out / "decay_bands.json").read_text())
+                             ["result"]["bands"]) == 100
+
+
+NON_INTEGRAL = [  # each exited 0 with a truncated size
+    (["fourier-scan"], {"scan": {"xi_min": 1.0, "xi_max": 2.0, "points": 3.9}}, "points"),
+    (["fourier-scan"], {"scan": {"xi_min": 1.0, "xi_max": 2.0, "points": True}}, "points"),
+    (["decay", "bands"], {"decay": {"method": "exact", "tol": 1e-3,
+                                    "samples_per_band": 64.7}}, "samples_per_band"),
+    (["decay", "bands"], {"decay": {"method": "exact", "tol": 1e-3,
+                                    "band_min": 2.5, "band_max": 4.9}}, "band_min"),
+]
+
+
+@pytest.mark.parametrize("argv, config, key", NON_INTEGRAL,
+                         ids=["points-3.9", "points-true", "samples-64.7", "bands-2.5-4.9"])
+def test_non_integral_sizes_exit_2(tmp_path, capsys, argv, config, key):
+    cfg = write_config(tmp_path / "cfg.json",
+                       dict(config, system={"kind": "named", "name": "cantor"}))
+    out = tmp_path / "o"
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+    err, = capsys.readouterr().err.strip().splitlines()
+    error = json.loads(err)["error"]
+    assert error["kind"] == "validation" and f"{key} must be an integer" in error["message"]
+    assert not any(p.is_file() for p in out.rglob("*"))
+
+
+def test_integral_floats_are_sizes(tmp_path):
+    cfg = write_config(tmp_path / "cfg.json", {
+        "system": {"kind": "named", "name": "cantor"},
+        "scan": {"xi_min": 1.0, "xi_max": 2.0, "points": 4.0}})
+    assert main(["fourier-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert len(read_rows(tmp_path / "o" / "scan.csv")) == 4
+    assert cli.within_budget("draws", 1e5, 10 ** 6) == 100_000
+
+
 def test_negative_budget_exits_2(tmp_path, monkeypatch, capsys):
     cfg = dyadic_scan_config(tmp_path)
     assert main(["fourier-scan", "--config", cfg, "--out", str(tmp_path / "o"),
@@ -677,6 +736,11 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         # an empty band range wrote "bands": [] before it failed
         (["decay", "bands"], {"system": cantor, "decay": {
             "method": "exact", "band_min": 4, "band_max": 3}}, "band"),
+        # bands past the float range: 15 s over the ~640 bands below them,
+        # numpy overflow warnings, then "frequencies must be finite"
+        *((["decay", "bands"], {"system": cantor, "decay": {
+            "method": "exact", "band_base": 3.0, "band_max": band_max}}, "overflows")
+          for band_max in (646, 10 ** 5)),
         # a NaN exponent wrote "threshold": NaN and exited 0; a NaN limit
         # leaked "cannot convert float NaN to integer"
         (["decay", "sparse"], {"system": cantor, "decay": {

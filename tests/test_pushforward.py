@@ -8,11 +8,12 @@ from scipy.integrate import quad
 
 from conftest import unit_systems
 
-from ffl.ifs import (CIFS, AffineMap, SmoothMap, ValidationError,
+from ffl.ifs import (CIFS, AffineMap, BudgetExhausted, SmoothMap, ValidationError,
                      build_fibre_product, cantor_system, fold)
-from ffl.measure import cylinder_decomposition, fourier_exact, sample_points
+from ffl.measure import (TWO_PI, FourierValue, character, cylinder_decomposition,
+                         exact_sweep, fourier_exact, sample_points)
 from ffl.pushforward import (SmoothMapF, map_norms, pushforward_fourier, split_fourier,
-                             conjugate_ifs, ks_distance, _sublevel_boxes)
+                             conjugate_ifs, ks_distance, _curvature, _sublevel_boxes)
 from ffl import expr as ex
 
 
@@ -381,6 +382,133 @@ def test_fibre_product_rejects_a_first_variable_fibre():
     F = SmoothMapF.parse("(add (mul 0.5 x) (pow y 2))", fibre_var="x")
     with pytest.raises(ValidationError):
         pushforward_fourier(F, fp, [4.0], tol=1e-2)
+
+
+def per_frequency_pushforward(F, system, xis, tol, budget):
+    """``pushforward_fourier`` as it summed before its per-set blocks: the
+    same tree, selection and sweep, with each frequency's terms summed on
+    their own and the first frequency over budget found in frequency order."""
+    names, norms = list(F.domain), map_norms(F)
+    xis = np.atleast_1d(np.asarray(xis, dtype=float))
+    live = [i for i in np.argsort(np.abs(xis), kind="stable").tolist() if xis[i] != 0]
+    scales = [abs(float(xis[i])) for i in live]
+    if system.is_affine:
+        curvature, c2, lips = _curvature(F, norms)
+        thetas = [min(1.0, math.sqrt(tol / 2 / (c2 * s))) if c2 * s > 0 else 1.0
+                  for s in scales]
+    else:
+        diam = getattr(system, "diam_constant", 1.0)
+        lips = tuple(c * diam for c in (norms.sup_base, norms.sup_first)[-len(names):])
+        thetas = [tol / (TWO_PI * s) for s in scales]
+    tree, over = system.cylinders.tree(thetas, lips, budget)
+    out = [FourierValue(0.0, 1.0 + 0.0j, 0.0) if xi == 0 else None for xi in xis.tolist()]
+    cut = next((k for k, past in enumerate(over) if past), len(live))
+    exhausted = BudgetExhausted(f"stopping-set budget {budget} exhausted at frequency "
+                                f"{float(xis[live[cut]])}") if cut < len(live) else None
+    for i in live[cut:]:
+        out[i] = exhausted
+    if not cut:
+        return out
+    nodes, sets, keys = tree.select(thetas[:cut])
+    anchors = dict(zip(names, tree.anchors[:, nodes]))
+    at = lambda e: np.broadcast_to(np.asarray(e.eval(anchors), dtype=float), nodes.shape)
+    w, rho, f = tree.weights[nodes], tree.ratios[:, nodes], at(F.expr)
+    if not system.is_affine:
+        kind = "estimate" if any(isinstance(m, SmoothMap) and m.bound_kind == "declared"
+                                 for column in system.coordinates for m in column) else "rigorous"
+        sets = [(w[s], f[s], float(np.sum(w[s] * tree.bounds[nodes[s]]))) for s in sets]
+        for i, k in zip(live, keys):
+            xi, (ws, fs, spread) = float(xis[i]), sets[k]
+            out[i] = FourierValue(xi, complex(np.sum(ws * character(xi * fs))),
+                                  min(TWO_PI * abs(xi) * spread, tol)
+                                  + TWO_PI * abs(xi) * system.tail_mass, kind=kind)
+        return out
+    grad = np.array([at(F.expr.diff(v)) for v in names[:-1]] + [at(F.first)])
+    sets = [(w[s], rho[:, s], f[s], grad[:, s]) for s in sets]
+    rows = [(float(xis[i]), i, *sets[k]) for i, k in zip(live, keys)]
+    args = np.concatenate([xi * g * r for xi, _, _, r, _, g in rows], axis=1)
+    mu, achieved = exact_sweep(system, args.T, tol / 2, budget)
+    start, exhausted = 0, None
+    for xi, i, w, rho, f, _ in rows:
+        m, leaf = mu[start:start + w.size], achieved[start:start + w.size]
+        start += w.size
+        size = np.abs(rho)
+        err = sum(C * abs(xi) * float(np.sum(w * size[c] * size[d])) for c, d, C in curvature)
+        tail = TWO_PI * abs(xi) * system.tail_mass
+        if exhausted is None and np.isnan(m).any():
+            exhausted = BudgetExhausted(
+                f"stopping-set budget {budget} exhausted at frequency {xi}",
+                achieved=err + float(np.sum(w * np.where(np.isnan(m), leaf, tol / 2))) + tail)
+        out[i] = exhausted or FourierValue(xi, complex(np.sum(w * character(xi * f) * m)),
+                                           err + tol / 2 + tail)
+    return out
+
+
+def entry_bits(entry):
+    """An entry's fields, floats as hex: equal tuples are equal bit for bit."""
+    if isinstance(entry, BudgetExhausted):
+        return ("over", str(entry), None if entry.achieved is None else entry.achieved.hex())
+    return (entry.frequency.hex(), entry.value.real.hex(), entry.value.imag.hex(),
+            entry.error_bound.hex(), entry.kind)
+
+
+@st.composite
+def frequency_batches(draw):
+    """Frequencies with some |xi| of both signs, and sometimes 0, in any order."""
+    xis = draw(st.lists(st.floats(0.5, 60.0) | st.floats(60.0, 1000.0), min_size=1, max_size=6))
+    xis += [-xi for xi in xis[:draw(st.integers(0, len(xis)))]]
+    xis += [0.0] * draw(st.integers(0, 2))
+    return draw(st.permutations(xis))
+
+
+line_curves = st.sampled_from(["(pow x 2)", "(add (pow x 3) (mul -0.5 x))", "(mul 0.7 x)"])
+plane_curves = st.sampled_from(["(add (mul 0.5 x) (pow y 2))",
+                                "(add (mul x y) (mul -0.25 (pow y 2)) (pow x 2))"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+           st.tuples(unit_systems(max_ratio=0.4), line_curves, st.just({"x": (0.0, 1.0)})),
+           st.tuples(unit_fibre_products(), plane_curves,
+                     st.just({"x": (0.0, 1.0), "y": (0.0, 1.0)})),
+           st.tuples(smooth_pairs(), line_curves, st.just({"x": (0.0, 1.0)}))),
+       frequency_batches(), st.sampled_from([1e-2, 1e-3, 1e4, 1e4]),
+       st.sampled_from([8, 30, 200, 50_000_000]))
+def test_per_set_sums_match_the_per_frequency_loop(case, xis, tol, budget):
+    # tol 1e4 stops every word at length 1, so one set holds the batch and
+    # its larger |xi| take sweeps past the smaller budgets
+    system, expr, domain = case
+    F = SmoothMapF.parse(expr, domain, list(domain)[-1])
+    got = pushforward_fourier(F, system, xis, tol=tol, budget=budget)
+    want = per_frequency_pushforward(F, system, xis, tol, budget)
+    assert [entry_bits(e) for e in got] == [entry_bits(e) for e in want]
+
+
+def test_a_sweep_budget_cut_inside_a_stopping_set(two_ratio):
+    # the larger frequencies of a stopping set go over the sweep's budget:
+    # those and every frequency at least as large report the achieved of
+    # the first in order of |xi|. At tol 1e4 every word stops at length 1,
+    # so one set holds the batch; at tol 1e2 six sets do, and the sets of
+    # larger |xi| than the first over budget report it too
+    F = SmoothMapF.parse("(pow x 2)")
+    norms = map_norms(F)
+    _, c2, lips = _curvature(F, norms)
+    for tol, budget, xis, over, first in (
+            (1e4, 10, [12.0, 1.0, -15.0, 0.0, 25.0, 15.0, 5.0],
+             [False, False, True, False, True, True, False], "-15.0"),
+            (1e2, 20, [71.0, 5.0, -597.0, 0.0, 206.0, -71.0, 5000.0, 25.0, 1728.0],
+             [True, False, True, False, True, True, True, False, True], "71.0")):
+        thetas = [min(1.0, math.sqrt(tol / 2 / (c2 * abs(xi)))) for xi in xis if xi]
+        tree, _ = two_ratio.cylinders.tree(thetas, lips, 10 ** 6)
+        assert len(set(tree.select(thetas)[2])) == (1 if tol == 1e4 else 6)
+        got = pushforward_fourier(F, two_ratio, xis, tol=tol, budget=budget, norms=norms)
+        assert [entry_bits(e) for e in got] == [
+            entry_bits(e) for e in per_frequency_pushforward(F, two_ratio, xis, tol, budget)]
+        assert [isinstance(e, BudgetExhausted) for e in got] == over
+        # past the sweep's cut; the largest may be past the tree's, with no achieved
+        cut = [e for e in got if isinstance(e, BudgetExhausted) and e.achieved is not None]
+        assert all(e is cut[0] for e in cut) and str(cut[0]).endswith(f"frequency {first}")
+        assert cut[0].achieved > 0
 
 
 # -- stopping sets -------------------------------------------------------------

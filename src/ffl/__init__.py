@@ -4,18 +4,18 @@ convolution disintegrations, nonlinear pushforwards, and quantitative
 equidistribution experiments."""
 
 from .ifs import (AffineMap, SmoothMap, CIFS, FibreProductCIFS,
-                  SeparatedPair, compose, tail_check, lyapunov, build_fibre_product,
+                  SeparatedPair, compose, lyapunov, build_fibre_product,
                   fibre_product_from_1d, cantor_system, dyadic_uniform_system,
                   ValidationError, SeparationError, BudgetExhausted)
 from .measure import (FourierValue, SamplePoints, sample_points, make_sampler,
                       fourier_exact, fourier_exact_batch, fourier_product_homogeneous,
-                      fourier_montecarlo, frostman_profile, cylinder_decomposition)
+                      fourier_montecarlo, cylinder_decomposition)
 from .disintegrate import (ClassTable, OmegaSample, build_classes, sample_omega,
                            sample_omegas, mu_omega_fourier_batch, disintegration_consistency,
                            LargeDeviationParams, check_omega_membership,
                            ek_diagnostics, circle_sum_bound, calibrate_alpha)
 from .pushforward import (SmoothMapF, MapNorms, map_norms, pushforward_fourier,
-                          split_fourier, conjugate_ifs, ks_distance)
+                          conjugate_ifs, ks_distance)
 from .equidist import (RateFn, EquidistSpec, GridPoint, random_grid_point,
                        grid_point_for, sigma, count_hits, weyl_sums, digit_freq,
                        sample_rational_points)

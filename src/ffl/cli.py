@@ -428,7 +428,7 @@ def cmd_decay(cfg, out, seed, budget, action):
             count = None
         else:
             family = ("geometric", float(section.get("family_base", 2.0)))
-            count = integral("count", section.get("count", 11))
+            count = within_budget("count", section.get("count", 11), budget)
         values = decay_mod.rajchman_probe(evaluator, family, count)
         write_csv(out / "probe.csv", "decay probe", h, seed,
                   "xi,re,im,abs,err,err_kind", fourier_rows(values))

@@ -197,8 +197,8 @@ def rajchman_probe(evaluator, family, count: int | None = None) -> list:
     """Evaluate along a frequency family: either ("geometric", b) with
     ``count`` terms, or an explicit list of frequencies."""
     if isinstance(family, tuple) and family and family[0] == "geometric":
-        if count is None:
-            raise ValidationError("geometric family needs a count")
+        if count is None or count < 1:
+            raise ValidationError("geometric family needs a count of at least 1")
         base = float(family[1])
         if not base > 1:
             raise ValidationError("geometric family base must exceed 1")

@@ -21,11 +21,9 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 import numpy as np
-
-Number = Union[int, float]
 
 ENCLOSE_BOXES = 1 << 10  # the most sub-boxes one enclosure bisects its box into
 ENCLOSE_SLACK = 1e-12    # the overshoot, relative to the sampled values, a sub-box keeps

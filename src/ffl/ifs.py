@@ -284,29 +284,6 @@ def compose(cifs: CIFS, symbols: Sequence) -> Map1D:
     return fold(cifs.maps[s] for s in symbols)
 
 
-@dataclass
-class TailCheck:
-    value: float
-    finite: bool
-    exact: bool
-
-
-def tail_check(system, tau: float, declared_tail: float = 0.0) -> TailCheck:
-    """Sum of weight * bound^(-tau) over the (possibly truncated) alphabet,
-    with the bounds of the last coordinate's maps.
-
-    For truncated countable systems ``declared_tail`` is an upper bound on
-    the omitted part of the sum, added to the returned value.
-    """
-    if not tau > 0.0:
-        raise ValidationError(f"tau must be positive, got {tau}")
-    pairs = [(system.weights[s], m.contraction_bound)
-             for s, m in zip(system.alphabet, system.coordinates[-1])]
-    value = math.fsum(w * b ** (-tau) for w, b in pairs) + declared_tail
-    exact = declared_tail == 0.0 and getattr(system, "tail_mass", 0.0) == 0.0
-    return TailCheck(value, math.isfinite(value), exact)
-
-
 def lyapunov(system) -> float:
     """Weight-averaged log inverse contraction ratio of the last coordinate:
     the fibre of a fibre product, the line of a 1-D system. Smooth maps

@@ -128,7 +128,6 @@ def make_sampler(system, accuracy: float = 1e-9):
     def sampler(count: int, seed: int) -> np.ndarray:
         return sample_points(system, count, tol=accuracy, seed=seed).points
     sampler.accuracy = accuracy
-    sampler.system = system
     return sampler
 
 
@@ -365,7 +364,8 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
     of the last of them is the cut. A row is over budget when a tuple past
     them may reach past its theta, sum_c u_c * cut > theta: on the line,
     when more than ``budget`` distinct non-root ratios lie above theta.
-    Each value is the same, bit for bit, whatever else is in the batch.
+    Each value is the same, bit for bit, whatever else is in the batch. A
+    row whose 2*pi*R*max_c |eta_c| overflows a float is a ValidationError.
     """
     if not system.is_affine:
         raise ValidationError("an exact sweep needs an affine system")
@@ -384,7 +384,10 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
     scale = TWO_PI * system.radius
     top = np.abs(etas).max(axis=0)
     live = np.flatnonzero(top != 0)
-    with np.errstate(over="ignore"):  # a subnormal frequency stops at the root
+    # a subnormal frequency stops at the root; one whose reach overflows is rejected
+    with np.errstate(over="ignore"):
+        if not np.isfinite(scale * top).all():
+            raise ValidationError("frequency too large: 2*pi*R*|xi| overflows a float")
         thetas = reach / (scale * top[live])
     # the largest weighs 1 exactly; on the line, where u is 1, ``_reach`` reads no u
     u = np.abs(etas[:, live]) / top[live] if m > 1 else None
@@ -522,6 +525,8 @@ def fourier_product_homogeneous(cifs: CIFS, xi: float, factors: int = 64) -> Fou
         raise ValidationError("factors must be >= 1")
     if not math.isfinite(xi):
         raise ValidationError("frequencies must be finite")
+    if not math.isfinite(TWO_PI * cifs.radius * float(xi)):
+        raise ValidationError("frequency too large: 2*pi*R*|xi| overflows a float")
     if xi == 0:
         return FourierValue(0.0, 1.0 + 0.0j, 0.0)
     translates = np.array([cifs.maps[a].translate for a in cifs.alphabet])
@@ -598,48 +603,3 @@ def cylinder_decomposition(cifs: CIFS, threshold: float,
     return CylinderDecomposition(tree.words(nodes), tree.weights[nodes], tree.anchors[0, nodes],
                                  tree.bounds[nodes] * cifs.diam_constant, tree.ratios[0, nodes],
                                  cifs.tail_mass)
-
-
-# ---------------------------------------------------------------------------
-# empirical Frostman profile
-# ---------------------------------------------------------------------------
-
-@dataclass
-class FrostmanProfile:
-    radii: np.ndarray
-    max_mass: np.ndarray
-    exponent: float
-    intercept: float
-    unreliable: np.ndarray
-
-
-def frostman_profile(samples: np.ndarray, radii=None, starts=None) -> FrostmanProfile:
-    """Empirical sup_x measure(B(x, r)) over a grid of centres, with a
-    log-log least-squares slope as a lower estimate of a Frostman exponent.
-
-    Radii with fewer than 10/r samples are flagged unreliable and excluded
-    from the fit.
-    """
-    pts = np.sort(np.asarray(samples, dtype=float).ravel())
-    n = len(pts)
-    if n < 10_000:
-        raise ValidationError("need at least 1e4 samples for a Frostman profile")
-    if radii is None:
-        radii = 2.0 ** -np.arange(4, 13)
-    radii = np.asarray(radii, dtype=float)
-    if starts is None:
-        starts = np.linspace(0.0, 1.0, (1 << 10) + 1)
-    starts = np.asarray(starts, dtype=float)
-
-    max_mass = np.empty(len(radii))
-    for i, r in enumerate(radii):
-        hi = np.searchsorted(pts, starts + r, side="right")
-        lo = np.searchsorted(pts, starts - r, side="left")
-        max_mass[i] = (hi - lo).max() / n
-    unreliable = n < 10.0 / radii
-    ok = (~unreliable) & (max_mass > 0)
-    if ok.sum() >= 2:
-        slope, intercept = np.polyfit(np.log(radii[ok]), np.log(max_mass[ok]), 1)
-    else:
-        slope, intercept = float("nan"), float("nan")
-    return FrostmanProfile(radii, max_mass, float(slope), float(intercept), unreliable)

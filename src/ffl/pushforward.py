@@ -12,16 +12,8 @@ each row of the block is summed as that frequency's sum alone would be.
 Error bounds rest on derivative norms certified by interval enclosure over
 F's box, which the system must map into itself, and on the maps'
 contraction bounds: values are "rigorous" unless some map's bound is
-declared, then "estimate"s. Also here: the good/bad split of the sum over
-a ``measure.cylinder_decomposition``, and conjugation by smooth coordinate
+declared, then "estimate"s. Also here: conjugation by smooth coordinate
 changes.
-
-The split is the proof's sublevel-set split at scale |xi|^(-delta): with
-r = |xi|^(-delta'), F's box [lo, hi] is bisected into sub-boxes at most
-w = |xi|^(-delta) (hi - lo) wide, and those where the interval extension
-of F' or F'' meets (-r, r) are kept. A word is bad when its box
-a_w + rho_w [lo, hi] meets a kept sub-box, so every good word has
-|F'| >= r and |F''| >= r on its whole box, certified, for any expression F.
 """
 
 from __future__ import annotations
@@ -33,8 +25,8 @@ import numpy as np
 
 from . import expr as ex
 from .ifs import CIFS, AffineMap, SmoothMap, BudgetExhausted, ValidationError
-from .measure import (FourierValue, character, cylinder_decomposition, exact_sweep,
-                      require_values, sample_points, TWO_PI, DEFAULT_BUDGET)
+from .measure import (FourierValue, character, exact_sweep, sample_points, TWO_PI,
+                      DEFAULT_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -311,93 +303,6 @@ def _curvature(F: SmoothMapF, norms: MapNorms):
     k = [math.pi * sum(row) * r ** 2 for row, r in zip(H, R)]
     c2 = max(k)
     return terms, c2, tuple(math.sqrt(kc / c2) if 0 < c2 < math.inf else 1.0 for kc in k)
-
-
-# ---------------------------------------------------------------------------
-# good/bad split of the frequency sum
-# ---------------------------------------------------------------------------
-
-@dataclass
-class SplitFourier:
-    good_sum: complex
-    bad_sum: complex
-    bad_mass: float
-    total: complex
-    reference: FourierValue
-    reconstruction_gap: float
-    consistent: bool
-
-
-def _sublevel_boxes(F: SmoothMapF, r: float, width: float) -> np.ndarray:
-    """Sub-boxes (rows lo, hi) of F's box, in order and disjoint but for
-    their ends, that hold every point where |F'| < r or |F''| < r.
-
-    F's box is bisected; a sub-box is dropped once the natural interval
-    extensions of F' and F'' both miss (-r, r), and kept once it is at most
-    ``width`` wide or ENCLOSE_BOXES sub-boxes are open.
-    """
-    (var, box), = F.domain.items()
-    kept, todo = [], [box]
-    while todo:  # depth first, left half first, so ``kept`` comes in order
-        a, b = todo.pop()
-        if all(lo >= r or hi <= -r for lo, hi in
-               (d.interval({var: (a, b)}) for d in (F.first, F.second))):
-            continue
-        mid = 0.5 * (a + b)
-        if b - a <= width or len(kept) + len(todo) + 1 >= ex.ENCLOSE_BOXES or not a < mid < b:
-            kept.append((a, b))
-        else:
-            todo += [(mid, b), (a, mid)]
-    return np.array(kept, dtype=float).reshape(-1, 2)
-
-
-def split_fourier(F: SmoothMapF, cifs: CIFS, xi: float, delta: float = 0.2,
-                  delta_prime: float | None = None, tol: float = 1e-6,
-                  budget: int = DEFAULT_BUDGET) -> SplitFourier:
-    """Split the sum over the stopping set at |xi|^(-delta) of an affine
-    1-D system into words where F' or F'' may be small and the rest.
-
-    Each word w contributes weight * e(xi F(a_w)), a_w its anchor. With
-    r = |xi|^(-delta') and F's box [lo, hi], the box is bisected into
-    sub-boxes at most w = |xi|^(-delta) (hi - lo) wide (fewer, wider ones
-    past ENCLOSE_BOXES), and those whose natural interval extension of F'
-    or F'' meets (-r, r) are kept. A word is bad when its box
-    f_w([lo, hi]) = a_w + rho_w [lo, hi] meets a kept sub-box, so every
-    good word has |F'| >= r and |F''| >= r on its whole box, for any
-    expression F. The two partial sums reconstruct the cylinder estimate
-    of the pushforward transform.
-    """
-    if not cifs.is_affine:
-        raise ValidationError("the split needs an affine system")
-    if not abs(xi) > 1:
-        raise ValidationError("need |xi| > 1")
-    if not 0.0 < delta < 1.0:
-        raise ValidationError("delta must lie in (0, 1)")
-    if delta_prime is None:
-        delta_prime = delta
-    if not 0.0 < delta_prime < 1.0:
-        raise ValidationError("delta_prime must lie in (0, 1)")
-    _check_box(F, cifs)
-    (lo, hi), = F.domain.values()
-    cover = _sublevel_boxes(F, abs(xi) ** -delta_prime, abs(xi) ** -delta * (hi - lo))
-
-    dec = cylinder_decomposition(cifs, abs(xi) ** (-delta), budget)
-    ends = dec.anchors + dec.ratios * np.array([[lo], [hi]])
-    # a word's box meets a kept sub-box iff the first one not ending left of it
-    # starts at or before the box's right end
-    first = np.searchsorted(cover[:, 1], ends.min(axis=0))
-    bad = np.append(cover[:, 0], np.inf)[first] <= ends.max(axis=0)
-    contrib = dec.weights * character(xi * F.expr.eval({F.fibre_var: dec.anchors}))
-    good, bad_sum = complex(contrib[~bad].sum()), complex(contrib[bad].sum())
-    bad_mass = float(dec.weights[bad].sum())
-    norms = map_norms(F)
-    reference = require_values(pushforward_fourier(F, cifs, [xi], tol=tol, budget=budget,
-                                                   norms=norms))[0]
-    total = good + bad_sum
-    word_err = TWO_PI * abs(xi) * norms.sup_first * abs(xi) ** (-delta)
-    gap = abs(total - reference.value)
-    return SplitFourier(good, bad_sum, bad_mass, total, reference, gap,
-                        gap <= word_err + reference.error_bound)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,81 @@
+"""Dead-code guard: every top-level def, class and alias in ``src/ffl`` is
+reached by name from ``cli.main`` or from a name kept on purpose.
+
+The walk is by name, not by binding: a reached definition reaches every
+top-level definition whose name appears anywhere in it (its body,
+decorators, defaults and annotations), in any module. Module statements
+that run on import (anything but a def, a class, an assignment or an
+import) are reached too. This over-approximates what runs, so a name it
+reports is one that nothing in the package can call.
+"""
+
+import ast
+import pathlib
+
+import ffl
+
+SRC = pathlib.Path(ffl.__file__).parent
+
+# Names no command reaches that are kept on purpose, with the reason.
+KEEP = {
+    "cylinder_decomposition": "the stopping-set record read by acceptance c10 "
+                              "and the stopping-set tests",
+    "circle_sum_bound": "acceptance c10's circle-sum bound",
+    "sample_rational_points": "exact mu-points of rational systems, the base of "
+                              "mu-typical equidistribution",
+    "fourier_exact": "the one-frequency form of fourier_exact_batch",
+    "series_order": "the one-call form of the exact sweep's series degree",
+    "sigma": "the bit-for-bit reference for EquidistSpec.rate_sum; the benchmark "
+             "reads its span",
+}
+
+
+def _names(node):
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def _definitions():
+    """(module, name) -> the nodes that define it, and the nodes run on import."""
+    defs, on_import = {}, []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                targets = [stmt.name]
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                lhs = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                targets = [n.id for t in lhs for n in ast.walk(t) if isinstance(n, ast.Name)]
+            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                continue
+            else:
+                on_import.append(stmt)
+                continue
+            for name in targets:
+                if not (name.startswith("__") and name.endswith("__")):
+                    defs.setdefault((path.stem, name), []).append(stmt)
+    return defs, on_import
+
+
+def unreached(keep=KEEP):
+    defs, on_import = _definitions()
+    by_name = {}
+    for module, name in defs:
+        by_name.setdefault(name, []).append((module, name))
+    seen = {("cli", "main")} | {key for name in keep for key in by_name.get(name, [])}
+    todo = [stmt for key in seen for stmt in defs[key]] + on_import
+    while todo:
+        for name in _names(todo.pop()):
+            for key in by_name.get(name, []):
+                if key not in seen:
+                    seen.add(key)
+                    todo += defs[key]
+    return sorted(f"{module}.{name}" for module, name in set(defs) - seen)
+
+
+def test_every_definition_is_reached():
+    assert unreached() == []
+
+
+def test_every_kept_name_needs_keeping():
+    # a kept name that a command reaches, or that is gone, is a stale entry
+    assert set(KEEP) <= {name.split(".")[1] for name in unreached(keep={})}

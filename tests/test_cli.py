@@ -556,6 +556,8 @@ SIZE_KEYS = [  # (command, config, the key the diagnostic names)
                                  "method": "product", "factors": 1e15}}, "factors"),
     (["decay", "bands"], {"decay": {"samples_per_band": 1e15}}, "samples_per_band"),
     (["decay", "sparse"], {"decay": {"limit": 1e300}}, "limit"),
+    # count 2000 at budget 100 wrote 2000 rows
+    (["decay", "probe"], {"decay": {"family_base": 1.001, "count": 1e15}}, "count"),
     (["disintegrate", "consistency"], {"disintegrate": {"n_sequences": 1e15}}, "n_sequences"),
     *((["disintegrate", action], {"disintegrate": {"prefix_length": 1e15, "alpha": 0.2}},
       "prefix_length") for action in ("sample", "membership", "ek")),
@@ -741,6 +743,18 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         *((["decay", "bands"], {"system": cantor, "decay": {
             "method": "exact", "band_base": 3.0, "band_max": band_max}}, "overflows")
           for band_max in (646, 10 ** 5)),
+        # frequencies whose phase 2*pi*R*|xi| overflows: the scan exited 3 with
+        # "budget exhausted, achieved 0.0", the band exited 0 with every sample
+        # excluded, and the product wrote a NaN value
+        *((["fourier-scan"], {"system": cantor, "scan": dict(
+            scan, xi_min=1e308, xi_max=1e308, points=1, method=method)}, "overflows")
+          for method in ("exact", "product")),
+        (["decay", "bands"], {"system": cantor, "decay": {
+            "method": "exact", "band_base": 3.0, "band_min": 645, "band_max": 645}},
+         "overflows"),
+        # count 0 wrote a probe with a header and no rows
+        *((["decay", "probe"], {"system": cantor, "decay": {
+            "family_base": 2.0, "count": count}}, "count") for count in (0, -3)),
         # a NaN exponent wrote "threshold": NaN and exited 0; a NaN limit
         # leaked "cannot convert float NaN to integer"
         (["decay", "sparse"], {"system": cantor, "decay": {

@@ -203,3 +203,5 @@ def test_probe_explicit_list(cantor):
 def test_probe_geometric_needs_count(cantor):
     with pytest.raises(ValidationError):
         rajchman_probe(exact_eval(cantor), ("geometric", 2.0))
+    with pytest.raises(ValidationError, match="count"):
+        rajchman_probe(exact_eval(cantor), ("geometric", 2.0), 0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffl.ifs import (CIFS, AffineMap, SmoothMap, ValidationError, SeparationError,
-                     compose, fold, tail_check, lyapunov,
+                     compose, fold, lyapunov,
                      build_fibre_product, fibre_product_from_1d,
                      cantor_system, dyadic_uniform_system)
 
@@ -139,9 +139,6 @@ def test_smooth_map_rejects_a_slope_no_grid_sees():
 def test_tail_mass_accounting():
     sys = CIFS((0,), {0: AffineMap(0.5, 0.0)}, {0: 0.9}, tail_mass=0.1)
     assert sys.tail_mass == 0.1
-    chk = tail_check(sys, 1.0, declared_tail=0.4)
-    assert chk.value == pytest.approx(0.9 * 2 + 0.4)
-    assert not chk.exact
 
 
 def test_tail_mass_outside_the_unit_interval_is_rejected():
@@ -156,16 +153,7 @@ def test_tail_mass_outside_the_unit_interval_is_rejected():
             dataclasses.replace(fp, tail_mass=tail)
 
 
-# -- tail sums and Lyapunov exponent ----------------------------------------
-
-def test_tail_check_values(cantor):
-    assert tail_check(cantor, 1.0).value == pytest.approx(3.0)
-    assert tail_check(cantor, 0.5).value == pytest.approx(math.sqrt(3.0))
-    single = CIFS((0,), {0: AffineMap(0.5, 0.0)}, {0: 1.0})
-    assert tail_check(single, 2.0).value == pytest.approx(4.0)
-    with pytest.raises(ValidationError):
-        tail_check(cantor, 0.0)
-
+# -- Lyapunov exponent ------------------------------------------------------
 
 def test_lyapunov_values(cantor, dyadic):
     assert lyapunov(cantor) == pytest.approx(math.log(3.0))

@@ -4,11 +4,11 @@ convolution disintegrations, nonlinear pushforwards, and quantitative
 equidistribution experiments."""
 
 from .ifs import (AffineMap, SmoothMap, CIFS, FibreProductCIFS,
-                  SeparatedPair, compose, lyapunov, build_fibre_product,
+                  SeparatedPair, lyapunov, build_fibre_product,
                   fibre_product_from_1d, cantor_system, dyadic_uniform_system,
                   ValidationError, SeparationError, BudgetExhausted)
-from .measure import (FourierValue, SamplePoints, sample_points, make_sampler,
-                      fourier_exact, fourier_exact_batch, fourier_product_homogeneous,
+from .measure import (FourierValue, SamplePoints, sample_points, fourier_exact,
+                      fourier_exact_batch, fourier_product_homogeneous,
                       fourier_montecarlo, cylinder_decomposition)
 from .disintegrate import (ClassTable, OmegaSample, build_classes, sample_omega,
                            sample_omegas, mu_omega_fourier_batch, disintegration_consistency,

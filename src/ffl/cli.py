@@ -160,30 +160,25 @@ def fourier_rows(values) -> list:
 
 def make_evaluator(system, scan: dict, seed: int, budget: int, map_section=None):
     """The scan section's evaluator: a callable xis -> list with one
-    FourierValue, or BudgetExhausted, per frequency. The product method
-    evaluates the frequencies one by one; the others take the whole
-    batch."""
+    FourierValue, or BudgetExhausted, per frequency, which hands the whole
+    batch to one call of the method's evaluator f(system, xis, ...)."""
     method = scan.get("method", "exact")
     tol = float(scan.get("tol", 1e-6))
     if method == "exact":
         return lambda xis: meas.fourier_exact_batch(system, xis, tol=tol, budget=budget)
     if method == "montecarlo":
         draws = within_budget("draws", scan.get("draws", 100_000), budget)
-        sampler = meas.make_sampler(system)
-        return lambda xis: meas.fourier_montecarlo(sampler, xis, draws, seed)
+        return lambda xis: meas.fourier_montecarlo(system, xis, draws, seed)
     if method == "product":
         factors = within_budget("factors", scan.get("factors", 64), budget)
-        return lambda xis: [meas.fourier_product_homogeneous(system, xi, factors)
-                            for xi in xis]
+        return lambda xis: meas.fourier_product_homogeneous(system, xis, factors)
     if method == "pushforward":
         if map_section is None:
             raise ValidationError("pushforward method needs a map section")
         check_keys(map_section, {"expr", "fibre_var"}, "map")
         F = push.SmoothMapF.parse(map_section["expr"],
                                   fibre_var=map_section.get("fibre_var"))
-        norms = push.map_norms(F)
-        return lambda xis: push.pushforward_fourier(F, system, xis, tol=tol,
-                                                    budget=budget, norms=norms)
+        return lambda xis: push.pushforward_fourier(F, system, xis, tol=tol, budget=budget)
     raise ValidationError(f"unknown method {method!r}")
 
 
@@ -440,7 +435,7 @@ def cmd_conjugate(cfg, out, seed, budget):
     section = cfg.get("map", {})
     check_keys(section, {"expr", "inverse", "fibre_var", "draws", "ks_tol"}, "map")
     system = build_system(cfg.get("system", {}))
-    F = push.SmoothMapF.parse(section["expr"])
+    F = push.SmoothMapF.parse(section["expr"], fibre_var=section.get("fibre_var"))
     res = push.conjugate_ifs(system, F, section["inverse"],
                              draws=within_budget("draws", section.get("draws", 100_000), budget),
                              ks_tol=float(section.get("ks_tol", 0.02)), seed=seed)

@@ -202,7 +202,11 @@ def rajchman_probe(evaluator, family, count: int | None = None) -> list:
         base = float(family[1])
         if not base > 1:
             raise ValidationError("geometric family base must exceed 1")
-        freqs = [base ** n for n in range(count)]
+        try:  # a float power past the float range raises; none is evaluated then
+            freqs = [base ** n for n in range(count)]
+        except OverflowError:
+            raise ValidationError("the geometric family overflows a float: "
+                                  f"family_base^(count - 1) = {base}^{count - 1}") from None
     else:
         freqs = [float(f) for f in family]
         if count is not None:

@@ -42,6 +42,7 @@ from .measure import character, fourier_exact_batch, require_values, TWO_PI
 from .rng import stream_rng, uniforms
 
 CLASS_BUDGET = 1_000_000
+ALPHA_CANDIDATES = (0.2, 0.1, 0.05)  # the rates ``calibrate_alpha`` tries, largest first
 
 
 # ---------------------------------------------------------------------------
@@ -249,24 +250,23 @@ def mu_omega_fourier_batch(omegas, xis, tol: float):
     """
     if not tol > 0:
         raise ValidationError("need a positive truncation tolerance")
-    xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    if not np.isfinite(xis).all():
-        raise ValidationError("frequencies must be finite")
     omegas = list(omegas)
-    if any(om.table is not omegas[0].table for om in omegas):
-        raise ValidationError("a batch takes sequences of one class table")
+    if not omegas or any(om.table is not omegas[0].table for om in omegas):
+        raise ValidationError("a batch takes one or more sequences of one class table")
+    table = omegas[0].table
+    denom = 1.0 - np.abs(table.ratios).max()
+    # the tails multiply |xi| by at most 1 / denom, the phases by the largest |atom|
+    xis = measure.frequencies(xis, max(1.0 / denom, np.abs(table.members).max()))
     lengths = np.array([len(om) for om in omegas], dtype=int)
     values = np.ones((xis.size, len(omegas)), dtype=complex)
     bounds = np.zeros((xis.size, len(omegas)))
     live = np.flatnonzero(xis != 0)
-    if not live.size or not omegas:
+    if not live.size:
         return values, bounds
 
-    table = omegas[0].table
     cls = np.concatenate([om.indices for om in omegas])
     first = np.concatenate(([0], np.cumsum(lengths)))  # first factor of each sequence
     edges = np.concatenate(([0], np.cumsum(table.sizes[cls])))[first]
-    denom = 1.0 - np.abs(table.ratios).max()
     per = max(1, measure.BATCH_CELLS // live.size)
     lo = 0
     while lo < len(omegas):
@@ -342,32 +342,32 @@ class ConsistencyReport:
 
 
 def disintegration_consistency(system, block_length: int, xis, n_sequences: int,
-                               seed: int = 0, trunc_tol: float = 1e-6,
-                               z_pass: float = 4.0) -> ConsistencyReport:
+                               seed: int = 0, trunc_tol: float = 1e-6) -> ConsistencyReport:
     """Compare the average convolution transform against the direct one.
 
     For each frequency the mean of the convolution transform over sampled
     class sequences must match the stationary-measure transform within
-    ``z_pass`` standard errors plus all rigorous truncation errors. A
+    4 standard errors plus all rigorous truncation errors. A
     failed comparison is reported, not raised. The sequences come from one
     ``sample_omegas`` call, their transforms at all frequencies from one
     ``mu_omega_fourier_batch`` call (one sweep per frequency), the direct
     ones from one ``fourier_exact_batch`` call. It needs two sequences at
-    least and one or more finite frequencies.
+    least and one or more frequencies.
     """
     if n_sequences < 2:  # one sequence has no standard error
         raise ValidationError("need at least two sequences")
     if not trunc_tol > 0:
         raise ValidationError("need a positive trunc_tol")
-    xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    if not xis.size or not np.isfinite(xis).all():
-        raise ValidationError("need at least one frequency, all finite")
+    if not np.size(xis):
+        raise ValidationError("need at least one frequency")
     fp = fibre_product_from_1d(system)
     table = build_classes(fp, block_length)
     marginal = fp.fibre_cifs()
 
-    xi_max = float(np.abs(xis).max())
     r_max = float(np.abs(table.ratios).max())
+    # the prefix length below multiplies |xi| by 1 / ((1 - r_max) trunc_tol)
+    xis = measure.frequencies(xis, 1.0 / ((1.0 - r_max) * trunc_tol))
+    xi_max = float(np.abs(xis).max())
     # prefix long enough that the truncation tail is below trunc_tol at xi_max
     need = TWO_PI * max(xi_max, 1.0) / ((1.0 - r_max) * trunc_tol)
     length = min(10_000, max(4, math.ceil(math.log(need) / math.log(1.0 / r_max)) + 2))
@@ -389,7 +389,7 @@ def disintegration_consistency(system, block_length: int, xis, n_sequences: int,
         z = gap / stderr if stderr > 0 else math.inf if gap > rigorous else 0.0
         entries.append(ConsistencyEntry(float(xi), mean, target.value, stderr,
                                         float(z), rigorous,
-                                        bool(gap <= z_pass * stderr + rigorous)))
+                                        bool(gap <= 4.0 * stderr + rigorous)))
     return ConsistencyReport(block_length, n_sequences, entries)
 
 
@@ -510,10 +510,10 @@ def check_omega_membership(omega: OmegaSample, params: LargeDeviationParams,
     )
 
 
-def calibrate_alpha(table: ClassTable, candidates=(0.2, 0.1, 0.05),
-                    draws: int = 100_000, seed: int = 0):
-    """Pick the largest candidate rate whose block-level concentration
-    inequality holds empirically over Monte Carlo draws of classes.
+def calibrate_alpha(table: ClassTable, seed: int = 0):
+    """Pick the largest rate of ALPHA_CANDIDATES whose block-level
+    concentration inequality holds empirically over 100,000 Monte Carlo
+    draws of classes.
 
     The inequality: the drawn fraction of classes with at most
     2^(pair_weight*k) members must not exceed e^(-2*alpha*k). Returns the
@@ -522,12 +522,12 @@ def calibrate_alpha(table: ClassTable, candidates=(0.2, 0.1, 0.05),
     """
     rng = stream_rng(seed, 0xCA11B)
     probs = table.weights / table.weights.sum()
-    sizes = table.sizes[rng.choice(len(table), size=draws, p=probs)]
+    sizes = table.sizes[rng.choice(len(table), size=100_000, p=probs)]
     k = table.block_length
     small_frac = float(np.mean(sizes <= 2.0 ** (table.pair_weight * k)))
     report = []
     chosen, verified = None, False
-    for alpha in sorted(candidates, reverse=True):
+    for alpha in ALPHA_CANDIDATES:
         bound = math.exp(-2.0 * alpha * k)
         ok = small_frac <= bound
         report.append({"alpha": alpha, "small_fraction": small_frac,
@@ -535,7 +535,7 @@ def calibrate_alpha(table: ClassTable, candidates=(0.2, 0.1, 0.05),
         if ok and chosen is None:
             chosen, verified = alpha, True
     if chosen is None:
-        chosen = min(candidates)
+        chosen = min(ALPHA_CANDIDATES)
     return chosen, {"verified": verified, "candidates": report}
 
 
@@ -579,18 +579,16 @@ def _round_half_even_keep_halfopen(x: np.ndarray):
     return p.astype(np.int64), eps
 
 
-def ek_diagnostics(omega: OmegaSample, xi: float, params: LargeDeviationParams,
-                   band_limit: float | None = None) -> EKDiagnostics:
+def ek_diagnostics(omega: OmegaSample, xi: float,
+                   params: LargeDeviationParams) -> EKDiagnostics:
     """Compute the near-integer diagnostics of a class sequence at ``xi``.
 
-    ``band_limit`` defaults to max(|xi|, 1). ``n_eff`` is the smallest N
-    with band_limit * |product of the first N+1 ratios| < 1.
+    The band limit is T = max(|xi|, 1). ``n_eff`` is the smallest N with
+    T * |product of the first N+1 ratios| < 1.
     """
     if not math.isfinite(xi):
         raise ValidationError("the frequency must be finite")
-    T = float(band_limit if band_limit is not None else max(abs(xi), 1.0))
-    if T <= 0:
-        raise ValidationError("band limit must be positive")
+    T = float(max(abs(xi), 1.0))
     log_cum = np.cumsum(omega.log_abs_ratios)
     below = np.nonzero(math.log(T) + log_cum < 0.0)[0]
     if len(below) == 0:

@@ -49,9 +49,8 @@ TIE_BAND = 2.0 ** -50
 class RateFn:
     """An evaluable rate n -> psi(n), range-checked into [0, 1/2]."""
 
-    def __init__(self, fn, text: str | None = None):
+    def __init__(self, fn):
         self._fn = fn
-        self.text = text
 
     @classmethod
     def parse(cls, text: str) -> "RateFn":
@@ -59,12 +58,11 @@ class RateFn:
         extra = tree.variables() - {"n"}
         if extra:
             raise ValidationError(f"rate may only use the variable n, got {sorted(extra)}")
-        return cls(lambda n: tree.eval({"n": n}), text)
+        return cls(lambda n: tree.eval({"n": n}))
 
     @classmethod
     def constant(cls, value: float) -> "RateFn":
-        return cls(lambda n: np.full_like(np.asarray(n, dtype=float), value),
-                   repr(float(value)))
+        return cls(lambda n: np.full_like(np.asarray(n, dtype=float), value))
 
     def values(self, horizon: int) -> np.ndarray:
         n = np.arange(1, horizon + 1, dtype=float)
@@ -170,23 +168,24 @@ class GridPoint:
         return max(0, int((self.bits - 64) / math.log2(base)))
 
 
-def random_grid_point(bits: int, seed: int = 0, stream: int = 0) -> GridPoint:
-    """Uniform binary fraction of the given precision."""
+def random_grid_point(bits: int, seed: int = 0) -> GridPoint:
+    """Uniform binary fraction of the given precision, from the stream
+    (seed, 0xB175, 0)."""
     if bits < 65:
         raise ValidationError("need at least 65 bits")
-    rng = stream_rng(seed, 0xB175, stream)
+    rng = stream_rng(seed, 0xB175, 0)
     nbytes = (bits + 7) // 8
     raw = int.from_bytes(rng.bytes(nbytes), "big") >> (nbytes * 8 - bits)
     return GridPoint(raw, bits)
 
 
-def grid_point_for(spec: EquidistSpec, seed: int = 0, stream: int = 0) -> GridPoint:
+def grid_point_for(spec: EquidistSpec, seed: int = 0) -> GridPoint:
     """A uniform point with enough precision for the sequence's full horizon."""
     if spec.kind == "geometric":
         bits = int(math.ceil(spec.horizon * math.log2(spec.base))) + 128
     else:
         bits = int(max(int(t) for t in spec.terms[:spec.horizon]).bit_length()) + 128
-    return random_grid_point(bits, seed, stream)
+    return random_grid_point(bits, seed)
 
 
 def sample_rational_points(maps, weights, count: int, depth: int,
@@ -440,8 +439,7 @@ class DigitFrequency:
     digits: np.ndarray
 
 
-def digit_freq(x, base: int, count: int, keep_digits: bool = True,
-               budget: int = 1_000_000) -> DigitFrequency:
+def digit_freq(x, base: int, count: int, keep_digits: bool = True) -> DigitFrequency:
     """First ``count`` digits of x in the given base, exactly.
 
     The input is treated as an exact rational (floats are dyadic
@@ -449,8 +447,8 @@ def digit_freq(x, base: int, count: int, keep_digits: bool = True,
     chi-square statistic compares the histogram against the uniform law.
     """
     base = _check_base(base)
-    if not 1 <= count <= budget:
-        raise ValidationError(f"digit count must lie in [1, {budget}]")
+    if count < 1:
+        raise ValidationError(f"digit count must be at least 1, got {count}")
     p, q = _residue(x)
     digits = _digits(p, q, base, int(count))
     hist = np.bincount(digits, minlength=base).astype(np.int64)

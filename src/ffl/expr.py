@@ -27,6 +27,7 @@ import numpy as np
 
 ENCLOSE_BOXES = 1 << 10  # the most sub-boxes one enclosure bisects its box into
 ENCLOSE_SLACK = 1e-12    # the overshoot, relative to the sampled values, a sub-box keeps
+POLY_DEGREE = 64         # the highest degree ``poly_coeffs`` expands
 
 
 class ExprError(ValueError):
@@ -418,14 +419,13 @@ def div(num, den) -> Expr:
     return Quot(num, den)
 
 
-def compose(outer: Expr, inner: Expr, var: str | None = None) -> Expr:
+def compose(outer: Expr, inner: Expr) -> Expr:
     """Substitute ``inner`` for the (single) variable of ``outer``."""
     outer = _as_expr(outer)
-    if var is None:
-        free = outer.variables()
-        if len(free) != 1:
-            raise ExprError(f"compose needs a single-variable outer expression, got {sorted(free)}")
-        (var,) = free
+    free = outer.variables()
+    if len(free) != 1:
+        raise ExprError(f"compose needs a single-variable outer expression, got {sorted(free)}")
+    (var,) = free
     return outer.subst({var: _as_expr(inner)})
 
 
@@ -433,8 +433,9 @@ def compose(outer: Expr, inner: Expr, var: str | None = None) -> Expr:
 # polynomial extraction
 # ---------------------------------------------------------------------------
 
-def poly_coeffs(expr: Expr, var: str, max_degree: int = 64) -> np.ndarray:
-    """Return ascending coefficients of ``expr`` as a polynomial in ``var``.
+def poly_coeffs(expr: Expr, var: str) -> np.ndarray:
+    """Return ascending coefficients of ``expr`` as a polynomial in ``var``,
+    of degree at most POLY_DEGREE.
 
     Raises ExprError when the tree is not polynomial in ``var`` (quotients
     with ``var`` in the denominator, fractional powers, foreign variables).
@@ -459,7 +460,7 @@ def poly_coeffs(expr: Expr, var: str, max_degree: int = 64) -> np.ndarray:
             out = np.array([1.0])
             for f in e.factors:
                 out = np.convolve(out, rec(f))
-                if len(out) > max_degree + 1:
+                if len(out) > POLY_DEGREE + 1:
                     raise ExprError("polynomial degree budget exceeded")
             return out
         if isinstance(e, Pow):
@@ -468,7 +469,7 @@ def poly_coeffs(expr: Expr, var: str, max_degree: int = 64) -> np.ndarray:
             out, base = np.array([1.0]), rec(e.base)
             for _ in range(int(e.exponent)):
                 out = np.convolve(out, base)
-                if len(out) > max_degree + 1:
+                if len(out) > POLY_DEGREE + 1:
                     raise ExprError("polynomial degree budget exceeded")
             return out
         if isinstance(e, Quot):

@@ -26,6 +26,7 @@ from . import expr as ex
 WEIGHT_TOL = 1e-12
 RATIO_MATCH_TOL = 1e-12
 EPS = 2.0 ** -53    # the unit roundoff of float64
+ALPHABET_BUDGET = 100_000  # the most composed symbols a fibre product may hold
 
 
 class ValidationError(ValueError):
@@ -112,14 +113,14 @@ class SmoothMap:
 
     @classmethod
     def from_expr(cls, expression: ex.Expr | str, var: str = "x",
-                  domain: tuple = (0.0, 1.0),
                   declared_bound: float | None = None) -> "SmoothMap":
-        """Build and validate a smooth contraction.
+        """Build and validate a smooth contraction of the domain [0, 1].
 
         Without ``declared_bound`` the map must provably contract: the
         enclosure of |f'| over the domain must stay below 1, and the
         enclosure of f must lie in the domain (up to 1e-9 at its edges).
         """
+        domain = (0.0, 1.0)
         e = expression if isinstance(expression, ex.Expr) else ex.parse(expression)
         free = e.variables()
         if free - {var}:
@@ -276,14 +277,6 @@ def fold(maps: Sequence[Map1D]) -> Map1D:
                      "certified" if certified else "declared")
 
 
-def compose(cifs: CIFS, symbols: Sequence) -> Map1D:
-    """The composition ``fold`` of the maps named by ``symbols``."""
-    for idx, s in enumerate(symbols):
-        if s not in cifs.maps:
-            raise ValidationError(f"unknown symbol {s!r} at index {idx}")
-    return fold(cifs.maps[s] for s in symbols)
-
-
 def lyapunov(system) -> float:
     """Weight-averaged log inverse contraction ratio of the last coordinate:
     the fibre of a fibre product, the line of a 1-D system. Smooth maps
@@ -418,14 +411,14 @@ def _search_pair(fibre_maps, weights, fold):
 
 
 def build_fibre_product(base_maps: Mapping, fibre_maps: Mapping, weights: Mapping,
-                        n_max: int = 8,
-                        alphabet_budget: int = 100_000) -> FibreProductCIFS:
+                        n_max: int = 8) -> FibreProductCIFS:
     """Assemble and validate a fibre product system.
 
     If no fibre family already contains a separated pair, the system is
     replaced by its n-fold composition for the smallest n <= n_max at which
     a pair of composed fibre maps (sharing a base word) has equal ratio and
-    weight and disjoint images; that n is recorded on the pair.
+    weight and disjoint images; that n is recorded on the pair. The
+    composed alphabet may hold at most ALPHABET_BUDGET symbols.
     """
     base_maps = dict(base_maps)
     fibre_maps = {j: dict(fam) for j, fam in fibre_maps.items()}
@@ -442,7 +435,7 @@ def build_fibre_product(base_maps: Mapping, fibre_maps: Mapping, weights: Mappin
 
     symbols = [(j, l) for j, fam in fibre_maps.items() for l in fam]
     for n in range(1, n_max + 1):
-        if len(symbols) ** n > alphabet_budget:
+        if len(symbols) ** n > ALPHABET_BUDGET:
             raise BudgetExhausted(
                 f"{len(symbols)}^{n} composed symbols exceed the alphabet budget")
         if n == 1:
@@ -463,8 +456,7 @@ def build_fibre_product(base_maps: Mapping, fibre_maps: Mapping, weights: Mappin
         f"no separated pair of fibre maps up to {n_max}-fold composition")
 
 
-def fibre_product_from_1d(cifs, n_max: int = 8,
-                          alphabet_budget: int = 100_000) -> FibreProductCIFS:
+def fibre_product_from_1d(cifs, n_max: int = 8) -> FibreProductCIFS:
     """Wrap a 1-D affine system as a fibre product over a dummy base x/2;
     a fibre product is returned unchanged.
 
@@ -478,8 +470,7 @@ def fibre_product_from_1d(cifs, n_max: int = 8,
     base = {0: AffineMap(0.5, 0.0)}
     fibres = {0: {a: cifs.maps[a] for a in cifs.alphabet}}
     weights = {(0, a): cifs.weights[a] for a in cifs.alphabet}
-    return build_fibre_product(base, fibres, weights,
-                               n_max=n_max, alphabet_budget=alphabet_budget)
+    return build_fibre_product(base, fibres, weights, n_max=n_max)
 
 
 # ---------------------------------------------------------------------------
@@ -575,15 +566,15 @@ def affine_moments(coordinates, weights, radius: float, degree: int) -> Moments:
 # stopping cylinders
 # ---------------------------------------------------------------------------
 
-def apply_words(maps: Sequence[Map1D], codes: np.ndarray, x=None) -> np.ndarray:
-    """f_w(x) for every word w, a column of ``codes`` that indexes ``maps``
-    outermost first, with x = 0 unless given (and never written into).
+def apply_words(maps: Sequence[Map1D], codes: np.ndarray) -> np.ndarray:
+    """f_w(0) for every word w, a column of ``codes`` that indexes ``maps``
+    outermost first.
 
     The maps apply innermost first, one vectorised call per map and level;
     the index len(maps) pads words of different lengths and acts as the
     identity.
     """
-    x = np.zeros(codes.shape[1]) if x is None else np.array(x, dtype=float)
+    x = np.zeros(codes.shape[1])
     if all(isinstance(m, AffineMap) for m in maps):
         ratios = np.array([m.ratio for m in maps] + [1.0])
         translates = np.array([m.translate for m in maps] + [0.0])

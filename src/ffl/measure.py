@@ -19,13 +19,14 @@ measure on the line:
                              stays within tol (``series_order``);
   * ``fourier_product_homogeneous`` - truncated infinite product (equal
                              contraction ratios only), rigorous bound;
-  * ``fourier_montecarlo`` - empirical character sums, statistical bound.
+  * ``fourier_montecarlo`` - empirical character sums over points drawn
+                             by ``sample_points``, statistical bound.
 
-Values are reported as FourierValue records; every evaluator guarantees
-|value| <= 1 + error_bound. Consumers see an evaluator as a callable
-xis -> list with one entry per frequency: a FourierValue, or the
-BudgetExhausted of a frequency over its budget (``require_values`` raises
-the first of those).
+Every evaluator is one batched call f(system, xis, ...) -> list, with one
+entry per frequency: a FourierValue, or the BudgetExhausted of a frequency
+over its budget (``require_values`` raises the first of those). Each checks
+its batch with ``frequencies``. Values are reported as FourierValue
+records; every evaluator guarantees |value| <= 1 + error_bound.
 """
 
 from __future__ import annotations
@@ -43,6 +44,21 @@ DEFAULT_BUDGET = 50_000_000
 BATCH_CELLS = 1 << 16  # cells (nodes x frequencies) an exact sweep holds at a time
 SERIES_REACH = 1.5    # Z: an exact sweep's words stop at reach 2 pi R sum |eta rho| <= Z
 SERIES_DEGREES = 24   # the highest moment-series degree an exact sweep tries
+SAMPLE_ACCURACY = 1e-9  # the sup-metric accuracy of Monte Carlo sample points
+DEPTH_CAP = 100_000   # the longest word ``sample_points`` draws
+
+
+def frequencies(xis, scale: float) -> np.ndarray:
+    """``xis`` as a float array, checked for an evaluator whose phases or
+    thresholds multiply |xi| by at most ``scale``: every frequency is
+    finite, and so is 2*pi*scale*max|xi|."""
+    xis = np.atleast_1d(np.asarray(xis, dtype=float))
+    if not np.isfinite(xis).all():
+        raise ValidationError("frequencies must be finite")
+    top = float(np.abs(xis).max(initial=0.0))
+    if top and not math.isfinite(TWO_PI * float(scale) * top):
+        raise ValidationError("frequency too large: 2*pi*R*|xi| overflows a float")
+    return xis
 
 
 def character(y):
@@ -86,7 +102,7 @@ class SamplePoints:
     seed: int
 
 
-def _depth_for(system, tol: float, depth: int | None = None, depth_cap: int = 100_000):
+def _depth_for(system, tol: float, depth: int | None = None):
     """Word length whose composed image diameter is below ``tol`` (unless
     ``depth`` fixes it), with the diameter that length achieves."""
     maps = [m for column in system.coordinates for m in column]
@@ -98,7 +114,7 @@ def _depth_for(system, tol: float, depth: int | None = None, depth_cap: int = 10
         if tol <= 0:
             raise ValidationError("tolerance must be positive")
         depth = max(1, math.ceil(math.log(tol / diam) / math.log(worst))) if diam > tol else 1
-        depth = min(depth, depth_cap)
+        depth = min(depth, DEPTH_CAP)
     return depth, diam * worst ** depth
 
 
@@ -121,14 +137,6 @@ def sample_points(system, count: int, tol: float = 1e-9, depth: int | None = Non
     columns = [apply_words(maps, idx.T) for maps in system.coordinates]
     pts = np.column_stack(columns) if len(columns) > 1 else columns[0]
     return SamplePoints(pts, depth, achieved, seed)
-
-
-def make_sampler(system, accuracy: float = 1e-9):
-    """A (count, seed) -> points callable with an ``accuracy`` attribute."""
-    def sampler(count: int, seed: int) -> np.ndarray:
-        return sample_points(system, count, tol=accuracy, seed=seed).points
-    sampler.accuracy = accuracy
-    return sampler
 
 
 # ---------------------------------------------------------------------------
@@ -364,30 +372,25 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
     of the last of them is the cut. A row is over budget when a tuple past
     them may reach past its theta, sum_c u_c * cut > theta: on the line,
     when more than ``budget`` distinct non-root ratios lie above theta.
-    Each value is the same, bit for bit, whatever else is in the batch. A
-    row whose 2*pi*R*max_c |eta_c| overflows a float is a ValidationError.
+    Each value is the same, bit for bit, whatever else is in the batch.
+    ``frequencies`` checks the rows at scale R.
     """
     if not system.is_affine:
         raise ValidationError("an exact sweep needs an affine system")
     if not tol > 0:
         raise ValidationError("tolerance must be positive")
     m = len(system.coordinates)
-    etas = np.atleast_1d(np.asarray(etas, dtype=float))
+    etas = frequencies(etas, system.radius)
     if m == 1 and etas.ndim == 1:
         etas = etas[:, None]
     if etas.ndim != 2 or etas.shape[1] != m:
         raise ValidationError(f"frequencies must be rows of {m} coordinates")
-    if not np.isfinite(etas).all():
-        raise ValidationError("frequencies must be finite")
     etas = etas.T  # one row per coordinate, like every array below
     degree, reach, coefficients = _leaves(system, tol)
     scale = TWO_PI * system.radius
     top = np.abs(etas).max(axis=0)
     live = np.flatnonzero(top != 0)
-    # a subnormal frequency stops at the root; one whose reach overflows is rejected
-    with np.errstate(over="ignore"):
-        if not np.isfinite(scale * top).all():
-            raise ValidationError("frequency too large: 2*pi*R*|xi| overflows a float")
+    with np.errstate(over="ignore"):  # a subnormal frequency stops at the root
         thetas = reach / (scale * top[live])
     # the largest weighs 1 exactly; on the line, where u is 1, ``_reach`` reads no u
     u = np.abs(etas[:, live]) / top[live] if m > 1 else None
@@ -509,11 +512,14 @@ def fourier_exact(cifs: CIFS, xi: float, tol: float = 1e-9,
     return require_values(fourier_exact_batch(cifs, [xi], tol, budget))[0]
 
 
-def fourier_product_homogeneous(cifs: CIFS, xi: float, factors: int = 64) -> FourierValue:
-    """Truncated infinite-product evaluator for equal-ratio affine systems.
+def fourier_product_homogeneous(cifs: CIFS, xis, factors: int = 64) -> list:
+    """Truncated infinite-product evaluator for equal-ratio affine systems,
+    at every frequency of ``xis``.
 
     The transform factorises over convolution scales; truncating after
-    ``factors`` terms costs at most 2*pi*|xi|*|r|^factors / (1-|r|).
+    ``factors`` terms costs at most 2*pi*R*|xi|*|r|^factors / (1-|r|). A
+    frequency's factors are one row of a frequencies x factors array, and
+    its product is that row's: the same whatever else is in the batch.
     """
     if len(cifs.coordinates) != 1 or not cifs.is_affine:
         raise ValidationError("product evaluator needs an affine 1-D system")
@@ -523,44 +529,45 @@ def fourier_product_homogeneous(cifs: CIFS, xi: float, factors: int = 64) -> Fou
         raise ValidationError("product evaluator needs equal contraction ratios")
     if factors < 1:
         raise ValidationError("factors must be >= 1")
-    if not math.isfinite(xi):
-        raise ValidationError("frequencies must be finite")
-    if not math.isfinite(TWO_PI * cifs.radius * float(xi)):
-        raise ValidationError("frequency too large: 2*pi*R*|xi| overflows a float")
-    if xi == 0:
-        return FourierValue(0.0, 1.0 + 0.0j, 0.0)
+    xis = frequencies(xis, cifs.radius)
     translates = np.array([cifs.maps[a].translate for a in cifs.alphabet])
     weights = cifs.weight_vector()
     weights = weights / weights.sum()
-    scales = r ** np.arange(factors)
-    phases = character(np.outer(scales, translates) * xi)
-    value = complex(np.prod(phases @ weights))
-    err = TWO_PI * cifs.radius * abs(xi) * abs(r) ** factors / (1.0 - abs(r))
-    return FourierValue(float(xi), value, err + _tail_effect(cifs, xi))
+    grid = np.outer(r ** np.arange(factors), translates)
+    values = np.empty(xis.size, dtype=complex)
+    step = max(1, BATCH_CELLS // grid.size)
+    for lo in range(0, xis.size, step):
+        phases = character(np.multiply.outer(xis[lo:lo + step], grid))
+        values[lo:lo + step] = (phases @ weights).prod(axis=1)
+    R = cifs.radius
+    return [FourierValue(0.0, 1.0 + 0.0j, 0.0) if xi == 0 else
+            FourierValue(xi, v, TWO_PI * R * abs(xi) * abs(r) ** factors / (1.0 - abs(r))
+                         + _tail_effect(cifs, xi))
+            for xi, v in zip(xis.tolist(), values.tolist())]
 
 
-def fourier_montecarlo(sampler, xis, draws: int, seed: int = 0) -> list:
-    """Empirical character sums over ``draws`` samples, one independent
-    stream per frequency, keyed by its float bits: a frequency's value does
-    not depend on the others in the batch. Error bounds are 4 standard
-    errors plus the sampler's deterministic accuracy bias."""
+def fourier_montecarlo(system, xis, draws: int, seed: int = 0) -> list:
+    """Empirical character sums over ``draws`` points of ``sample_points``
+    at accuracy SAMPLE_ACCURACY, one independent stream per frequency,
+    keyed by its float bits: a frequency's value does not depend on the
+    others in the batch. Error bounds are 4 standard errors plus the
+    points' deterministic accuracy bias."""
     if draws < 100:
         raise ValidationError("need at least 100 draws")
-    xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    if not np.isfinite(xis).all():
-        raise ValidationError("frequencies must be finite")
-    bias_acc = getattr(sampler, "accuracy", 0.0)
+    # points of an affine system lie in [-R, R]; a smooth system's in its box
+    xis = frequencies(xis, system.radius if system.is_affine else 1.0)
     out = []
     for xi in xis:
         key = spawn_seed(seed, int(xi.view(np.uint64)))
-        pts = np.asarray(sampler(draws, spawn_seed(key, 0xF0, 0)))
+        pts = sample_points(system, draws, tol=SAMPLE_ACCURACY,
+                            seed=spawn_seed(key, 0xF0, 0)).points
         if pts.ndim > 1:
             pts = pts[:, -1]
         z = character(xi * pts)
         value = complex(z.mean())
         var = z.real.var(ddof=1) + z.imag.var(ddof=1)
         stderr = math.sqrt(var / draws)
-        err = 4.0 * stderr + TWO_PI * abs(xi) * bias_acc
+        err = 4.0 * stderr + TWO_PI * abs(xi) * SAMPLE_ACCURACY
         out.append(FourierValue(float(xi), value, err, kind="statistical",
                                 stderr=stderr, confidence_z=4.0))
     return out

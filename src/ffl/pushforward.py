@@ -20,13 +20,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import expr as ex
 from .ifs import CIFS, AffineMap, SmoothMap, BudgetExhausted, ValidationError
-from .measure import (FourierValue, character, exact_sweep, sample_points, TWO_PI,
-                      DEFAULT_BUDGET)
+from .measure import (FourierValue, character, exact_sweep, frequencies, sample_points,
+                      TWO_PI, DEFAULT_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +37,8 @@ from .measure import (FourierValue, character, exact_sweep, sample_points, TWO_P
 @dataclass
 class SmoothMapF:
     """A C2 function on a box with exact symbolic partials in the last
-    (fibre) coordinate."""
+    (fibre) coordinate, and their certified norms, ``map_norms`` of it,
+    built on first use."""
 
     expr: ex.Expr
     domain: dict            # ordered var -> (lo, hi)
@@ -64,6 +66,10 @@ class SmoothMapF:
 
     def __call__(self, **env):
         return self.expr.eval(env)
+
+    @cached_property
+    def norms(self) -> "MapNorms":
+        return map_norms(self)
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +139,7 @@ def _check_box(F: SmoothMapF, system):
 
 
 def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
-                        budget: int = DEFAULT_BUDGET,
-                        norms: MapNorms | None = None) -> list:
+                        budget: int = DEFAULT_BUDGET) -> list:
     """Transform of the image measure F(mu) at every frequency of ``xis``.
 
     Returns one entry per frequency, in input order: a FourierValue, or the
@@ -149,7 +154,9 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     mu are multiplied as k x n arrays and summed row by row, and its
     curvature masses and its spread are summed once for all k. The
     second-order rule's arguments of mu fill one array, block after block,
-    for the batch's one sweep.
+    for the batch's one sweep. ``frequencies`` checks the batch at scale
+    max(1, c2 / (2 pi)), c2 = 0 on a smooth system: the second-order rule's
+    thresholds divide by c2 |xi|, the first-order rule's by 2 pi |xi|.
 
     Every affine system (a line system or a fibre product, m = 1 or 2
     coordinates) takes the second-order rule. The cylinder of a word w
@@ -191,15 +198,12 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
         raise ValidationError(f"fibre variable {F.fibre_var!r} must be the "
                               f"last domain variable {names[-1]!r}")
     _check_box(F, system)
-    xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    if not np.isfinite(xis).all():
-        raise ValidationError("frequencies must be finite")
-    if norms is None:
-        norms = map_norms(F)
+    norms = F.norms
+    curvature, c2, lips = _curvature(F, norms) if system.is_affine else (None, 0.0, None)
+    xis = frequencies(xis, max(1.0, c2 / TWO_PI))
     live = [i for i in np.argsort(np.abs(xis), kind="stable").tolist() if xis[i] != 0]
     scales = [abs(float(xis[i])) for i in live]
     if system.is_affine:  # an affine F (c2 = 0) stops every word at length 1 on the line
-        curvature, c2, lips = _curvature(F, norms)
         thetas = [min(1.0, math.sqrt(tol / 2 / (c2 * s))) if c2 * s > 0 else 1.0
                   for s in scales]
     else:  # Lip_x(F) counts only where F has a base variable

@@ -19,7 +19,7 @@ from ffl.disintegrate import (build_classes, sample_omega,
                               disintegration_consistency, LargeDeviationParams,
                               check_omega_membership, ek_diagnostics,
                               circle_sum_bound, calibrate_alpha)
-from ffl.pushforward import (SmoothMapF, map_norms, pushforward_fourier,
+from ffl.pushforward import (SmoothMapF, pushforward_fourier,
                              conjugate_ifs, ks_distance)
 from ffl.equidist import RateFn, EquidistSpec, grid_point_for, count_hits, sigma
 from ffl.decay import band_maxima, fit_eta, sparse_cover
@@ -66,9 +66,8 @@ def test_c03_pushforward_decay_direction():
                         range(4, 13), 64, seed=0, band_base=3.0)
     plain_fit = fit_eta(plain)
     F = SmoothMapF.parse("(pow x 2)")
-    norms = map_norms(F)
     pushed = band_maxima(
-        lambda xis: pushforward_fourier(F, cantor, xis, tol=1e-3, norms=norms),
+        lambda xis: pushforward_fourier(F, cantor, xis, tol=1e-3),
         range(4, 13), 64, seed=0, band_base=3.0)
     pushed_fit = fit_eta(pushed)
     ok = (pushed_fit.exponent > 0

@@ -6,7 +6,9 @@ top-level definition whose name appears anywhere in it (its body,
 decorators, defaults and annotations), in any module. Module statements
 that run on import (anything but a def, a class, an assignment or an
 import) are reached too. This over-approximates what runs, so a name it
-reports is one that nothing in the package can call.
+reports is one that nothing in the package can call. A name walk cannot
+tell same-named definitions apart: reaching one reaches every definition
+of that name, in every module.
 """
 
 import ast

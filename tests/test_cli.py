@@ -47,6 +47,10 @@ FIBRE3 = {"kind": "fibre_product",
           "fibres": [{"base": "L", "id": "a", "ratio": 1 / 3, "translate": 0.0, "weight": 1 / 3},
                      {"base": "L", "id": "b", "ratio": 1 / 3, "translate": 2 / 3, "weight": 1 / 3},
                      {"base": "R", "id": "c", "ratio": 1 / 3, "translate": 1 / 3, "weight": 1 / 3}]}
+# a smooth line system: 0.3(x + 0.2x^2) and 0.6 + 0.3x
+SMOOTH = {"kind": "smooth1d", "weights": [0.5, 0.5],
+          "maps": [{"expr": "(mul 0.3 (add x (mul 0.2 (pow x 2))))"},
+                   {"expr": "(add 0.6 (mul 0.3 x))"}]}
 
 
 def test_scan_integer_frequencies_vanish(tmp_path):
@@ -563,6 +567,8 @@ SIZE_KEYS = [  # (command, config, the key the diagnostic names)
       "prefix_length") for action in ("sample", "membership", "ek")),
     (["equidist", "count"], {"equidist": {"horizon": 1e15}}, "horizon"),
     (["equidist", "count"], {"equidist": {"seeds": 1e15}}, "seeds"),
+    # digit_freq had a second cap of its own: horizon 1000001 exited 2 within the budget
+    (["equidist", "digits"], {"equidist": {"horizon": 1e15}}, "horizon"),
     (["equidist", "weyl"], {"equidist": {"harmonics": 1e15}}, "harmonics"),
     # each passes the default budget alone; the phase matrix holds 4e14 values
     (["equidist", "weyl"], {"equidist": {"horizon": 2e7, "harmonics": 2e7}},
@@ -704,6 +710,9 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         (["decay", "sparse"], {"system": FIBRE3, "decay": {"method": "exact", "limit": 9.0}}),
         (["conjugate"], {"system": FIBRE3, "map": {"expr": "(pow x 2)",
                                                    "inverse": "(pow x 0.5)"}}),
+        # the fibre variable was accepted and never read
+        (["conjugate"], {"system": cantor, "map": {"expr": "(pow x 2)", "inverse": "(pow x 0.5)",
+                                                   "fibre_var": "z"}}, "fibre variable"),
         # a negative tail mass gave negative "rigorous" bounds
         (["fourier-scan"], {"system": {"kind": "affine1d", "weights": [0.6, 0.6],
                                        "tail_mass": -0.2, "maps": [
@@ -745,10 +754,20 @@ def test_malformed_values_exit_2(tmp_path, capsys):
           for band_max in (646, 10 ** 5)),
         # frequencies whose phase 2*pi*R*|xi| overflows: the scan exited 3 with
         # "budget exhausted, achieved 0.0", the band exited 0 with every sample
-        # excluded, and the product wrote a NaN value
+        # excluded, the product and Monte Carlo wrote NaN values, the
+        # pushforward said its stopping threshold must be positive, and the
+        # consistency check leaked Python's OverflowError
         *((["fourier-scan"], {"system": cantor, "scan": dict(
             scan, xi_min=1e308, xi_max=1e308, points=1, method=method)}, "overflows")
-          for method in ("exact", "product")),
+          for method in ("exact", "product", "montecarlo")),
+        *((["pushforward-scan"], {"system": system, "map": {"expr": "(pow x 2)"}, "scan": dict(
+            scan, xi_min=1e308, xi_max=1e308, points=1)}, "overflows")
+          for system in (cantor, SMOOTH)),
+        (["disintegrate", "consistency"], {"system": cantor, "disintegrate": {"xis": [1e308]}},
+         "overflows"),
+        # Python's float power overflowed building the family
+        (["decay", "probe"], {"system": cantor, "decay": {
+            "family_base": 1e10, "count": 40}}, "family_base"),
         (["decay", "bands"], {"system": cantor, "decay": {
             "method": "exact", "band_base": 3.0, "band_min": 645, "band_max": 645}},
          "overflows"),

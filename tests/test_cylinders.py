@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import fibre_systems, ratio
 from ffl import ifs
-from ffl.ifs import CIFS, AffineMap, BudgetExhausted, SmoothMap, cantor_system, compose
+from ffl.ifs import CIFS, AffineMap, BudgetExhausted, SmoothMap, cantor_system, fold
 from ffl.measure import cylinder_decomposition
-from ffl.pushforward import SmoothMapF, map_norms, pushforward_fourier
+from ffl.pushforward import SmoothMapF, pushforward_fourier
 
 
 def brute_force(engine, theta, lips):
@@ -126,7 +126,7 @@ def test_smooth_walk_anchors_every_word_innermost_first(system, batch, data):
     # stopping words and weights follow the products of contraction bounds;
     # the anchor of w is f_w(0), not the maps applied in word order
     check_batch(system.cylinders, batch, (1.0,), data, expected=lambda cylinders: {
-        word: ([float(compose(system, word)(0.0))], weight)
+        word: ([float(fold(system.maps[s] for s in word)(0.0))], weight)
         for word, (_, weight) in cylinders.items()})
 
 
@@ -140,12 +140,11 @@ def two_ratio():
 def test_pushforward_history_independent(make, budget):
     # at budget 4096 the trees of the larger frequencies are over budget
     F = SmoothMapF.parse("(add (pow x 2) x)")
-    norms = map_norms(F)
     xis = list(np.geomspace(20.0, 4000.0, 7))
 
     def run(system, order):
         return dict(zip(order, pushforward_fourier(F, system, order, tol=1e-6,
-                                                   budget=budget, norms=norms)))
+                                                   budget=budget)))
 
     batch = run(make(), xis)
     reversed_batch = run(make(), xis[::-1])
@@ -188,18 +187,16 @@ def test_budget_fires_exactly_past_the_tree_size(prior_budget, monkeypatch):
 
 def test_threads_share_an_engine():
     F = SmoothMapF.parse("(pow x 2)")
-    norms = map_norms(F)
     xis = list(np.linspace(5.0, 80.0, 48))
     interval = sys.getswitchinterval()
-    serial = [pushforward_fourier(F, two_ratio(), [xi], tol=1e-2, norms=norms)[0].value
+    serial = [pushforward_fourier(F, two_ratio(), [xi], tol=1e-2)[0].value
               for xi in xis]
     shared = two_ratio()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=8) as pool:
             threaded = list(pool.map(
-                lambda xi: pushforward_fourier(F, shared, [xi], tol=1e-2,
-                                               norms=norms)[0].value,
+                lambda xi: pushforward_fourier(F, shared, [xi], tol=1e-2)[0].value,
                 xis, timeout=120))
     finally:
         sys.setswitchinterval(interval)

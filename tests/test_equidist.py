@@ -285,11 +285,6 @@ def test_digits_uniform_chi_square_reasonable():
     assert d.chi_square <= 15.0  # 1 dof, very generous
 
 
-def test_digits_budget():
-    with pytest.raises(ValidationError):
-        digit_freq(Fraction(1, 3), 3, 2_000_000)
-
-
 def test_digits_reject_bad_count_and_base():
     # count 0 gave chi_square nan, count -1 leaked numpy's message
     for count in (0, -1):

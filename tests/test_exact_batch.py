@@ -218,8 +218,8 @@ def test_radius_bounds_the_attractor():
 def test_exact_bound_holds_for_a_far_attractor():
     system = far_system()
     xis = np.concatenate([np.linspace(0.001, 0.3, 600), np.geomspace(1e-6, 1e-3, 20)])
-    for fv in fourier_exact_batch(system, xis, tol=0.1):
-        ref = fourier_product_homogeneous(system, fv.frequency, 300)
+    for fv, ref in zip(fourier_exact_batch(system, xis, tol=0.1),
+                       fourier_product_homogeneous(system, xis, 300)):
         assert abs(fv.value - ref.value) <= fv.error_bound + ref.error_bound
 
 
@@ -305,8 +305,8 @@ def test_cantor_at_the_rounding_floor_against_the_product_formula():
     assert measure.series_order(cantor, 1e-15) == (1, 1e-15)  # the first-order fallback
     xis = np.concatenate([np.linspace(-40.3, 40.3, 40), np.geomspace(0.01, 1e5, 60)])
     for tol in (1e-13, 1e-15):
-        for fv in fourier_exact_batch(cantor, xis, tol=tol):
-            ref = fourier_product_homogeneous(cantor, fv.frequency, 80)
+        for fv, ref in zip(fourier_exact_batch(cantor, xis, tol=tol),
+                           fourier_product_homogeneous(cantor, xis, 80)):
             # neither bound counts the rounding of the phase arguments
             # xi * rho * t, nor of the characters and their products
             rounding = TWO_PI * abs(fv.frequency) * 2.0 ** -48 + 2.0 ** -46

@@ -9,7 +9,7 @@ from ffl.ifs import (CIFS, AffineMap, BudgetExhausted, SmoothMap, ValidationErro
                      build_fibre_product)
 from ffl.rng import stream_rng
 from ffl.measure import (fourier_exact, fourier_exact_batch, fourier_product_homogeneous,
-                         fourier_montecarlo, make_sampler, sample_points,
+                         fourier_montecarlo, sample_points,
                          cylinder_decomposition)
 
 
@@ -116,51 +116,62 @@ def test_exact_requires_affine():
 # -- product evaluator --------------------------------------------------------
 
 def test_product_agrees_with_exact(cantor):
-    a = fourier_product_homogeneous(cantor, 1.0, 40)
+    a, = fourier_product_homogeneous(cantor, [1.0], 40)
     b = fourier_exact(cantor, 1.0, tol=1e-9)
     assert abs(a.value - b.value) <= 1e-8
 
 
 def test_product_at_zero_and_integer(dyadic):
-    assert fourier_product_homogeneous(dyadic, 0.0, 10).value == 1.0 + 0.0j
-    fv = fourier_product_homogeneous(dyadic, 2.0, 40)
+    zero, fv = fourier_product_homogeneous(dyadic, [0.0, 2.0], 40)
+    assert zero.value == 1.0 + 0.0j
     assert abs(fv.value) <= 1e-8
 
 
 def test_product_needs_equal_ratios(two_ratio):
     with pytest.raises(ValidationError):
-        fourier_product_homogeneous(two_ratio, 1.0, 10)
+        fourier_product_homogeneous(two_ratio, [1.0], 10)
 
 
 # -- Monte Carlo ---------------------------------------------------------------
 
 def test_montecarlo_dirac(dirac):
-    fv = fourier_montecarlo(make_sampler(dirac), [0.7], 1000, seed=1)[0]
+    fv = fourier_montecarlo(dirac, [0.7], 1000, seed=1)[0]
     assert abs(fv.value - 1.0) <= 1e-6
 
 
 def test_montecarlo_dyadic_integer_freq(dyadic):
-    fv = fourier_montecarlo(make_sampler(dyadic), [1.0], 1_000_000, seed=2)[0]
+    fv = fourier_montecarlo(dyadic, [1.0], 1_000_000, seed=2)[0]
     assert abs(fv.value) <= 4 / math.sqrt(1_000_000)
 
 
 def test_montecarlo_matches_exact(cantor):
     m = 1_000_000
-    fv = fourier_montecarlo(make_sampler(cantor), [1.0], m, seed=3)[0]
+    fv = fourier_montecarlo(cantor, [1.0], m, seed=3)[0]
     target = fourier_exact(cantor, 1.0, tol=1e-9).value
     assert abs(fv.value - target) <= 4 / math.sqrt(m)
 
 
 def test_montecarlo_value_does_not_depend_on_the_batch(cantor):
-    sampler = make_sampler(cantor)
-    alone = fourier_montecarlo(sampler, [5.0], 1000, seed=3)[0]
-    behind = fourier_montecarlo(sampler, [2.0, 5.0], 1000, seed=3)[1]
+    alone = fourier_montecarlo(cantor, [5.0], 1000, seed=3)[0]
+    behind = fourier_montecarlo(cantor, [2.0, 5.0], 1000, seed=3)[1]
     assert alone.value == behind.value
+
+
+def test_product_value_does_not_depend_on_the_batch(cantor):
+    # each frequency's factors are one row of the batch's array, 0 and a
+    # subnormal included
+    xis = [0.0, 5e-324, -7.25, 1.0, 333.3, 1e6]
+    batch = fourier_product_homogeneous(cantor, xis, 50)
+    for xi, fv in zip(xis, batch):
+        alone, = fourier_product_homogeneous(cantor, [xi], 50)
+        assert (fv.frequency, fv.value, fv.error_bound) == (
+            alone.frequency, alone.value, alone.error_bound)
+    assert batch[0].value == 1.0 and batch[0].error_bound == 0.0
 
 
 def test_montecarlo_rejects_tiny_runs(cantor):
     with pytest.raises(ValidationError):
-        fourier_montecarlo(make_sampler(cantor), [1.0], 10, seed=0)
+        fourier_montecarlo(cantor, [1.0], 10, seed=0)
 
 
 # -- cross-method and structural invariants -----------------------------------
@@ -171,22 +182,20 @@ def test_montecarlo_rejects_tiny_runs(cantor):
        st.integers(0, 99))
 def test_evaluators_agree_on_generated_systems(system, xis, seed):
     exact = fourier_exact_batch(system, xis, tol=1e-6)
-    sampled = fourier_montecarlo(make_sampler(system), xis, 2000, seed=seed)
-    equal = len(set(system.ratios().tolist())) == 1
-    for xi, e, mc in zip(xis, exact, sampled):
+    sampled = fourier_montecarlo(system, xis, 2000, seed=seed)
+    for e, mc in zip(exact, sampled):
         assert abs(e.value - mc.value) <= e.error_bound + mc.error_bound + 4 * mc.stderr
-        if equal:
-            p = fourier_product_homogeneous(system, xi)
+    if len(set(system.ratios().tolist())) == 1:
+        for e, p in zip(exact, fourier_product_homogeneous(system, xis)):
             assert abs(e.value - p.value) <= e.error_bound + p.error_bound
 
 
 def test_cross_method_agreement(cantor):
     rng = np.random.default_rng(7)
-    sampler = make_sampler(cantor)
     for xi in rng.uniform(-100, 100, size=20):
         a = fourier_exact(cantor, xi, tol=1e-8)
-        b = fourier_product_homogeneous(cantor, xi, 60)
-        c = fourier_montecarlo(sampler, [xi], 200_000, seed=int(abs(xi) * 100))[0]
+        b, = fourier_product_homogeneous(cantor, [xi], 60)
+        c = fourier_montecarlo(cantor, [xi], 200_000, seed=int(abs(xi) * 100))[0]
         assert abs(a.value - b.value) <= a.error_bound + b.error_bound
         assert abs(a.value - c.value) <= a.error_bound + c.error_bound
         assert abs(b.value - c.value) <= b.error_bound + c.error_bound
@@ -225,12 +234,13 @@ def test_cylinder_decomposition_invariants(two_ratio):
 def test_cylinder_decomposition_scales_declared_bounds_into_diameters():
     # {x/4, x/4 + 3/4} conjugated by x^2 contracts by 1/4 in the square-root
     # coordinate only; diam_constant = Lip(x^2) = 2 turns bounds into diameters
-    from ffl.ifs import compose
+    from ffl.ifs import fold
     from ffl.pushforward import SmoothMapF, conjugate_ifs
     psi = CIFS((0, 1), {0: AffineMap(0.25, 0.0), 1: AffineMap(0.25, 0.75)}, {0: 0.5, 1: 0.5})
     system = conjugate_ifs(psi, SmoothMapF.parse("(pow x 2)"), "(pow x 0.5)", verify=False).system
     dec = cylinder_decomposition(system, 1e-3)
-    spans = [abs(compose(system, w)(1.0) - compose(system, w)(0.0)) for w in dec.words]
+    maps = [fold(system.maps[s] for s in w) for w in dec.words]
+    spans = [abs(m(1.0) - m(0.0)) for m in maps]
     assert np.all(np.array(spans) <= dec.diameters * (1 + 1e-12))
     assert max(s / d for s, d in zip(spans, dec.diameters)) > 0.5  # the word 11...1 needs the 2
 
@@ -280,7 +290,7 @@ def test_truncated_countable_cross_method():
     m = 400_000
     for xi in (1.0, 6.5):
         a = fourier_exact(sys, xi, tol=1e-7)
-        b = fourier_montecarlo(make_sampler(sys), [xi], m, seed=33)[0]
+        b = fourier_montecarlo(sys, [xi], m, seed=33)[0]
         # both evaluators see the same renormalised truncation, so they
         # agree within statistical error alone
         assert abs(a.value - b.value) <= 1e-7 + b.error_bound

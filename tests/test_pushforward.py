@@ -491,8 +491,7 @@ def test_a_sweep_budget_cut_inside_a_stopping_set(two_ratio):
     # so one set holds the batch; at tol 1e2 six sets do, and the sets of
     # larger |xi| than the first over budget report it too
     F = SmoothMapF.parse("(pow x 2)")
-    norms = map_norms(F)
-    _, c2, lips = _curvature(F, norms)
+    _, c2, lips = _curvature(F, F.norms)
     for tol, budget, xis, over, first in (
             (1e4, 10, [12.0, 1.0, -15.0, 0.0, 25.0, 15.0, 5.0],
              [False, False, True, False, True, True, False], "-15.0"),
@@ -501,7 +500,7 @@ def test_a_sweep_budget_cut_inside_a_stopping_set(two_ratio):
         thetas = [min(1.0, math.sqrt(tol / 2 / (c2 * abs(xi)))) for xi in xis if xi]
         tree, _ = two_ratio.cylinders.tree(thetas, lips, 10 ** 6)
         assert len(set(tree.select(thetas)[2])) == (1 if tol == 1e4 else 6)
-        got = pushforward_fourier(F, two_ratio, xis, tol=tol, budget=budget, norms=norms)
+        got = pushforward_fourier(F, two_ratio, xis, tol=tol, budget=budget)
         assert [entry_bits(e) for e in got] == [
             entry_bits(e) for e in per_frequency_pushforward(F, two_ratio, xis, tol, budget)]
         assert [isinstance(e, BudgetExhausted) for e in got] == over
@@ -649,8 +648,7 @@ def test_ks_distance_basics():
 def test_curved_pushforward_band_maxima_eventually_decrease(cantor):
     from ffl.decay import band_maxima
     F = SmoothMapF.parse("(add (pow x 2) x)")
-    norms = map_norms(F)
-    ev = lambda xis: pushforward_fourier(F, cantor, xis, tol=1e-4, norms=norms)
+    ev = lambda xis: pushforward_fourier(F, cantor, xis, tol=1e-4)
     bands = band_maxima(ev, range(3, 11), 64, seed=1, band_base=2.0)
     early = max(b.peak for b in bands[:2])
     late = max(b.peak for b in bands[-2:])

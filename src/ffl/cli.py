@@ -382,8 +382,11 @@ def cmd_decay(cfg, out, seed, budget, action):
         jlo = integral("band_min", section.get("band_min", 2))
         jhi = integral("band_max", section.get("band_max", 8))
         samples = within_budget("samples_per_band", section.get("samples_per_band", 64), budget)
-        # band_maxima lists the band indices, and writes one record per band
+        # band_maxima lists the band indices, writes one record per band and
+        # hands every band's samples to the evaluator as one batch
         within_budget("band_max-band_min+1", jhi - jlo + 1, budget)
+        within_budget("(band_max-band_min+1)*samples_per_band", (jhi - jlo + 1) * samples,
+                      budget)
         bands = decay_mod.band_maxima(evaluator, range(jlo, jhi + 1), samples,
                                       seed=seed, band_base=base)
         payload = {"bands": [

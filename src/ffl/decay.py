@@ -36,41 +36,48 @@ class BandMax:
     excluded: int = 0
 
 
-def _band_frequencies(lower: float, width: float, count: int,
-                      seed: int, band_id: int) -> np.ndarray:
-    """Nested stratified points in [lower, lower+width); index 0 is the
-    band edge itself, later indices never move as count grows.
+def _band_frequencies(lowers, count: int, seed: int, band_ids) -> np.ndarray:
+    """Nested stratified points in every band [lower, 2*lower), one row per
+    band; index 0 is the band edge itself, later indices never move as
+    count grows.
 
     Point i >= 1 is the base-2 radical inverse of i plus a jitter inside its
     dyadic cell of width 2^-bit_length(i); the jitter is the first uniform
-    of the stream (seed, 0xBA4D, band_id, i).
+    of the stream (seed, 0xBA4D, band_id, i). The radical inverses are built
+    once for all bands, and the jitters of all bands come from one
+    ``uniforms`` call.
     """
+    lowers = np.asarray(lowers, dtype=float)[:, None]
     i = np.arange(1, count)
     bits = np.frexp(i)[1]  # bit lengths, exact below 2^53
     radical = np.zeros(i.size)
     for k in range(int(bits.max(initial=0))):  # sums of distinct powers of 2: exact
         radical += ((i >> k) & 1) * 2.0 ** -(k + 1)
-    jitter = uniforms(seed, (0xBA4D, band_id), range(1, count), 1)[:, 0]
-    xs = np.concatenate(([0.0], radical + jitter * np.ldexp(1.0, -bits)))
-    return lower + xs * width
+    jitter = uniforms(seed, (0xBA4D,), [(j, n) for j in band_ids for n in range(1, count)], 1)
+    xs = radical + jitter.reshape(lowers.shape[0], count - 1) * np.ldexp(1.0, -bits)
+    return lowers + np.hstack((np.zeros_like(lowers), xs)) * lowers
 
 
 def band_maxima(evaluator, band_indices, samples_per_band: int = 64,
                 seed: int = 0, band_base: float = 2.0) -> list:
     """Per band [base^j, 2*base^j): the largest |value| over the sample set.
 
-    Each band is one evaluator call; budget failures are excluded from the
-    maximum and counted, and a band with no sample left has no peak. The
-    band range must not be empty.
+    The samples of all bands go to the evaluator in one call, band after
+    band in the order of ``band_indices``; budget failures are excluded
+    from the maximum and counted, and a band with no sample left has no
+    peak. An evaluator whose budget cut depends on the batch (the
+    pushforward excludes every frequency at least as large as one over
+    budget) may thus exclude a band's samples for another band's. The band
+    range must not be empty.
     """
-    band_indices = list(band_indices)
+    band_indices = [int(j) for j in band_indices]
     if not band_indices:
         raise ValidationError("need at least one band: band_min must not exceed band_max")
     if samples_per_band < 64:
         raise ValidationError("need at least 64 samples per band")
     if not band_base > 1:  # a base <= 1 repeats or shrinks the band [1, 2]
         raise ValidationError("band base must exceed 1")
-    last = max(band_indices)  # checked before the walk evaluates the bands below it
+    last = max(band_indices)  # checked before any band is evaluated
     try:
         top = 2.0 * band_base ** last
     except OverflowError:
@@ -78,19 +85,20 @@ def band_maxima(evaluator, band_indices, samples_per_band: int = 64,
     if not math.isfinite(top):
         raise ValidationError(f"band {last} is past the float range: "
                               f"2 * {band_base}^{last} overflows")
+    lowers = [band_base ** j for j in band_indices]
+    freqs = _band_frequencies(lowers, samples_per_band, seed, band_indices).tolist()
+    entries = evaluator([xi for row in freqs for xi in row])
     out = []
-    for j in band_indices:
-        lower = band_base ** j
-        freqs = _band_frequencies(lower, lower, samples_per_band, seed, int(j)).tolist()
+    for n, (j, lower, row) in enumerate(zip(band_indices, lowers, freqs)):
         peak, arg, err, excluded = -1.0, None, 0.0, 0
-        for xi, fv in zip(freqs, evaluator(freqs)):
+        for xi, fv in zip(row, entries[n * samples_per_band:(n + 1) * samples_per_band]):
             if isinstance(fv, BudgetExhausted):
                 excluded += 1
                 continue
             if abs(fv.value) > peak:
                 peak, arg = abs(fv.value), xi
             err = max(err, fv.error_bound)
-        out.append(BandMax(int(j), lower, 2.0 * lower, None if arg is None else peak, arg,
+        out.append(BandMax(j, lower, 2.0 * lower, None if arg is None else peak, arg,
                            samples_per_band - excluded, err, excluded))
     return out
 

@@ -155,8 +155,14 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     curvature masses and its spread are summed once for all k. The
     second-order rule's arguments of mu fill one array, block after block,
     for the batch's one sweep. ``frequencies`` checks the batch at scale
-    max(1, c2 / (2 pi)), c2 = 0 on a smooth system: the second-order rule's
-    thresholds divide by c2 |xi|, the first-order rule's by 2 pi |xi|.
+    max(1, c2 / (2 pi), |F(0)| + G, R G), with G = sum_c sup |F_c| and R
+    the system's radius: the second-order rule's thresholds divide by
+    c2 |xi|; a phase xi F(a) is at most |xi| (|F(0)| + G), as every anchor
+    a lies in F's box within [-1, 1]^m; and an argument xi F_c(a) rho_c of
+    mu, which the sweep checks at scale R, is at most |xi| G. A smooth
+    system has no sweep and c2 = 0, so its scale is max(1, |F(0)| + G),
+    the 1 for its thresholds tol / (2 pi |xi|), or 1 when G is infinite:
+    no cylinder then stops and no phase is formed.
 
     Every affine system (a line system or a fibre product, m = 1 or 2
     coordinates) takes the second-order rule. The cylinder of a word w
@@ -200,7 +206,14 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     _check_box(F, system)
     norms = F.norms
     curvature, c2, lips = _curvature(F, norms) if system.is_affine else (None, 0.0, None)
-    xis = frequencies(xis, max(1.0, c2 / TWO_PI))
+    sup_grad = norms.sup_base + norms.sup_first  # sum_c sup |F_c|; no base term on the line
+    with np.errstate(all="ignore"):  # F(0) may overflow, or F be singular at 0
+        phase = float(np.abs(F.expr.eval(dict.fromkeys(names, np.zeros(1)))).max()) + sup_grad
+    if system.is_affine:
+        scale = max(1.0, c2 / TWO_PI, phase, system.radius * sup_grad)
+    else:  # an unbounded gradient stops no cylinder, so every frequency is over budget
+        scale = max(1.0, phase) if sup_grad < math.inf else 1.0
+    xis = frequencies(xis, scale)
     live = [i for i in np.argsort(np.abs(xis), kind="stable").tolist() if xis[i] != 0]
     scales = [abs(float(xis[i])) for i in live]
     if system.is_affine:  # an affine F (c2 = 0) stops every word at length 1 on the line

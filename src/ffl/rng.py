@@ -10,7 +10,9 @@ Philox4x64-10 (Salmon, Moraes, Dror & Shaw, SC 2011), draw j of a key is
 word j mod 4 of the block at counter (j // 4 + 1, 0, 0, 0), and
 ``Generator.random()`` maps a word w to (w >> 11) * 2^-53. So row r of
 ``uniforms(seed, stream, ids, count)`` equals
-``stream_rng(seed, *stream, ids[r]).random(count)`` bit for bit.
+``stream_rng(seed, *stream, ids[r]).random(count)`` bit for bit, or
+``stream_rng(seed, *stream, *ids[r]).random(count)`` when the id is a
+tuple: the rest of the address after ``stream``.
 """
 
 from __future__ import annotations
@@ -55,10 +57,13 @@ def uniforms(seed: int, stream, ids, count: int) -> np.ndarray:
     """The first ``count`` uniforms on [0, 1) of the stream of every id.
 
     Row r is ``stream_rng(seed, *stream, ids[r]).random(count)``, bit for
-    bit, with the Philox blocks of all rows computed as arrays.
+    bit, with the Philox blocks of all rows computed as arrays; a tuple id
+    is the rest of its address, ``stream_rng(seed, *stream, *ids[r])``, so
+    one call draws streams whose addresses differ in more than one place.
     """
     stream = tuple(stream)
-    keys = np.frombuffer(b"".join(_key(seed, stream + (i,)) for i in ids),
+    keys = np.frombuffer(b"".join(_key(seed, stream + (i if isinstance(i, tuple) else (i,)))
+                                  for i in ids),
                          dtype=np.uint64).reshape(-1, 1, 2)
     blocks = -(-count // 4)
     shape = (keys.shape[0], blocks)

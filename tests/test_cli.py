@@ -445,8 +445,7 @@ def test_no_walk_past_the_first_exhausted_frequency(tmp_path, monkeypatch, capsy
                 (alone[i].value, alone[i].error_bound)
 
 
-def test_decay_fit_makes_one_pushforward_and_one_kernel_call_per_band(tmp_path,
-                                                                       monkeypatch):
+def test_decay_fit_makes_one_pushforward_and_one_kernel_call(tmp_path, monkeypatch):
     batches, sweeps = [], []
     pushforward, sweep = cli.push.pushforward_fourier, cli.push.exact_sweep
 
@@ -468,8 +467,8 @@ def test_decay_fit_makes_one_pushforward_and_one_kernel_call_per_band(tmp_path,
         "seed": 1,
     })
     assert main(["decay", "fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-    assert batches == [64] * 4
-    assert len(sweeps) == 4 and all(n >= 64 for n in sweeps)
+    assert batches == [4 * 64]  # every band's samples, in one batch
+    assert len(sweeps) == 1 and sweeps[0] >= 4 * 64
 
 
 def test_verify_redraws_montecarlo_rows(tmp_path, monkeypatch):
@@ -531,16 +530,16 @@ def test_decay_bands_with_pushforward_method(tmp_path):
 
 def test_band_without_a_sample_has_no_peak(tmp_path):
     # every sample over budget wrote "peak": -1.0, "peak_frequency": NaN; at
-    # budget 100 the 64 samples fit, and every stopping tree (126 nodes or
-    # more) is over
+    # budget 128 the 2 x 64 samples fit, and every stopping tree (254 nodes
+    # or more from band 4 on) is over
     cfg = write_config(tmp_path / "cfg.json", {
         "system": {"kind": "named", "name": "cantor"},
         "map": {"expr": "(pow x 2)"},
-        "decay": {"band_base": 3.0, "band_min": 3, "band_max": 4,
+        "decay": {"band_base": 3.0, "band_min": 4, "band_max": 5,
                   "samples_per_band": 64, "method": "pushforward", "tol": 1e-3},
     })
     out = tmp_path / "out"
-    assert main(["decay", "bands", "--config", cfg, "--out", str(out), "--budget", "100"]) == 0
+    assert main(["decay", "bands", "--config", cfg, "--out", str(out), "--budget", "128"]) == 0
 
     def no_constants(name):
         raise ValueError(f"{name} is not JSON")
@@ -617,7 +616,14 @@ def test_band_count_is_checked_against_the_budget(tmp_path, capsys):
         assert error["message"] == (f"band_max-band_min+1 = {band_max - 2} "
                                     f"exceeds the budget {budget}")
         assert not any(p.is_file() for p in out.rglob("*"))
-    code, out = decay(100, 102)  # 100 bands of 64 samples, one band at a time
+    # 100 bands of 64 samples are one batch of 6400 frequencies
+    for budget in (100, 6399):
+        code, out = decay(budget, 102)
+        assert code == 3 and not any(p.is_file() for p in out.rglob("*"))
+        err, = capsys.readouterr().err.strip().splitlines()
+        assert json.loads(err)["error"]["message"] == (
+            f"(band_max-band_min+1)*samples_per_band = 6400 exceeds the budget {budget}")
+    code, out = decay(6400, 102)
     assert code == 0 and len(json.loads((out / "decay_bands.json").read_text())
                              ["result"]["bands"]) == 100
 
@@ -765,6 +771,12 @@ def test_malformed_values_exit_2(tmp_path, capsys):
           for system in (cantor, SMOOTH)),
         (["disintegrate", "consistency"], {"system": cantor, "disintegrate": {"xis": [1e308]}},
          "overflows"),
+        # the pushforward's arguments of mu xi F'(a) rho overflow where its
+        # thresholds do not: numpy's overflow warning, then "frequencies must
+        # be finite" from the sweep
+        (["pushforward-scan"], {"system": cantor, "map": {"expr": "(mul 1e10 x)"},
+                                "scan": dict(scan, xi_min=1e300, xi_max=1e300, points=1)},
+         "frequency too large"),
         # Python's float power overflowed building the family
         (["decay", "probe"], {"system": cantor, "decay": {
             "family_base": 1e10, "count": 40}}, "family_base"),
@@ -785,7 +797,10 @@ def test_malformed_values_exit_2(tmp_path, capsys):
     for n, (argv, config, *word) in enumerate(cases):  # a case may name a word its message holds
         cfg = write_config(tmp_path / "cfg.json", config)
         out = tmp_path / f"o{n}"
-        assert main(argv + ["--config", cfg, "--out", str(out)]) == 2, config
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv + ["--config", cfg, "--out", str(out)]) == 2, config
+        assert not caught, (config, [str(w.message) for w in caught])
         assert not any(p.is_file() for p in out.rglob("*")), config
         err, = capsys.readouterr().err.strip().splitlines()  # one JSON line
         error = json.loads(err)["error"]

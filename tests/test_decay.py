@@ -6,6 +6,7 @@ import pytest
 from ffl import decay
 from ffl.ifs import CIFS, AffineMap, BudgetExhausted, ValidationError
 from ffl.measure import FourierValue, fourier_exact, fourier_exact_batch
+from ffl.pushforward import SmoothMapF, pushforward_fourier
 from ffl.rng import stream_rng
 from ffl.decay import (band_maxima, fit_eta, sparse_cover, rajchman_probe,
                        BandMax, _band_frequencies)
@@ -39,15 +40,59 @@ def test_band_maxima_cantor_triadic_lower_bound(cantor):
 
 
 def test_band_maxima_includes_band_edge():
-    freqs = _band_frequencies(81.0, 81.0, 64, seed=3, band_id=4)
-    assert freqs[0] == 81.0
-    assert np.all((freqs >= 81.0) & (freqs < 162.0))
-    # the per-sample reference, bit for bit: the radical inverse of i plus the
-    # first uniform of stream (seed, 0xBA4D, band_id, i) times i's dyadic cell
-    for i in range(1, 64):
-        radical = sum(((i >> k) & 1) / 2.0 ** (k + 1) for k in range(i.bit_length()))
-        jitter = stream_rng(3, 0xBA4D, 4, i).random()
-        assert freqs[i] == 81.0 + (radical + jitter * 2.0 ** -i.bit_length()) * 81.0
+    rows = _band_frequencies([27.0, 81.0], 64, seed=3, band_ids=[3, 4])
+    assert rows.shape == (2, 64)
+    for lower, band_id, freqs in zip((27.0, 81.0), (3, 4), rows):
+        assert freqs[0] == lower
+        assert np.all((freqs >= lower) & (freqs < 2 * lower))
+        # the per-sample reference, bit for bit: the radical inverse of i plus
+        # the first uniform of stream (seed, 0xBA4D, band_id, i) times i's
+        # dyadic cell
+        for i in range(1, 64):
+            radical = sum(((i >> k) & 1) / 2.0 ** (k + 1) for k in range(i.bit_length()))
+            jitter = stream_rng(3, 0xBA4D, band_id, i).random()
+            assert freqs[i] == lower + (radical + jitter * 2.0 ** -i.bit_length()) * lower
+
+
+@pytest.mark.parametrize("method, budget", [("exact", 10 ** 6), ("pushforward", 10 ** 6),
+                                            ("pushforward", 128)])
+def test_band_maxima_of_several_bands_match_one_band_at_a_time(cantor, method, budget):
+    # all bands are one evaluator call; on the line every record is the one
+    # its band alone gives, at budget 128 too, where band 3 is cut partway
+    if method == "exact":
+        evaluate = lambda xis: fourier_exact_batch(cantor, xis, tol=1e-6, budget=budget)
+    else:
+        F = SmoothMapF.parse("(pow x 2)")
+        evaluate = lambda xis: pushforward_fourier(F, cantor, xis, tol=1e-3, budget=budget)
+    calls = []
+    together = band_maxima(lambda xis: calls.append(len(xis)) or evaluate(xis),
+                           range(3, 6), 64, seed=4, band_base=3.0)
+    assert calls == [3 * 64]
+    alone = [band_maxima(evaluate, [j], 64, seed=4, band_base=3.0)[0] for j in range(3, 6)]
+    assert together == alone  # field by field: peak, peak_frequency, max_error_bound, ...
+    if budget == 128:
+        assert 0 < together[0].excluded < 64
+
+
+def test_pushforward_cut_runs_across_bands(cantor):
+    # the bands are one batch, so every sample at least as large as the first
+    # over budget is excluded, in its own band and in every later one; the
+    # records come back in the order of the band indices
+    F, xis, entries = SmoothMapF.parse("(pow x 2)"), [], []
+
+    def evaluate(batch):
+        xis.extend(batch)
+        entries.extend(pushforward_fourier(F, cantor, batch, tol=1e-3, budget=128))
+        return entries[-len(batch):]
+    bands = band_maxima(evaluate, [5, 3, 4], 64, seed=0, band_base=3.0)
+    over = [xi for xi, e in zip(xis, entries) if isinstance(e, BudgetExhausted)]
+    first = min(over)
+    assert sorted(over) == sorted(xi for xi in xis if xi >= first)
+    assert [b.index for b in bands] == [5, 3, 4]
+    assert [b.excluded for b in bands] == [sum(xi >= first for xi in xis[n:n + 64])
+                                           for n in (0, 64, 128)]
+    assert [b.excluded for b in bands] == [64, bands[1].excluded, 64]
+    assert 0 < bands[1].excluded < 64 and bands[1].lower <= first < bands[1].upper
 
 
 def test_band_maxima_doubling_is_superset(cantor):

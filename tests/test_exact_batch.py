@@ -194,7 +194,7 @@ def test_band_maxima_counts_exhausted_entries_as_excluded():
     (band,) = band_maxima(
         lambda xis: fourier_exact_batch(system, xis, tol=tol, budget=budget),
         [6], 64, seed=2)
-    freqs = _band_frequencies(64.0, 64.0, 64, seed=2, band_id=6)
+    (freqs,) = _band_frequencies([64.0], 64, seed=2, band_ids=[6])
     over = sum(distinct_above(system, threshold(system, tol, xi)) > budget for xi in freqs)
     assert 0 < over < 64  # the budget cuts through this band
     assert band.excluded == over and band.samples == 64 - over

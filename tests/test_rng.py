@@ -14,3 +14,18 @@ def test_uniforms_match_numpy_philox(seed, stream, ids, count):
     for row, i in zip(rows, ids):
         expected = stream_rng(seed, *stream, i).random(count)
         assert row.tobytes() == expected.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 63), stream=st.lists(st.integers(0, 2 ** 32), max_size=2),
+       ids=st.lists(st.one_of(st.integers(0, 2 ** 40),
+                              st.lists(st.integers(0, 2 ** 40), max_size=3).map(tuple)),
+                    max_size=6),
+       count=st.integers(1, 9))
+def test_uniforms_take_tuple_ids(seed, stream, ids, count):
+    # a tuple id is the rest of its address, of any length; an integer is one place
+    rows = uniforms(seed, stream, ids, count)
+    assert rows.shape == (len(ids), count)
+    for row, i in zip(rows, ids):
+        rest = i if isinstance(i, tuple) else (i,)
+        assert row.tobytes() == stream_rng(seed, *stream, *rest).random(count).tobytes()

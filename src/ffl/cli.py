@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,92 +34,159 @@ from .rng import spawn_seed
 
 ENV_PREFIX = "FFL_"
 VERIFY_STREAM = 0x7E21F  # the stream family of verify's Monte Carlo draws
-SCAN_KEYS = {"xi_min", "xi_max", "points", "tol"}
-EVALUATOR_KEYS = {"method", "draws", "factors"}
 
 
 # ---------------------------------------------------------------------------
-# config plumbing
+# config schema
 # ---------------------------------------------------------------------------
+
+# the types of config values, as diagnostics name them
+REAL, INT, TEXT, EXPR = "a finite real", "an integer", "a string", "an expression"
+REALS, INTS = "a list of finite reals", "a list of integers"
+OBJECT, OBJECTS = "an object", "a list of objects"
+# defaults that are no value: the key must be given, or its absence means
+# something of its own (a geometric family or sequence, or the prefix length)
+REQUIRED, OPTIONAL = "required", "optional"
+
+
+class Key(NamedTuple):
+    """A config key: its type, its default (None lets it be null), its least
+    value, and whether it sizes an allocation, checked against the budget."""
+
+    kind: str
+    default: object = REQUIRED
+    least: int | None = None
+    sized: bool = False
+
+
+EVALUATOR = {  # the keys ``make_evaluator`` reads, in the scan and decay sections
+    "method": Key(TEXT, "exact"), "tol": Key(REAL, 1e-6),
+    "draws": Key(INT, 100_000, sized=True), "factors": Key(INT, 64, sized=True)}
+SCHEMA = {  # one table per config section
+    "config": {"system": Key(OBJECT, {}), "scan": Key(OBJECT, {}), "map": Key(OBJECT, {}),
+               "disintegrate": Key(OBJECT, {}), "equidist": Key(OBJECT, {}),
+               "decay": Key(OBJECT, {}), "seed": Key(INT, 0), "out": Key(TEXT, ".")},
+    "system": {"kind": Key(TEXT), "name": Key(TEXT), "maps": Key(OBJECTS, ()),
+               "weights": Key(REALS), "tail_mass": Key(REAL, 0.0),
+               "base": Key(OBJECTS, ()), "fibres": Key(OBJECTS, ()), "n_max": Key(INT, 8)},
+    "system.maps (affine1d)": {"ratio": Key(REAL), "translate": Key(REAL)},
+    "system.maps (smooth1d)": {"expr": Key(EXPR), "var": Key(TEXT, "x"),
+                               "declared_bound": Key(REAL, None)},
+    "system.base": {"id": Key(TEXT), "ratio": Key(REAL), "translate": Key(REAL)},
+    "system.fibres": {"base": Key(TEXT), "id": Key(TEXT), "ratio": Key(REAL),
+                      "translate": Key(REAL), "weight": Key(REAL)},
+    "scan": {"xi_min": Key(REAL), "xi_max": Key(REAL), "points": Key(INT, least=1, sized=True),
+             **EVALUATOR},
+    "map": {"expr": Key(EXPR), "fibre_var": Key(TEXT, None), "inverse": Key(EXPR),
+            "draws": Key(INT, 100_000, sized=True), "ks_tol": Key(REAL, 0.02)},
+    "decay": {**EVALUATOR, "band_base": Key(REAL, 2.0), "band_min": Key(INT, 2),
+              "band_max": Key(INT, 8), "samples_per_band": Key(INT, 64, sized=True),
+              "exponent": Key(REAL, 0.1), "limit": Key(REAL, 64.0),
+              "grid_step": Key(REAL, 0.25), "family_base": Key(REAL, 2.0),
+              "family": Key(REALS, OPTIONAL), "count": Key(INT, 11, sized=True)},
+    "disintegrate": {"block_length": Key(INT, 4), "xis": Key(REALS, (1.0, 2.0, 5.0)),
+                     "n_sequences": Key(INT, 1000, sized=True), "alpha": Key(REAL, None),
+                     "prefix_length": Key(INT, 64, sized=True),  # 256 for ek
+                     "horizon_min": Key(INT, 1),
+                     "horizon_max": Key(INT, OPTIONAL),  # the prefix length
+                     "xi": Key(REAL, 729.0), "trunc_tol": Key(REAL, 1e-6)},
+    "equidist": {"base": Key(INT, 2), "gamma": Key(REAL, 0.0),
+                 "rate": Key(EXPR, "(mul 0.1 (pow n 0))"),
+                 "horizon": Key(INT, 1000, sized=True),
+                 "seeds": Key(INT, 1, least=1, sized=True), "harmonics": Key(INT, 5, sized=True),
+                 "epsilon": Key(REAL, 1.0), "terms": Key(INTS, OPTIONAL)},
+}
+
+
+def typed(path: str, kind: str, value):
+    """``value`` as a ``kind`` (a real as a float, an integer as an int: 1e5
+    reads as 100000), or exit 2: a bool, a string, a non-finite real or a
+    fraction is no number of its kind."""
+    if kind in (REALS, INTS) and isinstance(value, list):
+        return [typed(f"{path}[{i}]", REAL if kind == REALS else INT, v)
+                for i, v in enumerate(value)]
+    if kind == REAL and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)
+    if kind == INT and (type(value) is int or type(value) is float and value.is_integer()):
+        return int(value)
+    if isinstance(value, {TEXT: str, EXPR: str, OBJECT: dict, OBJECTS: list}.get(kind, ())):
+        return value
+    raise ValidationError(f"{path} must be {kind}, got {value!r}")
+
+
+class Section(dict):
+    """The config reader: the typed values of the section ``raw``, read
+    against its table ``SCHEMA[name]`` (or only the table's ``keys``). An
+    unknown key, a value of the wrong type or below its least, or a taken key
+    that is absent and has no default exits 2, naming the key with its path
+    under ``where`` (``name`` by default). A key that sizes an allocation is
+    checked against the budget when a command takes it (exit 3)."""
+
+    def __init__(self, raw, name: str, budget: int, where: str | None = None, keys=None):
+        where = where or name
+        self.raw, self.table, self.budget = raw, SCHEMA[name], budget
+        self.prefix = "" if where == "config" else where + "."
+        if not isinstance(raw, dict):
+            raise ValidationError(f"{where} must be an object")
+        unknown = set(raw) - set(keys or self.table)
+        if unknown:
+            raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
+        for key, value in raw.items():
+            spec, path = self.table[key], self.prefix + key
+            if value is not None or spec.default is not None:
+                value = typed(path, spec.kind, value)
+            if spec.least is not None and value < spec.least:
+                raise ValidationError(f"{path} must be >= {spec.least}, got {value!r}")
+            self[key] = value
+
+    def __missing__(self, key):
+        default = self.table[key].default
+        if default in (REQUIRED, OPTIONAL):
+            raise ValidationError(f"{self.prefix}{key} is required")
+        return dict(default) if isinstance(default, dict) else default  # a fresh {} per read
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        return self.charge(self.prefix + key, value) if self.table[key].sized else value
+
+    def charge(self, name: str, size: int) -> int:
+        if size > self.budget:
+            raise BudgetExhausted(f"{name} = {size} exceeds the budget {self.budget}")
+        return size
+
 
 def config_hash(cfg: dict) -> str:
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
-def check_keys(section: dict, allowed: set, where: str):
-    if not isinstance(section, dict):
-        raise ValidationError(f"{where} must be an object")
-    unknown = set(section) - allowed
-    if unknown:
-        raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
-
-
-def integral(key: str, value) -> int:
-    """An integer config value: 1e5 is 100000, but a bool, a string or a
-    fraction such as 3.9 is rejected, never truncated."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
-        raise ValidationError(f"{key} must be an integer, got {value!r}")
-    return int(value)
-
-
-def within_budget(key: str, value, budget: int) -> int:
-    """An integer config value that sizes an allocation, checked before it is used."""
-    value = integral(key, value)
-    if value > budget:
-        raise BudgetExhausted(f"{key} = {value} exceeds the budget {budget}")
-    return value
-
-
-def load_config(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValidationError("config root must be an object")
-    return cfg
-
-
 def build_system(section: dict):
-    check_keys(section, {"kind", "name", "maps", "weights", "tail_mass",
-                         "base", "fibres", "n_max"}, "system")
-    kind = section.get("kind")
+    s = Section(section, "system", 0)  # no system key sizes an allocation
+    kind = s["kind"]
     if kind == "named":
-        name = section.get("name")
         builders = {"cantor": cantor_system, "dyadic-uniform": dyadic_uniform_system}
-        if name not in builders:
-            raise ValidationError(f"unknown named system {name!r}")
-        return builders[name]()
+        if s["name"] not in builders:
+            raise ValidationError(f"unknown named system {s['name']!r}")
+        return builders[s["name"]]()
+    entries = lambda key, name: [Section(e, name, 0, where=f"system.{key}[{i}]")
+                                 for i, e in enumerate(s[key])]
     if kind in ("affine1d", "smooth1d"):
-        maps = {}
-        for i, entry in enumerate(section.get("maps", [])):
-            if kind == "affine1d":
-                check_keys(entry, {"ratio", "translate"}, f"system.maps[{i}]")
-                maps[i] = AffineMap(float(entry["ratio"]), float(entry["translate"]))
-            else:
-                check_keys(entry, {"expr", "var", "declared_bound"}, f"system.maps[{i}]")
-                maps[i] = SmoothMap.from_expr(entry["expr"], entry.get("var", "x"),
-                                              declared_bound=entry.get("declared_bound"))
-        wlist = section.get("weights")
-        if wlist is None or len(wlist) != len(maps):
+        maps = dict(enumerate(
+            AffineMap(e["ratio"], e["translate"]) if kind == "affine1d" else
+            SmoothMap.from_expr(e["expr"], e["var"], declared_bound=e["declared_bound"])
+            for e in entries("maps", f"system.maps ({kind})")))
+        if len(s["weights"]) != len(maps):
             raise ValidationError("weights must match the map list")
-        return CIFS(tuple(maps), maps, {i: float(w) for i, w in enumerate(wlist)},
-                    tail_mass=float(section.get("tail_mass", 0.0)))
+        return CIFS(tuple(maps), maps, dict(enumerate(s["weights"])),
+                    tail_mass=s["tail_mass"])
     if kind == "fibre_product":
-        base = {}
-        for i, entry in enumerate(section.get("base", [])):
-            check_keys(entry, {"id", "ratio", "translate"}, f"system.base[{i}]")
-            base[str(entry["id"])] = AffineMap(float(entry["ratio"]),
-                                               float(entry["translate"]))
+        base = {e["id"]: AffineMap(e["ratio"], e["translate"])
+                for e in entries("base", "system.base")}
         fibres, weights = {}, {}
-        for i, entry in enumerate(section.get("fibres", [])):
-            check_keys(entry, {"base", "id", "ratio", "translate", "weight"},
-                       f"system.fibres[{i}]")
-            j, l = str(entry["base"]), str(entry["id"])
-            fibres.setdefault(j, {})[l] = AffineMap(float(entry["ratio"]),
-                                                    float(entry["translate"]))
-            weights[(j, l)] = float(entry["weight"])
-        return build_fibre_product(base, fibres, weights,
-                                   n_max=integral("n_max", section.get("n_max", 8)))
+        for e in entries("fibres", "system.fibres"):
+            fibres.setdefault(e["base"], {})[e["id"]] = AffineMap(e["ratio"], e["translate"])
+            weights[(e["base"], e["id"])] = e["weight"]
+        return build_fibre_product(base, fibres, weights, n_max=s["n_max"])
     raise ValidationError(f"unknown system kind {kind!r}")
 
 
@@ -158,26 +226,22 @@ def fourier_rows(values) -> list:
 # evaluator construction
 # ---------------------------------------------------------------------------
 
-def make_evaluator(system, scan: dict, seed: int, budget: int, map_section=None):
-    """The scan section's evaluator: a callable xis -> list with one
-    FourierValue, or BudgetExhausted, per frequency, which hands the whole
-    batch to one call of the method's evaluator f(system, xis, ...)."""
-    method = scan.get("method", "exact")
-    tol = float(scan.get("tol", 1e-6))
+def make_evaluator(system, section: Section, seed: int, budget: int, map_section=None):
+    """The evaluator of a read scan or decay section: a callable xis -> list
+    with one FourierValue, or BudgetExhausted, per frequency, which hands
+    the whole batch to one call of the method's evaluator f(system, xis, ...)."""
+    method, tol = section["method"], section["tol"]
     if method == "exact":
         return lambda xis: meas.fourier_exact_batch(system, xis, tol=tol, budget=budget)
     if method == "montecarlo":
-        draws = within_budget("draws", scan.get("draws", 100_000), budget)
+        draws = section["draws"]
         return lambda xis: meas.fourier_montecarlo(system, xis, draws, seed)
     if method == "product":
-        factors = within_budget("factors", scan.get("factors", 64), budget)
+        factors = section["factors"]
         return lambda xis: meas.fourier_product_homogeneous(system, xis, factors)
     if method == "pushforward":
-        if map_section is None:
-            raise ValidationError("pushforward method needs a map section")
-        check_keys(map_section, {"expr", "fibre_var"}, "map")
-        F = push.SmoothMapF.parse(map_section["expr"],
-                                  fibre_var=map_section.get("fibre_var"))
+        m = Section(map_section, "map", budget, keys=("expr", "fibre_var"))
+        F = push.SmoothMapF.parse(m["expr"], fibre_var=m["fibre_var"])
         return lambda xis: push.pushforward_fourier(F, system, xis, tol=tol, budget=budget)
     raise ValidationError(f"unknown method {method!r}")
 
@@ -189,45 +253,31 @@ def make_evaluator(system, scan: dict, seed: int, budget: int, map_section=None)
 def cmd_fourier_scan(cfg, out, seed, budget, method=None):
     """Write the scan CSV of a uniform frequency grid; pushforward-scan fixes
     ``method``, and its scan section takes no evaluator keys."""
-    section = cfg.get("scan", {})
-    if method is None:
-        check_keys(section, SCAN_KEYS | EVALUATOR_KEYS, "scan")
-        tool, name = "fourier-scan", "scan.csv"
-    else:
-        check_keys(section, SCAN_KEYS, "scan")
-        section = dict(section, method=method)
-        tool, name = f"{method}-scan", f"{method}.csv"
-    system = build_system(cfg.get("system", {}))
-    lo, hi = float(section["xi_min"]), float(section["xi_max"])
-    points = within_budget("points", section["points"], budget)
-    if not (math.isfinite(hi - lo) and points >= 1):
-        raise ValidationError("a scan needs a finite frequency range and points >= 1")
-    xis = np.linspace(lo, hi, points)
-    evaluator = make_evaluator(system, section, seed, budget,
-                               map_section=cfg.get("map"))
+    s = Section(cfg["scan"], "scan", budget,
+                keys=method and ("xi_min", "xi_max", "points", "tol"))
+    if method:
+        s["method"] = method
+    system = build_system(cfg["system"])
+    lo, hi = s["xi_min"], s["xi_max"]
+    if not math.isfinite(hi - lo):
+        raise ValidationError("the scan range xi_max - xi_min overflows a float")
+    xis = np.linspace(lo, hi, s["points"])
+    evaluator = make_evaluator(system, s, seed, budget, map_section=cfg["map"])
     values = meas.require_values(evaluator(xis))
-    write_csv(out / name, tool, config_hash(cfg), seed,
-              "xi,re,im,abs,err,err_kind", fourier_rows(values))
+    write_csv(out / f"{method or 'scan'}.csv", f"{method or 'fourier'}-scan",
+              config_hash(cfg.raw), seed, "xi,re,im,abs,err,err_kind", fourier_rows(values))
     return 0
 
 
 def cmd_disintegrate(cfg, out, seed, budget, action):
-    section = cfg.get("disintegrate", {})
-    check_keys(section, {"block_length", "xis", "n_sequences", "alpha",
-                         "prefix_length", "horizon_min", "horizon_max", "xi",
-                         "trunc_tol"}, "disintegrate")
-    fp = fibre_product_from_1d(build_system(cfg.get("system", {})))
-    k = integral("block_length", section.get("block_length", 4))
-    h = config_hash(cfg)
-    if action in ("sample", "membership", "ek"):
-        length = within_budget("prefix_length",
-                               section.get("prefix_length", 256 if action == "ek" else 64), budget)
+    s = Section(cfg["disintegrate"], "disintegrate", budget)
+    fp = fibre_product_from_1d(build_system(cfg["system"]))
+    k, h = s["block_length"], config_hash(cfg.raw)
+    if action == "ek":
+        s.setdefault("prefix_length", 256)
     if action == "consistency":  # builds its own class table, reads no alpha
-        xis = [float(x) for x in section.get("xis", [1.0, 2.0, 5.0])]
-        n_seq = within_budget("n_sequences", section.get("n_sequences", 1000), budget)
-        rep = dis.disintegration_consistency(
-            fp, k, xis, n_seq, seed=seed,
-            trunc_tol=float(section.get("trunc_tol", 1e-6)))
+        rep = dis.disintegration_consistency(fp, k, s["xis"], s["n_sequences"], seed=seed,
+                                             trunc_tol=s["trunc_tol"])
         write_json(out / "consistency.json", "disintegrate consistency", h, seed,
                    rep.to_jsonable())
         return 0
@@ -248,15 +298,17 @@ def cmd_disintegrate(cfg, out, seed, budget, action):
         write_json(out / "classes.json", "disintegrate classes", h, seed, payload)
         return 0
 
-    alpha = section.get("alpha")
+    alpha = s["alpha"]
     if alpha is None:
         alpha, _rep = dis.calibrate_alpha(table, seed=seed)
-    params = dis.LargeDeviationParams.for_table(table, float(alpha))
+    params = dis.LargeDeviationParams.for_table(table, alpha)
+    if action not in ("sample", "membership", "ek"):
+        raise ValidationError(f"unknown disintegrate action {action!r}")
+    om = dis.sample_omega(table, s["prefix_length"], seed=seed)
 
     if action == "sample":
-        om = dis.sample_omega(table, length, seed=seed)
         payload = {
-            "alpha": float(alpha),
+            "alpha": alpha,
             "classes": [int(i) for i in om.indices],
             "cumulative_ratios": [float(r) for r in om.cum_ratios],
             "base_point": om.base_point,
@@ -265,11 +317,10 @@ def cmd_disintegrate(cfg, out, seed, budget, action):
         return 0
 
     if action == "membership":
-        lo = integral("horizon_min", section.get("horizon_min", 1))
-        hi = integral("horizon_max", section.get("horizon_max", length))
-        om = dis.sample_omega(table, length, seed=seed)
-        rep = dis.check_omega_membership(om, params, np.arange(lo, hi + 1))
-        payload = {"alpha": float(alpha), "aggregate": rep.aggregate,
+        s.setdefault("horizon_max", s["prefix_length"])
+        rep = dis.check_omega_membership(om, params,
+                                         np.arange(s["horizon_min"], s["horizon_max"] + 1))
+        payload = {"alpha": alpha, "aggregate": rep.aggregate,
                    "all_ok": rep.all_ok,
                    "horizons": [int(n) for n in rep.horizons],
                    "flags": {
@@ -280,48 +331,36 @@ def cmd_disintegrate(cfg, out, seed, budget, action):
         write_json(out / "membership.json", "disintegrate membership", h, seed, payload)
         return 0
 
-    if action == "ek":
-        xi = float(section.get("xi", 729.0))
-        om = dis.sample_omega(table, length, seed=seed)
-        d = dis.ek_diagnostics(om, xi, params)
-        payload = {
-            "alpha": float(alpha), "xi": d.frequency, "band_limit": d.band_limit,
-            "n_eff": d.n_eff, "band_index": d.band_index,
-            "level_ratio": d.level_ratio,
-            "decay_levels": d.decay_levels.tolist(),
-            "integer_parts": d.integer_parts.tolist(),
-            "fractional_parts": d.fractional_parts.tolist(),
-            "near_integer_tol": d.near_integer_tol,
-            "near_integer_levels": d.near_integer_levels.tolist(),
-        }
-        write_json(out / "ek.json", "disintegrate ek", h, seed, payload)
-        return 0
-    raise ValidationError(f"unknown disintegrate action {action!r}")
+    d = dis.ek_diagnostics(om, s["xi"], params)
+    payload = {
+        "alpha": alpha, "xi": d.frequency, "band_limit": d.band_limit,
+        "n_eff": d.n_eff, "band_index": d.band_index,
+        "level_ratio": d.level_ratio,
+        "decay_levels": d.decay_levels.tolist(),
+        "integer_parts": d.integer_parts.tolist(),
+        "fractional_parts": d.fractional_parts.tolist(),
+        "near_integer_tol": d.near_integer_tol,
+        "near_integer_levels": d.near_integer_levels.tolist(),
+    }
+    write_json(out / "ek.json", "disintegrate ek", h, seed, payload)
+    return 0
 
 
 def cmd_equidist(cfg, out, seed, budget, action):
-    section = cfg.get("equidist", {})
-    check_keys(section, {"base", "gamma", "rate", "horizon", "seeds",
-                         "harmonics", "epsilon", "terms"}, "equidist")
-    rate = eq.RateFn.parse(section.get("rate", "(mul 0.1 (pow n 0))"))
-    gamma = float(section.get("gamma", 0.0))
-    horizon = within_budget("horizon", section.get("horizon", 1000), budget)
-    base = section.get("base", 2)  # uncast: int() would run base 2.5 as base 2
-    if "terms" in section:
-        spec = eq.EquidistSpec.explicit(section["terms"], gamma, rate, horizon)
+    s = Section(cfg["equidist"], "equidist", budget)
+    rate = eq.RateFn.parse(s["rate"])
+    horizon = s["horizon"]
+    if "terms" in s:
+        spec = eq.EquidistSpec.explicit(s["terms"], s["gamma"], rate, horizon)
     else:
-        spec = eq.EquidistSpec.geometric(base, gamma, rate, horizon)
-    n_seeds = within_budget("seeds", section.get("seeds", 1), budget)
-    if n_seeds < 1:
-        raise ValidationError("seeds must be >= 1")
-    epsilon = float(section.get("epsilon", 1.0))
-    h = config_hash(cfg)
+        spec = eq.EquidistSpec.geometric(s["base"], s["gamma"], rate, horizon)
+    n_seeds, h = s["seeds"], config_hash(cfg.raw)
 
     if action == "count":
         rows, devs = [], []
         for i in range(n_seeds):
             gp = eq.grid_point_for(spec, seed=spawn_seed(seed, i))
-            res = eq.count_hits(gp, spec, epsilon=epsilon)
+            res = eq.count_hits(gp, spec, epsilon=s["epsilon"])
             # int true division is correctly rounded at any size
             x_repr = g17(gp.numerator / (1 << gp.bits))
             rows.append(",".join([str(i), x_repr, str(res.horizon), str(res.count),
@@ -329,28 +368,27 @@ def cmd_equidist(cfg, out, seed, budget, action):
             devs.append(res.deviation_half)
         write_csv(out / "count.csv", "equidist count", h, seed,
                   "seed,x,N,count,two_sigma,deviation", rows)
-        payload = {"pass_fraction_unit_band":
-                   float(np.mean(np.abs(devs) <= 1.0)) if devs else None,
-                   "epsilon": epsilon, "n_seeds": n_seeds}
+        payload = {"pass_fraction_unit_band": float(np.mean(np.abs(devs) <= 1.0)),
+                   "epsilon": s["epsilon"], "n_seeds": n_seeds}
         write_json(out / "count_summary.json", "equidist count", h, seed, payload)
         return 0
 
     if action == "weyl":
-        harmonics = within_budget("harmonics", section.get("harmonics", 5), budget)
+        harmonics = s["harmonics"]
         # weyl_sums holds one phase per harmonic and step
-        within_budget("harmonics*horizon", harmonics * horizon, budget)
+        s.charge("harmonics*horizon", harmonics * horizon)
         rows = []
         for i in range(n_seeds):
             gp = eq.grid_point_for(spec, seed=spawn_seed(seed, i))
             sums = eq.weyl_sums(gp, spec, harmonics)
-            rows.append(",".join([str(i)] + [g17(s) for s in sums]))
+            rows.append(",".join([str(i)] + [g17(x) for x in sums]))
         write_csv(out / "weyl.csv", "equidist weyl", h, seed,
                   "seed," + ",".join(f"h{j}" for j in range(1, harmonics + 1)), rows)
         return 0
 
     if action == "digits":
         # the histogram and the CSV hold one column per possible digit
-        base = spec.base or eq.EquidistSpec.geometric(base, gamma, rate, horizon).base
+        base = s["base"]
         if base > horizon:
             raise ValidationError(f"base {base} exceeds horizon {horizon}, the digit count")
         rows = []
@@ -368,27 +406,19 @@ def cmd_equidist(cfg, out, seed, budget, action):
 
 
 def cmd_decay(cfg, out, seed, budget, action):
-    section = cfg.get("decay", {})
-    check_keys(section, {"band_base", "band_min", "band_max", "samples_per_band",
-                         "method", "tol", "draws", "factors", "exponent", "limit",
-                         "grid_step", "family_base", "family", "count"}, "decay")
-    system = build_system(cfg.get("system", {}))
-    evaluator = make_evaluator(system, section, seed, budget,
-                               map_section=cfg.get("map"))
-    h = config_hash(cfg)
+    s = Section(cfg["decay"], "decay", budget)
+    system = build_system(cfg["system"])
+    evaluator = make_evaluator(system, s, seed, budget, map_section=cfg["map"])
+    h = config_hash(cfg.raw)
 
     if action in ("bands", "fit"):
-        base = float(section.get("band_base", 2.0))
-        jlo = integral("band_min", section.get("band_min", 2))
-        jhi = integral("band_max", section.get("band_max", 8))
-        samples = within_budget("samples_per_band", section.get("samples_per_band", 64), budget)
+        jlo, jhi, samples = s["band_min"], s["band_max"], s["samples_per_band"]
         # band_maxima lists the band indices, writes one record per band and
         # hands every band's samples to the evaluator as one batch
-        within_budget("band_max-band_min+1", jhi - jlo + 1, budget)
-        within_budget("(band_max-band_min+1)*samples_per_band", (jhi - jlo + 1) * samples,
-                      budget)
+        s.charge("band_max-band_min+1", jhi - jlo + 1)
+        s.charge("(band_max-band_min+1)*samples_per_band", (jhi - jlo + 1) * samples)
         bands = decay_mod.band_maxima(evaluator, range(jlo, jhi + 1), samples,
-                                      seed=seed, band_base=base)
+                                      seed=seed, band_base=s["band_base"])
         payload = {"bands": [
             {"index": b.index, "lower": b.lower, "upper": b.upper, "peak": b.peak,
              "peak_frequency": b.peak_frequency, "samples": b.samples,
@@ -409,10 +439,8 @@ def cmd_decay(cfg, out, seed, budget, action):
         return 0
 
     if action == "sparse":
-        limit = float(section.get("limit", 64.0))
-        exponent = float(section.get("exponent", 0.1))
-        step = float(section.get("grid_step", 0.25))
-        cover = decay_mod.sparse_cover(evaluator, limit, exponent, step, budget)
+        cover = decay_mod.sparse_cover(evaluator, s["limit"], s["exponent"], s["grid_step"],
+                                       budget)
         payload = {"limit": cover.limit, "exponent": cover.threshold_exponent,
                    "threshold": cover.threshold, "count": cover.count,
                    "grid_step": cover.grid_step,
@@ -421,12 +449,10 @@ def cmd_decay(cfg, out, seed, budget, action):
         return 0
 
     if action == "probe":
-        if "family" in section:
-            family = [float(f) for f in section["family"]]
-            count = None
+        if "family" in s:
+            family, count = s["family"], None
         else:
-            family = ("geometric", float(section.get("family_base", 2.0)))
-            count = within_budget("count", section.get("count", 11), budget)
+            family, count = ("geometric", s["family_base"]), s["count"]
         values = decay_mod.rajchman_probe(evaluator, family, count)
         write_csv(out / "probe.csv", "decay probe", h, seed,
                   "xi,re,im,abs,err,err_kind", fourier_rows(values))
@@ -435,14 +461,12 @@ def cmd_decay(cfg, out, seed, budget, action):
 
 
 def cmd_conjugate(cfg, out, seed, budget):
-    section = cfg.get("map", {})
-    check_keys(section, {"expr", "inverse", "fibre_var", "draws", "ks_tol"}, "map")
-    system = build_system(cfg.get("system", {}))
-    F = push.SmoothMapF.parse(section["expr"], fibre_var=section.get("fibre_var"))
-    res = push.conjugate_ifs(system, F, section["inverse"],
-                             draws=within_budget("draws", section.get("draws", 100_000), budget),
-                             ks_tol=float(section.get("ks_tol", 0.02)), seed=seed)
-    h = config_hash(cfg)
+    s = Section(cfg["map"], "map", budget)
+    system = build_system(cfg["system"])
+    F = push.SmoothMapF.parse(s["expr"], fibre_var=s["fibre_var"])
+    res = push.conjugate_ifs(system, F, s["inverse"], draws=s["draws"], ks_tol=s["ks_tol"],
+                             seed=seed)
+    h = config_hash(cfg.raw)
     maps_payload = []
     for a in res.system.alphabet:
         m = res.system.maps[a]
@@ -457,7 +481,7 @@ def cmd_conjugate(cfg, out, seed, budget):
 
 
 def cmd_report(cfg, out, seed, budget):
-    h = config_hash(cfg)
+    h = config_hash(cfg.raw)
     made = 0
     for csv_path in sorted(out.glob("*.csv")):
         lines = csv_path.read_text(encoding="utf-8").splitlines()
@@ -490,11 +514,10 @@ def cmd_verify(cfg, out, seed, budget):
     Monte Carlo rows are re-drawn from a stream family of their own, so the
     check compares two independent estimates.
     """
-    section = cfg.get("scan", {})
-    check_keys(section, SCAN_KEYS | EVALUATOR_KEYS, "scan")
-    system = build_system(cfg.get("system", {}))
-    evaluator = make_evaluator(system, section, spawn_seed(seed, VERIFY_STREAM),
-                               budget, map_section=cfg.get("map"))
+    s = Section(cfg["scan"], "scan", budget)
+    system = build_system(cfg["system"])
+    evaluator = make_evaluator(system, s, spawn_seed(seed, VERIFY_STREAM),
+                               budget, map_section=cfg["map"])
     path = out / "scan.csv"
     if not path.exists():
         raise ValidationError(f"{path} does not exist; run fourier-scan first")
@@ -509,7 +532,7 @@ def cmd_verify(cfg, out, seed, budget):
         if gap > err + fv.error_bound + 1e-15:
             failures.append({"xi": xi, "gap": gap,
                              "allowed": err + fv.error_bound})
-    write_json(out / "verify.json", "verify", config_hash(cfg), seed,
+    write_json(out / "verify.json", "verify", config_hash(cfg.raw), seed,
                {"checked": len(rows), "failures": failures})
     if failures:
         raise ValidationError(f"{len(failures)} of {len(rows)} rows violate "
@@ -548,17 +571,16 @@ def main(argv=None) -> int:
         config_path = args.config or _env_default("CONFIG", str, None)
         if config_path is None:
             raise ValidationError("--config (or FFL_CONFIG) is required")
-        cfg = load_config(config_path)
-        check_keys(cfg, {"system", "scan", "map", "disintegrate", "equidist",
-                         "decay", "seed", "out"}, "config")
+        with open(config_path, "r", encoding="utf-8") as fh:
+            cfg = Section(json.load(fh), "config", 0)  # no top-level key sizes an allocation
         out_dir = (args.out or _env_default("OUT", str, None)
-                   or cfg.get("out") or ".")
+                   or cfg["out"])
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         seed = (args.seed if args.seed is not None
                 else _env_default("SEED", int, None))
         if seed is None:
-            seed = integral("seed", cfg.get("seed", 0))
+            seed = cfg["seed"]
         budget = (args.budget if args.budget is not None
                   else _env_default("BUDGET", int, meas.DEFAULT_BUDGET))
         if budget < 0:
@@ -590,9 +612,8 @@ def main(argv=None) -> int:
         return 3
     except (ValueError, TypeError, KeyError, OverflowError, FileNotFoundError,
             RecursionError) as err:
-        # a config value of the wrong type or range fails its cast or its
-        # validator with one of these; ValidationError is a ValueError, and
-        # an expression nested too deeply to parse or walk is a RecursionError
+        # a library validator raises ValidationError, a ValueError; an
+        # expression nested too deeply to parse or walk, a RecursionError
         print(json.dumps({"error": {"kind": "validation",
                                     "message": f"{type(err).__name__}: {err}"}}),
               file=sys.stderr)

@@ -161,8 +161,8 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     a lies in F's box within [-1, 1]^m; and an argument xi F_c(a) rho_c of
     mu, which the sweep checks at scale R, is at most |xi| G. A smooth
     system has no sweep and c2 = 0, so its scale is max(1, |F(0)| + G),
-    the 1 for its thresholds tol / (2 pi |xi|), or 1 when G is infinite:
-    no cylinder then stops and no phase is formed.
+    the 1 for its thresholds tol / (2 pi |xi|). Either rule reads G, and
+    the second-order rule c2: one infinite on F's box raises ValidationError.
 
     Every affine system (a line system or a fibre product, m = 1 or 2
     coordinates) takes the second-order rule. The cylinder of a word w
@@ -207,12 +207,13 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     norms = F.norms
     curvature, c2, lips = _curvature(F, norms) if system.is_affine else (None, 0.0, None)
     sup_grad = norms.sup_base + norms.sup_first  # sum_c sup |F_c|; no base term on the line
+    if not sup_grad + c2 < math.inf:  # the fault is F's, not the frequency's or the budget's
+        raise ValidationError(f"F = {F.expr.to_prefix()} has a derivative unbounded on its box")
     with np.errstate(all="ignore"):  # F(0) may overflow, or F be singular at 0
         phase = float(np.abs(F.expr.eval(dict.fromkeys(names, np.zeros(1)))).max()) + sup_grad
+    scale = max(1.0, phase)
     if system.is_affine:
-        scale = max(1.0, c2 / TWO_PI, phase, system.radius * sup_grad)
-    else:  # an unbounded gradient stops no cylinder, so every frequency is over budget
-        scale = max(1.0, phase) if sup_grad < math.inf else 1.0
+        scale = max(scale, c2 / TWO_PI, system.radius * sup_grad)
     xis = frequencies(xis, scale)
     live = [i for i in np.argsort(np.abs(xis), kind="stable").tolist() if xis[i] != 0]
     scales = [abs(float(xis[i])) for i in live]
@@ -319,7 +320,7 @@ def _curvature(F: SmoothMapF, norms: MapNorms):
              for c in range(len(R)) for d in range(c, len(R))]
     k = [math.pi * sum(row) * r ** 2 for row, r in zip(H, R)]
     c2 = max(k)
-    return terms, c2, tuple(math.sqrt(kc / c2) if 0 < c2 < math.inf else 1.0 for kc in k)
+    return terms, c2, tuple(math.sqrt(kc / c2) if c2 > 0 else 1.0 for kc in k)
 
 
 # ---------------------------------------------------------------------------

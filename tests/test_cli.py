@@ -211,6 +211,25 @@ def test_pushforward_scan(tmp_path):
     assert {r[5] for r in rows} == {"rigorous"}  # certified derivative norms
 
 
+def test_unbounded_derivative_is_blamed_on_F(tmp_path, capsys):
+    # on cantor these exited 2 with "frequency too large", and on the smooth
+    # system 3 with "budget exhausted": sup |F'| or sup |F''| is infinite on
+    # [0, 1]. The first-order rule of a smooth system reads no sup |F''|.
+    scan = {"xi_min": 1.0, "xi_max": 2.0, "points": 2, "tol": 1e-3}
+    cantor = {"kind": "named", "name": "cantor"}
+    cases = ((cantor, "(pow x 0.5)", 2), (cantor, "(div 1 x)", 2), (cantor, "(pow x 1.5)", 2),
+             (SMOOTH, "(pow x 0.5)", 2), (SMOOTH, "(pow x 1.5)", 0))
+    for n, (system, expr, code) in enumerate(cases):
+        cfg = write_config(tmp_path / "cfg.json", {"system": system, "map": {"expr": expr},
+                                                   "scan": scan})
+        out = tmp_path / f"o{n}"
+        assert main(["pushforward-scan", "--config", cfg, "--out", str(out)]) == code, expr
+        if code == 2:
+            message = json.loads(capsys.readouterr().err)["error"]["message"]
+            assert message.startswith("ValidationError: F = (") and "unbounded" in message
+            assert not any(p.is_file() for p in out.rglob("*"))
+
+
 def test_unknown_map_key_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", {
         "system": {"kind": "named", "name": "cantor"},
@@ -379,7 +398,7 @@ def test_montecarlo_scan_reruns_and_verifies(tmp_path):
 
 
 def test_montecarlo_rows_do_not_depend_on_order():
-    section = {"method": "montecarlo", "draws": 500}
+    section = cli.Section({"method": "montecarlo", "draws": 500}, "scan", 10 ** 6)
     xis = [1.0, 2.5, 7.0, 40.0]
     forward = make_evaluator(cantor_system(), section, 7, 10 ** 6)
     backward = make_evaluator(cantor_system(), section, 7, 10 ** 6)
@@ -427,8 +446,8 @@ def test_no_walk_past_the_first_exhausted_frequency(tmp_path, monkeypatch, capsy
     # the stopping tree over budget (no achieved), then mu^'s sweep over budget
     xis = [64.0, 2.0, -16.0, 256.0, 31.0, 33.0, 1.0, -40.0]
     for expr, tol, budget, scale in (("(pow x 2)", 0.1, 20, 1.0), ("x", 1e-6, 5, 100.0)):
-        evaluate = make_evaluator(cantor_system(), {"method": "pushforward", "tol": tol}, 0,
-                                  budget, map_section={"expr": expr})
+        scan = cli.Section({"method": "pushforward", "tol": tol}, "scan", budget)
+        evaluate = make_evaluator(cantor_system(), scan, 0, budget, map_section={"expr": expr})
         batch = [scale * xi for xi in xis]
         trees.clear()
         entries = evaluate(batch)
@@ -651,13 +670,19 @@ def test_non_integral_sizes_exit_2(tmp_path, capsys, argv, config, key):
     assert not any(p.is_file() for p in out.rglob("*"))
 
 
-def test_integral_floats_are_sizes(tmp_path):
+def test_integral_floats_are_sizes(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.json", {
         "system": {"kind": "named", "name": "cantor"},
-        "scan": {"xi_min": 1.0, "xi_max": 2.0, "points": 4.0}})
-    assert main(["fourier-scan", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        "scan": {"xi_min": 1.0, "xi_max": 2.0, "points": 4.0, "method": "product",
+                 "factors": 1e1}})
+    assert main(["fourier-scan", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--budget", "10"]) == 0
     assert len(read_rows(tmp_path / "o" / "scan.csv")) == 4
-    assert cli.within_budget("draws", 1e5, 10 ** 6) == 100_000
+    # 1e1 is charged to the budget as the integer 10
+    assert main(["fourier-scan", "--config", cfg, "--out", str(tmp_path / "p"),
+                 "--budget", "9"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"]["message"] == \
+        "scan.factors = 10 exceeds the budget 9"
 
 
 def test_negative_budget_exits_2(tmp_path, monkeypatch, capsys):
@@ -733,13 +758,26 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         (["pushforward-scan"], {"system": cantor, "map": {"expr": nested("x")}, "scan": scan},
          "RecursionError"),
         (["equidist", "count"], {"equidist": {"rate": nested("n")}}, "RecursionError"),
-        # NaN passed "tol <= 0" and "alpha <= 0"
+        # NaN passed "tol <= 0" and "alpha <= 0"; the schema now rejects it
+        # first (test_library_validators_reject_bad_tol_and_alpha keeps the library checks)
         (["fourier-scan"], {"system": cantor, "scan": dict(scan, tol=math.nan, method="exact")},
-         "tolerance"),
+         "scan.tol"),
         (["pushforward-scan"], {"system": cantor, "map": {"expr": "(pow x 2)"},
-                                "scan": dict(scan, tol=math.nan)}, "tolerance"),
+                                "scan": dict(scan, tol=math.nan)}, "scan.tol"),
         (["disintegrate", "membership"], {"system": FIBRE3, "disintegrate": {
-            "block_length": 2, "alpha": math.nan, "prefix_length": 16}}, "alpha"),
+            "block_length": 2, "alpha": math.nan, "prefix_length": 16}}, "disintegrate.alpha"),
+        # a required key that is absent, or a section with none of its keys
+        (["fourier-scan"], {"system": cantor, "scan": {"xi_max": 2.0, "points": 2}},
+         "scan.xi_min is required"),
+        (["fourier-scan"], {"system": cantor}, "scan.xi_min is required"),
+        (["pushforward-scan"], {"system": cantor, "scan": scan}, "map.expr is required"),
+        (["conjugate"], {"system": cantor, "map": {"expr": "(pow x 2)"}},
+         "map.inverse is required"),
+        (["fourier-scan"], {"scan": scan}, "system.kind is required"),
+        (["fourier-scan"], {"system": {"kind": "affine1d", "maps": [
+            {"ratio": 0.5, "translate": 0.0}]}, "scan": scan}, "system.weights is required"),
+        (["fourier-scan"], {"system": {"kind": "affine1d", "weights": [1.0], "maps": [
+            {"ratio": 0.5}]}, "scan": scan}, "system.maps[0].translate is required"),
         # horizon 0 read its flags from the wrapped index -1 and exited 0; a
         # reversed range failed with numpy's message
         *((["disintegrate", "membership"], {"system": cantor, "seed": 3, "disintegrate": {
@@ -808,19 +846,36 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         assert all(w in error["message"] for w in word), (word, err)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+def test_library_validators_reject_bad_tol_and_alpha(bad):
+    # the config schema rejects NaN before these run; a library caller has
+    # only their own checks
+    F = cli.push.SmoothMapF.parse("(pow x 2)")
+    with pytest.raises(ifs.ValidationError, match="tolerance"):
+        cli.meas.fourier_exact_batch(cantor_system(), [1.0], tol=bad)
+    with pytest.raises(ifs.ValidationError, match="tolerance"):
+        cli.push.pushforward_fourier(F, cantor_system(), [1.0], tol=bad)
+    table = dis.build_classes(ifs.fibre_product_from_1d(cantor_system()), 2)
+    with pytest.raises(ifs.ValidationError, match="alpha > 0"):
+        dis.LargeDeviationParams.for_table(table, bad)
+
+
 def test_scan_grid_is_checked_before_it_is_built(tmp_path, capsys):
     # xi_max inf made numpy warn before the evaluator's own check; points 0
     # wrote an empty scan and exited 0
     scan = {"xi_min": 1.0, "xi_max": 2.0, "points": 2}
-    for bad in ({"xi_max": math.inf}, {"xi_min": -math.inf}, {"xi_min": -1e308, "xi_max": 1e308},
-                {"points": 0}, {"points": -3}):
+    for bad, word in (({"xi_max": math.inf}, "scan.xi_max must be a finite real"),
+                      ({"xi_min": -math.inf}, "scan.xi_min must be a finite real"),
+                      ({"xi_min": -1e308, "xi_max": 1e308}, "xi_max - xi_min overflows"),
+                      ({"points": 0}, "scan.points must be >= 1"),
+                      ({"points": -3}, "scan.points must be >= 1")):
         cfg = write_config(tmp_path / "cfg.json", {"system": {"kind": "named", "name": "cantor"},
                                                    "scan": dict(scan, **bad)})
         out = tmp_path / "o"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert main(["fourier-scan", "--config", cfg, "--out", str(out)]) == 2, bad
-        assert "points >= 1" in json.loads(capsys.readouterr().err.strip())["error"]["message"]
+        assert word in json.loads(capsys.readouterr().err.strip())["error"]["message"]
         assert not (out / "scan.csv").exists()
 
 
@@ -881,17 +936,89 @@ def test_malformed_equidist_configs_exit_2(tmp_path, capsys):
         assert not any(out.iterdir()), (action, bad)
 
 
+# -- the config schema ---------------------------------------------------------
+
+CANTOR = {"kind": "named", "name": "cantor"}
+TWO = {"kind": "affine1d", "weights": [0.5, 0.5],
+       "maps": [{"ratio": 0.5, "translate": 0.0}, {"ratio": 1 / 3, "translate": 2 / 3}]}
+SCAN = {"xi_min": 1.0, "xi_max": 2.0, "points": 2}
+# per schema table: a command, a config whose table it reads, and where in
+# that config the table's section sits
+READERS = {
+    "config": (["fourier-scan"], {"system": CANTOR, "scan": SCAN}, ()),
+    "system": (["fourier-scan"], {"system": TWO, "scan": SCAN}, ("system",)),
+    "system.maps (affine1d)": (["fourier-scan"], {"system": TWO, "scan": SCAN},
+                               ("system", "maps", 0)),
+    "system.maps (smooth1d)": (["fourier-scan"], {"system": SMOOTH, "scan": SCAN},
+                               ("system", "maps", 0)),
+    "system.base": (["disintegrate", "classes"], {"system": FIBRE3}, ("system", "base", 0)),
+    "system.fibres": (["disintegrate", "classes"], {"system": FIBRE3},
+                      ("system", "fibres", 0)),
+    "scan": (["fourier-scan"], {"system": CANTOR, "scan": SCAN}, ("scan",)),
+    "map": (["conjugate"], {"system": CANTOR, "map": {"expr": "(pow x 2)",
+                                                      "inverse": "(pow x 0.5)"}}, ("map",)),
+    "decay": (["decay", "bands"], {"system": CANTOR, "decay": {}}, ("decay",)),
+    "disintegrate": (["disintegrate", "classes"], {"system": CANTOR, "disintegrate": {}},
+                     ("disintegrate",)),
+    "equidist": (["equidist", "count"], {"equidist": {}}, ("equidist",)),
+}
+WRONG = {cli.REAL: [True, "1", "nan", math.inf], cli.INT: [True, "1", 3.5]}
+WRONG.update({cli.REALS: [[v] for v in WRONG[cli.REAL]],
+              cli.INTS: [[v] for v in WRONG[cli.INT]]})
+NUMERIC = [(name, key, value) for name, table in cli.SCHEMA.items()
+           for key, spec in table.items() for value in WRONG.get(spec.kind, [])]
+
+
+def test_every_table_has_a_reader():
+    assert set(READERS) == set(cli.SCHEMA)
+
+
+@pytest.mark.parametrize("name, key, value", NUMERIC,
+                         ids=[f"{n}.{k}={v!r}" for n, k, v in NUMERIC])
+def test_wrong_typed_numbers_exit_2(tmp_path, capsys, name, key, value):
+    # "tol": true ran at tol 1, "xis": ["1"] and "terms": [true, 2, 3] ran,
+    # and every real key took a numeric string or a bool before the schema
+    argv, config, where = READERS[name]
+    config = json.loads(json.dumps(config))
+    section = config
+    for step in where:
+        section = section[step]
+    section[key] = value
+    cfg, out = write_config(tmp_path / "cfg.json", config), tmp_path / "o"
+    assert main(argv + ["--config", cfg, "--out", str(out)]) == 2
+    path = "".join(f"[{s}]" if isinstance(s, int) else f".{s}" for s in where + (key,))[1:]
+    err, = capsys.readouterr().err.strip().splitlines()  # one JSON line
+    error = json.loads(err)["error"]
+    assert error["kind"] == "validation" and f"ValidationError: {path}" in error["message"]
+    assert not any(p.is_file() for p in out.rglob("*"))
+
+
+def test_readme_lists_every_schema_key():
+    """The README's config reference has one row per key of every table."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    for name, table in cli.SCHEMA.items():
+        for key, spec in table.items():
+            if spec.default is None:
+                default = "null"
+            elif spec.default in (cli.REQUIRED, cli.OPTIONAL):
+                default = spec.default
+            else:
+                default = json.dumps(spec.default)
+            kind = spec.kind.split(" ", 1)[1].replace("finite ", "")
+            least = (f">= {spec.least}" if spec.least is not None else
+                     "finite" if spec.kind in (cli.REAL, cli.REALS) else "")
+            row = (f"| {name} | `{key}` | {kind} | {default} | {least} | "
+                   f"{'yes' if spec.sized else ''} |")
+            assert row in readme, row
+
+
 # -- random configs ------------------------------------------------------------
 
-junk = st.sampled_from(["abc", None, [], {}, True, -1, 0, math.inf, math.nan])
+junk = st.sampled_from(["abc", "1", "nan", None, [], {}, True, -1, 0, math.inf, math.nan])
 
 
 def either(good):
     return good | junk
-
-
-def section(**keys):
-    return either(st.fixed_dictionaries({}, optional={k: either(v) for k, v in keys.items()}))
 
 
 small = st.integers(1, 4)
@@ -908,51 +1035,74 @@ tolerance = st.sampled_from([0.3, 1e-2, 1e-3, 1e-6])
 expression = st.sampled_from(["(pow x 2)", "(pow x 3)", "(mul 0.3 x)", "(add 0.6 (mul 0.3 x))",
                               "(add (mul 0.5 x) (pow y 2))", "(pow x 0.5)", "(div 1 x)",
                               "(add x 4)", "(pow z 2)", "(", "x"])
-affine = st.lists(st.fixed_dictionaries({"ratio": either(st.floats(-0.9, 0.9)),
-                                         "translate": either(st.floats(-2.0, 2.0))}),
-                  min_size=1, max_size=3)
-systems = either(
-    st.fixed_dictionaries({"kind": st.just("named"),
-                           "name": st.sampled_from(["cantor", "dyadic-uniform", "nope"])})
-    | affine.map(lambda maps: {"kind": "affine1d", "maps": maps,
-                               "weights": [1 / len(maps)] * len(maps)})
-    | st.lists(st.fixed_dictionaries({"expr": expression}), min_size=1, max_size=2).map(
-        lambda maps: {"kind": "smooth1d", "maps": maps, "weights": [1 / len(maps)] * len(maps)})
-    | st.fixed_dictionaries({
-        "kind": st.just("fibre_product"),
-        "base": st.just([{"id": "L", "ratio": 0.5, "translate": 0.0},
-                         {"id": "R", "ratio": 0.5, "translate": 0.5}]),
-        "fibres": st.lists(st.fixed_dictionaries({
-            "base": st.sampled_from(["L", "R"]), "id": st.sampled_from(["a", "b", "c"]),
-            "ratio": either(st.sampled_from([1 / 3, 0.5])),
-            "translate": either(st.sampled_from([0.0, 1 / 3, 2 / 3])),
-            "weight": either(st.sampled_from([1 / 3, 0.5]))}), min_size=1, max_size=3)})
-    | st.just(FIBRE3))
 methods = st.sampled_from(["exact", "product", "montecarlo", "pushforward", "bogus"])
+# values that let a command run, by key or by (table, key); every other key
+# draws from its type, so a key added to the schema is fuzzed too
+GOOD = {"xi_min": frequency, "xi_max": frequency, "points": st.integers(0, 5),
+        "tol": tolerance, "method": methods, "draws": st.integers(100, 300),
+        "factors": st.integers(1, 16), "fibre_var": st.sampled_from(["x", "y"]),
+        "ks_tol": st.just(0.5), "band_base": st.sampled_from([2.0, 3.0]),
+        "samples_per_band": st.just(64), "exponent": st.floats(0.0, 0.5),
+        "limit": st.sampled_from([4.0, 9.0, 1e300]), "grid_step": st.sampled_from([0.25]),
+        "family_base": st.sampled_from([2.0, 3.0]), "block_length": st.integers(1, 2),
+        "n_sequences": st.integers(1, 8), "alpha": st.floats(0.0, 1.0),
+        "prefix_length": st.integers(1, 16), "horizon_min": st.integers(-2, 20),
+        "horizon_max": st.integers(-2, 20), "xi": frequency, "trunc_tol": tolerance,
+        ("equidist", "base"): st.sampled_from([2, 3, 10]), "gamma": st.floats(0.0, 1.0),
+        "rate": st.sampled_from(["(div 1 (mul 2 n))", "(mul 0.1 (pow n 0))", "(pow n"]),
+        "horizon": st.integers(1, 64), "seeds": st.integers(1, 2),
+        "epsilon": st.floats(0.0, 2.0), "seed": st.integers(0, 9),
+        "ratio": st.floats(-0.9, 0.9), "translate": st.floats(-2.0, 2.0),
+        ("system.fibres", "base"): st.sampled_from(["L", "R"]),
+        ("system.fibres", "id"): st.sampled_from(["a", "b", "c"]),
+        ("system.fibres", "ratio"): st.sampled_from([1 / 3, 0.5]),
+        ("system.fibres", "translate"): st.sampled_from([0.0, 1 / 3, 2 / 3]),
+        ("system.fibres", "weight"): st.sampled_from([1 / 3, 0.5]),
+        "expr": expression, "inverse": expression, "n_max": st.integers(1, 8)}
+BY_TYPE = {cli.REAL: st.floats(0.0, 1.0), cli.INT: small, cli.TEXT: st.sampled_from(["x", "y"]),
+           cli.EXPR: expression, cli.REALS: st.lists(frequency, max_size=3),
+           cli.INTS: st.lists(st.integers(1, 9), max_size=3), cli.OBJECT: st.just({}),
+           cli.OBJECTS: st.just([])}
+
+
+def value(name, key):
+    spec = cli.SCHEMA[name][key]
+    good = GOOD.get((name, key), GOOD.get(key, BY_TYPE[spec.kind]))
+    return either(sized(good) if spec.sized else good)
+
+
+def table(name, /, require=False, **fixed):
+    """A section of the table ``name``: its ``fixed`` keys, its required keys
+    if ``require``, and any of the others (an absent required key is one
+    more malformed input)."""
+    keys = cli.SCHEMA[name]
+    required = {k: value(name, k) for k in keys
+                if require and keys[k].default == cli.REQUIRED and k not in fixed}
+    return st.fixed_dictionaries({**required, **fixed}, optional={
+        k: value(name, k) for k in keys if k not in fixed and k not in required})
+
+
+def system(kind, entries):
+    """A system of ``kind`` whose map list ``entries`` draws, with its weights."""
+    return st.tuples(entries, table("system", kind=st.just(kind), maps=st.just([]))).map(
+        lambda t: dict(t[1], maps=t[0], weights=[1 / len(t[0])] * len(t[0])))
+
+
+systems = either(
+    table("system", kind=st.just("named"),
+          name=st.sampled_from(["cantor", "dyadic-uniform", "nope"]))
+    | system("affine1d", st.lists(table("system.maps (affine1d)", require=True),
+                                  min_size=1, max_size=3))
+    | system("smooth1d", st.lists(table("system.maps (smooth1d)", require=True),
+                                  min_size=1, max_size=2))
+    | table("system", kind=st.just("fibre_product"), base=st.just(FIBRE3["base"]),
+            fibres=st.lists(table("system.fibres", require=True), min_size=1, max_size=3))
+    | st.just(FIBRE3))
+# a section may be absent but is never junk: the top level types every
+# section, used or not, so one junk section would end nearly every run there
 configs = st.fixed_dictionaries({"system": systems}, optional={
-    "scan": section(xi_min=frequency, xi_max=frequency, points=sized(st.integers(0, 5)),
-                    tol=tolerance, method=methods, draws=sized(st.integers(100, 300)),
-                    factors=sized(st.integers(1, 16))),
-    "map": section(expr=expression, fibre_var=st.sampled_from(["x", "y"]),
-                   inverse=expression, draws=sized(st.integers(100, 500)), ks_tol=st.just(0.5)),
-    "decay": section(band_base=st.sampled_from([2.0, 3.0]), band_min=small, band_max=small,
-                     samples_per_band=sized(st.just(64)), method=methods, tol=tolerance,
-                     draws=sized(st.integers(100, 200)), exponent=st.floats(0.0, 0.5),
-                     limit=st.sampled_from([4.0, 9.0, 1e300]), grid_step=st.sampled_from([0.25]),
-                     family_base=st.sampled_from([2.0, 3.0]), count=small,
-                     family=st.lists(frequency, max_size=3)),
-    "disintegrate": section(block_length=st.integers(1, 2), xis=st.lists(frequency, max_size=2),
-                            n_sequences=sized(st.integers(1, 8)), alpha=st.floats(0.0, 1.0),
-                            prefix_length=sized(st.integers(1, 16)),
-                            horizon_min=st.integers(-2, 20),
-                            horizon_max=st.integers(-2, 20), xi=frequency, trunc_tol=tolerance),
-    "equidist": section(base=st.sampled_from([2, 3, 10]), gamma=st.floats(0.0, 1.0),
-                        rate=st.sampled_from(["(div 1 (mul 2 n))", "(mul 0.1 (pow n 0))", "(pow n"]),
-                        horizon=sized(st.integers(1, 64)), seeds=sized(st.integers(1, 2)),
-                        harmonics=sized(small), epsilon=st.floats(0.0, 2.0),
-                        terms=st.lists(st.integers(1, 9), max_size=3)),
-    "seed": either(st.integers(0, 9)),
-})
+    k: table(k) if spec.kind == cli.OBJECT else value("config", k)
+    for k, spec in cli.SCHEMA["config"].items() if k != "system"})
 commands = st.sampled_from([["fourier-scan"], ["pushforward-scan"], ["decay", "bands"],
                             ["decay", "fit"], ["decay", "sparse"], ["decay", "probe"],
                             ["disintegrate", "classes"], ["disintegrate", "sample"],

@@ -10,8 +10,8 @@ from .ifs import (AffineMap, SmoothMap, CIFS, FibreProductCIFS,
 from .measure import (FourierValue, SamplePoints, sample_points, fourier_exact,
                       fourier_exact_batch, fourier_product_homogeneous,
                       fourier_montecarlo, cylinder_decomposition)
-from .disintegrate import (ClassTable, OmegaSample, build_classes, sample_omega,
-                           sample_omegas, mu_omega_fourier_batch, disintegration_consistency,
+from .disintegrate import (ClassTable, OmegaSample, build_classes, sample_omegas,
+                           mu_omega_fourier_batch, disintegration_consistency,
                            LargeDeviationParams, check_omega_membership,
                            ek_diagnostics, circle_sum_bound, calibrate_alpha)
 from .pushforward import (SmoothMapF, MapNorms, map_norms, pushforward_fourier,

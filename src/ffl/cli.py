@@ -2,10 +2,10 @@
 
 Every subcommand reads one JSON config, writes deterministic artifacts
 into the output directory, and exits 0 on success, 2 on validation
-problems, 3 on budget exhaustion. Errors are emitted as one-line JSON
-diagnostics on stderr. Output files carry the config hash and master seed
-in their header block, and reruns with the same config and seed are
-byte-identical.
+problems (usage errors included), 3 on budget exhaustion or a failed
+allocation. Errors are emitted as one-line JSON diagnostics on stderr.
+Output files carry the config hash and master seed in their header
+block, and reruns with the same config and seed are byte-identical.
 """
 
 from __future__ import annotations
@@ -275,23 +275,24 @@ def cmd_disintegrate(cfg, out, seed, budget, action):
     k, h = s["block_length"], config_hash(cfg.raw)
     if action == "ek":
         s.setdefault("prefix_length", 256)
-    if action == "consistency":  # builds its own class table, reads no alpha
-        rep = dis.disintegration_consistency(fp, k, s["xis"], s["n_sequences"], seed=seed,
-                                             trunc_tol=s["trunc_tol"])
+    table = dis.build_classes(fp, k, budget=min(budget, dis.CLASS_BUDGET))
+
+    if action == "consistency":  # reads no alpha
+        rep = dis.disintegration_consistency(table, s["xis"], s["n_sequences"], seed,
+                                             s["trunc_tol"], budget)
         write_json(out / "consistency.json", "disintegrate consistency", h, seed,
                    rep.to_jsonable())
         return 0
 
-    table = dis.build_classes(fp, k, budget=min(budget, dis.CLASS_BUDGET))
-
     if action == "classes":
+        members = np.split(table.members, table.starts[1:])  # one slice per class
         payload = {
             "block_length": k,
             "fold": fp.fold,
             "classes": [
                 {"representative": repr(tuple(fp.alphabet[j] for j in table.representatives[i])),
                  "size": int(table.sizes[i]), "ratio": float(table.ratios[i]),
-                 "translates": table.translates(i).tolist(), "weight": float(table.weights[i])}
+                 "translates": members[i].tolist(), "weight": float(table.weights[i])}
                 for i in range(len(table))
             ],
         }
@@ -300,11 +301,9 @@ def cmd_disintegrate(cfg, out, seed, budget, action):
 
     alpha = s["alpha"]
     if alpha is None:
-        alpha, _rep = dis.calibrate_alpha(table, seed=seed)
+        alpha, _rep = dis.calibrate_alpha(table)
     params = dis.LargeDeviationParams.for_table(table, alpha)
-    if action not in ("sample", "membership", "ek"):
-        raise ValidationError(f"unknown disintegrate action {action!r}")
-    om = dis.sample_omega(table, s["prefix_length"], seed=seed)
+    om, = dis.sample_omegas(table, s["prefix_length"], seed, (0,))
 
     if action == "sample":
         payload = {
@@ -323,11 +322,7 @@ def cmd_disintegrate(cfg, out, seed, budget, action):
         payload = {"alpha": alpha, "aggregate": rep.aggregate,
                    "all_ok": rep.all_ok,
                    "horizons": [int(n) for n in rep.horizons],
-                   "flags": {
-                       "large_classes": rep.large_classes.tolist(),
-                       "ratio_product": rep.ratio_product.tolist(),
-                       "ratio_floor": rep.ratio_floor.tolist(),
-                       "small_ratio_product": rep.small_ratio_product.tolist()}}
+                   "flags": {name: flag.tolist() for name, flag in rep.flags.items()}}
         write_json(out / "membership.json", "disintegrate membership", h, seed, payload)
         return 0
 
@@ -386,23 +381,21 @@ def cmd_equidist(cfg, out, seed, budget, action):
                   "seed," + ",".join(f"h{j}" for j in range(1, harmonics + 1)), rows)
         return 0
 
-    if action == "digits":
-        # the histogram and the CSV hold one column per possible digit
-        base = s["base"]
-        if base > horizon:
-            raise ValidationError(f"base {base} exceeds horizon {horizon}, the digit count")
-        rows = []
-        for i in range(n_seeds):
-            gp = eq.random_grid_point(horizon * base.bit_length() + 128,
-                                      seed=spawn_seed(seed, i))
-            d = eq.digit_freq(gp, base, horizon, keep_digits=False)
-            rows.append(",".join([str(i)] + [str(int(c)) for c in d.histogram]
-                                 + [g17(d.chi_square)]))
-        write_csv(out / "digits.csv", "equidist digits", h, seed,
-                  "seed," + ",".join(f"d{j}" for j in range(d.base)) + ",chi_square",
-                  rows)
-        return 0
-    raise ValidationError(f"unknown equidist action {action!r}")
+    # digits: the histogram and the CSV hold one column per possible digit
+    base = s["base"]
+    if base > horizon:
+        raise ValidationError(f"base {base} exceeds horizon {horizon}, the digit count")
+    rows = []
+    for i in range(n_seeds):
+        gp = eq.random_grid_point(horizon * base.bit_length() + 128,
+                                  seed=spawn_seed(seed, i))
+        d = eq.digit_freq(gp, base, horizon, keep_digits=False)
+        rows.append(",".join([str(i)] + [str(int(c)) for c in d.histogram]
+                             + [g17(d.chi_square)]))
+    write_csv(out / "digits.csv", "equidist digits", h, seed,
+              "seed," + ",".join(f"d{j}" for j in range(d.base)) + ",chi_square",
+              rows)
+    return 0
 
 
 def cmd_decay(cfg, out, seed, budget, action):
@@ -448,16 +441,15 @@ def cmd_decay(cfg, out, seed, budget, action):
         write_json(out / "sparse.json", "decay sparse", h, seed, payload)
         return 0
 
-    if action == "probe":
-        if "family" in s:
-            family, count = s["family"], None
-        else:
-            family, count = ("geometric", s["family_base"]), s["count"]
-        values = decay_mod.rajchman_probe(evaluator, family, count)
-        write_csv(out / "probe.csv", "decay probe", h, seed,
-                  "xi,re,im,abs,err,err_kind", fourier_rows(values))
-        return 0
-    raise ValidationError(f"unknown decay action {action!r}")
+    # probe
+    if "family" in s:
+        family, count = s["family"], None
+    else:
+        family, count = ("geometric", s["family_base"]), s["count"]
+    values = decay_mod.rajchman_probe(evaluator, family, count)
+    write_csv(out / "probe.csv", "decay probe", h, seed,
+              "xi,re,im,abs,err,err_kind", fourier_rows(values))
+    return 0
 
 
 def cmd_conjugate(cfg, out, seed, budget):
@@ -480,21 +472,35 @@ def cmd_conjugate(cfg, out, seed, budget):
     return 0
 
 
+def read_scan(path: Path):
+    """The rows of a scan CSV, each its first five cells (xi, re, im, abs,
+    err) as floats; None for a CSV of another header. A row with fewer
+    cells or a cell that is no number exits 2, naming the file and line."""
+    lines = path.read_text(encoding="utf-8").splitlines()
+    body = [(n, l) for n, l in enumerate(lines, 1) if l and not l.startswith("#")]
+    if not body or not body[0][1].startswith("xi,"):
+        return None
+    rows = []
+    for n, line in body[1:]:
+        try:
+            row = [float(v) for v in line.split(",")[:5]]
+        except ValueError:
+            row = []
+        if len(row) < 5:
+            raise ValidationError(f"{path}, line {n}: a scan row needs five numbers "
+                                  f"xi,re,im,abs,err; got {line!r}")
+        rows.append(row)
+    return rows
+
+
 def cmd_report(cfg, out, seed, budget):
     h = config_hash(cfg.raw)
     made = 0
     for csv_path in sorted(out.glob("*.csv")):
-        lines = csv_path.read_text(encoding="utf-8").splitlines()
-        body = [l for l in lines if l and not l.startswith("#")]
-        if not body or not body[0].startswith("xi,"):
+        rows = read_scan(csv_path)
+        if rows is None:
             continue
-        xs, ys = [], []
-        for line in body[1:]:
-            parts = line.split(",")
-            xs.append(abs(float(parts[0])))
-            ys.append(float(parts[3]))
-        ys = [max(y, 1e-300) for y in ys]
-        pos = [(x, y) for x, y in zip(xs, ys) if x > 0]
+        pos = [(abs(r[0]), max(r[3], 1e-300)) for r in rows if abs(r[0]) > 0]
         if not pos:
             continue
         svg = svg_mod.log_log_plot(
@@ -519,12 +525,10 @@ def cmd_verify(cfg, out, seed, budget):
     evaluator = make_evaluator(system, s, spawn_seed(seed, VERIFY_STREAM),
                                budget, map_section=cfg["map"])
     path = out / "scan.csv"
-    if not path.exists():
-        raise ValidationError(f"{path} does not exist; run fourier-scan first")
-    body = [l for l in path.read_text(encoding="utf-8").splitlines()
-            if l and not l.startswith("#")][1:]
-    step = max(1, len(body) // max(1, len(body) // 100))
-    rows = [[float(v) for v in line.split(",")[:5]] for line in body[::step]]
+    rows = read_scan(path) if path.exists() else None
+    if rows is None:
+        raise ValidationError(f"{path} holds no scan; run fourier-scan first")
+    rows = rows[::max(1, len(rows) // max(1, len(rows) // 100))]
     fresh = meas.require_values(evaluator([row[0] for row in rows]))
     failures = []
     for (xi, re_v, im_v, _abs, err), fv in zip(rows, fresh):
@@ -544,69 +548,70 @@ def cmd_verify(cfg, out, seed, budget):
 # entry point
 # ---------------------------------------------------------------------------
 
-def _env_default(name: str, cast, fallback):
-    raw = os.environ.get(ENV_PREFIX + name)
-    if raw is None:
-        return fallback
-    return cast(raw)
+ACTIONS = {  # each command's actions, the first its default; None: it takes none
+    "fourier-scan": (None,), "pushforward-scan": (None,),
+    "disintegrate": ("classes", "sample", "membership", "ek", "consistency"),
+    "equidist": ("count", "weyl", "digits"), "decay": ("bands", "fit", "sparse", "probe"),
+    "conjugate": (None,), "report": (None,), "verify": (None,)}
+
+
+class Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error exits 2 with the one-line diagnostic
+        raise ValidationError(message)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="ffl",
         description="fractal-measure Fourier workbench experiment runner")
-    parser.add_argument("command", choices=[
-        "fourier-scan", "pushforward-scan", "disintegrate", "equidist",
-        "decay", "conjugate", "report", "verify"])
+    parser.add_argument("command", choices=ACTIONS)
     parser.add_argument("action", nargs="?", default=None,
                         help="subaction for disintegrate/equidist/decay")
-    parser.add_argument("--config", default=None, help="JSON config path")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="master seed")
-    parser.add_argument("--budget", type=int, default=None,
+    # each option falls back on its FFL_* variable; argparse types a string default
+    env = lambda name: os.environ.get(ENV_PREFIX + name)
+    parser.add_argument("--config", default=env("CONFIG"), help="JSON config path")
+    parser.add_argument("--out", default=env("OUT"), help="output directory")
+    parser.add_argument("--seed", type=int, default=env("SEED"), help="master seed")
+    parser.add_argument("--budget", type=int, default=env("BUDGET"),
                         help="enumeration budget per evaluation")
-    args = parser.parse_args(argv)
 
     try:
-        config_path = args.config or _env_default("CONFIG", str, None)
-        if config_path is None:
+        args = parser.parse_args(argv)
+        cmd, actions = args.command, ACTIONS[args.command]
+        action = args.action or actions[0]
+        if action not in actions:
+            raise ValidationError(f"unknown {cmd} action {action!r}; choose from {list(actions)}"
+                                  if actions[0] else f"{cmd} takes no action, got {action!r}")
+        if args.config is None:
             raise ValidationError("--config (or FFL_CONFIG) is required")
-        with open(config_path, "r", encoding="utf-8") as fh:
+        with open(args.config, "r", encoding="utf-8") as fh:
             cfg = Section(json.load(fh), "config", 0)  # no top-level key sizes an allocation
-        out_dir = (args.out or _env_default("OUT", str, None)
-                   or cfg["out"])
-        out = Path(out_dir)
+        out = Path(args.out or cfg["out"])
         out.mkdir(parents=True, exist_ok=True)
-        seed = (args.seed if args.seed is not None
-                else _env_default("SEED", int, None))
-        if seed is None:
-            seed = cfg["seed"]
-        budget = (args.budget if args.budget is not None
-                  else _env_default("BUDGET", int, meas.DEFAULT_BUDGET))
+        seed = cfg["seed"] if args.seed is None else args.seed
+        budget = meas.DEFAULT_BUDGET if args.budget is None else args.budget
         if budget < 0:
             raise ValidationError(f"the budget must not be negative, got {budget}")
 
-        cmd = args.command
         if cmd == "fourier-scan":
             return cmd_fourier_scan(cfg, out, seed, budget)
         if cmd == "pushforward-scan":
             return cmd_fourier_scan(cfg, out, seed, budget, method="pushforward")
         if cmd == "disintegrate":
-            return cmd_disintegrate(cfg, out, seed, budget, args.action or "classes")
+            return cmd_disintegrate(cfg, out, seed, budget, action)
         if cmd == "equidist":
-            return cmd_equidist(cfg, out, seed, budget, args.action or "count")
+            return cmd_equidist(cfg, out, seed, budget, action)
         if cmd == "decay":
-            return cmd_decay(cfg, out, seed, budget, args.action or "bands")
+            return cmd_decay(cfg, out, seed, budget, action)
         if cmd == "conjugate":
             return cmd_conjugate(cfg, out, seed, budget)
         if cmd == "report":
             return cmd_report(cfg, out, seed, budget)
-        if cmd == "verify":
-            return cmd_verify(cfg, out, seed, budget)
-        raise ValidationError(f"unknown command {cmd!r}")
-    except BudgetExhausted as err:
-        error = {"kind": "budget", "message": str(err)}
-        if err.achieved is not None:
+        return cmd_verify(cfg, out, seed, budget)
+    except (BudgetExhausted, MemoryError) as err:  # MemoryError: an allocation no budget bounds
+        error = {"kind": "budget" if isinstance(err, BudgetExhausted) else "memory",
+                 "message": str(err) or type(err).__name__}
+        if getattr(err, "achieved", None) is not None:
             error["achieved"] = err.achieved
         print(json.dumps({"error": error}), file=sys.stderr)
         return 3

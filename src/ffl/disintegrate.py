@@ -23,23 +23,25 @@ at many frequencies in one sweep per frequency: one character evaluation
 over the atoms gathered from the table's translates and one segmented sum
 over every factor of every sequence. It has one truncation rule: each
 sequence stops at the first factor count whose tail bound is within the
-tolerance. The consistency check makes one batch call for its whole grid.
+tolerance. The consistency check and ``calibrate_alpha`` read a built class
+table: the check compares its sequences against its system's fibre marginal
+in one batch call for its whole grid, the calibration sums the weight of its
+small classes exactly.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
 
-from .ifs import (AffineMap, FibreProductCIFS, BudgetExhausted, ValidationError,
-                  fibre_product_from_1d, fold, lyapunov)
+from .ifs import AffineMap, FibreProductCIFS, BudgetExhausted, ValidationError, fold, lyapunov
 from . import measure
-from .measure import character, fourier_exact_batch, require_values, TWO_PI
-from .rng import stream_rng, uniforms
+from .measure import DEFAULT_BUDGET, character, fourier_exact_batch, require_values, TWO_PI
+from .rng import uniforms
 
 CLASS_BUDGET = 1_000_000
 ALPHA_CANDIDATES = (0.2, 0.1, 0.05)  # the rates ``calibrate_alpha`` tries, largest first
@@ -75,30 +77,14 @@ class ClassTable:
     def __len__(self):
         return len(self.sizes)
 
-    @property
-    def pair_weight(self) -> float:
-        return self.system.pair_weight
-
-    @property
-    def pair_gap(self) -> float:
-        return self.system.pair_gap
-
-    def lyapunov(self) -> float:
-        """Per-letter Lyapunov exponent of the underlying fibre system."""
-        return lyapunov(self.system)
-
     @cached_property
     def starts(self) -> np.ndarray:
         """The index in ``members`` of each class's first member."""
         return np.cumsum(self.sizes) - self.sizes
 
-    def translates(self, i: int) -> np.ndarray:
-        """The member translates of class ``i``: its slice of ``members``."""
-        return self.members[self.starts[i]:self.starts[i] + self.sizes[i]]
-
-    def translates_of(self, cls: np.ndarray) -> np.ndarray:
-        """The member translates of the classes ``cls``, concatenated in
-        order: one gather from ``members``."""
+    def translates(self, cls) -> np.ndarray:
+        """The member translates of the class ``cls``, or of the classes
+        ``cls`` concatenated in order: one gather from ``members``."""
         sizes = self.sizes[cls]
         shift = self.starts[cls] - np.cumsum(sizes) + sizes
         return self.members[np.arange(sizes.sum()) + np.repeat(shift, sizes)]
@@ -221,13 +207,6 @@ def sample_omegas(table: ClassTable, length: int, seed: int, streams) -> list:
     return [OmegaSample(table, idx, seed, s) for idx, s in zip(rows, streams)]
 
 
-def sample_omega(table: ClassTable, length: int, seed: int = 0,
-                 stream: int = 0) -> OmegaSample:
-    """Draw an i.i.d. class sequence of the given length: the one-stream
-    ``sample_omegas``."""
-    return sample_omegas(table, length, seed, (stream,))[0]
-
-
 def mu_omega_fourier_batch(omegas, xis, tol: float):
     """Evaluate the convolution transform of every sequence of ``omegas`` at
     every frequency of ``xis``, each as a finite product of factor sums.
@@ -284,7 +263,7 @@ def mu_omega_fourier_batch(omegas, xis, tol: float):
         cum = np.cumprod(ratios, axis=1)
         mags = np.abs(cum)
         scales = np.concatenate((np.ones((n, 1)), cum[:, :-1]), axis=1)[row, col]
-        atoms = table.translates_of(part) * np.repeat(scales, size)
+        atoms = table.translates(part) * np.repeat(scales, size)
         for f in live:
             xi = xis[f]
             # tails[i, m - 1] bounds the cost of stopping sequence i after m
@@ -341,9 +320,11 @@ class ConsistencyReport:
         }
 
 
-def disintegration_consistency(system, block_length: int, xis, n_sequences: int,
-                               seed: int = 0, trunc_tol: float = 1e-6) -> ConsistencyReport:
-    """Compare the average convolution transform against the direct one.
+def disintegration_consistency(table: ClassTable, xis, n_sequences: int, seed: int = 0,
+                               trunc_tol: float = 1e-6,
+                               budget: int = DEFAULT_BUDGET) -> ConsistencyReport:
+    """Compare the average convolution transform over the classes of
+    ``table`` against the direct transform of its system's fibre marginal.
 
     For each frequency the mean of the convolution transform over sampled
     class sequences must match the stationary-measure transform within
@@ -351,8 +332,9 @@ def disintegration_consistency(system, block_length: int, xis, n_sequences: int,
     failed comparison is reported, not raised. The sequences come from one
     ``sample_omegas`` call, their transforms at all frequencies from one
     ``mu_omega_fourier_batch`` call (one sweep per frequency), the direct
-    ones from one ``fourier_exact_batch`` call. It needs two sequences at
-    least and one or more frequencies.
+    ones from one ``fourier_exact_batch`` call within ``budget``; a frequency
+    over it raises its BudgetExhausted. It needs two sequences at least and
+    one or more frequencies.
     """
     if n_sequences < 2:  # one sequence has no standard error
         raise ValidationError("need at least two sequences")
@@ -360,10 +342,6 @@ def disintegration_consistency(system, block_length: int, xis, n_sequences: int,
         raise ValidationError("need a positive trunc_tol")
     if not np.size(xis):
         raise ValidationError("need at least one frequency")
-    fp = fibre_product_from_1d(system)
-    table = build_classes(fp, block_length)
-    marginal = fp.fibre_cifs()
-
     r_max = float(np.abs(table.ratios).max())
     # the prefix length below multiplies |xi| by 1 / ((1 - r_max) trunc_tol)
     xis = measure.frequencies(xis, 1.0 / ((1.0 - r_max) * trunc_tol))
@@ -372,9 +350,9 @@ def disintegration_consistency(system, block_length: int, xis, n_sequences: int,
     need = TWO_PI * max(xi_max, 1.0) / ((1.0 - r_max) * trunc_tol)
     length = min(10_000, max(4, math.ceil(math.log(need) / math.log(1.0 / r_max)) + 2))
 
+    targets = require_values(fourier_exact_batch(table.system.fibre_cifs(), xis,
+                                                 tol=trunc_tol, budget=budget))
     omegas = sample_omegas(table, length, seed, range(n_sequences))
-
-    targets = require_values(fourier_exact_batch(marginal, xis, tol=trunc_tol))
     values, bounds = mu_omega_fourier_batch(omegas, xis, tol=trunc_tol)
     entries = []
     for xi, target, vals, tails in zip(xis, targets, values, bounds):
@@ -390,7 +368,7 @@ def disintegration_consistency(system, block_length: int, xis, n_sequences: int,
         entries.append(ConsistencyEntry(float(xi), mean, target.value, stderr,
                                         float(z), rigorous,
                                         bool(gap <= 4.0 * stderr + rigorous)))
-    return ConsistencyReport(block_length, n_sequences, entries)
+    return ConsistencyReport(table.block_length, n_sequences, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +404,7 @@ class LargeDeviationParams:
     def for_table(cls, table: ClassTable, alpha: float,
                   start_index: int = 1) -> "LargeDeviationParams":
         return cls(table.block_length, alpha, start_index,
-                   table.pair_weight, table.lyapunov(), table.pair_gap)
+                   table.system.pair.weight, lyapunov(table.system), table.system.pair.gap)
 
     @property
     def size_threshold(self) -> float:
@@ -461,13 +439,13 @@ class MembershipReport:
     small_ratio_product: np.ndarray  # tiny-ratio slots contribute little
 
     @property
+    def flags(self) -> dict:
+        """The four flag arrays by name: every field after ``horizons``."""
+        return {f.name: getattr(self, f.name) for f in fields(self)[1:]}
+
+    @property
     def aggregate(self) -> dict:
-        return {
-            "large_classes": bool(self.large_classes.all()),
-            "ratio_product": bool(self.ratio_product.all()),
-            "ratio_floor": bool(self.ratio_floor.all()),
-            "small_ratio_product": bool(self.small_ratio_product.all()),
-        }
+        return {name: bool(flag.all()) for name, flag in self.flags.items()}
 
     @property
     def all_ok(self) -> bool:
@@ -510,21 +488,20 @@ def check_omega_membership(omega: OmegaSample, params: LargeDeviationParams,
     )
 
 
-def calibrate_alpha(table: ClassTable, seed: int = 0):
+def calibrate_alpha(table: ClassTable):
     """Pick the largest rate of ALPHA_CANDIDATES whose block-level
-    concentration inequality holds empirically over 100,000 Monte Carlo
-    draws of classes.
+    concentration inequality holds for the class table.
 
-    The inequality: the drawn fraction of classes with at most
-    2^(pair_weight*k) members must not exceed e^(-2*alpha*k). Returns the
-    chosen alpha and the per-candidate report; when no candidate passes the
-    smallest is returned flagged unverified.
+    The inequality: the probability that a block word's class has at most
+    2^(pair_weight*k) members must not exceed e^(-2*alpha*k). The table
+    gives that probability exactly, as the summed weight of the small
+    classes over the total weight. Returns the chosen alpha and the
+    per-candidate report; when no candidate passes the smallest is returned
+    flagged unverified.
     """
-    rng = stream_rng(seed, 0xCA11B)
-    probs = table.weights / table.weights.sum()
-    sizes = table.sizes[rng.choice(len(table), size=100_000, p=probs)]
     k = table.block_length
-    small_frac = float(np.mean(sizes <= 2.0 ** (table.pair_weight * k)))
+    small = table.sizes <= 2.0 ** (table.system.pair.weight * k)
+    small_frac = float(table.weights[small].sum() / table.weights.sum())
     report = []
     chosen, verified = None, False
     for alpha in ALPHA_CANDIDATES:

@@ -305,7 +305,6 @@ class SeparatedPair:
     ratio: float
     weight: float
     gap: float
-    fold: int  # how many letters of the original system one symbol packs
 
 
 @dataclass
@@ -365,14 +364,6 @@ class FibreProductCIFS(_System):
         p = self.pair
         return ((p.base_id, p.fibre_a), (p.base_id, p.fibre_b))
 
-    @property
-    def pair_weight(self) -> float:
-        return self.pair.weight
-
-    @property
-    def pair_gap(self) -> float:
-        return self.pair.gap
-
     def fibre_cifs(self) -> CIFS:
         """The last-coordinate marginal: all fibre maps with their weights.
 
@@ -388,7 +379,7 @@ class FibreProductCIFS(_System):
                 [self.fibre_map(s) for s in self.alphabet])
 
 
-def _search_pair(fibre_maps, weights, fold):
+def _search_pair(fibre_maps, weights):
     """Look for two fibre maps in one family with matching ratio and weight
     and disjoint unit-interval images; prefer the widest translate gap."""
     best = None
@@ -403,8 +394,7 @@ def _search_pair(fibre_maps, weights, fold):
                 (alo, ahi), (blo, bhi) = ma.image(), mb.image()
                 if ahi < blo or bhi < alo:
                     gap = abs(mb.translate - ma.translate)
-                    cand = SeparatedPair(j, la, lb, ma.ratio,
-                                         weights[(j, la)], gap, fold)
+                    cand = SeparatedPair(j, la, lb, ma.ratio, weights[(j, la)], gap)
                     if best is None or cand.gap > best.gap:
                         best = cand
     return best
@@ -417,7 +407,7 @@ def build_fibre_product(base_maps: Mapping, fibre_maps: Mapping, weights: Mappin
     If no fibre family already contains a separated pair, the system is
     replaced by its n-fold composition for the smallest n <= n_max at which
     a pair of composed fibre maps (sharing a base word) has equal ratio and
-    weight and disjoint images; that n is recorded on the pair. The
+    weight and disjoint images; that n is the product's ``fold``. The
     composed alphabet may hold at most ALPHABET_BUDGET symbols.
     """
     base_maps = dict(base_maps)
@@ -449,7 +439,7 @@ def build_fibre_product(base_maps: Mapping, fibre_maps: Mapping, weights: Mappin
                     f_maps[base_word] = {}
                 f_maps[base_word][word] = fold(fibre_maps[j][l] for j, l in word)
                 w[(base_word, word)] = math.prod(weights[s] for s in word)
-        pair = _search_pair(f_maps, w, n)
+        pair = _search_pair(f_maps, w)
         if pair is not None:
             return FibreProductCIFS(b_maps, f_maps, w, pair, fold=n)
     raise SeparationError(

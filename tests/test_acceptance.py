@@ -12,10 +12,10 @@ import pytest
 
 from conftest import five_symbol_fp, lebesgue_transform
 from ffl.ifs import (CIFS, AffineMap, cantor_system,
-                     dyadic_uniform_system, fibre_product_from_1d)
+                     dyadic_uniform_system, fibre_product_from_1d, lyapunov)
 from ffl.measure import (fourier_exact, fourier_exact_batch, sample_points,
                          cylinder_decomposition)
-from ffl.disintegrate import (build_classes, sample_omega,
+from ffl.disintegrate import (build_classes, sample_omegas,
                               disintegration_consistency, LargeDeviationParams,
                               check_omega_membership, ek_diagnostics,
                               circle_sum_bound, calibrate_alpha)
@@ -83,7 +83,8 @@ def test_c04_disintegration_consistency():
     system = CIFS((0, 1), {0: AffineMap(0.5, 0.0), 1: AffineMap(1 / 3, 2 / 3)},
                   {0: 0.5, 1: 0.5})
     xis = np.linspace(0.5, 50.0, 10)
-    rep = disintegration_consistency(system, 2, xis, 4000, seed=20260810)
+    table = build_classes(fibre_product_from_1d(system), 2)
+    rep = disintegration_consistency(table, xis, 4000, seed=20260810)
     worst_z = max(e.z_score for e in rep.entries)
     report("criterion-04 disintegration consistency", rep.all_passed,
            f"10 frequencies, worst z {worst_z:.2f}", t0, 120)
@@ -126,9 +127,9 @@ def test_c06_frostman_bound():
     t0 = time.time()
     fp = fibre_product_from_1d(cantor_system())
     table = build_classes(fp, 4)
-    alpha, _ = calibrate_alpha(table, seed=1)
+    alpha, _ = calibrate_alpha(table)
     params = LargeDeviationParams.for_table(table, alpha)
-    s_phi = table.pair_weight * math.log(2) / (5.0 * table.lyapunov())
+    s_phi = fp.pair.weight * math.log(2) / (5.0 * lyapunov(fp))
     draws = 100_000
     grid = np.arange(0, 1 << 12) / (1 << 12)
     radii = 2.0 ** -np.arange(4, 13)
@@ -137,7 +138,7 @@ def test_c06_frostman_bound():
     found = stream = violations = 0
     worst = 0.0
     while found < 100:
-        om = sample_omega(table, length, seed=99, stream=stream)
+        om = sample_omegas(table, length, 99, (stream,))[0]
         stream += 1
         rep = check_omega_membership(om, params, np.arange(1, length + 1))
         if not (rep.aggregate["large_classes"] and rep.aggregate["ratio_product"]):
@@ -257,7 +258,7 @@ def test_c10_invariant_bundle():
     # near-integer reconstruction at 1e-9
     table = build_classes(fibre_product_from_1d(cantor), 1)
     params = LargeDeviationParams.for_table(table, 0.2)
-    om = sample_omega(table, 200, seed=3)
+    om = sample_omegas(table, 200, 3, (0,))[0]
     d = ek_diagnostics(om, 1234.5, params)
     ok &= np.max(np.abs(d.integer_parts + d.fractional_parts - d.products)) <= 1e-9
     notes.append("carry reconstruction")

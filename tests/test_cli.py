@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import resource
+import subprocess
+import sys
 import tempfile
 import time
 import warnings
@@ -530,6 +533,133 @@ def test_consistency_builds_classes_once(tmp_path, monkeypatch):
     assert main(["disintegrate", "consistency", "--config", cfg,
                  "--out", str(tmp_path / "out")]) == 0
     assert build.call_count == 1 and calibrate.call_count == 0
+
+
+TWO_RATIO = {"kind": "affine1d", "maps": [{"ratio": 0.5, "translate": 0.0},
+                                          {"ratio": 1 / 3, "translate": 2 / 3}],
+             "weights": [0.5, 0.5]}
+
+
+@pytest.mark.parametrize("k, xis, message", [
+    (3, [1.0, 2.0], "4^3 words exceed the class budget 20"),
+    (2, [0.5, 6.0, 5000.0], "exhausted at frequency 5000.0")])
+def test_consistency_honours_the_budget(tmp_path, capsys, k, xis, message):
+    # both built their own class table and ran the target at the default
+    # budget, and exited 0
+    cfg = write_config(tmp_path / "cfg.json", {"system": TWO_RATIO, "disintegrate": {
+        "block_length": k, "xis": xis, "n_sequences": 20}})
+    out = tmp_path / "o"
+    assert main(["disintegrate", "consistency", "--config", cfg, "--out", str(out),
+                 "--budget", "20"]) == 3
+    err, = capsys.readouterr().err.strip().splitlines()
+    error = json.loads(err)["error"]
+    assert error["kind"] == "budget" and message in error["message"]
+    assert (k == 2) == ("achieved" in error)
+    assert not any(p.is_file() for p in out.rglob("*"))
+
+
+def test_cli_sequences_are_the_first_stream(tmp_path, monkeypatch):
+    cfg = write_config(tmp_path / "cfg.json", {"system": FIBRE3, "seed": 17, "disintegrate": {
+        "block_length": 2, "prefix_length": 40}})
+    table = dis.build_classes(ifs.fibre_product_from_1d(cli.build_system(FIBRE3)), 2)
+    om, = dis.sample_omegas(table, 40, 17, (0,))
+    out = tmp_path / "o"
+    assert main(["disintegrate", "sample", "--config", cfg, "--out", str(out)]) == 0
+    sample = json.loads((out / "omega.json").read_text())["result"]
+    assert sample["classes"] == om.indices.tolist()
+    assert sample["cumulative_ratios"] == om.cum_ratios.tolist()  # JSON keeps every bit
+    checked = mock.Mock(wraps=dis.check_omega_membership)
+    monkeypatch.setattr(dis, "check_omega_membership", checked)
+    assert main(["disintegrate", "membership", "--config", cfg, "--out", str(out)]) == 0
+    np.testing.assert_array_equal(checked.call_args.args[0].indices, om.indices)
+
+
+ACTION_CONFIG = {"system": {"kind": "named", "name": "cantor"},
+                 "scan": {"xi_min": 1.0, "xi_max": 2.0, "points": 2},
+                 "map": {"expr": "(pow x 2)", "inverse": "(pow x 0.5)"}}
+
+
+@pytest.mark.parametrize("command", list(cli.ACTIONS))
+def test_stray_and_unknown_actions_exit_2_before_any_work(tmp_path, capsys, monkeypatch,
+                                                          command):
+    # fourier-scan bogus wrote scan.csv and exited 0; disintegrate bogus
+    # built its class table and calibrated alpha first
+    for name in ("build_system", "Section"):
+        monkeypatch.setattr(cli, name, mock.Mock(side_effect=AssertionError(name)))
+    cfg = write_config(tmp_path / "cfg.json", ACTION_CONFIG)
+    out = tmp_path / "o"
+    assert main([command, "bogus", "--config", cfg, "--out", str(out)]) == 2
+    err, = capsys.readouterr().err.strip().splitlines()
+    error = json.loads(err)["error"]
+    assert error["kind"] == "validation" and "'bogus'" in error["message"]
+    assert ("takes no action" in error["message"]) == (cli.ACTIONS[command] == (None,))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, env, word", [
+    (["fourier-scan", "--seed", "abc"], {}, "--seed"),
+    (["fourier-scan", "--budget", "x"], {}, "--budget"),
+    (["fourier-scan"], {"FFL_SEED": "abc"}, "--seed"),
+    (["bogus"], {}, "invalid choice"),
+    ([], {}, "command"),
+])
+def test_usage_errors_are_one_json_line(tmp_path, capsys, monkeypatch, argv, env, word):
+    # each printed argparse's usage text and exited 2 from SystemExit
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    cfg = dyadic_scan_config(tmp_path)
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    err, = captured.err.strip().splitlines()
+    error = json.loads(err)["error"]
+    assert error["kind"] == "validation" and word in error["message"]
+    assert captured.out == "" and not (tmp_path / "o").exists()
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0 and "usage: ffl" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("row, word", [("1,1", "1,1"), ("2.0,abc,0,1,1e-7,rigorous", "abc")])
+def test_malformed_scan_rows_exit_2(tmp_path, capsys, row, word):
+    # a short row ended report in an IndexError traceback (exit 1)
+    cfg = dyadic_scan_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["fourier-scan", "--config", cfg, "--out", str(out)]) == 0
+    path = out / "scan.csv"
+    lines = path.read_text().splitlines()
+    lines[5] = row  # the second row: line 6 of the file
+    path.write_text("\n".join(lines) + "\n")
+    for command in ("report", "verify"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err, = capsys.readouterr().err.strip().splitlines()
+        message = json.loads(err)["error"]["message"]
+        assert "scan.csv, line 6" in message and word in message
+    assert sorted(p.name for p in out.iterdir()) == ["scan.csv"]
+
+
+def test_memory_error_exits_3(tmp_path):
+    # draws x words: 100,000 x 2,062 uniforms, 1.54 GiB, past the 1 GiB cap
+    # of this one child; it ended in numpy's _ArrayMemoryError with exit 1
+    cfg = write_config(tmp_path / "cfg.json", {
+        "system": {"kind": "smooth1d", "weights": [0.5, 0.5],
+                   "maps": [{"expr": "(mul 0.3 x)", "declared_bound": 0.99},
+                            {"expr": "(add 0.6 (mul 0.3 x))"}]},
+        "scan": {"xi_min": 1.0, "xi_max": 2.0, "points": 2, "method": "montecarlo"}})
+    cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    src = str(Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = tmp_path / "o"
+    run = subprocess.run([sys.executable, "-m", "ffl.cli", "fourier-scan", "--config", cfg,
+                          "--out", str(out)], preexec_fn=cap, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 3, run.stderr
+    err, = run.stderr.strip().splitlines()
+    error = json.loads(err)["error"]
+    assert error["kind"] == "memory" and "allocate" in error["message"]
+    assert not any(p.is_file() for p in out.rglob("*"))
 
 
 def test_decay_bands_with_pushforward_method(tmp_path):

@@ -9,8 +9,8 @@ from hypothesis import assume, given, settings, strategies as st
 from conftest import five_symbol_fp, unit_systems
 from ffl import disintegrate, measure
 from ffl.ifs import (CIFS, AffineMap, BudgetExhausted, ValidationError,
-                     build_fibre_product, fibre_product_from_1d, fold)
-from ffl.disintegrate import (build_classes, sample_omega, sample_omegas,
+                     build_fibre_product, fibre_product_from_1d, fold, lyapunov)
+from ffl.disintegrate import (build_classes, sample_omegas,
                               mu_omega_fourier_batch, disintegration_consistency,
                               LargeDeviationParams, check_omega_membership,
                               ek_diagnostics, circle_sum_bound, calibrate_alpha)
@@ -135,14 +135,14 @@ def test_class_budget():
 
 def test_sample_omega_point_mass(cantor):
     table = build_classes(fibre_product_from_1d(cantor), 1)
-    om = sample_omega(table, 50, seed=0)
+    om = sample_omegas(table, 50, 0, (0,))[0]
     assert len(table) == 1
     assert np.all(om.indices == 0)
 
 
 def test_sample_omega_frequencies():
     table = build_classes(three_symbol_fp(), 1)
-    om = sample_omega(table, 30_000, seed=3)
+    om = sample_omegas(table, 30_000, 3, (0,))[0]
     probs = table.weights / table.weights.sum()
     for idx, p in enumerate(probs):
         freq = np.mean(om.indices == idx)
@@ -152,23 +152,23 @@ def test_sample_omega_frequencies():
 
 def test_sample_omega_seed_dependence():
     table = build_classes(three_symbol_fp(), 1)
-    a = sample_omega(table, 200, seed=1)
-    b = sample_omega(table, 200, seed=1)
-    c = sample_omega(table, 200, seed=2)
+    a = sample_omegas(table, 200, 1, (0,))[0]
+    b = sample_omegas(table, 200, 1, (0,))[0]
+    c = sample_omegas(table, 200, 2, (0,))[0]
     np.testing.assert_array_equal(a.indices, b.indices)
     assert np.any(a.indices != c.indices)
 
 
 def test_cumulative_ratios_decrease():
     table = build_classes(three_symbol_fp(), 2)
-    om = sample_omega(table, 40, seed=5)
+    om = sample_omegas(table, 40, 5, (0,))[0]
     mags = np.abs(om.cum_ratios)
     assert np.all(np.diff(mags) < 0)
 
 
 def test_atom_disjointness_within_factor():
     table = build_classes(three_symbol_fp(), 2)
-    om = sample_omega(table, 12, seed=6)
+    om = sample_omegas(table, 12, 6, (0,))[0]
     for m in range(len(om)):
         atoms, i = om.factor(m), om.indices[m]
         assert len(atoms) == table.sizes[i]  # each atom weighs 1/size
@@ -188,7 +188,7 @@ def mu_omega(om, xi, tol):
 
 def test_mu_omega_at_zero():
     table = build_classes(three_symbol_fp(), 2)
-    om = sample_omega(table, 10, seed=1)
+    om = sample_omegas(table, 10, 1, (0,))[0]
     assert mu_omega(om, 0.0, 1e-8) == (1.0 + 0.0j, 0.0)
 
 
@@ -206,7 +206,7 @@ def test_mu_omega_singleton_classes_unit_modulus():
 
 def test_mu_omega_cantor_deterministic(cantor):
     table = build_classes(fibre_product_from_1d(cantor), 1)
-    om = sample_omega(table, 80, seed=3)
+    om = sample_omegas(table, 80, 3, (0,))[0]
     for xi in (1.0, 4.5):
         value, bound = mu_omega(om, xi, 1e-10)
         target = fourier_exact(cantor, xi, tol=1e-10)
@@ -222,7 +222,7 @@ THREE_SYMBOL_TABLES = {k: build_classes(three_symbol_fp(), k) for k in (1, 2, 3)
 def test_mu_omega_matches_direct_product(k, length, seed, xi, tol):
     # tol in [1e-12, 10] stops anywhere from the first factor to the whole prefix
     table = THREE_SYMBOL_TABLES[k]
-    om = sample_omega(table, length, seed=seed)
+    om = sample_omegas(table, length, seed, (0,))[0]
     r_max = np.abs(table.ratios).max()
 
     def tail(m):
@@ -242,7 +242,7 @@ def test_mu_omega_matches_direct_product(k, length, seed, xi, tol):
 def test_mu_omega_rejects_bad_tolerances_and_frequencies(cantor):
     # no count has a tail within a zero, negative or NaN tolerance
     table = build_classes(fibre_product_from_1d(cantor), 2)
-    om = sample_omega(table, 10, seed=1)
+    om = sample_omegas(table, 10, 1, (0,))[0]
     for tol in (0.0, -3.0, math.nan):
         with pytest.raises(ValidationError, match="tolerance"):
             mu_omega_fourier_batch([om, om], [1.0, 3.0], tol)
@@ -298,7 +298,7 @@ def test_classes_match_the_per_word_fold(system):
        xis=st.lists(st.one_of(st.just(0.0), st.floats(-300.0, 300.0)), min_size=1, max_size=4),
        tol=st.floats(1e-12, 10.0), cells=st.sampled_from([measure.BATCH_CELLS, 1, 40]))
 def test_batch_matches_the_one_sequence_call(table, lengths, seed, xis, tol, cells):
-    omegas = [sample_omega(table, n, seed=seed, stream=i) for i, n in enumerate(lengths)]
+    omegas = [sample_omegas(table, n, seed, (i,))[0] for i, n in enumerate(lengths)]
     # a small cell budget splits the sequences into several chunks
     with mock.patch.object(measure, "BATCH_CELLS", cells):
         values, bounds = mu_omega_fourier_batch(omegas, xis, tol)
@@ -322,51 +322,75 @@ def test_sample_omegas_rows_are_generator_choices(table, length, seed, streams):
 
 
 def test_batch_rejects_sequences_of_two_tables(cantor, two_ratio):
-    a = sample_omega(build_classes(fibre_product_from_1d(cantor), 2), 5, seed=1)
-    b = sample_omega(build_classes(fibre_product_from_1d(two_ratio), 2), 5, seed=1)
+    a = sample_omegas(build_classes(fibre_product_from_1d(cantor), 2), 5, 1, (0,))[0]
+    b = sample_omegas(build_classes(fibre_product_from_1d(two_ratio), 2), 5, 1, (0,))[0]
     for xis in ([1.0], [0.0]):
         with pytest.raises(ValidationError, match="one class table"):
             mu_omega_fourier_batch([a, b], xis, 1e-8)
 
 
+def line_classes(system, k):
+    """The class table of a 1-D system at block length k."""
+    return build_classes(fibre_product_from_1d(system), k)
+
+
 def test_consistency_makes_one_batch_call(two_ratio):
+    # one draw for every sequence, one sweep for every frequency
     with mock.patch.object(disintegrate, "mu_omega_fourier_batch",
                            wraps=mu_omega_fourier_batch) as batch, \
-            mock.patch.object(disintegrate, "stream_rng",
-                              side_effect=AssertionError("per-sequence generator")):
-        rep = disintegration_consistency(two_ratio, 2, [1.0, 2.0, 5.0], 50, seed=9)
-    assert batch.call_count == 1 and len(rep.entries) == 3
+            mock.patch.object(disintegrate, "sample_omegas", wraps=sample_omegas) as draw:
+        rep = disintegration_consistency(line_classes(two_ratio, 2), [1.0, 2.0, 5.0], 50, seed=9)
+    assert batch.call_count == draw.call_count == 1 and len(rep.entries) == 3
+
+
+def test_consistency_target_honours_the_budget(two_ratio):
+    # the direct target at 5000 needs more than 20 stopping-set nodes; the
+    # sequences are not drawn once a target is over budget
+    table = line_classes(two_ratio, 2)
+    with mock.patch.object(disintegrate, "sample_omegas",
+                           side_effect=AssertionError("sampled past the budget")):
+        with pytest.raises(BudgetExhausted, match="frequency 5000") as err:
+            disintegration_consistency(table, [0.5, 6.0, 5000.0], 20, budget=20)
+    assert err.value.achieved > 1e-6
+    assert disintegration_consistency(table, [0.5, 6.0], 20, budget=20).block_length == 2
 
 
 # -- consistency ------------------------------------------------------------------
 
 def test_consistency_dyadic(dyadic):
-    rep = disintegration_consistency(dyadic, 2, [0.5], 4000, seed=8)
+    rep = disintegration_consistency(line_classes(dyadic, 2), [0.5], 4000, seed=8)
     e = rep.entries[0]
     assert e.passed
     assert abs(e.target - (-2j / math.pi)) <= 1e-5
 
 
 def test_consistency_two_ratio(two_ratio):
-    rep = disintegration_consistency(two_ratio, 2, [1.0, 2.0, 5.0], 1500, seed=9)
+    rep = disintegration_consistency(line_classes(two_ratio, 2), [1.0, 2.0, 5.0], 1500, seed=9)
     assert rep.all_passed
 
 
 def test_consistency_one_class_table_has_no_noise(cantor):
     # every sampled sequence is the same one, so there is no spread to
     # divide the gap by
-    rep = disintegration_consistency(cantor, 3, [1.0, 2.0, 5.0, 17.0], 200, seed=11)
+    rep = disintegration_consistency(line_classes(cantor, 3), [1.0, 2.0, 5.0, 17.0], 200, seed=11)
     assert all(e.stderr == 0.0 and e.z_score == 0.0 for e in rep.entries)
     assert rep.all_passed
 
 
 def test_consistency_jsonable(two_ratio):
-    rep = disintegration_consistency(two_ratio, 1, [1.0], 300, seed=10)
+    rep = disintegration_consistency(line_classes(two_ratio, 1), [1.0], 300, seed=10)
     doc = rep.to_jsonable()
     assert doc["entries"][0]["passed"] in (True, False)
 
 
 # -- membership -------------------------------------------------------------------
+
+def test_params_read_the_separated_pair(two_ratio):
+    fp = fibre_product_from_1d(two_ratio)
+    params = LargeDeviationParams.for_table(build_classes(fp, 2), alpha=0.1)
+    assert (params.pair_weight, params.pair_gap) == (fp.pair.weight, fp.pair.gap)
+    assert params.lyapunov == lyapunov(fp)
+
 
 def test_membership_all_flags_true(cantor):
     # at block length 1 the class ratio 1/3 clears the ratio floor
@@ -376,7 +400,7 @@ def test_membership_all_flags_true(cantor):
     params = LargeDeviationParams.for_table(table, alpha=0.2)
     assert abs(table.ratios[0]) >= params.ratio_floor
     assert table.sizes[0] > params.size_threshold
-    om = sample_omega(table, 50, seed=11)
+    om = sample_omegas(table, 50, 11, (0,))[0]
     rep = check_omega_membership(om, params, np.arange(1, 51))
     assert rep.all_ok
 
@@ -387,7 +411,7 @@ def test_membership_core_flags_at_larger_block(cantor):
     # exponential ratio floor is not yet in its asymptotic regime
     table = build_classes(fibre_product_from_1d(cantor), 4)
     params = LargeDeviationParams.for_table(table, alpha=0.2)
-    om = sample_omega(table, 50, seed=11)
+    om = sample_omegas(table, 50, 11, (0,))[0]
     rep = check_omega_membership(om, params, np.arange(1, 51))
     assert rep.aggregate["large_classes"] and rep.aggregate["ratio_product"]
 
@@ -405,7 +429,7 @@ def test_membership_count_slack_threshold():
 def test_membership_rejects_short_prefix():
     table = build_classes(three_symbol_fp(), 1)
     params = LargeDeviationParams.for_table(table, alpha=0.1)
-    om = sample_omega(table, 5, seed=0)
+    om = sample_omegas(table, 5, 0, (0,))[0]
     with pytest.raises(ValidationError):
         check_omega_membership(om, params, np.arange(1, 11))
 
@@ -420,7 +444,7 @@ def test_membership_failure_rate_monotone_in_start_index():
     for start in (1, 5, 10):
         fails = 0
         for i in range(2000):
-            om = sample_omega(table, start + 14, seed=21, stream=i)
+            om = sample_omegas(table, start + 14, 21, (i,))[0]
             rep = check_omega_membership(om, params,
                                          np.arange(start, start + 15))
             fails += not rep.all_ok
@@ -438,7 +462,7 @@ def fixed_table():
 def test_ek_reconstruction_exact():
     table = fixed_table()
     params = LargeDeviationParams.for_table(table, alpha=0.2)
-    om = sample_omega(table, 300, seed=13)
+    om = sample_omegas(table, 300, 13, (0,))[0]
     d = ek_diagnostics(om, 517.25, params)
     assert len(d.decay_levels)
     recon = d.integer_parts + d.fractional_parts
@@ -449,7 +473,7 @@ def test_ek_reconstruction_exact():
 def test_ek_zero_frequency_all_near_integer():
     table = fixed_table()
     params = LargeDeviationParams.for_table(table, alpha=0.2)
-    om = sample_omega(table, 100, seed=14)
+    om = sample_omegas(table, 100, 14, (0,))[0]
     d = ek_diagnostics(om, 0.0, params)
     assert np.all(d.integer_parts == 0)
     assert np.all(d.fractional_parts == 0.0)
@@ -471,7 +495,7 @@ def test_ek_exact_integrality_for_triadic(cantor):
     # scale-3 structure: frequencies multiplying away all ratios give integers
     table = build_classes(fibre_product_from_1d(cantor), 1)
     params = LargeDeviationParams.for_table(table, alpha=0.2)
-    om = sample_omega(table, 60, seed=15)
+    om = sample_omegas(table, 60, 15, (0,))[0]
     delta = table.pair_deltas[0]
     m = 6
     xi = 3.0 ** m / delta
@@ -483,7 +507,7 @@ def test_ek_exact_integrality_for_triadic(cantor):
 def test_ek_prefix_too_short():
     table = fixed_table()
     params = LargeDeviationParams.for_table(table, alpha=0.2)
-    om = sample_omega(table, 3, seed=16)
+    om = sample_omegas(table, 3, 16, (0,))[0]
     with pytest.raises(ValidationError):
         ek_diagnostics(om, 1e9, params)
 
@@ -493,7 +517,7 @@ def test_ek_warns_when_no_decay_levels():
     # alpha = 0.2, so the diagnostics are empty and flagged
     table = build_classes(three_symbol_fp(), 2)
     params = LargeDeviationParams.for_table(table, alpha=0.2)
-    om = sample_omega(table, 100, seed=17)
+    om = sample_omegas(table, 100, 17, (0,))[0]
     with pytest.warns(UserWarning, match="no decay levels"):
         d = ek_diagnostics(om, 50.0, params)
     assert len(d.decay_levels) == 0 and len(d.near_integer_levels) == 0
@@ -542,13 +566,38 @@ def test_circle_sum_dominates_brute_force():
 
 def test_calibrate_alpha_cantor(cantor):
     table = build_classes(fibre_product_from_1d(cantor), 4)
-    alpha, report = calibrate_alpha(table, seed=1)
+    alpha, report = calibrate_alpha(table)
     assert alpha == 0.2 and report["verified"]
+
+
+def brute_force_small_fraction(fp, k):
+    """The weight of the block words whose class has at most
+    2^(pair weight * k) members, over the weight of every word, summed word
+    by word: a word's class has 2^(its pair slots) members."""
+    small = total = 0.0
+    for word in iproduct(fp.alphabet, repeat=k):
+        weight = math.prod(fp.weights[s] for s in word)
+        slots = sum(s in fp.special_symbols for s in word)
+        total += weight
+        small += weight * (2 ** slots <= 2.0 ** (fp.pair.weight * k))
+    return small / total
+
+
+@pytest.mark.parametrize("name, k, alpha", [("cantor", 4, 0.2), ("two_ratio", 4, 0.1),
+                                            ("dyadic", 3, 0.2), ("two_ratio", 2, 0.2)])
+def test_calibrate_alpha_is_the_exact_small_class_weight(request, name, k, alpha):
+    fp = fibre_product_from_1d(request.getfixturevalue(name))
+    chosen, report = calibrate_alpha(build_classes(fp, k))
+    fraction = brute_force_small_fraction(fp, k)
+    assert chosen == alpha
+    for row in report["candidates"]:
+        assert row["small_fraction"] == pytest.approx(fraction, rel=1e-12, abs=1e-15)
+        assert row["holds"] == (fraction <= math.exp(-2.0 * row["alpha"] * k))
 
 
 def test_calibrate_alpha_reports_candidates():
     table = fixed_table()
-    alpha, report = calibrate_alpha(table, seed=2)
+    alpha, report = calibrate_alpha(table)
     assert {r["alpha"] for r in report["candidates"]} <= {0.05, 0.1, 0.2}
     assert all(r["small_fraction"] >= 0 for r in report["candidates"])
 
@@ -561,5 +610,5 @@ def test_consistency_on_genuine_fibre_product():
         {"L": {0: AffineMap(1 / 3, 0.0), 1: AffineMap(1 / 3, 2 / 3)},
          "R": {0: AffineMap(1 / 3, 1 / 3)}},
         {("L", 0): 1 / 3, ("L", 1): 1 / 3, ("R", 0): 1 / 3})
-    rep = disintegration_consistency(fp, 1, [1.0, 3.0, 7.5], 800, seed=23)
+    rep = disintegration_consistency(build_classes(fp, 1), [1.0, 3.0, 7.5], 800, seed=23)
     assert rep.all_passed

@@ -11,6 +11,7 @@ block, and reruns with the same config and seed are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -526,7 +527,7 @@ def cmd_verify(cfg, out, seed, budget):
                                budget, map_section=cfg["map"])
     path = out / "scan.csv"
     rows = read_scan(path) if path.exists() else None
-    if rows is None:
+    if not rows:  # a scan of no rows has nothing to check
         raise ValidationError(f"{path} holds no scan; run fourier-scan first")
     rows = rows[::max(1, len(rows) // max(1, len(rows) // 100))]
     fresh = meas.require_values(evaluator([row[0] for row in rows]))
@@ -560,21 +561,26 @@ class Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def main(argv=None) -> int:
-    parser = Parser(
-        prog="ffl",
-        description="fractal-measure Fourier workbench experiment runner")
-    parser.add_argument("command", choices=ACTIONS)
-    parser.add_argument("action", nargs="?", default=None,
-                        help="subaction for disintegrate/equidist/decay")
-    # each option falls back on its FFL_* variable; argparse types a string default
-    env = lambda name: os.environ.get(ENV_PREFIX + name)
-    parser.add_argument("--config", default=env("CONFIG"), help="JSON config path")
-    parser.add_argument("--out", default=env("OUT"), help="output directory")
-    parser.add_argument("--seed", type=int, default=env("SEED"), help="master seed")
-    parser.add_argument("--budget", type=int, default=env("BUDGET"),
-                        help="enumeration budget per evaluation")
+@functools.lru_cache(maxsize=8)
+def parser_for(config, out, seed, budget) -> Parser:
+    """The command-line parser whose options fall back on these values of
+    their FFL_* variables; argparse types a string default when it parses.
+    One parser is built per distinct set of values and never changed."""
+    p = Parser(prog="ffl", description="fractal-measure Fourier workbench experiment runner")
+    p.add_argument("command", choices=ACTIONS)
+    p.add_argument("action", nargs="?", default=None,
+                   help="subaction for disintegrate/equidist/decay")
+    p.add_argument("--config", default=config, help="JSON config path")
+    p.add_argument("--out", default=out, help="output directory")
+    p.add_argument("--seed", type=int, default=seed, help="master seed")
+    p.add_argument("--budget", type=int, default=budget,
+                   help="enumeration budget per evaluation")
+    return p
 
+
+def main(argv=None) -> int:
+    parser = parser_for(*(os.environ.get(ENV_PREFIX + name)
+                          for name in ("CONFIG", "OUT", "SEED", "BUDGET")))
     try:
         args = parser.parse_args(argv)
         cmd, actions = args.command, ACTIONS[args.command]

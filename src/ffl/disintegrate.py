@@ -20,13 +20,14 @@ one integer key per word. ``sample_omegas`` draws the class sequences of
 many streams from one ``rng.uniforms`` call. ``mu_omega_fourier_batch``
 evaluates the convolution transforms of many sequences of one class table
 at many frequencies in one sweep per frequency: one character evaluation
-over the atoms gathered from the table's translates and one segmented sum
-over every factor of every sequence. It has one truncation rule: each
-sequence stops at the first factor count whose tail bound is within the
-tolerance. The consistency check and ``calibrate_alpha`` read a built class
-table: the check compares its sequences against its system's fibre marginal
-in one batch call for its whole grid, the calibration sums the weight of its
-small classes exactly.
+and one segmented sum over the distinct factors, keyed by class and scale,
+that the sequences read, each evaluated once however many sequences share
+it. It has one truncation rule: each sequence stops at the first factor
+count whose tail bound is within the tolerance, and factors past it are
+not evaluated. The consistency check and ``calibrate_alpha`` read a built
+class table: the check compares its sequences against its system's fibre
+marginal in one batch call for its whole grid, the calibration sums the
+weight of its small classes exactly.
 """
 
 from __future__ import annotations
@@ -219,13 +220,16 @@ def mu_omega_fourier_batch(omegas, xis, tol: float):
     (len(xis), len(omegas)); xi = 0 gives 1 within 0.
 
     The sequences, all of one class table, go in chunks of at most
-    ``measure.BATCH_CELLS`` atoms times frequencies (one sequence at least).
-    A chunk stacks its class indices as rows; its ratio products, scales
-    and atoms come from that matrix and the table's arrays. Per frequency a
-    chunk takes one character evaluation over its atoms and one segmented
-    sum over all its factors; factors past a sequence's count are set to 1
-    before the product of each row. Each value is the same, bit for bit,
-    whatever else is in the batch.
+    ``measure.BATCH_CELLS`` atoms (one sequence at least), the most one
+    frequency's character call holds. A chunk stacks its class indices as
+    rows; its ratio products and scales come from that matrix and the
+    table's arrays. A factor's key is its class and the float bits of its
+    scale; factors of one key have the same atoms bit for bit. Per
+    frequency a chunk evaluates each distinct key that some sequence reads
+    before its count once: one character evaluation over those keys' atoms
+    and one segmented sum. Each factor takes its key's mean, factors past a
+    sequence's count take 1, and each row is their product. Each value is
+    the same, bit for bit, whatever else is in the batch.
     """
     if not tol > 0:
         raise ValidationError("need a positive truncation tolerance")
@@ -246,13 +250,12 @@ def mu_omega_fourier_batch(omegas, xis, tol: float):
     cls = np.concatenate([om.indices for om in omegas])
     first = np.concatenate(([0], np.cumsum(lengths)))  # first factor of each sequence
     edges = np.concatenate(([0], np.cumsum(table.sizes[cls])))[first]
-    per = max(1, measure.BATCH_CELLS // live.size)
     lo = 0
     while lo < len(omegas):
-        hi = max(lo + 1, int(np.searchsorted(edges, edges[lo] + per, side="right")) - 1)
+        hi = max(lo + 1, int(np.searchsorted(edges, edges[lo] + measure.BATCH_CELLS,
+                                             side="right")) - 1)
         length, part = lengths[lo:hi], cls[first[lo]:first[hi]]
-        n, width, size = hi - lo, int(length.max()), table.sizes[part]
-        starts = np.cumsum(size) - size
+        n, width = hi - lo, int(length.max())
         # factor j of sequence row[j] sits at column col[j] of the row
         row = np.repeat(np.arange(n), length)
         col = np.arange(row.size) - np.repeat(np.cumsum(length) - length, length)
@@ -263,7 +266,12 @@ def mu_omega_fourier_batch(omegas, xis, tol: float):
         cum = np.cumprod(ratios, axis=1)
         mags = np.abs(cum)
         scales = np.concatenate((np.ones((n, 1)), cum[:, :-1]), axis=1)[row, col]
-        atoms = table.translates(part) * np.repeat(scales, size)
+        # a factor's atoms are its class translates times its scale, so factors
+        # of one class and one scale, bit for bit, share one key and one mean
+        _, scale_id = np.unique(scales.view(np.uint64), return_inverse=True)
+        keys, key = np.unique(scale_id * len(table) + part, return_inverse=True)
+        factor = np.empty(keys.size, dtype=int)
+        factor[key] = np.arange(key.size)  # a factor of each key
         for f in live:
             xi = xis[f]
             # tails[i, m - 1] bounds the cost of stopping sequence i after m
@@ -271,10 +279,16 @@ def mu_omega_fourier_batch(omegas, xis, tol: float):
             tails = TWO_PI * abs(xi) * mags / denom
             hit = (tails <= tol) & (np.arange(width) < length[:, None] - 1)
             count = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, length)
-            means = np.add.reduceat(character(xi * atoms), starts) / size
-            means[col >= count[row]] = 1.0
+            read = col < count[row]  # the factors before each sequence's count
+            used = np.zeros(keys.size, dtype=bool)
+            used[key[read]] = True
+            at = factor[used]  # a factor of each key that some sequence reads
+            size = table.sizes[part[at]]
+            atoms = table.translates(part[at]) * np.repeat(scales[at], size)
+            means = np.ones(keys.size, dtype=complex)
+            means[used] = np.add.reduceat(character(xi * atoms), np.cumsum(size) - size) / size
             grid = np.ones((n, width), dtype=complex)
-            grid[row, col] = means
+            grid[row[read], col[read]] = means[key[read]]
             values[f, lo:hi] = grid.prod(axis=1)
             bounds[f, lo:hi] = tails[np.arange(n), count - 1]
         lo = hi

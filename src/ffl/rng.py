@@ -26,11 +26,10 @@ _WEYL = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _LOW, _SHIFT = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
-def _key(seed: int, stream, size: int = 16) -> bytes:
-    """The blake2b digest of a (seed, *stream) address: by default the
-    128-bit Philox key."""
-    tag = repr((int(seed), *map(int, stream))).encode()
-    return hashlib.blake2b(tag, digest_size=size).digest()
+def _key(address: tuple, size: int = 16) -> bytes:
+    """The blake2b digest of the repr of an address, the tuple of ints
+    (seed, *stream): by default the 128-bit Philox key."""
+    return hashlib.blake2b(repr(address).encode(), digest_size=size).digest()
 
 
 def stream_rng(seed: int, *stream: int) -> np.random.Generator:
@@ -39,7 +38,7 @@ def stream_rng(seed: int, *stream: int) -> np.random.Generator:
     The key is a 128-bit digest of the address, fed to Philox. Distinct
     addresses give statistically independent streams.
     """
-    key = np.frombuffer(_key(seed, stream), dtype=np.uint64)
+    key = np.frombuffer(_key((int(seed), *map(int, stream))), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -61,8 +60,9 @@ def uniforms(seed: int, stream, ids, count: int) -> np.ndarray:
     is the rest of its address, ``stream_rng(seed, *stream, *ids[r])``, so
     one call draws streams whose addresses differ in more than one place.
     """
-    stream = tuple(stream)
-    keys = np.frombuffer(b"".join(_key(seed, stream + (i if isinstance(i, tuple) else (i,)))
+    head = (int(seed), *map(int, stream))  # the address of every id starts with it
+    keys = np.frombuffer(b"".join(_key(head + (tuple(map(int, i)) if isinstance(i, tuple)
+                                               else (int(i),)))
                                   for i in ids),
                          dtype=np.uint64).reshape(-1, 1, 2)
     blocks = -(-count // 4)
@@ -82,4 +82,4 @@ def uniforms(seed: int, stream, ids, count: int) -> np.ndarray:
 
 def spawn_seed(seed: int, *stream: int) -> int:
     """Derive a 63-bit sub-seed from a master seed and stream ids."""
-    return int.from_bytes(_key(seed, stream, 8), "little") >> 1
+    return int.from_bytes(_key((int(seed), *map(int, stream)), 8), "little") >> 1

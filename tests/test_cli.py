@@ -164,6 +164,15 @@ def test_env_overrides(tmp_path, monkeypatch):
     assert "# seed: 99" in (out / "scan.csv").read_text()
 
 
+def test_env_defaults_are_read_on_every_call(tmp_path, monkeypatch):
+    # the parser is built once per set of FFL_* values, not once per process
+    cfg = dyadic_scan_config(tmp_path)
+    for seed in ("41", "42", "41"):
+        monkeypatch.setenv("FFL_SEED", seed)
+        assert main(["fourier-scan", "--config", cfg, "--out", str(tmp_path / seed)]) == 0
+        assert f"# seed: {seed}\n" in (tmp_path / seed / "scan.csv").read_text()
+
+
 def test_report_generates_deterministic_svg(tmp_path):
     cfg = dyadic_scan_config(tmp_path)
     out = tmp_path / "out"
@@ -196,6 +205,20 @@ def test_verify_catches_corruption(tmp_path):
     lines[4] = ",".join(parts)
     path.write_text("\n".join(lines) + "\n")
     assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+
+
+def test_verify_on_a_scan_without_rows_exits_2(tmp_path, capsys):
+    # it wrote "checked": 0 and exited 0, so an emptied scan read as verified
+    cfg = dyadic_scan_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["fourier-scan", "--config", cfg, "--out", str(out)]) == 0
+    path = out / "scan.csv"
+    path.write_text("\n".join(path.read_text().splitlines()[:4]) + "\n")  # comments, header
+    capsys.readouterr()
+    assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+    err, = capsys.readouterr().err.strip().splitlines()
+    assert str(path) in json.loads(err)["error"]["message"]
+    assert not (out / "verify.json").exists()
 
 
 def test_pushforward_scan(tmp_path):

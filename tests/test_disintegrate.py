@@ -329,6 +329,68 @@ def test_batch_rejects_sequences_of_two_tables(cantor, two_ratio):
             mu_omega_fourier_batch([a, b], xis, 1e-8)
 
 
+def per_atom_batch(omegas, xis, tol):
+    """Reference for ``mu_omega_fourier_batch``: every atom of every factor
+    of every sequence goes into one character call per frequency, and
+    factors past a sequence's count are set to 1 after their sums."""
+    table = omegas[0].table
+    denom = 1.0 - np.abs(table.ratios).max()
+    xis = np.asarray(xis, dtype=float)
+    lengths = np.array([len(om) for om in omegas])
+    values = np.ones((xis.size, len(omegas)), dtype=complex)
+    bounds = np.zeros((xis.size, len(omegas)))
+    part = np.concatenate([om.indices for om in omegas])
+    n, width, size = len(omegas), int(lengths.max()), table.sizes[part]
+    row = np.repeat(np.arange(n), lengths)
+    col = np.arange(row.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    ratios = np.ones((n, width))
+    ratios[row, col] = table.ratios[part]
+    cum = np.cumprod(ratios, axis=1)
+    scales = np.concatenate((np.ones((n, 1)), cum[:, :-1]), axis=1)[row, col]
+    atoms = table.translates(part) * np.repeat(scales, size)
+    for f, xi in enumerate(xis):
+        if xi == 0:
+            continue
+        tails = measure.TWO_PI * abs(xi) * np.abs(cum) / denom
+        hit = (tails <= tol) & (np.arange(width) < lengths[:, None] - 1)
+        count = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, lengths)
+        means = np.add.reduceat(measure.character(xi * atoms), np.cumsum(size) - size) / size
+        means[col >= count[row]] = 1.0
+        grid = np.ones((n, width), dtype=complex)
+        grid[row, col] = means
+        values[f] = grid.prod(axis=1)
+        bounds[f] = tails[np.arange(n), count - 1]
+    return values, bounds
+
+
+@settings(max_examples=80, deadline=None)
+@given(table=class_tables(), lengths=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+       seed=st.integers(0, 2 ** 16),
+       xis=st.lists(st.one_of(st.just(0.0), st.floats(-300.0, 300.0)), min_size=1, max_size=4),
+       tol=st.floats(1e-12, 10.0), cells=st.sampled_from([measure.BATCH_CELLS, 1, 40]))
+def test_batch_matches_the_per_atom_loop(table, lengths, seed, xis, tol, cells):
+    # streams repeat, so some sequences are equal and share every factor
+    omegas = [sample_omegas(table, n, seed, (i % 3,))[0] for i, n in enumerate(lengths)]
+    with mock.patch.object(measure, "BATCH_CELLS", cells):
+        values, bounds = mu_omega_fourier_batch(omegas, xis, tol)
+    want_values, want_bounds = per_atom_batch(omegas, xis, tol)
+    np.testing.assert_array_equal(values.view(np.uint64), want_values.view(np.uint64))
+    np.testing.assert_array_equal(bits(bounds), bits(want_bounds))
+
+
+def test_batch_evaluates_each_distinct_factor_once(cantor):
+    # every cantor ratio at k = 2 is 1/9, so the factors of one class at one
+    # column share a scale across all sequences
+    table = build_classes(fibre_product_from_1d(cantor), 2)
+    length, xis = 12, [1.0, 7.5, 100.0]
+    omegas = sample_omegas(table, length, 5, range(60))
+    with mock.patch.object(disintegrate, "character", wraps=measure.character) as ch:
+        mu_omega_fourier_batch(omegas, xis, 1e-12)
+    assert ch.call_count == len(xis)  # one call per frequency
+    for call in ch.call_args_list:
+        assert call.args[0].size <= len(table) * length * table.sizes.max()
+
+
 def line_classes(system, k):
     """The class table of a 1-D system at block length k."""
     return build_classes(fibre_product_from_1d(system), k)

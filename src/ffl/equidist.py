@@ -8,13 +8,19 @@ by unpacking bytes in base 2 and by splitting on the powers (b^L)^(2^k)
 down to int64 leaves in any other base. frac(b^n x) is read from the K =
 ceil(64 / log2 b) + 2 digits after position n, as exact integer chunks
 converted to float once each; in base 2 the chunks come straight from
-D's 64-bit words, shifted into place for all offsets in one broadcast,
-and in other bases from the digits by doubling Horner. Each value is
-within 2^-51 of the exact one. Distances to the target therefore land
-within TIE_BAND = 2^-50 of the exact distances, so every hit decision
-outside the band is exact, and inside the band an exact-rational fallback
-decides: counts are exact for the represented point. Explicit-term
-sequences reduce q_n p mod q term by term.
+D's 64-bit words, shifted into place ORBIT_BLOCK offsets at a time in
+one reused scratch matrix, and in other bases from the digits by
+doubling Horner. Each value is within 2^-51 of the exact one. Distances
+to the target therefore land within TIE_BAND = 2^-50 of the exact
+distances, so every hit decision outside the band is exact, and inside
+the band an exact-rational fallback decides: counts are exact for the
+represented point. Explicit-term sequences reduce q_n p mod q term by
+term.
+
+A hit count folds each block of the orbit as it is produced, so in base
+2 it holds O(ORBIT_BLOCK) words beyond psi and D's bytes. Weyl sums join
+the blocks and hold one phase per harmonic and step, a matrix the CLI
+charges to its budget.
 
 The rate psi(1..N) and its correctly rounded sum depend on the spec only:
 an EquidistSpec builds both once, on first use, and every point counted
@@ -40,6 +46,7 @@ from .ifs import ValidationError
 from .rng import stream_rng
 
 TIE_BAND = 2.0 ** -50
+ORBIT_BLOCK = 8192    # base-2 orbit steps per block: 128 words of 64 bits
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +87,7 @@ class RateFn:
 
 def sigma(rate: RateFn, horizon: int) -> float:
     """Compensated partial sum of the rate over n = 1..horizon."""
-    return math.fsum(rate.values(horizon).tolist())
+    return math.fsum(memoryview(rate.values(horizon)))
 
 
 # ---------------------------------------------------------------------------
@@ -145,8 +152,10 @@ class EquidistSpec:
 
     @cached_property
     def rate_sum(self) -> float:
-        """sigma(rate, horizon), read from the cached psi."""
-        return math.fsum(self.psi.tolist())
+        """sigma(rate, horizon), read from the cached psi: fsum is correctly
+        rounded, so reading psi through a memoryview, with no list of
+        floats, gives the same bits."""
+        return math.fsum(memoryview(self.psi))
 
 
 # ---------------------------------------------------------------------------
@@ -290,8 +299,10 @@ def _sliding(digits: np.ndarray, b: int, length: int, count: int) -> np.ndarray:
         size *= 2
 
 
-def _orbit_windows(p: int, q: int, b: int, N: int) -> np.ndarray:
-    """frac(b^n p/q) for n = 1..N, each within 2^-51 of the exact value.
+def _orbit_blocks(p: int, q: int, b: int, N: int):
+    """Yield (start, ys) blocks in order, where ys[i] = frac(b^n p/q) for n =
+    start + i + 1, each within 2^-51 of the exact value; together the
+    blocks cover n = 1..N.
 
     frac(b^n x) is 0.d_{n+1} d_{n+2} ... in base b. Its first K digits are
     read as exact integers in chunks of at most L digits, and y is the sum
@@ -302,43 +313,56 @@ def _orbit_windows(p: int, q: int, b: int, N: int) -> np.ndarray:
     u/16, and the last addition u/2: under 4u = 2^-51 in all. The hit
     test's distance adds two roundings of u/2, so it stays within 5u <
     TIE_BAND = 8u of the exact distance, and every decision outside the
-    band is exact.
+    band is exact. Bases other than 2 yield the whole digit path as one
+    block.
 
-    Base 2 (K = 66, L = 62) takes its chunks straight from 64-bit words.
-    The big-endian words A of D = floor(p 2^(64(R+1)) / q), with R =
-    ceil((N + 63) / 64), hold the bits of p/q, and one broadcast over the
-    in-word shifts r = 0..63 gives the 64 bits after every offset k = 64i
-    + r < 64R as U[k] = (A[i] << r) | (A[i+1] >> 1 >> (63 - r)), split so
-    that no shift reaches 64. The chunks are U[n] >> 2 (62 bits) and
-    U[n + 62] >> 60 (4 bits), the integers the digit path forms, so every
-    float equals its value bit for bit (one rounding of a 63-bit window
-    would move about 3 in 10^3 of them by an ulp, and the Weyl sums with
-    them). The error is the truncation plus two roundings of u/2, under
-    2^-52."""
-    if b == 2:
-        R = -(-(N + 63) // 64)
-        raw = _scaled(p, q, 2, 64 * (R + 1)).to_bytes(8 * (R + 1), "big")
-        A = np.frombuffer(raw, dtype=">u8").astype(np.uint64)
-        r = np.arange(64, dtype=np.uint64)
-        U = A[:-1, None] << r
-        U |= A[1:, None] >> np.uint64(1) >> (np.uint64(63) - r)
-        U = U.ravel()
+    Base 2 (K = 66, L = 62) takes its chunks straight from 64-bit words,
+    ORBIT_BLOCK steps at a time. The big-endian words A of D = floor(p
+    2^(64(R+1)) / q), with R = ceil((N + 63) / 64), hold the bits of p/q.
+    The 64 bits after offset k = 64i + r are U[k] = (A[i] << r) | (A[i+1]
+    >> 1 >> (63 - r)), split so that no shift reaches 64; a block of W =
+    ORBIT_BLOCK / 64 words shifts its W + 1 rows of U, one per word, into
+    one scratch matrix that every block reuses. The chunks are U[n] >> 2
+    (62 bits) and U[n + 62] >> 60 (4 bits), the integers the digit path
+    forms, so every float equals its value bit for bit (one rounding of a
+    63-bit window would move about 3 in 10^3 of them by an ulp, and the
+    Weyl sums with them). The error is the truncation plus two roundings
+    of u/2, under 2^-52. Beyond D's bytes, a block holds O(ORBIT_BLOCK)
+    words."""
+    if b != 2:
+        K, L = _window_length(b), _leaf_length(b)
+        digits = _digits(p, q, b, N + K)[1:]
+        ys = np.zeros(N)
+        for start in reversed(range(0, K, L)):
+            end = min(start + L, K)
+            ys += _sliding(digits[start:], b, end - start, N) / float(b ** end)
+        yield 0, ys
+        return
+    R = -(-(N + 63) // 64)
+    raw = _scaled(p, q, 2, 64 * (R + 1)).to_bytes(8 * (R + 1), "big")
+    A = np.frombuffer(raw, dtype=">u8").astype(np.uint64)
+    r = np.arange(64, dtype=np.uint64)
+    rest = np.uint64(63) - r
+    U = np.empty((ORBIT_BLOCK // 64 + 1, 64), dtype=np.uint64)
+    V = np.empty_like(U)
+    for start in range(0, N, ORBIT_BLOCK):
+        count = min(ORBIT_BLOCK, N - start)
+        i, rows = start // 64, (count + 62) // 64 + 1   # U[start + 1..start + count + 62]
+        u, v = U[:rows], V[:rows]
+        np.left_shift(A[i:i + rows, None], r, out=u)
+        np.right_shift((A[i + 1:i + rows + 1] >> np.uint64(1))[:, None], rest, out=v)
+        u |= v
+        w = u.reshape(-1)
         # both chunks are below 2^62, so int64 views are exact and convert fast
-        ys = (U[1:N + 1] >> np.uint64(2)).view(np.int64) * 2.0 ** -62
-        ys += (U[63:N + 63] >> np.uint64(60)).view(np.int64) * 2.0 ** -66
-        return ys
-    K, L = _window_length(b), _leaf_length(b)
-    digits = _digits(p, q, b, N + K)[1:]
-    ys = np.zeros(N)
-    for start in reversed(range(0, K, L)):
-        end = min(start + L, K)
-        ys += _sliding(digits[start:], b, end - start, N) / float(b ** end)
-    return ys
+        ys = (w[1:count + 1] >> np.uint64(2)).view(np.int64) * 2.0 ** -62
+        ys += (w[63:count + 63] >> np.uint64(60)).view(np.int64) * 2.0 ** -66
+        yield start, ys
 
 
-def _orbit_floats(x, spec: EquidistSpec):
-    """frac(q_n x) for n = 1..horizon as floats within 2^-51, with an
-    exact-value callback that resolves ties."""
+def _orbit(x, spec: EquidistSpec):
+    """(blocks, exact): the (start, ys) blocks of frac(q_n x) for n =
+    1..horizon, floats within 2^-51 as `_orbit_blocks` yields them, and
+    an exact-value callback, exact(n) for 1-based n, that resolves ties."""
     p, q = _residue(x)
     N = spec.horizon
 
@@ -353,7 +377,7 @@ def _orbit_floats(x, spec: EquidistSpec):
 
         def exact(n):  # n is 1-based
             return Fraction(pow(b, n, q) * p % q, q)
-        return _orbit_windows(p, q, b, N), exact
+        return _orbit_blocks(p, q, b, N), exact
 
     terms = spec.terms[:N]
     ys = np.empty(N)
@@ -364,7 +388,7 @@ def _orbit_floats(x, spec: EquidistSpec):
 
     def exact(n):
         return Fraction(int(terms[n - 1]) * p % q, q)
-    return ys, exact
+    return iter([(0, ys)]), exact
 
 
 # ---------------------------------------------------------------------------
@@ -389,23 +413,31 @@ class CountResult:
 
 
 def count_hits(x, spec: EquidistSpec, epsilon: float = 1.0) -> CountResult:
-    """Count n <= horizon with dist(q_n x - gamma, Z) <= psi(n), exactly."""
+    """Count n <= horizon with dist(q_n x - gamma, Z) <= psi(n), exactly.
+
+    Each block of the orbit is folded as it is produced: the absolute n
+    of its ties (distances within TIE_BAND of psi(n)) are kept for the
+    exact-rational fallback, which decides them after the last block, and
+    its other float hits are counted. Beyond psi and D's bytes, a base-2
+    count holds O(ORBIT_BLOCK) words."""
     if not epsilon > 0:
         raise ValidationError("epsilon must be positive")
-    psi = spec.psi
-    ys, exact = _orbit_floats(x, spec)
-    gamma = spec.gamma
-    d = np.abs(ys - gamma)
-    dist = np.minimum(d, 1.0 - d)
-    hits = dist <= psi
-    ties = np.abs(dist - psi) <= TIE_BAND
-    for n in np.nonzero(ties)[0]:
-        y = exact(int(n) + 1)
-        g = Fraction(gamma)
-        delta = abs(y - g)
-        delta = min(delta, 1 - delta)
-        hits[n] = delta <= Fraction(float(psi[n]))
-    count = int(hits.sum())
+    psi, gamma = spec.psi, spec.gamma
+    blocks, exact = _orbit(x, spec)
+    count, ties = 0, []
+    for start, ys in blocks:
+        ps = psi[start:start + len(ys)]
+        d = np.abs(ys - gamma)
+        dist = np.minimum(d, 1.0 - d)
+        hits = dist <= ps
+        tie = np.flatnonzero(np.abs(dist - ps) <= TIE_BAND)
+        hits[tie] = False
+        count += int(np.count_nonzero(hits))
+        ties.extend((tie + (start + 1)).tolist())
+    g = Fraction(gamma)
+    for n in ties:
+        delta = abs(exact(n) - g)
+        count += min(delta, 1 - delta) <= Fraction(float(psi[n - 1]))
     s = spec.rate_sum
     logterm = math.log(s + 2.0)
     denom_half = math.sqrt(s) * logterm ** (2.0 + epsilon) if s > 0 else math.inf
@@ -419,7 +451,8 @@ def weyl_sums(x, spec: EquidistSpec, harmonics: int) -> np.ndarray:
     """|1/N sum_n exp(-2 pi i h q_n x)| for h = 1..harmonics."""
     if harmonics < 1:
         raise ValidationError("need at least one harmonic")
-    ys, _ = _orbit_floats(x, spec)
+    blocks, _ = _orbit(x, spec)
+    ys = np.concatenate([ys for _, ys in blocks])
     h = np.arange(1, harmonics + 1)
     phases = np.exp(-2j * np.pi * np.outer(h, ys))
     return np.abs(phases.mean(axis=1))

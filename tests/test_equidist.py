@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ from ffl import equidist as eq
 from ffl.ifs import ValidationError
 from ffl.equidist import (RateFn, EquidistSpec, GridPoint, random_grid_point,
                           grid_point_for, sigma, count_hits, weyl_sums,
-                          digit_freq, sample_rational_points, TIE_BAND)
+                          digit_freq, sample_rational_points, TIE_BAND, ORBIT_BLOCK)
 from ffl.rng import spawn_seed
 
 
@@ -19,6 +20,22 @@ def test_sigma_values():
     assert sigma(RateFn.constant(0.5), 10) == pytest.approx(5.0)
     assert sigma(RateFn.parse("(div 1 (mul 2 n))"), 4) == pytest.approx(25 / 24)
     assert sigma(RateFn.constant(0.0), 100) == 0.0
+
+
+rate_values = st.one_of(st.just(0.0), st.just(0.5), st.floats(0.0, 2.0 ** -1022),
+                        st.floats(0.0, 0.5))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(rate_values, min_size=1, max_size=40), st.integers(1, 5000),
+       st.integers(0, 2 ** 32 - 1))
+def test_rate_sum_is_the_fsum_of_the_list_bit_for_bit(pool, n, seed):
+    # n values drawn from a pool of zeros, subnormals, 1/2 and values in [0, 1/2]
+    vals = np.random.default_rng(seed).choice(np.array(pool), size=n)
+    rate = RateFn(lambda _: vals)
+    want = math.fsum(vals.tolist()).hex()
+    assert EquidistSpec.geometric(2, 0.0, rate, n).rate_sum.hex() == want
+    assert sigma(rate, n).hex() == want
 
 
 def test_rate_range_check_reports_offender():
@@ -146,8 +163,10 @@ def test_precision_budget_rejection():
         count_hits(gp, spec)
 
 
-# base 2 reads its windows from 64-bit words: horizons at the word edges
-WORD_EDGES = (1, 63, 64, 65, 127, 128, 129)
+# base 2 reads its windows from 64-bit words, ORBIT_BLOCK steps at a time:
+# horizons at the word and block edges
+WORD_EDGES = (1, 2, 63, 64, 65, 127, 128, 129, 130)   # 2 and 130 end at a row start
+BLOCK_EDGES = (ORBIT_BLOCK - 1, ORBIT_BLOCK, ORBIT_BLOCK + 1, 2 * ORBIT_BLOCK + 63)
 EDGE_IDS = ["2", "3", "10"] + [f"2-N{N}" for N in WORD_EDGES]
 
 
@@ -160,7 +179,8 @@ def edge_points(base, N):
 
 
 @pytest.mark.parametrize("base, N", [(b, 800) for b in (2, 3, 10)]
-                         + [(2, N) for N in WORD_EDGES], ids=EDGE_IDS)
+                         + [(2, N) for N in WORD_EDGES + BLOCK_EDGES],
+                         ids=EDGE_IDS + [f"2-N{N}" for N in BLOCK_EDGES])
 def test_fast_and_slow_paths_agree(base, N):
     rate = RateFn.parse("(div 1 (mul 2 n))")
     points = [grid_point_for(EquidistSpec.geometric(base, 0.3, rate, N), seed=4)]
@@ -180,14 +200,15 @@ def test_every_window_is_within_2_to_minus_51_of_the_exact_orbit(base, N):
     points = [grid_point_for(spec, seed=s) for s in (1, 2)] + [Fraction(12345, 99991)]
     for x in points + edge_points(base, N):
         y0 = x.fraction if isinstance(x, GridPoint) else x
-        ys, _ = eq._orbit_floats(x, spec)
+        blocks, _ = eq._orbit(x, spec)
+        ys = np.concatenate([ys for _, ys in blocks])
         assert ys.shape == (N,)
         for n in range(1, N + 1):
             exact = base ** n * y0 % 1
             assert abs(Fraction(float(ys[n - 1])) - exact) <= Fraction(1, 2 ** 51), (x, n)
 
 
-@pytest.mark.parametrize("N", WORD_EDGES + (1000,))
+@pytest.mark.parametrize("N", WORD_EDGES + (1000,) + BLOCK_EDGES)
 def test_base2_words_give_the_digit_chunk_sum_bit_for_bit(N):
     # the chunks every other base reads, 62 digits and then 4, summed
     # smallest first: the word kernel must keep every float, so that Weyl
@@ -198,7 +219,27 @@ def test_base2_words_give_the_digit_chunk_sum_bit_for_bit(N):
         digits = eq._digits(p, q, 2, N + 66)[1:]
         chunks = (eq._sliding(digits[62:], 2, 4, N) / 2.0 ** 66
                   + eq._sliding(digits, 2, 62, N) / 2.0 ** 62)
-        assert np.array_equal(eq._orbit_windows(p, q, 2, N), chunks), x
+        blocks = list(eq._orbit_blocks(p, q, 2, N))
+        assert [start for start, _ in blocks] == list(range(0, N, ORBIT_BLOCK))
+        assert np.array_equal(np.concatenate([ys for _, ys in blocks]), chunks), x
+
+
+def nudge_orbits(monkeypatch):
+    """Move every window 2^-51 away from 0 or 1, inside TIE_BAND, and
+    record the n of every call to the exact fallback."""
+    engine, calls = eq._orbit, []
+
+    def nudged(x, s):
+        blocks, exact = engine(x, s)
+
+        def spy(n):
+            calls.append(n)
+            return exact(n)
+        return ((start, ys + np.where(ys < 0.5, 2.0 ** -51, -2.0 ** -51))
+                for start, ys in blocks), spy
+    monkeypatch.setattr(eq, "_orbit", nudged)
+    assert 2.0 ** -51 < TIE_BAND
+    return calls
 
 
 def test_tie_is_decided_by_the_exact_fallback(monkeypatch):
@@ -207,21 +248,49 @@ def test_tie_is_decided_by_the_exact_fallback(monkeypatch):
     N = 40
     spec = EquidistSpec.geometric(3, 0.0, RateFn.constant(0.25), N)
     assert count_hits(Fraction(1, 12), spec).count == N
-    engine, calls = eq._orbit_floats, []
-
-    def nudged(x, s):
-        # move every window 2^-51 away from the target, inside TIE_BAND:
-        # the floats alone now miss, so only the fallback can count the hits
-        ys, exact = engine(x, s)
-
-        def spy(n):
-            calls.append(n)
-            return exact(n)
-        return ys + np.where(ys < 0.5, 2.0 ** -51, -2.0 ** -51), spy
-    monkeypatch.setattr(eq, "_orbit_floats", nudged)
-    assert 2.0 ** -51 < TIE_BAND
+    calls = nudge_orbits(monkeypatch)
+    # the floats alone now miss, so only the fallback can count the hits
     assert count_hits(Fraction(1, 12), spec).count == N
     assert calls == list(range(1, N + 1))
+
+
+def test_ties_past_the_first_block_reach_the_fallback(monkeypatch):
+    # frac(2^n / 2^k) is 2^(n - k) below n = k and 0 from n = k on. With the
+    # target 0 and the rate 0, n >= k are exact ties and hits, and n <= k - 51
+    # stay within TIE_BAND after the nudge and miss; both runs of ties cross
+    # the first block's end
+    k, N = ORBIT_BLOCK + 800, 2 * ORBIT_BLOCK + 63
+    x = Fraction(1, 2 ** k)
+    spec = EquidistSpec.geometric(2, 0.0, RateFn.constant(0.0), N)
+    want = count_hits(x, spec).count
+    assert want == N - k + 1
+    calls = nudge_orbits(monkeypatch)
+    assert count_hits(x, spec).count == want
+    assert calls == list(range(1, k - 50)) + list(range(k, N + 1))
+
+
+def traced_peak(fn):
+    """The tracemalloc peak, in bytes, of the allocations fn() makes."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_count_memory_stays_within_a_few_blocks():
+    # psi and the rate sum belong to the spec; a base-2 count holds D's bytes
+    # and O(ORBIT_BLOCK) words, not arrays over the whole horizon
+    rate = RateFn.parse("(div 1 (mul 2 n))")
+    spec = EquidistSpec.geometric(2, 0.3, rate, 100_000)
+    spec.psi, spec.rate_sum
+    gp = grid_point_for(spec, seed=1)
+    assert traced_peak(lambda: count_hits(gp, spec)) < 2 ** 20
+    # the rate sum reads psi in place, with no list of floats
+    fresh = EquidistSpec.geometric(2, 0.3, rate, 100_000)
+    fresh.psi
+    assert traced_peak(lambda: fresh.rate_sum) < 0.1 * 2 ** 20
 
 
 def test_count_result_normalisations():

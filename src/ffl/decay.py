@@ -203,7 +203,7 @@ def sparse_cover(evaluator, limit: float, threshold_exponent: float,
 
 def rajchman_probe(evaluator, family, count: int | None = None) -> list:
     """Evaluate along a frequency family: either ("geometric", b) with
-    ``count`` terms, or an explicit list of frequencies."""
+    ``count`` terms, or an explicit list of at least one frequency."""
     if isinstance(family, tuple) and family and family[0] == "geometric":
         if count is None or count < 1:
             raise ValidationError("geometric family needs a count of at least 1")
@@ -216,7 +216,7 @@ def rajchman_probe(evaluator, family, count: int | None = None) -> list:
             raise ValidationError("the geometric family overflows a float: "
                                   f"family_base^(count - 1) = {base}^{count - 1}") from None
     else:
-        freqs = [float(f) for f in family]
-        if count is not None:
-            freqs = freqs[:count]
+        freqs = [float(f) for f in family][:count]
+        if not freqs:
+            raise ValidationError("the probe family holds no frequency")
     return require_values(evaluator(freqs))

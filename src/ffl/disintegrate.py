@@ -108,8 +108,8 @@ def build_classes(fp: FibreProductCIFS, block_length: int,
     if n ** k > budget:
         raise BudgetExhausted(f"{n}^{k} words exceed the class budget {budget}; "
                               "reduce the block length or truncate the alphabet")
-    R, T = np.array([(m.ratio, m.translate) for m in fp.coordinates[-1]]).T
-    W = np.array([fp.weights[s] for s in fp.alphabet])
+    R, T = fp.ratios[-1], fp.translates[-1]
+    W = np.array([fp.weights[s] for s in fp.alphabet])  # raw: classes.json prints their products
     a, b = (fp.alphabet.index(s) for s in fp.special_symbols)
 
     words = np.indices((n,) * k).reshape(k, -1)  # row c: the c-th letter of each word

@@ -381,10 +381,11 @@ def _orbit(x, spec: EquidistSpec):
 
     terms = spec.terms[:N]
     ys = np.empty(N)
-    shift = 1 << 64
+    # a GridPoint's q is a power of two: a mask reduces mod q, not a long division
+    shift, mask = 1 << 64, q - 1 if q & (q - 1) == 0 else 0
     for n, qn in enumerate(terms):
-        r = (int(qn) * p) % q
-        ys[n] = ((r << 64) // q) / shift
+        r = int(qn) * p
+        ys[n] = _scaled(r & mask if mask else r % q, q, 2, 64) / shift
 
     def exact(n):
         return Fraction(int(terms[n - 1]) * p % q, q)

@@ -2,13 +2,13 @@
 
 Countable alphabets are represented by a finite truncation whose omitted
 mass is recorded in ``tail_mass`` and propagated into downstream error
-bounds. Stopping cylinders of affine and smooth maps alike come from one
-engine, ``system.cylinders``, as one stopping tree per batch of
-thresholds (``tree``); the joint moments of an affine system's
-stationary measure, with bounds on their float rounding, come from
-``system.moments``. All objects are immutable after construction and safe
-to share across workers.
-"""
+bounds. A system derives once the arrays every kernel reads (``ratios``,
+``translates``, ``probs``) and its ``radius``. Its stopping cylinders,
+affine and smooth alike, come from one engine, ``system.tree``, as one
+stopping tree per batch of thresholds; the joint moments of an affine
+system's stationary measure, with bounds on their float rounding, come
+from ``system.moments``. All objects are immutable after construction and
+safe to share across workers."""
 
 from __future__ import annotations
 
@@ -147,9 +147,21 @@ Map1D = AffineMap | SmoothMap
 # one-dimensional systems
 # ---------------------------------------------------------------------------
 
+def _table(rows) -> np.ndarray:
+    """``rows`` as a float array that no kernel may write: it is shared."""
+    a = np.array(rows, dtype=float)
+    a.flags.writeable = False
+    return a
+
+
 class _System:
-    """What both system classes derive from ``coordinates``, their maps as
-    one list per coordinate, in alphabet order."""
+    """What both system classes derive, once, from ``coordinates``, their
+    maps as one list per coordinate in alphabet order: the arrays every
+    kernel reads, m x n ``ratios`` (a smooth map's contraction bound in its
+    place) and ``translates`` (0 for a smooth map), the weights over their
+    sum as ``probs``, and the radius; and its stopping trees, ``tree``."""
+
+    diam_constant = 1.0  # scales contraction bounds to diameter bounds; a CIFS may set it
 
     def _check_weights(self):
         """The weights sum to 1 - tail_mass, the omitted mass, in [0, 1)."""
@@ -161,30 +173,38 @@ class _System:
                 f"weights sum to {total!r}, expected {1.0 - self.tail_mass!r}")
 
     def _check_contraction(self):
-        bounds = [m.contraction_bound for column in self.coordinates for m in column]
-        if not all(0.0 < b < 1.0 for b in bounds):
+        bounds = np.abs(self.ratios)
+        if not ((0.0 < bounds) & (bounds < 1.0)).all():
             raise ValidationError(f"uniform contraction fails: map bounds span "
-                                  f"{min(bounds)}..{max(bounds)}, not inside (0, 1)")
+                                  f"{bounds.min()}..{bounds.max()}, not inside (0, 1)")
 
-    @property
+    @cached_property
     def is_affine(self) -> bool:
         return all(isinstance(m, AffineMap) for column in self.coordinates for m in column)
 
-    @property
+    @cached_property
+    def ratios(self) -> np.ndarray:
+        return _table([[m.ratio if isinstance(m, AffineMap) else m.contraction_bound
+                        for m in column] for column in self.coordinates])
+
+    @cached_property
+    def translates(self) -> np.ndarray:
+        return _table([[m.translate if isinstance(m, AffineMap) else 0.0 for m in column]
+                       for column in self.coordinates])
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        weights = np.array([self.weights[s] for s in self.alphabet], dtype=float)
+        return _table(weights / weights.sum())
+
+    @cached_property
     def radius(self) -> float:
         """R = max(1, max |translate| / (1 - |ratio|)) of an affine system:
         every map sends [-R, R] into itself, in every coordinate, so the
         attractor lies in [-R, R]^m."""
         if not self.is_affine:
             raise ValidationError("the radius is defined for affine systems only")
-        return max(1.0, max(abs(m.translate) / (1.0 - abs(m.ratio))
-                            for column in self.coordinates for m in column))
-
-    @cached_property
-    def cylinders(self) -> "_CylinderEngine":
-        """The system's stopping-cylinder engine, for affine and smooth maps."""
-        return _CylinderEngine(self.alphabet, self.coordinates,
-                               [self.weights[s] for s in self.alphabet])
+        return max(1.0, float((np.abs(self.translates) / (1.0 - np.abs(self.ratios))).max()))
 
     def moments(self, degree: int) -> "Moments":
         """The joint moments of total degree below ``degree`` of an affine
@@ -193,10 +213,61 @@ class _System:
         on first use and kept; a higher degree rebuilds them."""
         held = self.__dict__.get("_moments")
         if held is None or len(held.errors) < degree:
-            held = self.__dict__["_moments"] = affine_moments(
-                self.coordinates, [self.weights[s] for s in self.alphabet], self.radius,
-                degree)
+            held = self.__dict__["_moments"] = affine_moments(self, degree)
         return held
+
+    def tree(self, thetas, lips: Sequence[float], budget: int):
+        """(Tree, over): the stopping trees at every theta of ``thetas``, as
+        one Tree, and ``over[i]``, which holds when the tree at thetas[i] has
+        more than ``budget`` nodes.
+
+        A word stops once its bound sum_c lips[c] * |composed ratio_c| (read
+        from ``ratios``) drops to theta, and is expanded otherwise; the empty
+        word is always expanded. The tree at theta is every word generated,
+        stopped or expanded. Anchors of a coordinate that holds a smooth map
+        come from ``apply_words``, the others' compose in closed form.
+
+        Trees grow level by level. A node's bound is at most its parent's, so
+        a level's nodes above theta are those that the tree at theta
+        expands. Each level is counted against every theta before it is
+        built, and only the nodes that the smallest theta still within
+        budget expands get children: every level held is a level of a tree
+        within budget, and with no theta over budget the Tree is the tree at
+        the smallest theta.
+        """
+        thetas = np.asarray(thetas, dtype=float).ravel()
+        if not (thetas > 0).all():
+            raise ValidationError("stopping threshold must be positive")
+        lips, m, n = tuple(lips), len(lips), len(self.alphabet)
+        if m != len(self.ratios):
+            raise ValidationError(f"{m} Lipschitz factors for {len(self.ratios)} coordinates")
+        sizes = np.full(thetas.size, n, dtype=np.int64)  # the empty word's children
+        over = sizes > budget
+        t, rho, w = np.zeros((m, 1)), np.ones((m, 1)), np.ones(1)
+        bound, index, size = np.array([math.inf]), np.array([-1]), 0
+        # a level of no nodes, so that a batch over budget from the start concatenates
+        levels = [tuple(a[..., :0] for a in (t, rho, w, bound, index, index))]
+        while not over.all():
+            grow = ~(bound <= thetas[~over].min())  # a NaN bound never stops
+            if not grow.any():
+                break
+            # children follow their parent: each level stays in lexicographic
+            # order, and sorted anchors make character sums faster
+            t, rho, w, parents = t[:, grow], rho[:, grow], w[grow], index[grow]
+            t = (t[:, :, None] + rho[:, :, None] * self.translates[:, None, :]).reshape(m, -1)
+            rho = (rho[:, :, None] * self.ratios[:, None, :]).reshape(m, -1)
+            w = (w[:, None] * self.probs[None, :]).ravel()
+            bound = sum(c * np.abs(r) for c, r in zip(lips, rho))
+            index, size = size + np.arange(w.size), size + w.size
+            levels.append((t, rho, w, bound, parents.repeat(n),
+                           np.tile(np.arange(n), parents.size)))
+            sizes += n * (w.size - np.searchsorted(np.sort(bound), thetas, side="right"))
+            over |= sizes > budget
+        tree = Tree(self.alphabet, *(np.concatenate(f, axis=-1) for f in zip(*levels)))
+        for c, column in enumerate(() if self.is_affine else self.coordinates):
+            if not all(isinstance(f, AffineMap) for f in column):
+                tree.anchors[c] = apply_words(self, c, tree.codes(np.arange(tree.weights.size)))
+        return tree, over
 
 
 @dataclass
@@ -229,17 +300,7 @@ class CIFS(_System):
         self._check_weights()
         self._check_contraction()
 
-    # -- helpers ------------------------------------------------------------
-
-    def ratios(self) -> np.ndarray:
-        if not self.is_affine:
-            raise ValidationError("ratios are defined for affine systems only")
-        return np.array([self.maps[a].ratio for a in self.alphabet])
-
-    def weight_vector(self) -> np.ndarray:
-        return np.array([self.weights[a] for a in self.alphabet])
-
-    @property
+    @cached_property
     def coordinates(self) -> tuple:
         return ([self.maps[a] for a in self.alphabet],)
 
@@ -373,7 +434,7 @@ class FibreProductCIFS(_System):
         return CIFS(self.alphabet, dict(zip(self.alphabet, self.coordinates[-1])),
                     dict(self.weights), tail_mass=self.tail_mass)
 
-    @property
+    @cached_property
     def coordinates(self) -> tuple:
         return ([self.base_map(s) for s in self.alphabet],
                 [self.fibre_map(s) for s in self.alphabet])
@@ -487,15 +548,15 @@ def _contract(B, T):
     return T
 
 
-def affine_moments(coordinates, weights, radius: float, degree: int) -> Moments:
-    """The joint moments M_alpha = E[y^alpha], y = x / ``radius``, of the
-    stationary measure of affine maps in m coordinates, for total degree
+def affine_moments(system, degree: int) -> Moments:
+    """The joint moments M_alpha = E[y^alpha], y = x / R (R the radius), of
+    an affine system's stationary measure in m coordinates, for total degree
     |alpha| < ``degree``: ``values`` has one axis of length ``degree`` per
     coordinate (0 at larger total degree), and ``errors[k]`` bounds how far
     the float values of total degree at most k lie from the exact ones.
 
     In y a map reads y_c -> r_c y_c + tau_c, tau_c = t_c / R, so with p the
-    normalised weights
+    normalised weights (``probs``)
     M_alpha (1 - sum_a p_a r_a^alpha) = sum_a p_a sum_{beta < alpha}
     prod_c C(alpha_c, beta_c) r_ac^beta_c tau_ac^(alpha_c - beta_c) M_beta,
     solved degree by degree in float64. Every map sends [-1, 1]^m into
@@ -509,12 +570,10 @@ def affine_moments(coordinates, weights, radius: float, degree: int) -> Moments:
     plus the rounding of the factor on the left, all divided by that
     factor, plus one rounding of the quotient.
     """
-    m, D = len(coordinates), degree
-    p = np.asarray(weights, dtype=float)
-    p = p / p.sum()
+    m, D = len(system.coordinates), degree
+    p, r = system.probs, system.ratios  # r: (m, n)
     n = p.size
-    r = np.array([[f.ratio for f in column] for column in coordinates])  # (m, n)
-    tau = np.array([[f.translate for f in column] for column in coordinates]) / radius
+    tau = system.translates / system.radius
     # x^0, ..., x^(D - 1) along a new last axis, by repeated products
     rp, tp = (np.cumprod(np.concatenate([np.ones(x.shape + (1,)),
                                          np.repeat(x[..., None], D - 1, axis=-1)], axis=-1),
@@ -556,18 +615,18 @@ def affine_moments(coordinates, weights, radius: float, degree: int) -> Moments:
 # stopping cylinders
 # ---------------------------------------------------------------------------
 
-def apply_words(maps: Sequence[Map1D], codes: np.ndarray) -> np.ndarray:
-    """f_w(0) for every word w, a column of ``codes`` that indexes ``maps``
-    outermost first.
+def apply_words(system, c: int, codes: np.ndarray) -> np.ndarray:
+    """f_w(0) in coordinate ``c`` of ``system`` for every word w, a column
+    of ``codes`` that indexes the alphabet outermost first.
 
     The maps apply innermost first, one vectorised call per map and level;
-    the index len(maps) pads words of different lengths and acts as the
+    the index len(alphabet) pads words of different lengths and acts as the
     identity.
     """
-    x = np.zeros(codes.shape[1])
+    x, maps = np.zeros(codes.shape[1]), system.coordinates[c]
     if all(isinstance(m, AffineMap) for m in maps):
-        ratios = np.array([m.ratio for m in maps] + [1.0])
-        translates = np.array([m.translate for m in maps] + [0.0])
+        ratios = np.append(system.ratios[c], 1.0)
+        translates = np.append(system.translates[c], 0.0)
         for sel in codes[::-1]:
             x = ratios[sel] * x + translates[sel]
         return x
@@ -587,10 +646,10 @@ class Tree:
     Row c of ``anchors`` and ``ratios`` is coordinate c of the nodes' images
     of 0 and composed ratios (products of contraction bounds where the
     coordinate holds a smooth map). ``bounds`` are the nodes' stopping
-    bounds and ``above`` their parents' (inf below the empty word, which is
-    always expanded); ``parents`` indexes each node's parent (-1 below the
-    empty word) and ``symbols`` its last letter, an index into ``alphabet``.
-    The stopping set at theta is the nodes with bound <= theta < parent bound.
+    bounds; ``parents`` indexes each node's parent (-1 below the empty word,
+    which is always expanded, as if its bound were inf) and ``symbols`` its
+    last letter, an index into ``alphabet``. The stopping set at theta is
+    the nodes with bound <= theta < parent bound.
     """
 
     alphabet: tuple
@@ -598,7 +657,6 @@ class Tree:
     ratios: np.ndarray
     weights: np.ndarray
     bounds: np.ndarray
-    above: np.ndarray
     parents: np.ndarray
     symbols: np.ndarray
 
@@ -608,10 +666,11 @@ class Tree:
         ``nodes``; and per theta the index of its set. Thetas between the
         same two node bounds share one set."""
         thetas = np.asarray(thetas, dtype=float)
-        edges = np.unique(np.concatenate([self.bounds, self.above]))
+        above = np.where(self.parents < 0, math.inf, self.bounds[self.parents])
+        edges = np.unique(np.concatenate([self.bounds, above]))
         _, first, keys = np.unique(np.searchsorted(edges, thetas, side="right"),
                                    return_index=True, return_inverse=True)
-        sets = [np.flatnonzero((self.bounds <= th) & (th < self.above)) for th in thetas[first]]
+        sets = [np.flatnonzero((self.bounds <= th) & (th < above)) for th in thetas[first]]
         used = np.zeros(self.weights.size, dtype=bool)
         for s in sets:
             used[s] = True
@@ -633,75 +692,6 @@ class Tree:
         pad = len(self.alphabet)
         return [tuple(self.alphabet[k] for k in col if k < pad)
                 for col in self.codes(nodes).T.tolist()]
-
-
-class _CylinderEngine:
-    """Stopping trees of a system of maps in m coordinates.
-
-    A word stops once its bound sum_c lips[c] * |composed ratio_c| drops to
-    theta, a smooth map's contraction bound standing in for |ratio|, and is
-    expanded otherwise; the empty word is always expanded. The tree at theta
-    is every word generated, stopped or expanded. Anchors of affine
-    coordinates compose in closed form; those of a coordinate that holds a
-    smooth map come from ``apply_words`` on the nodes' words.
-    """
-
-    def __init__(self, alphabet, maps, weights):
-        self.alphabet = tuple(alphabet)
-        self.smooth = {c: row for c, row in enumerate(maps)  # coordinates with a smooth map
-                       if not all(isinstance(f, AffineMap) for f in row)}
-        self.ratios = np.array([[getattr(f, "ratio", f.contraction_bound) for f in row]
-                                for row in maps])  # (m, n)
-        self.translates = np.array([[getattr(f, "translate", 0.0) for f in row] for row in maps])
-        weights = np.asarray(weights, dtype=float)
-        self.weights = weights / weights.sum()
-
-    def tree(self, thetas, lips: Sequence[float], budget: int):
-        """(Tree, over): the stopping trees at every theta of ``thetas``, as
-        one Tree, and ``over[i]``, which holds when the tree at thetas[i] has
-        more than ``budget`` nodes.
-
-        Trees grow level by level. A node's bound is at most its parent's, so
-        a level's nodes above theta are those that the tree at theta
-        expands. Each level is counted against every theta before it is
-        built, and only the nodes that the smallest theta still within
-        budget expands get children: every level held is a level of a tree
-        within budget, and with no theta over budget the Tree is the tree at
-        the smallest theta.
-        """
-        thetas = np.asarray(thetas, dtype=float).ravel()
-        if not (thetas > 0).all():
-            raise ValidationError("stopping threshold must be positive")
-        lips, m, n = tuple(lips), len(lips), len(self.alphabet)
-        if m != len(self.ratios):
-            raise ValidationError(f"{m} Lipschitz factors for {len(self.ratios)} coordinates")
-        sizes = np.full(thetas.size, n, dtype=np.int64)  # the empty word's children
-        over = sizes > budget
-        t, rho, w = np.zeros((m, 1)), np.ones((m, 1)), np.ones(1)
-        bound, index, size = np.array([math.inf]), np.array([-1]), 0
-        # a level of no nodes, so that a batch over budget from the start concatenates
-        levels = [tuple(a[..., :0] for a in (t, rho, w, bound, bound, index, index))]
-        while not over.all():
-            grow = ~(bound <= thetas[~over].min())  # a NaN bound never stops
-            if not grow.any():
-                break
-            # children follow their parent: each level stays in lexicographic
-            # order, and sorted anchors make character sums faster
-            t, rho, w = t[:, grow], rho[:, grow], w[grow]
-            above, parents = bound[grow], index[grow]
-            t = (t[:, :, None] + rho[:, :, None] * self.translates[:, None, :]).reshape(m, -1)
-            rho = (rho[:, :, None] * self.ratios[:, None, :]).reshape(m, -1)
-            w = (w[:, None] * self.weights[None, :]).ravel()
-            bound = sum(c * np.abs(r) for c, r in zip(lips, rho))
-            index, size = size + np.arange(w.size), size + w.size
-            levels.append((t, rho, w, bound, above.repeat(n), parents.repeat(n),
-                           np.tile(np.arange(n), parents.size)))
-            sizes += n * (w.size - np.searchsorted(np.sort(bound), thetas, side="right"))
-            over |= sizes > budget
-        tree = Tree(self.alphabet, *(np.concatenate(f, axis=-1) for f in zip(*levels)))
-        for c, maps in self.smooth.items():
-            tree.anchors[c] = apply_words(maps, tree.codes(np.arange(tree.weights.size)))
-        return tree, over
 
 
 # ---------------------------------------------------------------------------

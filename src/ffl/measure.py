@@ -25,7 +25,9 @@ measure on the line:
 Every evaluator is one batched call f(system, xis, ...) -> list, with one
 entry per frequency: a FourierValue, or the BudgetExhausted of a frequency
 over its budget (``require_values`` raises the first of those). Each checks
-its batch with ``frequencies``. Values are reported as FourierValue
+its batch with ``frequencies``, reads the system's arrays (``ratios``,
+``translates``, ``probs``) and ``radius`` from the system itself, and adds
+``tail_effect`` for a recorded tail mass. Values are reported as FourierValue
 records; every evaluator guarantees |value| <= 1 + error_bound.
 """
 
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import EPS, CIFS, AffineMap, BudgetExhausted, ValidationError, apply_words
+from .ifs import EPS, CIFS, BudgetExhausted, ValidationError, apply_words
 from .rng import stream_rng, spawn_seed
 
 TWO_PI = 2.0 * math.pi
@@ -105,11 +107,9 @@ class SamplePoints:
 def _depth_for(system, tol: float, depth: int | None = None):
     """Word length whose composed image diameter is below ``tol`` (unless
     ``depth`` fixes it), with the diameter that length achieves."""
-    maps = [m for column in system.coordinates for m in column]
-    worst = max(m.contraction_bound for m in maps)
-    diam = getattr(system, "diam_constant", 1.0)
-    if all(isinstance(m, AffineMap) for m in maps):
-        diam *= system.radius  # the coding map starts at 0, inside [-R, R]^m
+    worst = float(np.abs(system.ratios).max())
+    # the coding map of an affine system starts at 0, inside [-R, R]^m
+    diam = system.diam_constant * (system.radius if system.is_affine else 1.0)
     if depth is None:
         if tol <= 0:
             raise ValidationError("tolerance must be positive")
@@ -129,12 +129,9 @@ def sample_points(system, count: int, tol: float = 1e-9, depth: int | None = Non
     if count < 1:
         raise ValidationError("count must be >= 1")
     depth, achieved = _depth_for(system, tol, depth)
-    symbols = system.alphabet
-    probs = np.array([system.weights[s] for s in symbols])
-    probs = probs / probs.sum()
     rng = stream_rng(seed, 0x5A17, stream)
-    idx = rng.choice(len(symbols), size=(count, depth), p=probs)
-    columns = [apply_words(maps, idx.T) for maps in system.coordinates]
+    idx = rng.choice(len(system.alphabet), size=(count, depth), p=system.probs)
+    columns = [apply_words(system, c, idx.T) for c in range(len(system.coordinates))]
     pts = np.column_stack(columns) if len(columns) > 1 else columns[0]
     return SamplePoints(pts, depth, achieved, seed)
 
@@ -143,9 +140,9 @@ def sample_points(system, count: int, tol: float = 1e-9, depth: int | None = Non
 # rigorous cylinder-expansion evaluator
 # ---------------------------------------------------------------------------
 
-def _tail_effect(system, xi: float) -> float:
-    # first-order effect of a recorded countable-truncation tail mass
-    return TWO_PI * abs(xi) * getattr(system, "tail_mass", 0.0)
+def tail_effect(system, xi: float) -> float:
+    """2*pi*|xi|*tail_mass, the first-order effect of a recorded tail mass."""
+    return TWO_PI * abs(xi) * system.tail_mass
 
 
 def _reach(u, size):
@@ -394,10 +391,7 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
         thetas = reach / (scale * top[live])
     # the largest weighs 1 exactly; on the line, where u is 1, ``_reach`` reads no u
     u = np.abs(etas[:, live]) / top[live] if m > 1 else None
-    ratios = np.array([[f.ratio for f in column] for column in system.coordinates])
-    translates = np.array([[f.translate for f in column] for column in system.coordinates])
-    weights = np.array([system.weights[s] for s in system.alphabet])
-    weights = weights / weights.sum()
+    ratios, translates, weights = system.ratios, system.translates, system.probs
     bands = (_ratio_bands(ratios, u if u is None else u.max(axis=1), float(thetas.min()),
                           budget) if live.size else [np.ones((m, 1))])
     nodes = np.concatenate(bands, axis=1)[:, :budget + 2]
@@ -492,7 +486,7 @@ def fourier_exact_batch(cifs: CIFS, xis, tol: float = 1e-9,
             out.append(BudgetExhausted(
                 f"stopping-set budget {budget} exhausted at frequency {x}", achieved=a))
         else:
-            out.append(FourierValue(x, v, tol + _tail_effect(cifs, x)))
+            out.append(FourierValue(x, v, tol + tail_effect(cifs, x)))
     return out
 
 
@@ -523,26 +517,21 @@ def fourier_product_homogeneous(cifs: CIFS, xis, factors: int = 64) -> list:
     """
     if len(cifs.coordinates) != 1 or not cifs.is_affine:
         raise ValidationError("product evaluator needs an affine 1-D system")
-    ratios = cifs.ratios()
-    r = ratios[0]
-    if np.any(ratios != r):  # the product uses r for every map
+    r = cifs.ratios[0, 0]
+    if np.any(cifs.ratios != r):  # the product uses r for every map
         raise ValidationError("product evaluator needs equal contraction ratios")
     if factors < 1:
         raise ValidationError("factors must be >= 1")
     xis = frequencies(xis, cifs.radius)
-    translates = np.array([cifs.maps[a].translate for a in cifs.alphabet])
-    weights = cifs.weight_vector()
-    weights = weights / weights.sum()
-    grid = np.outer(r ** np.arange(factors), translates)
+    grid = np.outer(r ** np.arange(factors), cifs.translates[0])
     values = np.empty(xis.size, dtype=complex)
     step = max(1, BATCH_CELLS // grid.size)
     for lo in range(0, xis.size, step):
         phases = character(np.multiply.outer(xis[lo:lo + step], grid))
-        values[lo:lo + step] = (phases @ weights).prod(axis=1)
-    R = cifs.radius
+        values[lo:lo + step] = (phases @ cifs.probs).prod(axis=1)
     return [FourierValue(0.0, 1.0 + 0.0j, 0.0) if xi == 0 else
-            FourierValue(xi, v, TWO_PI * R * abs(xi) * abs(r) ** factors / (1.0 - abs(r))
-                         + _tail_effect(cifs, xi))
+            FourierValue(xi, v, TWO_PI * cifs.radius * abs(xi) * abs(r) ** factors / (1.0 - abs(r))
+                         + tail_effect(cifs, xi))
             for xi, v in zip(xis.tolist(), values.tolist())]
 
 
@@ -603,7 +592,7 @@ def cylinder_decomposition(cifs: CIFS, threshold: float,
     ``diam_constant``."""
     if len(cifs.coordinates) != 1:
         raise ValidationError("a cylinder decomposition needs a 1-D system")
-    tree, (over,) = cifs.cylinders.tree([threshold], (1.0,), budget)
+    tree, (over,) = cifs.tree([threshold], (1.0,), budget)
     if over:
         raise BudgetExhausted(f"stopping budget {budget} exhausted")
     nodes, _, _ = tree.select([threshold])

@@ -1,19 +1,19 @@
 """Fourier transforms of nonlinear images of stationary measures.
 
 The transform of F(mu) is a sum over stopping cylinders, which a batch of
-frequencies reads from one stopping tree, ``system.cylinders.tree``.
-Affine systems, on the line or a fibre product, take the second-order rule
-(a cylinder contributes weight * e(xi F(a)) * mu^(xi grad F(a) * rho), a
-its anchor and rho its ratios), with one exact sweep per batch for the
+frequencies reads from one stopping tree, ``system.tree``. Affine
+systems, on the line or a fibre product, take the second-order rule (a
+cylinder contributes weight * e(xi F(a)) * mu^(xi grad F(a) * rho), a its
+anchor and rho its ratios), with one exact sweep per batch for the
 transforms of mu; systems with smooth maps take the first-order rule (the
 character at F(anchor)). Both rules sum a batch one stopping set at a
 time: the set's frequencies x its cylinders are one block of terms, and
 each row of the block is summed as that frequency's sum alone would be.
 Error bounds rest on derivative norms certified by interval enclosure over
 F's box, which the system must map into itself, and on the maps'
-contraction bounds: values are "rigorous" unless some map's bound is
-declared, then "estimate"s. Also here: conjugation by smooth coordinate
-changes.
+contraction bounds, plus ``measure.tail_effect`` for a recorded tail
+mass: values are "rigorous" unless some map's bound is declared, then
+"estimate"s. Also here: conjugation by smooth coordinate changes.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import expr as ex
 from .ifs import CIFS, AffineMap, SmoothMap, BudgetExhausted, ValidationError
 from .measure import (FourierValue, character, exact_sweep, frequencies, sample_points,
-                      TWO_PI, DEFAULT_BUDGET)
+                      tail_effect, TWO_PI, DEFAULT_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,7 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
 
     Returns one entry per frequency, in input order: a FourierValue, or the
     BudgetExhausted of a frequency over its budget. The batch's cylinders
-    come from one ``system.cylinders.tree`` at the frequencies' thresholds:
+    come from one ``system.tree`` at the frequencies' thresholds:
     F and its gradient are evaluated once, on every node that stops at some
     threshold, and frequencies whose thresholds lie between the same two
     node bounds share one stopping set. Stopping sets grow with |xi|, so
@@ -221,10 +221,10 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
         thetas = [min(1.0, math.sqrt(tol / 2 / (c2 * s))) if c2 * s > 0 else 1.0
                   for s in scales]
     else:  # Lip_x(F) counts only where F has a base variable
-        diam = getattr(system, "diam_constant", 1.0)
-        lips = tuple(c * diam for c in (norms.sup_base, norms.sup_first)[-len(names):])
+        lips = tuple(c * system.diam_constant
+                     for c in (norms.sup_base, norms.sup_first)[-len(names):])
         thetas = [tol / (TWO_PI * s) for s in scales]
-    tree, over = system.cylinders.tree(thetas, lips, budget)
+    tree, over = system.tree(thetas, lips, budget)
     out = [FourierValue(0.0, 1.0 + 0.0j, 0.0) if xi == 0 else None for xi in xis.tolist()]
     cut = next((k for k, past in enumerate(over) if past), len(live))  # the first over budget
     exhausted = BudgetExhausted(f"stopping-set budget {budget} exhausted at frequency "
@@ -248,7 +248,7 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
             spread = float(np.sum(w[s] * tree.bounds[nodes[s]]))
             for j, xi, value in zip(js, x.tolist(), _character_sums(x, f[s], w[s]).tolist()):
                 out[live[j]] = FourierValue(xi, value, min(TWO_PI * abs(xi) * spread, tol)
-                                            + TWO_PI * abs(xi) * system.tail_mass, kind=kind)
+                                            + tail_effect(system, xi), kind=kind)
         return out
     grad = np.array([at(F.expr.diff(v)) for v in names[:-1]] + [at(F.first)])
     # one sweep at tol / 2 for the transforms of mu at every cylinder of the
@@ -280,10 +280,10 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
         exhausted = BudgetExhausted(
             f"stopping-set budget {budget} exhausted at frequency {xi}",
             achieved=err + float(np.sum(ws * np.where(np.isnan(values), leaf, tol / 2)))
-            + TWO_PI * abs(xi) * system.tail_mass)
+            + tail_effect(system, xi))
     for j, (xi, value, err) in enumerate(rows):
         out[live[j]] = exhausted if j >= first else FourierValue(
-            xi, value, err + tol / 2 + TWO_PI * abs(xi) * system.tail_mass)
+            xi, value, err + tol / 2 + tail_effect(system, xi))
     return out
 
 

@@ -451,13 +451,13 @@ def test_exact_scan_and_verify_are_one_batch_call_each(tmp_path, monkeypatch):
 
 def test_no_walk_past_the_first_exhausted_frequency(tmp_path, monkeypatch, capsys):
     trees = []
-    real = ifs._CylinderEngine.tree
+    real = ifs._System.tree
 
-    def counted(engine, thetas, *args):
+    def counted(system, thetas, *args):
         trees.append(len(thetas))
-        return real(engine, thetas, *args)
+        return real(system, thetas, *args)
 
-    monkeypatch.setattr(ifs._CylinderEngine, "tree", counted)
+    monkeypatch.setattr(ifs._System, "tree", counted)
     cfg = write_config(tmp_path / "cfg.json", {
         "system": {"kind": "named", "name": "cantor"},
         "map": {"expr": "(pow x 2)"},
@@ -974,9 +974,10 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         (["decay", "bands"], {"system": cantor, "decay": {
             "method": "exact", "band_base": 3.0, "band_min": 645, "band_max": 645}},
          "overflows"),
-        # count 0 wrote a probe with a header and no rows
+        # count 0, or an empty family, wrote a probe with a header and no rows
         *((["decay", "probe"], {"system": cantor, "decay": {
             "family_base": 2.0, "count": count}}, "count") for count in (0, -3)),
+        (["decay", "probe"], {"system": cantor, "decay": {"family": []}}, "no frequency"),
         # a NaN exponent wrote "threshold": NaN and exited 0; a NaN limit
         # leaked "cannot convert float NaN to integer"
         (["decay", "sparse"], {"system": cantor, "decay": {

@@ -15,19 +15,19 @@ from ffl.measure import cylinder_decomposition
 from ffl.pushforward import SmoothMapF, pushforward_fourier
 
 
-def brute_force(engine, theta, lips):
-    """Every stopping word by plain recursion, with the engine's float
-    operations in the engine's order: {word: (anchor, weight)}, node count."""
-    m, n = engine.ratios.shape
+def brute_force(system, theta, lips):
+    """Every stopping word by plain recursion, with the tree's float
+    operations in the tree's order: {word: (anchor, weight)}, node count."""
+    m, n = system.ratios.shape
     out, nodes = {}, 0
 
     def grow(word, rho, t, w):
         nonlocal nodes
         for k in range(n):
             nodes += 1
-            r = [rho[c] * engine.ratios[c, k] for c in range(m)]
-            a = [t[c] + rho[c] * engine.translates[c, k] for c in range(m)]
-            child = (word + (engine.alphabet[k],), r, a, w * engine.weights[k])
+            r = [rho[c] * system.ratios[c, k] for c in range(m)]
+            a = [t[c] + rho[c] * system.translates[c, k] for c in range(m)]
+            child = (word + (system.alphabet[k],), r, a, w * system.probs[k])
             bound = lips[0] * abs(r[0])
             for c in range(1, m):
                 bound = bound + lips[c] * abs(r[c])
@@ -40,10 +40,10 @@ def brute_force(engine, theta, lips):
     return out, nodes
 
 
-def selections(engine, thetas, lips, budget):
+def selections(system, thetas, lips, budget):
     """One tree call: per theta, {word: (anchor, weight)} of its stopping
     set, or None when the call reports it over budget."""
-    tree, over = engine.tree(thetas, lips, budget)
+    tree, over = system.tree(thetas, lips, budget)
     assert len(over) == len(thetas)
     live = [th for th, past in zip(thetas, over) if not past]
     nodes, sets, keys = tree.select(live)
@@ -53,13 +53,13 @@ def selections(engine, thetas, lips, budget):
     return [None if past else next(got) for past in over], tree
 
 
-def check_batch(engine, thetas, lips, data, expected=None):
+def check_batch(system, thetas, lips, data, expected=None):
     """The stopping sets of a batch against brute force, at a budget just
     below, at or just above some theta's tree size, or unlimited."""
-    brute = [brute_force(engine, th, lips) for th in thetas]
+    brute = [brute_force(system, th, lips) for th in thetas]
     sizes = [nodes for _, nodes in brute]
     budget = data.draw(st.sampled_from([n + d for n in sizes for d in (-1, 0, 1)] + [10 ** 9]))
-    got, tree = selections(engine, thetas, lips, budget)
+    got, tree = selections(system, thetas, lips, budget)
     for th, (cylinders, nodes), sel in zip(thetas, brute, got):
         assert (sel is None) == (nodes > budget), (th, nodes, budget)
         if sel is not None:
@@ -98,14 +98,14 @@ thetas = st.lists(st.floats(0.02, 0.3), min_size=1, max_size=4)
 @settings(max_examples=60, deadline=None)
 @given(line_systems(), thetas, st.data())
 def test_line_walk_matches_brute_force(system, batch, data):
-    check_batch(system.cylinders, batch, (1.0,), data)
+    check_batch(system, batch, (1.0,), data)
 
 
 @settings(max_examples=40, deadline=None)
 @given(fibre_systems(), st.lists(st.floats(0.05, 0.5), min_size=1, max_size=4),
        st.floats(0.0, 2.0), st.floats(0.0, 1.9), st.data())
 def test_fibre_walk_matches_brute_force(system, batch, lip_base, lip_fibre, data):
-    check_batch(system.cylinders, batch, (lip_base, lip_fibre + 0.1), data)
+    check_batch(system, batch, (lip_base, lip_fibre + 0.1), data)
 
 
 @st.composite
@@ -125,7 +125,7 @@ def smooth_systems(draw):
 def test_smooth_walk_anchors_every_word_innermost_first(system, batch, data):
     # stopping words and weights follow the products of contraction bounds;
     # the anchor of w is f_w(0), not the maps applied in word order
-    check_batch(system.cylinders, batch, (1.0,), data, expected=lambda cylinders: {
+    check_batch(system, batch, (1.0,), data, expected=lambda cylinders: {
         word: ([float(fold(system.maps[s] for s in word)(0.0))], weight)
         for word, (_, weight) in cylinders.items()})
 
@@ -161,14 +161,14 @@ def test_pushforward_history_independent(make, budget):
 
 @pytest.mark.parametrize("prior_budget", [8, 1 << 20])
 def test_budget_fires_exactly_past_the_tree_size(prior_budget, monkeypatch):
-    # between two checks, the same engine grows a deeper tree that runs over
+    # between two checks, the same system grows a deeper tree that runs over
     # prior_budget (8) or completes (1 << 20); the budget edge must not move
-    trees, real = [], ifs._CylinderEngine.tree
-    monkeypatch.setattr(ifs._CylinderEngine, "tree",
-                        lambda engine, *args: trees.append(args) or real(engine, *args))
+    trees, real = [], ifs._System.tree
+    monkeypatch.setattr(ifs._System, "tree",
+                        lambda system, *args: trees.append(args) or real(system, *args))
     system = two_ratio()
     for threshold in (0.01, 0.003):
-        nodes = brute_force(system.cylinders, threshold, (1.0,))[1]
+        nodes = brute_force(system, threshold, (1.0,))[1]
         for check in range(2):
             with pytest.raises(BudgetExhausted):
                 cylinder_decomposition(system, threshold, budget=nodes - 1)

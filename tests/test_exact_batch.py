@@ -26,9 +26,9 @@ def dfs_oracle(cifs, xi, tol=1e-9, budget=50_000_000):
     if xi == 0:
         return 1.0 + 0.0j, 0.0
     theta = tol / (TWO_PI * abs(xi))
-    ratios = cifs.ratios()
+    ratios = np.array([cifs.maps[a].ratio for a in cifs.alphabet])
     translates = np.array([cifs.maps[a].translate for a in cifs.alphabet])
-    weights = cifs.weight_vector()
+    weights = np.array([cifs.weights[a] for a in cifs.alphabet])
     weights = weights / weights.sum()
 
     memo: dict = {}
@@ -56,10 +56,11 @@ def dfs_oracle(cifs, xi, tol=1e-9, budget=50_000_000):
 
 def distinct_above(cifs, theta):
     """Distinct non-root composed ratios above ``theta``, by plain search."""
+    ratios = np.array([cifs.maps[a].ratio for a in cifs.alphabet])
     seen, stack = set(), [1.0]
     while stack:
         rho = stack.pop()
-        for c in (rho * cifs.ratios()).tolist():
+        for c in (rho * ratios).tolist():
             if abs(c) > theta and c not in seen:
                 seen.add(c)
                 stack.append(c)

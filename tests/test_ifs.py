@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ffl.ifs import (CIFS, AffineMap, SmoothMap, ValidationError, SeparationError,
-                     fold, lyapunov,
+from conftest import fibre_systems, unit_systems
+from ffl.ifs import (CIFS, AffineMap, FibreProductCIFS, SmoothMap, ValidationError,
+                     SeparationError, fold, lyapunov,
                      build_fibre_product, fibre_product_from_1d,
                      cantor_system, dyadic_uniform_system)
 
@@ -234,3 +235,56 @@ def test_separated_pair_invariants(two_ratio):
     (alo, ahi), (blo, bhi) = ga.image(), gb.image()
     assert ahi < blo or bhi < alo
     assert abs(gb.translate - ga.translate) >= p.gap > 0
+
+
+# -- the system's arrays -------------------------------------------------------
+
+@st.composite
+def line_variants(draw):
+    """A unit system with a tail mass drawn in, and sometimes a smooth first
+    map whose contraction bound is declared."""
+    system, tail = draw(unit_systems()), draw(st.sampled_from([0.0, 0.25]))
+    maps = dict(system.maps)
+    if draw(st.booleans()):
+        maps[0] = SmoothMap.from_expr("(mul 0.5 (pow x 2))",
+                                      declared_bound=draw(st.floats(0.1, 0.9)))
+    weights = {s: (1.0 - tail) * w for s, w in system.weights.items()}
+    return CIFS(system.alphabet, maps, weights, tail_mass=tail)
+
+
+NEGATIVE_TAIL = CIFS((0, 1), {0: AffineMap(-0.5, 1.0), 1: AffineMap(0.25, -0.3)},
+                     {0: 0.3, 1: 0.6}, tail_mass=0.1)
+DECLARED = CIFS((0, 1), {0: SmoothMap.from_expr("(mul 0.5 (pow x 2))", declared_bound=0.7),
+                         1: AffineMap(-0.4, 0.6)}, {0: 0.5, 1: 0.5})
+
+
+def symbol_maps(system, s):
+    """The maps of the symbol ``s``, one per coordinate, from the system's dicts."""
+    if isinstance(system, FibreProductCIFS):
+        return system.base_map(s), system.fibre_map(s)
+    return (system.maps[s],)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(unit_systems(), fibre_systems(), line_variants()))
+@example(NEGATIVE_TAIL)
+@example(DECLARED)
+def test_system_arrays_are_the_per_map_values_bit_for_bit(system):
+    bits = lambda a: [float(x).hex() for x in np.ravel(a)]
+    per_symbol = [symbol_maps(system, s) for s in system.alphabet]
+    total = np.sum([system.weights[s] for s in system.alphabet])
+    assert bits(system.ratios) == bits(np.transpose([
+        [m.ratio if isinstance(m, AffineMap) else m.contraction_bound for m in maps]
+        for maps in per_symbol]))
+    assert bits(system.translates) == bits(np.transpose([
+        [m.translate if isinstance(m, AffineMap) else 0.0 for m in maps]
+        for maps in per_symbol]))
+    assert bits(system.probs) == bits([system.weights[s] / total for s in system.alphabet])
+    assert not any(a.flags.writeable for a in (system.ratios, system.translates, system.probs))
+    every = [m for maps in per_symbol for m in maps]
+    if all(isinstance(m, AffineMap) for m in every):
+        assert system.radius.hex() == max(
+            1.0, max(abs(m.translate) / (1.0 - abs(m.ratio)) for m in every)).hex()
+    else:
+        with pytest.raises(ValidationError, match="affine"):
+            system.radius

@@ -131,9 +131,9 @@ def first_order_word_sum(system, coeffs, xi, words=1 << 17):
     """Sum of weight * e(xi F(anchor)) over every word of one length, with
     the first-order bound 2 pi |xi| Lip(F) sum weight * |ratio| (the
     attractor lies in [0, 1], so |y| <= 1 on it)."""
-    ratios = system.ratios()
+    ratios = np.array([system.maps[a].ratio for a in system.alphabet])
     translates = np.array([system.maps[a].translate for a in system.alphabet])
-    weights = system.weight_vector()
+    weights = np.array([system.weights[a] for a in system.alphabet])
     a, rho, w = np.zeros(1), np.ones(1), np.ones(1)
     for _ in range(int(math.log(words) / math.log(len(ratios)))):
         a = (a[:, None] + rho[:, None] * translates).ravel()
@@ -397,10 +397,10 @@ def per_frequency_pushforward(F, system, xis, tol, budget):
         thetas = [min(1.0, math.sqrt(tol / 2 / (c2 * s))) if c2 * s > 0 else 1.0
                   for s in scales]
     else:
-        diam = getattr(system, "diam_constant", 1.0)
-        lips = tuple(c * diam for c in (norms.sup_base, norms.sup_first)[-len(names):])
+        lips = tuple(c * system.diam_constant
+                     for c in (norms.sup_base, norms.sup_first)[-len(names):])
         thetas = [tol / (TWO_PI * s) for s in scales]
-    tree, over = system.cylinders.tree(thetas, lips, budget)
+    tree, over = system.tree(thetas, lips, budget)
     out = [FourierValue(0.0, 1.0 + 0.0j, 0.0) if xi == 0 else None for xi in xis.tolist()]
     cut = next((k for k, past in enumerate(over) if past), len(live))
     exhausted = BudgetExhausted(f"stopping-set budget {budget} exhausted at frequency "
@@ -498,7 +498,7 @@ def test_a_sweep_budget_cut_inside_a_stopping_set(two_ratio):
             (1e2, 20, [71.0, 5.0, -597.0, 0.0, 206.0, -71.0, 5000.0, 25.0, 1728.0],
              [True, False, True, False, True, True, True, False, True], "71.0")):
         thetas = [min(1.0, math.sqrt(tol / 2 / (c2 * abs(xi)))) for xi in xis if xi]
-        tree, _ = two_ratio.cylinders.tree(thetas, lips, 10 ** 6)
+        tree, _ = two_ratio.tree(thetas, lips, 10 ** 6)
         assert len(set(tree.select(thetas)[2])) == (1 if tol == 1e4 else 6)
         got = pushforward_fourier(F, two_ratio, xis, tol=tol, budget=budget)
         assert [entry_bits(e) for e in got] == [

@@ -164,7 +164,11 @@ class _System:
     diam_constant = 1.0  # scales contraction bounds to diameter bounds; a CIFS may set it
 
     def _check_weights(self):
-        """The weights sum to 1 - tail_mass, the omitted mass, in [0, 1)."""
+        """Weights are finite, positive and sum to 1 - tail_mass (omitted, in [0, 1))."""
+        for s in self.alphabet:
+            if not 0.0 < self.weights[s] < math.inf:
+                raise ValidationError(
+                    f"weight of {s!r} must be finite and positive, got {self.weights[s]!r}")
         if not 0.0 <= self.tail_mass < 1.0:
             raise ValidationError(f"tail_mass must lie in [0, 1), got {self.tail_mass!r}")
         total = math.fsum(self.weights[s] for s in self.alphabet)
@@ -293,10 +297,6 @@ class CIFS(_System):
         missing = [a for a in self.alphabet if a not in self.maps or a not in self.weights]
         if missing:
             raise ValidationError(f"symbols without map or weight: {missing[:4]}")
-        for a in self.alphabet:
-            w = self.weights[a]
-            if not (w > 0.0):
-                raise ValidationError(f"weight of {a!r} must be positive, got {w}")
         self._check_weights()
         self._check_contraction()
 
@@ -568,16 +568,18 @@ def affine_moments(system, degree: int) -> Moments:
     times the sum of the absolute terms on the right, for their products
     (powers by repeated products, the rounded tau and weights) and sums,
     plus the rounding of the factor on the left, all divided by that
-    factor, plus one rounding of the quotient.
+    factor, plus one rounding of the quotient. The step of degree k forms
+    only the signed sum, p @ B[..., :k+1, :k+1] contracted with the moments
+    below k; the absolute sums of every degree come from one contraction
+    of |B| after the loop, and the bounds from one pass over the degrees.
     """
-    m, D = len(system.coordinates), degree
-    p, r = system.probs, system.ratios  # r: (m, n)
-    n = p.size
-    tau = system.translates / system.radius
-    # x^0, ..., x^(D - 1) along a new last axis, by repeated products
-    rp, tp = (np.cumprod(np.concatenate([np.ones(x.shape + (1,)),
-                                         np.repeat(x[..., None], D - 1, axis=-1)], axis=-1),
-                         axis=-1) for x in (r, tau))
+    m, D, p, n = len(system.coordinates), degree, system.probs, system.probs.size
+    if D == 1:
+        return Moments(np.ones((1,) * m), np.zeros(1))  # M_0 = 1, exactly
+    # r^0, ..., r^(D - 1) and tau^0, ..., tau^(D - 1) along a last axis, by repeated products
+    powers = np.ones((2, m, n, D))
+    powers[..., 1:] = np.stack([system.ratios, system.translates / system.radius])[..., None]
+    rp, tp = np.cumprod(powers, axis=-1)
     binom = np.zeros((D, D))  # Pascal's triangle, exact in float
     binom[:, 0] = 1.0
     for i in range(1, D):
@@ -586,29 +588,40 @@ def affine_moments(system, degree: int) -> Moments:
     B = binom * rp[:, :, None, :] * tp[:, :, np.maximum(j[:, None] - j, 0)]  # (m, n, D, D)
     grid = np.indices((D,) * m)
     deg = grid.sum(axis=0)
-    r_alpha = np.prod([rp[c][:, grid[c]] for c in range(m)], axis=0)  # (n, D, ..., D)
-    den = 1.0 - np.tensordot(p, r_alpha, 1)
-    den_err = (_gamma(deg + m + 2 * n + 1) * np.tensordot(p, np.abs(r_alpha), 1)
+    r_alpha = np.prod([rp[c][:, grid[c]] for c in range(m)], axis=0).reshape(n, -1)
+    den = 1.0 - np.dot(p[None], r_alpha).reshape(deg.shape)
+    den_err = (_gamma(deg + m + 2 * n + 1) * np.dot(p[None], np.abs(r_alpha)).reshape(deg.shape)
                + EPS * np.abs(den))
 
-    # one contraction per degree: signed coefficients on the moments, absolute
-    # ones on their absolute values and on the indicator of lower degrees
-    B3 = np.stack([B, np.abs(B), np.abs(B)], axis=1)  # (m, 3, n, D, D)
-    M, errors = np.zeros((D,) * m), np.zeros(D)
+    # the signed contraction of degree k: the moments below it, in the box
+    # that holds every alpha of degree k
+    M = np.zeros((D,) * m)
     M[(0,) * m] = 1.0
     for k in range(1, D):
         view = (slice(k + 1),) * m
         low, at = M[view], deg[view] == k
-        tables = np.stack([low, np.abs(low), (deg[view] < k) * 1.0])[:, None]
-        sums = p @ _contract(B3[..., :k + 1, :k + 1], tables).reshape(3, n, -1)
-        signed, spread, carried = sums.reshape((3,) + low.shape)[(slice(None), at)]
-        value = signed / den[view][at]
-        err = ((_gamma(3 * k + 2 * m + 2 * n) * spread + carried * errors[k - 1]
-                + den_err[view][at]) / den[view][at] + EPS * np.abs(value))
-        low[at] = value
+        signed = p @ _contract(B[..., :k + 1, :k + 1], np.ascontiguousarray(low)).reshape(n, -1)
+        low[at] = signed.reshape(low.shape)[at] / den[view][at]
+
+    # the absolute terms of every degree k from one contraction: |B| on |M|
+    # and on the indicator, both over the degrees below k; a large alphabet
+    # takes a few tables at a time
+    below, B = deg < j[1:].reshape((-1,) + (1,) * m), np.abs(B)
+    tables = np.concatenate([np.abs(M) * below, below * 1.0])[:, None]
+    step = max(3, (1 << 16) // (n * M.size))
+    spread, carried = np.concatenate([
+        p @ _contract(B, tables[i:i + step]).reshape(-1, n, M.size)
+        for i in range(0, 2 * D - 2, step)]).reshape(2, D - 1, M.size)
+    at = np.argsort(deg, axis=None, kind="stable")[1:np.count_nonzero(deg < D)]  # by degree
+    k = deg.ravel()[at]
+    terms = np.stack([_gamma(3 * k + 2 * m + 2 * n) * spread[k - 1, at], carried[k - 1, at],
+                      den_err.ravel()[at], den.ravel()[at], EPS * np.abs(M.ravel()[at])])
+    errors = [0.0] * D
+    for k, (a, c, d, q, v) in zip(k.tolist(), terms.T.tolist()):
         # 1 + 2^-40 leaves room for the rounding of the bound's own arithmetic
-        errors[k] = max(errors[k - 1], float(err.max()) * (1.0 + 2.0 ** -40))
-    return Moments(M, errors)
+        errors[k] = max(errors[k], errors[k - 1],
+                        ((a + c * errors[k - 1] + d) / q + v) * (1.0 + 2.0 ** -40))
+    return Moments(M, np.array(errors))
 
 
 # ---------------------------------------------------------------------------

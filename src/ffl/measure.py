@@ -48,6 +48,7 @@ SERIES_REACH = 1.5    # Z: an exact sweep's words stop at reach 2 pi R sum |eta 
 SERIES_DEGREES = 24   # the highest moment-series degree an exact sweep tries
 SAMPLE_ACCURACY = 1e-9  # the sup-metric accuracy of Monte Carlo sample points
 DEPTH_CAP = 100_000   # the longest word ``sample_points`` draws
+_LOG_FACTORIALS = np.array([math.lgamma(k + 1) for k in range(SERIES_DEGREES + 1)])
 
 
 def frequencies(xis, scale: float) -> np.ndarray:
@@ -140,7 +141,7 @@ def sample_points(system, count: int, tol: float = 1e-9, depth: int | None = Non
 # rigorous cylinder-expansion evaluator
 # ---------------------------------------------------------------------------
 
-def tail_effect(system, xi: float) -> float:
+def tail_effect(system, xi):
     """2*pi*|xi|*tail_mass, the first-order effect of a recorded tail mass."""
     return TWO_PI * abs(xi) * system.tail_mass
 
@@ -241,43 +242,48 @@ def series_order(system, tol: float):
 
 def _leaves(system, tol: float):
     """``series_order(system, tol)`` and the series coefficients, kept on
-    the system per tol."""
+    the system per tol. Every degree is tested at once. The moments are
+    built at the first degree that fits without their error and, when no
+    degree fits with the error built, once more at SERIES_DEGREES, which
+    holds the errors of every lower degree."""
     held = system.__dict__.setdefault("_leaves", {})
     if tol not in held:
         z = SERIES_REACH * (1.0 + 2.0 ** -40)  # room for the rounding of the stopping test
-        degree, reach = next(((k, SERIES_REACH) for k in range(2, SERIES_DEGREES + 1)
-                              if _leaf_error(system, k, z, moments=False) <= tol
-                              and _leaf_error(system, k, z) <= tol), (1, tol))
+        ks = np.arange(2, SERIES_DEGREES + 1)
+        fits = _leaf_error(system, ks, z, 0.0) <= tol  # every degree from some K on
+        for top in (int(ks[fits.argmax()]), SERIES_DEGREES) if fits.any() else ():
+            errors = system.moments(top).errors
+            fits &= _leaf_error(system, ks, z, errors[np.minimum(ks, errors.size) - 1]) <= tol
+            if fits[:errors.size - 1].any() or not fits.any():  # decided by those built
+                break
+        degree, reach = (int(ks[fits.argmax()]), SERIES_REACH) if fits.any() else (1, tol)
         held[tol] = degree, reach, _series_coefficients(system, degree)
     return held[tol]
 
 
-def series_remainder(degree: int, reach):
+def series_remainder(degree, reach):
     """reach^K / K!, the remainder of the degree-K series at reach s (an
-    array of reaches gives an array); s itself for K = 1."""
-    if degree == 1:
+    array of reaches, or of degrees K > 1, gives an array); s for K = 1."""
+    if np.ndim(degree) == 0 and degree == 1:
         return reach
     with np.errstate(divide="ignore", over="ignore"):
-        return np.exp(degree * np.log(reach) - math.lgamma(degree + 1))
+        return np.exp(degree * np.log(reach) - _LOG_FACTORIALS[degree])
 
 
-def _leaf_error(system, degree: int, reach, moments: bool = True):
-    """How far the degree-K moment series, evaluated in float, can lie
-    from the transform at a row of reach s = 2*pi*R*sum_c |v_c|. Since
+def _leaf_error(system, degree, reach, delta):
+    """How far the degree-K moment series (K > 1, or an array of degrees),
+    evaluated in float, can lie from the transform at a row of reach
+    s = 2*pi*R*sum_c |v_c|, with delta the moments' rounding bound. Since
     |e^(iy) - sum_{k<K} (iy)^k / k!| <= |y|^K / K! and |2*pi*v.x| <= s on
     the attractor, the series remainder is at most s^K / K!. The float
     error is at most e^s (delta + 2 (6 s + 3 m + 2) u) over m coordinates,
     u = EPS the unit roundoff: with a_alpha = (2 pi R)^|alpha| |v^alpha| /
-    alpha!, which sum to e^s, the moments' rounding bound delta costs
-    delta sum a_alpha, and the coefficients' 4 |alpha| + m + 1 roundings and
-    the nested Horner scheme's 2 |alpha| + 2 m roundings cost at most
-    sum a_alpha (6 |alpha| + 3 m + 1) u, to first order; the factor 2 covers
-    the rest. K = 1 counts the child as 1, which is exact: its error is s.
-    ``moments=False`` leaves out delta."""
-    if degree == 1:
-        return reach
+    alpha!, which sum to e^s, delta costs delta sum a_alpha, and the
+    coefficients' 4 |alpha| + m + 1 roundings and the nested Horner scheme's
+    2 |alpha| + 2 m roundings cost at most sum a_alpha (6 |alpha| + 3 m + 1) u,
+    to first order; the factor 2 covers the rest. The fallback K = 1 counts
+    the child as 1, which is exact: its error is s."""
     m = len(system.coordinates)
-    delta = system.moments(degree).errors[degree - 1] if moments else 0.0
     with np.errstate(over="ignore"):
         return (series_remainder(degree, reach)
                 + np.exp(reach) * (delta + (6.0 * reach + 3 * m + 2) * 2.0 * EPS))
@@ -305,22 +311,19 @@ def _horner(re, im, v):
     """The real and imaginary parts of sum_alpha (re + i im)_alpha v^alpha
     by Horner's scheme in the first coordinate over ones in the others."""
     top = len(re)
-    if len(v) == 1:
-        def part(k):
-            return re[k], im[k]
-    else:
-        def part(k):
-            return _horner(re[k][(slice(top - k),) * (re.ndim - 1)],
-                           im[k][(slice(top - k),) * (re.ndim - 1)], v[1:])
-    a, b = part(top - 1)
+    # the parts of degree top - 1, ..., 0 in the first coordinate, one at a time
+    parts = (zip(re.tolist()[::-1], im.tolist()[::-1]) if len(v) == 1 else
+             (_horner(re[k][(slice(top - k),) * (re.ndim - 1)],
+                      im[k][(slice(top - k),) * (re.ndim - 1)], v[1:])
+              for k in range(top - 1, -1, -1)))
+    a, b = next(parts)
     if top > 1:  # fresh arrays from here on, so each step multiplies and adds in place
         a, b = a * v[0], b * v[0]
-    for k in range(top - 2, -1, -1):
-        c, d = part(k)
+    for k, (c, d) in zip(range(top - 2, -1, -1), parts):
         # on the line every other coefficient of each part is 0: no add
-        if np.ndim(c) or c:
+        if not isinstance(c, float) or c:
             a += c
-        if np.ndim(d) or d:
+        if not isinstance(d, float) or d:
             b += d
         if k:
             a *= v[0]
@@ -363,7 +366,9 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
     so the expansion is a DAG on the distinct tuples, reached by the
     product maps. It is listed once for the whole batch, by
     ``_ratio_bands``, and swept bottom-up with every node a vector over the
-    rows; a node takes its series at each row at which it stops.
+    rows, in chunks of about BATCH_CELLS cells. A chunk takes in one
+    ``_series`` call its leaves' series and each node's at the rows where it
+    stops, and forms its nodes' weighted characters once, before the sums.
 
     The first ``budget`` + 1 non-root tuples are kept; the largest |rho_c|
     of the last of them is the cut. A row is over budget when a tuple past
@@ -401,16 +406,16 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
     out = np.ones(etas.shape[1], dtype=complex)
     achieved = np.zeros(etas.shape[1])
     over = thetas < _reach(u, np.full((m, 1), cut))
-    out[live[over]] = np.nan
-    achieved[live[over]] = series_remainder(
-        degree, scale * np.abs(etas[:, live[over]]).sum(axis=0) * cut)
+    if over.any():
+        out[live[over]] = np.nan
+        achieved[live[over]] = series_remainder(
+            degree, scale * np.abs(etas[:, live[over]]).sum(axis=0) * cut)
     rooted = _reach(u, np.ones((m, 1))) <= thetas  # the empty word stops
-    out[live[rooted]] = _series(coefficients, etas[:, live[rooted]])
+    if rooted.any():
+        out[live[rooted]] = _series(coefficients, etas[:, live[rooted]])
     order = np.flatnonzero(~(over | rooted))  # the rows that need the DAG
     order = order[np.argsort(-thetas[order])]
-    live, thetas = live[order], thetas[order]
-    if u is not None:
-        u = u[:, order]
+    live, thetas, u = live[order], thetas[order], u if u is None else u[:, order]
 
     # row i of ``child``: where node i's children sit among the listed nodes
     # and, past them, the tuples that no row expands (``tuples``)
@@ -437,26 +442,31 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
         # nodes past the last one that some row of this chunk expands stop
         # at every row: only the children of the first n need a value
         n = 1 + int(np.flatnonzero(expand.any(axis=1)).max())
-        leaves = np.unique(child[:n])
-        leaves = leaves[leaves >= n]
-        slot = np.searchsorted(leaves, child[:n]) + n
-        slot = np.where(child[:n] < n, child[:n], slot)
+        leaves = np.unique(child[:n][child[:n] >= n])
+        slot = np.where(child[:n] < n, child[:n], np.searchsorted(leaves, child[:n]) + n)
+        # one series call: the leaves at every row, a node at the rows where it stops
+        stop = np.nonzero(~expand[:n])
         vals = np.empty((n + leaves.size, ids.size), dtype=complex)
-        vals[n:] = _series(coefficients, tuples[:, leaves, None] * eta[:, None, :])
+        series = _series(coefficients, np.concatenate(
+            [(tuples[:, leaves, None] * eta[:, None, :]).reshape(m, -1),
+             nodes[:, stop[0]] * eta[:, stop[1]]], axis=1))
+        vals[n:] = series[:leaves.size * ids.size].reshape(leaves.size, ids.size)
+        vals[stop] = series[leaves.size * ids.size:]
+        # the weighted characters of every node's maps, then the sums, a band
+        # at a time: a band's children come later
         block = max(1, BATCH_CELLS // (ids.size * len(weights)))
-        for s, e in zip(starts[::-1], ends[::-1]):  # a band's children come later
+        phase = np.empty((n, ids.size, len(weights)), dtype=complex)
+        for first in range(0, n, block):
+            rows = slice(first, min(n, first + block))
+            arg = (nodes[0, rows, None] * eta[0])[:, :, None] * translates[0]
+            for c in range(1, m):
+                arg = arg + (nodes[c, rows, None] * eta[c])[:, :, None] * translates[c]
+            np.multiply(character(arg), weights, out=phase[rows])
+        for s, e in zip(starts[::-1], ends[::-1]):
             for hi in range(min(e, n), s, -block):
                 rows = slice(max(s, hi - block), hi)
-                sub = vals[slot[rows]].transpose(0, 2, 1)
-                arg = (nodes[0, rows, None] * eta[0])[:, :, None] * translates[0]
-                for c in range(1, m):
-                    arg = arg + (nodes[c, rows, None] * eta[c])[:, :, None] * translates[c]
-                here = np.sum(weights * character(arg) * sub, axis=-1)
-                stop = np.nonzero(~expand[rows])
-                if stop[0].size:
-                    here[stop] = _series(coefficients,
-                                         nodes[:, rows][:, stop[0]] * eta[:, stop[1]])
-                vals[rows] = here
+                here = (phase[rows] * vals[slot[rows]].transpose(0, 2, 1)).sum(axis=-1)
+                np.copyto(vals[rows], here, where=expand[rows])
         out[ids] = vals[0]
     return out, achieved
 
@@ -478,16 +488,13 @@ def fourier_exact_batch(cifs: CIFS, xis, tol: float = 1e-9,
         raise ValidationError("fourier_exact needs an affine 1-D system")
     values, achieved = exact_sweep(cifs, xis, tol, budget)
     xis = np.atleast_1d(np.asarray(xis, dtype=float))
-    out = []
-    for x, v, a in zip(xis.tolist(), values.tolist(), achieved.tolist()):
-        if x == 0:
-            out.append(FourierValue(0.0, 1.0 + 0.0j, 0.0))
-        elif v != v:  # NaN: over budget
-            out.append(BudgetExhausted(
-                f"stopping-set budget {budget} exhausted at frequency {x}", achieved=a))
-        else:
-            out.append(FourierValue(x, v, tol + tail_effect(cifs, x)))
-    return out
+    bounds = tol + tail_effect(cifs, xis)
+    return [FourierValue(0.0, 1.0 + 0.0j, 0.0) if x == 0 else
+            FourierValue(x, v, b) if v == v else  # NaN: over budget
+            BudgetExhausted(f"stopping-set budget {budget} exhausted at frequency {x}",
+                            achieved=a)
+            for x, v, a, b in zip(xis.tolist(), values.tolist(), achieved.tolist(),
+                                  bounds.tolist())]
 
 
 def require_values(entries) -> list:

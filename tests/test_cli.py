@@ -902,6 +902,11 @@ def test_malformed_values_exit_2(tmp_path, capsys):
                                        "tail_mass": -0.2, "maps": [
             {"ratio": 0.3, "translate": 0.0}, {"ratio": 0.3, "translate": 0.7}]},
             "scan": dict(scan, method="exact")}, "tail_mass"),
+        # a negative fibre weight ran to exit 0 with every row labelled "rigorous"
+        (["pushforward-scan"], {"system": dict(FIBRE3, fibres=[
+            dict(f, weight=w) for f, w in zip(FIBRE3["fibres"], (0.6, 0.6, -0.2))]),
+            "map": {"expr": "(add (mul 0.5 x) (pow y 2))", "fibre_var": "y"}, "scan": scan},
+         "weight of ('R', 'c')"),
         # the product evaluator used the first ratio for both
         (["fourier-scan"], {"system": {"kind": "affine1d", "weights": [0.5, 0.5], "maps": [
             {"ratio": 0.3, "translate": 0.0}, {"ratio": 0.3 + 9e-13, "translate": 0.7}]},

@@ -1,6 +1,8 @@
 """The batched exact evaluator against a per-frequency depth-first oracle."""
 
+import dataclasses
 import itertools
+import json
 import math
 import warnings
 from fractions import Fraction
@@ -11,10 +13,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import fibre_systems, unit_systems
-from ffl import measure
+from ffl import ifs, measure
+from ffl.cli import main
 from ffl.decay import _band_frequencies, band_maxima
-from ffl.ifs import (CIFS, AffineMap, BudgetExhausted, ValidationError, cantor_system,
-                     fibre_product_from_1d)
+from ffl.ifs import (CIFS, EPS, AffineMap, BudgetExhausted, ValidationError, _contract,
+                     _gamma, affine_moments, cantor_system, fibre_product_from_1d)
 from ffl.measure import (TWO_PI, character, exact_sweep, fourier_exact,
                          fourier_exact_batch, fourier_product_homogeneous, sample_points)
 
@@ -275,6 +278,59 @@ def test_float_moments_lie_within_their_bound(system, degree):
     assert moments.errors[degree - 1] < 1e-13
 
 
+def stacked_moments(system, degree):
+    """The moment build that ``affine_moments`` replaced, kept as its
+    reference: one contraction per degree of three stacked tables, signed
+    coefficients on the moments, absolute ones on their absolute values and
+    on the indicator of lower degrees, with the error of each degree taken
+    inside the loop."""
+    m, D = len(system.coordinates), degree
+    p, r = system.probs, system.ratios  # r: (m, n)
+    n = p.size
+    tau = system.translates / system.radius
+    rp, tp = (np.cumprod(np.concatenate([np.ones(x.shape + (1,)),
+                                         np.repeat(x[..., None], D - 1, axis=-1)], axis=-1),
+                         axis=-1) for x in (r, tau))
+    binom = np.zeros((D, D))
+    binom[:, 0] = 1.0
+    for i in range(1, D):
+        binom[i, 1:] = binom[i - 1, 1:] + binom[i - 1, :-1]
+    j = np.arange(D)
+    B = binom * rp[:, :, None, :] * tp[:, :, np.maximum(j[:, None] - j, 0)]  # (m, n, D, D)
+    grid = np.indices((D,) * m)
+    deg = grid.sum(axis=0)
+    r_alpha = np.prod([rp[c][:, grid[c]] for c in range(m)], axis=0)  # (n, D, ..., D)
+    den = 1.0 - np.tensordot(p, r_alpha, 1)
+    den_err = (_gamma(deg + m + 2 * n + 1) * np.tensordot(p, np.abs(r_alpha), 1)
+               + EPS * np.abs(den))
+    B3 = np.stack([B, np.abs(B), np.abs(B)], axis=1)  # (m, 3, n, D, D)
+    M, errors = np.zeros((D,) * m), np.zeros(D)
+    M[(0,) * m] = 1.0
+    for k in range(1, D):
+        view = (slice(k + 1),) * m
+        low, at = M[view], deg[view] == k
+        tables = np.stack([low, np.abs(low), (deg[view] < k) * 1.0])[:, None]
+        sums = p @ _contract(B3[..., :k + 1, :k + 1], tables).reshape(3, n, -1)
+        signed, spread, carried = sums.reshape((3,) + low.shape)[(slice(None), at)]
+        value = signed / den[view][at]
+        err = ((_gamma(3 * k + 2 * m + 2 * n) * spread + carried * errors[k - 1]
+                + den_err[view][at]) / den[view][at] + EPS * np.abs(value))
+        low[at] = value
+        errors[k] = max(errors[k - 1], float(err.max()) * (1.0 + 2.0 ** -40))
+    return M, errors
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.tuples(line_systems(), st.integers(2, 24))
+       | st.tuples(fibre_systems(), st.integers(2, 14)))
+def test_moment_build_is_the_per_degree_loop_bit_for_bit(case):
+    system, degree = case
+    values, errors = stacked_moments(system, degree)
+    moments = affine_moments(system, degree)
+    assert np.array_equal(moments.values, values)
+    assert (np.abs(moments.errors - errors) <= 2.0 ** -49 * errors).all()
+
+
 def test_cantor_mean_and_second_moment():
     moments = cantor_system().moments(3)
     assert abs(moments.values[1] - 0.5) <= moments.errors[1]
@@ -312,6 +368,79 @@ def test_cantor_at_the_rounding_floor_against_the_product_formula():
             # xi * rho * t, nor of the characters and their products
             rounding = TWO_PI * abs(fv.frequency) * 2.0 ** -48 + 2.0 ** -46
             assert abs(fv.value - ref.value) <= fv.error_bound + ref.error_bound + rounding
+
+
+def one_degree_at_a_time(system, tol):
+    """The degree search that ``series_order`` replaced: each degree in
+    turn, the moments built at every degree that fits without their error."""
+    z = measure.SERIES_REACH * (1.0 + 2.0 ** -40)
+    for k in range(2, measure.SERIES_DEGREES + 1):
+        if (measure._leaf_error(system, k, z, 0.0) <= tol and measure._leaf_error(
+                system, k, z, affine_moments(system, k).errors[k - 1]) <= tol):
+            return k, measure.SERIES_REACH
+    return 1, tol
+
+
+def counting_builds(monkeypatch):
+    """The degrees ``system.moments`` builds from now on."""
+    builds, real = [], ifs.affine_moments
+    monkeypatch.setattr(ifs, "affine_moments",
+                        lambda system, degree: builds.append(degree) or real(system, degree))
+    return builds
+
+
+def test_the_degree_search_builds_the_moments_once_near_the_rounding_floor(monkeypatch):
+    builds = counting_builds(monkeypatch)
+    # every degree from 20 fits without the moments' error; none fits with it
+    assert measure.series_order(cantor_system(), 2e-14) == (1, 2e-14)
+    assert builds == [20]  # 20 to 24, one build each, before
+    builds.clear()
+    assert measure.series_order(cantor_system(), 1e-9) == (15, measure.SERIES_REACH)
+    assert builds == [15]
+
+
+@pytest.mark.parametrize("system", [cantor_system(), two_ratio(), far_system()],
+                         ids=["cantor", "two_ratio", "far"])
+def test_the_degree_search_is_the_one_degree_at_a_time_search(system, monkeypatch):
+    # the band just above the floor is where a first fit without the
+    # moments' error can fail with it and a higher degree fit
+    builds = counting_builds(monkeypatch)
+    for tol in np.concatenate([np.geomspace(1e-15, 0.1, 40), np.linspace(1.5e-14, 4e-14, 60)]):
+        fresh = dataclasses.replace(system)
+        degree, reach = measure.series_order(fresh, float(tol))
+        assert (degree, reach) == one_degree_at_a_time(system, float(tol))
+        assert len(builds) <= 2  # the first degree that fits, then SERIES_DEGREES
+        builds.clear()
+        # the coefficients come from the moments of a build at that degree
+        built = dataclasses.replace(system)
+        built.moments(degree)
+        builds.clear()
+        assert all(np.array_equal(a, b) for a, b in zip(
+            measure._leaves(fresh, float(tol))[2], measure._series_coefficients(built, degree)))
+
+
+def test_a_sweep_makes_one_series_call_per_chunk(tmp_path, monkeypatch):
+    calls, real = [], measure._series
+    monkeypatch.setattr(measure, "_series",
+                        lambda coefficients, v: calls.append(v.shape[1:]) or real(coefficients, v))
+    cantor, tol = cantor_system(), 1e-9
+    root = measure.series_order(cantor, tol)[1] / (TWO_PI * cantor.radius)
+    xis = np.geomspace(300.0, 3e5, 40)  # rows stop at nodes of many bands
+    exact_sweep(cantor, xis, tol)
+    assert len(calls) == 1  # a root call on no row and one per band with stops, before
+    calls.clear()
+    exact_sweep(cantor, np.concatenate([xis, root * np.array([0.5, -0.25])]), tol)
+    assert calls[0] == (2,) and len(calls) == 2  # the rooted rows add one
+    calls.clear()
+    with mock.patch.object(measure, "BATCH_CELLS", 1):  # one row per chunk
+        exact_sweep(cantor, xis, tol)
+    assert len(calls) == xis.size
+    builds = counting_builds(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": {"kind": "named", "name": "cantor"}, "scan": {
+        "xi_min": 300.0, "xi_max": 1200.0, "points": 64, "tol": tol, "method": "exact"}}))
+    assert main(["fourier-scan", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+    assert builds == [15]
 
 
 # -- affine systems of several coordinates -----------------------------------

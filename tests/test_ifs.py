@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -263,6 +264,21 @@ def symbol_maps(system, s):
     if isinstance(system, FibreProductCIFS):
         return system.base_map(s), system.fibre_map(s)
     return (system.maps[s],)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(unit_systems(), fibre_systems(), line_variants()), st.data())
+def test_every_system_kind_rejects_a_nonpositive_weight(system, data):
+    # a fibre product took the fibre weights 0.6, 0.6 and -0.2, and its
+    # pushforwards were labelled "rigorous"
+    bad, other = data.draw(st.permutations(system.alphabet))[:2]
+    w = data.draw(st.floats(max_value=0.0) | st.just(math.nan))
+    weights = dict(system.weights)
+    if math.isfinite(w):  # the weights still sum to 1 - tail_mass
+        weights[other] += weights[bad] - w
+    weights[bad] = w
+    with pytest.raises(ValidationError, match=re.escape(f"weight of {bad!r} must be finite")):
+        dataclasses.replace(system, weights=weights)
 
 
 @settings(max_examples=60, deadline=None)

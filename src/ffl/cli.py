@@ -22,14 +22,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import decay as decay_mod
-from . import disintegrate as dis
-from . import equidist as eq
-from . import measure as meas
-from . import pushforward as push
-from . import svg as svg_mod
-from .ifs import (CIFS, AffineMap, SmoothMap, BudgetExhausted, ValidationError,
-                  build_fibre_product, fibre_product_from_1d,
+from .ifs import (CIFS, DEFAULT_BUDGET, AffineMap, SmoothMap, BudgetExhausted,
+                  ValidationError, build_fibre_product, fibre_product_from_1d,
                   cantor_system, dyadic_uniform_system)
 from .rng import spawn_seed
 
@@ -231,6 +225,7 @@ def make_evaluator(system, section: Section, seed: int, budget: int, map_section
     """The evaluator of a read scan or decay section: a callable xis -> list
     with one FourierValue, or BudgetExhausted, per frequency, which hands
     the whole batch to one call of the method's evaluator f(system, xis, ...)."""
+    from . import measure as meas
     method, tol = section["method"], section["tol"]
     if method == "exact":
         return lambda xis: meas.fourier_exact_batch(system, xis, tol=tol, budget=budget)
@@ -241,6 +236,7 @@ def make_evaluator(system, section: Section, seed: int, budget: int, map_section
         factors = section["factors"]
         return lambda xis: meas.fourier_product_homogeneous(system, xis, factors)
     if method == "pushforward":
+        from . import pushforward as push
         m = Section(map_section, "map", budget, keys=("expr", "fibre_var"))
         F = push.SmoothMapF.parse(m["expr"], fibre_var=m["fibre_var"])
         return lambda xis: push.pushforward_fourier(F, system, xis, tol=tol, budget=budget)
@@ -254,6 +250,7 @@ def make_evaluator(system, section: Section, seed: int, budget: int, map_section
 def cmd_fourier_scan(cfg, out, seed, budget, method=None):
     """Write the scan CSV of a uniform frequency grid; pushforward-scan fixes
     ``method``, and its scan section takes no evaluator keys."""
+    from . import measure as meas
     s = Section(cfg["scan"], "scan", budget,
                 keys=method and ("xi_min", "xi_max", "points", "tol"))
     if method:
@@ -271,6 +268,7 @@ def cmd_fourier_scan(cfg, out, seed, budget, method=None):
 
 
 def cmd_disintegrate(cfg, out, seed, budget, action):
+    from . import disintegrate as dis
     s = Section(cfg["disintegrate"], "disintegrate", budget)
     fp = fibre_product_from_1d(build_system(cfg["system"]))
     k, h = s["block_length"], config_hash(cfg.raw)
@@ -343,6 +341,7 @@ def cmd_disintegrate(cfg, out, seed, budget, action):
 
 
 def cmd_equidist(cfg, out, seed, budget, action):
+    from . import equidist as eq
     s = Section(cfg["equidist"], "equidist", budget)
     rate = eq.RateFn.parse(s["rate"])
     horizon = s["horizon"]
@@ -400,6 +399,7 @@ def cmd_equidist(cfg, out, seed, budget, action):
 
 
 def cmd_decay(cfg, out, seed, budget, action):
+    from . import decay as decay_mod, svg as svg_mod
     s = Section(cfg["decay"], "decay", budget)
     system = build_system(cfg["system"])
     evaluator = make_evaluator(system, s, seed, budget, map_section=cfg["map"])
@@ -454,6 +454,7 @@ def cmd_decay(cfg, out, seed, budget, action):
 
 
 def cmd_conjugate(cfg, out, seed, budget):
+    from . import pushforward as push
     s = Section(cfg["map"], "map", budget)
     system = build_system(cfg["system"])
     F = push.SmoothMapF.parse(s["expr"], fibre_var=s["fibre_var"])
@@ -495,6 +496,7 @@ def read_scan(path: Path):
 
 
 def cmd_report(cfg, out, seed, budget):
+    from . import svg as svg_mod
     h = config_hash(cfg.raw)
     made = 0
     for csv_path in sorted(out.glob("*.csv")):
@@ -521,6 +523,7 @@ def cmd_verify(cfg, out, seed, budget):
     Monte Carlo rows are re-drawn from a stream family of their own, so the
     check compares two independent estimates.
     """
+    from . import measure as meas
     s = Section(cfg["scan"], "scan", budget)
     system = build_system(cfg["system"])
     evaluator = make_evaluator(system, s, spawn_seed(seed, VERIFY_STREAM),
@@ -595,7 +598,7 @@ def main(argv=None) -> int:
         out = Path(args.out or cfg["out"])
         out.mkdir(parents=True, exist_ok=True)
         seed = cfg["seed"] if args.seed is None else args.seed
-        budget = meas.DEFAULT_BUDGET if args.budget is None else args.budget
+        budget = DEFAULT_BUDGET if args.budget is None else args.budget
         if budget < 0:
             raise ValidationError(f"the budget must not be negative, got {budget}")
 

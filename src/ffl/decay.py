@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import BudgetExhausted, ValidationError
-from .measure import DEFAULT_BUDGET, require_values
+from .ifs import DEFAULT_BUDGET, BudgetExhausted, ValidationError
+from .measure import require_values
 from .rng import uniforms
 
 

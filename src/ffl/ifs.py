@@ -21,8 +21,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import expr as ex
-
 WEIGHT_TOL = 1e-12
 RATIO_MATCH_TOL = 1e-12
 EPS = 2.0 ** -53    # the unit roundoff of float64
@@ -43,6 +41,9 @@ class BudgetExhausted(RuntimeError):
     def __init__(self, message, achieved=None):
         super().__init__(message)
         self.achieved = achieved
+
+
+DEFAULT_BUDGET = 50_000_000  # the work budget of an evaluation given none
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +83,7 @@ class AffineMap:
         return (a, b) if a <= b else (b, a)
 
     def to_expr(self, var: str = "x") -> ex.Expr:
+        from . import expr as ex
         return ex.add(ex.mul(self.ratio, ex.Var(var)), self.translate)
 
 
@@ -120,6 +122,7 @@ class SmoothMap:
         enclosure of |f'| over the domain must stay below 1, and the
         enclosure of f must lie in the domain (up to 1e-9 at its edges).
         """
+        from . import expr as ex
         domain = (0.0, 1.0)
         e = expression if isinstance(expression, ex.Expr) else ex.parse(expression)
         free = e.variables()
@@ -323,6 +326,7 @@ def fold(maps: Sequence[Map1D]) -> Map1D:
             translate += ratio * m.translate
             ratio *= m.ratio
         return AffineMap(ratio, translate)
+    from . import expr as ex
     var = next(m.var for m in maps if isinstance(m, SmoothMap))
     tree: ex.Expr = ex.Var(var)
     for m in reversed(maps):

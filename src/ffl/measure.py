@@ -38,12 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import EPS, CIFS, BudgetExhausted, ValidationError, apply_words
+from .ifs import EPS, CIFS, DEFAULT_BUDGET, BudgetExhausted, ValidationError, apply_words
 from .rng import stream_rng, spawn_seed
 
 TWO_PI = 2.0 * math.pi
-DEFAULT_BUDGET = 50_000_000
 BATCH_CELLS = 1 << 16  # cells (nodes x frequencies) an exact sweep holds at a time
+WORD_CELLS = 1 << 22  # cells (words x depth) sample_points draws at a time
 SERIES_REACH = 1.5    # Z: an exact sweep's words stop at reach 2 pi R sum |eta rho| <= Z
 SERIES_DEGREES = 24   # the highest moment-series degree an exact sweep tries
 SAMPLE_ACCURACY = 1e-9  # the sup-metric accuracy of Monte Carlo sample points
@@ -125,16 +125,22 @@ def sample_points(system, count: int, tol: float = 1e-9, depth: int | None = Non
 
     Points are images of 0 under random composition words; the word length
     is chosen so the composed image diameter is below ``tol`` (or fixed by
-    ``depth``). Deterministic given (seed, stream).
+    ``depth``). Deterministic given (seed, stream): the words are drawn and
+    applied in slices of max(1, WORD_CELLS // depth) words, and ``choice``
+    reads its stream row by row, so the slices draw the words of one draw.
     """
     if count < 1:
         raise ValidationError("count must be >= 1")
     depth, achieved = _depth_for(system, tol, depth)
     rng = stream_rng(seed, 0x5A17, stream)
-    idx = rng.choice(len(system.alphabet), size=(count, depth), p=system.probs)
-    columns = [apply_words(system, c, idx.T) for c in range(len(system.coordinates))]
-    pts = np.column_stack(columns) if len(columns) > 1 else columns[0]
-    return SamplePoints(pts, depth, achieved, seed)
+    rows = max(1, WORD_CELLS // max(1, depth))  # the words of one slice
+    pts = np.empty((count, len(system.coordinates)))
+    for lo in range(0, count, rows):
+        idx = rng.choice(len(system.alphabet), size=(min(rows, count - lo), depth),
+                         p=system.probs)
+        for c in range(pts.shape[1]):
+            pts[lo:lo + len(idx), c] = apply_words(system, c, idx.T)
+    return SamplePoints(pts if pts.shape[1] > 1 else pts[:, 0], depth, achieved, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,8 @@ from ffl import cli
 from ffl import disintegrate as dis
 from ffl import equidist as eq
 from ffl import ifs
+from ffl import measure as meas
+from ffl import pushforward as push
 from ffl.cli import main, make_evaluator
 from ffl.ifs import cantor_system
 
@@ -145,8 +147,8 @@ def test_budget_diagnostics_report_achieved(tmp_path, capsys):
     assert err == {"kind": "budget",
                    "message": "stopping-set budget 5 exhausted at frequency 300.0"}
     system = cli.build_system(two)
-    (entry,) = cli.meas.fourier_exact_batch(system, [100.0], tol=1e-6, budget=1)
-    values, achieved = cli.meas.exact_sweep(system, [100.0], 1e-6, 1)
+    (entry,) = meas.fourier_exact_batch(system, [100.0], tol=1e-6, budget=1)
+    values, achieved = meas.exact_sweep(system, [100.0], 1e-6, 1)
     assert np.isnan(values[0]) and entry.achieved == achieved[0] > 1e-6
 
 
@@ -435,13 +437,13 @@ def test_montecarlo_rows_do_not_depend_on_order():
 
 def test_exact_scan_and_verify_are_one_batch_call_each(tmp_path, monkeypatch):
     batches = []
-    real = cli.meas.fourier_exact_batch
+    real = meas.fourier_exact_batch
 
     def counted(cifs, xis, **kwargs):
         batches.append(len(xis))
         return real(cifs, xis, **kwargs)
 
-    monkeypatch.setattr(cli.meas, "fourier_exact_batch", counted)
+    monkeypatch.setattr(meas, "fourier_exact_batch", counted)
     cfg = dyadic_scan_config(tmp_path)
     out = str(tmp_path / "out")
     assert main(["fourier-scan", "--config", cfg, "--out", out]) == 0
@@ -492,7 +494,7 @@ def test_no_walk_past_the_first_exhausted_frequency(tmp_path, monkeypatch, capsy
 
 def test_decay_fit_makes_one_pushforward_and_one_kernel_call(tmp_path, monkeypatch):
     batches, sweeps = [], []
-    pushforward, sweep = cli.push.pushforward_fourier, cli.push.exact_sweep
+    pushforward, sweep = push.pushforward_fourier, push.exact_sweep
 
     def counted_pushforward(F, system, xis, **kwargs):
         batches.append(len(xis))
@@ -502,8 +504,8 @@ def test_decay_fit_makes_one_pushforward_and_one_kernel_call(tmp_path, monkeypat
         sweeps.append(len(args))
         return sweep(system, args, *rest)
 
-    monkeypatch.setattr(cli.push, "pushforward_fourier", counted_pushforward)
-    monkeypatch.setattr(cli.push, "exact_sweep", counted_sweep)
+    monkeypatch.setattr(push, "pushforward_fourier", counted_pushforward)
+    monkeypatch.setattr(push, "exact_sweep", counted_sweep)
     cfg = write_config(tmp_path / "cfg.json", {
         "system": {"kind": "named", "name": "cantor"},
         "map": {"expr": "(pow x 2)"},
@@ -664,19 +666,21 @@ def test_malformed_scan_rows_exit_2(tmp_path, capsys, row, word):
 
 
 def test_memory_error_exits_3(tmp_path):
-    # draws x words: 100,000 x 2,062 uniforms, 1.54 GiB, past the 1 GiB cap
-    # of this one child; it ended in numpy's _ArrayMemoryError with exit 1
+    # a smooth pushforward's stopping tree at tol 1e-5 stays under the
+    # default node budget but asks for about 2 GB, past the 1 GiB cap of this
+    # one child; unhandled, numpy's _ArrayMemoryError would exit 1
     cfg = write_config(tmp_path / "cfg.json", {
         "system": {"kind": "smooth1d", "weights": [0.5, 0.5],
-                   "maps": [{"expr": "(mul 0.3 x)", "declared_bound": 0.99},
+                   "maps": [{"expr": "(mul 0.3 (add x (mul 0.2 (pow x 2))))"},
                             {"expr": "(add 0.6 (mul 0.3 x))"}]},
-        "scan": {"xi_min": 1.0, "xi_max": 2.0, "points": 2, "method": "montecarlo"}})
+        "map": {"expr": "x"},
+        "scan": {"xi_min": 2000.0, "xi_max": 2000.0, "points": 1, "tol": 1e-5}})
     cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     out = tmp_path / "o"
-    run = subprocess.run([sys.executable, "-m", "ffl.cli", "fourier-scan", "--config", cfg,
-                          "--out", str(out)], preexec_fn=cap, env=env,
+    run = subprocess.run([sys.executable, "-m", "ffl.cli", "pushforward-scan",
+                          "--config", cfg, "--out", str(out)], preexec_fn=cap, env=env,
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 3, run.stderr
     err, = run.stderr.strip().splitlines()
@@ -1009,11 +1013,11 @@ def test_malformed_values_exit_2(tmp_path, capsys):
 def test_library_validators_reject_bad_tol_and_alpha(bad):
     # the config schema rejects NaN before these run; a library caller has
     # only their own checks
-    F = cli.push.SmoothMapF.parse("(pow x 2)")
+    F = push.SmoothMapF.parse("(pow x 2)")
     with pytest.raises(ifs.ValidationError, match="tolerance"):
-        cli.meas.fourier_exact_batch(cantor_system(), [1.0], tol=bad)
+        meas.fourier_exact_batch(cantor_system(), [1.0], tol=bad)
     with pytest.raises(ifs.ValidationError, match="tolerance"):
-        cli.push.pushforward_fourier(F, cantor_system(), [1.0], tol=bad)
+        push.pushforward_fourier(F, cantor_system(), [1.0], tol=bad)
     table = dis.build_classes(ifs.fibre_product_from_1d(cantor_system()), 2)
     with pytest.raises(ifs.ValidationError, match="alpha > 0"):
         dis.LargeDeviationParams.for_table(table, bad)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import lebesgue_transform, unit_systems
+from ffl import measure
 from ffl.ifs import (CIFS, AffineMap, BudgetExhausted, SmoothMap, ValidationError,
                      build_fibre_product)
 from ffl.rng import stream_rng
@@ -44,13 +45,17 @@ def test_depth_cap_reports_achieved(dirac):
     assert res.accuracy == pytest.approx(0.5 ** 40)
 
 
-def test_smooth_base_fibre_product_samples_follow_the_coding_map():
-    fp = build_fibre_product(
+def smooth_base_fibre_product():
+    return build_fibre_product(
         {"L": SmoothMap.from_expr("(mul 0.4 (add x (mul 0.3 (pow x 2))))"),
          "R": AffineMap(0.5, 0.5)},
         {"L": {"a": AffineMap(1 / 3, 0.0), "b": AffineMap(1 / 3, 2 / 3)},
          "R": {"c": AffineMap(1 / 3, 1 / 3)}},
         {("L", "a"): 0.25, ("L", "b"): 0.25, ("R", "c"): 0.5})
+
+
+def test_smooth_base_fibre_product_samples_follow_the_coding_map():
+    fp = smooth_base_fibre_product()
     res = sample_points(fp, 200, depth=6, seed=3, stream=2)
     assert res.points.shape == (200, 2) and res.depth == 6
     # the same words, drawn from the sampler's stream, applied map by map
@@ -64,6 +69,17 @@ def test_smooth_base_fibre_product_samples_follow_the_coding_map():
             expect = (fp.base_map(s)(expect[0]), fp.fibre_map(s)(expect[1]))
         np.testing.assert_allclose(point, np.array(expect, dtype=float),
                                    rtol=1e-14, atol=1e-15)
+
+
+@pytest.mark.parametrize("cells", [1, 7, 60, 601])
+def test_sliced_words_equal_one_draw(cantor, monkeypatch, cells):
+    # slices of max(1, cells // depth) words, cut anywhere in the draw
+    systems = (cantor, smooth_base_fibre_product())
+    whole = [sample_points(s, 301, depth=12, seed=8, stream=3).points for s in systems]
+    monkeypatch.setattr(measure, "WORD_CELLS", cells)
+    for system, points in zip(systems, whole):
+        sliced = sample_points(system, 301, depth=12, seed=8, stream=3).points
+        np.testing.assert_array_equal(sliced, points, strict=True)
 
 
 # -- rigorous evaluator -------------------------------------------------------

@@ -72,16 +72,19 @@ class RateFn:
         return cls(lambda n: np.full_like(np.asarray(n, dtype=float), value))
 
     def values(self, horizon: int) -> np.ndarray:
-        n = np.arange(1, horizon + 1, dtype=float)
-        with np.errstate(all="ignore"):  # NaN and inf fail the range check below
-            vals = np.asarray(self._fn(n), dtype=float)
-        if vals.shape != n.shape:
-            vals = np.broadcast_to(vals, n.shape).copy()
-        bad = np.nonzero(~((vals >= 0.0) & (vals <= 0.5)))[0]
-        if len(bad):
-            k = int(bad[0]) + 1
-            raise ValidationError(
-                f"rate value {float(vals[bad[0]])!r} at n={k} is outside [0, 1/2]")
+        """psi(1..horizon) as one float array, evaluated and range-checked
+        ORBIT_BLOCK values at a time; a value outside [0, 1/2], NaN
+        included, raises ValidationError naming the first such n."""
+        vals = np.empty(horizon)
+        for lo in range(0, horizon, ORBIT_BLOCK):
+            block = vals[lo:lo + ORBIT_BLOCK]
+            n = np.arange(lo + 1, lo + block.size + 1, dtype=float)
+            with np.errstate(all="ignore"):  # NaN and inf fail the range check below
+                block[...] = self._fn(n)
+            bad = np.flatnonzero(~((block >= 0.0) & (block <= 0.5)))
+            if bad.size:
+                raise ValidationError(f"rate value {float(block[bad[0]])!r} at "
+                                      f"n={lo + int(bad[0]) + 1} is outside [0, 1/2]")
         return vals
 
 

@@ -25,6 +25,7 @@ WEIGHT_TOL = 1e-12
 RATIO_MATCH_TOL = 1e-12
 EPS = 2.0 ** -53    # the unit roundoff of float64
 ALPHABET_BUDGET = 100_000  # the most composed symbols a fibre product may hold
+WORD_CELLS = 1 << 22  # cells (words x depth) a word matrix holds at a time
 
 
 class ValidationError(ValueError):
@@ -232,7 +233,8 @@ class _System:
         from ``ratios``) drops to theta, and is expanded otherwise; the empty
         word is always expanded. The tree at theta is every word generated,
         stopped or expanded. Anchors of a coordinate that holds a smooth map
-        come from ``apply_words``, the others' compose in closed form.
+        come from ``apply_words``, on the codes of max(1, WORD_CELLS //
+        depth) nodes at a time, the others' compose in closed form.
 
         Trees grow level by level. A node's bound is at most its parent's, so
         a level's nodes above theta are those that the tree at theta
@@ -271,9 +273,13 @@ class _System:
             sizes += n * (w.size - np.searchsorted(np.sort(bound), thetas, side="right"))
             over |= sizes > budget
         tree = Tree(self.alphabet, *(np.concatenate(f, axis=-1) for f in zip(*levels)))
+        # at most WORD_CELLS letters of words at a time: the deepest is len(levels) - 1 long
+        words, size = max(1, WORD_CELLS // max(1, len(levels) - 1)), tree.weights.size
         for c, column in enumerate(() if self.is_affine else self.coordinates):
             if not all(isinstance(f, AffineMap) for f in column):
-                tree.anchors[c] = apply_words(self, c, tree.codes(np.arange(tree.weights.size)))
+                for lo in range(0, size, words):
+                    tree.anchors[c, lo:lo + words] = apply_words(
+                        self, c, tree.codes(np.arange(lo, min(size, lo + words))))
         return tree, over
 
 

@@ -38,12 +38,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ifs import EPS, CIFS, DEFAULT_BUDGET, BudgetExhausted, ValidationError, apply_words
+from .ifs import (EPS, CIFS, DEFAULT_BUDGET, WORD_CELLS, BudgetExhausted, ValidationError,
+                  apply_words)
 from .rng import stream_rng, spawn_seed
 
 TWO_PI = 2.0 * math.pi
 BATCH_CELLS = 1 << 16  # cells (nodes x frequencies) an exact sweep holds at a time
-WORD_CELLS = 1 << 22  # cells (words x depth) sample_points draws at a time
+ROW_BLOCK = 4096      # rows (frequencies) an exact sweep's block step takes at a time
 SERIES_REACH = 1.5    # Z: an exact sweep's words stop at reach 2 pi R sum |eta rho| <= Z
 SERIES_DEGREES = 24   # the highest moment-series degree an exact sweep tries
 SAMPLE_ACCURACY = 1e-9  # the sup-metric accuracy of Monte Carlo sample points
@@ -344,6 +345,146 @@ def _series(coefficients, v):
     return out
 
 
+@dataclass
+class SweepListing:
+    """The batch-wide half of an exact sweep at one tol and budget: the
+    moment-series leaves (``degree``, ``reach``, ``coefficients``), the
+    distinct ratio tuples that ``_ratio_bands`` lists at the batch's
+    smallest theta and largest weights (``nodes``, band after band; a band
+    spans ``starts[b]:ends[b]``), the DAG's ``child`` map into ``tuples``
+    (the nodes, then the children that no row expands) and the budget
+    ``cut``. ``sweep_rows`` sweeps any rows of the batch against it."""
+
+    degree: int
+    reach: float
+    coefficients: tuple
+    scale: float          # 2 pi R
+    translates: np.ndarray
+    probs: np.ndarray
+    nodes: np.ndarray
+    tuples: np.ndarray
+    child: np.ndarray
+    starts: np.ndarray
+    ends: np.ndarray
+    cut: float
+
+
+def sweep_listing(system, tol: float, budget: int, blocks) -> SweepListing:
+    """The listing of an exact sweep at ``tol`` and ``budget`` over every
+    row of ``blocks``, an iterable of arrays with one row per coordinate
+    and one column per row (eta_1, ..., eta_m), each checked by
+    ``frequencies`` at scale R: the blocks are read once, for the batch's
+    smallest theta and its largest weight per coordinate, and none is
+    kept. See ``exact_sweep``."""
+    degree, reach, coefficients = _leaves(system, tol)
+    scale, m = TWO_PI * system.radius, len(system.coordinates)
+    theta, weights = math.inf, np.zeros(m) if m > 1 else None
+    for etas in blocks:
+        etas = frequencies(etas, system.radius)
+        top = np.abs(etas).max(axis=0)
+        live = np.flatnonzero(top != 0)
+        if not live.size:
+            continue
+        with np.errstate(over="ignore"):  # a subnormal frequency stops at the root
+            theta = min(theta, float((reach / (scale * top[live])).min()))
+        if m > 1:  # the largest weighs 1 exactly
+            weights = np.maximum(weights, (np.abs(etas[:, live]) / top[live]).max(axis=1))
+    ratios = system.ratios
+    bands = (_ratio_bands(ratios, weights, theta, budget) if theta < math.inf
+             else [np.ones((m, 1))])
+    nodes = np.concatenate(bands, axis=1)[:, :budget + 2]
+    N = nodes.shape[1]
+    cut = float(np.abs(nodes[:, -1]).max()) if N > budget + 1 else 0.0
+    # row i of ``child``: where node i's children sit among the listed nodes
+    # and, past them, the tuples that no row expands
+    kids = (nodes[:, :, None] * ratios[:, None, :]).reshape(m, -1)
+    order, fresh = _row_order(np.concatenate([nodes, kids], axis=1))
+    group = np.empty(order.size, dtype=int)
+    group[order] = np.cumsum(fresh) - 1
+    node_of = np.full(group.max() + 1, -1)
+    node_of[group[:N]] = np.arange(N)
+    unlisted = node_of < 0
+    node_of[unlisted] = N + np.arange(np.count_nonzero(unlisted))
+    tuples = np.concatenate([nodes, kids.take(order[fresh][unlisted] - N, axis=1)], axis=1)
+    ends = np.cumsum([b.shape[1] for b in bands])
+    return SweepListing(degree, reach, coefficients, scale, system.translates, system.probs,
+                        nodes, tuples, node_of[group[N:]].reshape(N, ratios.shape[1]),
+                        ends - [b.shape[1] for b in bands], ends, cut)
+
+
+def sweep_rows(listing: SweepListing, etas, out, achieved):
+    """Sweep the rows of ``etas`` (one row per coordinate, one column per
+    row, as the listing's blocks) against ``listing``: their values go to
+    ``out`` and their ``achieved`` to ``achieved``, slices the caller owns,
+    ROW_BLOCK rows at a time. A row's value and ``achieved`` are the same,
+    bit for bit, whatever rows it is swept with."""
+    for lo in range(0, etas.shape[1], ROW_BLOCK):
+        hi = min(etas.shape[1], lo + ROW_BLOCK)
+        _sweep_block(listing, etas[:, lo:hi], out[lo:hi], achieved[lo:hi])
+
+
+def _sweep_block(listing: SweepListing, etas, out, achieved):
+    """``sweep_rows`` on at most ROW_BLOCK rows."""
+    L, m = listing, len(etas)
+    nodes, tuples, child, translates, weights = L.nodes, L.tuples, L.child, L.translates, L.probs
+    N = nodes.shape[1]
+    top = np.abs(etas).max(axis=0)
+    live = np.flatnonzero(top != 0)
+    with np.errstate(over="ignore"):  # a subnormal frequency stops at the root
+        thetas = L.reach / (L.scale * top[live])
+    # the largest weighs 1 exactly; on the line, where u is 1, ``_reach`` reads no u
+    u = np.abs(etas[:, live]) / top[live] if m > 1 else None
+    out.fill(1.0)
+    achieved.fill(0.0)
+    over = thetas < _reach(u, np.full((m, 1), L.cut))
+    if over.any():
+        out[live[over]] = np.nan
+        achieved[live[over]] = series_remainder(
+            L.degree, L.scale * np.abs(etas[:, live[over]]).sum(axis=0) * L.cut)
+    rooted = _reach(u, np.ones((m, 1))) <= thetas  # the empty word stops
+    if rooted.any():
+        out[live[rooted]] = _series(L.coefficients, etas[:, live[rooted]])
+    order = np.flatnonzero(~(over | rooted))  # the rows that need the DAG
+    order = order[np.argsort(-thetas[order])]
+    live, thetas, u = live[order], thetas[order], u if u is None else u[:, order]
+    node_sizes = np.abs(nodes)[:, :, None]
+
+    chunk = max(1, BATCH_CELLS // N)
+    for lo in range(0, live.size, chunk):
+        ids, theta = live[lo:lo + chunk], thetas[lo:lo + chunk]
+        eta, weigh = etas[:, ids], u if u is None else u[:, None, lo:lo + chunk]
+        expand = _reach(weigh, node_sizes) > theta
+        # nodes past the last one that some row of this chunk expands stop
+        # at every row: only the children of the first n need a value
+        n = 1 + int(np.flatnonzero(expand.any(axis=1)).max())
+        leaves = np.unique(child[:n][child[:n] >= n])
+        slot = np.where(child[:n] < n, child[:n], np.searchsorted(leaves, child[:n]) + n)
+        # one series call: the leaves at every row, a node at the rows where it stops
+        stop = np.nonzero(~expand[:n])
+        vals = np.empty((n + leaves.size, ids.size), dtype=complex)
+        series = _series(L.coefficients, np.concatenate(
+            [(tuples[:, leaves, None] * eta[:, None, :]).reshape(m, -1),
+             nodes[:, stop[0]] * eta[:, stop[1]]], axis=1))
+        vals[n:] = series[:leaves.size * ids.size].reshape(leaves.size, ids.size)
+        vals[stop] = series[leaves.size * ids.size:]
+        # the weighted characters of every node's maps, then the sums, a band
+        # at a time: a band's children come later
+        block = max(1, BATCH_CELLS // (ids.size * len(weights)))
+        phase = np.empty((n, ids.size, len(weights)), dtype=complex)
+        for first in range(0, n, block):
+            rows = slice(first, min(n, first + block))
+            arg = (nodes[0, rows, None] * eta[0])[:, :, None] * translates[0]
+            for c in range(1, m):
+                arg = arg + (nodes[c, rows, None] * eta[c])[:, :, None] * translates[c]
+            np.multiply(character(arg), weights, out=phase[rows])
+        for s, e in zip(L.starts[::-1], L.ends[::-1]):
+            for hi in range(min(e, n), s, -block):
+                rows = slice(max(s, hi - block), hi)
+                here = (phase[rows] * vals[slot[rows]].transpose(0, 2, 1)).sum(axis=-1)
+                np.copyto(vals[rows], here, where=expand[rows])
+        out[ids] = vals[0]
+
+
 def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
     """The exact kernel: the transform of the stationary measure of an
     affine system of m coordinates at every row (eta_1, ..., eta_m) of
@@ -370,11 +511,16 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
     a word stops once sum_c u_c |rho_wc| <= theta, on the line once
     |rho_w| <= theta. Prefixes with equal ratio tuples share one subproblem,
     so the expansion is a DAG on the distinct tuples, reached by the
-    product maps. It is listed once for the whole batch, by
-    ``_ratio_bands``, and swept bottom-up with every node a vector over the
+    product maps.
+
+    The sweep is its two halves. ``sweep_listing`` lists the DAG once for
+    the whole batch, by ``_ratio_bands``; ``sweep_rows`` then sweeps it
+    bottom-up, ROW_BLOCK rows at a time, with every node a vector over the
     rows, in chunks of about BATCH_CELLS cells. A chunk takes in one
     ``_series`` call its leaves' series and each node's at the rows where it
     stops, and forms its nodes' weighted characters once, before the sums.
+    Beyond the listing a block holds O(BATCH_CELLS) cells, whatever the
+    size of the batch.
 
     The first ``budget`` + 1 non-root tuples are kept; the largest |rho_c|
     of the last of them is the cut. A row is over budget when a tuple past
@@ -388,92 +534,14 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
     if not tol > 0:
         raise ValidationError("tolerance must be positive")
     m = len(system.coordinates)
-    etas = frequencies(etas, system.radius)
+    etas = np.atleast_1d(np.asarray(etas, dtype=float))  # ``sweep_listing`` checks them
     if m == 1 and etas.ndim == 1:
         etas = etas[:, None]
     if etas.ndim != 2 or etas.shape[1] != m:
         raise ValidationError(f"frequencies must be rows of {m} coordinates")
-    etas = etas.T  # one row per coordinate, like every array below
-    degree, reach, coefficients = _leaves(system, tol)
-    scale = TWO_PI * system.radius
-    top = np.abs(etas).max(axis=0)
-    live = np.flatnonzero(top != 0)
-    with np.errstate(over="ignore"):  # a subnormal frequency stops at the root
-        thetas = reach / (scale * top[live])
-    # the largest weighs 1 exactly; on the line, where u is 1, ``_reach`` reads no u
-    u = np.abs(etas[:, live]) / top[live] if m > 1 else None
-    ratios, translates, weights = system.ratios, system.translates, system.probs
-    bands = (_ratio_bands(ratios, u if u is None else u.max(axis=1), float(thetas.min()),
-                          budget) if live.size else [np.ones((m, 1))])
-    nodes = np.concatenate(bands, axis=1)[:, :budget + 2]
-    N = nodes.shape[1]
-    cut = float(np.abs(nodes[:, -1]).max()) if N > budget + 1 else 0.0
-
-    out = np.ones(etas.shape[1], dtype=complex)
-    achieved = np.zeros(etas.shape[1])
-    over = thetas < _reach(u, np.full((m, 1), cut))
-    if over.any():
-        out[live[over]] = np.nan
-        achieved[live[over]] = series_remainder(
-            degree, scale * np.abs(etas[:, live[over]]).sum(axis=0) * cut)
-    rooted = _reach(u, np.ones((m, 1))) <= thetas  # the empty word stops
-    if rooted.any():
-        out[live[rooted]] = _series(coefficients, etas[:, live[rooted]])
-    order = np.flatnonzero(~(over | rooted))  # the rows that need the DAG
-    order = order[np.argsort(-thetas[order])]
-    live, thetas, u = live[order], thetas[order], u if u is None else u[:, order]
-
-    # row i of ``child``: where node i's children sit among the listed nodes
-    # and, past them, the tuples that no row expands (``tuples``)
-    kids = (nodes[:, :, None] * ratios[:, None, :]).reshape(m, -1)
-    order, fresh = _row_order(np.concatenate([nodes, kids], axis=1))
-    group = np.empty(order.size, dtype=int)
-    group[order] = np.cumsum(fresh) - 1
-    node_of = np.full(group.max() + 1, -1)
-    node_of[group[:N]] = np.arange(N)
-    unlisted = node_of < 0
-    node_of[unlisted] = N + np.arange(np.count_nonzero(unlisted))
-    tuples = np.concatenate([nodes, kids.take(order[fresh][unlisted] - N, axis=1)], axis=1)
-    child = node_of[group[N:]].reshape(N, len(weights))
-    node_sizes = np.abs(nodes)[:, :, None]
-    counts = [b.shape[1] for b in bands]
-    ends = np.cumsum(counts)
-    starts = ends - counts
-
-    chunk = max(1, BATCH_CELLS // N)
-    for lo in range(0, live.size, chunk):
-        ids, theta = live[lo:lo + chunk], thetas[lo:lo + chunk]
-        eta, weigh = etas[:, ids], u if u is None else u[:, None, lo:lo + chunk]
-        expand = _reach(weigh, node_sizes) > theta
-        # nodes past the last one that some row of this chunk expands stop
-        # at every row: only the children of the first n need a value
-        n = 1 + int(np.flatnonzero(expand.any(axis=1)).max())
-        leaves = np.unique(child[:n][child[:n] >= n])
-        slot = np.where(child[:n] < n, child[:n], np.searchsorted(leaves, child[:n]) + n)
-        # one series call: the leaves at every row, a node at the rows where it stops
-        stop = np.nonzero(~expand[:n])
-        vals = np.empty((n + leaves.size, ids.size), dtype=complex)
-        series = _series(coefficients, np.concatenate(
-            [(tuples[:, leaves, None] * eta[:, None, :]).reshape(m, -1),
-             nodes[:, stop[0]] * eta[:, stop[1]]], axis=1))
-        vals[n:] = series[:leaves.size * ids.size].reshape(leaves.size, ids.size)
-        vals[stop] = series[leaves.size * ids.size:]
-        # the weighted characters of every node's maps, then the sums, a band
-        # at a time: a band's children come later
-        block = max(1, BATCH_CELLS // (ids.size * len(weights)))
-        phase = np.empty((n, ids.size, len(weights)), dtype=complex)
-        for first in range(0, n, block):
-            rows = slice(first, min(n, first + block))
-            arg = (nodes[0, rows, None] * eta[0])[:, :, None] * translates[0]
-            for c in range(1, m):
-                arg = arg + (nodes[c, rows, None] * eta[c])[:, :, None] * translates[c]
-            np.multiply(character(arg), weights, out=phase[rows])
-        for s, e in zip(starts[::-1], ends[::-1]):
-            for hi in range(min(e, n), s, -block):
-                rows = slice(max(s, hi - block), hi)
-                here = (phase[rows] * vals[slot[rows]].transpose(0, 2, 1)).sum(axis=-1)
-                np.copyto(vals[rows], here, where=expand[rows])
-        out[ids] = vals[0]
+    etas = etas.T  # one row per coordinate, like every array of the sweep
+    out, achieved = np.empty(etas.shape[1], dtype=complex), np.empty(etas.shape[1])
+    sweep_rows(sweep_listing(system, tol, budget, [etas]), etas, out, achieved)
     return out, achieved
 
 

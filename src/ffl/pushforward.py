@@ -4,11 +4,12 @@ The transform of F(mu) is a sum over stopping cylinders, which a batch of
 frequencies reads from one stopping tree, ``system.tree``. Affine
 systems, on the line or a fibre product, take the second-order rule (a
 cylinder contributes weight * e(xi F(a)) * mu^(xi grad F(a) * rho), a its
-anchor and rho its ratios), with one exact sweep per batch for the
+anchor and rho its ratios), with one exact-sweep listing per batch for the
 transforms of mu; systems with smooth maps take the first-order rule (the
 character at F(anchor)). Both rules sum a batch one stopping set at a
-time: the set's frequencies x its cylinders are one block of terms, and
-each row of the block is summed as that frequency's sum alone would be.
+time: the set's frequencies x its cylinders are its terms, taken in
+blocks of at most measure.ROW_BLOCK cells, and each row is summed as that
+frequency's sum alone would be.
 Error bounds rest on derivative norms certified by interval enclosure over
 F's box, which the system must map into itself, and on the maps'
 contraction bounds, plus ``measure.tail_effect`` for a recorded tail
@@ -24,10 +25,10 @@ from functools import cached_property
 
 import numpy as np
 
-from . import expr as ex
+from . import expr as ex, measure as meas
 from .ifs import CIFS, AffineMap, SmoothMap, BudgetExhausted, ValidationError
-from .measure import (FourierValue, character, exact_sweep, frequencies, sample_points,
-                      tail_effect, TWO_PI, DEFAULT_BUDGET)
+from .measure import (FourierValue, character, frequencies, sample_points, sweep_listing,
+                      sweep_rows, tail_effect, TWO_PI, DEFAULT_BUDGET)
 
 
 # ---------------------------------------------------------------------------
@@ -149,12 +150,15 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     threshold, and frequencies whose thresholds lie between the same two
     node bounds share one stopping set. Stopping sets grow with |xi|, so
     every frequency at least as large as one over budget is over budget too.
-    Each stopping set is one block, its k frequencies by its n cylinders:
-    the block's characters, weights and (second-order rule) transforms of
-    mu are multiplied as k x n arrays and summed row by row, and its
-    curvature masses and its spread are summed once for all k. The
-    second-order rule's arguments of mu fill one array, block after block,
-    for the batch's one sweep. ``frequencies`` checks the batch at scale
+    Each stopping set's terms are its k frequencies by its n cylinders,
+    taken in blocks of max(1, ROW_BLOCK // n) frequencies (measure's
+    ROW_BLOCK, 4096 cells): a block's characters, weights and
+    (second-order rule) transforms of mu are multiplied as arrays and summed
+    row by row, and the set's curvature masses and its spread are summed
+    once for all k. So no array of the batch's frequencies x cylinders
+    exists: beyond the tree and the sweep's listing, a block holds
+    O(max(ROW_BLOCK, n)) cells.
+    ``frequencies`` checks the batch at scale
     max(1, c2 / (2 pi), |F(0)| + G, R G), with G = sum_c sup |F_c| and R
     the system's radius: the second-order rule's thresholds divide by
     c2 |xi|; a phase xi F(a) is at most |xi| (|F(0)| + G), as every anchor
@@ -179,8 +183,11 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     so a tree with factors lips_c proportional to sqrt(k_c) R_c stops every
     word within tol / 2 (on the line: |rho_w| <= sqrt(tol / (2 c2 |xi|)),
     c2 = pi sup|F''| R^2). The transforms of mu at the cylinders of the
-    whole batch come from one ``exact_sweep`` at tol / 2 over all their
-    arguments. Those arguments are small (|xi F'(a_w) rho_w| is about
+    whole batch come from one exact sweep at tol / 2: one
+    ``measure.sweep_listing`` reads the arguments of every block once, for
+    the batch's smallest theta and largest weights, and ``sweep_rows``
+    sweeps each block against it as it comes, so a value is the one
+    ``exact_sweep`` over all the arguments would give. Those arguments are small (|xi F'(a_w) rho_w| is about
     sqrt(tol |xi|) on the line), so most stop at the sweep's root: their
     transform is the degree-K series of the moments of mu, whose remainder
     Z^K / K! at the sweep's reach Z plus its written rounding bound is
@@ -251,27 +258,26 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
                                             + tail_effect(system, xi), kind=kind)
         return out
     grad = np.array([at(F.expr.diff(v)) for v in names[:-1]] + [at(F.first)])
-    # one sweep at tol / 2 for the transforms of mu at every cylinder of the
-    # batch, a stopping set's frequencies x its cylinders in one block of rows
-    m, sizes = len(names), [len(js) * s.size for s, js, _ in blocks]
-    ends = np.cumsum(sizes).tolist()
-    args = np.empty((m, ends[-1]))
-    for (s, js, x), end, size in zip(blocks, ends, sizes):
-        block = args[:, end - size:end].reshape(m, len(js), s.size)
-        np.multiply(x[:, None], grad[:, None, s], out=block)
-        block *= rho[:, None, s]
-    mu, achieved = exact_sweep(system, args.T, tol / 2, budget)
-    size = np.abs(rho)
+    # one sweep listing at tol / 2 for the transforms of mu at every cylinder
+    # of the batch, then each stopping set's frequencies x its cylinders in
+    # blocks of at most ROW_BLOCK cells
+    m, size = len(names), np.abs(rho)
+    listing = sweep_listing(system, tol / 2, budget, (
+        args.reshape(m, -1) for s, _, x in blocks for _, args in _arguments(x, grad, rho, s)))
     rows, first = [None] * cut, cut  # the first frequency with a cylinder over budget
-    for (s, js, x), end, n in zip(blocks, ends, sizes):
-        values = mu[end - n:end].reshape(len(js), s.size)
+    for s, js, x in blocks:
         masses = [float(np.sum(w[s] * size[c, s] * size[d, s])) for c, d, _ in curvature]
-        over = np.isnan(values).any(axis=1)
-        r = int(over.argmax())
-        if over[r] and js[r] < first:  # ``js`` ascends: row r is the set's first over
-            leaf = achieved[end - n:end].reshape(len(js), s.size)[r]
-            first, at_first = js[r], (w[s], values[r], leaf)
-        for j, xi, value in zip(js, x.tolist(), _character_sums(x, f[s], w[s], values).tolist()):
+        sums = np.empty(len(js), dtype=complex)
+        for span, args in _arguments(x, grad, rho, s):
+            values = np.empty(args.shape[1:], dtype=complex)
+            leaves = np.empty(args.shape[1:])
+            sweep_rows(listing, args.reshape(m, -1), values.reshape(-1), leaves.reshape(-1))
+            over = np.isnan(values).any(axis=1)
+            r = int(over.argmax())
+            if over[r] and js[span.start + r] < first:  # ``js`` ascends: the set's first over
+                first, at_first = js[span.start + r], (w[s], values[r], leaves[r])
+            sums[span] = _character_sums(x[span], f[s], w[s], values)
+        for j, xi, value in zip(js, x.tolist(), sums.tolist()):
             rows[j] = (xi, value, sum(C * abs(xi) * mass
                                       for (_, _, C), mass in zip(curvature, masses)))
     exhausted = None
@@ -287,18 +293,38 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     return out
 
 
+def _arguments(xis, grad, rho, s):
+    """The arguments xi F_c(a) rho_c of mu at a stopping set's frequencies
+    ``xis`` x its cylinders ``s``, columns of the gradients ``grad`` and the
+    ratios ``rho``: (rows, args) per block of at most measure.ROW_BLOCK
+    cells (one frequency's, when it has more cylinders), ``args`` of shape
+    m x len(xis[rows]) x len(s)."""
+    grad, rho = grad[:, None, s], rho[:, None, s]
+    step = max(1, meas.ROW_BLOCK // s.size)
+    for lo in range(0, xis.size, step):
+        span = slice(lo, min(xis.size, lo + step))
+        args = np.multiply(xis[span, None], grad)
+        args *= rho
+        yield span, args
+
+
 def _character_sums(xis, f, w, mu=None):
     """sum_n w_n e(xi f_n) mu_n at every xi of ``xis``, with one row of
     ``mu`` per xi, or none: the terms of one stopping set, one row per
-    frequency. The characters are the one len(xis) x len(f) complex
-    temporary; the products go into it in place. numpy sums each row
-    pairwise, as it sums a single vector, so a row's sum is its
+    frequency. The rows go in blocks of at most measure.ROW_BLOCK terms
+    (one row, when it is longer), and a block's characters are its one
+    complex temporary; the products go into it in place. numpy sums each
+    row pairwise, as it sums a single vector, so a row's sum is its
     frequency's own, bit for bit."""
-    terms = character(np.multiply.outer(xis, f))
-    terms *= w
-    if mu is not None:
-        terms *= mu
-    return terms.sum(axis=1)
+    out = np.empty(len(xis), dtype=complex)
+    step = max(1, meas.ROW_BLOCK // len(f))
+    for lo in range(0, len(xis), step):
+        terms = character(np.multiply.outer(xis[lo:lo + step], f))
+        terms *= w
+        if mu is not None:
+            terms *= mu[lo:lo + step]
+        out[lo:lo + step] = terms.sum(axis=1)
+    return out
 
 
 def _curvature(F: SmoothMapF, norms: MapNorms):

@@ -42,6 +42,24 @@ def stream_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _keys(head: tuple, ids) -> bytes:
+    """The Philox keys of the addresses head + (id,) for an int id, or head
+    + id for a tuple, joined: ``_key`` of each, bit for bit. The addresses
+    share the repr "(h1, ..., hk" of ``head``, so its hash state is built
+    once and copied per id, which then hashes only the rest of its repr."""
+    prefix = hashlib.blake2b(("(" + ", ".join(map(repr, head))).encode(), digest_size=16)
+    bare = b",)" if len(head) == 1 else b")"  # an empty rest: repr((h1,)) is "(h1,)"
+    keys = []
+    for i in ids:  # b"%d" % n is the repr of an int n
+        h = prefix.copy()
+        if isinstance(i, tuple):
+            h.update(b"".join([b", %d" % int(r) for r in i]) + b")" if i else bare)
+        else:
+            h.update(b", %d)" % int(i))
+        keys.append(h.digest())
+    return b"".join(keys)
+
+
 def _mulhilo(m: np.uint64, x: np.ndarray):
     """(high, low) 64-bit words of m * x, the high word from 32-bit halves."""
     m1, m0 = m >> _SHIFT, m & _LOW
@@ -60,10 +78,7 @@ def uniforms(seed: int, stream, ids, count: int) -> np.ndarray:
     is the rest of its address, ``stream_rng(seed, *stream, *ids[r])``, so
     one call draws streams whose addresses differ in more than one place.
     """
-    head = (int(seed), *map(int, stream))  # the address of every id starts with it
-    keys = np.frombuffer(b"".join(_key(head + (tuple(map(int, i)) if isinstance(i, tuple)
-                                               else (int(i),)))
-                                  for i in ids),
+    keys = np.frombuffer(_keys((int(seed), *map(int, stream)), ids),
                          dtype=np.uint64).reshape(-1, 1, 2)
     blocks = -(-count // 4)
     shape = (keys.shape[0], blocks)

@@ -493,19 +493,24 @@ def test_no_walk_past_the_first_exhausted_frequency(tmp_path, monkeypatch, capsy
 
 
 def test_decay_fit_makes_one_pushforward_and_one_kernel_call(tmp_path, monkeypatch):
-    batches, sweeps = [], []
-    pushforward, sweep = push.pushforward_fourier, push.exact_sweep
+    batches, listings, tops = [], [], []
+    pushforward, bands, rows = push.pushforward_fourier, meas._ratio_bands, push.sweep_rows
 
     def counted_pushforward(F, system, xis, **kwargs):
         batches.append(len(xis))
         return pushforward(F, system, xis, **kwargs)
 
-    def counted_sweep(system, args, *rest):
-        sweeps.append(len(args))
-        return sweep(system, args, *rest)
+    def counted_bands(ratios, u, theta, budget):
+        listings.append(theta)
+        return bands(ratios, u, theta, budget)
+
+    def counted_rows(listing, etas, *rest):
+        tops.append(float(np.abs(etas).max()))
+        return rows(listing, etas, *rest)
 
     monkeypatch.setattr(push, "pushforward_fourier", counted_pushforward)
-    monkeypatch.setattr(push, "exact_sweep", counted_sweep)
+    monkeypatch.setattr(meas, "_ratio_bands", counted_bands)
+    monkeypatch.setattr(push, "sweep_rows", counted_rows)
     cfg = write_config(tmp_path / "cfg.json", {
         "system": {"kind": "named", "name": "cantor"},
         "map": {"expr": "(pow x 2)"},
@@ -515,7 +520,9 @@ def test_decay_fit_makes_one_pushforward_and_one_kernel_call(tmp_path, monkeypat
     })
     assert main(["decay", "fit", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
     assert batches == [4 * 64]  # every band's samples, in one batch
-    assert len(sweeps) == 1 and sweeps[0] >= 4 * 64
+    # one sweep listing for the batch, at the smallest theta of every row swept
+    reach = meas.series_order(ifs.cantor_system(), 1e-3 / 2)[1]
+    assert listings == [reach / (meas.TWO_PI * ifs.cantor_system().radius * max(tops))]
 
 
 def test_verify_redraws_montecarlo_rows(tmp_path, monkeypatch):
@@ -666,15 +673,16 @@ def test_malformed_scan_rows_exit_2(tmp_path, capsys, row, word):
 
 
 def test_memory_error_exits_3(tmp_path):
-    # a smooth pushforward's stopping tree at tol 1e-5 stays under the
-    # default node budget but asks for about 2 GB, past the 1 GiB cap of this
-    # one child; unhandled, numpy's _ArrayMemoryError would exit 1
+    # a smooth pushforward's stopping tree at tol 1e-6 stays under the
+    # default node budget but asks for more than the 1 GiB cap of this one
+    # child (at tol 1e-5 it fits, at about 0.5 GiB, since its anchors are
+    # applied in slices); unhandled, numpy's _ArrayMemoryError would exit 1
     cfg = write_config(tmp_path / "cfg.json", {
         "system": {"kind": "smooth1d", "weights": [0.5, 0.5],
                    "maps": [{"expr": "(mul 0.3 (add x (mul 0.2 (pow x 2))))"},
                             {"expr": "(add 0.6 (mul 0.3 x))"}]},
         "map": {"expr": "x"},
-        "scan": {"xi_min": 2000.0, "xi_max": 2000.0, "points": 1, "tol": 1e-5}})
+        "scan": {"xi_min": 2000.0, "xi_max": 2000.0, "points": 1, "tol": 1e-6}})
     cap = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
     src = str(Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +44,23 @@ def test_rate_range_check_reports_offender():
         sigma(RateFn.constant(0.7), 5)
     with pytest.raises(ValidationError, match="n=3"):
         sigma(RateFn.parse("(mul 0.2 n)"), 10)  # 0.6 at n=3
+
+
+def test_rate_values_in_blocks_keep_their_bits_and_name_the_first_offender():
+    # psi is evaluated ORBIT_BLOCK values at a time: blocks of 1, 7 and the
+    # default give the same bits, and the first n out of range is named
+    # wherever the block boundaries fall
+    rate = RateFn.parse("(div 1 (add (mul 2 n) (div 3 n)))")
+    want = rate.values(20_000).tobytes()
+    for block in (1, 7):
+        with mock.patch.object(eq, "ORBIT_BLOCK", block):
+            assert rate.values(20_000).tobytes() == want
+    for block in (1, 7, eq.ORBIT_BLOCK):
+        with mock.patch.object(eq, "ORBIT_BLOCK", block):
+            with pytest.raises(ValidationError, match=r"0\.50005 at n=10001 "):
+                RateFn.parse("(mul 0.00005 n)").values(20_000)
+            with pytest.raises(ValidationError, match="nan at n=9 "):
+                RateFn.parse("(div (sub n 9) (mul 40 (sub n 9)))").values(20)
 
 
 def test_rate_rejects_foreign_variables():

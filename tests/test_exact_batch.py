@@ -153,6 +153,33 @@ def test_value_does_not_depend_on_batch_or_chunking():
             assert (achieved[~over] == 0).all() and (achieved[over] > 0).all()
 
 
+@settings(max_examples=40, deadline=None)
+@given(system=unit_systems() | fibre_systems(), data=st.data(),
+       tol=st.sampled_from([1e-3, 1e-7, 1e-12]), budget=st.sampled_from([3, 12, 200, 10 ** 6]))
+def test_row_blocks_do_not_move_a_bit(system, data, tol, budget):
+    # rows at the root, past it and, under the small budgets, over budget:
+    # a sweep in blocks of 1 or 7 rows gives each row's value and achieved,
+    # and each BudgetExhausted, of the sweep in blocks of the default
+    m = len(system.coordinates)
+    root = measure.series_order(system, tol)[1] / (TWO_PI * system.radius)
+    rows = root * np.array(data.draw(st.lists(
+        st.lists(st.sampled_from([0.0, 0.3, -0.9]) | st.floats(-4000.0, 4000.0),
+                 min_size=m, max_size=m), min_size=1, max_size=20)))
+    swept = [exact_sweep(system, rows, tol, budget)]
+    for block in (1, 7):
+        with mock.patch.object(measure, "ROW_BLOCK", block):
+            swept.append(exact_sweep(system, rows, tol, budget))
+    assert len({(bits(v), bits(a)) for v, a in swept}) == 1
+    if m == 1:
+        entries = []
+        for block in (measure.ROW_BLOCK, 1, 7):
+            with mock.patch.object(measure, "ROW_BLOCK", block):
+                entries.append([(str(e), e.achieved.hex()) if isinstance(e, BudgetExhausted)
+                                else (e.value.real.hex(), e.value.imag.hex(), e.error_bound.hex())
+                                for e in fourier_exact_batch(system, rows[:, 0], tol, budget)])
+        assert entries[0] == entries[1] == entries[2]
+
+
 @pytest.mark.xfail(strict=True, reason="on a fibre product the budget cut of a row depends "
                    "on the other rows of its batch")
 def test_fibre_budget_cut_does_not_depend_on_the_batch():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import lebesgue_transform, unit_systems
-from ffl import measure
+from ffl import ifs, measure
 from ffl.ifs import (CIFS, AffineMap, BudgetExhausted, SmoothMap, ValidationError,
                      build_fibre_product)
 from ffl.rng import stream_rng
@@ -80,6 +80,23 @@ def test_sliced_words_equal_one_draw(cantor, monkeypatch, cells):
     for system, points in zip(systems, whole):
         sliced = sample_points(system, 301, depth=12, seed=8, stream=3).points
         np.testing.assert_array_equal(sliced, points, strict=True)
+
+
+@pytest.mark.parametrize("words", [1, 7])
+def test_smooth_anchors_in_slices_keep_their_bits(monkeypatch, words):
+    # the tree applies the words of max(1, WORD_CELLS // depth) nodes at a
+    # time: slices of 1 and 7 words give the anchors of one slice, bit for bit
+    smooth = CIFS((0, 1), {0: SmoothMap.from_expr("(mul 0.3 (add x (mul 0.2 (pow x 2))))"),
+                           1: SmoothMap.from_expr("(add 0.6 (mul 0.3 x))")}, {0: 0.5, 1: 0.5})
+    for system, thetas, lips in ((smooth, [1e-3, 4e-3], (1.0,)),
+                                 (smooth_base_fibre_product(), [0.05, 0.08], (1.0, 1.0))):
+        whole, _ = system.tree(thetas, lips, 10 ** 6)
+        depth = whole.codes(np.arange(whole.weights.size)).shape[0]
+        assert whole.weights.size > 7 * depth  # more than one slice of 7 words
+        monkeypatch.setattr(ifs, "WORD_CELLS", words * depth)
+        sliced, _ = system.tree(thetas, lips, 10 ** 6)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(sliced.anchors, whole.anchors, strict=True)
 
 
 # -- rigorous evaluator -------------------------------------------------------

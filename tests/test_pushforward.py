@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,7 +15,8 @@ from ffl.measure import (TWO_PI, FourierValue, character, cylinder_decomposition
                          exact_sweep, fourier_exact, sample_points)
 from ffl.pushforward import (SmoothMapF, map_norms, pushforward_fourier, conjugate_ifs,
                              ks_distance, _curvature)
-from ffl import expr as ex
+from ffl import expr as ex, measure
+from ffl.decay import _band_frequencies
 
 
 def quadrature_transform(fn, xi, lip):
@@ -482,6 +484,46 @@ def test_per_set_sums_match_the_per_frequency_loop(case, xis, tol, budget):
     got = pushforward_fourier(F, system, xis, tol=tol, budget=budget)
     want = per_frequency_pushforward(F, system, xis, tol, budget)
     assert [entry_bits(e) for e in got] == [entry_bits(e) for e in want]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+           st.tuples(unit_systems(max_ratio=0.4), line_curves, st.just({"x": (0.0, 1.0)})),
+           st.tuples(unit_fibre_products(), plane_curves,
+                     st.just({"x": (0.0, 1.0), "y": (0.0, 1.0)})),
+           st.tuples(smooth_pairs(), line_curves, st.just({"x": (0.0, 1.0)}))),
+       frequency_batches(), st.sampled_from([1e-2, 1e-3, 1e4]),
+       st.sampled_from([8, 30, 200, 50_000_000]))
+def test_row_blocks_do_not_move_a_bit(case, xis, tol, budget):
+    # blocks of 1 and 7 cells cut each set's frequencies x cylinders, and
+    # their sweeps, into single rows or a few: every value, bound and
+    # BudgetExhausted stays the one of the default blocks, bit for bit
+    system, expr, domain = case
+    F = SmoothMapF.parse(expr, domain, list(domain)[-1])
+    got = [entry_bits(e) for e in pushforward_fourier(F, system, xis, tol=tol, budget=budget)]
+    for block in (1, 7):
+        with mock.patch.object(measure, "ROW_BLOCK", block):
+            assert [entry_bits(e) for e in pushforward_fourier(
+                F, system, xis, tol=tol, budget=budget)] == got
+
+
+def test_a_large_batch_streams_its_cells(cantor):
+    # bands 3^3..3^8 of 64 samples at tol 1e-6: stopping sets of up to 4,096
+    # cylinders, about 890,000 frequency x cylinder cells in all, which the
+    # pushforward takes ROW_BLOCK cells at a time; arrays of the whole
+    # batch's arguments, transforms and characters would take about 84 MiB
+    bands = list(range(3, 9))
+    xis = _band_frequencies([3.0 ** j for j in bands], 64, 1, bands).ravel()
+    F = SmoothMapF.parse("(pow x 2)")
+    pushforward_fourier(F, cantor, xis[:64], tol=1e-6)  # the norms and moments, built once
+    tracemalloc.start()
+    try:
+        entries = pushforward_fourier(F, cantor, xis, tol=1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(isinstance(e, FourierValue) for e in entries)
+    assert peak < 8 * 2 ** 20
 
 
 def test_a_sweep_budget_cut_inside_a_stopping_set(two_ratio):

@@ -389,7 +389,7 @@ def cmd_equidist(cfg, out, seed, budget, action):
     for i in range(n_seeds):
         gp = eq.random_grid_point(horizon * base.bit_length() + 128,
                                   seed=spawn_seed(seed, i))
-        d = eq.digit_freq(gp, base, horizon, keep_digits=False)
+        d = eq.digit_freq(gp, base, horizon)
         rows.append(",".join([str(i)] + [str(int(c)) for c in d.histogram]
                              + [g17(d.chi_square)]))
     write_csv(out / "digits.csv", "equidist digits", h, seed,
@@ -477,7 +477,8 @@ def cmd_conjugate(cfg, out, seed, budget):
 def read_scan(path: Path):
     """The rows of a scan CSV, each its first five cells (xi, re, im, abs,
     err) as floats; None for a CSV of another header. A row with fewer
-    cells or a cell that is no number exits 2, naming the file and line."""
+    cells or a cell that is no finite number exits 2, naming the file and
+    line."""
     lines = path.read_text(encoding="utf-8").splitlines()
     body = [(n, l) for n, l in enumerate(lines, 1) if l and not l.startswith("#")]
     if not body or not body[0][1].startswith("xi,"):
@@ -488,8 +489,8 @@ def read_scan(path: Path):
             row = [float(v) for v in line.split(",")[:5]]
         except ValueError:
             row = []
-        if len(row) < 5:
-            raise ValidationError(f"{path}, line {n}: a scan row needs five numbers "
+        if len(row) < 5 or not all(map(math.isfinite, row)):
+            raise ValidationError(f"{path}, line {n}: a scan row needs five finite numbers "
                                   f"xi,re,im,abs,err; got {line!r}")
         rows.append(row)
     return rows

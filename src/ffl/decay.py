@@ -68,7 +68,8 @@ def band_maxima(evaluator, band_indices, samples_per_band: int = 64,
     peak. An evaluator whose budget cut depends on the batch (the
     pushforward excludes every frequency at least as large as one over
     budget) may thus exclude a band's samples for another band's. The band
-    range must not be empty.
+    range must not be empty, and its edges must neither overflow nor
+    underflow to 0.
     """
     band_indices = [int(j) for j in band_indices]
     if not band_indices:
@@ -77,7 +78,7 @@ def band_maxima(evaluator, band_indices, samples_per_band: int = 64,
         raise ValidationError("need at least 64 samples per band")
     if not band_base > 1:  # a base <= 1 repeats or shrinks the band [1, 2]
         raise ValidationError("band base must exceed 1")
-    last = max(band_indices)  # checked before any band is evaluated
+    first, last = min(band_indices), max(band_indices)  # checked before any band is evaluated
     try:
         top = 2.0 * band_base ** last
     except OverflowError:
@@ -85,6 +86,9 @@ def band_maxima(evaluator, band_indices, samples_per_band: int = 64,
     if not math.isfinite(top):
         raise ValidationError(f"band {last} is past the float range: "
                               f"2 * {band_base}^{last} overflows")
+    if band_base ** first == 0.0:  # a band from 0 has no log for the fit
+        raise ValidationError(f"band {first} is below the float range: {band_base}^{first} "
+                              f"underflows to 0; raise band_min")
     lowers = [band_base ** j for j in band_indices]
     freqs = _band_frequencies(lowers, samples_per_band, seed, band_indices).tolist()
     entries = evaluator([xi for row in freqs for xi in row])
@@ -119,14 +123,12 @@ class DecayFit:
     stderr: float
     r_squared: float
     bands_used: int
-    bands_excluded: int
 
 
 def fit_eta(bands) -> DecayFit:
     """Fit peak ~ C * T^(-exponent) over band maxima; zero peaks (their logs
-    are undefined) and bands without a peak are excluded and counted."""
+    are undefined) and bands without a peak are excluded."""
     usable = [b for b in bands if b.peak]
-    excluded = len(bands) - len(usable)
     if len(usable) < 4:
         raise ValidationError("need at least 4 bands with positive maxima")
     x = np.log([b.lower for b in usable])
@@ -142,7 +144,7 @@ def fit_eta(bands) -> DecayFit:
     stderr = math.sqrt(sigma2 / sxx)
     sst = float(((y - ybar) ** 2).sum())
     r2 = 1.0 - float((resid ** 2).sum()) / sst if sst > 0 else 1.0
-    return DecayFit(-slope, math.exp(intercept), stderr, r2, n, excluded)
+    return DecayFit(-slope, math.exp(intercept), stderr, r2, n)
 
 
 # ---------------------------------------------------------------------------

@@ -158,8 +158,6 @@ class OmegaSample:
 
     table: ClassTable
     indices: np.ndarray
-    seed: int
-    stream: int
 
     def __len__(self):
         return len(self.indices)
@@ -183,12 +181,6 @@ class OmegaSample:
             return None
         return fold(maps).translate
 
-    def factor(self, m: int) -> np.ndarray:
-        """The atoms of the m-th convolution factor (0-based), each of weight
-        1/len: its class translates scaled by the product of the m ratios
-        before it."""
-        return self.table.translates(self.indices[m]) * (self.cum_ratios[m - 1] if m else 1.0)
-
 
 def sample_omegas(table: ClassTable, length: int, seed: int, streams) -> list:
     """Draw one i.i.d. class sequence of the given length per stream id.
@@ -205,7 +197,7 @@ def sample_omegas(table: ClassTable, length: int, seed: int, streams) -> list:
     cdf = np.cumsum(table.weights / table.weights.sum())
     cdf /= cdf[-1]
     rows = np.searchsorted(cdf, uniforms(seed, (0xD15,), streams, length), side="right")
-    return [OmegaSample(table, idx, seed, s) for idx, s in zip(rows, streams)]
+    return [OmegaSample(table, idx) for idx in rows]
 
 
 def mu_omega_fourier_batch(omegas, xis, tol: float):
@@ -315,10 +307,6 @@ class ConsistencyReport:
     block_length: int
     n_sequences: int
     entries: list
-
-    @property
-    def all_passed(self) -> bool:
-        return all(e.passed for e in self.entries)
 
     def to_jsonable(self) -> dict:
         return {
@@ -601,25 +589,3 @@ def ek_diagnostics(omega: OmegaSample, xi: float,
     bad = levels[np.abs(eps) <= params.near_integer_tol]
     return EKDiagnostics(float(xi), T, n_eff, band_index, levels, products,
                          p, eps, params.near_integer_tol, bad)
-
-
-# ---------------------------------------------------------------------------
-# circle-sum contraction bound
-# ---------------------------------------------------------------------------
-
-def circle_sum_bound(weights, gap: float) -> float:
-    """Upper bound for |sum w_i z_i| over unit vectors z_i, valid whenever
-    some pair of arguments is at least ``gap`` away from full turns.
-
-    Expanding |sum w_i z_i|^2 = 1 - 2 sum_{i<j} w_i w_j (1 - cos(t_i - t_j))
-    and keeping one separated pair gives sqrt(1 - 2 min(w)^2 (1 - cos gap)).
-    """
-    w = np.asarray(weights, dtype=float)
-    if np.any(w <= 0):
-        raise ValidationError("weights must be positive")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValidationError("weights must sum to 1")
-    if not 0.0 < gap <= math.pi:
-        raise ValidationError("gap must lie in (0, pi]")
-    value = 1.0 - 2.0 * float(w.min()) ** 2 * (1.0 - math.cos(gap))
-    return math.sqrt(max(value, 0.0))

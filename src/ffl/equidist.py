@@ -67,10 +67,6 @@ class RateFn:
             raise ValidationError(f"rate may only use the variable n, got {sorted(extra)}")
         return cls(lambda n: tree.eval({"n": n}))
 
-    @classmethod
-    def constant(cls, value: float) -> "RateFn":
-        return cls(lambda n: np.full_like(np.asarray(n, dtype=float), value))
-
     def values(self, horizon: int) -> np.ndarray:
         """psi(1..horizon) as one float array, evaluated and range-checked
         ORBIT_BLOCK values at a time; a value outside [0, 1/2], NaN
@@ -86,11 +82,6 @@ class RateFn:
                 raise ValidationError(f"rate value {float(block[bad[0]])!r} at "
                                       f"n={lo + int(bad[0]) + 1} is outside [0, 1/2]")
         return vals
-
-
-def sigma(rate: RateFn, horizon: int) -> float:
-    """Compensated partial sum of the rate over n = 1..horizon."""
-    return math.fsum(memoryview(rate.values(horizon)))
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +107,6 @@ class EquidistSpec:
     horizon: int
     base: int | None = None
     terms: np.ndarray | None = None
-    lacunary_ratio: float | None = None
-    min_gap: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
@@ -138,14 +127,10 @@ class EquidistSpec:
         if any(int(t) != t or t < 1 for t in terms):
             raise ValidationError("sequence entries must be positive integers")
         terms = np.array([int(t) for t in terms], dtype=object)
-        gaps = [int(b) - int(a) for a, b in zip(terms[:-1], terms[1:])]
-        if gaps and min(gaps) <= 0:
+        if any(int(b) <= int(a) for a, b in zip(terms[:-1], terms[1:])):
             raise ValidationError("sequence must be strictly increasing")
-        ratios = [int(b) / int(a) for a, b in zip(terms[:-1], terms[1:])]
         horizon = len(terms) if horizon is None else min(int(horizon), len(terms))
-        return cls("explicit", gamma, rate, horizon, terms=terms,
-                   lacunary_ratio=min(ratios) if ratios else None,
-                   min_gap=min(gaps) if gaps else None)
+        return cls("explicit", gamma, rate, horizon, terms=terms)
 
     @cached_property
     def psi(self) -> np.ndarray:
@@ -155,9 +140,8 @@ class EquidistSpec:
 
     @cached_property
     def rate_sum(self) -> float:
-        """sigma(rate, horizon), read from the cached psi: fsum is correctly
-        rounded, so reading psi through a memoryview, with no list of
-        floats, gives the same bits."""
+        """The correctly rounded sum of psi(1..horizon), read from the
+        cached psi through a memoryview, with no list of floats."""
         return math.fsum(memoryview(self.psi))
 
 
@@ -198,28 +182,6 @@ def grid_point_for(spec: EquidistSpec, seed: int = 0) -> GridPoint:
     else:
         bits = int(max(int(t) for t in spec.terms[:spec.horizon]).bit_length()) + 128
     return random_grid_point(bits, seed)
-
-
-def sample_rational_points(maps, weights, count: int, depth: int,
-                           seed: int = 0, stream: int = 0) -> list:
-    """Exact coding-map samples of an affine system with rational maps.
-
-    ``maps`` is a list of (ratio, translate) pairs of Fractions. Useful for
-    digit statistics, where floating point cannot reach deep expansions.
-    """
-    maps = [(Fraction(r), Fraction(t)) for r, t in maps]
-    probs = np.asarray(weights, dtype=float)
-    probs = probs / probs.sum()
-    rng = stream_rng(seed, 0x2A7, stream)
-    idx = rng.choice(len(maps), size=(count, depth), p=probs)
-    out = []
-    for i in range(count):
-        x = Fraction(0)
-        for k in idx[i, ::-1]:
-            r, t = maps[k]
-            x = r * x + t
-        out.append(x)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -401,18 +363,13 @@ def _orbit(x, spec: EquidistSpec):
 
 @dataclass
 class CountResult:
-    """Hit count against the doubled rate sum, with normalised deviations.
-
-    ``deviation_half`` uses the square-root normalisation
-    (count - 2S) / (S^(1/2) (log(S+2))^(2+eps)); ``deviation_twothirds``
-    uses the 2/3 power appropriate for general lacunary sequences.
-    """
+    """Hit count against the doubled rate sum, with the normalised deviation
+    ``deviation_half`` = (count - 2S) / (S^(1/2) (log(S+2))^(2+eps))."""
 
     horizon: int
     count: int
     two_sigma: float
     deviation_half: float
-    deviation_twothirds: float
     epsilon: float
 
 
@@ -445,10 +402,7 @@ def count_hits(x, spec: EquidistSpec, epsilon: float = 1.0) -> CountResult:
     s = spec.rate_sum
     logterm = math.log(s + 2.0)
     denom_half = math.sqrt(s) * logterm ** (2.0 + epsilon) if s > 0 else math.inf
-    denom_23 = s ** (2.0 / 3.0) * logterm ** (2.0 + epsilon) if s > 0 else math.inf
-    dev = count - 2.0 * s
-    return CountResult(spec.horizon, count, 2.0 * s,
-                       dev / denom_half, dev / denom_23, epsilon)
+    return CountResult(spec.horizon, count, 2.0 * s, (count - 2.0 * s) / denom_half, epsilon)
 
 
 def weyl_sums(x, spec: EquidistSpec, harmonics: int) -> np.ndarray:
@@ -472,11 +426,9 @@ class DigitFrequency:
     count: int
     histogram: np.ndarray
     chi_square: float
-    dof: int
-    digits: np.ndarray
 
 
-def digit_freq(x, base: int, count: int, keep_digits: bool = True) -> DigitFrequency:
+def digit_freq(x, base: int, count: int) -> DigitFrequency:
     """First ``count`` digits of x in the given base, exactly.
 
     The input is treated as an exact rational (floats are dyadic
@@ -491,5 +443,4 @@ def digit_freq(x, base: int, count: int, keep_digits: bool = True) -> DigitFrequ
     hist = np.bincount(digits, minlength=base).astype(np.int64)
     expected = count / base
     chi2 = float(((hist - expected) ** 2 / expected).sum())
-    return DigitFrequency(base, count, hist, chi2, base - 1,
-                          digits if keep_digits else np.empty(0, dtype=np.int64))
+    return DigitFrequency(base, count, hist, chi2)

@@ -70,10 +70,6 @@ class AffineMap:
     def contraction_bound(self) -> float:
         return abs(self.ratio)
 
-    @property
-    def is_contraction(self) -> bool:
-        return 0.0 < abs(self.ratio) < 1.0
-
     def fixed_point(self) -> float:
         if self.ratio == 1.0:
             raise ValidationError("identity-slope map has no unique fixed point")
@@ -82,10 +78,6 @@ class AffineMap:
     def image(self, lo: float = 0.0, hi: float = 1.0) -> tuple:
         a, b = self(lo), self(hi)
         return (a, b) if a <= b else (b, a)
-
-    def to_expr(self, var: str = "x") -> ex.Expr:
-        from . import expr as ex
-        return ex.add(ex.mul(self.ratio, ex.Var(var)), self.translate)
 
 
 @dataclass(frozen=True)
@@ -318,7 +310,7 @@ def fold(maps: Sequence[Map1D]) -> Map1D:
     """Left-to-right composition maps[0] o maps[1] o ... of 1-D maps.
 
     Affine words fold in closed form; the empty word is the identity,
-    returned as an affine map with ratio 1 (``is_contraction`` is False). A
+    returned as an affine map with ratio 1, which is no contraction. A
     word with a smooth map composes by substitution, on the innermost map's
     domain. Its bound is the product of the members' contraction bounds,
     each step rounded up; it is certified when every smooth member's bound
@@ -710,11 +702,6 @@ class Tree:
             rows.append(np.where(up, self.symbols[at], pad))
             at = np.where(up, self.parents[at], -1)
         return np.array(rows[::-1], dtype=np.intp).reshape(len(rows), at.size)
-
-    def words(self, nodes) -> list:
-        pad = len(self.alphabet)
-        return [tuple(self.alphabet[k] for k in col if k < pad)
-                for col in self.codes(nodes).T.tolist()]
 
 
 # ---------------------------------------------------------------------------

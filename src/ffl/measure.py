@@ -78,17 +78,14 @@ class FourierValue:
 
     ``kind`` is "rigorous" when the bound is deterministic and certified,
     "estimate" when it is not known to hold (pushforwards on systems with
-    declared contraction bounds), "statistical" when it is a multiple of
-    the Monte Carlo standard error (stored in ``stderr`` together with the
-    z-multiple in ``confidence_z``).
+    declared contraction bounds), "statistical" when it rests on a multiple
+    of the Monte Carlo standard error.
     """
 
     frequency: float
     value: complex
     error_bound: float
     kind: str = "rigorous"
-    stderr: float | None = None
-    confidence_z: float | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -235,25 +232,20 @@ def _ratio_bands(ratios, u, theta: float, budget: int) -> list:
 
 
 def series_order(system, tol: float):
-    """The degree K and the reach Z of the moment-series leaves of an exact
-    sweep at ``tol``: a word's child stops once its reach
-    s = 2*pi*R*sum_c |eta_c rho_c| is at most Z, and the transform there is
-    the degree-K series of the moments (see ``exact_sweep``), within
-    ``_leaf_error(system, K, s)`` <= tol of it. K is the smallest degree up
-    to SERIES_DEGREES whose error at Z = SERIES_REACH is within tol; when
-    none is (tol near the rounding floor) it is the fallback K = 1, Z = tol,
-    where a stopped child counts as 1. K depends on tol and the system
-    alone."""
-    return _leaves(system, tol)[:2]
-
-
-def _leaves(system, tol: float):
-    """``series_order(system, tol)`` and the series coefficients, kept on
-    the system per tol. Every degree is tested at once. The moments are
-    built at the first degree that fits without their error and, when no
-    degree fits with the error built, once more at SERIES_DEGREES, which
-    holds the errors of every lower degree."""
-    held = system.__dict__.setdefault("_leaves", {})
+    """(K, Z, coefficients): the degree K and the reach Z of the
+    moment-series leaves of an exact sweep at ``tol``, and the series
+    coefficients, kept on the system per tol. A word's child stops once its
+    reach s = 2*pi*R*sum_c |eta_c rho_c| is at most Z, and the transform
+    there is the degree-K series of the moments (see ``exact_sweep``),
+    within ``_leaf_error(system, K, s)`` <= tol of it. K is the smallest
+    degree up to SERIES_DEGREES whose error at Z = SERIES_REACH is within
+    tol; when none is (tol near the rounding floor) it is the fallback
+    K = 1, Z = tol, where a stopped child counts as 1. K depends on tol and
+    the system alone. Every degree is tested at once. The moments are built
+    at the first degree that fits without their error and, when no degree
+    fits with the error built, once more at SERIES_DEGREES, which holds the
+    errors of every lower degree."""
+    held = system.__dict__.setdefault("_series_order", {})
     if tol not in held:
         z = SERIES_REACH * (1.0 + 2.0 ** -40)  # room for the rounding of the stopping test
         ks = np.arange(2, SERIES_DEGREES + 1)
@@ -347,20 +339,17 @@ def _series(coefficients, v):
 
 @dataclass
 class SweepListing:
-    """The batch-wide half of an exact sweep at one tol and budget: the
-    moment-series leaves (``degree``, ``reach``, ``coefficients``), the
-    distinct ratio tuples that ``_ratio_bands`` lists at the batch's
-    smallest theta and largest weights (``nodes``, band after band; a band
-    spans ``starts[b]:ends[b]``), the DAG's ``child`` map into ``tuples``
-    (the nodes, then the children that no row expands) and the budget
-    ``cut``. ``sweep_rows`` sweeps any rows of the batch against it."""
+    """The batch-wide half of an exact sweep of ``system`` at ``tol`` and
+    one budget: the distinct ratio tuples that ``_ratio_bands`` lists at the
+    batch's smallest theta and largest weights (``nodes``, band after band;
+    a band spans ``starts[b]:ends[b]``), the DAG's ``child`` map into
+    ``tuples`` (the nodes, then the children that no row expands) and the
+    budget ``cut``. ``sweep_rows`` sweeps any rows of the batch against it,
+    reading the moment-series leaves from ``series_order(system, tol)`` and
+    the maps from the system's arrays."""
 
-    degree: int
-    reach: float
-    coefficients: tuple
-    scale: float          # 2 pi R
-    translates: np.ndarray
-    probs: np.ndarray
+    system: object
+    tol: float
     nodes: np.ndarray
     tuples: np.ndarray
     child: np.ndarray
@@ -376,7 +365,7 @@ def sweep_listing(system, tol: float, budget: int, blocks) -> SweepListing:
     ``frequencies`` at scale R: the blocks are read once, for the batch's
     smallest theta and its largest weight per coordinate, and none is
     kept. See ``exact_sweep``."""
-    degree, reach, coefficients = _leaves(system, tol)
+    reach = series_order(system, tol)[1]
     scale, m = TWO_PI * system.radius, len(system.coordinates)
     theta, weights = math.inf, np.zeros(m) if m > 1 else None
     for etas in blocks:
@@ -407,8 +396,7 @@ def sweep_listing(system, tol: float, budget: int, blocks) -> SweepListing:
     node_of[unlisted] = N + np.arange(np.count_nonzero(unlisted))
     tuples = np.concatenate([nodes, kids.take(order[fresh][unlisted] - N, axis=1)], axis=1)
     ends = np.cumsum([b.shape[1] for b in bands])
-    return SweepListing(degree, reach, coefficients, scale, system.translates, system.probs,
-                        nodes, tuples, node_of[group[N:]].reshape(N, ratios.shape[1]),
+    return SweepListing(system, tol, nodes, tuples, node_of[group[N:]].reshape(N, ratios.shape[1]),
                         ends - [b.shape[1] for b in bands], ends, cut)
 
 
@@ -426,12 +414,14 @@ def sweep_rows(listing: SweepListing, etas, out, achieved):
 def _sweep_block(listing: SweepListing, etas, out, achieved):
     """``sweep_rows`` on at most ROW_BLOCK rows."""
     L, m = listing, len(etas)
-    nodes, tuples, child, translates, weights = L.nodes, L.tuples, L.child, L.translates, L.probs
+    degree, reach, coefficients = series_order(L.system, L.tol)
+    nodes, tuples, child = L.nodes, L.tuples, L.child
+    translates, weights, scale = L.system.translates, L.system.probs, TWO_PI * L.system.radius
     N = nodes.shape[1]
     top = np.abs(etas).max(axis=0)
     live = np.flatnonzero(top != 0)
     with np.errstate(over="ignore"):  # a subnormal frequency stops at the root
-        thetas = L.reach / (L.scale * top[live])
+        thetas = reach / (scale * top[live])
     # the largest weighs 1 exactly; on the line, where u is 1, ``_reach`` reads no u
     u = np.abs(etas[:, live]) / top[live] if m > 1 else None
     out.fill(1.0)
@@ -440,10 +430,10 @@ def _sweep_block(listing: SweepListing, etas, out, achieved):
     if over.any():
         out[live[over]] = np.nan
         achieved[live[over]] = series_remainder(
-            L.degree, L.scale * np.abs(etas[:, live[over]]).sum(axis=0) * L.cut)
+            degree, scale * np.abs(etas[:, live[over]]).sum(axis=0) * L.cut)
     rooted = _reach(u, np.ones((m, 1))) <= thetas  # the empty word stops
     if rooted.any():
-        out[live[rooted]] = _series(L.coefficients, etas[:, live[rooted]])
+        out[live[rooted]] = _series(coefficients, etas[:, live[rooted]])
     order = np.flatnonzero(~(over | rooted))  # the rows that need the DAG
     order = order[np.argsort(-thetas[order])]
     live, thetas, u = live[order], thetas[order], u if u is None else u[:, order]
@@ -462,7 +452,7 @@ def _sweep_block(listing: SweepListing, etas, out, achieved):
         # one series call: the leaves at every row, a node at the rows where it stops
         stop = np.nonzero(~expand[:n])
         vals = np.empty((n + leaves.size, ids.size), dtype=complex)
-        series = _series(L.coefficients, np.concatenate(
+        series = _series(coefficients, np.concatenate(
             [(tuples[:, leaves, None] * eta[:, None, :]).reshape(m, -1),
              nodes[:, stop[0]] * eta[:, stop[1]]], axis=1))
         vals[n:] = series[:leaves.size * ids.size].reshape(leaves.size, ids.size)
@@ -497,8 +487,8 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
 
     A row is expanded over the prefix-free set of words w that first stop,
     2*pi*R*sum_c |eta_c| |rho_wc| <= Z with R the system's ``radius``,
-    rho_wc the composed ratio of w in coordinate c and (K, Z) =
-    ``series_order(system, tol)``: a stopped word's transform, at the row
+    rho_wc the composed ratio of w in coordinate c and (K, Z) the first
+    two of ``series_order(system, tol)``: a stopped word's transform, at the row
     v = (eta_c rho_wc)_c, is the degree-K series of the moments M_alpha of
     x / R (``system.moments``), sum_{|alpha| < K} (-2*pi*i*R)^|alpha| M_alpha
     v^alpha / alpha!, evaluated by nested Horner, within
@@ -621,7 +611,9 @@ def fourier_montecarlo(system, xis, draws: int, seed: int = 0) -> list:
     at accuracy SAMPLE_ACCURACY, one independent stream per frequency,
     keyed by its float bits: a frequency's value does not depend on the
     others in the batch. Error bounds are 4 standard errors plus the
-    points' deterministic accuracy bias."""
+    points' deterministic accuracy bias, 2*pi*|xi| times the accuracy the
+    points achieve: SAMPLE_ACCURACY, or more where DEPTH_CAP cuts their
+    words short."""
     if draws < 100:
         raise ValidationError("need at least 100 draws")
     # points of an affine system lie in [-R, R]; a smooth system's in its box
@@ -629,54 +621,14 @@ def fourier_montecarlo(system, xis, draws: int, seed: int = 0) -> list:
     out = []
     for xi in xis:
         key = spawn_seed(seed, int(xi.view(np.uint64)))
-        pts = sample_points(system, draws, tol=SAMPLE_ACCURACY,
-                            seed=spawn_seed(key, 0xF0, 0)).points
+        sample = sample_points(system, draws, tol=SAMPLE_ACCURACY, seed=spawn_seed(key, 0xF0, 0))
+        pts = sample.points
         if pts.ndim > 1:
             pts = pts[:, -1]
         z = character(xi * pts)
         value = complex(z.mean())
         var = z.real.var(ddof=1) + z.imag.var(ddof=1)
-        stderr = math.sqrt(var / draws)
-        err = 4.0 * stderr + TWO_PI * abs(xi) * SAMPLE_ACCURACY
-        out.append(FourierValue(float(xi), value, err, kind="statistical",
-                                stderr=stderr, confidence_z=4.0))
+        err = (4.0 * math.sqrt(var / draws)
+               + TWO_PI * abs(xi) * max(SAMPLE_ACCURACY, sample.accuracy))
+        out.append(FourierValue(float(xi), value, err, kind="statistical"))
     return out
-
-
-# ---------------------------------------------------------------------------
-# stopping sets: cylinder decompositions of the measure
-# ---------------------------------------------------------------------------
-
-@dataclass
-class CylinderDecomposition:
-    """Prefix-free stopping words, level by level and in lexicographic
-    order within a level, with arrays of their weights, anchors (images of
-    0), diameter bounds and signed composed ratios."""
-
-    words: list
-    weights: np.ndarray
-    anchors: np.ndarray
-    diameters: np.ndarray
-    ratios: np.ndarray
-    tail_mass: float = 0.0
-
-    def mass(self) -> float:
-        return float(self.weights.sum())
-
-
-def cylinder_decomposition(cifs: CIFS, threshold: float,
-                           budget: int = DEFAULT_BUDGET) -> CylinderDecomposition:
-    """The stopping set at ``threshold`` of a 1-D system: the prefix-free
-    words whose composed ratio first drops to ``threshold`` or below. A
-    smooth map's contraction bound stands in for its ratio, so ``ratios``
-    holds products of bounds there; ``diameters`` scales |ratio| by any
-    ``diam_constant``."""
-    if len(cifs.coordinates) != 1:
-        raise ValidationError("a cylinder decomposition needs a 1-D system")
-    tree, (over,) = cifs.tree([threshold], (1.0,), budget)
-    if over:
-        raise BudgetExhausted(f"stopping budget {budget} exhausted")
-    nodes, _, _ = tree.select([threshold])
-    return CylinderDecomposition(tree.words(nodes), tree.weights[nodes], tree.anchors[0, nodes],
-                                 tree.bounds[nodes] * cifs.diam_constant, tree.ratios[0, nodes],
-                                 cifs.tail_mass)

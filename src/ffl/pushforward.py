@@ -99,10 +99,6 @@ class MapNorms:
     sup_base_second: float = 0.0
     sup_cross: float = 0.0
 
-    @property
-    def hypothesis_ok(self) -> bool:
-        return self.sign_definite and self.min_second > 0.0
-
 
 def _sup_abs(e: ex.Expr, box) -> float:
     lo, hi = ex.enclose(e, box)
@@ -191,7 +187,7 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     sqrt(tol |xi|) on the line), so most stop at the sweep's root: their
     transform is the degree-K series of the moments of mu, whose remainder
     Z^K / K! at the sweep's reach Z plus its written rounding bound is
-    within tol / 2 (``measure.series_order``). A frequency with a cylinder
+    within tol / 2 (K and Z from ``measure.series_order``). A frequency with a cylinder
     over budget reports as ``achieved`` its bound with the sweep's
     ``achieved`` (the series remainder at the cut) in place of tol / 2 for
     that cylinder.

@@ -1,9 +1,15 @@
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from ffl.ifs import (CIFS, AffineMap, build_fibre_product, cantor_system,
-                     dyadic_uniform_system)
+from ffl.equidist import RateFn
+from ffl.ifs import (CIFS, DEFAULT_BUDGET, AffineMap, BudgetExhausted, ValidationError,
+                     build_fibre_product, cantor_system, dyadic_uniform_system)
+from ffl.rng import stream_rng
 
 
 @pytest.fixture
@@ -81,3 +87,102 @@ def fibre_systems(draw):
     p = draw(st.floats(0.1, 0.45))
     weights = {("a", 0): p, ("a", 1): p, ("b", 2): 1.0 - 2.0 * p}
     return build_fibre_product(base, fibres, weights)
+
+
+def constant_rate(value: float) -> RateFn:
+    """The rate n -> value, read by the parser that reads a config's rate."""
+    return RateFn.parse(repr(float(value)))
+
+
+def factor_atoms(omega, m: int) -> np.ndarray:
+    """The atoms of the m-th convolution factor (0-based) of a class
+    sequence, each of weight 1/len: its class translates scaled by the
+    product of the m ratios before it."""
+    return omega.table.translates(omega.indices[m]) * (omega.cum_ratios[m - 1] if m else 1.0)
+
+
+# ---------------------------------------------------------------------------
+# oracles: independent forms of what the kernels compute
+# ---------------------------------------------------------------------------
+
+@dataclass
+class CylinderDecomposition:
+    """Prefix-free stopping words, level by level and in lexicographic
+    order within a level, with arrays of their weights, anchors (images of
+    0), diameter bounds and signed composed ratios."""
+
+    words: list
+    weights: np.ndarray
+    anchors: np.ndarray
+    diameters: np.ndarray
+    ratios: np.ndarray
+    tail_mass: float = 0.0
+
+    def mass(self) -> float:
+        return float(self.weights.sum())
+
+
+def tree_words(tree, nodes) -> list:
+    """The words of a Tree's ``nodes`` as tuples of alphabet symbols."""
+    pad = len(tree.alphabet)
+    return [tuple(tree.alphabet[k] for k in col if k < pad)
+            for col in tree.codes(nodes).T.tolist()]
+
+
+def cylinder_decomposition(cifs, threshold: float,
+                           budget: int = DEFAULT_BUDGET) -> CylinderDecomposition:
+    """The stopping set at ``threshold`` of a 1-D system: the prefix-free
+    words whose composed ratio first drops to ``threshold`` or below. A
+    smooth map's contraction bound stands in for its ratio, so ``ratios``
+    holds products of bounds there; ``diameters`` scales |ratio| by any
+    ``diam_constant``."""
+    if len(cifs.coordinates) != 1:
+        raise ValidationError("a cylinder decomposition needs a 1-D system")
+    tree, (over,) = cifs.tree([threshold], (1.0,), budget)
+    if over:
+        raise BudgetExhausted(f"stopping budget {budget} exhausted")
+    nodes, _, _ = tree.select([threshold])
+    return CylinderDecomposition(tree_words(tree, nodes), tree.weights[nodes],
+                                 tree.anchors[0, nodes],
+                                 tree.bounds[nodes] * cifs.diam_constant, tree.ratios[0, nodes],
+                                 cifs.tail_mass)
+
+
+def circle_sum_bound(weights, gap: float) -> float:
+    """Upper bound for |sum w_i z_i| over unit vectors z_i, valid whenever
+    some pair of arguments is at least ``gap`` away from full turns.
+
+    Expanding |sum w_i z_i|^2 = 1 - 2 sum_{i<j} w_i w_j (1 - cos(t_i - t_j))
+    and keeping one separated pair gives sqrt(1 - 2 min(w)^2 (1 - cos gap)).
+    """
+    w = np.asarray(weights, dtype=float)
+    if np.any(w <= 0):
+        raise ValidationError("weights must be positive")
+    if abs(w.sum() - 1.0) > 1e-9:
+        raise ValidationError("weights must sum to 1")
+    if not 0.0 < gap <= math.pi:
+        raise ValidationError("gap must lie in (0, pi]")
+    value = 1.0 - 2.0 * float(w.min()) ** 2 * (1.0 - math.cos(gap))
+    return math.sqrt(max(value, 0.0))
+
+
+def sample_rational_points(maps, weights, count: int, depth: int,
+                           seed: int = 0, stream: int = 0) -> list:
+    """Exact coding-map samples of an affine system with rational maps.
+
+    ``maps`` is a list of (ratio, translate) pairs of Fractions. Useful for
+    digit statistics, where floating point cannot reach deep expansions.
+    """
+    maps = [(Fraction(r), Fraction(t)) for r, t in maps]
+    probs = np.asarray(weights, dtype=float)
+    probs = probs / probs.sum()
+    rng = stream_rng(seed, 0x2A7, stream)
+    idx = rng.choice(len(maps), size=(count, depth), p=probs)
+    out = []
+    for i in range(count):
+        x = Fraction(0)
+        for k in idx[i, ::-1]:
+            r, t = maps[k]
+            x = r * x + t
+        out.append(x)
+    return out

@@ -10,18 +10,18 @@ from itertools import product as iproduct
 import numpy as np
 import pytest
 
-from conftest import five_symbol_fp, lebesgue_transform
+from conftest import (circle_sum_bound, cylinder_decomposition, factor_atoms, five_symbol_fp,
+                      lebesgue_transform)
+from ffl import expr as ex
 from ffl.ifs import (CIFS, AffineMap, cantor_system,
                      dyadic_uniform_system, fibre_product_from_1d, lyapunov)
-from ffl.measure import (fourier_exact, fourier_exact_batch, sample_points,
-                         cylinder_decomposition)
+from ffl.measure import fourier_exact, fourier_exact_batch, sample_points
 from ffl.disintegrate import (build_classes, sample_omegas,
                               disintegration_consistency, LargeDeviationParams,
-                              check_omega_membership, ek_diagnostics,
-                              circle_sum_bound, calibrate_alpha)
+                              check_omega_membership, ek_diagnostics, calibrate_alpha)
 from ffl.pushforward import (SmoothMapF, pushforward_fourier,
                              conjugate_ifs, ks_distance)
-from ffl.equidist import RateFn, EquidistSpec, grid_point_for, count_hits, sigma
+from ffl.equidist import RateFn, EquidistSpec, grid_point_for, count_hits
 from ffl.decay import band_maxima, fit_eta, sparse_cover
 from ffl.rng import stream_rng, spawn_seed
 
@@ -86,7 +86,7 @@ def test_c04_disintegration_consistency():
     table = build_classes(fibre_product_from_1d(system), 2)
     rep = disintegration_consistency(table, xis, 4000, seed=20260810)
     worst_z = max(e.z_score for e in rep.entries)
-    report("criterion-04 disintegration consistency", rep.all_passed,
+    report("criterion-04 disintegration consistency", all(e.passed for e in rep.entries),
            f"10 frequencies, worst z {worst_z:.2f}", t0, 120)
 
 
@@ -147,7 +147,7 @@ def test_c06_frostman_bound():
         rng = stream_rng(99, 0xF205, stream)
         x = np.zeros(draws)
         for m in range(length):
-            atoms = om.factor(m)
+            atoms = factor_atoms(om, m)
             x += atoms[rng.integers(0, len(atoms), size=draws)]
         xs = np.sort(x)
         for r in radii:
@@ -167,7 +167,7 @@ def test_c07_geometric_hit_counting_band():
     rate = RateFn.parse("(div 1 (mul 2 n))")
     horizon = 100_000
     spec = EquidistSpec.geometric(2, 0.0, rate, horizon)
-    s = sigma(rate, horizon)
+    s = spec.rate_sum
     band = math.sqrt(s) * math.log(s + 2.0) ** 3
     hits = 0
     for i in range(200):
@@ -236,7 +236,7 @@ def test_c10_invariant_bundle():
     F = SmoothMapF.parse("(pow x 3)")
     for aa in cantor.alphabet:
         m = cantor.maps[aa]
-        comp = F.expr.subst({"x": m.to_expr("x")})
+        comp = F.expr.subst({"x": ex.add(ex.mul(m.ratio, ex.Var("x")), m.translate)})
         for x in rng.random(20):
             lhs1 = comp.diff("x").eval({"x": x})
             ok &= abs(lhs1 - F.first.eval({"x": m(x)}) * m.ratio) <= 1e-9

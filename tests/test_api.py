@@ -1,5 +1,6 @@
 """Dead-code guard: every top-level def, class and alias in ``src/ffl`` is
-reached by name from ``cli.main`` or from a name kept on purpose.
+reached by name from ``cli.main`` or from a name kept on purpose, and so is
+every method and property of a class in ``src/ffl``.
 
 The walk is by name, not by binding: a reached definition reaches every
 top-level definition whose name appears anywhere in it (its body,
@@ -9,9 +10,14 @@ import) are reached too. This over-approximates what runs, so a name it
 reports is one that nothing in the package can call. A name walk cannot
 tell same-named definitions apart: reaching one reaches every definition
 of that name, in every module.
+
+A member (a method or property, dunders excepted) is reached when its name
+appears anywhere in the package outside its own body, as a name or an
+attribute, or when it is kept on purpose in ``MEMBER_KEEP``.
 """
 
 import ast
+import collections
 import pathlib
 
 import ffl
@@ -20,21 +26,21 @@ SRC = pathlib.Path(ffl.__file__).parent
 
 # Names no command reaches that are kept on purpose, with the reason.
 KEEP = {
-    "cylinder_decomposition": "the stopping-set record read by acceptance c10 "
-                              "and the stopping-set tests",
-    "circle_sum_bound": "acceptance c10's circle-sum bound",
-    "sample_rational_points": "exact mu-points of rational systems, the base of "
-                              "mu-typical equidistribution",
-    "fourier_exact": "the one-frequency form of fourier_exact_batch",
-    "series_order": "the one-call form of the exact sweep's series degree",
-    "sigma": "the bit-for-bit reference for EquidistSpec.rate_sum; the benchmark "
-             "reads its span",
+    "fourier_exact": "perfbench's biased-evaluator test patches it by name",
+}
+# Members no name in the package reaches that are kept on purpose, with the reason.
+MEMBER_KEEP = {
+    "GridPoint.fraction": "perfbench's tracer wraps it by name",
 }
 
 
+def _uses(node):
+    return [n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))]
+
+
 def _names(node):
-    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-            if isinstance(n, (ast.Name, ast.Attribute))}
+    return set(_uses(node))
 
 
 def _definitions():
@@ -74,10 +80,26 @@ def unreached(keep=KEEP):
     return sorted(f"{module}.{name}" for module, name in set(defs) - seen)
 
 
+def unreached_members(keep=MEMBER_KEEP):
+    modules = [ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))]
+    uses = collections.Counter(name for tree in modules for name in _uses(tree))
+    members = [(f"{cls.name}.{fn.name}", fn) for tree in modules for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for fn in cls.body
+               if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+    return sorted(name for name, fn in members if name not in keep
+                  and uses[fn.name] == _uses(fn).count(fn.name))
+
+
 def test_every_definition_is_reached():
     assert unreached() == []
+
+
+def test_every_member_is_reached():
+    assert unreached_members() == []
 
 
 def test_every_kept_name_needs_keeping():
     # a kept name that a command reaches, or that is gone, is a stale entry
     assert set(KEEP) <= {name.split(".")[1] for name in unreached(keep={})}
+    assert set(MEMBER_KEEP) <= set(unreached_members(keep={}))

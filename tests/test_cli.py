@@ -344,7 +344,7 @@ def test_equidist_count_builds_the_rate_once_per_spec(tmp_path, monkeypatch):
     assert calls == [3000] and len(read_rows(tmp_path / "o" / "count.csv")) == 3
     spec = specs[0]
     assert len(specs) == 3 and all(s is spec for s in specs)
-    assert spec.rate_sum == eq.sigma(spec.rate, spec.horizon)  # bit for bit
+    assert spec.rate_sum == math.fsum(spec.rate.values(spec.horizon))  # bit for bit
 
 
 def test_decay_subcommands(tmp_path):
@@ -670,6 +670,44 @@ def test_malformed_scan_rows_exit_2(tmp_path, capsys, row, word):
         message = json.loads(err)["error"]["message"]
         assert "scan.csv, line 6" in message and word in message
     assert sorted(p.name for p in out.iterdir()) == ["scan.csv"]
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_non_finite_scan_cells_exit_2(tmp_path, capsys, cell):
+    # a scan whose every re cell read nan passed verify with no failure:
+    # a NaN gap exceeds no allowance
+    cfg = dyadic_scan_config(tmp_path)
+    out = tmp_path / "out"
+    assert main(["fourier-scan", "--config", cfg, "--out", str(out)]) == 0
+    path = out / "scan.csv"
+    lines = path.read_text().splitlines()
+    for n in range(4, len(lines)):
+        parts = lines[n].split(",")
+        parts[1] = cell
+        lines[n] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+    for command in ("verify", "report"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        err, = capsys.readouterr().err.strip().splitlines()
+        message = json.loads(err)["error"]["message"]
+        assert "scan.csv, line 5" in message and f",{cell}," in message
+    assert sorted(p.name for p in out.iterdir()) == ["scan.csv"]
+
+
+def test_decay_bands_whose_lower_edge_underflows_exit_2(tmp_path, capsys):
+    # every band_base ** j was 0.0: the fit wrote "eta_hat": NaN, which is
+    # no JSON, after three numpy warnings
+    cfg = write_config(tmp_path / "cfg.json", {
+        "system": {"kind": "named", "name": "cantor"},
+        "decay": {"method": "exact", "band_min": -1100, "band_max": -1096}})
+    out = tmp_path / "o"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["decay", "fit", "--config", cfg, "--out", str(out)]) == 2
+    err, = capsys.readouterr().err.strip().splitlines()
+    error = json.loads(err)["error"]
+    assert error["kind"] == "validation" and "band_min" in error["message"]
+    assert not any(out.iterdir())
 
 
 def test_memory_error_exits_3(tmp_path):

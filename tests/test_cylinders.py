@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fibre_systems, ratio
+from conftest import cylinder_decomposition, fibre_systems, ratio, tree_words
 from ffl import ifs
 from ffl.ifs import CIFS, AffineMap, BudgetExhausted, SmoothMap, cantor_system, fold
-from ffl.measure import cylinder_decomposition
 from ffl.pushforward import SmoothMapF, pushforward_fourier
 
 
@@ -47,7 +46,7 @@ def selections(system, thetas, lips, budget):
     assert len(over) == len(thetas)
     live = [th for th, past in zip(thetas, over) if not past]
     nodes, sets, keys = tree.select(live)
-    words = tree.words(nodes)
+    words = tree_words(tree, nodes)
     got = iter([{words[j]: (list(tree.anchors[:, nodes[j]]), float(tree.weights[nodes[j]]))
                  for j in sets[k]} for k in keys])
     return [None if past else next(got) for past in over], tree

@@ -123,6 +123,13 @@ def test_band_maxima_needs_64_samples(cantor):
         band_maxima(exact_eval(cantor), [3], 32)
 
 
+def test_band_maxima_rejects_bands_whose_lower_edge_underflows(cantor):
+    # 2^-1075 rounds to 0: a band from 0 has no log for the fit
+    with pytest.raises(ValidationError, match="band_min"):
+        band_maxima(exact_eval(cantor), range(-1075, -1070))
+    assert band_maxima(exact_eval(cantor), [-1074])[0].lower == 5e-324
+
+
 # -- exponent fits -------------------------------------------------------------
 
 def synthetic_bands(exponent, prefactor=0.8, jitter=0.0, n=8, seed=0):
@@ -154,7 +161,7 @@ def test_fit_excludes_zero_bands():
     bands[3].peak = 0.0
     bands[5].peak = bands[5].peak_frequency = None  # every sample over budget
     fit = fit_eta(bands)
-    assert fit.bands_excluded == 2
+    assert fit.bands_used == len(bands) - 2
     assert abs(fit.exponent - 0.5) <= 1e-9
 
 

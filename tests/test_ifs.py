@@ -38,7 +38,6 @@ def test_compose_two_maps():
 def test_compose_empty_word_is_flagged_identity():
     m = word_map(ab_system(), ())
     assert m.ratio == 1.0 and m.translate == 0.0
-    assert not m.is_contraction
 
 
 def test_compose_power_word():
@@ -83,7 +82,7 @@ def test_fold_matches_nested_evaluation(word):
     affine = all(isinstance(f, AffineMap) for f in maps)
     assert isinstance(m, AffineMap) == affine
     if not word:
-        assert (m.ratio, m.translate) == (1.0, 0.0) and not m.is_contraction
+        assert (m.ratio, m.translate) == (1.0, 0.0)
     if not affine:  # rounded up past the exact product of the bounds, by a few ulps
         exact = math.prod(Fraction(f.contraction_bound) for f in maps)
         assert exact <= m.contraction_bound <= float(exact) * (1 + 1e-15 * len(maps))

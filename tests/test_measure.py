@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import lebesgue_transform, unit_systems
+from conftest import cylinder_decomposition, lebesgue_transform, unit_systems
 from ffl import ifs, measure
 from ffl.ifs import (CIFS, AffineMap, BudgetExhausted, SmoothMap, ValidationError,
                      build_fibre_product)
 from ffl.rng import stream_rng
 from ffl.measure import (fourier_exact, fourier_exact_batch, fourier_product_homogeneous,
-                         fourier_montecarlo, sample_points,
-                         cylinder_decomposition)
+                         fourier_montecarlo, sample_points)
 
 
 # -- sampling ----------------------------------------------------------------
@@ -202,6 +201,20 @@ def test_product_value_does_not_depend_on_the_batch(cantor):
     assert batch[0].value == 1.0 and batch[0].error_bound == 0.0
 
 
+def test_montecarlo_bias_covers_the_accuracy_of_capped_words(cantor, monkeypatch):
+    # words cut at DEPTH_CAP letters place each point only within the
+    # accuracy they achieve; the bound assumed SAMPLE_ACCURACY, about 4e6
+    # times too little here
+    monkeypatch.setattr(measure, "DEPTH_CAP", 5)
+    accuracy = sample_points(cantor, 1, tol=measure.SAMPLE_ACCURACY).accuracy
+    assert accuracy == pytest.approx(3.0 ** -5)
+    for xi in (1.0, 10.0, -30.0):
+        fv, = fourier_montecarlo(cantor, [xi], 1000, seed=3)
+        assert fv.error_bound >= measure.TWO_PI * abs(xi) * accuracy
+        exact = fourier_exact(cantor, xi, tol=1e-9)
+        assert abs(fv.value - exact.value) <= fv.error_bound + exact.error_bound
+
+
 def test_montecarlo_rejects_tiny_runs(cantor):
     with pytest.raises(ValidationError):
         fourier_montecarlo(cantor, [1.0], 10, seed=0)
@@ -217,7 +230,10 @@ def test_evaluators_agree_on_generated_systems(system, xis, seed):
     exact = fourier_exact_batch(system, xis, tol=1e-6)
     sampled = fourier_montecarlo(system, xis, 2000, seed=seed)
     for e, mc in zip(exact, sampled):
-        assert abs(e.value - mc.value) <= e.error_bound + mc.error_bound + 4 * mc.stderr
+        # 4 standard errors on top of the statistical bound, which holds 4
+        # and the points' bias
+        bias = measure.TWO_PI * abs(mc.frequency) * measure.SAMPLE_ACCURACY
+        assert abs(e.value - mc.value) <= e.error_bound + 2 * mc.error_bound - bias
     if len(set(system.ratios[0].tolist())) == 1:
         for e, p in zip(exact, fourier_product_homogeneous(system, xis)):
             assert abs(e.value - p.value) <= e.error_bound + p.error_bound

@@ -155,6 +155,15 @@ def config_hash(cfg: dict) -> str:
     return hashlib.sha256(canon.encode()).hexdigest()
 
 
+def smooth_map(e: Section) -> SmoothMap:
+    """The smooth map of a read ``system.maps`` entry; one the validator
+    rejects is named by its entry's ``expr``."""
+    try:
+        return SmoothMap.from_expr(e["expr"], e["var"], declared_bound=e["declared_bound"])
+    except ValidationError as exc:
+        raise ValidationError(f"{e.prefix}expr {e['expr']}: {exc}") from None
+
+
 def build_system(section: dict):
     s = Section(section, "system", 0)  # no system key sizes an allocation
     kind = s["kind"]
@@ -167,8 +176,7 @@ def build_system(section: dict):
                                  for i, e in enumerate(s[key])]
     if kind in ("affine1d", "smooth1d"):
         maps = dict(enumerate(
-            AffineMap(e["ratio"], e["translate"]) if kind == "affine1d" else
-            SmoothMap.from_expr(e["expr"], e["var"], declared_bound=e["declared_bound"])
+            AffineMap(e["ratio"], e["translate"]) if kind == "affine1d" else smooth_map(e)
             for e in entries("maps", f"system.maps ({kind})")))
         if len(s["weights"]) != len(maps):
             raise ValidationError("weights must match the map list")

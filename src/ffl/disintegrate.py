@@ -386,7 +386,7 @@ class LargeDeviationParams:
 
       * size_threshold     = 2^(pair_weight * k)
       * count_slack        = e^(-alpha k)   (tolerated fraction of bad slots)
-      * ratio_floor        = exp(-e^(3 alpha k / 4))
+      * log_ratio_floor    = -e^(3 alpha k / 4)   (the log of the least slot ratio)
       * near_integer_tol   = gap * exp(-2 e^(3 alpha k / 4)) / 5
       * log product floor  = -2 * lyapunov * k * N at horizon N
     """
@@ -419,10 +419,6 @@ class LargeDeviationParams:
     @property
     def log_ratio_floor(self) -> float:
         return -math.exp(0.75 * self.alpha * self.block_length)
-
-    @property
-    def ratio_floor(self) -> float:
-        return math.exp(self.log_ratio_floor)
 
     @property
     def near_integer_tol(self) -> float:

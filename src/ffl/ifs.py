@@ -24,6 +24,7 @@ import numpy as np
 WEIGHT_TOL = 1e-12
 RATIO_MATCH_TOL = 1e-12
 EPS = 2.0 ** -53    # the unit roundoff of float64
+BOX_SLACK = 2.0 ** -40  # how far outward rounding may carry an image past a box edge
 ALPHABET_BUDGET = 100_000  # the most composed symbols a fibre product may hold
 WORD_CELLS = 1 << 22  # cells (words x depth) a word matrix holds at a time
 
@@ -113,7 +114,8 @@ class SmoothMap:
 
         Without ``declared_bound`` the map must provably contract: the
         enclosure of |f'| over the domain must stay below 1, and the
-        enclosure of f must lie in the domain (up to 1e-9 at its edges).
+        enclosure of f must lie in the domain, up to BOX_SLACK at its edges
+        for outward rounding.
         """
         from . import expr as ex
         domain = (0.0, 1.0)
@@ -127,8 +129,9 @@ class SmoothMap:
             return cls(e, var, domain, float(declared_bound), "declared")
         lo, hi = domain
         a, b = ex.enclose(e, {var: domain})
-        if a < lo - 1e-9 or b > hi + 1e-9:
-            raise ValidationError("map does not send its domain box into itself")
+        if a < lo - BOX_SLACK or b > hi + BOX_SLACK:
+            raise ValidationError(f"map does not send its domain box [{lo}, {hi}] into "
+                                  f"itself: its image encloses to [{a!r}, {b!r}]")
         a, b = ex.enclose(e.diff(var), {var: domain})
         dbound = max(-a, b)
         if not dbound < 1.0:

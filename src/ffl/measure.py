@@ -337,6 +337,41 @@ def _series(coefficients, v):
     return out
 
 
+def _map_sum(terms, out, where):
+    """sum_j terms[j] over the leading axis, the maps, in the order numpy's
+    ``add.reduce`` sums a contiguous complex axis of k terms, so the same
+    bits as summing each element's k terms as a vector: from +0.0 (the
+    final ``add``), fewer than 4 terms one after another; 4 to 64 as four
+    interleaved partial sums s_0..s_3, combined as (s_0 + s_1) + (s_2 +
+    s_3), then the rest in order; more than 64 as two such sums, the first
+    of 4 floor(k / 8) terms. The partial sums overwrite ``terms``; the
+    result goes to ``out`` where ``where``."""
+    return np.add(_pairwise(terms, 0, len(terms)), 0.0, out=out, where=where)
+
+
+def _pairwise(terms, lo, hi):
+    """terms[lo] + ... + terms[hi - 1] in ``_map_sum``'s order, summed into
+    terms[lo]."""
+    if hi - lo > 64:
+        acc = _pairwise(terms, lo, lo + (hi - lo) // 8 * 4)
+        acc += _pairwise(terms, lo + (hi - lo) // 8 * 4, hi)
+        return acc
+    acc = terms[lo]
+    if hi - lo < 4:
+        rest = range(lo + 1, hi)
+    else:
+        for j in range(lo + 4, hi - 3, 4):
+            for q in range(4):
+                terms[lo + q] += terms[j + q]
+        acc += terms[lo + 1]
+        terms[lo + 2] += terms[lo + 3]
+        acc += terms[lo + 2]
+        rest = range(hi - (hi - lo) % 4, hi)
+    for j in rest:
+        acc += terms[j]
+    return acc
+
+
 @dataclass
 class SweepListing:
     """The batch-wide half of an exact sweep of ``system`` at ``tol`` and
@@ -424,22 +459,29 @@ def _sweep_block(listing: SweepListing, etas, out, achieved):
         thetas = reach / (scale * top[live])
     # the largest weighs 1 exactly; on the line, where u is 1, ``_reach`` reads no u
     u = np.abs(etas[:, live]) / top[live] if m > 1 else None
-    out.fill(1.0)
     achieved.fill(0.0)
-    over = thetas < _reach(u, np.full((m, 1), L.cut))
-    if over.any():
-        out[live[over]] = np.nan
-        achieved[live[over]] = series_remainder(
-            degree, scale * np.abs(etas[:, live[over]]).sum(axis=0) * L.cut)
     rooted = _reach(u, np.ones((m, 1))) <= thetas  # the empty word stops
+    if rooted.all():  # no row is over budget, none needs the DAG: the series into ``out``
+        out.real, out.imag = _horner(*coefficients, etas)
+        out[top == 0] = 1.0
+        return
+    out.fill(1.0)
+    over = False
+    if L.cut:  # without a cut no row is over budget
+        over = thetas < _reach(u, np.full((m, 1), L.cut))
+        if over.any():
+            out[live[over]] = np.nan
+            achieved[live[over]] = series_remainder(
+                degree, scale * np.abs(etas[:, live[over]]).sum(axis=0) * L.cut)
     if rooted.any():
         out[live[rooted]] = _series(coefficients, etas[:, live[rooted]])
     order = np.flatnonzero(~(over | rooted))  # the rows that need the DAG
-    order = order[np.argsort(-thetas[order])]
+    chunk = max(1, BATCH_CELLS // N)
+    if order.size > chunk:  # chunks of like thetas; one chunk needs no order
+        order = order[np.argsort(-thetas[order])]
     live, thetas, u = live[order], thetas[order], u if u is None else u[:, order]
     node_sizes = np.abs(nodes)[:, :, None]
 
-    chunk = max(1, BATCH_CELLS // N)
     for lo in range(0, live.size, chunk):
         ids, theta = live[lo:lo + chunk], thetas[lo:lo + chunk]
         eta, weigh = etas[:, ids], u if u is None else u[:, None, lo:lo + chunk]
@@ -457,21 +499,25 @@ def _sweep_block(listing: SweepListing, etas, out, achieved):
              nodes[:, stop[0]] * eta[:, stop[1]]], axis=1))
         vals[n:] = series[:leaves.size * ids.size].reshape(leaves.size, ids.size)
         vals[stop] = series[leaves.size * ids.size:]
-        # the weighted characters of every node's maps, then the sums, a band
-        # at a time: a band's children come later
+        # the weighted characters of every node's maps, one map after another,
+        # then the sums, a band at a time: a band's children come later
         block = max(1, BATCH_CELLS // (ids.size * len(weights)))
-        phase = np.empty((n, ids.size, len(weights)), dtype=complex)
+        phase = np.empty((len(weights), n, ids.size), dtype=complex)
         for first in range(0, n, block):
             rows = slice(first, min(n, first + block))
-            arg = (nodes[0, rows, None] * eta[0])[:, :, None] * translates[0]
+            arg = translates[0][:, None, None] * (nodes[0, rows, None] * eta[0])
             for c in range(1, m):
-                arg = arg + (nodes[c, rows, None] * eta[c])[:, :, None] * translates[c]
-            np.multiply(character(arg), weights, out=phase[rows])
+                arg = arg + translates[c][:, None, None] * (nodes[c, rows, None] * eta[c])
+            np.multiply(character(arg), weights[:, None, None], out=phase[:, rows])
         for s, e in zip(L.starts[::-1], L.ends[::-1]):
             for hi in range(min(e, n), s, -block):
                 rows = slice(max(s, hi - block), hi)
-                here = (phase[rows] * vals[slot[rows]].transpose(0, 2, 1)).sum(axis=-1)
-                np.copyto(vals[rows], here, where=expand[rows])
+                # the phase first, into a fresh array: numpy's SIMD complex
+                # product uses fused multiply-adds, so a * b and b * a can
+                # differ in the last bit, and so can an in-place product,
+                # which may take its scalar loop
+                terms = np.multiply(phase[:, rows], vals.take(slot[rows].T, axis=0))
+                _map_sum(terms, out=vals[rows], where=expand[rows])
         out[ids] = vals[0]
 
 
@@ -506,11 +552,18 @@ def exact_sweep(system, etas, tol: float = 1e-9, budget: int = DEFAULT_BUDGET):
     The sweep is its two halves. ``sweep_listing`` lists the DAG once for
     the whole batch, by ``_ratio_bands``; ``sweep_rows`` then sweeps it
     bottom-up, ROW_BLOCK rows at a time, with every node a vector over the
-    rows, in chunks of about BATCH_CELLS cells. A chunk takes in one
-    ``_series`` call its leaves' series and each node's at the rows where it
-    stops, and forms its nodes' weighted characters once, before the sums.
-    Beyond the listing a block holds O(BATCH_CELLS) cells, whatever the
-    size of the batch.
+    rows, in chunks of about BATCH_CELLS cells. A block whose rows all stop
+    at the root takes the series straight into its output; without a cut no
+    row is tested against the budget, and one chunk's rows are not sorted.
+    A chunk takes in one ``_series`` call its leaves' series and each
+    node's at the rows where it stops, and forms its nodes' weighted
+    characters once, map by map, before the sums. A node's value is the
+    sum over the maps j of its weighted character by j times the value of
+    its child by j: ``_map_sum`` adds these map by map, over every row of a
+    band's nodes at once, in the order numpy's ``add.reduce`` would sum
+    each row's terms, so the bits are those of that reduce. Beyond the
+    listing a block holds O(BATCH_CELLS) cells, whatever the size of the
+    batch.
 
     The first ``budget`` + 1 non-root tuples are kept; the largest |rho_c|
     of the last of them is the cut. A row is over budget when a tuple past

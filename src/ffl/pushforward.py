@@ -5,11 +5,12 @@ frequencies reads from one stopping tree, ``system.tree``. Affine
 systems, on the line or a fibre product, take the second-order rule (a
 cylinder contributes weight * e(xi F(a)) * mu^(xi grad F(a) * rho), a its
 anchor and rho its ratios), with one exact-sweep listing per batch for the
-transforms of mu; systems with smooth maps take the first-order rule (the
-character at F(anchor)). Both rules sum a batch one stopping set at a
-time: the set's frequencies x its cylinders are its terms, taken in
-blocks of at most measure.ROW_BLOCK cells, and each row is summed as that
-frequency's sum alone would be.
+transforms of mu, read from each stopping set's largest |xi| row on the
+line and from every row on fibre products; systems with smooth maps take
+the first-order rule (the character at F(anchor)). Both rules sum a
+batch one stopping set at a time: the set's frequencies x its cylinders
+are its terms, taken in blocks of at most measure.ROW_BLOCK cells, and
+each row is summed as that frequency's sum alone would be.
 Error bounds rest on derivative norms certified by interval enclosure over
 F's box, which the system must map into itself, and on the maps'
 contraction bounds, plus ``measure.tail_effect`` for a recorded tail
@@ -26,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import expr as ex, measure as meas
-from .ifs import CIFS, AffineMap, SmoothMap, BudgetExhausted, ValidationError
+from .ifs import BOX_SLACK, CIFS, AffineMap, SmoothMap, BudgetExhausted, ValidationError
 from .measure import (FourierValue, character, frequencies, sample_points, sweep_listing,
                       sweep_rows, tail_effect, TWO_PI, DEFAULT_BUDGET)
 
@@ -123,7 +124,8 @@ def map_norms(F: SmoothMapF) -> MapNorms:
 def _check_box(F: SmoothMapF, system):
     """F's norms hold on its box, and a cylinder's anchor error assumes
     |y| <= 1: per coordinate the box must lie in [-1, 1], hold the anchor
-    0, and be sent into itself by every map."""
+    0, and be sent into itself by every map, up to BOX_SLACK at its edges
+    for the rounding of the image."""
     if len(F.domain) != len(system.coordinates):
         raise ValidationError("the function needs one variable per coordinate")
     for (v, (lo, hi)), maps in zip(F.domain.items(), system.coordinates):
@@ -131,7 +133,7 @@ def _check_box(F: SmoothMapF, system):
             raise ValidationError(f"the box of {v!r} must lie in [-1, 1] and hold 0")
         for m in maps:
             a, b = m.image(lo, hi)
-            if min(a, b) < lo - 1e-9 or max(a, b) > hi + 1e-9:
+            if min(a, b) < lo - BOX_SLACK or max(a, b) > hi + BOX_SLACK:
                 raise ValidationError(f"a map sends the box of {v!r} outside itself")
 
 
@@ -151,9 +153,9 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     ROW_BLOCK, 4096 cells): a block's characters, weights and
     (second-order rule) transforms of mu are multiplied as arrays and summed
     row by row, and the set's curvature masses and its spread are summed
-    once for all k. So no array of the batch's frequencies x cylinders
-    exists: beyond the tree and the sweep's listing, a block holds
-    O(max(ROW_BLOCK, n)) cells.
+    once for all k, its bounds formed as arrays over the k. So no array of
+    the batch's frequencies x cylinders exists: beyond the tree and the
+    sweep's listing, a block holds O(max(ROW_BLOCK, n)) cells.
     ``frequencies`` checks the batch at scale
     max(1, c2 / (2 pi), |F(0)| + G, R G), with G = sum_c sup |F_c| and R
     the system's radius: the second-order rule's thresholds divide by
@@ -180,17 +182,21 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     word within tol / 2 (on the line: |rho_w| <= sqrt(tol / (2 c2 |xi|)),
     c2 = pi sup|F''| R^2). The transforms of mu at the cylinders of the
     whole batch come from one exact sweep at tol / 2: one
-    ``measure.sweep_listing`` reads the arguments of every block once, for
-    the batch's smallest theta and largest weights, and ``sweep_rows``
-    sweeps each block against it as it comes, so a value is the one
-    ``exact_sweep`` over all the arguments would give. Those arguments are small (|xi F'(a_w) rho_w| is about
-    sqrt(tol |xi|) on the line), so most stop at the sweep's root: their
-    transform is the degree-K series of the moments of mu, whose remainder
-    Z^K / K! at the sweep's reach Z plus its written rounding bound is
-    within tol / 2 (K and Z from ``measure.series_order``). A frequency with a cylinder
-    over budget reports as ``achieved`` its bound with the sweep's
-    ``achieved`` (the series remainder at the cut) in place of tol / 2 for
-    that cylinder.
+    ``measure.sweep_listing`` for the batch's smallest theta and largest
+    weights reads, on the line, each stopping set's largest |xi| row (its
+    arguments are the set's largest, as rounding is monotone, so theta and
+    the ``frequencies`` check come out as from every row) and, on fibre
+    products, whose weights need every row, the arguments of every block;
+    ``sweep_rows`` sweeps each block against it as it comes, so a value is
+    the one ``exact_sweep`` over all the arguments would give. Those
+    arguments are small (|xi F'(a_w) rho_w| is about sqrt(tol |xi|) on the
+    line), so most stop at the sweep's root: their transform is the
+    degree-K series of the moments of mu, whose remainder Z^K / K! at the
+    sweep's reach Z plus its written rounding bound is within tol / 2 (K
+    and Z from ``measure.series_order``). A frequency with a cylinder over
+    budget reports as ``achieved`` its bound with the sweep's ``achieved``
+    (the series remainder at the cut) in place of tol / 2 for that
+    cylinder.
 
     Systems with a smooth map take the first-order rule: each cylinder
     contributes its weight times the character at F(anchor), and stops once
@@ -256,36 +262,38 @@ def pushforward_fourier(F: SmoothMapF, system, xis, tol: float = 1e-6,
     grad = np.array([at(F.expr.diff(v)) for v in names[:-1]] + [at(F.first)])
     # one sweep listing at tol / 2 for the transforms of mu at every cylinder
     # of the batch, then each stopping set's frequencies x its cylinders in
-    # blocks of at most ROW_BLOCK cells
+    # blocks of at most ROW_BLOCK cells. On the line the listing reads only
+    # each set's largest |xi| row: rounding is monotone, so that row holds
+    # the set's largest argument at each cylinder.
     m, size = len(names), np.abs(rho)
     listing = sweep_listing(system, tol / 2, budget, (
-        args.reshape(m, -1) for s, _, x in blocks for _, args in _arguments(x, grad, rho, s)))
-    rows, first = [None] * cut, cut  # the first frequency with a cylinder over budget
-    for s, js, x in blocks:
-        masses = [float(np.sum(w[s] * size[c, s] * size[d, s])) for c, d, _ in curvature]
-        sums = np.empty(len(js), dtype=complex)
+        args.reshape(m, -1) for s, _, x in blocks
+        for _, args in _arguments(x if m > 1 else x[-1:], grad, rho, s)))
+    values, errs, first = np.empty(cut, dtype=complex), np.empty(cut), cut
+    for s, js, x in blocks:  # ``first``: the first frequency with a cylinder over budget
         for span, args in _arguments(x, grad, rho, s):
-            values = np.empty(args.shape[1:], dtype=complex)
+            mu = np.empty(args.shape[1:], dtype=complex)
             leaves = np.empty(args.shape[1:])
-            sweep_rows(listing, args.reshape(m, -1), values.reshape(-1), leaves.reshape(-1))
-            over = np.isnan(values).any(axis=1)
-            r = int(over.argmax())
-            if over[r] and js[span.start + r] < first:  # ``js`` ascends: the set's first over
-                first, at_first = js[span.start + r], (w[s], values[r], leaves[r])
-            sums[span] = _character_sums(x[span], f[s], w[s], values)
-        for j, xi, value in zip(js, x.tolist(), sums.tolist()):
-            rows[j] = (xi, value, sum(C * abs(xi) * mass
-                                      for (_, _, C), mass in zip(curvature, masses)))
+            sweep_rows(listing, args.reshape(m, -1), mu.reshape(-1), leaves.reshape(-1))
+            if listing.cut:  # without a cut no transform is over budget
+                over = np.isnan(mu).any(axis=1)
+                r = int(over.argmax())
+                if over[r] and js[span.start + r] < first:  # ``js`` ascends: the set's first over
+                    first, at_first = js[span.start + r], (w[s], mu[r], leaves[r])
+            values[js[span]] = _character_sums(x[span], f[s], w[s], mu)
+        errs[js] = sum(C * np.abs(x) * float(np.sum(w[s] * size[c, s] * size[d, s]))
+                       for c, d, C in curvature)
+    xs = xis[live[:cut]]
     exhausted = None
     if first < cut:
-        (xi, _, err), (ws, values, leaf) = rows[first], at_first
+        (ws, mu, leaf), xi, err = at_first, xs[first].item(), errs[first].item()
         exhausted = BudgetExhausted(
             f"stopping-set budget {budget} exhausted at frequency {xi}",
-            achieved=err + float(np.sum(ws * np.where(np.isnan(values), leaf, tol / 2)))
+            achieved=err + float(np.sum(ws * np.where(np.isnan(mu), leaf, tol / 2)))
             + tail_effect(system, xi))
-    for j, (xi, value, err) in enumerate(rows):
-        out[live[j]] = exhausted if j >= first else FourierValue(
-            xi, value, err + tol / 2 + tail_effect(system, xi))
+    bounds = errs + tol / 2 + tail_effect(system, xs)
+    for j, (xi, value, bound) in enumerate(zip(xs.tolist(), values.tolist(), bounds.tolist())):
+        out[live[j]] = exhausted if j >= first else FourierValue(xi, value, bound)
     return out
 
 

@@ -1040,6 +1040,10 @@ def test_malformed_values_exit_2(tmp_path, capsys):
         *((["decay", "sparse"], {"system": cantor, "decay": {
             "method": "exact", "limit": limit}}, "limit")
           for limit in (math.nan, math.inf)),
+        # a smooth map 5e-10 past its box passed the 1e-9 slack as "certified"
+        (["pushforward-scan"], {"system": {"kind": "smooth1d", "weights": [0.5, 0.5], "maps": [
+            {"expr": "(add (mul 0.5 x) 0.5000000005)"}, {"expr": "(mul 0.5 x)"}]},
+            "map": {"expr": "(pow x 2)"}, "scan": scan}, "system.maps[0].expr", "into itself"),
     ]
     for n, (argv, config, *word) in enumerate(cases):  # a case may name a word its message holds
         cfg = write_config(tmp_path / "cfg.json", config)

@@ -460,7 +460,7 @@ def test_membership_all_flags_true(cantor):
     # cumulated ratio clears its geometric floor, so every flag holds
     table = build_classes(fibre_product_from_1d(cantor), 1)
     params = LargeDeviationParams.for_table(table, alpha=0.2)
-    assert abs(table.ratios[0]) >= params.ratio_floor
+    assert math.log(abs(table.ratios[0])) >= params.log_ratio_floor
     assert table.sizes[0] > params.size_threshold
     om = sample_omegas(table, 50, 11, (0,))[0]
     rep = check_omega_membership(om, params, np.arange(1, 51))

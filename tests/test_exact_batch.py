@@ -547,3 +547,27 @@ def test_sweep_checks_the_shape_of_its_rows():
             exact_sweep(fp, bad, 1e-3)
     with pytest.raises(ValidationError, match="1-D"):
         fourier_exact_batch(fp, [1.0], 1e-3)
+
+
+@st.composite
+def map_terms(draw):
+    """A rows x maps complex array for 1-70 maps, as likely below 4, to 8,
+    to 64 and past 64: normal parts of mixed scales, each a signed zero
+    with a drawn chance (none, some or all)."""
+    k = draw(st.integers(1, 3) | st.integers(4, 8) | st.integers(9, 64) | st.integers(65, 70))
+    rows = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    parts = rng.standard_normal((rows, k, 2)) * 10.0 ** rng.integers(-3, 4, (rows, k, 2))
+    zero = rng.random(parts.shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    parts[zero] = rng.choice([0.0, -0.0], np.count_nonzero(zero))
+    return parts.view(complex)[..., 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(map_terms())
+def test_the_map_sum_is_numpys_reduce_to_the_bit(terms):
+    # the sweep sums a node's children map by map; its values stay those of
+    # the reduce over the maps axis that it replaced, signed zeros included
+    want = np.add.reduce(terms, axis=-1)
+    got = measure._map_sum(np.ascontiguousarray(terms.T), np.empty(len(terms), complex), True)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()

@@ -129,6 +129,16 @@ def test_smooth_map_certification():
         SmoothMap.from_expr("(add x 0.5)")  # leaves the box
 
 
+def test_smooth_map_box_allows_rounding_only():
+    # the enclosure of x/2 + 0.5 reaches 1 + 2^-52 by outward rounding alone
+    assert SmoothMap.from_expr("(add (mul 0.5 x) 0.5)").bound_kind == "certified"
+    # 5e-10 past the edge passed the old 1e-9 slack and read "certified"
+    with pytest.raises(ValidationError, match="into itself"):
+        SmoothMap.from_expr("(add (mul 0.5 x) 0.5000000005)")
+    with pytest.raises(ValidationError, match="into itself"):
+        SmoothMap.from_expr("(add (mul 0.5 x) -0.0000000005)")
+
+
 def test_smooth_map_rejects_a_slope_no_grid_sees():
     # f' = 1 - (x - 1/3)^2 reaches 1 at x = 1/3, between grid points; f
     # sends [0, 1] into [0.012, 0.902]

@@ -304,6 +304,20 @@ def test_pushforward_rejects_a_system_that_leaves_the_box():
         pushforward_fourier(off, cantor_system(), [0.05], tol=3e-2)
 
 
+def test_pushforward_box_allows_rounding_only(cantor):
+    F = SmoothMapF.parse("(pow x 2)")
+    # an affine image 5e-10 past the box passed the old 1e-9 slack
+    for t in (0.5000000005, -0.0000000005):
+        over = CIFS((0, 1), {0: AffineMap(0.5, 0.0), 1: AffineMap(0.5, t)}, {0: 0.5, 1: 0.5})
+        with pytest.raises(ValidationError, match="outside itself"):
+            pushforward_fourier(F, over, [3.0], tol=1e-2)
+    # an image one ulp past the edge, as a rounded translate may leave it
+    edge = CIFS((0, 1), {0: AffineMap(0.5, 0.0), 1: AffineMap(0.5, 0.5 + 2.0 ** -52)},
+                {0: 0.5, 1: 0.5})
+    assert edge.maps[1](1.0) > 1.0
+    assert pushforward_fourier(F, edge, [3.0], tol=1e-2)[0].kind == "rigorous"
+
+
 def test_pushforward_fibre_product():
     fp = build_fibre_product(
         {"L": AffineMap(0.5, 0.0), "R": AffineMap(0.5, 0.5)},
@@ -707,3 +721,40 @@ def test_conjugacy_fourier_route():
     pts = sample_points(res.system, 500_000, tol=1e-9, seed=29).points
     mc = np.exp(-2j * np.pi * 3.0 * pts).mean()
     assert abs(fv.value - mc) <= fv.error_bound + 4 / math.sqrt(len(pts))
+
+
+def _entry(e):
+    """An entry of a pushforward batch as comparable values, bit for bit."""
+    if isinstance(e, BudgetExhausted):
+        return "budget", str(e), repr(e.achieved)
+    return repr(e.frequency), repr(e.value), repr(e.error_bound), e.kind
+
+
+@settings(max_examples=60, deadline=None)
+@given(unit_systems(max_ratio=0.5),
+       # steep maps give the sweep wide arguments, which its budget may cut
+       st.sampled_from(["(pow x 2)", "(add (mul -0.7 (pow x 3)) (mul 0.4 x))",
+                        "(add (mul 40 x) (mul 0.01 (pow x 2)))", "(mul -30 x)"]),
+       st.lists(st.floats(-2000.0, 2000.0), min_size=1, max_size=12),
+       st.sampled_from([1e-2, 1e-4, 1e-7]), st.sampled_from([8, 40, 10 ** 6]))
+def test_the_one_row_listing_is_the_every_row_listing(system, expr, xis, tol, budget):
+    # on the line the sweep listing reads each stopping set's largest |xi|
+    # row; fed every row the sweep sees, it gives the same entries, over
+    # budget or not, bit for bit
+    F = SmoothMapF.parse(expr)
+    rows = []
+
+    def seen(listing, etas, *rest):
+        rows.append(etas.copy())
+        return measure.sweep_rows(listing, etas, *rest)
+
+    def every_row(system, tol, budget, blocks):
+        for _ in blocks:  # the one-row feed still runs
+            pass
+        return measure.sweep_listing(system, tol, budget, rows)
+
+    with mock.patch("ffl.pushforward.sweep_rows", side_effect=seen):
+        got = pushforward_fourier(F, system, xis, tol=tol, budget=budget)
+    with mock.patch("ffl.pushforward.sweep_listing", side_effect=every_row):
+        want = pushforward_fourier(F, system, xis, tol=tol, budget=budget)
+    assert [_entry(e) for e in got] == [_entry(e) for e in want]

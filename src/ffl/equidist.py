@@ -7,24 +7,28 @@ two, as for every GridPoint). Digit statistics convert D to base-b digits,
 by unpacking bytes in base 2 and by splitting on the powers (b^L)^(2^k)
 down to int64 leaves in any other base. frac(b^n x) is read from the K =
 ceil(64 / log2 b) + 2 digits after position n, as exact integer chunks
-converted to float once each; in base 2 the chunks come straight from
-D's 64-bit words, shifted into place ORBIT_BLOCK offsets at a time in
-one reused scratch matrix, and in other bases from the digits by
-doubling Horner. Each value is within 2^-51 of the exact one. Distances
-to the target therefore land within TIE_BAND = 2^-50 of the exact
-distances, so every hit decision outside the band is exact, and inside
-the band an exact-rational fallback decides: counts are exact for the
-represented point. Explicit-term sequences reduce q_n p mod q term by
-term.
+converted to float once each (within 2^-51); in base 2 the chunks come
+from the 64-bit windows of D's words, ORBIT_BLOCK offsets at a time, and
+in other bases from the digits by doubling Horner. Explicit-term
+sequences reduce q_n p mod q term by term.
 
-A hit count folds each block of the orbit as it is produced, so in base
-2 it holds O(ORBIT_BLOCK) words beyond psi and D's bytes. Weyl sums join
-the blocks and hold one phase per harmonic and step, a matrix the CLI
-charges to its budget.
+A hit count compares g = dist - psi(n) with TIE_BAND = 2^-50. In base 2
+the distance is formed in 64-bit fixed point: a window minus round(gamma
+2^64), wrapping mod 2^64, is the signed distance mod 1 in units of 2^-64,
+and g lands within 2^-52 (truncation 2^-64, target 2^-65, conversion to
+float 2^-54, subtraction 2^-54); from folded floats, in other orbits,
+within 6 2^-53. So every decision outside the band is exact, and inside
+it an exact-rational fallback decides: counts are exact for the
+represented point. A count folds each block as it is produced, so in
+base 2 it holds O(ORBIT_BLOCK) words beyond psi and D's bytes. Weyl sums
+join the blocks and hold one phase per harmonic and step, a matrix the
+CLI charges to its budget.
 
 The rate psi(1..N) and its correctly rounded sum depend on the spec only:
 an EquidistSpec builds both once, on first use, and every point counted
-against it reads them.
+against it reads them. The sum is exact up to one final rounding, by
+error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+summation part I", SIAM J. Sci. Comput. 31, 2008).
 
 Sampled points carry their bit budget: an orbit of length N under base b
 consumes about N*log2(b) bits of the sample, so requests beyond
@@ -47,6 +51,7 @@ from .rng import stream_rng
 
 TIE_BAND = 2.0 ** -50
 ORBIT_BLOCK = 8192    # base-2 orbit steps per block: 128 words of 64 bits
+SUM_BLOCK = 4096      # rate values per extraction block: 2^13 >= SUM_BLOCK + 2
 
 
 # ---------------------------------------------------------------------------
@@ -140,9 +145,31 @@ class EquidistSpec:
 
     @cached_property
     def rate_sum(self) -> float:
-        """The correctly rounded sum of psi(1..horizon), read from the
-        cached psi through a memoryview, with no list of floats."""
-        return math.fsum(memoryview(self.psi))
+        """The correctly rounded sum of psi(1..horizon), by error-free
+        extraction over blocks r of at most SUM_BLOCK values, in place.
+
+        r is scaled by 2^1000 (exact, as psi <= 1/2) so that nothing below
+        is subnormal. While max|r| > 0 (remainders can be negative), with
+        max|r| <= 2^e and sigma = 2^(13 + e), h = (sigma + r) - sigma takes
+        each r's bits down to sigma 2^-53 and leaves r - h exact; the h are
+        multiples of sigma 2^-53 with a total below sigma, so h.sum() is
+        exact in any order. The sums add up in one integer in units of
+        2^-1074, and one int/int division rounds the total correctly."""
+        total, r, h = 0, np.empty(SUM_BLOCK), np.empty(SUM_BLOCK)
+        for lo in range(0, self.horizon, SUM_BLOCK):
+            block = self.psi[lo:lo + SUM_BLOCK]
+            rb, hb = r[:block.size], h[:block.size]
+            np.multiply(block, 2.0 ** 1000, out=rb)
+            top = rb.max()
+            while top:
+                sigma = math.ldexp(1.0, 13 + math.frexp(top)[1])
+                np.add(rb, sigma, out=hb)
+                hb -= sigma
+                rb -= hb
+                num, den = float(hb.sum()).as_integer_ratio()  # den divides 2^74
+                total += (num << 74) // den
+                top = max(rb.max(), -rb.min())
+        return total / (1 << 1074)
 
 
 # ---------------------------------------------------------------------------
@@ -264,45 +291,16 @@ def _sliding(digits: np.ndarray, b: int, length: int, count: int) -> np.ndarray:
         size *= 2
 
 
-def _orbit_blocks(p: int, q: int, b: int, N: int):
-    """Yield (start, ys) blocks in order, where ys[i] = frac(b^n p/q) for n =
-    start + i + 1, each within 2^-51 of the exact value; together the
-    blocks cover n = 1..N.
+def _orbit_words(p: int, q: int, N: int):
+    """Yield (start, w) in order, ORBIT_BLOCK steps a block: w[k] = U[start
+    + k + 1] as uint64 for k < count + 62, where count = len(w) - 62 and
+    U[n] = floor(frac(2^n p/q) 2^64) holds the 64 bits after offset n.
 
-    frac(b^n x) is 0.d_{n+1} d_{n+2} ... in base b. Its first K digits are
-    read as exact integers in chunks of at most L digits, and y is the sum
-    of chunk / b^end, smallest chunk first. Truncation costs less than
-    b^-K <= 2^-66. With u = 2^-53, the leading chunk's int-to-float
-    conversion, rounded power and division cost at most 3u on a value
-    below 1, the sum of the later chunks (below b^-L <= 2^-31) well under
-    u/16, and the last addition u/2: under 4u = 2^-51 in all. The hit
-    test's distance adds two roundings of u/2, so it stays within 5u <
-    TIE_BAND = 8u of the exact distance, and every decision outside the
-    band is exact. Bases other than 2 yield the whole digit path as one
-    block.
-
-    Base 2 (K = 66, L = 62) takes its chunks straight from 64-bit words,
-    ORBIT_BLOCK steps at a time. The big-endian words A of D = floor(p
-    2^(64(R+1)) / q), with R = ceil((N + 63) / 64), hold the bits of p/q.
-    The 64 bits after offset k = 64i + r are U[k] = (A[i] << r) | (A[i+1]
-    >> 1 >> (63 - r)), split so that no shift reaches 64; a block of W =
-    ORBIT_BLOCK / 64 words shifts its W + 1 rows of U, one per word, into
-    one scratch matrix that every block reuses. The chunks are U[n] >> 2
-    (62 bits) and U[n + 62] >> 60 (4 bits), the integers the digit path
-    forms, so every float equals its value bit for bit (one rounding of a
-    63-bit window would move about 3 in 10^3 of them by an ulp, and the
-    Weyl sums with them). The error is the truncation plus two roundings
-    of u/2, under 2^-52. Beyond D's bytes, a block holds O(ORBIT_BLOCK)
-    words."""
-    if b != 2:
-        K, L = _window_length(b), _leaf_length(b)
-        digits = _digits(p, q, b, N + K)[1:]
-        ys = np.zeros(N)
-        for start in reversed(range(0, K, L)):
-            end = min(start + L, K)
-            ys += _sliding(digits[start:], b, end - start, N) / float(b ** end)
-        yield 0, ys
-        return
+    The big-endian words A of D = floor(p 2^(64(R+1)) / q), with R =
+    ceil((N + 63) / 64), hold the bits of p/q, and U[64i + r] = (A[i] << r)
+    | (A[i+1] >> 1 >> (63 - r)), split so that no shift reaches 64. A block
+    shifts its rows of U, one per word, into one scratch matrix that the
+    next block overwrites, so it holds O(ORBIT_BLOCK) words beyond D's."""
     R = -(-(N + 63) // 64)
     raw = _scaled(p, q, 2, 64 * (R + 1)).to_bytes(8 * (R + 1), "big")
     A = np.frombuffer(raw, dtype=">u8").astype(np.uint64)
@@ -317,44 +315,97 @@ def _orbit_blocks(p: int, q: int, b: int, N: int):
         np.left_shift(A[i:i + rows, None], r, out=u)
         np.right_shift((A[i + 1:i + rows + 1] >> np.uint64(1))[:, None], rest, out=v)
         u |= v
-        w = u.reshape(-1)
+        yield start, u.reshape(-1)[1:count + 63]
+
+
+def _orbit_blocks(p: int, q: int, b: int, N: int):
+    """Yield (start, ys) blocks in order, where ys[i] = frac(b^n p/q) for n =
+    start + i + 1, each within 2^-51 of the exact value; together the
+    blocks cover n = 1..N.
+
+    frac(b^n x) is 0.d_{n+1} d_{n+2} ... in base b. Its first K digits are
+    read as exact integers in chunks of at most L digits, and y is the sum
+    of chunk / b^end, smallest chunk first. Truncation costs less than
+    b^-K <= 2^-66. With u = 2^-53, the leading chunk's int-to-float
+    conversion, rounded power and division cost at most 3u on a value
+    below 1, the sum of the later chunks (below b^-L <= 2^-31) well under
+    u/16, and the last addition u/2: under 4u = 2^-51 in all. Bases other
+    than 2 yield the whole digit path as one block.
+
+    Base 2 (K = 66, L = 62) takes its chunks U[n] >> 2 and U[n + 62] >> 60
+    from the windows of `_orbit_words`: the integers the digit path forms,
+    so every float keeps its bits (one rounding of a 63-bit window would
+    move about 3 in 10^3 of them by an ulp, and the Weyl sums with them),
+    within 2^-52. A hit count reads the windows themselves (`_distances`),
+    in fixed point: their error is the truncation, 2^-64, before one
+    rounding to float."""
+    if b != 2:
+        K, L = _window_length(b), _leaf_length(b)
+        digits = _digits(p, q, b, N + K)[1:]
+        ys = np.zeros(N)
+        for start in reversed(range(0, K, L)):
+            end = min(start + L, K)
+            ys += _sliding(digits[start:], b, end - start, N) / float(b ** end)
+        yield 0, ys
+        return
+    for start, w in _orbit_words(p, q, N):
         # both chunks are below 2^62, so int64 views are exact and convert fast
-        ys = (w[1:count + 1] >> np.uint64(2)).view(np.int64) * 2.0 ** -62
-        ys += (w[63:count + 63] >> np.uint64(60)).view(np.int64) * 2.0 ** -66
+        ys = (w[:-62] >> np.uint64(2)).view(np.int64) * 2.0 ** -62
+        ys += (w[62:] >> np.uint64(60)).view(np.int64) * 2.0 ** -66
         yield start, ys
+
+
+def _exact(x, spec: EquidistSpec):
+    """(p, q, exact): frac(x) = p/q, and an exact-value callback, exact(n) =
+    frac(q_n x) for 1-based n, that resolves ties. A GridPoint whose bit
+    budget falls short of a geometric horizon is rejected."""
+    p, q = _residue(x)
+    if spec.kind == "explicit":
+        return p, q, lambda n: Fraction(int(spec.terms[n - 1]) * p % q, q)
+    b = spec.base
+    if isinstance(x, GridPoint) and spec.horizon > x.max_horizon(b):
+        raise ValidationError(
+            f"horizon {spec.horizon} exceeds the precision budget of this point; "
+            f"max admissible horizon is {x.max_horizon(b)}")
+    return p, q, lambda n: Fraction(pow(b, n, q) * p % q, q)
 
 
 def _orbit(x, spec: EquidistSpec):
     """(blocks, exact): the (start, ys) blocks of frac(q_n x) for n =
     1..horizon, floats within 2^-51 as `_orbit_blocks` yields them, and
-    an exact-value callback, exact(n) for 1-based n, that resolves ties."""
-    p, q = _residue(x)
+    `_exact`'s callback."""
+    p, q, exact = _exact(x, spec)
     N = spec.horizon
-
     if spec.kind == "geometric":
-        b = spec.base
-        if isinstance(x, GridPoint):
-            cap = x.max_horizon(b)
-            if N > cap:
-                raise ValidationError(
-                    f"horizon {N} exceeds the precision budget of this point; "
-                    f"max admissible horizon is {cap}")
-
-        def exact(n):  # n is 1-based
-            return Fraction(pow(b, n, q) * p % q, q)
-        return _orbit_blocks(p, q, b, N), exact
-
-    terms = spec.terms[:N]
+        return _orbit_blocks(p, q, spec.base, N), exact
     ys = np.empty(N)
     # a GridPoint's q is a power of two: a mask reduces mod q, not a long division
     shift, mask = 1 << 64, q - 1 if q & (q - 1) == 0 else 0
-    for n, qn in enumerate(terms):
+    for n, qn in enumerate(spec.terms[:N]):
         r = int(qn) * p
         ys[n] = _scaled(r & mask if mask else r % q, q, 2, 64) / shift
-
-    def exact(n):
-        return Fraction(int(terms[n - 1]) * p % q, q)
     return iter([(0, ys)]), exact
+
+
+def _distances(x, spec: EquidistSpec):
+    """(blocks, exact): the (start, dist) blocks of dist(q_n x - gamma, Z)
+    for n = 1..horizon, in fixed point from the windows in base 2 and
+    folded from `_orbit`'s floats otherwise, and `_exact`'s callback."""
+    gamma = spec.gamma
+    if spec.kind == "explicit" or spec.base != 2:
+        blocks, exact = _orbit(x, spec)
+
+        def fold(ys):
+            d = np.abs(ys - gamma)
+            return np.minimum(d, 1.0 - d)
+        return ((start, fold(ys)) for start, ys in blocks), exact
+    p, q, exact = _exact(x, spec)
+    G = np.uint64(round(gamma * 2.0 ** 64) % (1 << 64))
+
+    def fixed(w):  # the wrapping difference is the signed distance mod 1
+        d = (w[:-62] - G).view(np.int64) * 2.0 ** -64
+        return np.abs(d, out=d)
+    return ((start, fixed(w)) for start, w in _orbit_words(p, q, spec.horizon)), exact
 
 
 # ---------------------------------------------------------------------------
@@ -370,39 +421,35 @@ class CountResult:
     count: int
     two_sigma: float
     deviation_half: float
-    epsilon: float
 
 
 def count_hits(x, spec: EquidistSpec, epsilon: float = 1.0) -> CountResult:
     """Count n <= horizon with dist(q_n x - gamma, Z) <= psi(n), exactly.
 
-    Each block of the orbit is folded as it is produced: the absolute n
-    of its ties (distances within TIE_BAND of psi(n)) are kept for the
-    exact-rational fallback, which decides them after the last block, and
-    its other float hits are counted. Beyond psi and D's bytes, a base-2
-    count holds O(ORBIT_BLOCK) words."""
+    Each block of `_distances` is folded as it is produced into g = dist -
+    psi, within 2^-52 of its exact value in base 2 (fixed point: truncation
+    2^-64, G's rounding 2^-65, conversion 2^-54, subtraction 2^-54) and
+    within 6 2^-53 otherwise: g < -TIE_BAND is a hit, and the n of the ties
+    |g| <= TIE_BAND go to the exact-rational fallback after the last
+    block. Beyond psi and D's bytes, a base-2 count holds O(ORBIT_BLOCK)
+    words."""
     if not epsilon > 0:
         raise ValidationError("epsilon must be positive")
-    psi, gamma = spec.psi, spec.gamma
-    blocks, exact = _orbit(x, spec)
+    psi = spec.psi
+    blocks, exact = _distances(x, spec)
     count, ties = 0, []
-    for start, ys in blocks:
-        ps = psi[start:start + len(ys)]
-        d = np.abs(ys - gamma)
-        dist = np.minimum(d, 1.0 - d)
-        hits = dist <= ps
-        tie = np.flatnonzero(np.abs(dist - ps) <= TIE_BAND)
-        hits[tie] = False
-        count += int(np.count_nonzero(hits))
-        ties.extend((tie + (start + 1)).tolist())
-    g = Fraction(gamma)
+    for start, dist in blocks:
+        g = np.subtract(dist, psi[start:start + dist.size], out=dist)
+        count += int(np.count_nonzero(g < -TIE_BAND))
+        ties.extend((np.flatnonzero(np.abs(g, out=g) <= TIE_BAND) + (start + 1)).tolist())
+    target = Fraction(spec.gamma)
     for n in ties:
-        delta = abs(exact(n) - g)
+        delta = abs(exact(n) - target)
         count += min(delta, 1 - delta) <= Fraction(float(psi[n - 1]))
     s = spec.rate_sum
     logterm = math.log(s + 2.0)
     denom_half = math.sqrt(s) * logterm ** (2.0 + epsilon) if s > 0 else math.inf
-    return CountResult(spec.horizon, count, 2.0 * s, (count - 2.0 * s) / denom_half, epsilon)
+    return CountResult(spec.horizon, count, 2.0 * s, (count - 2.0 * s) / denom_half)
 
 
 def weyl_sums(x, spec: EquidistSpec, harmonics: int) -> np.ndarray:

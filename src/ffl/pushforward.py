@@ -316,17 +316,18 @@ def _character_sums(xis, f, w, mu=None):
     """sum_n w_n e(xi f_n) mu_n at every xi of ``xis``, with one row of
     ``mu`` per xi, or none: the terms of one stopping set, one row per
     frequency. The rows go in blocks of at most measure.ROW_BLOCK terms
-    (one row, when it is longer), and a block's characters are its one
-    complex temporary; the products go into it in place. numpy sums each
+    (one row, when it is longer). Each product is formed out of place,
+    characters first: numpy's in-place complex product of one element takes
+    its scalar loop, without the fused multiply-adds of its SIMD loop, so a
+    row alone would round unlike the same row in a batch. numpy sums each
     row pairwise, as it sums a single vector, so a row's sum is its
     frequency's own, bit for bit."""
     out = np.empty(len(xis), dtype=complex)
     step = max(1, meas.ROW_BLOCK // len(f))
     for lo in range(0, len(xis), step):
-        terms = character(np.multiply.outer(xis[lo:lo + step], f))
-        terms *= w
+        terms = character(np.multiply.outer(xis[lo:lo + step], f)) * w
         if mu is not None:
-            terms *= mu[lo:lo + step]
+            terms = terms * mu[lo:lo + step]
         out[lo:lo + step] = terms.sum(axis=1)
     return out
 

@@ -166,6 +166,21 @@ def circle_sum_bound(weights, gap: float) -> float:
     return math.sqrt(max(value, 0.0))
 
 
+def exact_hit_count(p: int, q: int, base: int, gamma: float, psi: float, N: int) -> int:
+    """#{n <= N : dist(base^n p/q - gamma, Z) <= psi} in exact integers: the
+    residues r = base^n p mod q step by step, and every comparison cross
+    multiplied, with gamma and psi read as the dyadic rationals they are."""
+    gn, gd = Fraction(gamma).as_integer_ratio()
+    pn, pd = Fraction(psi).as_integer_ratio()
+    target, turn, limit = gn * q, q * gd, pn * q * gd
+    count, r = 0, p % q
+    for _ in range(N):
+        r = r * base % q
+        d = abs(r * gd - target)   # |r/q - gamma| in units of 1/(q gd)
+        count += min(d, turn - d) * pd <= limit
+    return count
+
+
 def sample_rational_points(maps, weights, count: int, depth: int,
                            seed: int = 0, stream: int = 0) -> list:
     """Exact coding-map samples of an affine system with rational maps.

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import constant_rate, sample_rational_points
+from conftest import constant_rate, exact_hit_count, sample_rational_points
 from ffl import equidist as eq
 from ffl.ifs import ValidationError
 from ffl.equidist import (RateFn, EquidistSpec, GridPoint, random_grid_point,
                           grid_point_for, count_hits, weyl_sums,
-                          digit_freq, TIE_BAND, ORBIT_BLOCK)
+                          digit_freq, TIE_BAND, ORBIT_BLOCK, SUM_BLOCK)
 from ffl.rng import spawn_seed
 
 
@@ -42,6 +42,48 @@ def test_rate_sum_is_the_fsum_of_the_list_bit_for_bit(pool, n, seed):
     want = math.fsum(vals.tolist()).hex()
     assert rate_sum(rate, n).hex() == want
     assert math.fsum(rate.values(n)).hex() == want
+
+
+def fsum_hex(vals):
+    return math.fsum(list(vals)).hex()
+
+
+def listed_rate(vals):
+    """The rate n -> vals[n - 1], at any horizon up to len(vals)."""
+    return RateFn(lambda n: vals[n.astype(int) - 1])
+
+
+@pytest.mark.parametrize("n", [SUM_BLOCK - 1, SUM_BLOCK, SUM_BLOCK + 1, 2 * SUM_BLOCK + 1])
+def test_rate_sum_at_extraction_block_edges(n):
+    # values over every binade, subnormals and zeros included, so that the
+    # extraction runs many rounds in each block
+    rng = np.random.default_rng(n)
+    vals = 0.5 * rng.random(n) * 2.0 ** -rng.integers(0, 1080, n).astype(float)
+    vals[rng.integers(0, n, 5)] = 0.5
+    assert rate_sum(listed_rate(vals), n).hex() == fsum_hex(vals)
+
+
+H, TINY = 2.0 ** -53, 2.0 ** -1074
+GAP = [0.0] * SUM_BLOCK   # moves what follows into the next extraction block
+
+
+@pytest.mark.parametrize("vals, want", [
+    ([0.5, 0.5, H], 1.0),                                 # halfway: to even, down
+    ([0.5, 0.5, 2 * H, H], 1.0 + 4 * H),                  # halfway: to even, up
+    ([0.5, 0.5] + GAP + [H], 1.0),
+    ([0.5, 0.5] + GAP + [H] + GAP + [TINY], 1.0 + 2 * H),  # just past halfway
+    ([0.5, 0.5, H] + GAP + [-0.0, TINY], 1.0 + 2 * H),
+    ([TINY] * 3, 3 * TINY),                               # subnormal totals, exact
+    ([2.0 ** -1070] * (SUM_BLOCK + 1), (SUM_BLOCK + 1) * 2.0 ** -1070),
+    ([2.0 ** -1023, 2.0 ** -1023], 2.0 ** -1022),         # the smallest normal
+    ([0.5] * (2 * SUM_BLOCK + 1), SUM_BLOCK + 0.5),
+    ([0.2, 0.5], 0.7),              # 0.2's first remainder is negative
+])
+def test_rate_sum_rounds_halfway_and_subnormal_totals(vals, want):
+    vals = np.array(vals)
+    got = rate_sum(listed_rate(vals), len(vals))
+    assert got.hex() == fsum_hex(vals) == want.hex()
+    assert got == float(sum(map(Fraction, vals.tolist())))
 
 
 def test_rate_range_check_reports_offender():
@@ -246,10 +288,41 @@ def test_base2_words_give_the_digit_chunk_sum_bit_for_bit(N):
         assert np.array_equal(np.concatenate([ys for _, ys in blocks]), chunks), x
 
 
+def dyadic_points(N):
+    """Binary fractions: short ones, whose orbit reaches 0, and GridPoints
+    with just the bits the horizon needs."""
+    return st.one_of(
+        st.integers(1, 80).flatmap(lambda k: st.builds(
+            Fraction, st.integers(0, 2 ** k - 1), st.just(2 ** k))),
+        st.builds(GridPoint, st.integers(0, 2 ** (N + 64) - 1), st.just(N + 64)))
+
+
+def rational_points():
+    return st.integers(2, 2 ** 80).flatmap(
+        lambda q: st.builds(Fraction, st.integers(0, q - 1), st.just(q)))
+
+
+targets = st.sampled_from([0.0, 1.0, 1e-30, 1.0 - 2.0 ** -53]) | st.sampled_from(
+    [1, 10, 53]).flatmap(lambda e: st.integers(0, 2 ** e).map(lambda k: k / 2.0 ** e))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(WORD_EDGES + BLOCK_EDGES).flatmap(
+           lambda N: st.tuples(st.just(N), dyadic_points(N) | rational_points())),
+       targets, st.sampled_from([0.0, 0.5]))
+def test_base2_count_matches_an_exact_rational_count(case, gamma, psi):
+    # the fixed-point distances against the integer recount, at the word and
+    # block edges: rate 0 counts exact hits only, and 1/2 counts every n
+    N, x = case
+    spec = EquidistSpec.geometric(2, gamma, constant_rate(psi), N)
+    p, q = eq._residue(x)
+    assert count_hits(x, spec).count == exact_hit_count(p, q, 2, gamma, psi, N)
+
+
 def nudge_orbits(monkeypatch):
-    """Move every window 2^-51 away from 0 or 1, inside TIE_BAND, and
+    """Move every distance to the target 2^-51 up, inside TIE_BAND, and
     record the n of every call to the exact fallback."""
-    engine, calls = eq._orbit, []
+    engine, calls = eq._distances, []
 
     def nudged(x, s):
         blocks, exact = engine(x, s)
@@ -257,9 +330,8 @@ def nudge_orbits(monkeypatch):
         def spy(n):
             calls.append(n)
             return exact(n)
-        return ((start, ys + np.where(ys < 0.5, 2.0 ** -51, -2.0 ** -51))
-                for start, ys in blocks), spy
-    monkeypatch.setattr(eq, "_orbit", nudged)
+        return ((start, dist + 2.0 ** -51) for start, dist in blocks), spy
+    monkeypatch.setattr(eq, "_distances", nudged)
     assert 2.0 ** -51 < TIE_BAND
     return calls
 

@@ -521,6 +521,18 @@ def test_row_blocks_do_not_move_a_bit(case, xis, tol, budget):
                 F, system, xis, tol=tol, budget=budget)] == got
 
 
+def test_a_one_map_value_does_not_depend_on_its_batch():
+    # each stopping set of a one-map system holds one cylinder, so a set's
+    # products have one element alone and two beside a frequency just
+    # above: every value and bound keeps its bits either way
+    system = CIFS((0,), {0: AffineMap(0.5, 0.25)}, {0: 1.0})
+    F = SmoothMapF.parse("(add (pow x 2) (mul 0.3 x))")
+    for xi in np.linspace(1.1, 300.7, 400).tolist():
+        alone = pushforward_fourier(F, system, [xi], tol=1e-3)[0]
+        beside = pushforward_fourier(F, system, [xi, xi * (1 + 1e-7)], tol=1e-3)[0]
+        assert entry_bits(alone) == entry_bits(beside), xi
+
+
 def test_a_large_batch_streams_its_cells(cantor):
     # bands 3^3..3^8 of 64 samples at tol 1e-6: stopping sets of up to 4,096
     # cylinders, about 890,000 frequency x cylinder cells in all, which the

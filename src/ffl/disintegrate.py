@@ -19,15 +19,16 @@ in ``ifs.fold``'s order, so no word is folded on its own; classes come from
 one integer key per word. ``sample_omegas`` draws the class sequences of
 many streams from one ``rng.uniforms`` call. ``mu_omega_fourier_batch``
 evaluates the convolution transforms of many sequences of one class table
-at many frequencies in one sweep per frequency: one character evaluation
-and one segmented sum over the distinct factors, keyed by class and scale,
-that the sequences read, each evaluated once however many sequences share
-it. It has one truncation rule: each sequence stops at the first factor
-count whose tail bound is within the tolerance, and factors past it are
-not evaluated. The consistency check and ``calibrate_alpha`` read a built
-class table: the check compares its sequences against its system's fibre
-marginal in one batch call for its whole grid, the calibration sums the
-weight of its small classes exactly.
+at many frequencies. Each chunk of sequences builds one table of the
+factors, keyed by class and scale, that it reads at the largest |xi|; per
+frequency it makes one character evaluation and one segmented sum over
+them, each key once however many sequences share it. It has one
+truncation rule: each sequence stops at the first factor count whose tail
+bound is within the tolerance, and factors past it take 1. The
+consistency check and ``calibrate_alpha`` read a built class table: the
+check compares its sequences against its system's fibre marginal in one
+batch call for its whole grid, the calibration sums the weight of its
+small classes exactly.
 """
 
 from __future__ import annotations
@@ -216,12 +217,15 @@ def mu_omega_fourier_batch(omegas, xis, tol: float):
     frequency's character call holds. A chunk stacks its class indices as
     rows; its ratio products and scales come from that matrix and the
     table's arrays. A factor's key is its class and the float bits of its
-    scale; factors of one key have the same atoms bit for bit. Per
-    frequency a chunk evaluates each distinct key that some sequence reads
-    before its count once: one character evaluation over those keys' atoms
-    and one segmented sum. Each factor takes its key's mean, factors past a
-    sequence's count take 1, and each row is their product. Each value is
-    the same, bit for bit, whatever else is in the batch.
+    scale; factors of one key have the same atoms bit for bit. A chunk builds
+    one key table from the factors its sequences read at the batch's largest
+    |xi| (tails grow with |xi| under rounding too, so these are all that any
+    frequency reads): the distinct keys, their atoms and segments, and a key
+    matrix with a sentinel past those factors. Per frequency it makes one
+    character evaluation over those atoms and one segmented sum; a factor
+    before its sequence's count takes its key's mean, the others 1, and each
+    row is their product. Each value is the same, bit for bit, whatever else
+    is in the batch.
     """
     if not tol > 0:
         raise ValidationError("need a positive truncation tolerance")
@@ -242,6 +246,7 @@ def mu_omega_fourier_batch(omegas, xis, tol: float):
     cls = np.concatenate([om.indices for om in omegas])
     first = np.concatenate(([0], np.cumsum(lengths)))  # first factor of each sequence
     edges = np.concatenate(([0], np.cumsum(table.sizes[cls])))[first]
+    widest = np.abs(xis).max()
     lo = 0
     while lo < len(omegas):
         hi = max(lo + 1, int(np.searchsorted(edges, edges[lo] + measure.BATCH_CELLS,
@@ -256,32 +261,31 @@ def mu_omega_fourier_batch(omegas, xis, tol: float):
         ratios = np.ones((n, width))
         ratios[row, col] = table.ratios[part]
         cum = np.cumprod(ratios, axis=1)
-        mags = np.abs(cum)
-        scales = np.concatenate((np.ones((n, 1)), cum[:, :-1]), axis=1)[row, col]
+        mags, span = np.abs(cum), np.arange(width)
+        short = span < length[:, None] - 1  # the counts below each prefix length
+
+        def counts(xi):  # tails[i, m - 1] bounds stopping row i after m factors
+            tails = TWO_PI * abs(xi) * mags / denom
+            hit = (tails <= tol) & short
+            return tails, np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, length)
+
+        read = col < counts(widest)[1][row]  # every factor that any frequency reads
+        r, c, part = row[read], col[read], part[read]
+        scales = np.concatenate((np.ones((n, 1)), cum[:, :-1]), axis=1)[r, c]
         # a factor's atoms are its class translates times its scale, so factors
         # of one class and one scale, bit for bit, share one key and one mean
         _, scale_id = np.unique(scales.view(np.uint64), return_inverse=True)
-        keys, key = np.unique(scale_id * len(table) + part, return_inverse=True)
-        factor = np.empty(keys.size, dtype=int)
-        factor[key] = np.arange(key.size)  # a factor of each key
+        _, at, key = np.unique(scale_id * len(table) + part, return_index=True, return_inverse=True)
+        size = table.sizes[part[at]]
+        atoms = table.translates(part[at]) * np.repeat(scales[at], size)
+        starts = np.cumsum(size) - size
+        keymat = np.full((n, width), -1)  # the sentinel -1 takes the last mean, 1
+        keymat[r, c] = key
+        means = np.ones(at.size + 1, dtype=complex)
         for f in live:
-            xi = xis[f]
-            # tails[i, m - 1] bounds the cost of stopping sequence i after m
-            # factors; columns past a sequence's length are never read
-            tails = TWO_PI * abs(xi) * mags / denom
-            hit = (tails <= tol) & (np.arange(width) < length[:, None] - 1)
-            count = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, length)
-            read = col < count[row]  # the factors before each sequence's count
-            used = np.zeros(keys.size, dtype=bool)
-            used[key[read]] = True
-            at = factor[used]  # a factor of each key that some sequence reads
-            size = table.sizes[part[at]]
-            atoms = table.translates(part[at]) * np.repeat(scales[at], size)
-            means = np.ones(keys.size, dtype=complex)
-            means[used] = np.add.reduceat(character(xi * atoms), np.cumsum(size) - size) / size
-            grid = np.ones((n, width), dtype=complex)
-            grid[row[read], col[read]] = means[key[read]]
-            values[f, lo:hi] = grid.prod(axis=1)
+            tails, count = counts(xis[f])
+            np.divide(np.add.reduceat(character(xis[f] * atoms), starts), size, out=means[:-1])
+            values[f, lo:hi] = means.take(np.where(span < count[:, None], keymat, -1)).prod(axis=1)
             bounds[f, lo:hi] = tails[np.arange(n), count - 1]
         lo = hi
     return values, bounds
@@ -333,7 +337,7 @@ def disintegration_consistency(table: ClassTable, xis, n_sequences: int, seed: i
     4 standard errors plus all rigorous truncation errors. A
     failed comparison is reported, not raised. The sequences come from one
     ``sample_omegas`` call, their transforms at all frequencies from one
-    ``mu_omega_fourier_batch`` call (one sweep per frequency), the direct
+    ``mu_omega_fourier_batch`` call, reduced along its sequences, the direct
     ones from one ``fourier_exact_batch`` call within ``budget``; a frequency
     over it raises its BudgetExhausted. It needs two sequences at least and
     one or more frequencies.
@@ -356,19 +360,18 @@ def disintegration_consistency(table: ClassTable, xis, n_sequences: int, seed: i
                                                  tol=trunc_tol, budget=budget))
     omegas = sample_omegas(table, length, seed, range(n_sequences))
     values, bounds = mu_omega_fourier_batch(omegas, xis, tol=trunc_tol)
+    spread = np.sqrt((values.real.var(ddof=1, axis=1) + values.imag.var(ddof=1, axis=1))
+                     / n_sequences)
+    # identical sequences (a one-class table) have no spread; their
+    # computed variance would be rounding noise
+    spread[(values == values[:, :1]).all(axis=1)] = 0.0
     entries = []
-    for xi, target, vals, tails in zip(xis, targets, values, bounds):
-        rig = float(tails.max())
-        mean = complex(vals.mean())
-        # identical sequences (a one-class table) have no spread; their
-        # computed variance would be rounding noise
-        stderr = (0.0 if np.all(vals == vals[0]) else
-                  math.sqrt((vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / n_sequences))
+    for xi, target, mean, stderr, rig in zip(xis.tolist(), targets, values.mean(axis=1).tolist(),
+                                             spread.tolist(), bounds.max(axis=1).tolist()):
         rigorous = rig + target.error_bound
         gap = abs(mean - target.value)
         z = gap / stderr if stderr > 0 else math.inf if gap > rigorous else 0.0
-        entries.append(ConsistencyEntry(float(xi), mean, target.value, stderr,
-                                        float(z), rigorous,
+        entries.append(ConsistencyEntry(xi, mean, target.value, stderr, float(z), rigorous,
                                         bool(gap <= 4.0 * stderr + rigorous)))
     return ConsistencyReport(table.block_length, n_sequences, entries)
 
@@ -533,7 +536,6 @@ class EKDiagnostics:
     n_eff: int
     band_index: int
     decay_levels: np.ndarray
-    products: np.ndarray
     integer_parts: np.ndarray
     fractional_parts: np.ndarray
     near_integer_tol: float
@@ -580,8 +582,7 @@ def ek_diagnostics(omega: OmegaSample, xi: float,
         warnings.warn("no decay levels in the prefix; diagnostics are empty")
     deltas = table.pair_deltas[omega.indices[levels - 1]]
     prefix = np.where(levels >= 2, omega.cum_ratios[levels - 2], 1.0)
-    products = xi * deltas * prefix
-    p, eps = _round_half_even_keep_halfopen(products)
+    p, eps = _round_half_even_keep_halfopen(xi * deltas * prefix)
     bad = levels[np.abs(eps) <= params.near_integer_tol]
-    return EKDiagnostics(float(xi), T, n_eff, band_index, levels, products,
-                         p, eps, params.near_integer_tol, bad)
+    return EKDiagnostics(float(xi), T, n_eff, band_index, levels, p, eps,
+                         params.near_integer_tol, bad)

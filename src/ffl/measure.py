@@ -95,10 +95,9 @@ class FourierValue:
 @dataclass
 class SamplePoints:
     """I.i.d. draws from a stationary measure, accurate to ``accuracy`` in
-    the sup metric, generated from symbol words of length ``depth``."""
+    the sup metric."""
 
     points: np.ndarray
-    depth: int
     accuracy: float
     seed: int
 
@@ -138,7 +137,7 @@ def sample_points(system, count: int, tol: float = 1e-9, depth: int | None = Non
                          p=system.probs)
         for c in range(pts.shape[1]):
             pts[lo:lo + len(idx), c] = apply_words(system, c, idx.T)
-    return SamplePoints(pts if pts.shape[1] > 1 else pts[:, 0], depth, achieved, seed)
+    return SamplePoints(pts if pts.shape[1] > 1 else pts[:, 0], achieved, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,10 @@ word j mod 4 of the block at counter (j // 4 + 1, 0, 0, 0), and
 ``uniforms(seed, stream, ids, count)`` equals
 ``stream_rng(seed, *stream, ids[r]).random(count)`` bit for bit, or
 ``stream_rng(seed, *stream, *ids[r]).random(count)`` when the id is a
-tuple: the rest of the address after ``stream``.
+tuple: the rest of the address after ``stream``. A round's two multiplies
+are one array operation on the lanes x = (c0, c2) and y = (c1, c3), each a
+(2, ids, blocks) stack, with the multipliers M and key words k stacked
+alike: hi, lo = mulhilo(M, x); x, y = hi[::-1] ^ y ^ k, lo[::-1].
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import hashlib
 
 import numpy as np
 
-_M = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_WEYL = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64).reshape(2, 1, 1)
+_WEYL = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64).reshape(2, 1, 1)
 _LOW, _SHIFT = np.uint64(0xFFFFFFFF), np.uint64(32)
 
 
@@ -60,7 +63,7 @@ def _keys(head: tuple, ids) -> bytes:
     return b"".join(keys)
 
 
-def _mulhilo(m: np.uint64, x: np.ndarray):
+def _mulhilo(m: np.ndarray, x: np.ndarray):
     """(high, low) 64-bit words of m * x, the high word from 32-bit halves."""
     m1, m0 = m >> _SHIFT, m & _LOW
     x1, x0 = x >> _SHIFT, x & _LOW
@@ -78,20 +81,17 @@ def uniforms(seed: int, stream, ids, count: int) -> np.ndarray:
     is the rest of its address, ``stream_rng(seed, *stream, *ids[r])``, so
     one call draws streams whose addresses differ in more than one place.
     """
-    keys = np.frombuffer(_keys((int(seed), *map(int, stream)), ids),
-                         dtype=np.uint64).reshape(-1, 1, 2)
-    blocks = -(-count // 4)
-    shape = (keys.shape[0], blocks)
-    c0 = np.broadcast_to(np.arange(1, blocks + 1, dtype=np.uint64), shape)
-    c1 = c2 = c3 = np.zeros(shape, dtype=np.uint64)
-    k0, k1 = keys[..., 0], keys[..., 1]
-    for r in range(10):  # uint64 arrays wrap silently, as Philox needs
-        if r:
-            k0, k1 = k0 + _WEYL[0], k1 + _WEYL[1]
-        hi0, lo0 = _mulhilo(_M[0], c0)
-        hi1, lo1 = _mulhilo(_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    words = np.stack((c0, c1, c2, c3), axis=-1).reshape(shape[0], 4 * blocks)[:, :count]
+    keys = np.frombuffer(_keys((int(seed), *map(int, stream)), ids), dtype=np.uint64)
+    rows, blocks = keys.size // 2, -(-count // 4)
+    # the key words (k0, k1) stacked as the lanes, in full, so each op runs flat
+    k = np.ascontiguousarray(np.broadcast_to(keys.reshape(-1, 2).T[..., None], (2, rows, blocks)))
+    x = np.zeros((2, rows, blocks), dtype=np.uint64)  # (c0, c2)
+    x[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    y = np.zeros_like(x)  # (c1, c3)
+    for _ in range(10):  # uint64 arrays wrap silently, as Philox needs
+        hi, lo = _mulhilo(_M, x)
+        x, y, k = hi[::-1] ^ y ^ k, lo[::-1], k + _WEYL  # and the next round's key
+    words = np.stack((x[0], y[0], x[1], y[1]), axis=-1).reshape(rows, 4 * blocks)[:, :count]
     return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 

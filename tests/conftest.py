@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from ffl.disintegrate import ConsistencyEntry
 from ffl.equidist import RateFn
 from ffl.ifs import (CIFS, DEFAULT_BUDGET, AffineMap, BudgetExhausted, ValidationError,
                      build_fibre_product, cantor_system, dyadic_uniform_system)
@@ -94,6 +95,14 @@ def constant_rate(value: float) -> RateFn:
     return RateFn.parse(repr(float(value)))
 
 
+def level_products(omega, xi: float, levels) -> np.ndarray:
+    """The scaled pair-offset difference of each decay level (1-based) of a
+    class sequence at ``xi``: xi times the level's pair delta times the
+    ratio product of the levels before it."""
+    prefix = np.where(levels >= 2, omega.cum_ratios[levels - 2], 1.0)
+    return xi * omega.table.pair_deltas[omega.indices[levels - 1]] * prefix
+
+
 def factor_atoms(omega, m: int) -> np.ndarray:
     """The atoms of the m-th convolution factor (0-based) of a class
     sequence, each of weight 1/len: its class translates scaled by the
@@ -104,6 +113,23 @@ def factor_atoms(omega, m: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # oracles: independent forms of what the kernels compute
 # ---------------------------------------------------------------------------
+
+def consistency_entry(xi, target, vals, tails, n: int) -> ConsistencyEntry:
+    """Reference for one entry of ``disintegrate.disintegration_consistency``
+    from its frequency's direct target, its ``n`` sequence values and their
+    tail bounds, by the per-frequency formulas: the mean, the standard error
+    of the real and imaginary parts (0 when every value is the same) and the
+    largest tail."""
+    rig = float(tails.max())
+    mean = complex(vals.mean())
+    stderr = (0.0 if np.all(vals == vals[0]) else
+              math.sqrt((vals.real.var(ddof=1) + vals.imag.var(ddof=1)) / n))
+    rigorous = rig + target.error_bound
+    gap = abs(mean - target.value)
+    z = gap / stderr if stderr > 0 else math.inf if gap > rigorous else 0.0
+    return ConsistencyEntry(float(xi), mean, target.value, stderr, float(z), rigorous,
+                            bool(gap <= 4.0 * stderr + rigorous))
+
 
 @dataclass
 class CylinderDecomposition:

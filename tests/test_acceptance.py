@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (circle_sum_bound, cylinder_decomposition, factor_atoms, five_symbol_fp,
-                      lebesgue_transform)
+                      lebesgue_transform, level_products)
 from ffl import expr as ex
 from ffl.ifs import (CIFS, AffineMap, cantor_system,
                      dyadic_uniform_system, fibre_product_from_1d, lyapunov)
@@ -260,7 +260,8 @@ def test_c10_invariant_bundle():
     params = LargeDeviationParams.for_table(table, 0.2)
     om = sample_omegas(table, 200, 3, (0,))[0]
     d = ek_diagnostics(om, 1234.5, params)
-    ok &= np.max(np.abs(d.integer_parts + d.fractional_parts - d.products)) <= 1e-9
+    products = level_products(om, 1234.5, d.decay_levels)
+    ok &= np.max(np.abs(d.integer_parts + d.fractional_parts - products)) <= 1e-9
     notes.append("carry reconstruction")
 
     # circle-sum domination on a 1e4-point angle grid

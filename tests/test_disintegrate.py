@@ -1,19 +1,22 @@
 import math
+from dataclasses import fields
 from itertools import product as iproduct
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from conftest import circle_sum_bound, factor_atoms, five_symbol_fp, unit_systems
+from conftest import (circle_sum_bound, consistency_entry, factor_atoms, five_symbol_fp,
+                      level_products, unit_systems)
 from ffl import disintegrate, measure
 from ffl.ifs import (CIFS, AffineMap, BudgetExhausted, ValidationError,
-                     build_fibre_product, fibre_product_from_1d, fold, lyapunov)
+                     build_fibre_product, cantor_system, fibre_product_from_1d, fold,
+                     lyapunov)
 from ffl.disintegrate import (build_classes, sample_omegas,
                               mu_omega_fourier_batch, disintegration_consistency,
                               LargeDeviationParams, check_omega_membership,
-                              ek_diagnostics, calibrate_alpha)
+                              ek_diagnostics, calibrate_alpha, ConsistencyEntry)
 from ffl.measure import fourier_exact
 from ffl.rng import stream_rng
 
@@ -321,6 +324,26 @@ def test_sample_omegas_rows_are_generator_choices(table, length, seed, streams):
         np.testing.assert_array_equal(om.indices, expected)
 
 
+@settings(max_examples=60, deadline=None)
+@given(table=class_tables(), lengths=st.lists(st.integers(1, 12), min_size=1, max_size=6),
+       seed=st.integers(0, 2 ** 16), xi=st.floats(-300.0, 300.0),
+       larger=st.floats(1.0, 4.0), tol=st.floats(1e-12, 10.0),
+       cells=st.sampled_from([measure.BATCH_CELLS, 1, 40]))
+def test_a_frequency_reads_the_same_beside_any_other(table, lengths, seed, xi, larger, tol,
+                                                      cells):
+    # each chunk's key table comes from the batch's largest |xi|, so a
+    # neighbour can change the table but not a bit of another frequency
+    assume(xi != 0)
+    omegas = [sample_omegas(table, n, seed, (i,))[0] for i, n in enumerate(lengths)]
+    with mock.patch.object(measure, "BATCH_CELLS", cells):
+        for xis in ([xi, xi * larger], [-xi * larger, xi], [xi, -xi], [0.0, xi]):
+            values, bounds = mu_omega_fourier_batch(omegas, xis, tol)
+            for f, one in enumerate(xis):
+                alone, alone_bound = mu_omega_fourier_batch(omegas, [one], tol)
+                np.testing.assert_array_equal(values[f].view(np.uint64), alone[0].view(np.uint64))
+                np.testing.assert_array_equal(bits(bounds[f]), bits(alone_bound[0]))
+
+
 def test_batch_rejects_sequences_of_two_tables(cantor, two_ratio):
     a = sample_omegas(build_classes(fibre_product_from_1d(cantor), 2), 5, 1, (0,))[0]
     b = sample_omegas(build_classes(fibre_product_from_1d(two_ratio), 2), 5, 1, (0,))[0]
@@ -378,17 +401,38 @@ def test_batch_matches_the_per_atom_loop(table, lengths, seed, xis, tol, cells):
     np.testing.assert_array_equal(bits(bounds), bits(want_bounds))
 
 
-def test_batch_evaluates_each_distinct_factor_once(cantor):
-    # every cantor ratio at k = 2 is 1/9, so the factors of one class at one
-    # column share a scale across all sequences
-    table = build_classes(fibre_product_from_1d(cantor), 2)
-    length, xis = 12, [1.0, 7.5, 100.0]
-    omegas = sample_omegas(table, length, 5, range(60))
-    with mock.patch.object(disintegrate, "character", wraps=measure.character) as ch:
-        mu_omega_fourier_batch(omegas, xis, 1e-12)
-    assert ch.call_count == len(xis)  # one call per frequency
-    for call in ch.call_args_list:
-        assert call.args[0].size <= len(table) * length * table.sizes.max()
+def widest_key_atoms(omegas, xis, tol):
+    """The atoms of the distinct keys, (class, scale bits), of the factors
+    that the sequences read before their counts at the largest |xi|."""
+    table = omegas[0].table
+    xi = max(abs(x) for x in xis)
+    denom = 1.0 - np.abs(table.ratios).max()
+    keys = set()
+    for om in omegas:
+        tails = measure.TWO_PI * xi * np.abs(om.cum_ratios) / denom
+        count = next((m for m in range(1, len(om)) if tails[m - 1] <= tol), len(om))
+        scales = np.concatenate(([1.0], om.cum_ratios[:-1]))[:count]
+        keys |= set(zip(om.indices[:count].tolist(), bits(scales).tolist()))
+    return sum(int(table.sizes[c]) for c, _ in keys)
+
+
+@pytest.mark.parametrize("name, cells, chunks",
+                         [("cantor", None, 1), ("cantor", 500, 6), ("two_ratio", None, 1)])
+def test_batch_makes_one_character_call_per_frequency_over_the_widest_keys(
+        request, name, cells, chunks):
+    # every cantor ratio at k = 2 is 1/9, so the factors of one column share
+    # one key across all sequences, and each chunk of 10 sequences (48 atoms
+    # each) at 500 cells reads the same keys
+    xis, tol = [1.0, 0.0, -7.5, 100.0], 1e-6
+    omegas = sample_omegas(line_classes(request.getfixturevalue(name), 2), 12, 5, range(60))
+    cells = cells or measure.BATCH_CELLS
+    with mock.patch.object(disintegrate, "character", wraps=measure.character) as ch, \
+            mock.patch.object(measure, "BATCH_CELLS", cells):
+        mu_omega_fourier_batch(omegas, xis, tol)
+    sizes = [call.args[0].size for call in ch.call_args_list]
+    assert len(sizes) == 3 * chunks  # one call per nonzero frequency and chunk
+    assert set(sizes) == {widest_key_atoms(omegas, xis, tol)}
+    assert max(sizes) <= cells
 
 
 def line_classes(system, k):
@@ -443,6 +487,39 @@ def test_consistency_jsonable(two_ratio):
     rep = disintegration_consistency(line_classes(two_ratio, 1), [1.0], 300, seed=10)
     doc = rep.to_jsonable()
     assert doc["entries"][0]["passed"] in (True, False)
+
+
+CANTOR_CLASSES = build_classes(fibre_product_from_1d(cantor_system()), 3)  # one class
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=st.one_of(st.just(CANTOR_CLASSES), class_tables()),
+       xis=st.lists(st.one_of(st.just(0.0), st.floats(-20.0, 20.0)), min_size=1, max_size=4),
+       n=st.integers(2, 30), seed=st.integers(0, 2 ** 16), tol=st.floats(1e-8, 1e-3))
+@example(table=CANTOR_CLASSES, xis=[0.0, 1.0, -5.0], n=7, seed=1, tol=1e-6)
+@example(table=THREE_SYMBOL_TABLES[2], xis=[0.0, 2.5], n=7, seed=2, tol=1e-6)
+def test_consistency_statistics_match_the_per_frequency_reference(table, xis, n, seed, tol):
+    seen = {}
+
+    def keep(name, fn):
+        def call(*args, **kwargs):
+            seen[name] = fn(*args, **kwargs)
+            return seen[name]
+        return call
+
+    with mock.patch.object(disintegrate, "mu_omega_fourier_batch",
+                           keep("sweep", mu_omega_fourier_batch)), \
+            mock.patch.object(disintegrate, "require_values",
+                              keep("targets", measure.require_values)):
+        rep = disintegration_consistency(table, xis, n, seed, tol)
+    values, bounds = seen["sweep"]
+    want = [consistency_entry(*row, n) for row in zip(xis, seen["targets"], values, bounds)]
+    for got, ref in zip(rep.entries, want, strict=True):
+        for field in fields(ConsistencyEntry):  # repr is exact, signed zeros and type too
+            assert repr(getattr(got, field.name)) == repr(getattr(ref, field.name)), field.name
+    for e in rep.entries:  # a one-class table, and xi = 0, give constant rows
+        if len(table) == 1 or e.frequency == 0:
+            assert e.stderr == 0.0
 
 
 # -- membership -------------------------------------------------------------------
@@ -528,7 +605,7 @@ def test_ek_reconstruction_exact():
     d = ek_diagnostics(om, 517.25, params)
     assert len(d.decay_levels)
     recon = d.integer_parts + d.fractional_parts
-    assert np.max(np.abs(recon - d.products)) <= 1e-9
+    assert np.max(np.abs(recon - level_products(om, 517.25, d.decay_levels))) <= 1e-9
     assert np.all((d.fractional_parts >= -0.5) & (d.fractional_parts < 0.5))
 
 
